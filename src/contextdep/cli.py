@@ -99,9 +99,20 @@ def _make_plan(spec: str, contexts) -> ComparisonPlan:
     return load_plan(spec)
 
 
+def _check_table_names(plan: ComparisonPlan) -> None:
+    # Comparison ids become file names under --tables; an id that is a
+    # path would write outside that directory.
+    for comparison in plan:
+        cid = comparison.comparison_id
+        if cid in (".", "..") or any(ch in cid for ch in "/\\\0"):
+            raise ValueError(f"comparison id {cid!r} cannot name a file under --tables")
+
+
 def _cmd_analyze(args) -> int:
     dataset = load_dataset(args.data)
     plan = _make_plan(args.plan, dataset.contexts)
+    if args.tables is not None:
+        _check_table_names(plan)
     reports = run_analysis(dataset, plan, alpha=args.alpha)
     save_report(reports, args.out)
 

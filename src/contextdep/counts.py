@@ -15,11 +15,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "DatasetError",
     "OutcomeCounts",
     "CircuitRecord",
     "ContextDataset",
+    "count_array",
     "load_dataset",
     "save_dataset",
     "marginalize",
@@ -44,9 +47,14 @@ class OutcomeCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        try:
+            counts = tuple(int(c) for c in self.counts)
+        except (TypeError, ValueError, OverflowError):
+            raise DatasetError(
+                f"counts must be non-negative integers, got {self.counts!r}") from None
         for c, raw in zip(counts, self.counts):
-            if c != raw or c < 0:
+            # bool is an int subclass; a JSON true/false is not a count.
+            if isinstance(raw, bool) or c != raw or c < 0:
                 raise DatasetError(f"counts must be non-negative integers, got {raw!r}")
         if len(counts) < 2:
             raise DatasetError("a pool needs at least two outcome categories")
@@ -183,6 +191,23 @@ class ContextDataset:
         raise DatasetError(f"no circuit with id {circuit_id!r}")
 
 
+def count_array(dataset: ContextDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset as one (circuits x contexts x outcomes) count array.
+
+    Returns the counts, in dataset context order and zero where a circuit
+    has no pool for a context, and the (circuits x contexts) mask of the
+    pools that are present.  Counts are Python ints in an object array, so
+    products such as x N - N_c x_m stay exact at any size.
+    """
+    zero = (0,) * dataset.n_outcomes
+    present = [[c in record.counts for c in dataset.contexts] for record in dataset.circuits]
+    rows = [[record.counts[c].counts if c in record.counts else zero
+             for c in dataset.contexts] for record in dataset.circuits]
+    shape = (len(rows), len(dataset.contexts), dataset.n_outcomes)
+    counts = np.array(rows, dtype=object).reshape(shape)
+    return counts, np.array(present, dtype=bool).reshape(shape[:2])
+
+
 def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise DatasetError(f"{where}: missing required field {key!r}")
@@ -205,15 +230,24 @@ def load_dataset(path: str | Path) -> ContextDataset:
     outcomes = tuple(_require(raw, "outcomes", str(path)))
     contexts = tuple(_require(raw, "contexts", str(path)))
 
+    entries = _require(raw, "circuits", str(path))
+    if not isinstance(entries, list):
+        raise DatasetError(f"{path}: 'circuits' must be an array of objects")
     records = []
-    for entry in _require(raw, "circuits", str(path)):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DatasetError(f"{path}: circuit entry {entry!r} is not an object")
         circuit_id = _require(entry, "id", f"{path} circuit entry")
+        if not isinstance(circuit_id, str):
+            raise DatasetError(f"{path}: circuit id {circuit_id!r} is not a string")
         where = f"{path} circuit {circuit_id!r}"
         counts_obj = _require(entry, "counts", where)
         if not isinstance(counts_obj, dict) or not counts_obj:
             raise DatasetError(f"{where}: counts must map context labels to arrays")
         pools = {}
         for context, values in counts_obj.items():
+            if not isinstance(values, list):
+                raise DatasetError(f"{where}, context {context!r}: counts must be an array")
             try:
                 pools[context] = OutcomeCounts(tuple(values))
             except DatasetError as exc:

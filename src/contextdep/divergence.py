@@ -18,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .counts import CircuitRecord, DatasetError
 from .llr import llr_single
 
 __all__ = [
     "QuantificationResult",
+    "jsd_from_llr",
     "observed_jsd",
     "jsd_threshold",
+    "tvd_rows",
     "observed_tvd",
     "sstvd",
     "max_sstvd",
@@ -50,14 +54,20 @@ class QuantificationResult:
     sstvd_per_gate: float | None = None
 
 
-def observed_jsd(record: CircuitRecord, contexts: Sequence[str] | None = None) -> float:
-    """Estimated Jensen-Shannon divergence lambda/(2N) across contexts.
+def jsd_from_llr(llr, n_total) -> np.ndarray:
+    """lambda / (2N) elementwise, for statistics and N as scalars or arrays.
 
-    Equals the weighted JSD of the empirical outcome distributions with
-    context weights N_c / N, in nats.
+    For an observed statistic this is the weighted JSD of the empirical
+    outcome distributions, with context weights N_c / N, in nats; for a
+    statistic threshold it is the smallest JSD resolvable at N shots.
     """
+    return np.asarray(llr, dtype=float) / (2.0 * np.asarray(n_total).astype(float))
+
+
+def observed_jsd(record: CircuitRecord, contexts: Sequence[str] | None = None) -> float:
+    """Estimated Jensen-Shannon divergence lambda/(2N) across contexts."""
     result = llr_single(record, contexts)
-    return result.llr / (2.0 * result.n_total)
+    return float(jsd_from_llr(result.llr, result.n_total))
 
 
 def jsd_threshold(llr_threshold: float, n_total: int) -> float:
@@ -66,7 +76,7 @@ def jsd_threshold(llr_threshold: float, n_total: int) -> float:
         raise ValueError(f"total shot count must be at least 1, got {n_total!r}")
     if llr_threshold < 0.0:
         raise ValueError(f"llr_threshold must be non-negative, got {llr_threshold!r}")
-    return llr_threshold / (2.0 * n_total)
+    return float(jsd_from_llr(llr_threshold, n_total))
 
 
 def _two_pools(record: CircuitRecord, context_pair: Sequence[str]):
@@ -78,11 +88,25 @@ def _two_pools(record: CircuitRecord, context_pair: Sequence[str]):
     return record.pool(pair[0]), record.pool(pair[1])
 
 
+def tvd_rows(counts: np.ndarray) -> np.ndarray:
+    """TVD between the two context rows of each table of an (R, 2, M) stack.
+
+    Counts are Python ints in an object array, so each frequency is one
+    correctly rounded integer division.
+    """
+    freqs = counts / counts.sum(axis=2)[:, :, None]
+    gaps = np.abs(freqs[:, 0] - freqs[:, 1]).astype(float)
+    # Summed outcome by outcome, as the plain loop over outcomes would.
+    total = np.zeros(len(counts))
+    for column in gaps.T:
+        total += column
+    return 0.5 * total
+
+
 def observed_tvd(record: CircuitRecord, context_pair: Sequence[str]) -> float:
     """Total variation distance between two contexts' empirical distributions."""
     first, second = _two_pools(record, context_pair)
-    n1, n2 = first.total, second.total
-    return 0.5 * sum(abs(a / n1 - b / n2) for a, b in zip(first, second))
+    return float(tvd_rows(np.array([[first.counts, second.counts]], dtype=object))[0])
 
 
 def sstvd(record: CircuitRecord, context_pair: Sequence[str],

@@ -28,12 +28,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .chi2 import chi2_inv_cdf, chi2_sf
 from .counts import CircuitRecord, DatasetError
 
 __all__ = [
     "CircuitTestResult",
     "AggregateTestResult",
+    "TableTests",
+    "llr_statistics",
+    "llr_tests",
     "llr_statistic",
     "llr_single",
     "llr_aggregate",
@@ -68,45 +73,92 @@ class AggregateTestResult:
     n_sigma: float
 
 
+@dataclass(frozen=True)
+class TableTests:
+    """Per-table test results for R stacked count tables, as length-R arrays."""
+
+    llr: np.ndarray
+    dof: int
+    p_value: np.ndarray
+    n_total: np.ndarray
+    small_sample: np.ndarray
+
+
+def llr_statistics(counts: np.ndarray) -> np.ndarray:
+    """The statistic lambda for each table of an (R, C, M) count stack.
+
+    Counts are Python ints in an object array (see counts.count_array).
+    Every context row of every table needs a positive total.  Each table
+    is summed as lambda = 2 sum_{c,m} x log(x N / (N_c x_m)), context by
+    context and outcome by outcome.  The ratio's numerator and denominator
+    are exact integer products, so a context whose frequencies equal the
+    pooled ones adds exactly log1p(0) = 0: identical or proportional pools
+    give exactly zero, not a rounding residue of two large sums.
+    """
+    totals = counts.sum(axis=2)
+    pooled = counts.sum(axis=1)
+    grand = totals.sum(axis=1)
+    den = totals[:, :, None] * pooled[:, None, :]
+    seen = counts > 0
+    ratio = np.where(seen, (counts * grand[:, None, None] - den) / np.where(seen, den, 1), 0.0)
+    # math.log1p, not np.log1p: numpy's vectorised log1p may differ from
+    # the C library in the last bit.
+    logs = np.fromiter(map(math.log1p, ratio.astype(float).ravel().tolist()),
+                       float, ratio.size).reshape(ratio.shape)
+    terms = (counts.astype(float) * logs).reshape(len(counts), -1)
+    # One term at a time, in context-then-outcome order: numpy's pairwise
+    # sum would round wider tables differently.
+    half = np.zeros(len(counts))
+    for column in terms.T:
+        half += column
+    # Rounding in the sum can still leave a tiny negative residue.
+    return np.where(half > 0.0, 2.0 * half, 0.0)
+
+
+def _p_values(statistics: np.ndarray, dof: int) -> np.ndarray:
+    # One survival-function evaluation per distinct statistic.
+    distinct, inverse = np.unique(statistics, return_inverse=True)
+    return np.array([chi2_sf(x, dof) for x in distinct.tolist()])[inverse]
+
+
+def llr_tests(counts: np.ndarray) -> TableTests:
+    """Test each table of an (R, C, M) count stack for context dependence.
+
+    small_sample is set for a table when any of its pools has fewer than
+    10 shots per outcome category, where the asymptotic p-value is
+    unreliable.
+    """
+    _, n_contexts, n_outcomes = counts.shape
+    statistics = llr_statistics(counts)
+    dof = (n_contexts - 1) * (n_outcomes - 1)
+    totals = counts.sum(axis=2)
+    return TableTests(
+        llr=statistics,
+        dof=dof,
+        p_value=_p_values(statistics, dof),
+        n_total=totals.sum(axis=1),
+        small_sample=(totals < SMALL_SAMPLE_SHOTS_PER_OUTCOME * n_outcomes).any(axis=1),
+    )
+
+
 def llr_statistic(pools: Sequence[Sequence[int]]) -> float:
     """The statistic lambda for a C-by-M table of counts, one row per context."""
     if len(pools) < 2:
         raise ValueError("need at least two contexts to compare")
     n_outcomes = len(pools[0])
-    totals = []
-    for row in pools:
-        if len(row) != n_outcomes:
-            raise ValueError("count rows have unequal lengths")
-        totals.append(sum(row))
-    for n_c in totals:
-        if n_c <= 0:
-            raise ValueError("every context pool needs at least one repetition")
-
-    # Summed as lambda = 2 sum_{c,m} x log(x N / (N_c x_m)).  The ratio's
-    # numerator and denominator are exact integer products, so a context
-    # whose frequencies equal the pooled ones adds exactly log1p(0) = 0:
-    # identical or proportional pools give exactly zero, not a rounding
-    # residue of two large sums.
-    n = sum(totals)
-    pooled = [sum(row[m] for row in pools) for m in range(n_outcomes)]
-    half = 0.0
-    for row, n_c in zip(pools, totals):
-        for x, x_m in zip(row, pooled):
-            if x > 0:
-                den = n_c * x_m
-                half += x * math.log1p((x * n - den) / den)
-
-    # Rounding in the sum can still leave a tiny negative residue.
-    return max(0.0, 2.0 * half)
+    if any(len(row) != n_outcomes for row in pools):
+        raise ValueError("count rows have unequal lengths")
+    if any(sum(row) <= 0 for row in pools):
+        raise ValueError("every context pool needs at least one repetition")
+    return float(llr_statistics(np.array([pools], dtype=object))[0])
 
 
 def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> CircuitTestResult:
     """Test one circuit for context dependence across the selected contexts.
 
     ``contexts`` defaults to every context present on the record; passing a
-    subset restricts the comparison.  The small_sample flag is set when any
-    selected pool has fewer than 10 shots per outcome category, where the
-    asymptotic p-value is unreliable.
+    subset restricts the comparison.  This is llr_tests on a one-table
+    stack.
     """
     if contexts is None:
         contexts = record.contexts
@@ -117,19 +169,15 @@ def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> 
         )
     if len(set(contexts)) != len(contexts):
         raise DatasetError(f"circuit {record.circuit_id!r}: repeated context label")
-    pools = [record.pool(c) for c in contexts]
-
-    m = pools[0].n_outcomes
-    statistic = llr_statistic([pool.counts for pool in pools])
-    dof = (len(contexts) - 1) * (m - 1)
-    small = any(pool.total < SMALL_SAMPLE_SHOTS_PER_OUTCOME * m for pool in pools)
+    table = np.array([[record.pool(c).counts for c in contexts]], dtype=object)
+    tests = llr_tests(table)
     return CircuitTestResult(
         circuit_id=record.circuit_id,
-        llr=statistic,
-        dof=dof,
-        p_value=chi2_sf(statistic, dof),
-        n_total=sum(pool.total for pool in pools),
-        small_sample=small,
+        llr=float(tests.llr[0]),
+        dof=tests.dof,
+        p_value=float(tests.p_value[0]),
+        n_total=int(tests.n_total[0]),
+        small_sample=bool(tests.small_sample[0]),
     )
 
 

@@ -10,6 +10,8 @@ comparison plus every pair at equal weight, so one analysis answers both
 Each comparison produces a ComparisonReport whose numbers are mutually
 consistent by construction: one p_threshold drives the rejection set, the
 statistic threshold, the per-circuit JSD thresholds, and SSTVD nullity.
+The analysis works on one (circuits x contexts x outcomes) count array
+per dataset; a comparison tests a slice of it, all circuits at once.
 Reports serialize to JSON and to the two CSV data layers used for
 plotting (a pairwise N-sigma / rejection-count matrix and a JSD versus
 core-length profile).
@@ -20,18 +22,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .counts import ContextDataset, DatasetError
-from .divergence import observed_tvd
+import numpy as np
+
+from .counts import ContextDataset, DatasetError, count_array
+from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
-from .llr import (AggregateTestResult, llr_aggregate, llr_single,
-                  llr_threshold, n_sigma_threshold)
+from .llr import (AggregateTestResult, CircuitTestResult, llr_aggregate,
+                  llr_tests, n_sigma_threshold)
 from .multitest import combined_procedure
 
 __all__ = [
@@ -47,18 +49,7 @@ __all__ = [
     "write_pairwise_csv",
     "jsd_profile",
     "write_jsd_profile_csv",
-    "default_thread_count",
 ]
-
-THREADS_ENV_VAR = "CONTEXTDEP_THREADS"
-
-
-def default_thread_count() -> int:
-    value = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -149,8 +140,9 @@ def load_plan(path: str | Path) -> ComparisonPlan:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     entries = raw.get("comparisons") if isinstance(raw, dict) else None
-    if not entries:
-        raise ValueError(f"{path}: expected an object with a 'comparisons' array")
+    if (not entries or not isinstance(entries, list)
+            or not all(isinstance(entry, dict) for entry in entries)):
+        raise ValueError(f"{path}: expected an object with a 'comparisons' array of objects")
     weights = [entry.get("weight") for entry in entries]
     if any(w is None for w in weights):
         if any(w is not None for w in weights):
@@ -160,11 +152,16 @@ def load_plan(path: str | Path) -> ComparisonPlan:
     for entry, weight in zip(entries, weights):
         if "contexts" not in entry:
             raise ValueError(f"{path}: comparison entry without 'contexts'")
-        contexts = tuple(entry["contexts"])
-        default_id = "_vs_".join(contexts)
-        comparisons.append(
-            Comparison(entry.get("id", default_id), contexts, float(weight))
-        )
+        contexts = entry["contexts"]
+        if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
+            raise ValueError(f"{path}: 'contexts' must be an array of context labels")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValueError(f"{path}: comparison weight {weight!r} is not a number")
+        contexts = tuple(contexts)
+        comparison_id = entry.get("id", "_vs_".join(contexts))
+        if not isinstance(comparison_id, str):
+            raise ValueError(f"{path}: comparison id {comparison_id!r} is not a string")
+        comparisons.append(Comparison(comparison_id, contexts, float(weight)))
     return ComparisonPlan(tuple(comparisons))
 
 
@@ -222,36 +219,47 @@ def _gate_count(spec: str | None) -> int | None:
         return None
 
 
-def _run_comparison(dataset: ContextDataset, comparison: Comparison,
-                    alpha_local: float) -> ComparisonReport:
-    selected = []
+def _run_comparison(dataset: ContextDataset, counts: np.ndarray, present: np.ndarray,
+                    comparison: Comparison, alpha_local: float) -> ComparisonReport:
+    columns = [dataset.contexts.index(c) for c in comparison.contexts]
+    complete = present[:, columns].all(axis=1)
     warnings = []
-    for record in dataset.circuits:
-        missing = [c for c in comparison.contexts if c not in record.contexts]
-        if missing:
+    for record, ok in zip(dataset.circuits, complete.tolist()):
+        if not ok:
+            missing = [c for c in comparison.contexts if c not in record.contexts]
             warnings.append(
                 f"circuit {record.circuit_id!r}: missing context(s) "
                 f"{', '.join(repr(m) for m in missing)}; skipped"
             )
-        else:
-            selected.append(record)
-    if not selected:
+    rows = np.flatnonzero(complete)
+    if not rows.size:
         raise DatasetError(
             f"comparison {comparison.comparison_id!r}: no circuit has all of "
             f"{comparison.contexts}"
         )
 
-    results = [llr_single(record, comparison.contexts) for record in selected]
+    table = counts[rows][:, columns]
+    tests = llr_tests(table)
+    records = [dataset.circuits[i] for i in rows.tolist()]
+    results = [
+        CircuitTestResult(record.circuit_id, llr, tests.dof, p, n, small)
+        for record, llr, p, n, small in zip(
+            records, tests.llr.tolist(), tests.p_value.tolist(),
+            tests.n_total.tolist(), tests.small_sample.tolist())
+    ]
     aggregate = llr_aggregate(results)
     outcome = combined_procedure(results, aggregate, alpha_local)
     sigma_threshold = n_sigma_threshold(0.5 * alpha_local, aggregate.dof)
+    # All rows share one dof, so the outcome's statistic threshold is theirs.
+    jsds = jsd_from_llr(tests.llr, tests.n_total).tolist()
+    jsd_thresholds = jsd_from_llr(outcome.llr_threshold, tests.n_total).tolist()
     is_pair = len(comparison.contexts) == 2
+    tvds = tvd_rows(table).tolist() if is_pair else [None] * len(records)
 
     lines = []
-    for record, result in zip(selected, results):
-        stat_threshold = llr_threshold(outcome.p_threshold, result.dof)
+    for record, result, jsd, jsd_cut, tvd in zip(records, results, jsds,
+                                                 jsd_thresholds, tvds):
         rejected = record.circuit_id in outcome.rejected_ids
-        tvd = observed_tvd(record, comparison.contexts) if is_pair else None
         significant_tvd = tvd if (is_pair and rejected) else None
         per_gate = None
         if significant_tvd is not None:
@@ -263,8 +271,8 @@ def _run_comparison(dataset: ContextDataset, comparison: Comparison,
                 circuit_id=record.circuit_id,
                 llr=result.llr,
                 p_value=result.p_value,
-                jsd=result.llr / (2.0 * result.n_total),
-                jsd_threshold=stat_threshold / (2.0 * result.n_total),
+                jsd=jsd,
+                jsd_threshold=jsd_cut,
                 tvd=tvd,
                 sstvd=significant_tvd,
                 sstvd_per_gate=per_gate,
@@ -288,13 +296,11 @@ def _run_comparison(dataset: ContextDataset, comparison: Comparison,
 
 
 def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
-                 alpha: float = 0.05, n_threads: int | None = None) -> list[ComparisonReport]:
-    """Run every planned comparison against a dataset.
+                 alpha: float = 0.05) -> list[ComparisonReport]:
+    """Run every planned comparison against a dataset, in plan order.
 
-    Local budgets are alpha times each comparison's weight.  Comparisons
-    are independent, so they may run on a thread pool (n_threads defaults
-    to the CONTEXTDEP_THREADS environment variable, else 1); reports come
-    back in plan order either way.
+    Local budgets are alpha times each comparison's weight.  The dataset's
+    count array is built once and each comparison analyses a slice of it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -307,15 +313,9 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                     f"comparison {comparison.comparison_id!r}: dataset has no "
                     f"context {context!r}"
                 )
-    if n_threads is None:
-        n_threads = default_thread_count()
-
-    jobs = [(c, alpha * c.weight) for c in plan]
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_run_comparison, dataset, c, a) for c, a in jobs]
-            return [f.result() for f in futures]
-    return [_run_comparison(dataset, comparison, a) for comparison, a in jobs]
+    counts, present = count_array(dataset)
+    return [_run_comparison(dataset, counts, present, comparison, alpha * comparison.weight)
+            for comparison in plan]
 
 
 def _report_to_json(report: ComparisonReport) -> dict:

@@ -117,3 +117,61 @@ def llr_reference(pools: Sequence[Sequence[int]]) -> float:
     """LLR statistic via the JSD identity: lambda = 2 N JSD_weighted."""
     grand = sum(sum(row) for row in pools)
     return 2.0 * grand * weighted_jsd_reference(pools)
+
+
+def llr_loop_reference(pools: Sequence[Sequence[int]]) -> float:
+    """The statistic by the plain per-table loop, one term at a time.
+
+    lambda = 2 sum_{c,m} x log1p((x N - N_c x_m) / (N_c x_m)), summed
+    context by context and outcome by outcome, with the ratio's terms as
+    exact Python-int products.  The array core must reproduce this bit for
+    bit.
+    """
+    totals = [sum(row) for row in pools]
+    n = sum(totals)
+    pooled = [sum(row[m] for row in pools) for m in range(len(pools[0]))]
+    half = 0.0
+    for row, n_c in zip(pools, totals):
+        for x, x_m in zip(row, pooled):
+            if x > 0:
+                den = n_c * x_m
+                half += x * math.log1p((x * n - den) / den)
+    return max(0.0, 2.0 * half)
+
+
+def tvd_loop_reference(first: Sequence[int], second: Sequence[int]) -> float:
+    n1, n2 = sum(first), sum(second)
+    return 0.5 * sum(abs(a / n1 - b / n2) for a, b in zip(first, second))
+
+
+def comparison_rows_reference(dataset, contexts: Sequence[str]):
+    """One comparison's per-circuit quantities, record by record.
+
+    Circuits lacking a context are skipped with a warning.  Returns (rows,
+    warnings); each row is a dict with circuit_id, llr, dof, n_total, jsd,
+    tvd (pairs only, else None) and small_sample (a pool below 10 shots
+    per outcome).
+    """
+    rows, warnings = [], []
+    for record in dataset.circuits:
+        missing = [c for c in contexts if c not in record.counts]
+        if missing:
+            warnings.append(
+                f"circuit {record.circuit_id!r}: missing context(s) "
+                f"{', '.join(repr(m) for m in missing)}; skipped"
+            )
+            continue
+        pools = [tuple(record.counts[c].counts) for c in contexts]
+        n_outcomes = len(pools[0])
+        statistic = llr_loop_reference(pools)
+        n_total = sum(sum(pool) for pool in pools)
+        rows.append({
+            "circuit_id": record.circuit_id,
+            "llr": statistic,
+            "dof": (len(contexts) - 1) * (n_outcomes - 1),
+            "n_total": n_total,
+            "jsd": statistic / (2.0 * n_total),
+            "tvd": tvd_loop_reference(*pools) if len(contexts) == 2 else None,
+            "small_sample": any(sum(pool) < 10 * n_outcomes for pool in pools),
+        })
+    return rows, warnings

@@ -1,0 +1,96 @@
+"""The array analysis core against the per-record loop, compared exactly.
+
+run_analysis tests every circuit of a comparison at once on a slice of one
+count array.  Its statistics, p-values, JSDs, TVDs and small-sample flags
+must equal, with ==, what the plain per-record loop in _references gives,
+including for circuits that lack a context and for pools far beyond 2**53
+shots, where only exact integer products give the right ratio.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextdep.chi2 import chi2_sf
+from contextdep.counts import CircuitRecord, ContextDataset, OutcomeCounts
+from contextdep.divergence import observed_jsd, observed_tvd
+from contextdep.llr import llr_single, llr_statistic, llr_threshold
+from contextdep.pipeline import ComparisonPlan, run_analysis
+
+from _references import comparison_rows_reference, llr_loop_reference, tvd_loop_reference
+
+
+def check_against_loop(dataset):
+    reports = run_analysis(dataset, ComparisonPlan.default(dataset.contexts), alpha=0.05)
+    for report in reports:
+        rows, warnings = comparison_rows_reference(dataset, report.contexts)
+        assert list(report.warnings) == warnings
+        assert [line.circuit_id for line in report.circuits] == [r["circuit_id"] for r in rows]
+        assert report.llr_threshold == llr_threshold(report.p_threshold, rows[0]["dof"])
+        for line, row in zip(report.circuits, rows):
+            assert line.llr == row["llr"]
+            assert line.p_value == chi2_sf(row["llr"], row["dof"])
+            assert line.jsd == row["jsd"]
+            assert line.jsd_threshold == report.llr_threshold / (2.0 * row["n_total"])
+            assert line.tvd == row["tvd"]
+            assert line.small_sample == row["small_sample"]
+            assert line.rejected == (line.p_value < report.p_threshold)
+
+            record = dataset.circuit(line.circuit_id)
+            single = llr_single(record, report.contexts)
+            assert (single.llr, single.p_value, single.n_total, single.small_sample) == (
+                row["llr"], line.p_value, row["n_total"], row["small_sample"])
+            assert observed_jsd(record, report.contexts) == row["jsd"]
+            pools = [record.counts[c].counts for c in report.contexts]
+            assert llr_statistic(pools) == row["llr"]
+            if row["tvd"] is not None:
+                assert observed_tvd(record, report.contexts) == row["tvd"]
+
+
+@st.composite
+def datasets(draw):
+    n_contexts = draw(st.integers(min_value=2, max_value=6))
+    n_outcomes = draw(st.integers(min_value=2, max_value=4))
+    contexts = tuple(f"t{i}" for i in range(n_contexts))
+    pool = st.lists(st.integers(min_value=0, max_value=60),
+                    min_size=n_outcomes, max_size=n_outcomes).filter(lambda row: sum(row) > 0)
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        # The first circuit has every context, so every comparison has a row;
+        # later ones may lack some.
+        dropped = set() if i == 0 else draw(
+            st.sets(st.sampled_from(contexts), max_size=n_contexts - 1))
+        counts = {c: OutcomeCounts(tuple(draw(pool))) for c in contexts if c not in dropped}
+        records.append(CircuitRecord(circuit_id=f"q{i}", counts=counts))
+    outcomes = tuple(str(m) for m in range(n_outcomes))
+    return ContextDataset(outcomes=outcomes, contexts=contexts, circuits=tuple(records))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dataset=datasets())
+def test_array_core_equals_per_record_loop(dataset):
+    check_against_loop(dataset)
+
+
+@pytest.mark.parametrize("shots", [2**40, 2**62, 2**70])
+def test_exact_products_beyond_float_precision(shots):
+    """Near-identical pools of 2**40, 2**62 and 2**70 shots: N * N is far
+    past 2**53, so a float64 numerator x N - N_c x_m would cancel to noise.
+    At 2**62 every count fits in int64 but a pool total reaches 2**63,
+    where int64 totals would wrap."""
+    records = (
+        CircuitRecord(circuit_id="near", counts={
+            "a": OutcomeCounts((shots + 1, shots - 1)),
+            "b": OutcomeCounts((shots, shots)),
+            "c": OutcomeCounts((shots - 3, shots + 3))}),
+        CircuitRecord(circuit_id="mixed", counts={
+            "a": OutcomeCounts((shots, shots // 2)),
+            "b": OutcomeCounts((5, 9)),
+            "c": OutcomeCounts((shots // 3, shots))}),
+    )
+    dataset = ContextDataset(outcomes=("0", "1"), contexts=("a", "b", "c"),
+                             circuits=records)
+    check_against_loop(dataset)
+    near = [(shots + 1, shots - 1), (shots, shots)]
+    assert llr_statistic(near) == llr_loop_reference(near)
+    assert observed_tvd(records[0], ("a", "b")) == tvd_loop_reference(*near)

@@ -140,6 +140,37 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        5,
+        {"id": "q0", "counts": {"c1": [True, False], "c2": [1, 1]}},
+    ])
+    def test_malformed_dataset_is_one_line_error(self, tmp_path, capsys, entry):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"format_version": "1.0", "outcomes": ["0", "1"],
+                                    "contexts": ["c1", "c2"], "circuits": [entry]}))
+        code = main(["analyze", "--data", str(data), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("bad_id", ["x/../../escape", "../escape", "a\\b",
+                                        "a\x00b", ".", ".."])
+    def test_table_ids_that_are_paths_rejected(self, tmp_path, capsys, bad_id):
+        tables = tmp_path / "T" / "sub"
+        (tables / "jsd_profile_x").mkdir(parents=True)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"comparisons": [
+            {"id": bad_id, "contexts": ["c1", "c2"]},
+        ]}))
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["analyze", "--data", TWO_CONTEXT, "--plan", str(plan),
+                     "--out", str(tmp_path / "report.json"), "--tables", str(tables)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_corrupt_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

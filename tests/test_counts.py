@@ -45,6 +45,13 @@ class TestOutcomeCounts:
         with pytest.raises(DatasetError):
             OutcomeCounts((1.5, 2))
 
+    def test_rejects_booleans(self):
+        # JSON true/false must not pass as the counts 1 and 0.
+        with pytest.raises(DatasetError, match="True"):
+            OutcomeCounts((True, False))
+        with pytest.raises(DatasetError):
+            OutcomeCounts((3, False))
+
     def test_rejects_empty_pool(self):
         with pytest.raises(DatasetError, match="empty pool"):
             OutcomeCounts((0, 0))
@@ -144,6 +151,21 @@ class TestSerialization:
         path = tmp_path / "empty_pool.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError, match="q0.*empty pool"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("entry, message", [
+        (5, "circuit entry 5 is not an object"),
+        ({"id": "q0", "counts": {"a": [True, False], "b": [1, 1]}}, "q0.*True"),
+        ({"id": "q0", "counts": {"a": 7, "b": [1, 1]}}, "q0.*must be an array"),
+        ({"id": "q0", "counts": {"a": [None, 2], "b": [1, 1]}}, "q0.*None"),
+        ({"id": ["q0"], "counts": {"a": [1, 2], "b": [1, 1]}}, "not a string"),
+    ])
+    def test_load_rejects_malformed_circuit_entries(self, tmp_path, entry, message):
+        payload = {"format_version": "1.0", "outcomes": ["0", "1"],
+                   "contexts": ["a", "b"], "circuits": [entry]}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match=message):
             load_dataset(path)
 
     def test_load_rejects_unknown_version(self, tmp_path):

@@ -11,11 +11,10 @@ from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
 from contextdep.datasets import neighbor_example, two_context_example
 from contextdep.divergence import observed_tvd
 from contextdep.llr import llr_single, llr_threshold, n_sigma_threshold
-from contextdep.pipeline import (Comparison, ComparisonPlan, default_thread_count,
-                                 jsd_profile, load_plan, load_report,
-                                 pairwise_matrices, run_analysis, save_report,
-                                 write_jsd_profile_csv, write_pairwise_csv,
-                                 THREADS_ENV_VAR)
+from contextdep.pipeline import (Comparison, ComparisonPlan, jsd_profile,
+                                 load_plan, load_report, pairwise_matrices,
+                                 run_analysis, save_report,
+                                 write_jsd_profile_csv, write_pairwise_csv)
 from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 from contextdep.gstgen import GstDesign
 
@@ -93,6 +92,20 @@ class TestComparisonPlan:
         }))
         plan = load_plan(path)
         assert [c.weight for c in plan] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"comparisons": [5]}, "array of objects"),
+        ({"comparisons": "ab"}, "array of objects"),
+        ({"comparisons": [{"contexts": [1, 2]}]}, "context labels"),
+        ({"comparisons": [{"contexts": "ab"}]}, "context labels"),
+        ({"comparisons": [{"contexts": ["a", "b"], "weight": [1]}]}, "not a number"),
+        ({"comparisons": [{"id": 7, "contexts": ["a", "b"]}]}, "not a string"),
+    ])
+    def test_load_plan_rejects_malformed_entries(self, tmp_path, payload, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_plan(path)
 
     def test_load_plan_rejects_mixed_weights(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -193,18 +206,6 @@ class TestRunAnalysis:
         a = run_analysis(drifting_dataset(), alpha=0.05)
         b = run_analysis(drifting_dataset(), alpha=0.05)
         assert a == b
-
-    def test_thread_pool_equivalent_to_serial(self, monkeypatch):
-        dataset = drifting_dataset()
-        serial = run_analysis(dataset, alpha=0.05, n_threads=1)
-        threaded = run_analysis(dataset, alpha=0.05, n_threads=4)
-        assert serial == threaded
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert default_thread_count() == 3
-        via_env = run_analysis(dataset, alpha=0.05)
-        assert via_env == serial
-        monkeypatch.setenv(THREADS_ENV_VAR, "junk")
-        assert default_thread_count() == 1
 
     def test_missing_context_in_dataset_rejected(self):
         dataset = drifting_dataset()
