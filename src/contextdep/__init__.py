@@ -21,8 +21,7 @@ from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits,
                      save_design)
 from .llr import (AggregateTestResult, CircuitTestResult, llr_aggregate,
                   llr_single, llr_statistic, llr_threshold, n_sigma_threshold)
-from .multitest import (CorrectionPlan, MultiTestOutcome, bonferroni,
-                        bonferroni_split, combined_procedure, hochberg)
+from .multitest import MultiTestOutcome, combined_procedure, hochberg
 from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        ComparisonReport, jsd_profile, load_plan, load_report,
                        pairwise_matrices, run_analysis, save_report,

@@ -208,6 +208,30 @@ def count_array(dataset: ContextDataset) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array(present, dtype=bool).reshape(shape[:2])
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def read_json(path: Path, error: type[ValueError] = ValueError):
+    """Parse a JSON file; a repeated key in any object is an error.
+
+    The standard parser keeps the last of two equal keys, which would
+    silently drop data.  Parse failures raise ``error`` naming the file.
+    """
+    text = path.read_text()
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise DatasetError(f"{where}: missing required field {key!r}")
@@ -217,10 +241,7 @@ def _require(obj: Mapping, key: str, where: str):
 def load_dataset(path: str | Path) -> ContextDataset:
     """Read a dataset from its JSON file representation."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path, DatasetError)
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: top level must be an object")
 

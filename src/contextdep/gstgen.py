@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .counts import read_json
+
 __all__ = [
     "CircuitSpec",
     "GstDesign",
@@ -228,10 +230,7 @@ def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
 def load_design(path: str | Path) -> GstDesign:
     """Read a design from its JSON file form."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be an object")
     for key in ("gates", "prep_fiducials", "meas_fiducials"):
@@ -265,10 +264,7 @@ def save_design(design: GstDesign, path: str | Path) -> None:
 def load_circuits(path: str | Path) -> list[CircuitSpec]:
     """Read a circuit list from its JSON file form."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: top level must be an array")
     circuits = []

@@ -98,13 +98,21 @@ def llr_statistics(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=2)
     pooled = counts.sum(axis=1)
     grand = totals.sum(axis=1)
+    num = counts * grand[:, None, None]
     den = totals[:, :, None] * pooled[:, None, :]
     seen = counts > 0
-    ratio = np.where(seen, (counts * grand[:, None, None] - den) / np.where(seen, den, 1), 0.0)
+    ratio = np.where(seen, (num - den) / np.where(seen, den, 1), 0.0).astype(float).ravel()
+    # A count far below its context's share (x N / (N_c x_m) < 2**-53, only
+    # in pools past 2**53 shots) rounds the ratio to -1.0, where log1p has
+    # no value: those terms take log(x N) - log(N_c x_m) of the exact ints.
+    vanishing = np.flatnonzero(ratio == -1.0).tolist()
+    ratio[vanishing] = 0.0
     # math.log1p, not np.log1p: numpy's vectorised log1p may differ from
     # the C library in the last bit.
-    logs = np.fromiter(map(math.log1p, ratio.astype(float).ravel().tolist()),
-                       float, ratio.size).reshape(ratio.shape)
+    logs = np.fromiter(map(math.log1p, ratio.tolist()), float, ratio.size)
+    for i in vanishing:
+        logs[i] = math.log(num.flat[i]) - math.log(den.flat[i])
+    logs = logs.reshape(counts.shape)
     terms = (counts.astype(float) * logs).reshape(len(counts), -1)
     # One term at a time, in context-then-outcome order: numpy's pairwise
     # sum would round wider tables differently.

@@ -2,8 +2,9 @@
 
 Testing hundreds of circuits at a fixed significance would all but
 guarantee false detections, so per-circuit p-values pass through a
-step-up (Hochberg) correction, and independent question families split
-the global significance budget by a weighted Bonferroni rule.
+step-up (Hochberg) correction.  Independent question families (the
+comparisons of a plan, see pipeline.ComparisonPlan) split the global
+significance budget by their weights.
 
 The combined procedure mirrors how a detection campaign actually runs:
 first ask the high-power aggregate test whether anything at all depends
@@ -15,47 +16,16 @@ otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .llr import AggregateTestResult, CircuitTestResult, llr_threshold as _llr_threshold
 
 __all__ = [
-    "CorrectionPlan",
     "MultiTestOutcome",
     "hochberg",
-    "bonferroni",
-    "bonferroni_split",
     "combined_procedure",
-    "apply_strategy",
 ]
-
-STRATEGIES = ("hochberg", "bonferroni", "combined")
-
-
-@dataclass(frozen=True)
-class CorrectionPlan:
-    """How a global significance budget is spent across test families."""
-
-    global_alpha: float
-    weights: tuple[float, ...]
-    strategy: str = "combined"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.global_alpha < 1.0:
-            raise ValueError(f"global_alpha must lie in (0, 1), got {self.global_alpha!r}")
-        weights = tuple(float(w) for w in self.weights)
-        if any(w < 0.0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        object.__setattr__(self, "weights", weights)
-
-    def local_alphas(self) -> tuple[float, ...]:
-        return tuple(bonferroni_split(self.global_alpha, self.weights))
 
 
 @dataclass(frozen=True)
@@ -120,32 +90,6 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
     )
 
 
-def bonferroni(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
-    """Plain equal-split Bonferroni correction: reject p < alpha / Q."""
-    _check_p_values(p_values, alpha)
-    p_threshold = alpha / len(p_values)
-    rejected = frozenset(cid for cid, p in p_values if p < p_threshold)
-    return MultiTestOutcome(
-        rejected_ids=rejected,
-        p_threshold=p_threshold,
-        llr_threshold=None,
-    )
-
-
-def bonferroni_split(alpha: float, weights: Sequence[float]) -> list[float]:
-    """Split a global significance alpha into local levels alpha * w_i."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not weights:
-        raise ValueError("no weights given")
-    if any(w < 0.0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-    return [alpha * w for w in weights]
-
-
 def _attach_llr_threshold(outcome: MultiTestOutcome,
                           results: Sequence[CircuitTestResult]) -> MultiTestOutcome:
     dofs = {r.dof for r in results}
@@ -184,19 +128,3 @@ def combined_procedure(results: Sequence[CircuitTestResult],
     outcome = replace(outcome, aggregate_triggered=triggered)
     return _attach_llr_threshold(outcome, results)
 
-
-def apply_strategy(strategy: str,
-                   results: Sequence[CircuitTestResult],
-                   agg: AggregateTestResult,
-                   alpha: float) -> MultiTestOutcome:
-    """Run one family's correction according to a CorrectionPlan strategy."""
-    if strategy == "combined":
-        return combined_procedure(results, agg, alpha)
-    pairs = [(r.circuit_id, r.p_value) for r in results]
-    if strategy == "hochberg":
-        outcome = hochberg(pairs, alpha)
-    elif strategy == "bonferroni":
-        outcome = bonferroni(pairs, alpha)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    return _attach_llr_threshold(outcome, results)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .counts import ContextDataset, DatasetError, count_array
+from .counts import ContextDataset, DatasetError, count_array, read_json
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import (AggregateTestResult, CircuitTestResult, llr_aggregate,
@@ -135,10 +135,7 @@ def load_plan(path: str | Path) -> ComparisonPlan:
     the budget equally.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     entries = raw.get("comparisons") if isinstance(raw, dict) else None
     if (not entries or not isinstance(entries, list)
             or not all(isinstance(entry, dict) for entry in entries)):
@@ -362,10 +359,7 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
 def load_report(path: str | Path) -> list[ComparisonReport]:
     """Read back a report file written by save_report."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: top level must be an array of comparisons")
     reports = []

@@ -18,13 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counts import CircuitRecord, ContextDataset, OutcomeCounts
+from .counts import CircuitRecord, ContextDataset, OutcomeCounts, read_json
 from .gstgen import CircuitSpec, GstDesign, lgst_circuits, lsgst_circuits
 
 __all__ = [
@@ -156,6 +158,91 @@ def gate_model_for_context(error: ErrorModel, context: str) -> dict[str, np.ndar
     return model
 
 
+def _common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of two strings, by bisection."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _run_ends_at(word: str, i: int) -> bool:
+    return i == len(word) or word[i] != word[i - 1]
+
+
+def _walk_probabilities(circuits: Sequence[Sequence[str]],
+                        models: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:
+    """Outcome probabilities of every circuit under every gate model.
+
+    Returns an array of shape (circuits, models, 2).  A circuit's unitary
+    is the product of its runs of equal gates in reverse operation order,
+    starting from the identity, with a run of r > 1 gates raised to its
+    power by np.linalg.matrix_power.  Each gate label becomes one character,
+    so a circuit is a word.  Circuits are visited in sorted word order with
+    a stack of partial products, one (models, 2, 2) array per run, and only
+    the runs after the prefix a circuit shares with the previous one are
+    multiplied.  Only whole runs are shared (GxGx followed by Gy does not
+    start the run Gx^3), and each run matrix is computed once per
+    (label, repeat).  Every product is the one a circuit-by-circuit loop
+    forms, so the probabilities are the same bit for bit.
+    """
+    labels = dict.fromkeys(chain.from_iterable(circuits))
+    for model in models:
+        for label in labels:
+            if label not in model:
+                raise ValueError(f"no unitary for gate label {label!r}")
+    symbols = {label: chr(i) for i, label in enumerate(labels)}
+    unitaries = {symbols[label]: np.array([model[label] for model in models], dtype=complex)
+                 .reshape(len(models), 2, 2) for label in labels}
+    runs: dict[tuple[str, int], np.ndarray] = {}
+    words = ["".join(map(symbols.__getitem__, gates)) for gates in circuits]
+
+    amplitudes = np.empty((len(words), len(models), 2), dtype=complex)
+    # ends[k] is the gate count covered by products[k].
+    ends = [0]
+    products = [np.tile(np.eye(2, dtype=complex), (len(models), 1, 1))]
+    previous = ""
+    for index in sorted(range(len(words)), key=words.__getitem__):
+        word = words[index]
+        shared = _common_prefix(previous, word)
+        if shared and not (_run_ends_at(word, shared) and _run_ends_at(previous, shared)):
+            # The run through the last shared gate goes on in one of the
+            # circuits, so only the runs before it are shared.
+            shared = len(word[:shared].rstrip(word[shared - 1]))
+        keep = bisect_right(ends, shared)
+        del ends[keep:], products[keep:]
+        for symbol, run in groupby(word[shared:]):
+            repeat = len(list(run))
+            matrix = runs.get((symbol, repeat))
+            if matrix is None:
+                matrix = unitaries[symbol]
+                if repeat > 1:
+                    matrix = np.linalg.matrix_power(matrix, repeat)
+                runs[symbol, repeat] = matrix
+            shared += repeat
+            ends.append(shared)
+            products.append(matrix @ products[-1])
+        amplitudes[index] = products[-1][:, :, 0]
+        previous = word
+
+    probs = np.abs(amplitudes) ** 2
+    norms = probs.sum(axis=2)
+    lost = np.abs(norms - 1.0) > 1e-12
+    if lost.any():
+        raise RuntimeError(
+            f"probabilities lost normalization ({norms[lost][0]!r}); non-unitary gate model?"
+        )
+    return probs
+
+
+def _gates(spec: CircuitSpec | Sequence[str]) -> tuple[str, ...]:
+    return spec.gates if isinstance(spec, CircuitSpec) else tuple(spec)
+
+
 def circuit_probabilities(spec: CircuitSpec | Sequence[str],
                           gate_model: Mapping[str, np.ndarray]) -> np.ndarray:
     """Outcome probabilities (p(0), p(1)) for |0> through the circuit.
@@ -163,31 +250,9 @@ def circuit_probabilities(spec: CircuitSpec | Sequence[str],
     Gates are listed in operation order, so the total unitary is the
     product in reverse.  Runs of a repeated gate are raised to their power
     by binary matrix powering, which keeps deep germ-power circuits cheap.
+    This is the one-circuit, one-model case of experiment_probabilities.
     """
-    gates = spec.gates if isinstance(spec, CircuitSpec) else tuple(spec)
-    for label in gates:
-        if label not in gate_model:
-            raise ValueError(f"no unitary for gate label {label!r}")
-
-    total = np.eye(2, dtype=complex)
-    i = 0
-    while i < len(gates):
-        j = i
-        while j < len(gates) and gates[j] == gates[i]:
-            j += 1
-        block = gate_model[gates[i]]
-        if j - i > 1:
-            block = np.linalg.matrix_power(block, j - i)
-        total = block @ total
-        i = j
-
-    amplitudes = total[:, 0]
-    probs = np.abs(amplitudes) ** 2
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise RuntimeError(
-            f"probabilities lost normalization ({probs.sum()!r}); non-unitary gate model?"
-        )
-    return probs
+    return _walk_probabilities([_gates(spec)], [gate_model])[0, 0]
 
 
 def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.Generator:
@@ -203,20 +268,32 @@ def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.G
     return np.random.Generator(np.random.PCG64(key))
 
 
+def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
+    """Check probability vectors along the last axis, then clip and renormalise.
+
+    Round-off from unitary products can leave an entry a hair below zero;
+    entries down to -1e-12 are clipped to zero, anything worse, or a vector
+    whose sum is off by more than 1e-9, is rejected.
+    """
+    if probs.shape[-1] < 2:
+        raise ValueError("need probability vectors with at least two outcomes")
+    invalid = (probs < -1e-12).any(axis=-1) | (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9)
+    if invalid.any():
+        raise ValueError(f"invalid probability vector {probs[invalid][0]!r}")
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def sample_counts(probs: Sequence[float], n_shots: int,
                   rng: np.random.Generator) -> OutcomeCounts:
     """One multinomial draw of n_shots from an outcome distribution."""
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size < 2:
+    if probs.ndim != 1:
         raise ValueError("need a 1-d probability vector with at least two outcomes")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"invalid probability vector {probs!r}")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    draw = rng.multinomial(n_shots, probs)
-    return OutcomeCounts(tuple(int(c) for c in draw))
+    draw = rng.multinomial(n_shots, _sampling_distributions(probs))
+    return OutcomeCounts(tuple(draw.tolist()))
 
 
 def experiment_probabilities(circuits: Sequence[CircuitSpec],
@@ -224,32 +301,46 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
                              contexts: Sequence[str]) -> list[list[np.ndarray]]:
     """Outcome probabilities for every (circuit, context) cell.
 
-    Contexts with identical effective rotation angles share one computation.
+    Contexts with identical effective rotation angles share one gate model,
+    and one array per circuit.  All distinct models go through one
+    shared-prefix walk over the circuits.
     """
     angle_keys = [
         tuple(sorted((g, error.epsilon(context, g)) for g in ROTATION_GATES))
         for context in contexts
     ]
-    by_key: dict[tuple, list[np.ndarray]] = {}
+    models: dict[tuple, dict[str, np.ndarray]] = {}
     for context, key in zip(contexts, angle_keys):
-        if key in by_key:
-            continue
-        model = gate_model_for_context(error, context)
-        by_key[key] = [circuit_probabilities(c, model) for c in circuits]
-    return [[by_key[key][i] for key in angle_keys] for i in range(len(circuits))]
+        if key not in models:
+            models[key] = gate_model_for_context(error, context)
+    slots = [list(models).index(key) for key in angle_keys]
+    probs = _walk_probabilities([_gates(c) for c in circuits], list(models.values()))
+    table = []
+    for row in probs:
+        cells = list(row)
+        table.append([cells[slot] for slot in slots])
+    return table
 
 
 def sample_experiment(circuits: Sequence[CircuitSpec],
                       prob_table: Sequence[Sequence[np.ndarray]],
                       config: SimConfig) -> ContextDataset:
-    """Draw counts for precomputed probabilities and assemble a dataset."""
+    """Draw counts for precomputed probabilities and assemble a dataset.
+
+    The whole (circuits, contexts, outcomes) table is checked, clipped and
+    renormalised at once; each cell then draws from its own counts_stream.
+    """
+    # One row per circuit, one (p(0), p(1)) vector per context.
+    table = np.asarray(prob_table, dtype=float).reshape(len(circuits), len(config.contexts), 2)
+    table = _sampling_distributions(table)
     records = []
-    for circuit, row in zip(circuits, prob_table):
+    for circuit, row in zip(circuits, table):
         circuit_id = circuit.text
         pools = {}
         for context_index, context in enumerate(config.contexts):
             rng = counts_stream(config.seed, circuit_id, context_index)
-            pools[context] = sample_counts(row[context_index], config.shots_per_context, rng)
+            draw = rng.multinomial(config.shots_per_context, row[context_index])
+            pools[context] = OutcomeCounts(tuple(draw.tolist()))
         records.append(
             CircuitRecord(
                 circuit_id=circuit_id,
@@ -292,10 +383,7 @@ def load_error_model(path: str | Path) -> ErrorModel:
     radians, except the optional reserved key 'static_epsilon'.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be an object")
     static = raw.get("static_epsilon", 0.0)

@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 
 def chi2_cdf_reference(x: float, k: int, dps: int = 60):
@@ -124,8 +125,9 @@ def llr_loop_reference(pools: Sequence[Sequence[int]]) -> float:
 
     lambda = 2 sum_{c,m} x log1p((x N - N_c x_m) / (N_c x_m)), summed
     context by context and outcome by outcome, with the ratio's terms as
-    exact Python-int products.  The array core must reproduce this bit for
-    bit.
+    exact Python-int products.  Where the rounded ratio is -1.0 (a count
+    below 2**-53 of its expected share), the term is x (log(x N) -
+    log(N_c x_m)) instead.  The array core must reproduce this bit for bit.
     """
     totals = [sum(row) for row in pools]
     n = sum(totals)
@@ -135,7 +137,11 @@ def llr_loop_reference(pools: Sequence[Sequence[int]]) -> float:
         for x, x_m in zip(row, pooled):
             if x > 0:
                 den = n_c * x_m
-                half += x * math.log1p((x * n - den) / den)
+                ratio = (x * n - den) / den
+                if ratio == -1.0:
+                    half += x * (math.log(x * n) - math.log(den))
+                else:
+                    half += x * math.log1p(ratio)
     return max(0.0, 2.0 * half)
 
 
@@ -175,3 +181,35 @@ def comparison_rows_reference(dataset, contexts: Sequence[str]):
             "small_sample": any(sum(pool) < 10 * n_outcomes for pool in pools),
         })
     return rows, warnings
+
+
+def bonferroni(p_values: Sequence[tuple[str, float]], alpha: float):
+    """Plain equal-split Bonferroni correction: reject p < alpha / Q.
+
+    Hochberg's step-up must reject at least these.  Returns
+    (rejected_ids, p_threshold).
+    """
+    p_threshold = alpha / len(p_values)
+    return frozenset(cid for cid, p in p_values if p < p_threshold), p_threshold
+
+
+def circuit_probabilities_reference(gates: Sequence[str], gate_model) -> np.ndarray:
+    """Outcome probabilities of one circuit by the plain per-circuit product.
+
+    The total unitary starts from the identity and takes each maximal run
+    of equal gates in operation order, left-multiplied as one block; a run
+    of r > 1 gates is np.linalg.matrix_power(U, r).  The shared-prefix walk
+    in qsim must reproduce this bit for bit.
+    """
+    total = np.eye(2, dtype=complex)
+    i = 0
+    while i < len(gates):
+        j = i
+        while j < len(gates) and gates[j] == gates[i]:
+            j += 1
+        block = gate_model[gates[i]]
+        if j - i > 1:
+            block = np.linalg.matrix_power(block, j - i)
+        total = block @ total
+        i = j
+    return np.abs(total[:, 0]) ** 2

@@ -7,6 +7,7 @@ including for circuits that lack a context and for pools far beyond 2**53
 shots, where only exact integer products give the right ratio.
 """
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,3 +95,24 @@ def test_exact_products_beyond_float_precision(shots):
     near = [(shots + 1, shots - 1), (shots, shots)]
     assert llr_statistic(near) == llr_loop_reference(near)
     assert observed_tvd(records[0], ("a", "b")) == tvd_loop_reference(*near)
+
+
+def test_count_far_below_its_share():
+    """Pools (2**70, 7), (5, 9), (2**70 // 3, 2**70): for the 7, x N / (N_c x_m)
+    is below 2**-53, so the rounded log1p argument is exactly -1.0, where
+    log1p has no value.  That term is log(x N) - log(N_c x_m) of the exact
+    ints; the statistic is finite and agrees with a 60-digit evaluation."""
+    pools = [(2**70, 7), (5, 9), (2**70 // 3, 2**70)]
+    n = sum(map(sum, pools))
+    n_a, x_1 = sum(pools[0]), sum(row[1] for row in pools)
+    assert (7 * n - n_a * x_1) / (n_a * x_1) == -1.0
+    contexts = ("a", "b", "c")
+    record = CircuitRecord(circuit_id="far", counts={
+        c: OutcomeCounts(pool) for c, pool in zip(contexts, pools)})
+    check_against_loop(ContextDataset(outcomes=("0", "1"), contexts=contexts,
+                                      circuits=(record,)))
+    with mp.workdps(60):
+        pooled = [sum(row[m] for row in pools) for m in range(2)]
+        exact = 2 * mp.fsum(x * mp.log(mp.mpf(x) * n / (sum(row) * pooled[m]))
+                            for row in pools for m, x in enumerate(row) if x)
+    assert llr_statistic(pools) == pytest.approx(float(exact), rel=1e-12)

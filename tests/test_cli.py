@@ -180,6 +180,58 @@ class TestAnalyze:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+    def test_count_far_below_its_share_analyzes(self, tmp_path, capsys):
+        # For the 7 in context a, x N / (N_c x_m) < 2**-53: the rounded
+        # log1p argument is -1.0, which once ended in "math domain error".
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b", "c"],
+            "circuits": [{"id": "Gx", "counts": {
+                "a": [2**70, 7], "b": [5, 9], "c": [2**70 // 3, 2**70]}}]}))
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--data", str(data), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_report(out)[0].circuits[0].llr > 1e21
+
+
+# One file per JSON loader the command reads, each with a repeated key.
+DUPLICATE_KEY_FILES = {
+    "dataset": ('{"format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b"], '
+                '"circuits": [{"id": "Gx", "counts": '
+                '{"a": [90, 10], "a": [10, 90], "b": [50, 50]}}]}'),
+    "design": ('{"gates": ["Gx"], "prep_fiducials": ["{}"], "meas_fiducials": ["{}"], '
+               '"gates": ["Gy"]}'),
+    "error_model": '{"a": {"Gx": 0.0}, "b": {"Gx": 0.1}, "a": {"Gx": 0.2}}',
+    "plan": '{"comparisons": [{"id": "x", "contexts": ["c1", "c2"], "id": "y"}]}',
+    "report": '[{"comparison_id": "a", "comparison_id": "b"}]',
+}
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("dataset", ["analyze", "--data", "{file}", "--out", "{tmp}/r.json"]),
+    ("design", ["gen-circuits", "--design", "{file}", "--mode", "lgst",
+                "--out", "{tmp}/c.json"]),
+    ("design", ["simulate", "--design", "{file}", "--error-model", DRIFT_ERROR,
+                "--shots", "4", "--seed", "0", "--out", "{tmp}/d.json"]),
+    ("error_model", ["simulate", "--design", NEIGHBOR_DESIGN, "--error-model", "{file}",
+                     "--shots", "4", "--seed", "0", "--out", "{tmp}/d.json"]),
+    ("plan", ["analyze", "--data", TWO_CONTEXT, "--plan", "{file}",
+              "--out", "{tmp}/r.json"]),
+    ("report", ["summarize", "--report", "{file}"]),
+])
+def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, kind, command):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(DUPLICATE_KEY_FILES[kind])
+    argv = [arg.format(file=bad, tmp=tmp_path) for arg in command]
+    code = main(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "duplicate key" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
 class TestSummarize:
     def test_detection_summary(self, tmp_path, capsys):
         report = tmp_path / "report.json"

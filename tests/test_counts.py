@@ -168,6 +168,21 @@ class TestSerialization:
         with pytest.raises(DatasetError, match=message):
             load_dataset(path)
 
+    def test_load_rejects_duplicate_keys(self, tmp_path):
+        # The standard parser would keep the last pool, (10, 90), silently.
+        path = tmp_path / "dup.json"
+        path.write_text('{"format_version": "1.0", "outcomes": ["0", "1"], '
+                        '"contexts": ["a", "b"], "circuits": [{"id": "Gx", '
+                        '"counts": {"a": [90, 10], "a": [10, 90], "b": [5, 5]}}]}')
+        with pytest.raises(DatasetError, match="dup.json: not valid JSON .duplicate key 'a'"):
+            load_dataset(path)
+        # Equal keys in different objects are fine.
+        path.write_text('{"format_version": "1.0", "outcomes": ["0", "1"], '
+                        '"contexts": ["a", "b"], "circuits": [{"id": "Gx", '
+                        '"counts": {"a": [90, 10], "b": [5, 5]}}, {"id": "Gy", '
+                        '"counts": {"a": [10, 90], "b": [5, 5]}}]}')
+        assert load_dataset(path).circuit("Gy").pool("a").counts == (10, 90)
+
     def test_load_rejects_unknown_version(self, tmp_path):
         payload = {"format_version": "9.9", "outcomes": [], "contexts": [], "circuits": []}
         path = tmp_path / "version.json"

@@ -227,6 +227,12 @@ class TestDesignFiles:
         with pytest.raises(ValueError, match="prep_fiducials"):
             load_design(missing)
 
+    def test_circuit_list_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "circuits.json"
+        path.write_text('[{"spec": "Gx", "core_length": 0, "spec": "GxGx"}]')
+        with pytest.raises(ValueError, match="duplicate key 'spec'"):
+            load_circuits(path)
+
     def test_bundled_designs_load(self):
         drift = drift_design()
         assert drift.gates == ("Gx", "Gy")

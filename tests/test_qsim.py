@@ -15,7 +15,9 @@ from contextdep.qsim import (ErrorModel, SimConfig, circuit_probabilities,
                              gate_model_for_context, ideal_gate_model,
                              load_error_model, rotation_unitary,
                              run_drift_experiment, sample_counts,
-                             save_error_model)
+                             sample_experiment, save_error_model)
+
+from _references import circuit_probabilities_reference
 
 
 class TestGateModel:
@@ -115,6 +117,64 @@ def test_probabilities_always_normalized(gates):
     assert np.all(probs >= -1e-15)
 
 
+# Circuits built from a few stems cut at random points and extended: they
+# share prefixes, some cut inside a run of equal gates (GxGx then Gy beside
+# GxGxGx), and equal circuits and the empty circuit occur.
+GATE_RUNS = st.lists(st.tuples(st.sampled_from(["Gi", "Gx", "Gy", "Gh", "Gs"]),
+                               st.integers(min_value=1, max_value=4)),
+                     max_size=5).map(lambda runs: tuple(g for g, r in runs for _ in range(r)))
+
+
+@st.composite
+def circuit_lists(draw):
+    stems = draw(st.lists(GATE_RUNS, min_size=1, max_size=4))
+    circuits = [()]
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        stem = draw(st.sampled_from(stems))
+        cut = draw(st.integers(min_value=0, max_value=len(stem)))
+        circuits.append(stem[:cut] + draw(GATE_RUNS))
+    return [CircuitSpec(gates=g) for g in draw(st.permutations(circuits))]
+
+
+@st.composite
+def error_models(draw):
+    """1-6 contexts; angles come from a small set, so some contexts coincide."""
+    angle = st.sampled_from([0.0, 1e-3, 0.02, -0.3])
+    n_contexts = draw(st.integers(min_value=1, max_value=6))
+    table = {f"c{i}": {"Gx": draw(angle), "Gy": draw(angle)} for i in range(n_contexts)}
+    return ErrorModel(context_overrotations=table, static_epsilon=draw(angle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits=circuit_lists(), error=error_models())
+def test_shared_prefix_walk_is_bit_identical_to_per_circuit_products(circuits, error):
+    contexts = error.contexts
+    table = experiment_probabilities(circuits, error, contexts)
+    models = [gate_model_for_context(error, c) for c in contexts]
+    reference = [[circuit_probabilities_reference(spec.gates, model) for model in models]
+                 for spec in circuits]
+    assert np.array(table).tobytes() == np.array(reference).tobytes()
+    for spec, model in zip(circuits, models):
+        assert (circuit_probabilities(spec, model).tobytes()
+                == circuit_probabilities_reference(spec.gates, model).tobytes())
+    for row in table:
+        for j, a in enumerate(contexts):
+            for k, b in enumerate(contexts):
+                same = all(error.epsilon(a, g) == error.epsilon(b, g) for g in ("Gx", "Gy"))
+                assert (row[j] is row[k]) == same
+
+
+def test_prefix_ending_inside_a_run_is_not_shared():
+    """GxGx then Gy shares no run with GxGxGx: Gx^3 is one matrix power."""
+    error = ErrorModel(context_overrotations={"a": {"Gx": 0.0123, "Gy": -0.0456}})
+    model = gate_model_for_context(error, "a")
+    circuits = [CircuitSpec(gates=g) for g in (
+        ("Gx", "Gx", "Gy"), ("Gx", "Gx", "Gx"), ("Gx", "Gx"), ("Gx", "Gx", "Gx", "Gy"))]
+    table = experiment_probabilities(circuits, error, ("a",))
+    for spec, row in zip(circuits, table):
+        assert row[0].tobytes() == circuit_probabilities_reference(spec.gates, model).tobytes()
+
+
 class TestErrorModel:
     def test_epsilon_sums_static_and_context(self):
         error = ErrorModel(context_overrotations={"c": {"Gx": 0.002}},
@@ -208,6 +268,27 @@ class TestSampling:
         # below zero; sampling clips them instead of failing.
         counts = sample_counts([1.0, -1e-13], 50, counts_stream(0, "q", 0))
         assert counts.counts == (50, 0)
+
+
+    def test_sample_experiment_matches_per_cell_draws(self):
+        circuits = [CircuitSpec(gates=("Gx",)), CircuitSpec(gates=("Gy", "Gy", "Gx"))]
+        table = [[np.array([0.3, 0.7]), np.array([1.0, -1e-13])],
+                 [np.array([0.5, 0.5]), np.array([0.9, 0.1])]]
+        config = SimConfig(shots_per_context=50, seed=4, contexts=("a", "b"))
+        dataset = sample_experiment(circuits, table, config)
+        for spec, row in zip(circuits, table):
+            for k, context in enumerate(config.contexts):
+                draw = sample_counts(row[k], 50, counts_stream(4, spec.text, k))
+                assert dataset.circuit(spec.text).pool(context) == draw
+
+    def test_sample_experiment_rejects_invalid_table(self):
+        circuits = [CircuitSpec(gates=("Gx",))]
+        config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
+        with pytest.raises(ValueError, match="invalid probability vector"):
+            sample_experiment(circuits, [[np.array([0.5, 0.5]), np.array([0.8, 0.8])]],
+                              config)
+        with pytest.raises(ValueError):
+            sample_experiment(circuits, [[np.array([0.5, 0.5])]], config)
 
 
 def small_design():
