@@ -15,7 +15,7 @@ import numpy as np
 from contextdep import lsgst_circuits
 from contextdep.chi2 import chi2_sf
 from contextdep.datasets import drift_design
-from contextdep.llr import CircuitTestResult, llr_aggregate
+from contextdep.llr import TableTests, llr_aggregate
 from contextdep.multitest import combined_procedure
 from contextdep.qsim import ErrorModel, experiment_probabilities
 
@@ -36,6 +36,7 @@ def xlogx(v):
     return out
 
 
+ids = [f"q{i}" for i in range(len(circuits))]
 rng = np.random.default_rng(20)
 false_hits, via_aggregate, via_circuits = 0, 0, 0
 for _ in range(trials):
@@ -45,13 +46,11 @@ for _ in range(trials):
     lam = 2.0 * (xlogx(a).sum(1) + xlogx(b).sum(1) - 2 * n_shots * math.log(n_shots)
                  - xlogx(pooled).sum(1) + 2 * n_shots * math.log(2 * n_shots))
     lam = np.maximum(lam, 0.0)
-    results = [
-        CircuitTestResult(circuit_id=f"q{i}", llr=float(l), dof=1,
-                          p_value=chi2_sf(float(l), 1), n_total=2 * n_shots,
-                          small_sample=False)
-        for i, l in enumerate(lam)
-    ]
-    outcome = combined_procedure(results, llr_aggregate(results), alpha=alpha)
+    results = TableTests(llr=lam, dof=1,
+                         p_value=np.array([chi2_sf(float(l), 1) for l in lam]),
+                         n_total=np.full(len(lam), 2 * n_shots),
+                         small_sample=np.zeros(len(lam), dtype=bool))
+    outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=alpha)
     false_hits += outcome.detected
     via_aggregate += outcome.aggregate_triggered
     via_circuits += bool(outcome.rejected_ids)

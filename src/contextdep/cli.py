@@ -135,6 +135,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+_SHOWN_WARNINGS = 5
+
+
 def _cmd_summarize(args) -> int:
     reports = load_report(args.report)
     for report in reports:
@@ -147,7 +150,8 @@ def _cmd_summarize(args) -> int:
         print(f"  aggregate: N_sigma = {agg.n_sigma:.2f} "
               f"(threshold {report.n_sigma_threshold:.2f}), {state}")
         rejected = report.rejected_ids
-        print(f"  rejected circuits: {len(rejected)} of {len(report.circuits)} "
+        n_rows = len(report.circuit_ids)
+        print(f"  rejected circuits: {len(rejected)} of {n_rows} "
               f"(p_threshold {report.p_threshold:.3g})")
         if 0 < len(rejected) <= 10:
             for circuit_id in rejected:
@@ -157,6 +161,12 @@ def _cmd_summarize(args) -> int:
             print("  max SSTVD: n/a")
         else:
             print(f"  max SSTVD: {peak:.6g} ({100.0 * peak:.2f}%)")
+        print(f"  warnings: {len(report.warnings)}")
+        for warning in report.warnings[:_SHOWN_WARNINGS]:
+            print(f"    {warning}")
+        if len(report.warnings) > _SHOWN_WARNINGS:
+            print(f"    ... and {len(report.warnings) - _SHOWN_WARNINGS} more")
+        print(f"  small-sample circuits: {int(report.small_sample.sum())} of {n_rows}")
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class CircuitRecord:
             raise DatasetError(
                 f"circuit {self.circuit_id!r}: no counts for context {context!r}"
             ) from None
-
-    def has_contexts(self, contexts: Iterable[str]) -> bool:
-        return all(c in self.counts for c in contexts)
 
     def total_shots(self, contexts: Sequence[str] | None = None) -> int:
         """Sum of N_c over the selected contexts (all contexts if None)."""

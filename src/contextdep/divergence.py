@@ -15,7 +15,6 @@ as "no change" rather than "not resolved".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,34 +23,13 @@ from .counts import CircuitRecord, DatasetError
 from .llr import llr_single
 
 __all__ = [
-    "QuantificationResult",
     "jsd_from_llr",
     "observed_jsd",
     "jsd_threshold",
     "tvd_rows",
     "observed_tvd",
     "sstvd",
-    "max_sstvd",
 ]
-
-
-@dataclass(frozen=True)
-class QuantificationResult:
-    """Effect-size metrics for one circuit within one comparison.
-
-    tvd and sstvd are present only for two-context comparisons; sstvd is
-    additionally null whenever the circuit's test did not reject.
-    sstvd_per_gate is sstvd divided by the circuit's gate count, a
-    per-operation rate useful for ranking circuits of very different
-    depths (null when sstvd is null or the gate count is unknown/zero).
-    """
-
-    circuit_id: str
-    jsd: float
-    jsd_threshold: float
-    tvd: float | None = None
-    sstvd: float | None = None
-    sstvd_per_gate: float | None = None
 
 
 def jsd_from_llr(llr, n_total) -> np.ndarray:
@@ -119,13 +97,3 @@ def sstvd(record: CircuitRecord, context_pair: Sequence[str],
     if statistic > llr_threshold:
         return observed_tvd(record, context_pair)
     return None
-
-
-def max_sstvd(results: Sequence[QuantificationResult]) -> float | None:
-    """Largest significant TVD in a comparison; None if nothing was resolved."""
-    if not results:
-        raise ValueError("no quantification results")
-    values = [r.sstvd for r in results if r.sstvd is not None]
-    if not values:
-        return None
-    return max(values)

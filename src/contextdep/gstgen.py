@@ -227,6 +227,16 @@ def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
     return circuits
 
 
+def _check_circuit_texts(value, key: str, path: Path, label_lists: bool) -> None:
+    # Each entry is circuit text or, where label_lists, an array of labels.
+    if not isinstance(value, list) or not all(
+            isinstance(entry, str) or (label_lists and isinstance(entry, list)
+                                       and all(isinstance(x, str) for x in entry))
+            for entry in value):
+        kind = "circuit strings or label arrays" if label_lists else "strings"
+        raise ValueError(f"{path}: {key!r} must be an array of {kind}")
+
+
 def load_design(path: str | Path) -> GstDesign:
     """Read a design from its JSON file form."""
     path = Path(path)
@@ -236,13 +246,19 @@ def load_design(path: str | Path) -> GstDesign:
     for key in ("gates", "prep_fiducials", "meas_fiducials"):
         if key not in raw:
             raise ValueError(f"{path}: missing required field {key!r}")
+    _check_circuit_texts(raw["gates"], "gates", path, label_lists=False)
+    for key in ("prep_fiducials", "meas_fiducials", "germs"):
+        _check_circuit_texts(raw.get(key, []), key, path, label_lists=True)
+    max_power = raw.get("max_germ_power")
+    if max_power is not None and type(max_power) is not int:
+        raise ValueError(f"{path}: 'max_germ_power' must be an integer, got {max_power!r}")
     try:
         return GstDesign(
             gates=tuple(raw["gates"]),
             prep_fiducials=tuple(raw["prep_fiducials"]),
             meas_fiducials=tuple(raw["meas_fiducials"]),
             germs=tuple(raw.get("germs", ())),
-            max_germ_power=raw.get("max_germ_power"),
+            max_germ_power=max_power,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -268,15 +284,17 @@ def load_circuits(path: str | Path) -> list[CircuitSpec]:
     if not isinstance(raw, list):
         raise ValueError(f"{path}: top level must be an array")
     circuits = []
-    for entry in raw:
-        if "spec" not in entry:
-            raise ValueError(f"{path}: circuit entry without 'spec'")
-        circuits.append(
-            CircuitSpec(
-                gates=parse_circuit_text(entry["spec"]),
-                core_length=int(entry.get("core_length", 0)),
-            )
-        )
+    for n, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "spec" not in entry:
+            raise ValueError(f"{path}: circuit entry {n} is not an object with a 'spec'")
+        spec, core = entry["spec"], entry.get("core_length", 0)
+        if not isinstance(spec, str) or type(core) is not int:
+            raise ValueError(f"{path}: circuit entry {n} needs a string 'spec' "
+                             "and an integer 'core_length'")
+        try:
+            circuits.append(CircuitSpec(gates=parse_circuit_text(spec), core_length=core))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return circuits
 
 

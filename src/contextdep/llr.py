@@ -189,12 +189,13 @@ def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> 
     )
 
 
-def llr_aggregate(results: Sequence[CircuitTestResult]) -> AggregateTestResult:
+def llr_aggregate(tests: TableTests) -> AggregateTestResult:
     """Sum per-circuit statistics into one high-power joint test."""
-    if not results:
+    if not len(tests.llr):
         raise ValueError("cannot aggregate zero test results")
-    llr_total = sum(r.llr for r in results)
-    dof_total = sum(r.dof for r in results)
+    # Python's sum, left to right, not numpy's pairwise sum.
+    llr_total = sum(tests.llr.tolist())
+    dof_total = tests.dof * len(tests.llr)
     n_sigma = (llr_total - dof_total) / math.sqrt(2.0 * dof_total)
     return AggregateTestResult(
         llr=llr_total,

@@ -16,10 +16,13 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
-from .llr import AggregateTestResult, CircuitTestResult, llr_threshold as _llr_threshold
+import numpy as np
+
+from .llr import AggregateTestResult, TableTests, llr_threshold as _llr_threshold
 
 __all__ = [
     "MultiTestOutcome",
@@ -35,8 +38,8 @@ class MultiTestOutcome:
     p_threshold is always well defined: when nothing clears the step-up
     conditions it is reported as alpha/Q, below which (by the failed l=1
     condition) no p-value lies.  llr_threshold is the statistic value
-    equivalent to p_threshold and is None when the tests in the family do
-    not share a degrees-of-freedom count.
+    equivalent to p_threshold; hochberg, which sees p-values only, leaves
+    it None.
     """
 
     rejected_ids: frozenset[str]
@@ -49,14 +52,21 @@ class MultiTestOutcome:
         return self.aggregate_triggered or bool(self.rejected_ids)
 
 
-def _check_p_values(p_values: Sequence[tuple[str, float]], alpha: float) -> None:
-    if not p_values:
+def _step_up_threshold(p_values: np.ndarray, ids: Sequence[str], alpha: float) -> float:
+    """Hochberg's p_threshold (see hochberg) for p-values named by ids."""
+    q = len(p_values)
+    if not q:
         raise ValueError("no p-values to correct")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    for circuit_id, p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-value for {circuit_id!r} outside [0, 1]: {p!r}")
+    outside = np.flatnonzero(~((p_values >= 0.0) & (p_values <= 1.0)))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"p-value for {ids[i]!r} outside [0, 1]: {float(p_values[i])!r}")
+    # The l-th smallest p-value against alpha / (Q - l + 1), l = 1..Q.
+    hits = np.flatnonzero(np.sort(p_values) <= alpha / np.arange(q, 0, -1))
+    # With l_max = hits[-1] + 1, Q - l_max + 1 = Q - hits[-1].
+    return alpha / (q - int(hits[-1])) if hits.size else alpha / q
 
 
 def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
@@ -68,20 +78,8 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
     to the threshold is not.  With no qualifying l, nothing is rejected
     and the reported pseudo-threshold is alpha / Q.
     """
-    _check_p_values(p_values, alpha)
-    q = len(p_values)
-    ordered = sorted(p_values, key=lambda item: (item[1], item[0]))
-
-    l_max = 0
-    for l in range(q, 0, -1):
-        if ordered[l - 1][1] <= alpha / (q - l + 1):
-            l_max = l
-            break
-    if l_max == 0:
-        p_threshold = alpha / q
-    else:
-        p_threshold = alpha / (q - l_max + 1)
-
+    p_threshold = _step_up_threshold(np.array([p for _, p in p_values], dtype=float),
+                                     [cid for cid, _ in p_values], alpha)
     rejected = frozenset(cid for cid, p in p_values if p < p_threshold)
     return MultiTestOutcome(
         rejected_ids=rejected,
@@ -90,41 +88,40 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
     )
 
 
-def _attach_llr_threshold(outcome: MultiTestOutcome,
-                          results: Sequence[CircuitTestResult]) -> MultiTestOutcome:
-    dofs = {r.dof for r in results}
-    if len(dofs) != 1:
-        return outcome
-    return replace(outcome, llr_threshold=_llr_threshold(outcome.p_threshold, dofs.pop()))
-
-
-def combined_procedure(results: Sequence[CircuitTestResult],
-                       agg: AggregateTestResult,
-                       alpha: float) -> MultiTestOutcome:
+def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
+                       agg: AggregateTestResult, alpha: float) -> MultiTestOutcome:
     """Aggregate-then-localize detection over one comparison.
 
-    The aggregate statistic is tested at alpha/2.  The per-circuit tests
-    then run through the step-up correction at budget beta = alpha when
-    the aggregate triggered and beta = alpha/2 otherwise.  Detection is
-    declared if either stage rejects anything.
+    ``tests`` holds the comparison's per-circuit results and
+    ``circuit_ids`` names its rows.  The aggregate statistic is tested at
+    alpha/2.  The per-circuit tests then run through the step-up
+    correction at budget beta = alpha when the aggregate triggered and
+    beta = alpha/2 otherwise.  Detection is declared if either stage
+    rejects anything.  All rows share one dof, so the outcome always
+    carries the statistic threshold.
     """
-    if not results:
+    if len(circuit_ids) != len(tests.p_value):
+        raise ValueError(f"{len(circuit_ids)} circuit ids for {len(tests.p_value)} results")
+    if not len(circuit_ids):
         raise ValueError("no per-circuit results")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    dof_total = sum(r.dof for r in results)
+    dof_total = tests.dof * len(circuit_ids)
     if agg.dof != dof_total:
         raise ValueError(
             f"aggregate has {agg.dof} degrees of freedom but the per-circuit "
             f"results sum to {dof_total}; not the same comparison"
         )
-    llr_total = sum(r.llr for r in results)
+    llr_total = sum(tests.llr.tolist())
     if abs(agg.llr - llr_total) > 1e-6 * max(1.0, llr_total):
         raise ValueError("aggregate statistic does not match the per-circuit results")
 
     triggered = agg.p_value < 0.5 * alpha
     beta = alpha if triggered else 0.5 * alpha
-    outcome = hochberg([(r.circuit_id, r.p_value) for r in results], beta)
-    outcome = replace(outcome, aggregate_triggered=triggered)
-    return _attach_llr_threshold(outcome, results)
-
+    p_threshold = _step_up_threshold(tests.p_value, circuit_ids, beta)
+    return MultiTestOutcome(
+        rejected_ids=frozenset(compress(circuit_ids, (tests.p_value < p_threshold).tolist())),
+        p_threshold=p_threshold,
+        llr_threshold=_llr_threshold(p_threshold, tests.dof),
+        aggregate_triggered=triggered,
+    )

@@ -22,18 +22,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from itertools import combinations
+import re
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from itertools import combinations, compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .counts import ContextDataset, DatasetError, count_array, read_json
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
-from .llr import (AggregateTestResult, CircuitTestResult, llr_aggregate,
-                  llr_tests, n_sigma_threshold)
+from .llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
 from .multitest import combined_procedure
 
 __all__ = [
@@ -178,9 +179,17 @@ class CircuitAnalysis:
     small_sample: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Everything one comparison concluded, internally consistent."""
+    """Everything one comparison concluded, internally consistent.
+
+    The per-circuit rows are held as columns in circuit order: float64
+    arrays llr, p_value, jsd and jsd_threshold, bool arrays rejected and
+    small_sample, and the optional float64 columns tvd, sstvd and
+    sstvd_per_gate, whose null entries are marked by tvd_null, sstvd_null
+    and sstvd_per_gate_null (the value under a null is 0.0).  ``circuits``
+    is a read-only view of them as one CircuitAnalysis per row.
+    """
 
     comparison_id: str
     contexts: tuple[str, ...]
@@ -190,21 +199,65 @@ class ComparisonReport:
     aggregate_triggered: bool
     p_threshold: float
     llr_threshold: float | None
-    circuits: tuple[CircuitAnalysis, ...]
+    circuit_ids: tuple[str, ...]
+    llr: np.ndarray
+    p_value: np.ndarray
+    jsd: np.ndarray
+    jsd_threshold: np.ndarray
+    rejected: np.ndarray
+    small_sample: np.ndarray
+    tvd: np.ndarray
+    tvd_null: np.ndarray
+    sstvd: np.ndarray
+    sstvd_null: np.ndarray
+    sstvd_per_gate: np.ndarray
+    sstvd_per_gate_null: np.ndarray
     warnings: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, ComparisonReport):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+    @property
+    def circuits(self) -> Sequence[CircuitAnalysis]:
+        return _CircuitRows(self)
 
     @property
     def detected(self) -> bool:
-        return self.aggregate_triggered or any(c.rejected for c in self.circuits)
+        return self.aggregate_triggered or bool(self.rejected.any())
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
-        return tuple(c.circuit_id for c in self.circuits if c.rejected)
+        return tuple(compress(self.circuit_ids, self.rejected.tolist()))
 
     @property
     def max_sstvd(self) -> float | None:
-        values = [c.sstvd for c in self.circuits if c.sstvd is not None]
-        return max(values) if values else None
+        values = self.sstvd[~self.sstvd_null]
+        return float(values.max()) if values.size else None
+
+
+class _CircuitRows(Sequence):
+    """A report's rows as CircuitAnalysis objects, each built when read."""
+
+    def __init__(self, report: ComparisonReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.circuit_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        r, i = self._report, range(len(self))[index]
+        optional = [None if null[i] else float(values[i]) for values, null in (
+            (r.tvd, r.tvd_null), (r.sstvd, r.sstvd_null),
+            (r.sstvd_per_gate, r.sstvd_per_gate_null))]
+        return CircuitAnalysis(r.circuit_ids[i], float(r.llr[i]), float(r.p_value[i]),
+                               float(r.jsd[i]), float(r.jsd_threshold[i]), *optional,
+                               bool(r.rejected[i]), bool(r.small_sample[i]))
 
 
 def _gate_count(spec: str | None) -> int | None:
@@ -216,18 +269,19 @@ def _gate_count(spec: str | None) -> int | None:
         return None
 
 
-def _run_comparison(dataset: ContextDataset, counts: np.ndarray, present: np.ndarray,
-                    comparison: Comparison, alpha_local: float) -> ComparisonReport:
+def _run_comparison(dataset: ContextDataset, ids: np.ndarray, counts: np.ndarray,
+                    present: np.ndarray, comparison: Comparison,
+                    alpha_local: float) -> ComparisonReport:
     columns = [dataset.contexts.index(c) for c in comparison.contexts]
     complete = present[:, columns].all(axis=1)
     warnings = []
-    for record, ok in zip(dataset.circuits, complete.tolist()):
-        if not ok:
-            missing = [c for c in comparison.contexts if c not in record.contexts]
-            warnings.append(
-                f"circuit {record.circuit_id!r}: missing context(s) "
-                f"{', '.join(repr(m) for m in missing)}; skipped"
-            )
+    for i in np.flatnonzero(~complete).tolist():
+        record = dataset.circuits[i]
+        missing = [c for c in comparison.contexts if c not in record.contexts]
+        warnings.append(
+            f"circuit {record.circuit_id!r}: missing context(s) "
+            f"{', '.join(repr(m) for m in missing)}; skipped"
+        )
     rows = np.flatnonzero(complete)
     if not rows.size:
         raise DatasetError(
@@ -237,57 +291,47 @@ def _run_comparison(dataset: ContextDataset, counts: np.ndarray, present: np.nda
 
     table = counts[rows][:, columns]
     tests = llr_tests(table)
-    records = [dataset.circuits[i] for i in rows.tolist()]
-    results = [
-        CircuitTestResult(record.circuit_id, llr, tests.dof, p, n, small)
-        for record, llr, p, n, small in zip(
-            records, tests.llr.tolist(), tests.p_value.tolist(),
-            tests.n_total.tolist(), tests.small_sample.tolist())
-    ]
-    aggregate = llr_aggregate(results)
-    outcome = combined_procedure(results, aggregate, alpha_local)
-    sigma_threshold = n_sigma_threshold(0.5 * alpha_local, aggregate.dof)
-    # All rows share one dof, so the outcome's statistic threshold is theirs.
-    jsds = jsd_from_llr(tests.llr, tests.n_total).tolist()
-    jsd_thresholds = jsd_from_llr(outcome.llr_threshold, tests.n_total).tolist()
-    is_pair = len(comparison.contexts) == 2
-    tvds = tvd_rows(table).tolist() if is_pair else [None] * len(records)
-
-    lines = []
-    for record, result, jsd, jsd_cut, tvd in zip(records, results, jsds,
-                                                 jsd_thresholds, tvds):
-        rejected = record.circuit_id in outcome.rejected_ids
-        significant_tvd = tvd if (is_pair and rejected) else None
-        per_gate = None
-        if significant_tvd is not None:
-            length = _gate_count(record.spec)
+    circuit_ids = tuple(ids[rows].tolist())
+    aggregate = llr_aggregate(tests)
+    outcome = combined_procedure(tests, circuit_ids, aggregate, alpha_local)
+    # The Hochberg rule, as combined_procedure applies it to rejected_ids.
+    rejected = tests.p_value < outcome.p_threshold
+    tvd, sstvd, per_gate = np.zeros((3, len(rows)))
+    tvd_null, sstvd_null, per_gate_null = np.ones((3, len(rows)), dtype=bool)
+    if len(comparison.contexts) == 2:
+        tvd = tvd_rows(table)
+        tvd_null[:] = False
+        sstvd = np.where(rejected, tvd, 0.0)
+        sstvd_null = ~rejected
+        for i in np.flatnonzero(rejected).tolist():
+            length = _gate_count(dataset.circuits[rows[i]].spec)
             if length:
-                per_gate = significant_tvd / length
-        lines.append(
-            CircuitAnalysis(
-                circuit_id=record.circuit_id,
-                llr=result.llr,
-                p_value=result.p_value,
-                jsd=jsd,
-                jsd_threshold=jsd_cut,
-                tvd=tvd,
-                sstvd=significant_tvd,
-                sstvd_per_gate=per_gate,
-                rejected=rejected,
-                small_sample=result.small_sample,
-            )
-        )
+                per_gate[i] = tvd[i] / length
+                per_gate_null[i] = False
 
     return ComparisonReport(
         comparison_id=comparison.comparison_id,
         contexts=comparison.contexts,
         alpha_local=alpha_local,
         aggregate=aggregate,
-        n_sigma_threshold=sigma_threshold,
+        n_sigma_threshold=n_sigma_threshold(0.5 * alpha_local, aggregate.dof),
         aggregate_triggered=outcome.aggregate_triggered,
         p_threshold=outcome.p_threshold,
         llr_threshold=outcome.llr_threshold,
-        circuits=tuple(lines),
+        circuit_ids=circuit_ids,
+        llr=tests.llr,
+        p_value=tests.p_value,
+        jsd=jsd_from_llr(tests.llr, tests.n_total),
+        # All rows share one dof, so the outcome's statistic threshold is theirs.
+        jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
+        rejected=rejected,
+        small_sample=tests.small_sample,
+        tvd=tvd,
+        tvd_null=tvd_null,
+        sstvd=sstvd,
+        sstvd_null=sstvd_null,
+        sstvd_per_gate=per_gate,
+        sstvd_per_gate_null=per_gate_null,
         warnings=tuple(warnings),
     )
 
@@ -311,12 +355,50 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                     f"context {context!r}"
                 )
     counts, present = count_array(dataset)
-    return [_run_comparison(dataset, counts, present, comparison, alpha * comparison.weight)
+    ids = np.array([record.circuit_id for record in dataset.circuits], dtype=object)
+    return [_run_comparison(dataset, ids, counts, present, comparison,
+                            alpha * comparison.weight)
             for comparison in plan]
 
 
-def _report_to_json(report: ComparisonReport) -> dict:
-    return {
+def _format_distinct(values: np.ndarray, format_all) -> np.ndarray:
+    """format_all(list of floats) -> texts, spread over values as an object array.
+
+    Count tables repeat, so each distinct value is formatted once, keyed on
+    its bit pattern: keying on the value would merge -0.0 with 0.0.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(format_all(bits.view(np.float64).tolist()), dtype=object)[inverse]
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    # json's own spellings, NaN and Infinity included; none contains ", ".
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _g10_floats(values: list[float]) -> list[str]:
+    return [format(value, ".10g") for value in values]
+
+
+# One circuit row exactly as json.dumps(..., indent=2) lays it out.
+_ROW_TEMPLATE = """      {
+        "id": %s,
+        "llr": %s,
+        "p": %s,
+        "jsd": %s,
+        "jsd_threshold": %s,
+        "tvd": %s,
+        "sstvd": %s,
+        "sstvd_per_gate": %s,
+        "rejected": %s,
+        "small_sample": %s
+      }"""
+
+
+def _comparison_json(report: ComparisonReport) -> str:
+    """The comparison's object as json.dumps(reports, indent=2) writes it."""
+    head = {
         "comparison_id": report.comparison_id,
         "contexts": list(report.contexts),
         "alpha_local": report.alpha_local,
@@ -332,74 +414,129 @@ def _report_to_json(report: ComparisonReport) -> dict:
         "llr_threshold": report.llr_threshold,
         "detected": report.detected,
         "warnings": list(report.warnings),
-        "circuits": [
-            {
-                "id": line.circuit_id,
-                "llr": line.llr,
-                "p": line.p_value,
-                "jsd": line.jsd,
-                "jsd_threshold": line.jsd_threshold,
-                "tvd": line.tvd,
-                "sstvd": line.sstvd,
-                "sstvd_per_gate": line.sstvd_per_gate,
-                "rejected": line.rejected,
-                "small_sample": line.small_sample,
-            }
-            for line in report.circuits
-        ],
     }
+    # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
+    text = json.dumps([head], indent=2)[2:-6]
+    if not report.circuit_ids:
+        return text + ',\n    "circuits": []\n  }'
+
+    def floats(values, null=None):
+        texts = _format_distinct(values, _json_floats)
+        if null is not None:
+            texts[null] = "null"
+        return texts.tolist()
+
+    def bools(values):
+        return np.where(values, "true", "false").tolist()
+
+    rows = zip(
+        map(encode_basestring_ascii, report.circuit_ids),
+        floats(report.llr), floats(report.p_value),
+        floats(report.jsd), floats(report.jsd_threshold),
+        floats(report.tvd, report.tvd_null), floats(report.sstvd, report.sstvd_null),
+        floats(report.sstvd_per_gate, report.sstvd_per_gate_null),
+        bools(report.rejected), bools(report.small_sample),
+    )
+    return (text + ',\n    "circuits": [\n'
+            + ",\n".join(map(_ROW_TEMPLATE.__mod__, rows)) + "\n    ]\n  }")
 
 
 def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
-    """Write reports as a JSON array; identical analyses give identical bytes."""
-    payload = [_report_to_json(r) for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write reports as a JSON array; identical analyses give identical bytes.
+
+    The bytes are those of json.dumps(payload, indent=2) plus a newline.
+    """
+    text = "[\n" + ",\n".join(map(_comparison_json, reports)) + "\n]" if reports else "[]"
+    Path(path).write_text(text + "\n")
+
+
+_NUMBER = {int, float}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kinds: set, where: str, default=_REQUIRED):
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field {key!r}")
+        return default
+    value = obj[key]
+    # Exact types: a JSON true is a bool, not a number.
+    if type(value) not in kinds:
+        raise ValueError(f"{where}: field {key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _column(rows: list, key: str, kinds: set, where: str, default=_REQUIRED) -> list:
+    if default is _REQUIRED:
+        try:
+            values = [row[key] for row in rows]
+        except KeyError:
+            raise ValueError(f"{where}: circuit row missing field {key!r}") from None
+    else:
+        values = [row.get(key, default) for row in rows]
+    wrong = set(map(type, values)) - kinds
+    if wrong:
+        names = ", ".join(sorted(t.__name__ for t in wrong))
+        raise ValueError(f"{where}: circuit field {key!r} has the wrong type ({names})")
+    return values
+
+
+def _load_comparison(entry, where: str) -> ComparisonReport:
+    if type(entry) is not dict:
+        raise ValueError(f"{where}: expected an object")
+    agg = _field(entry, "aggregate", {dict}, where)
+    contexts = _field(entry, "contexts", {list}, where)
+    warnings = _field(entry, "warnings", {list}, where, default=[])
+    if not set(map(type, contexts + warnings)) <= {str}:
+        raise ValueError(f"{where}: contexts and warnings must be arrays of strings")
+    rows = _field(entry, "circuits", {list}, where)
+    if not set(map(type, rows)) <= {dict}:
+        raise ValueError(f"{where}: every circuit row must be an object")
+    columns = {}
+    try:
+        for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
+                          ("jsd_threshold", "jsd_threshold")):
+            columns[name] = np.array(_column(rows, key, _NUMBER, where), dtype=float)
+        for key in ("tvd", "sstvd", "sstvd_per_gate"):
+            values = _column(rows, key, _NUMBER | {type(None)}, where, default=None)
+            columns[key + "_null"] = np.array([value is None for value in values], dtype=bool)
+            columns[key] = np.array([0.0 if value is None else value for value in values],
+                                    dtype=float)
+    except OverflowError:
+        raise ValueError(f"{where}: circuit field {key!r} is out of float range") from None
+    for key, default in (("rejected", _REQUIRED), ("small_sample", False)):
+        columns[key] = np.array(_column(rows, key, {bool}, where, default), dtype=bool)
+    return ComparisonReport(
+        comparison_id=_field(entry, "comparison_id", {str}, where),
+        contexts=tuple(contexts),
+        alpha_local=_field(entry, "alpha_local", _NUMBER, where),
+        aggregate=AggregateTestResult(
+            llr=_field(agg, "llr", _NUMBER, where),
+            dof=_field(agg, "k", {int}, where),
+            p_value=_field(agg, "p", _NUMBER, where),
+            n_sigma=_field(agg, "n_sigma", _NUMBER, where),
+        ),
+        n_sigma_threshold=_field(agg, "n_sigma_threshold", _NUMBER, where),
+        aggregate_triggered=_field(agg, "triggered", {bool}, where),
+        p_threshold=_field(entry, "p_threshold", _NUMBER, where),
+        llr_threshold=_field(entry, "llr_threshold", _NUMBER | {type(None)}, where),
+        circuit_ids=tuple(_column(rows, "id", {str}, where)),
+        warnings=tuple(warnings),
+        **columns,
+    )
 
 
 def load_report(path: str | Path) -> list[ComparisonReport]:
-    """Read back a report file written by save_report."""
+    """Read back a report file written by save_report.
+
+    Anything but an array of comparison objects with correctly typed
+    fields, and circuit rows that are objects, is a ValueError.
+    """
     path = Path(path)
     raw = read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: top level must be an array of comparisons")
-    reports = []
-    for entry in raw:
-        try:
-            agg = entry["aggregate"]
-            reports.append(
-                ComparisonReport(
-                    comparison_id=entry["comparison_id"],
-                    contexts=tuple(entry["contexts"]),
-                    alpha_local=entry["alpha_local"],
-                    aggregate=AggregateTestResult(
-                        llr=agg["llr"], dof=agg["k"], p_value=agg["p"],
-                        n_sigma=agg["n_sigma"],
-                    ),
-                    n_sigma_threshold=agg["n_sigma_threshold"],
-                    aggregate_triggered=agg["triggered"],
-                    p_threshold=entry["p_threshold"],
-                    llr_threshold=entry["llr_threshold"],
-                    circuits=tuple(
-                        CircuitAnalysis(
-                            circuit_id=line["id"],
-                            llr=line["llr"],
-                            p_value=line["p"],
-                            jsd=line["jsd"],
-                            jsd_threshold=line["jsd_threshold"],
-                            tvd=line.get("tvd"),
-                            sstvd=line.get("sstvd"),
-                            sstvd_per_gate=line.get("sstvd_per_gate"),
-                            rejected=line["rejected"],
-                            small_sample=line.get("small_sample", False),
-                        )
-                        for line in entry["circuits"]
-                    ),
-                    warnings=tuple(entry.get("warnings", ())),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: report entry missing field {exc}") from None
-    return reports
+    return [_load_comparison(entry, f"{path}: comparison {n}") for n, entry in enumerate(raw)]
 
 
 @dataclass(frozen=True)
@@ -494,21 +631,38 @@ def jsd_profile(report: ComparisonReport,
         }
     else:
         lookup = core_lengths or {}
-    rows = []
-    for line in report.circuits:
-        core = lookup.get(line.circuit_id)
-        if core is None:
-            raise ValueError(
-                f"circuit {line.circuit_id!r} has no core_length; profile needs one"
-            )
-        rows.append((line.circuit_id, int(core), line.jsd, line.jsd_threshold))
-    return rows
+    cores = [lookup.get(circuit_id) for circuit_id in report.circuit_ids]
+    if None in cores:
+        raise ValueError(
+            f"circuit {report.circuit_ids[cores.index(None)]!r} has no core_length; "
+            "profile needs one"
+        )
+    return list(zip(report.circuit_ids, map(int, cores),
+                    report.jsd.tolist(), report.jsd_threshold.tolist()))
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    # csv.writer's minimal quoting in its default (excel) dialect.  csv.writer
+    # inspects each field character by character, which on long circuit ids
+    # costs more than the rest of the table; one regex search is far cheaper.
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_jsd_profile_csv(rows: Iterable[tuple[str, int, float, float]],
                           path: str | Path) -> None:
+    """The bytes csv.writer writes for the header and the rows.
+
+    jsd and jsd_threshold are floats, written as .10g.
+    """
+    ids, cores, jsds, thresholds = list(zip(*rows)) or [(), (), (), ()]
+    lines = zip(map(_csv_field, ids), cores,
+                _format_distinct(np.array(jsds, dtype=float), _g10_floats).tolist(),
+                _format_distinct(np.array(thresholds, dtype=float), _g10_floats).tolist())
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["circuit_id", "core_length", "jsd", "jsd_threshold"])
-        for circuit_id, core, jsd, threshold in rows:
-            writer.writerow([circuit_id, core, _format_cell(jsd), _format_cell(threshold)])
+        handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
+        handle.writelines(map("%s,%s,%s,%s\r\n".__mod__, lines))

@@ -8,7 +8,10 @@ series/continued fractions), so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 from typing import Sequence
 
 import mpmath as mp
@@ -213,3 +216,52 @@ def circuit_probabilities_reference(gates: Sequence[str], gate_model) -> np.ndar
         total = block @ total
         i = j
     return np.abs(total[:, 0]) ** 2
+
+
+def save_report_reference(reports, path) -> None:
+    """A report file as json.dumps(indent=2) of one dict per circuit row."""
+    payload = [
+        {
+            "comparison_id": report.comparison_id,
+            "contexts": list(report.contexts),
+            "alpha_local": report.alpha_local,
+            "aggregate": {
+                "llr": report.aggregate.llr,
+                "k": report.aggregate.dof,
+                "p": report.aggregate.p_value,
+                "n_sigma": report.aggregate.n_sigma,
+                "n_sigma_threshold": report.n_sigma_threshold,
+                "triggered": report.aggregate_triggered,
+            },
+            "p_threshold": report.p_threshold,
+            "llr_threshold": report.llr_threshold,
+            "detected": report.detected,
+            "warnings": list(report.warnings),
+            "circuits": [
+                {
+                    "id": line.circuit_id,
+                    "llr": line.llr,
+                    "p": line.p_value,
+                    "jsd": line.jsd,
+                    "jsd_threshold": line.jsd_threshold,
+                    "tvd": line.tvd,
+                    "sstvd": line.sstvd,
+                    "sstvd_per_gate": line.sstvd_per_gate,
+                    "rejected": line.rejected,
+                    "small_sample": line.small_sample,
+                }
+                for line in report.circuits
+            ],
+        }
+        for report in reports
+    ]
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def write_jsd_profile_csv_reference(rows, path) -> None:
+    """A JSD profile table written row by row through csv.writer."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["circuit_id", "core_length", "jsd", "jsd_threshold"])
+        for circuit_id, core, jsd, threshold in rows:
+            writer.writerow([circuit_id, core, format(jsd, ".10g"), format(threshold, ".10g")])

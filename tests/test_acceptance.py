@@ -21,7 +21,7 @@ from contextdep.datasets import (data_path, drift_design, drift_error_model,
                                  two_context_example)
 from contextdep.divergence import observed_jsd, observed_tvd
 from contextdep.gstgen import lgst_circuits, lsgst_circuits
-from contextdep.llr import CircuitTestResult, llr_aggregate, llr_single, llr_statistic
+from contextdep.llr import TableTests, llr_aggregate, llr_single, llr_statistic
 from contextdep.multitest import combined_procedure, hochberg
 from contextdep.pipeline import run_analysis
 from contextdep.qsim import (ErrorModel, SimConfig, experiment_probabilities,
@@ -175,13 +175,12 @@ def test_criterion_6_family_wise_error_control():
         lam = 2.0 * (xlogx(a).sum(1) + xlogx(b).sum(1) - 2 * n_shots * log_n
                      - xlogx(pooled).sum(1) + 2 * n_shots * log_2n)
         lam = np.maximum(lam, 0.0)
-        results = [
-            CircuitTestResult(circuit_id=f"q{i}", llr=float(l), dof=1,
-                              p_value=chi2_sf(float(l), 1),
-                              n_total=2 * n_shots, small_sample=False)
-            for i, l in enumerate(lam)
-        ]
-        outcome = combined_procedure(results, llr_aggregate(results), alpha=0.05)
+        results = TableTests(llr=lam, dof=1,
+                             p_value=np.array([chi2_sf(float(l), 1) for l in lam]),
+                             n_total=np.full(len(lam), 2 * n_shots),
+                             small_sample=np.zeros(len(lam), dtype=bool))
+        ids = [f"q{i}" for i in range(len(lam))]
+        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
         false_hits += outcome.detected
     rate = false_hits / trials
     assert rate <= 0.065, f"false-detection rate {rate:.4f}"

@@ -40,6 +40,24 @@ class TestGenCircuits:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"gates": 5},
+        {"gates": [["Gx"]]},
+        {"prep_fiducials": 3},
+        {"germs": [[1]]},
+        {"germs": ["Gx"], "max_germ_power": "4"},
+    ])
+    def test_malformed_design_is_one_line_error(self, tmp_path, capsys, fields):
+        design = {"gates": ["Gx"], "prep_fiducials": ["{}"], "meas_fiducials": ["{}"]}
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({**design, **fields}))
+        code = main(["gen-circuits", "--design", str(path), "--mode", "lsgst",
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
     def test_bad_mode_is_usage_error(self, tmp_path, capsys):
         code = main(["gen-circuits", "--design", DRIFT_DESIGN,
                      "--mode", "xyz", "--out", str(tmp_path / "o.json")])
@@ -265,6 +283,32 @@ class TestSummarize:
         assert "no context dependence detected" in text
         assert "max SSTVD: n/a" in text
 
+    def test_warnings_and_small_samples_shown(self, tmp_path, capsys):
+        partial = [{"id": f"Gy{'Gx' * i}", "counts": {"a": [50, 50]}} for i in range(7)]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b"],
+            "circuits": [{"id": "Gx", "counts": {"a": [60, 40], "b": [40, 60]}},
+                         {"id": "GxGx", "counts": {"a": [5, 3], "b": [4, 4]}},
+                         *partial],
+        }))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--data", str(data), "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["summarize", "--report", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("comparison a_vs_b (a, b): ")
+        start = lines.index("  warnings: 7")
+        assert lines[start + 1:start + 8] == [
+            "    circuit 'Gy': missing context(s) 'b'; skipped",
+            "    circuit 'GyGx': missing context(s) 'b'; skipped",
+            "    circuit 'GyGxGx': missing context(s) 'b'; skipped",
+            "    circuit 'GyGxGxGx': missing context(s) 'b'; skipped",
+            "    circuit 'GyGxGxGxGx': missing context(s) 'b'; skipped",
+            "    ... and 2 more",
+            "  small-sample circuits: 1 of 2",
+        ]
+
     def test_missing_report(self, tmp_path, capsys):
         code = main(["summarize", "--report", str(tmp_path / "nope.json")])
         assert code == 1
@@ -299,3 +343,66 @@ class TestExitCodes:
         assert proc.returncode == 0
         for name in ("gen-circuits", "simulate", "analyze", "summarize"):
             assert name in proc.stdout
+
+
+def _mutated_report(change):
+    entry = {
+        "comparison_id": "a_vs_b", "contexts": ["a", "b"], "alpha_local": 0.05,
+        "aggregate": {"llr": 4.0, "k": 1, "p": 0.05, "n_sigma": 2.1,
+                      "n_sigma_threshold": 1.9, "triggered": False},
+        "p_threshold": 0.025, "llr_threshold": 5.0, "detected": False, "warnings": [],
+        "circuits": [{"id": "Gx", "llr": 4.0, "p": 0.05, "jsd": 0.01, "jsd_threshold": 0.0125,
+                      "tvd": 0.1, "sstvd": None, "sstvd_per_gate": None,
+                      "rejected": False, "small_sample": False}],
+    }
+    return change(entry)
+
+
+def _set(path, value):
+    def change(entry):
+        *parents, last = path
+        target = entry
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return [entry]
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    lambda entry: [5],
+    lambda entry: [entry, "x"],
+    _set(("circuits",), 5),
+    _set(("circuits",), {"id": "Gx"}),
+    _set(("circuits", 0), 5),
+    _set(("circuits", 0), ["Gx"]),
+    _set(("circuits", 0, "id"), 5),
+    _set(("circuits", 0, "llr"), "4.0"),
+    _set(("circuits", 0, "llr"), True),
+    _set(("circuits", 0, "llr"), 10**400),
+    _set(("circuits", 0, "tvd"), "0.1"),
+    _set(("circuits", 0, "rejected"), 0),
+    _set(("circuits", 0, "small_sample"), None),
+    _set(("aggregate",), [4.0]),
+    _set(("aggregate", "k"), 1.0),
+    _set(("aggregate", "n_sigma"), "2.1"),
+    _set(("aggregate", "triggered"), None),
+    _set(("contexts",), [1, 2]),
+    _set(("warnings",), "none"),
+    _set(("comparison_id",), 7),
+    _set(("llr_threshold",), "5"),
+])
+def test_malformed_report_is_one_line_error(tmp_path, capsys, change):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_mutated_report(change)))
+    assert main(["summarize", "--report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_well_formed_report_summarizes(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_mutated_report(lambda entry: [entry])))
+    assert main(["summarize", "--report", str(path)]) == 0
+    assert "rejected circuits: 0 of 1" in capsys.readouterr().out

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import CircuitRecord, DatasetError, OutcomeCounts
-from contextdep.divergence import (QuantificationResult, jsd_threshold,
-                                   max_sstvd, observed_jsd, observed_tvd,
-                                   sstvd)
+from contextdep.divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd
 from contextdep.llr import llr_single, llr_threshold
 
 from _references import weighted_jsd_reference
@@ -147,20 +145,3 @@ class TestSstvd:
         assert value is None
         assert value != 0.0
 
-
-def quant(circuit_id, sstvd_value):
-    return QuantificationResult(circuit_id=circuit_id, jsd=0.0, jsd_threshold=0.1,
-                                sstvd=sstvd_value)
-
-
-class TestMaxSstvd:
-    def test_picks_largest_significant(self):
-        results = [quant("a", None), quant("b", 0.2), quant("c", 0.05)]
-        assert max_sstvd(results) == 0.2
-
-    def test_all_null_reports_none(self):
-        assert max_sstvd([quant("a", None), quant("b", None)]) is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_sstvd([])

@@ -1,5 +1,7 @@
 """Circuit-list generation: sizes, ordering, core lengths, file formats."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +228,36 @@ class TestDesignFiles:
         missing.write_text('{"gates": ["Gx"]}')
         with pytest.raises(ValueError, match="prep_fiducials"):
             load_design(missing)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"gates": 5}, "'gates'"),
+        ({"gates": ["Gx", 3]}, "'gates'"),
+        ({"meas_fiducials": "Gx"}, "'meas_fiducials'"),
+        ({"germs": [[1]]}, "'germs'"),
+        ({"germs": ["Gx"], "max_germ_power": 4.0}, "max_germ_power"),
+        ({"germs": ["Gx"], "max_germ_power": True}, "max_germ_power"),
+    ])
+    def test_load_design_rejects_wrong_types(self, tmp_path, fields, message):
+        design = {"gates": ["Gx"], "prep_fiducials": ["{}"], "meas_fiducials": ["{}"]}
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({**design, **fields}))
+        with pytest.raises(ValueError, match=message):
+            load_design(path)
+
+    @pytest.mark.parametrize("entries", [
+        [5],
+        [["Gx"]],
+        [{"core_length": 1}],
+        [{"spec": 5}],
+        [{"spec": "Gx", "core_length": "1"}],
+        [{"spec": "Gx", "core_length": True}],
+        [{"spec": "Gq"}],
+    ])
+    def test_load_circuits_rejects_malformed_entries(self, tmp_path, entries):
+        path = tmp_path / "circuits.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match="circuits.json"):
+            load_circuits(path)
 
     def test_circuit_list_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "circuits.json"

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_cdf, chi2_sf
 from contextdep.counts import CircuitRecord, DatasetError, OutcomeCounts
-from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, llr_aggregate,
-                            llr_single, llr_statistic, llr_threshold,
-                            n_sigma_threshold)
+from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests,
+                            llr_aggregate, llr_single, llr_statistic, llr_tests,
+                            llr_threshold, n_sigma_threshold)
 
 from _references import llr_reference
 
@@ -150,26 +150,26 @@ class TestSingleCircuit:
 
 class TestAggregate:
     def test_sums_and_sigma(self):
-        results = [
-            llr_single(record_from_rows((99, 101), (131, 69)), ),
-            llr_single(record_from_rows((10, 20, 30), (30, 20, 10), (20, 20, 20))),
-        ]
+        results = llr_tests(np.array([[(99, 101), (131, 69)], [(10, 20), (30, 20)]],
+                                     dtype=object))
         agg = llr_aggregate(results)
-        assert agg.llr == pytest.approx(sum(r.llr for r in results), rel=1e-12)
-        assert agg.dof == sum(r.dof for r in results)
+        assert agg.llr == pytest.approx(sum(results.llr.tolist()), rel=1e-12)
+        assert agg.dof == results.dof * len(results.llr)
         assert agg.n_sigma == pytest.approx(
             (agg.llr - agg.dof) / math.sqrt(2.0 * agg.dof), rel=1e-12)
         assert agg.p_value == pytest.approx(chi2_sf(agg.llr, agg.dof), rel=1e-12)
 
     def test_single_result_passthrough(self):
-        result = llr_single(record_from_rows((99, 101), (131, 69)))
-        agg = llr_aggregate([result])
-        assert agg.llr == result.llr
+        result = llr_tests(np.array([[(99, 101), (131, 69)]], dtype=object))
+        agg = llr_aggregate(result)
+        assert agg.llr == result.llr[0]
         assert agg.dof == result.dof
 
     def test_empty_rejected(self):
+        empty = np.array([])
         with pytest.raises(ValueError):
-            llr_aggregate([])
+            llr_aggregate(TableTests(llr=empty, dof=1, p_value=empty, n_total=empty,
+                                     small_sample=empty.astype(bool)))
 
 
 class TestThresholds:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_sf
-from contextdep.counts import CircuitRecord, OutcomeCounts
-from contextdep.llr import llr_aggregate, llr_single, llr_threshold
+from contextdep.llr import llr_aggregate, llr_tests, llr_threshold
 from contextdep.multitest import combined_procedure, hochberg
 
 from _references import bonferroni, hochberg_reference
@@ -111,11 +110,8 @@ class TestBonferroni:
 
 
 def results_for(tables):
-    out = []
-    for i, rows in enumerate(tables):
-        counts = {f"c{j}": OutcomeCounts(tuple(row)) for j, row in enumerate(rows)}
-        out.append(llr_single(CircuitRecord(circuit_id=f"q{i}", counts=counts)))
-    return out
+    """Test results and circuit ids for a stack of equal-shape count tables."""
+    return llr_tests(np.array(tables, dtype=object)), [f"q{i}" for i in range(len(tables))]
 
 
 class TestCombinedProcedure:
@@ -127,14 +123,14 @@ class TestCombinedProcedure:
             [(108, 92), (107, 93)],
             [(99, 101), (110, 90)],
         ]
-        results = results_for(tables)
+        results, ids = results_for(tables)
         agg = llr_aggregate(results)
-        outcome = combined_procedure(results, agg, alpha=0.05)
+        outcome = combined_procedure(results, ids, agg, alpha=0.05)
         assert agg.p_value < 0.025
         assert outcome.aggregate_triggered
         assert outcome.detected
         assert "q0" in outcome.rejected_ids
-        relaxed = hochberg([(r.circuit_id, r.p_value) for r in results], 0.05)
+        relaxed = hochberg(list(zip(ids, results.p_value.tolist())), 0.05)
         assert outcome.p_threshold == pytest.approx(relaxed.p_threshold)
 
     def test_quiet_aggregate_halves_budget(self):
@@ -142,21 +138,21 @@ class TestCombinedProcedure:
             [(108, 92), (107, 93)],
             [(99, 101), (101, 99)],
         ]
-        results = results_for(tables)
+        results, ids = results_for(tables)
         agg = llr_aggregate(results)
-        outcome = combined_procedure(results, agg, alpha=0.05)
+        outcome = combined_procedure(results, ids, agg, alpha=0.05)
         assert not outcome.aggregate_triggered
         assert not outcome.detected
-        strict = hochberg([(r.circuit_id, r.p_value) for r in results], 0.025)
+        strict = hochberg(list(zip(ids, results.p_value.tolist())), 0.025)
         assert outcome.p_threshold == pytest.approx(strict.p_threshold)
 
     def test_detection_via_aggregate_alone(self):
         # Many small shifts in the same direction: individually unremarkable,
         # collectively loud.
         tables = [[(116, 84), (84, 116)] for _ in range(12)]
-        results = results_for(tables)
+        results, ids = results_for(tables)
         agg = llr_aggregate(results)
-        outcome = combined_procedure(results, agg, alpha=0.05)
+        outcome = combined_procedure(results, ids, agg, alpha=0.05)
         assert outcome.aggregate_triggered
         assert outcome.detected
 
@@ -165,37 +161,28 @@ class TestCombinedProcedure:
             [(150, 50), (50, 150)],
             [(108, 92), (107, 93)],
         ]
-        results = results_for(tables)
-        outcome = combined_procedure(results, llr_aggregate(results), alpha=0.05)
+        results, ids = results_for(tables)
+        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
         assert outcome.llr_threshold == pytest.approx(
             llr_threshold(outcome.p_threshold, 1), rel=1e-12)
         assert chi2_sf(outcome.llr_threshold, 1) == pytest.approx(
             outcome.p_threshold, rel=1e-8)
 
-    def test_llr_threshold_none_for_mixed_dof(self):
-        tables = [
-            [(150, 50), (50, 150)],
-            [(10, 20, 30), (30, 20, 10)],
-        ]
-        results = results_for(tables)
-        outcome = combined_procedure(results, llr_aggregate(results), alpha=0.05)
-        assert outcome.llr_threshold is None
-
     def test_rejects_mismatched_aggregate(self):
         tables = [[(150, 50), (50, 150)], [(108, 92), (107, 93)]]
-        results = results_for(tables)
-        wrong_agg = llr_aggregate(results[:1])
+        results, ids = results_for(tables)
+        wrong_agg = llr_aggregate(results_for(tables[:1])[0])
         with pytest.raises(ValueError, match="degrees of freedom"):
-            combined_procedure(results, wrong_agg, alpha=0.05)
+            combined_procedure(results, ids, wrong_agg, alpha=0.05)
 
     def test_rejects_inconsistent_llr_sum(self):
         tables = [[(150, 50), (50, 150)], [(108, 92), (107, 93)]]
-        results = results_for(tables)
+        results, ids = results_for(tables)
         agg = llr_aggregate(results)
         tampered = type(agg)(llr=agg.llr + 1.0, dof=agg.dof,
                              p_value=agg.p_value, n_sigma=agg.n_sigma)
         with pytest.raises(ValueError, match="does not match"):
-            combined_procedure(results, tampered, alpha=0.05)
+            combined_procedure(results, ids, tampered, alpha=0.05)
 
 
 def test_null_family_wise_error_stays_near_alpha():
@@ -211,18 +198,14 @@ def test_null_family_wise_error_stays_near_alpha():
     trials, n_circuits, n_shots = 300, 20, 100
     false_detections = 0
     for _ in range(trials):
-        results = []
+        tables = []
         for i in range(n_circuits):
             p = rng.uniform(0.1, 0.9)
             row_a = rng.multinomial(n_shots, [p, 1 - p])
             row_b = rng.multinomial(n_shots, [p, 1 - p])
-            record = CircuitRecord(
-                circuit_id=f"q{i}",
-                counts={"a": OutcomeCounts(tuple(int(v) for v in row_a)),
-                        "b": OutcomeCounts(tuple(int(v) for v in row_b))},
-            )
-            results.append(llr_single(record))
-        outcome = combined_procedure(results, llr_aggregate(results), alpha=0.05)
+            tables.append([tuple(int(v) for v in row_a), tuple(int(v) for v in row_b)])
+        results, ids = results_for(tables)
+        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
         false_detections += outcome.detected
     rate = false_detections / trials
     assert rate <= 0.10, f"false detection rate {rate:.3f}"

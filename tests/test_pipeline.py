@@ -4,19 +4,25 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
                                OutcomeCounts)
 from contextdep.datasets import neighbor_example, two_context_example
 from contextdep.divergence import observed_tvd
-from contextdep.llr import llr_single, llr_threshold, n_sigma_threshold
-from contextdep.pipeline import (Comparison, ComparisonPlan, jsd_profile,
-                                 load_plan, load_report, pairwise_matrices,
-                                 run_analysis, save_report,
+from contextdep.llr import (AggregateTestResult, llr_single, llr_threshold,
+                            n_sigma_threshold)
+from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport,
+                                 jsd_profile, load_plan, load_report,
+                                 pairwise_matrices, run_analysis, save_report,
                                  write_jsd_profile_csv, write_pairwise_csv)
 from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 from contextdep.gstgen import GstDesign
+
+from _references import save_report_reference, write_jsd_profile_csv_reference
 
 
 def drifting_dataset(contexts=("t1", "t2", "t3"), seed=3):
@@ -185,6 +191,14 @@ class TestRunAnalysis:
                     saw_one = True
         assert saw_one
 
+    def test_max_sstvd_is_largest_non_null_sstvd(self):
+        reports = run_analysis(drifting_dataset(), alpha=0.05)
+        widest = max(reports, key=lambda r: sum(c.sstvd is not None for c in r.circuits))
+        values = [c.sstvd for c in widest.circuits if c.sstvd is not None]
+        assert len(values) >= 2 and len(values) < len(widest.circuits)
+        assert widest.max_sstvd == max(values)
+        assert reports[0].max_sstvd is None  # the joint comparison has no TVD
+
     def test_rejected_subset_of_circuits_and_detection_definition(self):
         for report in run_analysis(drifting_dataset(), alpha=0.05):
             ids = {c.circuit_id for c in report.circuits}
@@ -285,6 +299,111 @@ class TestReportFiles:
         missing.write_text('[{"comparison_id": "x"}]')
         with pytest.raises(ValueError, match="missing field"):
             load_report(missing)
+
+
+# Floats the writers must spell exactly as json and format(.10g) do: both
+# zeros, NaN, both infinities, subnormals, plus anything else.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.1, 1e16]
+report_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# Ids with characters json or csv must escape or quote.
+report_text = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é\u2028😀'),
+                                st.characters(exclude_categories=("Cs",))),
+                      max_size=6)
+
+
+@st.composite
+def comparison_reports(draw):
+    n = draw(st.integers(0, 6))
+
+    def floats():
+        return np.array(draw(st.lists(report_floats, min_size=n, max_size=n)), dtype=float)
+
+    def flags():
+        kind = draw(st.sampled_from(["none", "all", "mixed"]))
+        if kind == "mixed":
+            return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        return np.full(n, kind == "all")
+
+    return ComparisonReport(
+        comparison_id=draw(report_text),
+        contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
+        alpha_local=draw(report_floats),
+        aggregate=AggregateTestResult(llr=draw(report_floats),
+                                      dof=draw(st.integers(1, 10**6)),
+                                      p_value=draw(report_floats),
+                                      n_sigma=draw(report_floats)),
+        n_sigma_threshold=draw(report_floats),
+        aggregate_triggered=draw(st.booleans()),
+        p_threshold=draw(report_floats),
+        llr_threshold=draw(st.one_of(st.none(), report_floats)),
+        circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n))),
+        llr=floats(), p_value=floats(), jsd=floats(), jsd_threshold=floats(),
+        rejected=flags(), small_sample=flags(),
+        tvd=floats(), tvd_null=flags(),
+        sstvd=floats(), sstvd_null=flags(),
+        sstvd_per_gate=floats(), sstvd_per_gate_null=flags(),
+        warnings=tuple(draw(st.lists(report_text, max_size=2))),
+    )
+
+
+def _signed_zero_report():
+    """One column holding both zeros: a memo keyed by value merges them."""
+    n = 3
+    zeros = np.array([0.0, -0.0, 0.0])
+    flags = np.zeros(n, dtype=bool)
+    return ComparisonReport(
+        comparison_id="z", contexts=("a", "b"), alpha_local=0.05,
+        aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0, n_sigma=-1.0),
+        n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=0.01,
+        llr_threshold=6.6, circuit_ids=("x", "y", "z"),
+        llr=zeros, p_value=np.ones(n), jsd=-zeros, jsd_threshold=zeros,
+        rejected=flags, small_sample=flags, tvd=zeros, tvd_null=flags,
+        sstvd=zeros, sstvd_null=~flags, sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
+    )
+
+
+class TestReportBytes:
+    """The columnar writers against the per-row writers, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(comparison_reports(), max_size=3))
+    @example([_signed_zero_report()])
+    def test_save_report_matches_per_row_json(self, tmp_path_factory, reports):
+        tmp = tmp_path_factory.mktemp("report")
+        save_report(reports, tmp / "columnar.json")
+        save_report_reference(reports, tmp / "rows.json")
+        assert (tmp / "columnar.json").read_bytes() == (tmp / "rows.json").read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(comparison_reports())
+    @example(_signed_zero_report())
+    def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
+        tmp = tmp_path_factory.mktemp("profile")
+        rows = jsd_profile(report, {cid: 7 for cid in report.circuit_ids})
+        write_jsd_profile_csv(rows, tmp / "columnar.csv")
+        write_jsd_profile_csv_reference(rows, tmp / "rows.csv")
+        assert (tmp / "columnar.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(comparison_reports(), max_size=3))
+    def test_load_save_round_trip(self, tmp_path_factory, reports):
+        tmp = tmp_path_factory.mktemp("round")
+        save_report(reports, tmp / "a.json")
+        loaded = load_report(tmp / "a.json")
+        save_report(loaded, tmp / "b.json")
+        assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+        for old, new in zip(reports, loaded, strict=True):
+            assert new.circuit_ids == old.circuit_ids
+            for name in ("tvd_null", "sstvd_null", "sstvd_per_gate_null",
+                         "rejected", "small_sample"):
+                assert np.array_equal(getattr(new, name), getattr(old, name))
+
+    def test_drift_report_matches_per_row_json(self, tmp_path):
+        reports = run_analysis(drifting_dataset(), alpha=0.05)
+        save_report(reports, tmp_path / "columnar.json")
+        save_report_reference(reports, tmp_path / "rows.json")
+        assert (tmp_path / "columnar.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+        assert load_report(tmp_path / "columnar.json") == reports
 
 
 class TestPairwiseMatrices:

@@ -354,8 +354,9 @@ class TestExperiment:
         error = ErrorModel(context_overrotations={"a": {"Gx": 0.01}, "b": {"Gx": 0.01}})
         config = SimConfig(shots_per_context=256, seed=9, contexts=("a", "b"))
         dataset = run_drift_experiment(small_design(), error, config)
-        from contextdep.llr import llr_aggregate, llr_single
-        agg = llr_aggregate([llr_single(r) for r in dataset.circuits])
+        from contextdep.counts import count_array
+        from contextdep.llr import llr_aggregate, llr_tests
+        agg = llr_aggregate(llr_tests(count_array(dataset)[0]))
         assert agg.n_sigma < 4.0
 
     def test_unknown_context_rejected(self):
