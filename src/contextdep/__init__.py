@@ -27,6 +27,6 @@ from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        write_jsd_profile_csv, write_pairwise_csv)
 from .qsim import (ErrorModel, SimConfig, circuit_probabilities, counts_stream,
                    gate_model_for_context, ideal_gate_model, load_error_model,
-                   run_drift_experiment, sample_counts, save_error_model)
+                   run_drift_experiment, save_error_model)
 
 __version__ = "1.0.0"

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,14 +50,15 @@ class OutcomeCounts:
 
     def __post_init__(self) -> None:
         try:
-            counts = tuple(int(c) for c in self.counts)
+            raw = tuple(self.counts)
+            counts = tuple(map(int, raw))
         except (TypeError, ValueError, OverflowError):
             raise DatasetError(
                 f"counts must be non-negative integers, got {self.counts!r}") from None
-        for c, raw in zip(counts, self.counts):
-            # bool is an int subclass; a JSON true/false is not a count.
-            if isinstance(raw, bool) or c != raw or c < 0:
-                raise DatasetError(f"counts must be non-negative integers, got {raw!r}")
+        # bool is an int subclass; a JSON true/false is not a count.
+        if counts != raw or bool in map(type, raw) or (counts and min(counts) < 0):
+            bad = next(r for c, r in zip(counts, raw) if isinstance(r, bool) or c != r or c < 0)
+            raise DatasetError(f"counts must be non-negative integers, got {bad!r}")
         if len(counts) < 2:
             raise DatasetError("a pool needs at least two outcome categories")
         if sum(counts) == 0:
@@ -93,18 +96,24 @@ class CircuitRecord:
     core_length: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.circuit_id:
+        if not isinstance(self.circuit_id, str) or not self.circuit_id:
             raise DatasetError("circuit_id must be a non-empty string")
         counts = dict(self.counts)
         if not counts:
             raise DatasetError(f"circuit {self.circuit_id!r}: no context pools")
-        widths = {pool.n_outcomes for pool in counts.values()}
+        widths = {len(pool.counts) for pool in counts.values()}
         if len(widths) > 1:
             raise DatasetError(
                 f"circuit {self.circuit_id!r}: pools disagree on outcome count {sorted(widths)}"
             )
-        if self.core_length is not None and self.core_length < 0:
-            raise DatasetError(f"circuit {self.circuit_id!r}: negative core_length")
+        if self.spec is not None and not isinstance(self.spec, str):
+            raise DatasetError(
+                f"circuit {self.circuit_id!r}: spec must be a string, got {self.spec!r}")
+        core = self.core_length
+        # bool is an int subclass; a JSON true is not a length.
+        if core is not None and (not isinstance(core, int) or isinstance(core, bool) or core < 0):
+            raise DatasetError(f"circuit {self.circuit_id!r}: core_length must be a "
+                               f"non-negative integer, got {core!r}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -152,24 +161,27 @@ class ContextDataset:
             raise DatasetError("dataset needs at least two context labels")
         if len(set(contexts)) != len(contexts):
             raise DatasetError("duplicate context labels")
-        seen: set[str] = set()
+        known = set(contexts)
+        index: dict[str, CircuitRecord] = {}
         for record in circuits:
-            if record.circuit_id in seen:
+            if record.circuit_id in index:
                 raise DatasetError(f"duplicate circuit_id {record.circuit_id!r}")
-            seen.add(record.circuit_id)
+            index[record.circuit_id] = record
             if record.n_outcomes != len(outcomes):
                 raise DatasetError(
                     f"circuit {record.circuit_id!r}: pools have {record.n_outcomes} "
                     f"entries but the dataset declares {len(outcomes)} outcomes"
                 )
-            for context in record.contexts:
-                if context not in contexts:
-                    raise DatasetError(
-                        f"circuit {record.circuit_id!r}: unknown context {context!r}"
-                    )
+            if not known.issuperset(record.counts):
+                unknown = next(c for c in record.counts if c not in known)
+                raise DatasetError(
+                    f"circuit {record.circuit_id!r}: unknown context {unknown!r}"
+                )
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "circuits", circuits)
+        # Not a field: equality and repr see only the circuits.
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_outcomes(self) -> int:
@@ -182,10 +194,10 @@ class ContextDataset:
         return iter(self.circuits)
 
     def circuit(self, circuit_id: str) -> CircuitRecord:
-        for record in self.circuits:
-            if record.circuit_id == circuit_id:
-                return record
-        raise DatasetError(f"no circuit with id {circuit_id!r}")
+        try:
+            return self._index[circuit_id]
+        except KeyError:
+            raise DatasetError(f"no circuit with id {circuit_id!r}") from None
 
 
 def count_array(dataset: ContextDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +247,13 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
+    labels = _require(obj, key, where)
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise DatasetError(f"{where}: {key!r} must be an array of strings")
+    return tuple(labels)
+
+
 def load_dataset(path: str | Path) -> ContextDataset:
     """Read a dataset from its JSON file representation."""
     path = Path(path)
@@ -245,8 +264,8 @@ def load_dataset(path: str | Path) -> ContextDataset:
     version = _require(raw, "format_version", str(path))
     if version != FORMAT_VERSION:
         raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    outcomes = tuple(_require(raw, "outcomes", str(path)))
-    contexts = tuple(_require(raw, "contexts", str(path)))
+    outcomes = _labels(raw, "outcomes", str(path))
+    contexts = _labels(raw, "contexts", str(path))
 
     entries = _require(raw, "circuits", str(path))
     if not isinstance(entries, list):
@@ -270,14 +289,12 @@ def load_dataset(path: str | Path) -> ContextDataset:
                 pools[context] = OutcomeCounts(tuple(values))
             except DatasetError as exc:
                 raise DatasetError(f"{where}, context {context!r}: {exc}") from None
-        records.append(
-            CircuitRecord(
-                circuit_id=circuit_id,
-                counts=pools,
-                spec=entry.get("spec"),
-                core_length=entry.get("core_length"),
-            )
-        )
+        try:
+            records.append(CircuitRecord(circuit_id=circuit_id, counts=pools,
+                                         spec=entry.get("spec"),
+                                         core_length=entry.get("core_length")))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
 
     return ContextDataset(
         outcomes=outcomes,
@@ -288,31 +305,81 @@ def load_dataset(path: str | Path) -> ContextDataset:
     )
 
 
-def dataset_to_json(dataset: ContextDataset) -> dict:
-    """Plain-dict form of a dataset, key order fixed for stable files."""
-    obj: dict = {"format_version": dataset.format_version}
+def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text to a file as its pieces are produced, 1024 pieces a write.
+
+    The whole text is never held at once: a large dataset or report costs
+    the memory of one batch, and a batch saves the cost of a write call
+    per piece.
+    """
+    chunks = iter(chunks)
+    with open(path, "w") as handle:
+        while batch := list(islice(chunks, 1024)):
+            handle.write("".join(batch))
+
+
+def json_array(elements: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
+    """The pieces of a JSON array as json.dumps(..., indent=2) lays it out.
+
+    Each element comes as the pieces of its text, already indented to its
+    depth; ``indent`` is the indentation of the line that closes the array.
+    """
+    separator = "[\n"
+    for pieces in elements:
+        yield separator
+        yield from pieces
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n" + indent + "]"
+
+
+# One circuit entry exactly as json.dumps(..., indent=2) lays it out; the
+# second slot holds the optional spec and core_length lines.
+_CIRCUIT_TEMPLATE = """    {
+      "id": %s,%s
+      "counts": {
+%s
+      }
+    }"""
+_OUTCOME_SEPARATOR = ",\n          "
+
+
+def _dataset_chunks(dataset: ContextDataset) -> Iterator[str]:
+    head: dict = {"format_version": dataset.format_version}
     if dataset.description is not None:
-        obj["description"] = dataset.description
-    obj["outcomes"] = list(dataset.outcomes)
-    obj["contexts"] = list(dataset.contexts)
-    circuits = []
-    for record in dataset.circuits:
-        entry: dict = {"id": record.circuit_id}
+        head["description"] = dataset.description
+    head["outcomes"] = list(dataset.outcomes)
+    head["contexts"] = list(dataset.contexts)
+    head["circuits"] = []
+    # Strip the closing "[]\n}": the circuits are written after the header.
+    yield json.dumps(head, indent=2)[:-4]
+    pool_heads = {c: f"        {encode_basestring_ascii(c)}: [\n          "
+                  for c in dataset.contexts}
+
+    def entry(record: CircuitRecord) -> str:
+        optional = ""
         if record.spec is not None:
-            entry["spec"] = record.spec
+            optional += f'\n      "spec": {encode_basestring_ascii(record.spec)},'
         if record.core_length is not None:
-            entry["core_length"] = record.core_length
-        entry["counts"] = {c: list(record.counts[c]) for c in record.contexts}
-        circuits.append(entry)
-    obj["circuits"] = circuits
-    return obj
+            optional += f'\n      "core_length": {int.__repr__(record.core_length)},'
+        pools = ",\n".join(
+            pool_heads[c] + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool.counts))
+            + "\n        ]"
+            for c, pool in record.counts.items())
+        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(record.circuit_id), optional, pools)
+
+    # zip of one iterable: each entry is a one-piece element.
+    yield from json_array(zip(map(entry, dataset.circuits)), "  ")
+    yield "\n}\n"
 
 
 def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
-    """Write a dataset as JSON; identical datasets produce identical bytes."""
-    path = Path(path)
-    text = json.dumps(dataset_to_json(dataset), indent=2)
-    path.write_text(text + "\n")
+    """Write a dataset as JSON; identical datasets produce identical bytes.
+
+    The bytes are those of json.dumps(..., indent=2) of the dataset's plain
+    dict form plus a newline.  The header goes through json.dumps; each
+    circuit entry is one template, written to the file as it is formatted.
+    """
+    write_chunks(path, _dataset_chunks(dataset))
 
 
 def _merge_counts(counts: Sequence[int], groups: Mapping[str, tuple[int, ...]],

@@ -113,10 +113,11 @@ def llr_statistics(counts: np.ndarray) -> np.ndarray:
     for i in vanishing:
         logs[i] = math.log(num.flat[i]) - math.log(den.flat[i])
     logs = logs.reshape(counts.shape)
-    terms = (counts.astype(float) * logs).reshape(len(counts), -1)
+    n_tables, n_contexts, n_outcomes = counts.shape
+    terms = (counts.astype(float) * logs).reshape(n_tables, n_contexts * n_outcomes)
     # One term at a time, in context-then-outcome order: numpy's pairwise
     # sum would round wider tables differently.
-    half = np.zeros(len(counts))
+    half = np.zeros(n_tables)
     for column in terms.T:
         half += column
     # Rounding in the sum can still leave a tiny negative residue.

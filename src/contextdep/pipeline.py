@@ -23,15 +23,16 @@ import csv
 import json
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .counts import ContextDataset, DatasetError, count_array, read_json
+from .counts import (ContextDataset, DatasetError, count_array, json_array, read_json,
+                     write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
@@ -396,7 +397,7 @@ _ROW_TEMPLATE = """      {
       }"""
 
 
-def _comparison_json(report: ComparisonReport) -> str:
+def _comparison_chunks(report: ComparisonReport) -> Iterator[str]:
     """The comparison's object as json.dumps(reports, indent=2) writes it."""
     head = {
         "comparison_id": report.comparison_id,
@@ -416,9 +417,10 @@ def _comparison_json(report: ComparisonReport) -> str:
         "warnings": list(report.warnings),
     }
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
-    text = json.dumps([head], indent=2)[2:-6]
+    yield json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
     if not report.circuit_ids:
-        return text + ',\n    "circuits": []\n  }'
+        yield "[]\n  }"
+        return
 
     def floats(values, null=None):
         texts = _format_distinct(values, _json_floats)
@@ -437,17 +439,18 @@ def _comparison_json(report: ComparisonReport) -> str:
         floats(report.sstvd_per_gate, report.sstvd_per_gate_null),
         bools(report.rejected), bools(report.small_sample),
     )
-    return (text + ',\n    "circuits": [\n'
-            + ",\n".join(map(_ROW_TEMPLATE.__mod__, rows)) + "\n    ]\n  }")
+    # zip of one iterable: each row is a one-piece element.
+    yield from json_array(zip(map(_ROW_TEMPLATE.__mod__, rows)), "    ")
+    yield "\n  }"
 
 
 def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     """Write reports as a JSON array; identical analyses give identical bytes.
 
-    The bytes are those of json.dumps(payload, indent=2) plus a newline.
+    The bytes are those of json.dumps(payload, indent=2) plus a newline,
+    streamed to the file as the rows are formatted.
     """
-    text = "[\n" + ",\n".join(map(_comparison_json, reports)) + "\n]" if reports else "[]"
-    Path(path).write_text(text + "\n")
+    write_chunks(path, chain(json_array(map(_comparison_chunks, reports), ""), ["\n"]))
 
 
 _NUMBER = {int, float}

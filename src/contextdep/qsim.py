@@ -10,7 +10,11 @@ is modeled: later time periods get larger epsilon.
 Sampling is reproducible and order-independent: each (circuit, context)
 pair derives its own generator stream from the experiment seed, a hash of
 the circuit id, and the context index, so the same dataset comes out no
-matter how the work is scheduled.
+matter how the work is scheduled.  counts_stream gives one cell's stream.
+sample_experiment derives the streams of all cells in one batch: it runs
+numpy's SeedSequence hash and PCG64's seeding over arrays of cells, then
+sets each cell's state on one reused PCG64 before its draw.  The states,
+and so the counts, are those of counts_stream.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +40,6 @@ __all__ = [
     "gate_model_for_context",
     "rotation_unitary",
     "circuit_probabilities",
-    "sample_counts",
     "counts_stream",
     "run_drift_experiment",
     "load_error_model",
@@ -268,6 +271,88 @@ def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.G
     return np.random.Generator(np.random.PCG64(key))
 
 
+# numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """An int as SeedSequence splits it: little-endian 32-bit words, [0] for 0."""
+    if value < 0:
+        raise ValueError("seed must be non-negative")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> Iterator[dict]:
+    """The PCG64 state of every cell, as counts_stream would seed it.
+
+    Cells run circuit-major: cell i * n_contexts + k is circuit i, context
+    k.  Each cell's entropy is [seed words..., k, 4 id words], as
+    SeedSequence coerces it; its width is the same for every cell, so the
+    whole SeedSequence hash (hashmix and mix into a pool of 4 words, then
+    generate_state(4, uint64)) runs once over uint32 columns, whose
+    products wrap mod 2**32 as the C code's do.  Then pcg64_srandom_r:
+    inc = initseq << 1 | 1 and two LCG steps, on Python ints.
+    """
+    digests = b"".join(hashlib.sha256(circuit_id.encode("utf-8")).digest()[:16]
+                       for circuit_id in circuit_ids)
+    id_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+    # One array per entropy word, one entry per cell.
+    n_cells = len(circuit_ids) * n_contexts
+    words = ([np.full(n_cells, word, dtype=np.uint32) for word in _uint32_words(int(seed))]
+             + [np.tile(np.arange(n_contexts, dtype=np.uint32), len(circuit_ids))]
+             + list(np.ascontiguousarray(np.repeat(id_words, n_contexts, axis=0).T,
+                                         dtype=np.uint32)))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    # The entropy is always wider than the pool (at least 6 words).
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    generated = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        generated.append(value ^ (value >> np.uint32(16)))
+    # Pairs of words, low word first, are generate_state's uint64 words.
+    seeds = np.stack(generated, axis=1).astype("<u4").view("<u8").astype(object)
+    incs = (seeds[:, 2] << 65 | seeds[:, 3] << 1 | 1) & _MASK128
+    # From state 0: one LCG step gives inc, add initstate, step again.
+    states = ((incs + (seeds[:, 0] << 64 | seeds[:, 1])) * _PCG_MULTIPLIER + incs) & _MASK128
+    # Made one at a time: the states of all cells at once would hold two
+    # dicts per cell for the cyclic garbage collector to scan.
+    return ({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+            for state, inc in zip(states.tolist(), incs.tolist()))
+
+
 def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
     """Check probability vectors along the last axis, then clip and renormalise.
 
@@ -282,18 +367,6 @@ def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"invalid probability vector {probs[invalid][0]!r}")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def sample_counts(probs: Sequence[float], n_shots: int,
-                  rng: np.random.Generator) -> OutcomeCounts:
-    """One multinomial draw of n_shots from an outcome distribution."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError("need a 1-d probability vector with at least two outcomes")
-    draw = rng.multinomial(n_shots, _sampling_distributions(probs))
-    return OutcomeCounts(tuple(draw.tolist()))
 
 
 def experiment_probabilities(circuits: Sequence[CircuitSpec],
@@ -322,33 +395,46 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
     return table
 
 
+def _draw_cells(seed: int, circuit_ids: Sequence[str], table: np.ndarray,
+                shots: int) -> list[OutcomeCounts]:
+    """One multinomial draw per cell of a (circuits, contexts, outcomes) table.
+
+    Each cell draws from its counts_stream state, set on one reused
+    generator; the pools come back circuit-major.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pools = []
+    states = _cell_states(seed, circuit_ids, table.shape[1])
+    for state, probs in zip(states, table.reshape(-1, table.shape[2])):
+        bit_generator.state = state
+        pools.append(OutcomeCounts(tuple(generator.multinomial(shots, probs).tolist())))
+    return pools
+
+
 def sample_experiment(circuits: Sequence[CircuitSpec],
                       prob_table: Sequence[Sequence[np.ndarray]],
                       config: SimConfig) -> ContextDataset:
     """Draw counts for precomputed probabilities and assemble a dataset.
 
     The whole (circuits, contexts, outcomes) table is checked, clipped and
-    renormalised at once; each cell then draws from its own counts_stream.
+    renormalised at once; each cell then draws from its counts_stream.
     """
+    n_contexts = len(config.contexts)
     # One row per circuit, one (p(0), p(1)) vector per context.
-    table = np.asarray(prob_table, dtype=float).reshape(len(circuits), len(config.contexts), 2)
-    table = _sampling_distributions(table)
-    records = []
-    for circuit, row in zip(circuits, table):
-        circuit_id = circuit.text
-        pools = {}
-        for context_index, context in enumerate(config.contexts):
-            rng = counts_stream(config.seed, circuit_id, context_index)
-            draw = rng.multinomial(config.shots_per_context, row[context_index])
-            pools[context] = OutcomeCounts(tuple(draw.tolist()))
-        records.append(
-            CircuitRecord(
-                circuit_id=circuit_id,
-                counts=pools,
-                spec=circuit_id,
-                core_length=circuit.core_length,
-            )
+    table = np.asarray(prob_table, dtype=float).reshape(len(circuits), n_contexts, 2)
+    ids = [circuit.text for circuit in circuits]
+    pools = _draw_cells(config.seed, ids, _sampling_distributions(table),
+                        config.shots_per_context)
+    records = [
+        CircuitRecord(
+            circuit_id=circuit_id,
+            counts=dict(zip(config.contexts, pools[i * n_contexts:(i + 1) * n_contexts])),
+            spec=circuit_id,
+            core_length=circuit.core_length,
         )
+        for i, (circuit, circuit_id) in enumerate(zip(circuits, ids))
+    ]
     return ContextDataset(
         outcomes=("0", "1"),
         contexts=config.contexts,

@@ -17,6 +17,9 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from contextdep.counts import OutcomeCounts
+from contextdep.qsim import _sampling_distributions
+
 
 def chi2_cdf_reference(x: float, k: int, dps: int = 60):
     """High-precision chi-squared CDF via mpmath's incomplete gamma."""
@@ -216,6 +219,40 @@ def circuit_probabilities_reference(gates: Sequence[str], gate_model) -> np.ndar
         total = block @ total
         i = j
     return np.abs(total[:, 0]) ** 2
+
+
+def dataset_to_json(dataset) -> dict:
+    """Plain-dict form of a dataset, key order fixed for stable files.
+
+    json.dumps(dataset_to_json(ds), indent=2) + "\n" is the byte oracle of
+    counts.save_dataset.
+    """
+    obj: dict = {"format_version": dataset.format_version}
+    if dataset.description is not None:
+        obj["description"] = dataset.description
+    obj["outcomes"] = list(dataset.outcomes)
+    obj["contexts"] = list(dataset.contexts)
+    circuits = []
+    for record in dataset.circuits:
+        entry: dict = {"id": record.circuit_id}
+        if record.spec is not None:
+            entry["spec"] = record.spec
+        if record.core_length is not None:
+            entry["core_length"] = record.core_length
+        entry["counts"] = {c: list(record.counts[c]) for c in record.contexts}
+        circuits.append(entry)
+    obj["circuits"] = circuits
+    return obj
+
+
+def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator):
+    """One multinomial draw of n_shots from an outcome distribution."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be at least 1")
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError("need a 1-d probability vector with at least two outcomes")
+    return OutcomeCounts(tuple(rng.multinomial(n_shots, _sampling_distributions(probs)).tolist()))
 
 
 def save_report_reference(reports, path) -> None:

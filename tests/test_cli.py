@@ -172,6 +172,30 @@ class TestAnalyze:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("fields, entry_fields, message", [
+        ({"outcomes": "01"}, {}, "'outcomes' must be an array of strings"),
+        ({"outcomes": ["0", 1]}, {}, "'outcomes' must be an array of strings"),
+        ({"contexts": "ab"}, {}, "'contexts' must be an array of strings"),
+        ({"contexts": {"c1": 1, "c2": 2}}, {}, "'contexts' must be an array of strings"),
+        ({}, {"spec": 5}, "circuit 'q0': spec must be a string, got 5"),
+        ({}, {"core_length": True}, "core_length must be a non-negative integer, got True"),
+        ({}, {"core_length": "3"}, "core_length must be a non-negative integer, got '3'"),
+        ({}, {"core_length": 2.5}, "core_length must be a non-negative integer, got 2.5"),
+        ({}, {"core_length": -1}, "core_length must be a non-negative integer, got -1"),
+    ])
+    def test_mistyped_dataset_field_is_one_line_error(self, tmp_path, capsys, fields,
+                                                      entry_fields, message):
+        entry = {"id": "q0", "counts": {"c1": [3, 4], "c2": [5, 6]}, **entry_fields}
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"format_version": "1.0", "outcomes": ["0", "1"],
+                                    "contexts": ["c1", "c2"], "circuits": [entry], **fields}))
+        code = main(["analyze", "--data", str(data), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("bad_id", ["x/../../escape", "../escape", "a\\b",
                                         "a\x00b", ".", ".."])
     def test_table_ids_that_are_paths_rejected(self, tmp_path, capsys, bad_id):

@@ -3,12 +3,14 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
-                               OutcomeCounts, dataset_to_json, load_dataset,
-                               marginalize, save_dataset)
+                               OutcomeCounts, load_dataset, marginalize,
+                               save_dataset)
+
+from _references import dataset_to_json
 
 
 def make_dataset(**overrides):
@@ -101,8 +103,26 @@ class TestContextDataset:
     def test_lookup(self):
         dataset = make_dataset()
         assert dataset.circuit("GxGx").core_length == 2
-        with pytest.raises(DatasetError):
+        assert dataset.circuit("Gx") is dataset.circuits[0]
+        with pytest.raises(DatasetError, match="^no circuit with id 'nope'$"):
             dataset.circuit("nope")
+
+
+class TestRecordFields:
+    @pytest.mark.parametrize("core_length", [True, False, -1, 2.0, "3", 2.5])
+    def test_core_length_must_be_non_negative_int(self, core_length):
+        with pytest.raises(DatasetError, match="core_length must be a non-negative integer"):
+            CircuitRecord(circuit_id="q", counts={"a": OutcomeCounts((1, 1))},
+                          core_length=core_length)
+
+    @pytest.mark.parametrize("spec", [5, ["Gx"], b"Gx"])
+    def test_spec_must_be_string(self, spec):
+        with pytest.raises(DatasetError, match="spec must be a string"):
+            CircuitRecord(circuit_id="q", counts={"a": OutcomeCounts((1, 1))}, spec=spec)
+
+    def test_circuit_id_must_be_string(self):
+        with pytest.raises(DatasetError, match="circuit_id"):
+            CircuitRecord(circuit_id=7, counts={"a": OutcomeCounts((1, 1))})
 
 
 class TestSerialization:
@@ -189,6 +209,55 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError, match="format_version"):
             load_dataset(path)
+
+
+_LABELS = st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def datasets(draw):
+    """Datasets over the writer's cases: optional fields, partial pools, wide
+    outcomes, counts past 2**63, non-ASCII text and zero circuits."""
+    outcomes = draw(st.lists(_LABELS, min_size=2, max_size=4, unique=True))
+    contexts = draw(st.lists(_LABELS, min_size=2, max_size=4, unique=True))
+    ids = draw(st.lists(_LABELS, max_size=4, unique=True))
+    counts = st.integers(min_value=0, max_value=2**70)
+    records = []
+    for circuit_id in ids:
+        present = draw(st.permutations(contexts))[:draw(st.integers(1, len(contexts)))]
+        pools = {}
+        for context in present:
+            pool = draw(st.lists(counts, min_size=len(outcomes), max_size=len(outcomes)))
+            pool[0] += sum(pool) == 0
+            pools[context] = OutcomeCounts(tuple(pool))
+        records.append(CircuitRecord(
+            circuit_id=circuit_id, counts=pools,
+            spec=draw(st.none() | st.text(max_size=6)),
+            core_length=draw(st.none() | counts)))
+    return ContextDataset(outcomes=tuple(outcomes), contexts=tuple(contexts),
+                          circuits=tuple(records),
+                          description=draw(st.none() | st.text(max_size=12)))
+
+
+def many_circuits(n):
+    """More circuit entries than the writer puts in one write."""
+    records = tuple(CircuitRecord(circuit_id=f"c{i}", spec=f"c{i}", core_length=i,
+                                  counts={"a": OutcomeCounts((i, 1)), "b": OutcomeCounts((1, i))})
+                    for i in range(n))
+    return make_dataset(circuits=records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dataset=datasets())
+@example(dataset=make_dataset())
+@example(dataset=many_circuits(1500))
+@example(dataset=make_dataset(circuits=(), description="\u00e9t\u00e9 \"quoted\"\n"))
+def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("dataset") / "data.json"
+    save_dataset(dataset, path)
+    expected = json.dumps(dataset_to_json(dataset), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+    assert load_dataset(path) == dataset
 
 
 def two_bit_dataset():

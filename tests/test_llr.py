@@ -81,6 +81,14 @@ class TestStatistic:
             llr_statistic([(1, 2), (0, 0)])
 
 
+def test_empty_stack_gives_empty_results():
+    for shape in ((0, 2, 2), (0, 3, 4)):
+        tests = llr_tests(np.zeros(shape, dtype=object))
+        assert tests.dof == (shape[1] - 1) * (shape[2] - 1)
+        for column in (tests.llr, tests.p_value, tests.n_total, tests.small_sample):
+            assert column.shape == (0,)
+
+
 count_rows = st.lists(
     st.lists(st.integers(min_value=0, max_value=200), min_size=3, max_size=3)
     .map(tuple)

@@ -1,23 +1,25 @@
 """Simulator: unitaries, probabilities, error models, reproducible sampling."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import OutcomeCounts
 from contextdep.datasets import drift_design, drift_error_model
 from contextdep.gstgen import CircuitSpec, GstDesign
-from contextdep.qsim import (ErrorModel, SimConfig, circuit_probabilities,
+from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
+                             circuit_probabilities,
                              counts_stream, experiment_probabilities,
                              gate_model_for_context, ideal_gate_model,
                              load_error_model, rotation_unitary,
-                             run_drift_experiment, sample_counts,
-                             sample_experiment, save_error_model)
+                             run_drift_experiment, sample_experiment,
+                             save_error_model)
 
-from _references import circuit_probabilities_reference
+from _references import circuit_probabilities_reference, sample_counts
 
 
 class TestGateModel:
@@ -289,6 +291,43 @@ class TestSampling:
                               config)
         with pytest.raises(ValueError):
             sample_experiment(circuits, [[np.array([0.5, 0.5])]], config)
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 - 3]),
+                   st.integers(min_value=0, max_value=2**100))
+_IDS = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, ids=_IDS, n_contexts=st.integers(min_value=1, max_value=12),
+       n_outcomes=st.integers(min_value=2, max_value=4))
+@example(seed=0, ids=["G"], n_contexts=1, n_outcomes=2)
+@example(seed=2**32 - 1, ids=["\u00e9", "Gx"], n_contexts=12, n_outcomes=2)
+@example(seed=2**32, ids=["\u65e5\u672c", "x"], n_contexts=5, n_outcomes=3)
+@example(seed=2**64 + 1, ids=["{}"], n_contexts=2, n_outcomes=2)
+@example(seed=2**100 - 3, ids=["GxGyGy", "\U0001d54f"], n_contexts=7, n_outcomes=4)
+def test_batched_streams_equal_counts_stream(seed, ids, n_contexts, n_outcomes):
+    """The batch derives each cell's PCG64 state exactly as SeedSequence does.
+
+    Seeds of 2**32 and more take more than one entropy word.  The draws from
+    the batch states equal counts_stream's, with the same probabilities.
+    """
+    states = list(_cell_states(seed, ids, n_contexts))
+    assert len(states) == len(ids) * n_contexts
+    # A different distribution in every cell.
+    table = np.arange(1.0, 1.0 + len(ids) * n_contexts * n_outcomes) ** 1.5
+    table = table.reshape(len(ids), n_contexts, n_outcomes)
+    table /= table.sum(axis=2, keepdims=True)
+    pools = _draw_cells(seed, ids, table, 97)
+    for i, circuit_id in enumerate(ids):
+        digest = hashlib.sha256(circuit_id.encode("utf-8")).digest()
+        words = [int.from_bytes(digest[j:j + 4], "little") for j in range(0, 16, 4)]
+        for k in range(n_contexts):
+            cell = i * n_contexts + k
+            oracle = np.random.PCG64(np.random.SeedSequence([seed, k, *words]))
+            assert states[cell] == oracle.state
+            draw = counts_stream(seed, circuit_id, k).multinomial(97, table[i, k])
+            assert pools[cell].counts == tuple(draw.tolist())
 
 
 def small_design():
