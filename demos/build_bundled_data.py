@@ -13,8 +13,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from contextdep.counts import (CircuitRecord, ContextDataset, OutcomeCounts,
-                               save_dataset)
+import numpy as np
+
+from contextdep.counts import ContextDataset, save_dataset
 from contextdep.gstgen import GstDesign, lgst_circuits, save_design
 from contextdep.qsim import (ErrorModel, SimConfig, run_drift_experiment,
                              save_error_model)
@@ -53,18 +54,14 @@ def drift_error_model() -> ErrorModel:
 
 
 def two_context_dataset() -> ContextDataset:
-    record = CircuitRecord(
-        circuit_id="Gx",
-        spec="Gx",
-        counts={
-            "c1": OutcomeCounts((99, 101)),
-            "c2": OutcomeCounts((131, 69)),
-        },
-    )
     return ContextDataset(
         outcomes=("0", "1"),
         contexts=("c1", "c2"),
-        circuits=(record,),
+        circuit_ids=("Gx",),
+        counts=np.array([[[99, 101], [131, 69]]], dtype=object),
+        present=np.ones((1, 2), dtype=bool),
+        specs=("Gx",),
+        core_lengths=(None,),
         description=(
             "Single pi/2 x-rotation circuit repeated 200 times in each of "
             "two contexts; the outcome frequencies shift visibly between them."
@@ -84,18 +81,12 @@ def neighbor_dataset() -> ContextDataset:
     dataset = run_drift_experiment(design, null_model, config,
                                    circuits=lgst_circuits(design))
 
-    records = []
-    for record in dataset.circuits:
-        if record.circuit_id == MEASURED_CIRCUIT:
-            record = replace(record, counts={
-                context: OutcomeCounts(counts)
-                for context, counts in MEASURED_COUNTS.items()
-            })
-        records.append(record)
-    return ContextDataset(
-        outcomes=dataset.outcomes,
-        contexts=dataset.contexts,
-        circuits=tuple(records),
+    counts = dataset.counts.copy()
+    counts[dataset.circuit_ids.index(MEASURED_CIRCUIT)] = [
+        MEASURED_COUNTS[context] for context in dataset.contexts]
+    return replace(
+        dataset,
+        counts=counts,
         description=(
             "Neighbor-activity comparison (contexts: idle, driven) over the "
             "40-circuit linear-inversion family on gates Gi, Gh, Gs, 1024 "

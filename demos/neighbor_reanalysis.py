@@ -12,7 +12,7 @@ from contextdep.datasets import neighbor_example
 
 dataset = neighbor_example()
 print(f"{len(dataset.circuits)} circuits, contexts {dataset.contexts}, "
-      f"{dataset.circuits[0].pool('idle').total} shots per context")
+      f"{sum(dataset.circuits[0].pool('idle'))} shots per context")
 
 report = run_analysis(dataset, alpha=0.05)[0]
 

@@ -24,7 +24,7 @@ n_shots, alpha = 100, 0.05
 
 circuits = lsgst_circuits(drift_design())[:100]
 error = ErrorModel(context_overrotations={"a": {}, "b": {}}, static_epsilon=1e-3)
-probs = np.array([row[0] for row in experiment_probabilities(circuits, error, ("a", "b"))])
+probs = experiment_probabilities(circuits, error, ("a", "b"))[:, 0]
 print(f"{len(circuits)} circuits, {n_shots} shots per context, "
       f"{trials} null experiments at alpha = {alpha}")
 

@@ -15,7 +15,7 @@ record = dataset.circuits[0]
 print(f"circuit: {record.circuit_id}")
 for context in record.contexts:
     pool = record.pool(context)
-    print(f"  {context}: counts {pool.counts} of {pool.total} shots")
+    print(f"  {context}: counts {pool} of {sum(pool)} shots")
 
 result = llr_single(record)
 print()
@@ -42,12 +42,9 @@ else:
 
 print()
 print("same machinery on a quiet circuit:")
-from contextdep import CircuitRecord, OutcomeCounts
+from contextdep import CircuitRecord
 
-quiet = CircuitRecord(
-    circuit_id="quiet",
-    counts={"c1": OutcomeCounts((108, 92)), "c2": OutcomeCounts((107, 93))},
-)
+quiet = CircuitRecord(circuit_id="quiet", counts={"c1": (108, 92), "c2": (107, 93)})
 quiet_result = llr_single(quiet)
 print(f"  counts (108,92) vs (107,93): lambda = {quiet_result.llr:.4f}, "
       f"p = {quiet_result.p_value:.0%} -> nothing to report")

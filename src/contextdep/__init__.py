@@ -11,8 +11,8 @@ experiments used to exercise all of it.
 """
 
 from .chi2 import chi2_cdf, chi2_inv_cdf, chi2_sf
-from .counts import (CircuitRecord, ContextDataset, DatasetError,
-                     OutcomeCounts, load_dataset, marginalize, save_dataset)
+from .counts import (CircuitRecord, ContextDataset, DatasetError, load_dataset,
+                     marginalize, save_dataset)
 from .divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd
 from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits,
                      load_circuits, load_design, lsgst_circuits,

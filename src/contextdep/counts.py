@@ -2,29 +2,31 @@
 
 An experiment repeats each circuit N_c times in each of several contexts
 (time periods, neighbor settings, and so on) and records how often each
-measurement outcome occurred.  The objects here hold those counts and
-enforce the structural rules every downstream routine relies on: at least
-two outcomes per pool, no empty pools, consistent outcome labels across a
-dataset, and unique circuit identifiers.
+measurement outcome occurred.  A ContextDataset holds those counts as one
+(circuits x contexts x outcomes) array, with a mask of the pools present,
+and one check enforces the structural rules every downstream routine
+relies on: at least two outcomes per pool, counts that are non-negative
+integers, no empty pools, consistent outcome labels across a dataset, and
+unique circuit identifiers.  A CircuitRecord is one circuit's row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from itertools import islice
+import math
+from collections import Counter
+from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DatasetError",
-    "OutcomeCounts",
     "CircuitRecord",
     "ContextDataset",
-    "count_array",
     "load_dataset",
     "save_dataset",
     "marginalize",
@@ -37,94 +39,92 @@ class DatasetError(ValueError):
     """Raised when count data violates the dataset contract."""
 
 
-@dataclass(frozen=True)
-class OutcomeCounts:
-    """Counts for one circuit in one context, ordered by outcome label.
+def _count_table(pools: Iterable[Sequence], shape: tuple[int, int, int]) -> np.ndarray:
+    """Pools, circuit-major, as an object array of ``shape``.
 
-    Entries are non-negative integers and at least one repetition must have
-    been recorded; a pool with zero total carries no information and would
-    poison every ratio downstream.
+    Entries are taken as they are, never converted, so the check sees a
+    float or a nested array where a file holds one.
     """
+    return np.fromiter(chain.from_iterable(pools), dtype=object,
+                       count=math.prod(shape)).reshape(shape)
 
-    counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        try:
-            raw = tuple(self.counts)
-            counts = tuple(map(int, raw))
-        except (TypeError, ValueError, OverflowError):
-            raise DatasetError(
-                f"counts must be non-negative integers, got {self.counts!r}") from None
-        # bool is an int subclass; a JSON true/false is not a count.
-        if counts != raw or bool in map(type, raw) or (counts and min(counts) < 0):
-            bad = next(r for c, r in zip(counts, raw) if isinstance(r, bool) or c != r or c < 0)
-            raise DatasetError(f"counts must be non-negative integers, got {bad!r}")
-        if len(counts) < 2:
-            raise DatasetError("a pool needs at least two outcome categories")
-        if sum(counts) == 0:
-            raise DatasetError("empty pool: zero total repetitions")
-        object.__setattr__(self, "counts", counts)
+def _check_rows(circuit_ids: Sequence[str], contexts: Sequence[str], counts: np.ndarray,
+                present: np.ndarray, specs: Sequence, core_lengths: Sequence) -> None:
+    """The rules every circuit row obeys, checked on the columns of a table.
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        """Number of repetitions N_c recorded in this pool."""
-        return sum(self.counts)
-
-    def __getitem__(self, index: int) -> int:
-        return self.counts[index]
-
-    def __iter__(self):
-        return iter(self.counts)
+    ``counts`` is a (circuits x contexts x outcomes) object array, zero
+    where ``present`` marks no pool.  A dataset checks its whole table, a
+    standalone CircuitRecord its one-row table.  The first fault raises a
+    DatasetError naming the circuit and, for counts, the context.
+    """
+    for circuit_id, spec, core in zip(circuit_ids, specs, core_lengths):
+        if not isinstance(circuit_id, str) or not circuit_id:
+            raise DatasetError("circuit_id must be a non-empty string")
+        if spec is not None and not isinstance(spec, str):
+            raise DatasetError(f"circuit {circuit_id!r}: spec must be a string, got {spec!r}")
+        # type(...) is int: a JSON true is not a length, nor 2.0.
+        if core is not None and (type(core) is not int or core < 0):
+            raise DatasetError(f"circuit {circuit_id!r}: core_length must be a "
+                               f"non-negative integer, got {core!r}")
+    if len(set(circuit_ids)) != len(circuit_ids):
+        duplicate = next(c for c, n in Counter(circuit_ids).items() if n > 1)
+        raise DatasetError(f"duplicate circuit_id {duplicate!r}")
+    if counts.shape[2] < 2:
+        raise DatasetError("a pool needs at least two outcome categories")
+    values = counts.ravel().tolist()
+    # type(x) is int: a JSON float or true is not a count, even 2.0 or 1.
+    if set(map(type, values)) - {int} or min(values, default=0) < 0:
+        bad = next(i for i, x in enumerate(values) if type(x) is not int or x < 0)
+        row, column, _ = np.unravel_index(bad, counts.shape)
+        raise DatasetError(f"circuit {circuit_ids[row]!r}, context {contexts[column]!r}: "
+                           f"counts must be non-negative integers, got {values[bad]!r}")
+    wrong = np.argwhere((counts.sum(axis=2) > 0) != present)
+    if wrong.size:
+        row, column = wrong[0]
+        fault = ("empty pool: zero total repetitions" if present[row, column]
+                 else "absent pool has counts")
+        raise DatasetError(f"circuit {circuit_ids[row]!r}, context {contexts[column]!r}: {fault}")
+    bare = np.flatnonzero(~present.any(axis=1))
+    if bare.size:
+        raise DatasetError(f"circuit {circuit_ids[bare[0]]!r}: no context pools")
 
 
 @dataclass(frozen=True)
 class CircuitRecord:
-    """One circuit's counts across every context it was run in.
+    """One circuit's row: its counts in every context it was run in.
 
-    ``spec`` is the gate-label string of the circuit (may be absent for
-    externally collected data) and ``core_length`` the repetition depth of
-    its germ block, used to organize length-resolved summaries.
+    ``counts`` maps each context label to a pool, a tuple of Python ints
+    ordered by outcome label.  ``spec`` is the gate-label string of the
+    circuit (may be absent for externally collected data) and
+    ``core_length`` the repetition depth of its germ block, used to
+    organize length-resolved summaries.  A record made on its own is
+    checked as a one-row table, by the rules of a dataset.
     """
 
     circuit_id: str
-    counts: Mapping[str, OutcomeCounts]
+    counts: Mapping[str, tuple[int, ...]]
     spec: str | None = None
     core_length: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.circuit_id, str) or not self.circuit_id:
-            raise DatasetError("circuit_id must be a non-empty string")
-        counts = dict(self.counts)
-        if not counts:
+        pools = {context: tuple(pool) for context, pool in dict(self.counts).items()}
+        if not pools:
             raise DatasetError(f"circuit {self.circuit_id!r}: no context pools")
-        widths = {len(pool.counts) for pool in counts.values()}
+        widths = sorted({len(pool) for pool in pools.values()})
         if len(widths) > 1:
             raise DatasetError(
-                f"circuit {self.circuit_id!r}: pools disagree on outcome count {sorted(widths)}"
-            )
-        if self.spec is not None and not isinstance(self.spec, str):
-            raise DatasetError(
-                f"circuit {self.circuit_id!r}: spec must be a string, got {self.spec!r}")
-        core = self.core_length
-        # bool is an int subclass; a JSON true is not a length.
-        if core is not None and (not isinstance(core, int) or isinstance(core, bool) or core < 0):
-            raise DatasetError(f"circuit {self.circuit_id!r}: core_length must be a "
-                               f"non-negative integer, got {core!r}")
-        object.__setattr__(self, "counts", counts)
+                f"circuit {self.circuit_id!r}: pools disagree on outcome count {widths}")
+        shape = (1, len(pools), widths[0])
+        _check_rows((self.circuit_id,), tuple(pools), _count_table(pools.values(), shape),
+                    np.ones(shape[:2], dtype=bool), (self.spec,), (self.core_length,))
+        object.__setattr__(self, "counts", pools)
 
     @property
     def contexts(self) -> tuple[str, ...]:
         return tuple(self.counts)
 
-    @property
-    def n_outcomes(self) -> int:
-        return next(iter(self.counts.values())).n_outcomes
-
-    def pool(self, context: str) -> OutcomeCounts:
+    def pool(self, context: str) -> tuple[int, ...]:
         try:
             return self.counts[context]
         except KeyError:
@@ -132,27 +132,56 @@ class CircuitRecord:
                 f"circuit {self.circuit_id!r}: no counts for context {context!r}"
             ) from None
 
-    def total_shots(self, contexts: Sequence[str] | None = None) -> int:
-        """Sum of N_c over the selected contexts (all contexts if None)."""
-        if contexts is None:
-            contexts = self.contexts
-        return sum(self.pool(c).total for c in contexts)
+
+class RowView(Sequence):
+    """A columnar table's rows, each built by ``row(i)`` when read."""
+
+    def __init__(self, n_rows: int, row: Callable[[int], object]) -> None:
+        self._n_rows, self._row = n_rows, row
+
+    def __len__(self) -> int:
+        return self._n_rows
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._row, range(self._n_rows)[index]))
+        return self._row(range(self._n_rows)[index])
 
 
-@dataclass(frozen=True)
+def columns_equal(first, second) -> bool:
+    """Equality of two dataclasses field by field, array fields by value."""
+    pairs = ((getattr(first, f.name), getattr(second, f.name)) for f in fields(first))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class ContextDataset:
-    """A full experiment: shared outcome labels, context labels, circuits."""
+    """A full experiment: shared outcome and context labels, circuit columns.
+
+    ``counts`` is one (circuits x contexts x outcomes) object array of
+    Python ints, in ``contexts`` order and zero where the (circuits x
+    contexts) bool array ``present`` marks no pool; Python ints keep
+    products such as x N - N_c x_m exact at any size.  ``circuit_ids``,
+    ``specs`` and ``core_lengths`` hold one entry per circuit, None where
+    a spec or core length is absent.  ``circuits`` is a read-only view of
+    the rows as one CircuitRecord per circuit, built when a row is read.
+    Equality is by value.
+    """
 
     outcomes: tuple[str, ...]
     contexts: tuple[str, ...]
-    circuits: tuple[CircuitRecord, ...]
+    circuit_ids: tuple[str, ...]
+    counts: np.ndarray
+    present: np.ndarray
+    specs: tuple[str | None, ...]
+    core_lengths: tuple[int | None, ...]
     format_version: str = FORMAT_VERSION
     description: str | None = None
 
     def __post_init__(self) -> None:
         outcomes = tuple(str(o) for o in self.outcomes)
         contexts = tuple(str(c) for c in self.contexts)
-        circuits = tuple(self.circuits)
         if len(outcomes) < 2:
             raise DatasetError("dataset needs at least two outcome labels")
         if len(set(outcomes)) != len(outcomes):
@@ -161,60 +190,48 @@ class ContextDataset:
             raise DatasetError("dataset needs at least two context labels")
         if len(set(contexts)) != len(contexts):
             raise DatasetError("duplicate context labels")
-        known = set(contexts)
-        index: dict[str, CircuitRecord] = {}
-        for record in circuits:
-            if record.circuit_id in index:
-                raise DatasetError(f"duplicate circuit_id {record.circuit_id!r}")
-            index[record.circuit_id] = record
-            if record.n_outcomes != len(outcomes):
-                raise DatasetError(
-                    f"circuit {record.circuit_id!r}: pools have {record.n_outcomes} "
-                    f"entries but the dataset declares {len(outcomes)} outcomes"
-                )
-            if not known.issuperset(record.counts):
-                unknown = next(c for c in record.counts if c not in known)
-                raise DatasetError(
-                    f"circuit {record.circuit_id!r}: unknown context {unknown!r}"
-                )
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "circuits", circuits)
-        # Not a field: equality and repr see only the circuits.
-        object.__setattr__(self, "_index", index)
+        if self.description is not None and not isinstance(self.description, str):
+            raise DatasetError(f"description must be a string, got {self.description!r}")
+        ids, specs, cores = tuple(self.circuit_ids), tuple(self.specs), tuple(self.core_lengths)
+        counts = np.asarray(self.counts, dtype=object)
+        present = np.asarray(self.present, dtype=bool)
+        shape = (len(ids), len(contexts), len(outcomes))
+        if (counts.shape != shape or present.shape != shape[:2]
+                or not len(specs) == len(cores) == len(ids)):
+            raise DatasetError(f"columns do not match {len(ids)} circuits x "
+                               f"{len(contexts)} contexts x {len(outcomes)} outcomes")
+        _check_rows(ids, contexts, counts, present, specs, cores)
+        for name, value in (("outcomes", outcomes), ("contexts", contexts),
+                            ("circuit_ids", ids), ("counts", counts), ("present", present),
+                            ("specs", specs), ("core_lengths", cores)):
+            object.__setattr__(self, name, value)
+        # Not a field: equality and repr see only the columns.
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(ids)})
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextDataset):
+            return NotImplemented
+        return columns_equal(self, other)
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
+    def circuits(self) -> Sequence[CircuitRecord]:
+        return RowView(len(self.circuit_ids), self._row)
 
-    def __len__(self) -> int:
-        return len(self.circuits)
-
-    def __iter__(self):
-        return iter(self.circuits)
+    def _row(self, i: int) -> CircuitRecord:
+        pools = zip(self.contexts, self.counts[i].tolist(), self.present[i].tolist())
+        # The dataset's check covered this row, so the record's is skipped.
+        record = object.__new__(CircuitRecord)
+        record.__dict__.update(circuit_id=self.circuit_ids[i], spec=self.specs[i],
+                               counts={c: tuple(pool) for c, pool, here in pools if here},
+                               core_length=self.core_lengths[i])
+        return record
 
     def circuit(self, circuit_id: str) -> CircuitRecord:
         try:
-            return self._index[circuit_id]
+            row = self._index[circuit_id]
         except KeyError:
             raise DatasetError(f"no circuit with id {circuit_id!r}") from None
-
-
-def count_array(dataset: ContextDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset as one (circuits x contexts x outcomes) count array.
-
-    Returns the counts, in dataset context order and zero where a circuit
-    has no pool for a context, and the (circuits x contexts) mask of the
-    pools that are present.  Counts are Python ints in an object array, so
-    products such as x N - N_c x_m stay exact at any size.
-    """
-    zero = (0,) * dataset.n_outcomes
-    present = [[c in record.counts for c in dataset.contexts] for record in dataset.circuits]
-    rows = [[record.counts[c].counts if c in record.counts else zero
-             for c in dataset.contexts] for record in dataset.circuits]
-    shape = (len(rows), len(dataset.contexts), dataset.n_outcomes)
-    counts = np.array(rows, dtype=object).reshape(shape)
-    return counts, np.array(present, dtype=bool).reshape(shape[:2])
+        return self._row(row)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -255,7 +272,11 @@ def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
 
 
 def load_dataset(path: str | Path) -> ContextDataset:
-    """Read a dataset from its JSON file representation."""
+    """Read a dataset from its JSON file representation.
+
+    The pools fill one count array in the dataset's context order; the
+    dataset's check then runs on the whole array.
+    """
     path = Path(path)
     raw = read_json(path, DatasetError)
     if not isinstance(raw, dict):
@@ -270,7 +291,9 @@ def load_dataset(path: str | Path) -> ContextDataset:
     entries = _require(raw, "circuits", str(path))
     if not isinstance(entries, list):
         raise DatasetError(f"{path}: 'circuits' must be an array of objects")
-    records = []
+    column = {context: k for k, context in enumerate(contexts)}
+    zero = [0] * len(outcomes)
+    ids, specs, cores, pools, present = [], [], [], [], []
     for entry in entries:
         if not isinstance(entry, dict):
             raise DatasetError(f"{path}: circuit entry {entry!r} is not an object")
@@ -281,28 +304,30 @@ def load_dataset(path: str | Path) -> ContextDataset:
         counts_obj = _require(entry, "counts", where)
         if not isinstance(counts_obj, dict) or not counts_obj:
             raise DatasetError(f"{where}: counts must map context labels to arrays")
-        pools = {}
+        row = [zero] * len(contexts)
         for context, values in counts_obj.items():
             if not isinstance(values, list):
                 raise DatasetError(f"{where}, context {context!r}: counts must be an array")
-            try:
-                pools[context] = OutcomeCounts(tuple(values))
-            except DatasetError as exc:
-                raise DatasetError(f"{where}, context {context!r}: {exc}") from None
-        try:
-            records.append(CircuitRecord(circuit_id=circuit_id, counts=pools,
-                                         spec=entry.get("spec"),
-                                         core_length=entry.get("core_length")))
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from None
+            if context not in column:
+                raise DatasetError(f"{path}: circuit {circuit_id!r}: unknown context {context!r}")
+            if len(values) != len(outcomes):
+                raise DatasetError(
+                    f"{path}: circuit {circuit_id!r}: pools have {len(values)} entries "
+                    f"but the dataset declares {len(outcomes)} outcomes")
+            row[column[context]] = values
+        pools += row
+        present.append([context in counts_obj for context in contexts])
+        ids.append(circuit_id)
+        specs.append(entry.get("spec"))
+        cores.append(entry.get("core_length"))
 
-    return ContextDataset(
-        outcomes=outcomes,
-        contexts=contexts,
-        circuits=tuple(records),
-        format_version=version,
-        description=raw.get("description"),
-    )
+    shape = (len(ids), len(contexts), len(outcomes))
+    try:
+        return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
+                              np.array(present, dtype=bool).reshape(shape[:2]),
+                              tuple(specs), tuple(cores), version, raw.get("description"))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
@@ -352,23 +377,25 @@ def _dataset_chunks(dataset: ContextDataset) -> Iterator[str]:
     head["circuits"] = []
     # Strip the closing "[]\n}": the circuits are written after the header.
     yield json.dumps(head, indent=2)[:-4]
-    pool_heads = {c: f"        {encode_basestring_ascii(c)}: [\n          "
-                  for c in dataset.contexts}
+    pool_heads = [f"        {encode_basestring_ascii(c)}: [\n          "
+                  for c in dataset.contexts]
 
-    def entry(record: CircuitRecord) -> str:
+    def entry(circuit_id: str, spec: str | None, core_length: int | None,
+              pools: list[list[int]], present: list[bool]) -> str:
         optional = ""
-        if record.spec is not None:
-            optional += f'\n      "spec": {encode_basestring_ascii(record.spec)},'
-        if record.core_length is not None:
-            optional += f'\n      "core_length": {int.__repr__(record.core_length)},'
-        pools = ",\n".join(
-            pool_heads[c] + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool.counts))
-            + "\n        ]"
-            for c, pool in record.counts.items())
-        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(record.circuit_id), optional, pools)
+        if spec is not None:
+            optional += f'\n      "spec": {encode_basestring_ascii(spec)},'
+        if core_length is not None:
+            optional += f'\n      "core_length": {int.__repr__(core_length)},'
+        text = ",\n".join(
+            pool_head + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool)) + "\n        ]"
+            for pool_head, pool, here in zip(pool_heads, pools, present) if here)
+        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(circuit_id), optional, text)
 
+    entries = map(entry, dataset.circuit_ids, dataset.specs, dataset.core_lengths,
+                  dataset.counts.tolist(), dataset.present.tolist())
     # zip of one iterable: each entry is a one-piece element.
-    yield from json_array(zip(map(entry, dataset.circuits)), "  ")
+    yield from json_array(zip(entries), "  ")
     yield "\n}\n"
 
 
@@ -380,11 +407,6 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     circuit entry is one template, written to the file as it is formatted.
     """
     write_chunks(path, _dataset_chunks(dataset))
-
-
-def _merge_counts(counts: Sequence[int], groups: Mapping[str, tuple[int, ...]],
-                  order: Sequence[str]) -> tuple[int, ...]:
-    return tuple(sum(counts[i] for i in groups[label]) for label in order)
 
 
 def marginalize(dataset: ContextDataset, keep: Sequence[int]) -> ContextDataset:
@@ -408,23 +430,11 @@ def marginalize(dataset: ContextDataset, keep: Sequence[int]) -> ContextDataset:
     if len(set(positions)) != len(positions):
         raise DatasetError("marginalize: repeated bit positions")
 
-    reduced_order: list[str] = []
     groups: dict[str, list[int]] = {}
     for index, label in enumerate(dataset.outcomes):
-        reduced = "".join(label[p] for p in positions)
-        if reduced not in groups:
-            groups[reduced] = []
-            reduced_order.append(reduced)
-        groups[reduced].append(index)
-    if len(reduced_order) < 2:
+        groups.setdefault("".join(label[p] for p in positions), []).append(index)
+    if len(groups) < 2:
         raise DatasetError("marginalize: reduction leaves a single outcome")
-    group_index = {label: tuple(ix) for label, ix in groups.items()}
-
-    records = []
-    for record in dataset.circuits:
-        pools = {
-            context: OutcomeCounts(_merge_counts(pool.counts, group_index, reduced_order))
-            for context, pool in record.counts.items()
-        }
-        records.append(replace(record, counts=pools))
-    return replace(dataset, outcomes=tuple(reduced_order), circuits=tuple(records))
+    counts = np.stack([dataset.counts[:, :, group].sum(axis=2) for group in groups.values()],
+                      axis=2)
+    return replace(dataset, outcomes=tuple(groups), counts=counts)

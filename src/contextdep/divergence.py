@@ -84,7 +84,7 @@ def tvd_rows(counts: np.ndarray) -> np.ndarray:
 def observed_tvd(record: CircuitRecord, context_pair: Sequence[str]) -> float:
     """Total variation distance between two contexts' empirical distributions."""
     first, second = _two_pools(record, context_pair)
-    return float(tvd_rows(np.array([[first.counts, second.counts]], dtype=object))[0])
+    return float(tvd_rows(np.array([[first, second]], dtype=object))[0])
 
 
 def sstvd(record: CircuitRecord, context_pair: Sequence[str],

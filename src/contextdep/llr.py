@@ -87,7 +87,7 @@ class TableTests:
 def llr_statistics(counts: np.ndarray) -> np.ndarray:
     """The statistic lambda for each table of an (R, C, M) count stack.
 
-    Counts are Python ints in an object array (see counts.count_array).
+    Counts are Python ints in an object array (see counts.ContextDataset).
     Every context row of every table needs a positive total.  Each table
     is summed as lambda = 2 sum_{c,m} x log(x N / (N_c x_m)), context by
     context and outcome by outcome.  The ratio's numerator and denominator
@@ -178,7 +178,7 @@ def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> 
         )
     if len(set(contexts)) != len(contexts):
         raise DatasetError(f"circuit {record.circuit_id!r}: repeated context label")
-    table = np.array([[record.pool(c).counts for c in contexts]], dtype=object)
+    table = np.array([[record.pool(c) for c in contexts]], dtype=object)
     tests = llr_tests(table)
     return CircuitTestResult(
         circuit_id=record.circuit_id,

@@ -24,15 +24,15 @@ import json
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .counts import (ContextDataset, DatasetError, count_array, json_array, read_json,
-                     write_chunks)
+from .counts import (ContextDataset, DatasetError, RowView, columns_equal, json_array,
+                     read_json, write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
@@ -218,13 +218,19 @@ class ComparisonReport:
     def __eq__(self, other):
         if not isinstance(other, ComparisonReport):
             return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                   for a, b in pairs)
+        return columns_equal(self, other)
 
     @property
     def circuits(self) -> Sequence[CircuitAnalysis]:
-        return _CircuitRows(self)
+        return RowView(len(self.circuit_ids), self._row)
+
+    def _row(self, i: int) -> CircuitAnalysis:
+        optional = [None if null[i] else float(values[i]) for values, null in (
+            (self.tvd, self.tvd_null), (self.sstvd, self.sstvd_null),
+            (self.sstvd_per_gate, self.sstvd_per_gate_null))]
+        return CircuitAnalysis(self.circuit_ids[i], float(self.llr[i]), float(self.p_value[i]),
+                               float(self.jsd[i]), float(self.jsd_threshold[i]), *optional,
+                               bool(self.rejected[i]), bool(self.small_sample[i]))
 
     @property
     def detected(self) -> bool:
@@ -240,27 +246,6 @@ class ComparisonReport:
         return float(values.max()) if values.size else None
 
 
-class _CircuitRows(Sequence):
-    """A report's rows as CircuitAnalysis objects, each built when read."""
-
-    def __init__(self, report: ComparisonReport) -> None:
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.circuit_ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        r, i = self._report, range(len(self))[index]
-        optional = [None if null[i] else float(values[i]) for values, null in (
-            (r.tvd, r.tvd_null), (r.sstvd, r.sstvd_null),
-            (r.sstvd_per_gate, r.sstvd_per_gate_null))]
-        return CircuitAnalysis(r.circuit_ids[i], float(r.llr[i]), float(r.p_value[i]),
-                               float(r.jsd[i]), float(r.jsd_threshold[i]), *optional,
-                               bool(r.rejected[i]), bool(r.small_sample[i]))
-
-
 def _gate_count(spec: str | None) -> int | None:
     if spec is None:
         return None
@@ -270,18 +255,17 @@ def _gate_count(spec: str | None) -> int | None:
         return None
 
 
-def _run_comparison(dataset: ContextDataset, ids: np.ndarray, counts: np.ndarray,
-                    present: np.ndarray, comparison: Comparison,
+def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Comparison,
                     alpha_local: float) -> ComparisonReport:
     columns = [dataset.contexts.index(c) for c in comparison.contexts]
-    complete = present[:, columns].all(axis=1)
+    present = dataset.present[:, columns]
+    complete = present.all(axis=1)
     warnings = []
     for i in np.flatnonzero(~complete).tolist():
-        record = dataset.circuits[i]
-        missing = [c for c in comparison.contexts if c not in record.contexts]
+        missing = compress(comparison.contexts, ~present[i])
         warnings.append(
-            f"circuit {record.circuit_id!r}: missing context(s) "
-            f"{', '.join(repr(m) for m in missing)}; skipped"
+            f"circuit {dataset.circuit_ids[i]!r}: missing context(s) "
+            f"{', '.join(map(repr, missing))}; skipped"
         )
     rows = np.flatnonzero(complete)
     if not rows.size:
@@ -290,7 +274,7 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, counts: np.ndarray
             f"{comparison.contexts}"
         )
 
-    table = counts[rows][:, columns]
+    table = dataset.counts[rows][:, columns]
     tests = llr_tests(table)
     circuit_ids = tuple(ids[rows].tolist())
     aggregate = llr_aggregate(tests)
@@ -305,7 +289,7 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, counts: np.ndarray
         sstvd = np.where(rejected, tvd, 0.0)
         sstvd_null = ~rejected
         for i in np.flatnonzero(rejected).tolist():
-            length = _gate_count(dataset.circuits[rows[i]].spec)
+            length = _gate_count(dataset.specs[rows[i]])
             if length:
                 per_gate[i] = tvd[i] / length
                 per_gate_null[i] = False
@@ -341,8 +325,8 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                  alpha: float = 0.05) -> list[ComparisonReport]:
     """Run every planned comparison against a dataset, in plan order.
 
-    Local budgets are alpha times each comparison's weight.  The dataset's
-    count array is built once and each comparison analyses a slice of it.
+    Local budgets are alpha times each comparison's weight.  Each
+    comparison analyses a slice of the dataset's count array.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -355,10 +339,8 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                     f"comparison {comparison.comparison_id!r}: dataset has no "
                     f"context {context!r}"
                 )
-    counts, present = count_array(dataset)
-    ids = np.array([record.circuit_id for record in dataset.circuits], dtype=object)
-    return [_run_comparison(dataset, ids, counts, present, comparison,
-                            alpha * comparison.weight)
+    ids = np.array(dataset.circuit_ids, dtype=object)
+    return [_run_comparison(dataset, ids, comparison, alpha * comparison.weight)
             for comparison in plan]
 
 
@@ -625,13 +607,12 @@ def jsd_profile(report: ComparisonReport,
                 ) -> list[tuple[str, int, float, float]]:
     """Rows of (circuit_id, core_length, jsd, jsd_threshold) in report order.
 
-    Core lengths come from a dataset's circuit records or any mapping;
+    Core lengths come from a dataset's core_lengths column or any mapping;
     every circuit in the report must have one.
     """
     if isinstance(core_lengths, ContextDataset):
-        lookup: Mapping[str, int | None] = {
-            r.circuit_id: r.core_length for r in core_lengths.circuits
-        }
+        lookup: Mapping[str, int | None] = dict(zip(core_lengths.circuit_ids,
+                                                    core_lengths.core_lengths))
     else:
         lookup = core_lengths or {}
     cores = [lookup.get(circuit_id) for circuit_id in report.circuit_ids]

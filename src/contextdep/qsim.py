@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .counts import CircuitRecord, ContextDataset, OutcomeCounts, read_json
+from .counts import ContextDataset, read_json
 from .gstgen import CircuitSpec, GstDesign, lgst_circuits, lsgst_circuits
 
 __all__ = [
@@ -371,11 +371,11 @@ def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
 
 def experiment_probabilities(circuits: Sequence[CircuitSpec],
                              error: ErrorModel,
-                             contexts: Sequence[str]) -> list[list[np.ndarray]]:
-    """Outcome probabilities for every (circuit, context) cell.
+                             contexts: Sequence[str]) -> np.ndarray:
+    """Outcome probabilities of every cell, as a (circuits, contexts, 2) array.
 
     Contexts with identical effective rotation angles share one gate model,
-    and one array per circuit.  All distinct models go through one
+    so their columns are equal.  All distinct models go through one
     shared-prefix walk over the circuits.
     """
     angle_keys = [
@@ -388,57 +388,46 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
             models[key] = gate_model_for_context(error, context)
     slots = [list(models).index(key) for key in angle_keys]
     probs = _walk_probabilities([_gates(c) for c in circuits], list(models.values()))
-    table = []
-    for row in probs:
-        cells = list(row)
-        table.append([cells[slot] for slot in slots])
-    return table
+    return probs[:, slots]
 
 
 def _draw_cells(seed: int, circuit_ids: Sequence[str], table: np.ndarray,
-                shots: int) -> list[OutcomeCounts]:
+                shots: int) -> np.ndarray:
     """One multinomial draw per cell of a (circuits, contexts, outcomes) table.
 
     Each cell draws from its counts_stream state, set on one reused
-    generator; the pools come back circuit-major.
+    generator.  The counts come back as Python ints in an object array of
+    the table's shape.
     """
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    pools = []
+    cells = table.reshape(-1, table.shape[2])
+    draws = np.empty(cells.shape, dtype=np.int64)
     states = _cell_states(seed, circuit_ids, table.shape[1])
-    for state, probs in zip(states, table.reshape(-1, table.shape[2])):
+    for i, (state, probs) in enumerate(zip(states, cells)):
         bit_generator.state = state
-        pools.append(OutcomeCounts(tuple(generator.multinomial(shots, probs).tolist())))
-    return pools
+        draws[i] = generator.multinomial(shots, probs)
+    return draws.astype(object).reshape(table.shape)
 
 
-def sample_experiment(circuits: Sequence[CircuitSpec],
-                      prob_table: Sequence[Sequence[np.ndarray]],
+def sample_experiment(circuits: Sequence[CircuitSpec], probs: np.ndarray,
                       config: SimConfig) -> ContextDataset:
-    """Draw counts for precomputed probabilities and assemble a dataset.
+    """Draw counts for a (circuits, contexts, 2) probability array.
 
-    The whole (circuits, contexts, outcomes) table is checked, clipped and
-    renormalised at once; each cell then draws from its counts_stream.
+    The whole array is checked, clipped and renormalised at once; each
+    cell then draws from its counts_stream, into the dataset's count array.
     """
-    n_contexts = len(config.contexts)
-    # One row per circuit, one (p(0), p(1)) vector per context.
-    table = np.asarray(prob_table, dtype=float).reshape(len(circuits), n_contexts, 2)
-    ids = [circuit.text for circuit in circuits]
-    pools = _draw_cells(config.seed, ids, _sampling_distributions(table),
-                        config.shots_per_context)
-    records = [
-        CircuitRecord(
-            circuit_id=circuit_id,
-            counts=dict(zip(config.contexts, pools[i * n_contexts:(i + 1) * n_contexts])),
-            spec=circuit_id,
-            core_length=circuit.core_length,
-        )
-        for i, (circuit, circuit_id) in enumerate(zip(circuits, ids))
-    ]
+    ids = tuple(circuit.text for circuit in circuits)
+    counts = _draw_cells(config.seed, ids, _sampling_distributions(probs),
+                         config.shots_per_context)
     return ContextDataset(
         outcomes=("0", "1"),
         contexts=config.contexts,
-        circuits=tuple(records),
+        circuit_ids=ids,
+        counts=counts,
+        present=np.ones(counts.shape[:2], dtype=bool),
+        specs=ids,
+        core_lengths=tuple(circuit.core_length for circuit in circuits),
     )
 
 
@@ -458,8 +447,8 @@ def run_drift_experiment(design: GstDesign, error: ErrorModel, config: SimConfig
             circuits = lsgst_circuits(design)
         else:
             circuits = lgst_circuits(design)
-    prob_table = experiment_probabilities(circuits, error, config.contexts)
-    return sample_experiment(circuits, prob_table, config)
+    probs = experiment_probabilities(circuits, error, config.contexts)
+    return sample_experiment(circuits, probs, config)
 
 
 def load_error_model(path: str | Path) -> ErrorModel:

@@ -17,7 +17,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from contextdep.counts import OutcomeCounts
+from contextdep.counts import ContextDataset
 from contextdep.qsim import _sampling_distributions
 
 
@@ -173,7 +173,7 @@ def comparison_rows_reference(dataset, contexts: Sequence[str]):
                 f"{', '.join(repr(m) for m in missing)}; skipped"
             )
             continue
-        pools = [tuple(record.counts[c].counts) for c in contexts]
+        pools = [record.counts[c] for c in contexts]
         n_outcomes = len(pools[0])
         statistic = llr_loop_reference(pools)
         n_total = sum(sum(pool) for pool in pools)
@@ -245,6 +245,25 @@ def dataset_to_json(dataset) -> dict:
     return obj
 
 
+def dataset_from_records(outcomes, contexts, records, **header) -> ContextDataset:
+    """A dataset whose rows are the given CircuitRecords, pools placed by label.
+
+    The columns are filled record by record; the dataset's own check then
+    runs, so a record's pool must name a dataset context and have one
+    entry per outcome.
+    """
+    counts = np.full((len(records), len(contexts), len(outcomes)), 0, dtype=object)
+    present = np.zeros(counts.shape[:2], dtype=bool)
+    for i, record in enumerate(records):
+        for context, pool in record.counts.items():
+            k = list(contexts).index(context)
+            counts[i, k], present[i, k] = pool, True
+    return ContextDataset(outcomes=tuple(outcomes), contexts=tuple(contexts),
+                          circuit_ids=tuple(r.circuit_id for r in records), counts=counts,
+                          present=present, specs=tuple(r.spec for r in records),
+                          core_lengths=tuple(r.core_length for r in records), **header)
+
+
 def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator):
     """One multinomial draw of n_shots from an outcome distribution."""
     if n_shots < 1:
@@ -252,7 +271,7 @@ def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise ValueError("need a 1-d probability vector with at least two outcomes")
-    return OutcomeCounts(tuple(rng.multinomial(n_shots, _sampling_distributions(probs)).tolist()))
+    return tuple(rng.multinomial(n_shots, _sampling_distributions(probs)).tolist())
 
 
 def save_report_reference(reports, path) -> None:
@@ -302,3 +321,44 @@ def write_jsd_profile_csv_reference(rows, path) -> None:
         writer.writerow(["circuit_id", "core_length", "jsd", "jsd_threshold"])
         for circuit_id, core, jsd, threshold in rows:
             writer.writerow([circuit_id, core, format(jsd, ".10g"), format(threshold, ".10g")])
+
+
+def dataset_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the dataset file rules, written from the README.
+
+    The loader must accept exactly these files.  A null spec, core_length
+    or description counts as absent.
+    """
+    def labels(value):
+        return (isinstance(value, list) and all(isinstance(label, str) for label in value)
+                and len(value) >= 2 and len(set(value)) == len(value))
+
+    def count(value):
+        return type(value) is int and value >= 0
+
+    if not isinstance(obj, dict) or obj.get("format_version") != "1.0":
+        return False
+    if not (labels(obj.get("outcomes")) and labels(obj.get("contexts"))):
+        return False
+    if not isinstance(obj.get("description", ""), (str, type(None))):
+        return False
+    entries = obj.get("circuits")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        return False
+    ids = [entry.get("id") for entry in entries]
+    if not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != len(ids):
+        return False
+    for entry in entries:
+        pools = entry.get("counts")
+        if not isinstance(pools, dict) or not pools:
+            return False
+        for context, pool in pools.items():
+            if (context not in obj["contexts"] or not isinstance(pool, list)
+                    or len(pool) != len(obj["outcomes"]) or not all(map(count, pool))
+                    or sum(pool) == 0):
+                return False
+        if not isinstance(entry.get("spec", ""), (str, type(None))):
+            return False
+        if entry.get("core_length") is not None and not count(entry["core_length"]):
+            return False
+    return True

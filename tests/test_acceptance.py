@@ -15,7 +15,7 @@ import pytest
 
 from contextdep.chi2 import P_VALUE_FLOOR, chi2_cdf, chi2_sf
 from contextdep.cli import main
-from contextdep.counts import CircuitRecord, OutcomeCounts
+from contextdep.counts import CircuitRecord
 from contextdep.datasets import (data_path, drift_design, drift_error_model,
                                  neighbor_design, neighbor_example,
                                  two_context_example)
@@ -44,7 +44,7 @@ def test_criterion_2_single_circuit_null_example():
     """Counts (108,92) vs (107,93): p near 92%, clearly not a detection."""
     record = CircuitRecord(
         circuit_id="q",
-        counts={"a": OutcomeCounts((108, 92)), "b": OutcomeCounts((107, 93))},
+        counts={"a": (108, 92), "b": (107, 93)},
     )
     result = llr_single(record)
     assert 0.90 <= result.p_value <= 0.94
@@ -247,7 +247,7 @@ def _check_jsd_oracle():
             rows.append(tuple(int(v) for v in row))
         record = CircuitRecord(
             circuit_id="q",
-            counts={f"c{i}": OutcomeCounts(row) for i, row in enumerate(rows)},
+            counts={f"c{i}": row for i, row in enumerate(rows)},
         )
         worst = max(worst, abs(observed_jsd(record) - weighted_jsd_reference(rows)))
     assert worst <= 1e-10, f"worst JSD disagreement {worst}"

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_sf
-from contextdep.counts import CircuitRecord, ContextDataset, OutcomeCounts
+from contextdep.counts import CircuitRecord
 from contextdep.divergence import observed_jsd, observed_tvd
 from contextdep.llr import llr_single, llr_statistic, llr_threshold
 from contextdep.pipeline import ComparisonPlan, run_analysis
 
-from _references import comparison_rows_reference, llr_loop_reference, tvd_loop_reference
+from _references import (comparison_rows_reference, dataset_from_records,
+                         llr_loop_reference, tvd_loop_reference)
 
 
 def check_against_loop(dataset):
@@ -42,7 +43,7 @@ def check_against_loop(dataset):
             assert (single.llr, single.p_value, single.n_total, single.small_sample) == (
                 row["llr"], line.p_value, row["n_total"], row["small_sample"])
             assert observed_jsd(record, report.contexts) == row["jsd"]
-            pools = [record.counts[c].counts for c in report.contexts]
+            pools = [record.counts[c] for c in report.contexts]
             assert llr_statistic(pools) == row["llr"]
             if row["tvd"] is not None:
                 assert observed_tvd(record, report.contexts) == row["tvd"]
@@ -61,10 +62,10 @@ def datasets(draw):
         # later ones may lack some.
         dropped = set() if i == 0 else draw(
             st.sets(st.sampled_from(contexts), max_size=n_contexts - 1))
-        counts = {c: OutcomeCounts(tuple(draw(pool))) for c in contexts if c not in dropped}
+        counts = {c: tuple(draw(pool)) for c in contexts if c not in dropped}
         records.append(CircuitRecord(circuit_id=f"q{i}", counts=counts))
     outcomes = tuple(str(m) for m in range(n_outcomes))
-    return ContextDataset(outcomes=outcomes, contexts=contexts, circuits=tuple(records))
+    return dataset_from_records(outcomes, contexts, records)
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,16 +82,15 @@ def test_exact_products_beyond_float_precision(shots):
     where int64 totals would wrap."""
     records = (
         CircuitRecord(circuit_id="near", counts={
-            "a": OutcomeCounts((shots + 1, shots - 1)),
-            "b": OutcomeCounts((shots, shots)),
-            "c": OutcomeCounts((shots - 3, shots + 3))}),
+            "a": (shots + 1, shots - 1),
+            "b": (shots, shots),
+            "c": (shots - 3, shots + 3)}),
         CircuitRecord(circuit_id="mixed", counts={
-            "a": OutcomeCounts((shots, shots // 2)),
-            "b": OutcomeCounts((5, 9)),
-            "c": OutcomeCounts((shots // 3, shots))}),
+            "a": (shots, shots // 2),
+            "b": (5, 9),
+            "c": (shots // 3, shots)}),
     )
-    dataset = ContextDataset(outcomes=("0", "1"), contexts=("a", "b", "c"),
-                             circuits=records)
+    dataset = dataset_from_records(("0", "1"), ("a", "b", "c"), records)
     check_against_loop(dataset)
     near = [(shots + 1, shots - 1), (shots, shots)]
     assert llr_statistic(near) == llr_loop_reference(near)
@@ -108,9 +108,8 @@ def test_count_far_below_its_share():
     assert (7 * n - n_a * x_1) / (n_a * x_1) == -1.0
     contexts = ("a", "b", "c")
     record = CircuitRecord(circuit_id="far", counts={
-        c: OutcomeCounts(pool) for c, pool in zip(contexts, pools)})
-    check_against_loop(ContextDataset(outcomes=("0", "1"), contexts=contexts,
-                                      circuits=(record,)))
+        c: pool for c, pool in zip(contexts, pools)})
+    check_against_loop(dataset_from_records(("0", "1"), contexts, (record,)))
     with mp.workdps(60):
         pooled = [sum(row[m] for row in pools) for m in range(2)]
         exact = 2 * mp.fsum(x * mp.log(mp.mpf(x) * n / (sum(row) * pooled[m]))

@@ -75,7 +75,7 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         dataset = load_dataset(out)
         assert dataset.contexts == ("t1", "t2", "t3", "t4", "t5")
-        assert all(r.total_shots() == 5 * 32 for r in dataset.circuits)
+        assert (dataset.counts.sum(axis=2) == 32).all() and dataset.present.all()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -182,6 +182,14 @@ class TestAnalyze:
         ({}, {"core_length": "3"}, "core_length must be a non-negative integer, got '3'"),
         ({}, {"core_length": 2.5}, "core_length must be a non-negative integer, got 2.5"),
         ({}, {"core_length": -1}, "core_length must be a non-negative integer, got -1"),
+        # JSON floats are not counts, even integral ones.
+        ({}, {"counts": {"c1": [2.0, 3], "c2": [4, 1e2]}},
+         "circuit 'q0', context 'c1': counts must be non-negative integers, got 2.0"),
+        ({}, {"counts": {"c1": [2, 3], "c2": [4, 1e2]}},
+         "circuit 'q0', context 'c2': counts must be non-negative integers, got 100.0"),
+        ({}, {"counts": {"c1": [3, False], "c2": [5, 6]}},
+         "circuit 'q0', context 'c1': counts must be non-negative integers, got False"),
+        ({"description": 5}, {}, "description must be a string, got 5"),
     ])
     def test_mistyped_dataset_field_is_one_line_error(self, tmp_path, capsys, fields,
                                                       entry_fields, message):

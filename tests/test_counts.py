@@ -1,75 +1,101 @@
 """Dataset model: validation, serialization round-trips, marginalization."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
-                               OutcomeCounts, load_dataset, marginalize,
-                               save_dataset)
+                               load_dataset, marginalize, save_dataset)
 
-from _references import dataset_to_json
-
-
-def make_dataset(**overrides):
-    records = (
-        CircuitRecord(
-            circuit_id="Gx",
-            spec="Gx",
-            core_length=1,
-            counts={"a": OutcomeCounts((60, 40)), "b": OutcomeCounts((55, 45))},
-        ),
-        CircuitRecord(
-            circuit_id="GxGx",
-            spec="GxGx",
-            core_length=2,
-            counts={"a": OutcomeCounts((10, 90)), "b": OutcomeCounts((12, 88))},
-        ),
-    )
-    fields = dict(outcomes=("0", "1"), contexts=("a", "b"), circuits=records)
-    fields.update(overrides)
-    return ContextDataset(**fields)
+from _references import dataset_from_records, dataset_to_json
 
 
-class TestOutcomeCounts:
-    def test_totals(self):
-        pool = OutcomeCounts((3, 0, 7))
-        assert pool.total == 10
-        assert pool.n_outcomes == 3
-        assert list(pool) == [3, 0, 7]
-        assert pool[2] == 7
+def make_dataset(records=None, **header):
+    if records is None:
+        records = (
+            CircuitRecord(circuit_id="Gx", spec="Gx", core_length=1,
+                          counts={"a": (60, 40), "b": (55, 45)}),
+            CircuitRecord(circuit_id="GxGx", spec="GxGx", core_length=2,
+                          counts={"a": (10, 90), "b": (12, 88)}),
+        )
+    return dataset_from_records(("0", "1"), ("a", "b"), records, **header)
 
+
+def write_dataset(tmp_path, circuits, **fields):
+    """A dataset file over outcomes 0, 1 and contexts a, b."""
+    payload = {"format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b"],
+               "circuits": circuits, **fields}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def assert_both_reject(pool, match):
+    """One rule, both ways in: a standalone record and a dataset's columns."""
+    with pytest.raises(DatasetError, match=match):
+        CircuitRecord(circuit_id="q", counts={"a": pool, "b": (1,) * len(pool)})
+    with pytest.raises(DatasetError, match=match):
+        ContextDataset(outcomes=tuple(map(str, range(len(pool)))), contexts=("a", "b"),
+                       circuit_ids=("q",),
+                       counts=np.array([[pool, (1,) * len(pool)]], dtype=object),
+                       present=np.ones((1, 2), dtype=bool), specs=(None,),
+                       core_lengths=(None,))
+
+
+class TestCountChecks:
     def test_rejects_negative_and_fractional(self):
-        with pytest.raises(DatasetError):
-            OutcomeCounts((1, -1))
-        with pytest.raises(DatasetError):
-            OutcomeCounts((1.5, 2))
+        assert_both_reject((1, -1), "circuit 'q', context 'a': counts must be "
+                                    "non-negative integers, got -1")
+        assert_both_reject((1.5, 2), "got 1.5")
+        # An integral float is not a count either.
+        assert_both_reject((2.0, 3), "got 2.0")
 
     def test_rejects_booleans(self):
         # JSON true/false must not pass as the counts 1 and 0.
-        with pytest.raises(DatasetError, match="True"):
-            OutcomeCounts((True, False))
-        with pytest.raises(DatasetError):
-            OutcomeCounts((3, False))
+        assert_both_reject((True, False), "got True")
+        assert_both_reject((3, False), "got False")
 
     def test_rejects_empty_pool(self):
-        with pytest.raises(DatasetError, match="empty pool"):
-            OutcomeCounts((0, 0))
+        assert_both_reject((0, 0), "circuit 'q', context 'a': empty pool")
 
     def test_rejects_single_category(self):
-        with pytest.raises(DatasetError):
-            OutcomeCounts((5,))
+        # A dataset's pools are as wide as its outcome labels, of which it
+        # needs two; a standalone record's pools need two entries.
+        assert_both_reject((5,), "at least two outcome")
+        with pytest.raises(DatasetError, match="a pool needs at least two outcome categories"):
+            CircuitRecord(circuit_id="q", counts={"a": (5,), "b": (1,)})
+
+    def test_absent_pools_hold_zeros(self):
+        with pytest.raises(DatasetError, match="context 'b': absent pool has counts"):
+            ContextDataset(outcomes=("0", "1"), contexts=("a", "b"), circuit_ids=("q",),
+                           counts=np.array([[(1, 1), (0, 1)]], dtype=object),
+                           present=np.array([[True, False]]), specs=(None,),
+                           core_lengths=(None,))
+        with pytest.raises(DatasetError, match="circuit 'q': no context pools"):
+            ContextDataset(outcomes=("0", "1"), contexts=("a", "b"), circuit_ids=("q",),
+                           counts=np.zeros((1, 2, 2), dtype=int).astype(object),
+                           present=np.zeros((1, 2), dtype=bool), specs=(None,),
+                           core_lengths=(None,))
+
+    def test_columns_must_match_the_labels(self):
+        dataset = make_dataset()
+        with pytest.raises(DatasetError, match="2 circuits x 2 contexts x 3 outcomes"):
+            replace(dataset, outcomes=("0", "1", "2"))
+        with pytest.raises(DatasetError, match="columns do not match"):
+            replace(dataset, specs=("Gx",))
 
 
 class TestCircuitRecord:
     def test_context_access(self):
         record = make_dataset().circuits[0]
         assert record.contexts == ("a", "b")
-        assert record.pool("a").counts == (60, 40)
-        assert record.total_shots() == 200
-        assert record.total_shots(("a",)) == 100
+        assert record.pool("a") == (60, 40)
+        assert sum(record.pool("a")) == 100
+        assert record.counts == {"a": (60, 40), "b": (55, 45)}
 
     def test_unknown_context_named_in_error(self):
         record = make_dataset().circuits[0]
@@ -80,30 +106,33 @@ class TestCircuitRecord:
         with pytest.raises(DatasetError, match="disagree"):
             CircuitRecord(
                 circuit_id="bad",
-                counts={"a": OutcomeCounts((1, 2)), "b": OutcomeCounts((1, 2, 3))},
+                counts={"a": (1, 2), "b": (1, 2, 3)},
             )
 
 
 class TestContextDataset:
     def test_duplicate_circuit_id_rejected(self):
         records = make_dataset().circuits
-        with pytest.raises(DatasetError, match="duplicate circuit_id"):
-            make_dataset(circuits=(records[0], records[0]))
+        with pytest.raises(DatasetError, match="duplicate circuit_id 'Gx'"):
+            make_dataset(records=(records[0], records[0]))
 
-    def test_unknown_context_in_record_rejected(self):
-        bad = CircuitRecord(circuit_id="q", counts={"zz": OutcomeCounts((1, 1))})
-        with pytest.raises(DatasetError, match="'zz'"):
-            make_dataset(circuits=(bad,))
+    def test_unknown_context_in_record_rejected(self, tmp_path):
+        path = write_dataset(tmp_path, [{"id": "q", "counts": {"zz": [1, 1]}}])
+        with pytest.raises(DatasetError, match="circuit 'q': unknown context 'zz'"):
+            load_dataset(path)
 
-    def test_outcome_width_mismatch_rejected(self):
-        bad = CircuitRecord(circuit_id="q", counts={"a": OutcomeCounts((1, 1, 1))})
-        with pytest.raises(DatasetError, match="3 entries"):
-            make_dataset(circuits=(bad,))
+    def test_outcome_width_mismatch_rejected(self, tmp_path):
+        path = write_dataset(tmp_path, [{"id": "q", "counts": {"a": [1, 1, 1]}}])
+        with pytest.raises(DatasetError, match="3 entries but the dataset declares 2"):
+            load_dataset(path)
 
     def test_lookup(self):
         dataset = make_dataset()
         assert dataset.circuit("GxGx").core_length == 2
-        assert dataset.circuit("Gx") is dataset.circuits[0]
+        # Rows are built when read: equal, not the same object.
+        assert dataset.circuit("Gx") == dataset.circuits[0]
+        assert dataset.circuits[-1].circuit_id == "GxGx"
+        assert [r.circuit_id for r in dataset.circuits[::-1]] == ["GxGx", "Gx"]
         with pytest.raises(DatasetError, match="^no circuit with id 'nope'$"):
             dataset.circuit("nope")
 
@@ -112,17 +141,17 @@ class TestRecordFields:
     @pytest.mark.parametrize("core_length", [True, False, -1, 2.0, "3", 2.5])
     def test_core_length_must_be_non_negative_int(self, core_length):
         with pytest.raises(DatasetError, match="core_length must be a non-negative integer"):
-            CircuitRecord(circuit_id="q", counts={"a": OutcomeCounts((1, 1))},
+            CircuitRecord(circuit_id="q", counts={"a": (1, 1)},
                           core_length=core_length)
 
     @pytest.mark.parametrize("spec", [5, ["Gx"], b"Gx"])
     def test_spec_must_be_string(self, spec):
         with pytest.raises(DatasetError, match="spec must be a string"):
-            CircuitRecord(circuit_id="q", counts={"a": OutcomeCounts((1, 1))}, spec=spec)
+            CircuitRecord(circuit_id="q", counts={"a": (1, 1)}, spec=spec)
 
     def test_circuit_id_must_be_string(self):
         with pytest.raises(DatasetError, match="circuit_id"):
-            CircuitRecord(circuit_id=7, counts={"a": OutcomeCounts((1, 1))})
+            CircuitRecord(circuit_id=7, counts={"a": (1, 1)})
 
 
 class TestSerialization:
@@ -179,6 +208,11 @@ class TestSerialization:
         ({"id": "q0", "counts": {"a": 7, "b": [1, 1]}}, "q0.*must be an array"),
         ({"id": "q0", "counts": {"a": [None, 2], "b": [1, 1]}}, "q0.*None"),
         ({"id": ["q0"], "counts": {"a": [1, 2], "b": [1, 1]}}, "not a string"),
+        # JSON floats are not counts, integral or not.
+        ({"id": "q0", "counts": {"a": [2.0, 3], "b": [4, 1e2]}}, "'q0', context 'a'.*got 2.0$"),
+        ({"id": "q0", "counts": {"a": [2, 3], "b": [4, 1e2]}}, "'q0', context 'b'.*got 100.0$"),
+        ({"id": "q0", "counts": {"a": [[2], 3], "b": [1, 1]}}, "context 'a'.*got \\[2\\]$"),
+        ({"id": "", "counts": {"a": [1, 2], "b": [1, 1]}}, "non-empty string"),
     ])
     def test_load_rejects_malformed_circuit_entries(self, tmp_path, entry, message):
         payload = {"format_version": "1.0", "outcomes": ["0", "1"],
@@ -201,7 +235,24 @@ class TestSerialization:
                         '"contexts": ["a", "b"], "circuits": [{"id": "Gx", '
                         '"counts": {"a": [90, 10], "b": [5, 5]}}, {"id": "Gy", '
                         '"counts": {"a": [10, 90], "b": [5, 5]}}]}')
-        assert load_dataset(path).circuit("Gy").pool("a").counts == (10, 90)
+        assert load_dataset(path).circuit("Gy").pool("a") == (10, 90)
+
+    @pytest.mark.parametrize("description", [5, ["x"], {"text": "x"}, True])
+    def test_load_rejects_non_string_description(self, tmp_path, description):
+        path = write_dataset(tmp_path, [{"id": "q", "counts": {"a": [1, 1]}}],
+                             description=description)
+        with pytest.raises(DatasetError, match="description must be a string"):
+            load_dataset(path)
+
+    def test_pools_follow_the_dataset_context_order(self, tmp_path):
+        path = write_dataset(tmp_path, [{"id": "q", "counts": {"b": [1, 2], "a": [3, 4]}}],
+                             description=None)
+        dataset = load_dataset(path)
+        assert dataset.description is None
+        assert dataset.counts.tolist() == [[[3, 4], [1, 2]]]
+        assert dataset.circuit("q").contexts == ("a", "b")
+        save_dataset(dataset, path)
+        assert list(json.loads(path.read_text())["circuits"][0]["counts"]) == ["a", "b"]
 
     def test_load_rejects_unknown_version(self, tmp_path):
         payload = {"format_version": "9.9", "outcomes": [], "contexts": [], "circuits": []}
@@ -229,29 +280,28 @@ def datasets(draw):
         for context in present:
             pool = draw(st.lists(counts, min_size=len(outcomes), max_size=len(outcomes)))
             pool[0] += sum(pool) == 0
-            pools[context] = OutcomeCounts(tuple(pool))
+            pools[context] = tuple(pool)
         records.append(CircuitRecord(
             circuit_id=circuit_id, counts=pools,
             spec=draw(st.none() | st.text(max_size=6)),
             core_length=draw(st.none() | counts)))
-    return ContextDataset(outcomes=tuple(outcomes), contexts=tuple(contexts),
-                          circuits=tuple(records),
-                          description=draw(st.none() | st.text(max_size=12)))
+    return dataset_from_records(outcomes, contexts, records,
+                                description=draw(st.none() | st.text(max_size=12)))
 
 
 def many_circuits(n):
     """More circuit entries than the writer puts in one write."""
     records = tuple(CircuitRecord(circuit_id=f"c{i}", spec=f"c{i}", core_length=i,
-                                  counts={"a": OutcomeCounts((i, 1)), "b": OutcomeCounts((1, i))})
+                                  counts={"a": (i, 1), "b": (1, i)})
                     for i in range(n))
-    return make_dataset(circuits=records)
+    return make_dataset(records)
 
 
 @settings(max_examples=100, deadline=None)
 @given(dataset=datasets())
 @example(dataset=make_dataset())
 @example(dataset=many_circuits(1500))
-@example(dataset=make_dataset(circuits=(), description="\u00e9t\u00e9 \"quoted\"\n"))
+@example(dataset=make_dataset((), description="\u00e9t\u00e9 \"quoted\"\n"))
 def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
     path = tmp_path_factory.mktemp("dataset") / "data.json"
     save_dataset(dataset, path)
@@ -261,29 +311,20 @@ def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
 
 
 def two_bit_dataset():
-    records = (
-        CircuitRecord(
-            circuit_id="q",
-            counts={
-                "a": OutcomeCounts((5, 7, 11, 13)),
-                "b": OutcomeCounts((2, 3, 5, 8)),
-            },
-        ),
-    )
-    return ContextDataset(outcomes=("00", "01", "10", "11"), contexts=("a", "b"),
-                          circuits=records)
+    record = CircuitRecord(circuit_id="q", counts={"a": (5, 7, 11, 13), "b": (2, 3, 5, 8)})
+    return dataset_from_records(("00", "01", "10", "11"), ("a", "b"), (record,))
 
 
 class TestMarginalize:
     def test_keep_first_bit(self):
         reduced = marginalize(two_bit_dataset(), (0,))
         assert reduced.outcomes == ("0", "1")
-        assert reduced.circuits[0].pool("a").counts == (12, 24)
-        assert reduced.circuits[0].pool("b").counts == (5, 13)
+        assert reduced.circuits[0].pool("a") == (12, 24)
+        assert reduced.circuits[0].pool("b") == (5, 13)
 
     def test_keep_second_bit(self):
         reduced = marginalize(two_bit_dataset(), (1,))
-        assert reduced.circuits[0].pool("a").counts == (16, 20)
+        assert reduced.circuits[0].pool("a") == (16, 20)
 
     def test_keeping_all_bits_is_identity_on_counts(self):
         reduced = marginalize(two_bit_dataset(), (0, 1))
@@ -298,7 +339,7 @@ class TestMarginalize:
         reduced = marginalize(original, (0,))
         for record, original_record in zip(reduced.circuits, original.circuits):
             for context in record.contexts:
-                assert record.pool(context).total == original_record.pool(context).total
+                assert sum(record.pool(context)) == sum(original_record.pool(context))
 
     def test_rejects_bad_positions(self):
         with pytest.raises(DatasetError):
@@ -319,12 +360,8 @@ def test_marginalize_commutes_with_context_pooling(counts_a, counts_b):
     if sum(counts_a) == 0 or sum(counts_b) == 0:
         counts_a = [c + 1 for c in counts_a]
         counts_b = [c + 1 for c in counts_b]
-    record = CircuitRecord(
-        circuit_id="q",
-        counts={"a": OutcomeCounts(tuple(counts_a)), "b": OutcomeCounts(tuple(counts_b))},
-    )
-    dataset = ContextDataset(outcomes=("00", "01", "10", "11"),
-                             contexts=("a", "b"), circuits=(record,))
+    record = CircuitRecord(circuit_id="q", counts={"a": counts_a, "b": counts_b})
+    dataset = dataset_from_records(("00", "01", "10", "11"), ("a", "b"), (record,))
     reduced = marginalize(dataset, (1,))
     pooled_then_reduced = [
         counts_a[0] + counts_a[2] + counts_b[0] + counts_b[2],

@@ -18,8 +18,8 @@ def test_two_context_example_shape():
     assert len(dataset.circuits) == 1
     record = dataset.circuits[0]
     assert record.circuit_id == "Gx"
-    assert record.pool("c1").counts == (99, 101)
-    assert record.pool("c2").counts == (131, 69)
+    assert record.pool("c1") == (99, 101)
+    assert record.pool("c2") == (131, 69)
 
 
 def test_neighbor_example_shape():
@@ -27,9 +27,9 @@ def test_neighbor_example_shape():
     assert dataset.contexts == ("idle", "driven")
     assert len(dataset.circuits) == 40
     measured = dataset.circuit("GhGsGsGsGsGh")
-    assert measured.pool("idle").counts == (1022, 2)
-    assert measured.pool("driven").counts == (738, 286)
-    assert all(r.total_shots() == 2048 for r in dataset.circuits)
+    assert measured.pool("idle") == (1022, 2)
+    assert measured.pool("driven") == (738, 286)
+    assert (dataset.counts.sum(axis=2) == 1024).all() and dataset.present.all()
 
 
 def test_bundled_designs_consistent_with_data():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.counts import CircuitRecord, DatasetError, OutcomeCounts
+from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd
 from contextdep.llr import llr_single, llr_threshold
 
@@ -14,7 +14,7 @@ from _references import weighted_jsd_reference
 
 
 def record_from_rows(*rows):
-    counts = {f"c{i}": OutcomeCounts(tuple(row)) for i, row in enumerate(rows)}
+    counts = {f"c{i}": tuple(row) for i, row in enumerate(rows)}
     return CircuitRecord(circuit_id="q", counts=counts)
 
 

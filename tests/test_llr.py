@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_cdf, chi2_sf
-from contextdep.counts import CircuitRecord, DatasetError, OutcomeCounts
+from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests,
                             llr_aggregate, llr_single, llr_statistic, llr_tests,
                             llr_threshold, n_sigma_threshold)
@@ -17,7 +17,7 @@ from _references import llr_reference
 
 
 def record_from_rows(*rows):
-    counts = {f"c{i}": OutcomeCounts(tuple(row)) for i, row in enumerate(rows)}
+    counts = {f"c{i}": tuple(row) for i, row in enumerate(rows)}
     return CircuitRecord(circuit_id="q", counts=counts)
 
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
-                               OutcomeCounts)
+from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.datasets import neighbor_example, two_context_example
 from contextdep.divergence import observed_tvd
 from contextdep.llr import (AggregateTestResult, llr_single, llr_threshold,
@@ -22,7 +21,8 @@ from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport,
 from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 from contextdep.gstgen import GstDesign
 
-from _references import save_report_reference, write_jsd_profile_csv_reference
+from _references import (dataset_from_records, save_report_reference,
+                         write_jsd_profile_csv_reference)
 
 
 def drifting_dataset(contexts=("t1", "t2", "t3"), seed=3):
@@ -234,12 +234,11 @@ class TestRunAnalysis:
     def test_circuit_missing_a_context_is_skipped_with_warning(self):
         records = (
             CircuitRecord(circuit_id="full", counts={
-                "a": OutcomeCounts((60, 40)), "b": OutcomeCounts((40, 60))}),
+                "a": (60, 40), "b": (40, 60)}),
             CircuitRecord(circuit_id="partial", counts={
-                "a": OutcomeCounts((50, 50))}),
+                "a": (50, 50)}),
         )
-        dataset = ContextDataset(outcomes=("0", "1"), contexts=("a", "b"),
-                                 circuits=records)
+        dataset = dataset_from_records(("0", "1"), ("a", "b"), records)
         report = run_analysis(dataset, alpha=0.05)[0]
         assert [c.circuit_id for c in report.circuits] == ["full"]
         assert any("partial" in w and "skipped" in w for w in report.warnings)
@@ -247,10 +246,9 @@ class TestRunAnalysis:
     def test_no_usable_circuit_is_an_error(self):
         records = (
             CircuitRecord(circuit_id="partial", counts={
-                "a": OutcomeCounts((50, 50))}),
+                "a": (50, 50)}),
         )
-        dataset = ContextDataset(outcomes=("0", "1"), contexts=("a", "b"),
-                                 circuits=records)
+        dataset = dataset_from_records(("0", "1"), ("a", "b"), records)
         with pytest.raises(DatasetError, match="no circuit"):
             run_analysis(dataset, alpha=0.05)
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextdep.counts import OutcomeCounts
+from contextdep import qsim
 from contextdep.datasets import drift_design, drift_error_model
 from contextdep.gstgen import CircuitSpec, GstDesign
 from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
-                             circuit_probabilities,
+                             _walk_probabilities, circuit_probabilities,
                              counts_stream, experiment_probabilities,
                              gate_model_for_context, ideal_gate_model,
                              load_error_model, rotation_unitary,
@@ -151,19 +151,31 @@ def error_models(draw):
 @given(circuits=circuit_lists(), error=error_models())
 def test_shared_prefix_walk_is_bit_identical_to_per_circuit_products(circuits, error):
     contexts = error.contexts
-    table = experiment_probabilities(circuits, error, contexts)
+    walked = []
+
+    def walk(gates, models):
+        walked.append(len(models))
+        return _walk_probabilities(gates, models)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsim, "_walk_probabilities", walk)
+        table = experiment_probabilities(circuits, error, contexts)
     models = [gate_model_for_context(error, c) for c in contexts]
     reference = [[circuit_probabilities_reference(spec.gates, model) for model in models]
                  for spec in circuits]
-    assert np.array(table).tobytes() == np.array(reference).tobytes()
+    assert table.shape == (len(circuits), len(contexts), 2)
+    assert table.tobytes() == np.array(reference).tobytes()
     for spec, model in zip(circuits, models):
         assert (circuit_probabilities(spec, model).tobytes()
                 == circuit_probabilities_reference(spec.gates, model).tobytes())
-    for row in table:
-        for j, a in enumerate(contexts):
-            for k, b in enumerate(contexts):
-                same = all(error.epsilon(a, g) == error.epsilon(b, g) for g in ("Gx", "Gy"))
-                assert (row[j] is row[k]) == same
+    # Equal-angle contexts share one model: one walk, one model per distinct
+    # angle set, and equal columns.
+    angles = {tuple(error.epsilon(c, g) for g in ("Gx", "Gy")) for c in contexts}
+    assert walked == [len(angles)]
+    for j, a in enumerate(contexts):
+        for k, b in enumerate(contexts):
+            if all(error.epsilon(a, g) == error.epsilon(b, g) for g in ("Gx", "Gy")):
+                assert table[:, j].tobytes() == table[:, k].tobytes()
 
 
 def test_prefix_ending_inside_a_run_is_not_shared():
@@ -244,15 +256,14 @@ class TestSampling:
         counts_a = sample_counts([0.3, 0.7], 1000, rng_a)
         counts_b = sample_counts([0.3, 0.7], 1000, rng_b)
         assert counts_a == counts_b
-        assert counts_a.total == 1000
+        assert sum(counts_a) == 1000
 
     def test_streams_differ_across_cells(self):
         base = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gx", 0))
         other_seed = sample_counts([0.5, 0.5], 400, counts_stream(12, "Gx", 0))
         other_circuit = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gy", 0))
         other_context = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gx", 1))
-        assert len({base.counts, other_seed.counts, other_circuit.counts,
-                    other_context.counts}) > 1
+        assert len({base, other_seed, other_circuit, other_context}) > 1
 
     def test_sample_counts_validation(self):
         rng = counts_stream(0, "q", 0)
@@ -269,13 +280,12 @@ class TestSampling:
         # Round-off from unitary products can leave probabilities a hair
         # below zero; sampling clips them instead of failing.
         counts = sample_counts([1.0, -1e-13], 50, counts_stream(0, "q", 0))
-        assert counts.counts == (50, 0)
+        assert counts == (50, 0)
 
 
     def test_sample_experiment_matches_per_cell_draws(self):
         circuits = [CircuitSpec(gates=("Gx",)), CircuitSpec(gates=("Gy", "Gy", "Gx"))]
-        table = [[np.array([0.3, 0.7]), np.array([1.0, -1e-13])],
-                 [np.array([0.5, 0.5]), np.array([0.9, 0.1])]]
+        table = np.array([[[0.3, 0.7], [1.0, -1e-13]], [[0.5, 0.5], [0.9, 0.1]]])
         config = SimConfig(shots_per_context=50, seed=4, contexts=("a", "b"))
         dataset = sample_experiment(circuits, table, config)
         for spec, row in zip(circuits, table):
@@ -287,10 +297,9 @@ class TestSampling:
         circuits = [CircuitSpec(gates=("Gx",))]
         config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
         with pytest.raises(ValueError, match="invalid probability vector"):
-            sample_experiment(circuits, [[np.array([0.5, 0.5]), np.array([0.8, 0.8])]],
-                              config)
+            sample_experiment(circuits, np.array([[[0.5, 0.5], [0.8, 0.8]]]), config)
         with pytest.raises(ValueError):
-            sample_experiment(circuits, [[np.array([0.5, 0.5])]], config)
+            sample_experiment(circuits, np.array([[[0.5, 0.5]]]), config)
 
 
 _SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 - 3]),
@@ -318,16 +327,17 @@ def test_batched_streams_equal_counts_stream(seed, ids, n_contexts, n_outcomes):
     table = np.arange(1.0, 1.0 + len(ids) * n_contexts * n_outcomes) ** 1.5
     table = table.reshape(len(ids), n_contexts, n_outcomes)
     table /= table.sum(axis=2, keepdims=True)
-    pools = _draw_cells(seed, ids, table, 97)
+    counts = _draw_cells(seed, ids, table, 97)
+    assert counts.shape == table.shape
     for i, circuit_id in enumerate(ids):
         digest = hashlib.sha256(circuit_id.encode("utf-8")).digest()
         words = [int.from_bytes(digest[j:j + 4], "little") for j in range(0, 16, 4)]
         for k in range(n_contexts):
-            cell = i * n_contexts + k
             oracle = np.random.PCG64(np.random.SeedSequence([seed, k, *words]))
-            assert states[cell] == oracle.state
+            assert states[i * n_contexts + k] == oracle.state
             draw = counts_stream(seed, circuit_id, k).multinomial(97, table[i, k])
-            assert pools[cell].counts == tuple(draw.tolist())
+            assert counts[i, k].tolist() == draw.tolist()
+            assert set(map(type, counts[i, k])) == {int}
 
 
 def small_design():
@@ -352,7 +362,8 @@ class TestExperiment:
         assert dataset.contexts == ("a", "b")
         for record in dataset.circuits:
             assert record.spec == record.circuit_id
-            assert record.total_shots() == 128
+            assert record.counts == {"a": record.pool("a"), "b": record.pool("b")}
+            assert sum(record.pool("a")) == sum(record.pool("b")) == 64
             assert record.core_length is not None
 
     def test_reproducible_end_to_end(self):
@@ -385,17 +396,15 @@ class TestExperiment:
         error = ErrorModel(context_overrotations={"a": {"Gx": 0.01}, "b": {"Gx": 0.01}})
         circuits = [CircuitSpec(gates=("Gx",)), CircuitSpec(gates=("Gx", "Gx"))]
         table = experiment_probabilities(circuits, error, ("a", "b"))
-        for row in table:
-            assert row[0] is row[1]
+        assert table[:, 0].tobytes() == table[:, 1].tobytes()
 
     def test_null_model_sees_no_context_dependence_signal(self):
         # Equal over-rotations in both contexts: statistics stay modest.
         error = ErrorModel(context_overrotations={"a": {"Gx": 0.01}, "b": {"Gx": 0.01}})
         config = SimConfig(shots_per_context=256, seed=9, contexts=("a", "b"))
         dataset = run_drift_experiment(small_design(), error, config)
-        from contextdep.counts import count_array
         from contextdep.llr import llr_aggregate, llr_tests
-        agg = llr_aggregate(llr_tests(count_array(dataset)[0]))
+        agg = llr_aggregate(llr_tests(dataset.counts))
         assert agg.n_sigma < 4.0
 
     def test_unknown_context_rejected(self):
