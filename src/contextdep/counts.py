@@ -8,12 +8,15 @@ and one check enforces the structural rules every downstream routine
 relies on: at least two outcomes per pool, counts that are non-negative
 integers, no empty pools, consistent outcome labels across a dataset, and
 unique circuit identifiers.  A CircuitRecord is one circuit's row.
+Every file loader of the package reads its JSON fields through field()
+and column() here, so all input files obey the same type rules.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
@@ -245,30 +248,89 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def read_json(path: Path, error: type[ValueError] = ValueError):
-    """Parse a JSON file; a repeated key in any object is an error.
+# A kind is a parsed JSON type, or (list, kinds) / (dict, kinds) for an array
+# or an object whose every item has one of those kinds.  Types are exact: a
+# JSON true is a bool, not a number, and 2.0 is a float, not an integer.
+NUMBER = (int, float)
+STRINGS = ((list, (str,)),)
+_REQUIRED = object()
+_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+          float: "a number", bool: "a boolean", type(None): "null"}
 
-    The standard parser keeps the last of two equal keys, which would
-    silently drop data.  Parse failures raise ``error`` naming the file.
+
+def _fits(value, kinds) -> bool:
+    return type(value) in kinds or any(
+        not isinstance(kind, type) and type(value) is kind[0]
+        and _all_fit(value.values() if kind[0] is dict else value, kind[1])
+        for kind in kinds)
+
+
+def _all_fit(values, kinds) -> bool:
+    # One set of types settles the common case of plain kinds.
+    return set(map(type, values)) <= set(kinds) or all(_fits(v, kinds) for v in values)
+
+
+def _describe(kinds, plural: bool = False) -> str:
+    names = []
+    for kind in kinds:
+        if kind is int and float in kinds:
+            continue  # "a number" covers both
+        outer, inner = (kind, None) if isinstance(kind, type) else kind
+        name = _NAMES[outer].split()[-1] + "s" if plural else _NAMES[outer]
+        names.append(name if inner is None else f"{name} of {_describe(inner, True)}")
+    return " or ".join(names)
+
+
+def field(obj: dict, key: str, kinds: tuple, where: str, default=_REQUIRED,
+          error: type[ValueError] = ValueError):
+    """obj[key], which must have one of the JSON ``kinds``, or ``default``.
+
+    Without a default the field is required.  A missing or mistyped field
+    raises ``error``, one line that begins with ``where`` and names the key.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"{where}: missing field {key!r}")
+        return default
+    value = obj[key]
+    if not _fits(value, kinds):
+        raise error(f"{where}: {key!r} must be {_describe(kinds)}, got {reprlib.repr(value)}")
+    return value
+
+
+def column(rows: list, key: str, kinds: tuple, where: str, default=_REQUIRED,
+           error: type[ValueError] = ValueError) -> list:
+    """field(row, key, ...) of every row, read in one pass over the rows.
+
+    ``default``, when given, must itself have one of the kinds.  A fault is
+    reported for the first row that has one, as ``f"{where} {n}"``.
+    """
+    try:
+        values = ([row[key] for row in rows] if default is _REQUIRED
+                  else [row.get(key, default) for row in rows])
+    except KeyError:
+        values = None
+    if values is None or not _all_fit(values, kinds):
+        for n, row in enumerate(rows):
+            field(row, key, kinds, f"{where} {n}", default, error)
+    return values
+
+
+def read_json(path: Path, kinds: tuple, error: type[ValueError] = ValueError):
+    """Parse a JSON file whose top level has one of the JSON ``kinds``.
+
+    A repeated key in any object is an error: the standard parser keeps
+    the last of two equal keys, which would silently drop data.  Faults
+    raise ``error`` naming the file.
     """
     text = path.read_text()
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise DatasetError(f"{where}: missing required field {key!r}")
-    return obj[key]
-
-
-def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
-    labels = _require(obj, key, where)
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise DatasetError(f"{where}: {key!r} must be an array of strings")
-    return tuple(labels)
+    if not _fits(raw, kinds):
+        raise error(f"{path}: top level must be {_describe(kinds)}")
+    return raw
 
 
 def load_dataset(path: str | Path) -> ContextDataset:
@@ -278,54 +340,40 @@ def load_dataset(path: str | Path) -> ContextDataset:
     dataset's check then runs on the whole array.
     """
     path = Path(path)
-    raw = read_json(path, DatasetError)
-    if not isinstance(raw, dict):
-        raise DatasetError(f"{path}: top level must be an object")
-
-    version = _require(raw, "format_version", str(path))
+    raw = read_json(path, (dict,), DatasetError)
+    version = field(raw, "format_version", (str,), str(path), error=DatasetError)
     if version != FORMAT_VERSION:
         raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    outcomes = _labels(raw, "outcomes", str(path))
-    contexts = _labels(raw, "contexts", str(path))
+    outcomes = tuple(field(raw, "outcomes", STRINGS, str(path), error=DatasetError))
+    contexts = tuple(field(raw, "contexts", STRINGS, str(path), error=DatasetError))
+    entries = field(raw, "circuits", ((list, (dict,)),), str(path), error=DatasetError)
+    ids = column(entries, "id", (str,), f"{path}: circuit entry", error=DatasetError)
 
-    entries = _require(raw, "circuits", str(path))
-    if not isinstance(entries, list):
-        raise DatasetError(f"{path}: 'circuits' must be an array of objects")
-    column = {context: k for k, context in enumerate(contexts)}
+    column_of = {context: k for k, context in enumerate(contexts)}
     zero = [0] * len(outcomes)
-    ids, specs, cores, pools, present = [], [], [], [], []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise DatasetError(f"{path}: circuit entry {entry!r} is not an object")
-        circuit_id = _require(entry, "id", f"{path} circuit entry")
-        if not isinstance(circuit_id, str):
-            raise DatasetError(f"{path}: circuit id {circuit_id!r} is not a string")
-        where = f"{path} circuit {circuit_id!r}"
-        counts_obj = _require(entry, "counts", where)
-        if not isinstance(counts_obj, dict) or not counts_obj:
-            raise DatasetError(f"{where}: counts must map context labels to arrays")
+    pools, present = [], []
+    for circuit_id, entry in zip(ids, entries):
+        where = f"{path}: circuit {circuit_id!r}"
+        counts = field(entry, "counts", (dict,), where, error=DatasetError)
         row = [zero] * len(contexts)
-        for context, values in counts_obj.items():
-            if not isinstance(values, list):
-                raise DatasetError(f"{where}, context {context!r}: counts must be an array")
-            if context not in column:
-                raise DatasetError(f"{path}: circuit {circuit_id!r}: unknown context {context!r}")
+        for context in counts:
+            values = field(counts, context, (list,), where + " counts", error=DatasetError)
+            if context not in column_of:
+                raise DatasetError(f"{where}: unknown context {context!r}")
             if len(values) != len(outcomes):
-                raise DatasetError(
-                    f"{path}: circuit {circuit_id!r}: pools have {len(values)} entries "
-                    f"but the dataset declares {len(outcomes)} outcomes")
-            row[column[context]] = values
+                raise DatasetError(f"{where}: pools have {len(values)} entries "
+                                   f"but the dataset declares {len(outcomes)} outcomes")
+            row[column_of[context]] = values
         pools += row
-        present.append([context in counts_obj for context in contexts])
-        ids.append(circuit_id)
-        specs.append(entry.get("spec"))
-        cores.append(entry.get("core_length"))
+        present.append([context in counts for context in contexts])
 
     shape = (len(ids), len(contexts), len(outcomes))
     try:
         return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
                               np.array(present, dtype=bool).reshape(shape[:2]),
-                              tuple(specs), tuple(cores), version, raw.get("description"))
+                              tuple(entry.get("spec") for entry in entries),
+                              tuple(entry.get("core_length") for entry in entries),
+                              version, raw.get("description"))
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 

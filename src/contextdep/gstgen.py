@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import read_json
+from .counts import STRINGS, column, field, read_json
 
 __all__ = [
     "CircuitSpec",
@@ -227,39 +227,24 @@ def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
     return circuits
 
 
-def _check_circuit_texts(value, key: str, path: Path, label_lists: bool) -> None:
-    # Each entry is circuit text or, where label_lists, an array of labels.
-    if not isinstance(value, list) or not all(
-            isinstance(entry, str) or (label_lists and isinstance(entry, list)
-                                       and all(isinstance(x, str) for x in entry))
-            for entry in value):
-        kind = "circuit strings or label arrays" if label_lists else "strings"
-        raise ValueError(f"{path}: {key!r} must be an array of {kind}")
+# Fiducials and germs: circuit strings, or arrays of gate labels.
+_CIRCUITS = ((list, (str, (list, (str,)))),)
 
 
 def load_design(path: str | Path) -> GstDesign:
     """Read a design from its JSON file form."""
     path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    for key in ("gates", "prep_fiducials", "meas_fiducials"):
-        if key not in raw:
-            raise ValueError(f"{path}: missing required field {key!r}")
-    _check_circuit_texts(raw["gates"], "gates", path, label_lists=False)
-    for key in ("prep_fiducials", "meas_fiducials", "germs"):
-        _check_circuit_texts(raw.get(key, []), key, path, label_lists=True)
-    max_power = raw.get("max_germ_power")
-    if max_power is not None and type(max_power) is not int:
-        raise ValueError(f"{path}: 'max_germ_power' must be an integer, got {max_power!r}")
+    raw = read_json(path, (dict,))
+    where = str(path)
+    design = dict(
+        gates=tuple(field(raw, "gates", STRINGS, where)),
+        prep_fiducials=tuple(field(raw, "prep_fiducials", _CIRCUITS, where)),
+        meas_fiducials=tuple(field(raw, "meas_fiducials", _CIRCUITS, where)),
+        germs=tuple(field(raw, "germs", _CIRCUITS, where, default=[])),
+        max_germ_power=field(raw, "max_germ_power", (int, type(None)), where, default=None),
+    )
     try:
-        return GstDesign(
-            gates=tuple(raw["gates"]),
-            prep_fiducials=tuple(raw["prep_fiducials"]),
-            meas_fiducials=tuple(raw["meas_fiducials"]),
-            germs=tuple(raw.get("germs", ())),
-            max_germ_power=max_power,
-        )
+        return GstDesign(**design)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -280,22 +265,14 @@ def save_design(design: GstDesign, path: str | Path) -> None:
 def load_circuits(path: str | Path) -> list[CircuitSpec]:
     """Read a circuit list from its JSON file form."""
     path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: top level must be an array")
-    circuits = []
-    for n, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "spec" not in entry:
-            raise ValueError(f"{path}: circuit entry {n} is not an object with a 'spec'")
-        spec, core = entry["spec"], entry.get("core_length", 0)
-        if not isinstance(spec, str) or type(core) is not int:
-            raise ValueError(f"{path}: circuit entry {n} needs a string 'spec' "
-                             "and an integer 'core_length'")
-        try:
-            circuits.append(CircuitSpec(gates=parse_circuit_text(spec), core_length=core))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return circuits
+    entries = read_json(path, ((list, (dict,)),))
+    specs = column(entries, "spec", (str,), f"{path}: circuit entry")
+    cores = column(entries, "core_length", (int,), f"{path}: circuit entry", default=0)
+    try:
+        return [CircuitSpec(gates=parse_circuit_text(spec), core_length=core)
+                for spec, core in zip(specs, cores)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_circuits(circuits: Sequence[CircuitSpec], path: str | Path) -> None:

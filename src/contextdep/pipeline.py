@@ -19,7 +19,6 @@ core-length profile).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -31,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .counts import (ContextDataset, DatasetError, RowView, columns_equal, json_array,
-                     read_json, write_chunks)
+from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
+                     columns_equal, field, json_array, read_json, write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
@@ -68,9 +67,13 @@ class Comparison:
             raise ValueError(f"comparison {self.comparison_id!r}: needs at least two contexts")
         if len(set(contexts)) != len(contexts):
             raise ValueError(f"comparison {self.comparison_id!r}: repeated context")
-        if self.weight < 0.0:
-            raise ValueError(f"comparison {self.comparison_id!r}: negative weight")
+        # A weight is a share of alpha.  Comparing, not converting, keeps a
+        # huge integer from overflowing; NaN fails every comparison.
+        if isinstance(self.weight, bool) or not 0 <= self.weight <= 1:
+            raise ValueError(f"comparison {self.comparison_id!r}: weight must be a number "
+                             f"in [0, 1], got {self.weight!r}")
         object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,7 @@ class ComparisonPlan:
         """
         contexts = tuple(contexts)
         if len(contexts) == 2:
-            return ComparisonPlan(
-                (Comparison(f"{contexts[0]}_vs_{contexts[1]}", contexts, 1.0),)
-            )
+            return ComparisonPlan.all_pairs(contexts)
         pairs = list(combinations(contexts, 2))
         weight = 1.0 / (1 + len(pairs))
         entries = [Comparison("joint", contexts, weight)]
@@ -134,34 +135,25 @@ def load_plan(path: str | Path) -> ComparisonPlan:
     """Read a plan from JSON: {"comparisons": [{id, contexts, weight}, ...]}.
 
     Weights may be omitted entirely, in which case the comparisons share
-    the budget equally.
+    the budget equally.  An absent or null id is the contexts joined by
+    "_vs_".
     """
     path = Path(path)
-    raw = read_json(path)
-    entries = raw.get("comparisons") if isinstance(raw, dict) else None
-    if (not entries or not isinstance(entries, list)
-            or not all(isinstance(entry, dict) for entry in entries)):
-        raise ValueError(f"{path}: expected an object with a 'comparisons' array of objects")
-    weights = [entry.get("weight") for entry in entries]
-    if any(w is None for w in weights):
+    entries = field(read_json(path, (dict,)), "comparisons", ((list, (dict,)),), str(path))
+    where = f"{path}: comparison"
+    contexts = column(entries, "contexts", STRINGS, where)
+    ids = column(entries, "id", (str, type(None)), where, default=None)
+    weights = column(entries, "weight", NUMBER + (type(None),), where, default=None)
+    if None in weights:
         if any(w is not None for w in weights):
             raise ValueError(f"{path}: give every comparison a weight, or none")
         weights = [1.0 / len(entries)] * len(entries)
-    comparisons = []
-    for entry, weight in zip(entries, weights):
-        if "contexts" not in entry:
-            raise ValueError(f"{path}: comparison entry without 'contexts'")
-        contexts = entry["contexts"]
-        if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
-            raise ValueError(f"{path}: 'contexts' must be an array of context labels")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ValueError(f"{path}: comparison weight {weight!r} is not a number")
-        contexts = tuple(contexts)
-        comparison_id = entry.get("id", "_vs_".join(contexts))
-        if not isinstance(comparison_id, str):
-            raise ValueError(f"{path}: comparison id {comparison_id!r} is not a string")
-        comparisons.append(Comparison(comparison_id, contexts, float(weight)))
-    return ComparisonPlan(tuple(comparisons))
+    try:
+        return ComparisonPlan(tuple(
+            Comparison("_vs_".join(labels) if cid is None else cid, tuple(labels), weight)
+            for labels, cid, weight in zip(contexts, ids, weights)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -435,78 +427,41 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     write_chunks(path, chain(json_array(map(_comparison_chunks, reports), ""), ["\n"]))
 
 
-_NUMBER = {int, float}
-_REQUIRED = object()
-
-
-def _field(obj: dict, key: str, kinds: set, where: str, default=_REQUIRED):
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ValueError(f"{where}: missing field {key!r}")
-        return default
-    value = obj[key]
-    # Exact types: a JSON true is a bool, not a number.
-    if type(value) not in kinds:
-        raise ValueError(f"{where}: field {key!r} has the wrong type ({type(value).__name__})")
-    return value
-
-
-def _column(rows: list, key: str, kinds: set, where: str, default=_REQUIRED) -> list:
-    if default is _REQUIRED:
-        try:
-            values = [row[key] for row in rows]
-        except KeyError:
-            raise ValueError(f"{where}: circuit row missing field {key!r}") from None
-    else:
-        values = [row.get(key, default) for row in rows]
-    wrong = set(map(type, values)) - kinds
-    if wrong:
-        names = ", ".join(sorted(t.__name__ for t in wrong))
-        raise ValueError(f"{where}: circuit field {key!r} has the wrong type ({names})")
-    return values
-
-
-def _load_comparison(entry, where: str) -> ComparisonReport:
-    if type(entry) is not dict:
-        raise ValueError(f"{where}: expected an object")
-    agg = _field(entry, "aggregate", {dict}, where)
-    contexts = _field(entry, "contexts", {list}, where)
-    warnings = _field(entry, "warnings", {list}, where, default=[])
-    if not set(map(type, contexts + warnings)) <= {str}:
-        raise ValueError(f"{where}: contexts and warnings must be arrays of strings")
-    rows = _field(entry, "circuits", {list}, where)
-    if not set(map(type, rows)) <= {dict}:
-        raise ValueError(f"{where}: every circuit row must be an object")
+def _load_comparison(entry: dict, where: str) -> ComparisonReport:
+    agg = field(entry, "aggregate", (dict,), where)
+    rows = field(entry, "circuits", ((list, (dict,)),), where)
+    row = f"{where}: circuit"
     columns = {}
     try:
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
                           ("jsd_threshold", "jsd_threshold")):
-            columns[name] = np.array(_column(rows, key, _NUMBER, where), dtype=float)
+            columns[name] = np.array(column(rows, key, NUMBER, row), dtype=float)
         for key in ("tvd", "sstvd", "sstvd_per_gate"):
-            values = _column(rows, key, _NUMBER | {type(None)}, where, default=None)
+            values = column(rows, key, NUMBER + (type(None),), row, default=None)
             columns[key + "_null"] = np.array([value is None for value in values], dtype=bool)
             columns[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
-        raise ValueError(f"{where}: circuit field {key!r} is out of float range") from None
-    for key, default in (("rejected", _REQUIRED), ("small_sample", False)):
-        columns[key] = np.array(_column(rows, key, {bool}, where, default), dtype=bool)
+        raise ValueError(f"{row}: {key!r} is out of float range") from None
+    columns["rejected"] = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
+    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
+                                       dtype=bool)
     return ComparisonReport(
-        comparison_id=_field(entry, "comparison_id", {str}, where),
-        contexts=tuple(contexts),
-        alpha_local=_field(entry, "alpha_local", _NUMBER, where),
+        comparison_id=field(entry, "comparison_id", (str,), where),
+        contexts=tuple(field(entry, "contexts", STRINGS, where)),
+        alpha_local=field(entry, "alpha_local", NUMBER, where),
         aggregate=AggregateTestResult(
-            llr=_field(agg, "llr", _NUMBER, where),
-            dof=_field(agg, "k", {int}, where),
-            p_value=_field(agg, "p", _NUMBER, where),
-            n_sigma=_field(agg, "n_sigma", _NUMBER, where),
+            llr=field(agg, "llr", NUMBER, where),
+            dof=field(agg, "k", (int,), where),
+            p_value=field(agg, "p", NUMBER, where),
+            n_sigma=field(agg, "n_sigma", NUMBER, where),
         ),
-        n_sigma_threshold=_field(agg, "n_sigma_threshold", _NUMBER, where),
-        aggregate_triggered=_field(agg, "triggered", {bool}, where),
-        p_threshold=_field(entry, "p_threshold", _NUMBER, where),
-        llr_threshold=_field(entry, "llr_threshold", _NUMBER | {type(None)}, where),
-        circuit_ids=tuple(_column(rows, "id", {str}, where)),
-        warnings=tuple(warnings),
+        n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER, where),
+        aggregate_triggered=field(agg, "triggered", (bool,), where),
+        p_threshold=field(entry, "p_threshold", NUMBER, where),
+        llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),), where),
+        circuit_ids=tuple(column(rows, "id", (str,), row)),
+        warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])),
         **columns,
     )
 
@@ -518,9 +473,7 @@ def load_report(path: str | Path) -> list[ComparisonReport]:
     fields, and circuit rows that are objects, is a ValueError.
     """
     path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: top level must be an array of comparisons")
+    raw = read_json(path, ((list, (dict,)),))
     return [_load_comparison(entry, f"{path}: comparison {n}") for n, entry in enumerate(raw)]
 
 
@@ -586,20 +539,18 @@ def _format_cell(value) -> str:
 
 
 def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
-    """One combined matrix: N_sigma upper triangle, rejection counts lower."""
+    """One combined matrix: N_sigma upper triangle, rejection counts lower.
+
+    The bytes csv.writer writes; N_sigma is written as .10g.
+    """
+    contexts = matrices.contexts
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["context", *matrices.contexts])
-        for i, context in enumerate(matrices.contexts):
-            row = [context]
-            for j in range(len(matrices.contexts)):
-                if j > i:
-                    row.append(_format_cell(matrices.n_sigma[i][j]))
-                elif j < i:
-                    row.append(_format_cell(matrices.rejected_counts[i][j]))
-                else:
-                    row.append("")
-            writer.writerow(row)
+        handle.write(",".join(map(_csv_field, ("context", *contexts))) + "\r\n")
+        for i, context in enumerate(contexts):
+            cells = (_format_cell(matrices.n_sigma[i][j] if j > i else
+                                  matrices.rejected_counts[i][j] if j < i else None)
+                     for j in range(len(contexts)))
+            handle.write(",".join((_csv_field(context), *cells)) + "\r\n")
 
 
 def jsd_profile(report: ComparisonReport,

@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .counts import ContextDataset, read_json
+from .counts import NUMBER, ContextDataset, field, read_json
 from .gstgen import CircuitSpec, GstDesign, lgst_circuits, lsgst_circuits
 
 __all__ = [
@@ -458,15 +458,16 @@ def load_error_model(path: str | Path) -> ErrorModel:
     radians, except the optional reserved key 'static_epsilon'.
     """
     path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    static = raw.get("static_epsilon", 0.0)
-    contexts = {k: v for k, v in raw.items() if k != "static_epsilon"}
+    raw = read_json(path, (dict,))
+    static = field(raw, "static_epsilon", NUMBER, str(path), default=0.0)
+    contexts = {key: field(raw, key, ((dict, NUMBER),), str(path))
+                for key in raw if key != "static_epsilon"}
     if not contexts:
         raise ValueError(f"{path}: no context entries")
     try:
         return ErrorModel(context_overrotations=contexts, static_epsilon=static)
+    except OverflowError:
+        raise ValueError(f"{path}: an epsilon is out of float range") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

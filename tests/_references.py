@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -18,6 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from contextdep.counts import ContextDataset
+from contextdep.gstgen import known_gate_labels
 from contextdep.qsim import _sampling_distributions
 
 
@@ -362,3 +365,91 @@ def dataset_file_is_valid(obj) -> bool:
         if entry.get("core_length") is not None and not count(entry["core_length"]):
             return False
     return True
+
+
+def _number(value) -> bool:
+    # A JSON number, not a boolean, that a float holds: NaN fails both bounds.
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def error_model_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the error-model file rules, written from the README.
+
+    The loader must accept exactly these files.
+    """
+    if not isinstance(obj, dict) or not _number(obj.get("static_epsilon", 0.0)):
+        return False
+    models = [value for key, value in obj.items() if key != "static_epsilon"]
+    return bool(models) and all(
+        isinstance(model, dict) and all(gate in ("Gx", "Gy") and _number(angle)
+                                        for gate, angle in model.items())
+        for model in models)
+
+
+def plan_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the plan file rules, written from the README.
+
+    The loader must accept exactly these files.  A null id or weight
+    counts as absent.
+    """
+    entries = obj.get("comparisons") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not entries:
+        return False
+    if not all(isinstance(entry, dict) for entry in entries):
+        return False
+    ids, weights = [], []
+    for entry in entries:
+        contexts = entry.get("contexts")
+        if (not isinstance(contexts, list) or len(contexts) < 2
+                or not all(isinstance(c, str) for c in contexts)
+                or len(set(contexts)) != len(contexts)):
+            return False
+        name = entry.get("id")
+        if name is None:
+            name = "_vs_".join(contexts)
+        weight = entry.get("weight")
+        if not isinstance(name, str) or not (weight is None or _number(weight)
+                                             and 0 <= weight <= 1):
+            return False
+        ids.append(name)
+        weights.append(weight)
+    if len(set(ids)) != len(ids):
+        return False
+    if all(w is None for w in weights):
+        return True
+    return None not in weights and abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+def circuit_list_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the circuit-list file rules, written from the README.
+
+    The loader must accept exactly these files.  A spec is "{}" or
+    registered gate labels written one after another, each 'G' plus a
+    G-free suffix.
+    """
+    def spec(text):
+        labels = re.findall("G[^G]*", text) if isinstance(text, str) else []
+        return text == "{}" or (bool(labels) and "".join(labels) == text
+                                and set(labels) <= known_gate_labels())
+
+    return isinstance(obj, list) and all(
+        isinstance(entry, dict) and spec(entry.get("spec"))
+        and (type(entry.get("core_length", 0)) is int and entry.get("core_length", 0) >= 0)
+        for entry in obj)
+
+
+def write_pairwise_csv_reference(matrices, path) -> None:
+    """A pairwise matrix table written row by row through csv.writer."""
+    def cell(value):
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, int) else format(value, ".10g")
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["context", *matrices.contexts])
+        for i, context in enumerate(matrices.contexts):
+            writer.writerow([context, *(
+                cell(matrices.n_sigma[i][j]) if j > i else
+                cell(matrices.rejected_counts[i][j]) if j < i else ""
+                for j in range(len(matrices.contexts)))])

@@ -21,3 +21,17 @@ def test_exports_resolve(name):
     assert exported, f"{name} has no __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+def test_every_loader_is_fuzzed():
+    # A loader reads files from outside the program, so each one exported
+    # has a valid file and a mutation run in test_file_fuzz.
+    from test_file_fuzz import KINDS
+
+    loaders = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        loaders |= {getattr(module, attr) for attr in module.__all__ if attr.startswith("load_")}
+    fuzzed = {loader for loader, _, _ in KINDS.values()}
+    assert len(loaders) >= 6
+    assert loaders <= fuzzed, sorted(f.__qualname__ for f in loaders - fuzzed)

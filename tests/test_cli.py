@@ -93,6 +93,27 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"t1": ["Gx"]},
+        {"t1": 3},
+        {"static_epsilon": [1]},
+        # Strings and booleans are not angles, nor are integers past float range.
+        {"t1": {"Gx": "0.001"}},
+        {"t1": {"Gx": True}},
+        {"static_epsilon": "0.5"},
+        {"t1": {"Gx": 10**400}},
+        {"static_epsilon": -10**400},
+    ])
+    def test_malformed_error_model_is_one_line_error(self, tmp_path, capsys, fields):
+        model = tmp_path / "error.json"
+        model.write_text(json.dumps({"t1": {"Gx": 0.0}, "t2": {"Gx": 0.01}, **fields}))
+        code = main(["simulate", "--design", NEIGHBOR_DESIGN, "--error-model", str(model),
+                     "--shots", "4", "--seed", "0", "--out", str(tmp_path / "d.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert not (tmp_path / "d.json").exists()
+
 
 class TestAnalyze:
     def test_two_context_report(self, tmp_path):
@@ -118,6 +139,20 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(sim), "--plan", "joint",
                      "--out", str(joint)]) == 0
         assert len(load_report(joint)) == 1
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-0.5", "1e400"])
+    def test_plan_weight_must_be_finite_share(self, tmp_path, capsys, weight):
+        # A NaN weight once passed the sum check and failed later as alpha.
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"comparisons": [{"id": "x", "contexts": ["c1", "c2"], '
+                        f'"weight": {weight}}}]}}')
+        code = main(["analyze", "--data", TWO_CONTEXT, "--plan", str(plan),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan}: comparison 'x': weight must be a number in [0, 1]")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.json"
@@ -257,7 +292,9 @@ DUPLICATE_KEY_FILES = {
 }
 
 
-@pytest.mark.parametrize("kind, command", [
+# Each command that reads a kind of file, "{file}" naming that file and
+# "{tmp}" a directory for the outputs.  No command reads circuit lists.
+FILE_COMMANDS = [
     ("dataset", ["analyze", "--data", "{file}", "--out", "{tmp}/r.json"]),
     ("design", ["gen-circuits", "--design", "{file}", "--mode", "lgst",
                 "--out", "{tmp}/c.json"]),
@@ -268,7 +305,10 @@ DUPLICATE_KEY_FILES = {
     ("plan", ["analyze", "--data", TWO_CONTEXT, "--plan", "{file}",
               "--out", "{tmp}/r.json"]),
     ("report", ["summarize", "--report", "{file}"]),
-])
+]
+
+
+@pytest.mark.parametrize("kind, command", FILE_COMMANDS)
 def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, kind, command):
     bad = tmp_path / f"{kind}.json"
     bad.write_text(DUPLICATE_KEY_FILES[kind])

@@ -203,11 +203,12 @@ class TestSerialization:
             load_dataset(path)
 
     @pytest.mark.parametrize("entry, message", [
-        (5, "circuit entry 5 is not an object"),
+        (5, "'circuits' must be an array of objects, got"),
         ({"id": "q0", "counts": {"a": [True, False], "b": [1, 1]}}, "q0.*True"),
         ({"id": "q0", "counts": {"a": 7, "b": [1, 1]}}, "q0.*must be an array"),
         ({"id": "q0", "counts": {"a": [None, 2], "b": [1, 1]}}, "q0.*None"),
-        ({"id": ["q0"], "counts": {"a": [1, 2], "b": [1, 1]}}, "not a string"),
+        ({"id": ["q0"], "counts": {"a": [1, 2], "b": [1, 1]}},
+         "circuit entry 0: 'id' must be a string, got"),
         # JSON floats are not counts, integral or not.
         ({"id": "q0", "counts": {"a": [2.0, 3], "b": [4, 1e2]}}, "'q0', context 'a'.*got 2.0$"),
         ({"id": "q0", "counts": {"a": [2, 3], "b": [4, 1e2]}}, "'q0', context 'b'.*got 100.0$"),

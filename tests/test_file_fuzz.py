@@ -1,0 +1,160 @@
+"""Fuzzed input files of every kind through the command that reads them.
+
+A valid file of each kind is mutated: values swapped for other JSON types,
+fields dropped, strings put where arrays belong, floats and booleans where
+integers belong, values nested in arrays or objects, and array items
+repeated.  Each command in test_cli's FILE_COMMANDS table runs in process
+on the file, and load_circuits is called directly, since no command reads
+circuit lists.  A run must exit 0 (or return), or exit 1 with exactly one
+stderr line; it never raises.  Where _references has the rules of a kind,
+a file the run accepts obeys them, and the loader accepts every file that
+does.  A command may still reject a well-typed file, for example a plan
+naming a context the dataset lacks.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextdep.cli import main
+from contextdep.counts import load_dataset
+from contextdep.gstgen import load_circuits, load_design
+from contextdep.pipeline import load_plan, load_report
+from contextdep.qsim import load_error_model
+
+from _references import (circuit_list_file_is_valid, dataset_file_is_valid,
+                         error_model_file_is_valid, plan_file_is_valid)
+from test_cli import FILE_COMMANDS, _mutated_report
+
+# Each kind of input file: its loader, a valid file, and its rules (None
+# where _references keeps none).
+KINDS = {
+    "dataset": (load_dataset, {
+        "format_version": "1.0",
+        "description": "three contexts, one circuit without 'c'",
+        "outcomes": ["0", "1"],
+        "contexts": ["a", "b", "c"],
+        "circuits": [
+            {"id": "Gx", "spec": "Gx", "core_length": 1,
+             "counts": {"a": [5, 3], "b": [4, 4], "c": [2, 6]}},
+            {"id": "GxGx", "spec": "GxGx", "core_length": 2,
+             "counts": {"a": [7, 1], "b": [3, 5]}},
+        ],
+    }, dataset_file_is_valid),
+    "design": (load_design, {
+        "gates": ["Gx", "Gy"], "prep_fiducials": ["{}", ["Gx"]],
+        "meas_fiducials": ["{}", "Gy"], "germs": ["Gx", "GxGy"], "max_germ_power": 4,
+    }, None),
+    "error_model": (load_error_model, {
+        "t1": {"Gx": 0.0, "Gy": 0.001}, "t2": {"Gx": 0.01}, "static_epsilon": 0.001,
+    }, error_model_file_is_valid),
+    "plan": (load_plan, {"comparisons": [
+        {"id": "c1_vs_c2", "contexts": ["c1", "c2"], "weight": 1.0},
+    ]}, plan_file_is_valid),
+    "report": (load_report, _mutated_report(lambda entry: [entry]), None),
+    "circuits": (load_circuits, [
+        {"spec": "{}", "core_length": 0}, {"spec": "GxGy", "core_length": 1},
+    ], circuit_list_file_is_valid),
+}
+
+# Integers stay small, so a mutated max_germ_power cannot ask for huge circuits.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+            | st.sampled_from([2.0, 1e2, -0.0]) | st.text(max_size=3))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                       max_leaves=6)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated(draw, valid):
+    obj = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        node = _node(obj, path)
+        action = draw(st.sampled_from(["replace", "drop", "stringify", "wrap", "repeat"]))
+        if action == "drop" and path:
+            parent = _node(obj, path[:-1])
+            del parent[path[-1]]
+            continue
+        if action == "repeat" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(draw(st.sampled_from(node))))
+            continue
+        if action == "stringify":
+            new = "".join(map(str, node)) if isinstance(node, (list, dict)) else str(node)
+        elif action == "wrap":
+            new = draw(st.sampled_from([[node], {"value": node}]))
+        else:
+            new = draw(_VALUES)
+        if path:
+            _node(obj, path[:-1])[path[-1]] = new
+        else:
+            obj = new
+    return obj
+
+
+def _run(command, loader, path: Path):
+    """(accepted, stderr) of the command, or of the loader, on the file."""
+    if command is None:
+        try:
+            loader(path)
+        except ValueError as exc:
+            return False, f"error: {exc}\n"
+        return True, ""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([arg.format(file=path, tmp=path.parent) for arg in command])
+    assert code in (0, 1), err.getvalue()
+    return code == 0, err.getvalue()
+
+
+CASES = [*FILE_COMMANDS, ("circuits", None)]
+
+
+@pytest.mark.parametrize("kind, command", CASES)
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_mutated_file_exits_cleanly(kind, command, data):
+    loader, valid, rules = KINDS[kind]
+    obj = data.draw(mutated(valid))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        path.write_text(json.dumps(obj))
+        if rules is not None and rules(obj):
+            loader(path)
+        accepted, err = _run(command, loader, path)
+    if accepted:
+        assert rules is None or rules(obj), obj
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("kind, command", CASES)
+def test_unmutated_file_is_accepted(kind, command):
+    loader, valid, rules = KINDS[kind]
+    assert rules is None or rules(valid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        path.write_text(json.dumps(valid))
+        assert _run(command, loader, path) == (True, "")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,14 @@ from contextdep.divergence import observed_tvd
 from contextdep.llr import (AggregateTestResult, llr_single, llr_threshold,
                             n_sigma_threshold)
 from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport,
-                                 jsd_profile, load_plan, load_report,
+                                 PairwiseMatrices, jsd_profile, load_plan, load_report,
                                  pairwise_matrices, run_analysis, save_report,
                                  write_jsd_profile_csv, write_pairwise_csv)
 from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 from contextdep.gstgen import GstDesign
 
 from _references import (dataset_from_records, save_report_reference,
-                         write_jsd_profile_csv_reference)
+                         write_jsd_profile_csv_reference, write_pairwise_csv_reference)
 
 
 def drifting_dataset(contexts=("t1", "t2", "t3"), seed=3):
@@ -75,6 +76,20 @@ class TestComparisonPlan:
             Comparison("x", ("a",), 1.0)
         with pytest.raises(ValueError):
             Comparison("x", ("a", "a"), 1.0)
+        with pytest.raises(ValueError, match="weight"):
+            Comparison("x", ("a", "b"), True)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.25, 1.5,
+                                        pytest.param(10**400, id="10**400")])
+    def test_weight_must_be_a_share_of_alpha(self, tmp_path, weight):
+        with pytest.raises(ValueError, match="'x': weight must be a number in \\[0, 1\\]"):
+            Comparison("x", ("a", "b"), weight)
+        # A NaN once passed the plan's sum check, since nan - 1.0 > 1e-12 is false.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"comparisons": [
+            {"id": "x", "contexts": ["a", "b"], "weight": weight}]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: comparison 'x': weight"):
+            load_plan(path)
 
     def test_load_plan_with_weights(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -102,10 +117,12 @@ class TestComparisonPlan:
     @pytest.mark.parametrize("payload, message", [
         ({"comparisons": [5]}, "array of objects"),
         ({"comparisons": "ab"}, "array of objects"),
-        ({"comparisons": [{"contexts": [1, 2]}]}, "context labels"),
-        ({"comparisons": [{"contexts": "ab"}]}, "context labels"),
-        ({"comparisons": [{"contexts": ["a", "b"], "weight": [1]}]}, "not a number"),
-        ({"comparisons": [{"id": 7, "contexts": ["a", "b"]}]}, "not a string"),
+        ({"comparisons": [{"contexts": [1, 2]}]}, "comparison 0: 'contexts' must be an array"),
+        ({"comparisons": [{"contexts": "ab"}]}, "comparison 0: 'contexts' must be an array"),
+        ({"comparisons": [{"contexts": ["a", "b"], "weight": [1]}]},
+         "comparison 0: 'weight' must be a number or null"),
+        ({"comparisons": [{"id": 7, "contexts": ["a", "b"]}]},
+         "comparison 0: 'id' must be a string or null"),
     ])
     def test_load_plan_rejects_malformed_entries(self, tmp_path, payload, message):
         path = tmp_path / "plan.json"
@@ -437,6 +454,20 @@ class TestPairwiseMatrices:
         # lower triangle holds integer rejection counts
         assert rows[3][1] == str(len(
             {r.comparison_id: r for r in reports}["t1_vs_t3"].rejected_ids))
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # Labels that csv.writer quotes, doubles a quote in, or leaves alone.
+        contexts = ("a,b", 'q"x', "", "line\nbreak", " sp")
+        size = len(contexts)
+        matrices = PairwiseMatrices(
+            contexts=contexts,
+            n_sigma=tuple(tuple(1.0 / 3 * (i - j) - 0.5 if j > i else None
+                                for j in range(size)) for i in range(size)),
+            rejected_counts=tuple(tuple(2 ** 70 * i + j if j < i else None
+                                        for j in range(size)) for i in range(size)))
+        write_pairwise_csv(matrices, tmp_path / "fast.csv")
+        write_pairwise_csv_reference(matrices, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestJsdProfile:
