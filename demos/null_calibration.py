@@ -15,7 +15,7 @@ import numpy as np
 from contextdep import lsgst_circuits
 from contextdep.chi2 import chi2_sf
 from contextdep.datasets import drift_design
-from contextdep.llr import TableTests, llr_aggregate
+from contextdep.llr import TableTests
 from contextdep.multitest import combined_procedure
 from contextdep.qsim import ErrorModel, experiment_probabilities
 
@@ -50,7 +50,7 @@ for _ in range(trials):
                          p_value=np.array([chi2_sf(float(l), 1) for l in lam]),
                          n_total=np.full(len(lam), 2 * n_shots),
                          small_sample=np.zeros(len(lam), dtype=bool))
-    outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=alpha)
+    outcome = combined_procedure(results, ids, alpha=alpha)
     false_hits += outcome.detected
     via_aggregate += outcome.aggregate_triggered
     via_circuits += bool(outcome.rejected_ids)

@@ -10,7 +10,7 @@ and generates the gate-set-tomography circuit lists and simulated
 experiments used to exercise all of it.
 """
 
-from .chi2 import chi2_cdf, chi2_inv_cdf, chi2_sf
+from .chi2 import chi2_isf, chi2_sf
 from .counts import (CircuitRecord, ContextDataset, DatasetError, load_dataset,
                      marginalize, save_dataset)
 from .divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd

@@ -1,11 +1,15 @@
-"""Chi-squared distribution functions built on the incomplete gamma function.
+"""Chi-squared tail functions built on the incomplete gamma function.
 
-The CDF of a chi-squared variable with k degrees of freedom is the
-regularized lower incomplete gamma function P(k/2, x/2).  P and its
-complement Q are computed by the classic pair of algorithms: a power
+The survival function of a chi-squared variable with k degrees of freedom
+is the regularized upper incomplete gamma function Q(k/2, x/2).  Q and its
+complement P are computed by the classic pair of algorithms: a power
 series for x < a + 1 and a modified Lentz continued fraction otherwise.
 Both converge to near machine precision over the ranges used here
 (k up to ~10^6, quantiles across the full support).
+
+The quantile chi2_isf is solved on the survival side in log space
+(DiDonato & Morris, ACM TOMS 12:377, 1986), so it stays accurate below
+p = 1.1e-16, where 1 - p rounds to 1, down to the smallest positive double.
 
 Survival values returned as p-values are clipped to [1e-300, 1] so that
 downstream logarithms and ratios stay finite even when a statistic lands
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["chi2_cdf", "chi2_sf", "chi2_inv_cdf", "P_VALUE_FLOOR"]
+__all__ = ["chi2_sf", "chi2_isf", "P_VALUE_FLOOR"]
 
 P_VALUE_FLOOR = 1e-300
 
@@ -78,8 +82,9 @@ def _gamma_p_series(a: float, x: float) -> float:
     raise RuntimeError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
-def _gamma_q_cf(a: float, x: float) -> float:
-    # Upper regularized gamma Q(a, x) by Lentz continued fraction; x >= a + 1.
+def _q_fraction(a: float, x: float) -> float:
+    # The Lentz continued fraction h with Q(a, x) = x^a e^-x / Gamma(a) * h;
+    # needs x >= a + 1.
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -97,11 +102,15 @@ def _gamma_q_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            log_front = _log_front(a, x)
-            if log_front < -745.0:
-                return 0.0
-            return math.exp(log_front) * h
+            return h
     raise RuntimeError(f"incomplete gamma continued fraction failed to converge (a={a}, x={x})")
+
+
+def _log_sf(a: float, x: float) -> float:
+    # log Q(a, x), unfloored: finite even where Q itself underflows.
+    if x < a + 1.0:
+        return math.log1p(-_gamma_p_series(a, x))
+    return _log_front(a, x) + math.log(_q_fraction(a, x))
 
 
 def _check_args(x: float, k: int) -> tuple[float, float]:
@@ -112,19 +121,6 @@ def _check_args(x: float, k: int) -> tuple[float, float]:
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"chi-squared statistic must be non-negative, got {x!r}")
     return x, 0.5 * k_int
-
-
-def chi2_cdf(x: float, k: int) -> float:
-    """CDF of the chi-squared distribution with k degrees of freedom."""
-    x, a = _check_args(x, k)
-    if x == 0.0:
-        return 0.0
-    half_x = 0.5 * x
-    if half_x < a + 1.0:
-        p = _gamma_p_series(a, half_x)
-    else:
-        p = 1.0 - _gamma_q_cf(a, half_x)
-    return min(max(p, 0.0), 1.0)
 
 
 def chi2_sf(x: float, k: int) -> float:
@@ -140,58 +136,52 @@ def chi2_sf(x: float, k: int) -> float:
     if half_x < a + 1.0:
         q = 1.0 - _gamma_p_series(a, half_x)
     else:
-        q = _gamma_q_cf(a, half_x)
+        h = _q_fraction(a, half_x)
+        log_front = _log_front(a, half_x)
+        q = 0.0 if log_front < -745.0 else math.exp(log_front) * h
     return min(max(q, P_VALUE_FLOOR), 1.0)
 
 
-def _chi2_pdf(x: float, a: float) -> float:
-    # Density with a = k/2, used only to drive Newton steps.
-    if x <= 0.0:
-        return 0.0
-    log_pdf = (a - 1.0) * math.log(x) - 0.5 * x - math.lgamma(a) - a * math.log(2.0)
-    if log_pdf < -745.0:
-        return 0.0
-    return math.exp(log_pdf)
+def chi2_isf(p: float, k: int) -> float:
+    """Inverse survival function: the x with Q(k/2, x/2) == p, for p in (0, 1].
 
-
-def chi2_inv_cdf(p: float, k: int) -> float:
-    """Quantile function: the x with chi2_cdf(x, k) == p, for p in [0, 1).
-
-    Solved by Newton iteration safeguarded with bisection on a bracketing
-    interval, so convergence does not depend on the starting point.  The
-    returned quantile reproduces p to about 1e-12.
+    Newton steps on log Q(k/2, x/2) = log p, safeguarded by bisection on a
+    bracketing interval, so convergence does not depend on the starting
+    point.  Working in logs keeps every p down to the smallest positive
+    double resolvable; the returned quantile reproduces p to about 1e-12
+    relative.
     """
     p = float(p)
-    if math.isnan(p) or not 0.0 <= p < 1.0:
-        raise ValueError(f"probability must lie in [0, 1), got {p!r}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"probability must lie in (0, 1], got {p!r}")
     _, a = _check_args(0.0, k)
-    if p == 0.0:
+    if p == 1.0:
         return 0.0
+    log_p = math.log(p)
 
     lo = 0.0
     hi = float(k) + 10.0 * math.sqrt(2.0 * k) + 10.0
-    while chi2_cdf(hi, k) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError(f"quantile bracket expansion failed (p={p}, k={k})")
-
-    # Stop on the probability residual, not the step size: near x = 0 the
-    # root can sit far below any absolute step tolerance.
-    residual_tol = max(5e-14 * p, 1e-16)
-    x = min(max(float(k), lo + 0.25 * (hi - lo)), hi - 0.25 * (hi - lo))
+    while _log_sf(a, 0.5 * hi) > log_p:
+        lo, hi = hi, 2.0 * hi
+    x = max(float(k), lo)
     for _ in range(300):
-        f = chi2_cdf(x, k) - p
+        half_x = 0.5 * x
+        log_q = _log_sf(a, half_x)
+        f = log_q - log_p
         if f > 0.0:
-            hi = x
-        elif f < 0.0:
             lo = x
-        if abs(f) <= residual_tol:
+        elif f < 0.0:
+            hi = x
+        else:
             return x
-        pdf = _chi2_pdf(x, a)
-        x_next = x - f / pdf if pdf > 0.0 else 0.5 * (lo + hi)
-        if not lo < x_next < hi:
+        # f falls with slope density / Q, where the density is front / x.
+        slope = math.exp(_log_front(a, half_x) - log_q) / x
+        x_next = x + f / slope if slope > 0.0 else hi
+        # A Newton step below the tolerance has converged, even one that
+        # rounds back onto the bracket's edge.
+        if abs(x_next - x) > 4.0 * _EPS * x and not lo < x_next < hi:
             x_next = 0.5 * (lo + hi)
-        if x_next == x:
-            return x
+        if abs(x_next - x) <= 4.0 * _EPS * x:
+            return x_next
         x = x_next
     return x

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .llr import AggregateTestResult, TableTests, llr_threshold as _llr_threshold
+from .llr import (AggregateTestResult, TableTests, llr_aggregate, llr_threshold,
+                  n_sigma_threshold)
 
 __all__ = [
     "MultiTestOutcome",
@@ -39,13 +40,16 @@ class MultiTestOutcome:
     conditions it is reported as alpha/Q, below which (by the failed l=1
     condition) no p-value lies.  llr_threshold is the statistic value
     equivalent to p_threshold; hochberg, which sees p-values only, leaves
-    it None.
+    it None, and likewise the aggregate test and its N_sigma threshold,
+    which only combined_procedure runs.
     """
 
     rejected_ids: frozenset[str]
     p_threshold: float
     llr_threshold: float | None
     aggregate_triggered: bool = False
+    aggregate: AggregateTestResult | None = None
+    n_sigma_threshold: float | None = None
 
     @property
     def detected(self) -> bool:
@@ -89,16 +93,17 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
 
 
 def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
-                       agg: AggregateTestResult, alpha: float) -> MultiTestOutcome:
+                       alpha: float) -> MultiTestOutcome:
     """Aggregate-then-localize detection over one comparison.
 
     ``tests`` holds the comparison's per-circuit results and
-    ``circuit_ids`` names its rows.  The aggregate statistic is tested at
-    alpha/2.  The per-circuit tests then run through the step-up
-    correction at budget beta = alpha when the aggregate triggered and
-    beta = alpha/2 otherwise.  Detection is declared if either stage
+    ``circuit_ids`` names its rows.  The aggregate statistic, their sum,
+    is tested at alpha/2.  The per-circuit tests then run through the
+    step-up correction at budget beta = alpha when the aggregate triggered
+    and beta = alpha/2 otherwise.  Detection is declared if either stage
     rejects anything.  All rows share one dof, so the outcome always
-    carries the statistic threshold.
+    carries the statistic threshold, along with the aggregate and its
+    N_sigma threshold at alpha/2.
     """
     if len(circuit_ids) != len(tests.p_value):
         raise ValueError(f"{len(circuit_ids)} circuit ids for {len(tests.p_value)} results")
@@ -106,22 +111,16 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
         raise ValueError("no per-circuit results")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    dof_total = tests.dof * len(circuit_ids)
-    if agg.dof != dof_total:
-        raise ValueError(
-            f"aggregate has {agg.dof} degrees of freedom but the per-circuit "
-            f"results sum to {dof_total}; not the same comparison"
-        )
-    llr_total = sum(tests.llr.tolist())
-    if abs(agg.llr - llr_total) > 1e-6 * max(1.0, llr_total):
-        raise ValueError("aggregate statistic does not match the per-circuit results")
 
-    triggered = agg.p_value < 0.5 * alpha
-    beta = alpha if triggered else 0.5 * alpha
-    p_threshold = _step_up_threshold(tests.p_value, circuit_ids, beta)
+    aggregate = llr_aggregate(tests)
+    half = 0.5 * alpha
+    triggered = aggregate.p_value < half
+    p_threshold = _step_up_threshold(tests.p_value, circuit_ids, alpha if triggered else half)
     return MultiTestOutcome(
         rejected_ids=frozenset(compress(circuit_ids, (tests.p_value < p_threshold).tolist())),
         p_threshold=p_threshold,
-        llr_threshold=_llr_threshold(p_threshold, tests.dof),
+        llr_threshold=llr_threshold(p_threshold, tests.dof),
         aggregate_triggered=triggered,
+        aggregate=aggregate,
+        n_sigma_threshold=n_sigma_threshold(half, aggregate.dof),
     )

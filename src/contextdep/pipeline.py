@@ -34,7 +34,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, col
                      columns_equal, field, json_array, read_json, write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
-from .llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
+from .llr import AggregateTestResult, llr_tests
 from .multitest import combined_procedure
 
 __all__ = [
@@ -67,11 +67,11 @@ class Comparison:
             raise ValueError(f"comparison {self.comparison_id!r}: needs at least two contexts")
         if len(set(contexts)) != len(contexts):
             raise ValueError(f"comparison {self.comparison_id!r}: repeated context")
-        # A weight is a share of alpha.  Comparing, not converting, keeps a
-        # huge integer from overflowing; NaN fails every comparison.
-        if isinstance(self.weight, bool) or not 0 <= self.weight <= 1:
+        # A weight is a positive share of alpha.  Comparing, not converting,
+        # keeps a huge integer from overflowing; NaN fails every comparison.
+        if isinstance(self.weight, bool) or not 0 < self.weight <= 1:
             raise ValueError(f"comparison {self.comparison_id!r}: weight must be a number "
-                             f"in [0, 1], got {self.weight!r}")
+                             f"in (0, 1], got {self.weight!r}")
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "weight", float(self.weight))
 
@@ -269,8 +269,7 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
     table = dataset.counts[rows][:, columns]
     tests = llr_tests(table)
     circuit_ids = tuple(ids[rows].tolist())
-    aggregate = llr_aggregate(tests)
-    outcome = combined_procedure(tests, circuit_ids, aggregate, alpha_local)
+    outcome = combined_procedure(tests, circuit_ids, alpha_local)
     # The Hochberg rule, as combined_procedure applies it to rejected_ids.
     rejected = tests.p_value < outcome.p_threshold
     tvd, sstvd, per_gate = np.zeros((3, len(rows)))
@@ -290,8 +289,8 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
         comparison_id=comparison.comparison_id,
         contexts=comparison.contexts,
         alpha_local=alpha_local,
-        aggregate=aggregate,
-        n_sigma_threshold=n_sigma_threshold(0.5 * alpha_local, aggregate.dof),
+        aggregate=outcome.aggregate,
+        n_sigma_threshold=outcome.n_sigma_threshold,
         aggregate_triggered=outcome.aggregate_triggered,
         p_threshold=outcome.p_threshold,
         llr_threshold=outcome.llr_threshold,

@@ -87,6 +87,19 @@ def ideal_gate_model() -> dict[str, np.ndarray]:
     return model
 
 
+def _angle(value, name: str) -> float:
+    # The error-model file rules: an angle is a finite int or float, not a bool.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        angle = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return angle
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Per-context over-rotation angles, in radians, for rotation gates.
@@ -109,15 +122,10 @@ class ErrorModel:
                         f"context {context!r}: over-rotation on {gate!r}, but only "
                         f"rotation gates {sorted(ROTATION_GATES)} take an angle error"
                     )
-                epsilon = float(epsilon)
-                if not math.isfinite(epsilon):
-                    raise ValueError(f"context {context!r}, gate {gate!r}: non-finite epsilon")
-                entry[gate] = epsilon
+                entry[gate] = _angle(epsilon, f"context {context!r}, gate {gate!r}: epsilon")
             table[context] = entry
-        if not math.isfinite(float(self.static_epsilon)):
-            raise ValueError("static_epsilon must be finite")
         object.__setattr__(self, "context_overrotations", table)
-        object.__setattr__(self, "static_epsilon", float(self.static_epsilon))
+        object.__setattr__(self, "static_epsilon", _angle(self.static_epsilon, "static_epsilon"))
 
     @property
     def contexts(self) -> tuple[str, ...]:
@@ -141,6 +149,10 @@ class SimConfig:
     contexts: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for name in ("shots_per_context", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots_per_context < 1:
             raise ValueError("shots_per_context must be at least 1")
         if self.seed < 0:
@@ -466,8 +478,6 @@ def load_error_model(path: str | Path) -> ErrorModel:
         raise ValueError(f"{path}: no context entries")
     try:
         return ErrorModel(context_overrotations=contexts, static_epsilon=static)
-    except OverflowError:
-        raise ValueError(f"{path}: an epsilon is out of float range") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -24,17 +24,8 @@ from contextdep.gstgen import known_gate_labels
 from contextdep.qsim import _sampling_distributions
 
 
-def chi2_cdf_reference(x: float, k: int, dps: int = 60):
-    """High-precision chi-squared CDF via mpmath's incomplete gamma."""
-    with mp.workdps(dps):
-        a = mp.mpf(k) / 2
-        half_x = mp.mpf(x) / 2
-        if half_x >= a:
-            return 1 - mp.gammainc(a, half_x, mp.inf, regularized=True)
-        return mp.gammainc(a, 0, half_x, regularized=True)
-
-
 def chi2_sf_reference(x: float, k: int, dps: int = 60):
+    """High-precision chi-squared survival function via mpmath's incomplete gamma."""
     with mp.workdps(dps):
         a = mp.mpf(k) / 2
         half_x = mp.mpf(x) / 2
@@ -409,7 +400,7 @@ def plan_file_is_valid(obj) -> bool:
             name = "_vs_".join(contexts)
         weight = entry.get("weight")
         if not isinstance(name, str) or not (weight is None or _number(weight)
-                                             and 0 <= weight <= 1):
+                                             and 0 < weight <= 1):
             return False
         ids.append(name)
         weights.append(weight)

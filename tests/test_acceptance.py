@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from contextdep.chi2 import P_VALUE_FLOOR, chi2_cdf, chi2_sf
+from contextdep.chi2 import P_VALUE_FLOOR, chi2_isf, chi2_sf
 from contextdep.cli import main
 from contextdep.counts import CircuitRecord
 from contextdep.datasets import (data_path, drift_design, drift_error_model,
@@ -21,13 +21,13 @@ from contextdep.datasets import (data_path, drift_design, drift_error_model,
                                  two_context_example)
 from contextdep.divergence import observed_jsd, observed_tvd
 from contextdep.gstgen import lgst_circuits, lsgst_circuits
-from contextdep.llr import TableTests, llr_aggregate, llr_single, llr_statistic
+from contextdep.llr import TableTests, llr_single, llr_statistic
 from contextdep.multitest import combined_procedure, hochberg
 from contextdep.pipeline import run_analysis
 from contextdep.qsim import (ErrorModel, SimConfig, experiment_probabilities,
                              sample_experiment)
 
-from _references import (chi2_cdf_reference, chi2_sf_reference,
+from _references import (chi2_sf_reference,
                          hochberg_subsets_reference, log10_tail_magnitude,
                          weighted_jsd_reference)
 
@@ -180,7 +180,7 @@ def test_criterion_6_family_wise_error_control():
                              n_total=np.full(len(lam), 2 * n_shots),
                              small_sample=np.zeros(len(lam), dtype=bool))
         ids = [f"q{i}" for i in range(len(lam))]
-        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
+        outcome = combined_procedure(results, ids, alpha=0.05)
         false_hits += outcome.detected
     rate = false_hits / trials
     assert rate <= 0.065, f"false-detection rate {rate:.4f}"
@@ -298,24 +298,24 @@ def _check_chi2_oracle():
             if log10_tail_magnitude(x, k) < -330.0:
                 # the smaller tail underflows doubles entirely; require the
                 # saturated outputs instead of a meaningless relative error
-                if x < k:
-                    assert chi2_cdf(x, k) == 0.0 and chi2_sf(x, k) == 1.0
-                else:
-                    assert chi2_cdf(x, k) == 1.0 and chi2_sf(x, k) == P_VALUE_FLOOR
+                assert chi2_sf(x, k) == (1.0 if x < k else P_VALUE_FLOOR)
                 continue
-            for ours, ref in [
-                (chi2_cdf(x, k), chi2_cdf_reference(x, k)),
-                (chi2_sf(x, k), chi2_sf_reference(x, k)),
-            ]:
-                if ref > 1e-290:
-                    worst = max(worst, abs(ours - ref) / float(ref))
-                else:
-                    assert abs(ours - float(ref)) <= 1e-295, (k, x)
+            ours, ref = chi2_sf(x, k), chi2_sf_reference(x, k)
+            if ref > 1e-290:
+                worst = max(worst, abs(ours - ref) / float(ref))
+            else:
+                assert abs(ours - float(ref)) <= 1e-295, (k, x)
     assert worst <= 1e-9, f"worst chi-squared relative error {worst}"
+    # The quantile, through the same oracle, across every tail probability
+    # a multiple-testing budget can reach.
+    for k in (1, 2, 3, 4, 5, 10, 16, 100, 1000, 5620, 10000):
+        for p in (0.999, 0.5, 0.05, 1e-3, 1e-6, 1e-12, 1e-17, 1e-50, 1e-100, 1e-200, 1e-300):
+            ratio = chi2_sf_reference(chi2_isf(p, k), k) / p
+            assert abs(float(ratio) - 1.0) <= 1e-11, (k, p)
 
 
 def test_criterion_8_oracle_equivalences():
-    """Three dual-route checks: JSD, step-up correction, chi-squared CDF."""
+    """Three dual-route checks: JSD, step-up correction, chi-squared tail."""
     _check_jsd_oracle()
     _check_hochberg_oracle()
     _check_chi2_oracle()

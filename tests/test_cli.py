@@ -115,6 +115,15 @@ class TestSimulate:
         assert not (tmp_path / "d.json").exists()
 
 
+@pytest.fixture(scope="module")
+def drift_seed_0(tmp_path_factory):
+    """The bundled drift experiment as simulated with seed 0 and 100 shots."""
+    path = tmp_path_factory.mktemp("drift") / "dataset.json"
+    assert main(["simulate", "--design", DRIFT_DESIGN, "--error-model", DRIFT_ERROR,
+                 "--shots", "100", "--seed", "0", "--out", str(path)]) == 0
+    return path
+
+
 class TestAnalyze:
     def test_two_context_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -140,9 +149,9 @@ class TestAnalyze:
                      "--out", str(joint)]) == 0
         assert len(load_report(joint)) == 1
 
-    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-0.5", "1e400"])
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-0.5", "1e400", "0", "-0.0"])
     def test_plan_weight_must_be_finite_share(self, tmp_path, capsys, weight):
-        # A NaN weight once passed the sum check and failed later as alpha.
+        # A NaN or zero weight once passed the plan checks and failed later as alpha.
         plan = tmp_path / "plan.json"
         plan.write_text('{"comparisons": [{"id": "x", "contexts": ["c1", "c2"], '
                         f'"weight": {weight}}}]}}')
@@ -150,7 +159,7 @@ class TestAnalyze:
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {plan}: comparison 'x': weight must be a number in [0, 1]")
+        assert err.startswith(f"error: {plan}: comparison 'x': weight must be a number in (0, 1]")
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
@@ -186,6 +195,16 @@ class TestAnalyze:
         assert "pairwise matrix skipped" in capsys.readouterr().err
         assert not (tables / "pairwise_matrix.csv").exists()
         assert (tables / "jsd_profile_joint.csv").exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-12", "1e-17", "1e-300"])
+    def test_tiny_alpha_analyzes(self, tmp_path, drift_seed_0, alpha):
+        # Local budgets below 1.1e-16, where 1 - p rounds to 1, once ended
+        # the run with "probability must lie in [0, 1), got 1.0".
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--data", str(drift_seed_0), "--alpha", alpha,
+                     "--out", str(out)]) == 0
+        for report in load_report(out):
+            assert ((report.llr > report.llr_threshold) == report.rejected).all()
 
     def test_invalid_alpha(self, tmp_path, capsys):
         code = main(["analyze", "--data", TWO_CONTEXT, "--alpha", "0",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.chi2 import chi2_cdf, chi2_sf
+from contextdep.chi2 import chi2_sf
 from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests,
                             llr_aggregate, llr_single, llr_statistic, llr_tests,
@@ -238,7 +238,7 @@ def test_null_statistic_follows_chi_squared():
         - xlogx(pooled).sum(axis=1) + 2 * n_shots * math.log(2 * n_shots)
     )
     lam.sort()
-    model = np.array([chi2_cdf(x, 3) for x in lam])
+    model = np.array([1.0 - chi2_sf(x, 3) for x in lam])
     steps = np.arange(trials + 1) / trials
     ks = max(np.max(np.abs(steps[1:] - model)), np.max(np.abs(steps[:-1] - model)))
     assert ks < 0.02, f"KS distance {ks:.4f} exceeds 0.02"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_sf
-from contextdep.llr import llr_aggregate, llr_tests, llr_threshold
+from contextdep.llr import llr_aggregate, llr_tests, llr_threshold, n_sigma_threshold
 from contextdep.multitest import combined_procedure, hochberg
 
 from _references import bonferroni, hochberg_reference
@@ -124,9 +124,8 @@ class TestCombinedProcedure:
             [(99, 101), (110, 90)],
         ]
         results, ids = results_for(tables)
-        agg = llr_aggregate(results)
-        outcome = combined_procedure(results, ids, agg, alpha=0.05)
-        assert agg.p_value < 0.025
+        outcome = combined_procedure(results, ids, alpha=0.05)
+        assert outcome.aggregate.p_value < 0.025
         assert outcome.aggregate_triggered
         assert outcome.detected
         assert "q0" in outcome.rejected_ids
@@ -139,8 +138,7 @@ class TestCombinedProcedure:
             [(99, 101), (101, 99)],
         ]
         results, ids = results_for(tables)
-        agg = llr_aggregate(results)
-        outcome = combined_procedure(results, ids, agg, alpha=0.05)
+        outcome = combined_procedure(results, ids, alpha=0.05)
         assert not outcome.aggregate_triggered
         assert not outcome.detected
         strict = hochberg(list(zip(ids, results.p_value.tolist())), 0.025)
@@ -151,8 +149,7 @@ class TestCombinedProcedure:
         # collectively loud.
         tables = [[(116, 84), (84, 116)] for _ in range(12)]
         results, ids = results_for(tables)
-        agg = llr_aggregate(results)
-        outcome = combined_procedure(results, ids, agg, alpha=0.05)
+        outcome = combined_procedure(results, ids, alpha=0.05)
         assert outcome.aggregate_triggered
         assert outcome.detected
 
@@ -162,27 +159,19 @@ class TestCombinedProcedure:
             [(108, 92), (107, 93)],
         ]
         results, ids = results_for(tables)
-        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
+        outcome = combined_procedure(results, ids, alpha=0.05)
         assert outcome.llr_threshold == pytest.approx(
             llr_threshold(outcome.p_threshold, 1), rel=1e-12)
         assert chi2_sf(outcome.llr_threshold, 1) == pytest.approx(
             outcome.p_threshold, rel=1e-8)
 
-    def test_rejects_mismatched_aggregate(self):
-        tables = [[(150, 50), (50, 150)], [(108, 92), (107, 93)]]
-        results, ids = results_for(tables)
-        wrong_agg = llr_aggregate(results_for(tables[:1])[0])
-        with pytest.raises(ValueError, match="degrees of freedom"):
-            combined_procedure(results, ids, wrong_agg, alpha=0.05)
-
-    def test_rejects_inconsistent_llr_sum(self):
-        tables = [[(150, 50), (50, 150)], [(108, 92), (107, 93)]]
-        results, ids = results_for(tables)
-        agg = llr_aggregate(results)
-        tampered = type(agg)(llr=agg.llr + 1.0, dof=agg.dof,
-                             p_value=agg.p_value, n_sigma=agg.n_sigma)
-        with pytest.raises(ValueError, match="does not match"):
-            combined_procedure(results, ids, tampered, alpha=0.05)
+    def test_aggregate_and_n_sigma_threshold_attached(self):
+        # The outcome carries the summed test and its threshold at alpha/2.
+        results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])
+        outcome = combined_procedure(results, ids, alpha=0.05)
+        assert outcome.aggregate == llr_aggregate(results)
+        assert outcome.n_sigma_threshold == n_sigma_threshold(0.025, outcome.aggregate.dof)
+        assert hochberg(labeled([0.01]), 0.05).aggregate is None
 
 
 def test_null_family_wise_error_stays_near_alpha():
@@ -205,7 +194,7 @@ def test_null_family_wise_error_stays_near_alpha():
             row_b = rng.multinomial(n_shots, [p, 1 - p])
             tables.append([tuple(int(v) for v in row_a), tuple(int(v) for v in row_b)])
         results, ids = results_for(tables)
-        outcome = combined_procedure(results, ids, llr_aggregate(results), alpha=0.05)
+        outcome = combined_procedure(results, ids, alpha=0.05)
         false_detections += outcome.detected
     rate = false_detections / trials
     assert rate <= 0.10, f"false detection rate {rate:.3f}"

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import CircuitRecord, DatasetError
-from contextdep.datasets import neighbor_example, two_context_example
-from contextdep.divergence import observed_tvd
+from contextdep.datasets import (drift_design, drift_error_model, neighbor_example,
+                                 two_context_example)
+from contextdep.divergence import observed_tvd, sstvd
 from contextdep.llr import (AggregateTestResult, llr_single, llr_threshold,
                             n_sigma_threshold)
 from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport,
@@ -38,6 +39,14 @@ def drifting_dataset(contexts=("t1", "t2", "t3"), seed=3):
     )
     config = SimConfig(shots_per_context=256, seed=seed, contexts=tuple(contexts))
     return run_drift_experiment(design, error, config)
+
+
+@pytest.fixture(scope="module")
+def drift_seed_0():
+    """The bundled drift experiment: 1405 circuits, five periods, 100 shots."""
+    error = drift_error_model()
+    config = SimConfig(shots_per_context=100, seed=0, contexts=error.contexts)
+    return run_drift_experiment(drift_design(), error, config)
 
 
 class TestComparisonPlan:
@@ -79,10 +88,10 @@ class TestComparisonPlan:
         with pytest.raises(ValueError, match="weight"):
             Comparison("x", ("a", "b"), True)
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.25, 1.5,
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.25, 1.5, 0, -0.0,
                                         pytest.param(10**400, id="10**400")])
     def test_weight_must_be_a_share_of_alpha(self, tmp_path, weight):
-        with pytest.raises(ValueError, match="'x': weight must be a number in \\[0, 1\\]"):
+        with pytest.raises(ValueError, match="'x': weight must be a number in \\(0, 1\\]"):
             Comparison("x", ("a", "b"), weight)
         # A NaN once passed the plan's sum check, since nan - 1.0 > 1e-12 is false.
         path = tmp_path / "plan.json"
@@ -184,6 +193,19 @@ class TestRunAnalysis:
                     n_total = len(report.contexts) * 256
                     assert line.jsd_threshold == pytest.approx(
                         report.llr_threshold / (2 * n_total), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-11])
+    def test_statistic_threshold_separates_rejections(self, drift_seed_0, alpha):
+        # At alpha 1e-11 the t1_vs_t5 p_threshold is near 6.5e-16, where a
+        # quantile solved through 1 - p fell short and left four rows above
+        # llr_threshold unrejected.
+        for report in run_analysis(drift_seed_0, alpha=alpha):
+            if len(report.contexts) != 2:
+                continue
+            assert ((report.llr > report.llr_threshold) == report.rejected).all()
+            for line in report.circuits:
+                record = drift_seed_0.circuit(line.circuit_id)
+                assert sstvd(record, report.contexts, report.llr_threshold) == line.sstvd
 
     def test_pair_reports_carry_tvd_joint_does_not(self):
         dataset = drifting_dataset()

@@ -206,6 +206,21 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(context_overrotations={"c": {}}, static_epsilon=math.inf)
 
+    @pytest.mark.parametrize("angle", ["0.1", True, None, [0.1], 10**400, -math.inf])
+    def test_angle_follows_the_file_rules(self, angle):
+        # An angle is a finite int or float, never a bool: "0.1" once
+        # simulated 0.1 rad and True 1.0 rad.
+        with pytest.raises(ValueError, match=r"^context 'c', gate 'Gx': epsilon ") as exc:
+            ErrorModel(context_overrotations={"c": {"Gx": angle}})
+        assert "\n" not in str(exc.value)
+        with pytest.raises(ValueError, match=r"^static_epsilon ") as exc:
+            ErrorModel(context_overrotations={"c": {}}, static_epsilon=angle)
+        assert "\n" not in str(exc.value)
+
+    def test_integer_angles_accepted(self):
+        error = ErrorModel(context_overrotations={"c": {"Gx": 0}}, static_epsilon=1)
+        assert error.epsilon("c", "Gx") == 1.0
+
     def test_unknown_context(self):
         error = ErrorModel(context_overrotations={"c": {}})
         with pytest.raises(ValueError, match="'d'"):
@@ -436,3 +451,12 @@ class TestSimConfig:
             SimConfig(shots_per_context=1, seed=0, contexts=("a", "a"))
         with pytest.raises(ValueError):
             SimConfig(shots_per_context=1, seed=0, contexts=())
+
+    @pytest.mark.parametrize("name,value", [
+        ("shots_per_context", 2.5), ("shots_per_context", True), ("shots_per_context", "8"),
+        ("seed", False), ("seed", 1.0), ("seed", "0"),
+    ])
+    def test_shots_and_seed_are_integers(self, name, value):
+        arguments = {"shots_per_context": 4, "seed": 0, **{name: value}}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SimConfig(contexts=("a",), **arguments)
