@@ -13,18 +13,25 @@ kept circuit carries a core_length: the smallest target length L at which
 a germ block (with at least one repetition) produces it, or 0 for
 circuits that only ever arise from fiducial forms.  Output order is fixed
 so identical designs give byte-identical lists.
+
+A circuit is held as its text ('GxGxGy'), also its dataset id and the
+simulator's key.  The generators join each text from the design's
+checked parts (prep, germ * reps, meas) and deduplicate by text, with no
+work per generated gate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .counts import STRINGS, column, field, read_json
 
 __all__ = [
+    "MAX_GERM_POWER",
     "CircuitSpec",
     "GstDesign",
     "register_gate_label",
@@ -40,6 +47,11 @@ __all__ = [
 ]
 
 EMPTY_CIRCUIT_TEXT = "{}"
+
+# The deepest germ power a design may ask for.  Circuits grow with it: at
+# 2**16 the bundled drift design lists 3,037 circuits of up to 65,542
+# gates, 26.7 million gates in all.
+MAX_GERM_POWER = 2 ** 16
 
 _GATE_LABELS: set[str] = {"Gi", "Gx", "Gy", "Gh", "Gs"}
 
@@ -61,22 +73,37 @@ def known_gate_labels() -> frozenset[str]:
 
 def _check_labels(gates: Iterable[str], where: str) -> tuple[str, ...]:
     gates = tuple(gates)
-    for label in gates:
-        if label not in _GATE_LABELS:
-            raise ValueError(f"{where}: unregistered gate label {label!r}")
+    if not _GATE_LABELS.issuperset(gates):
+        label = next(label for label in gates if label not in _GATE_LABELS)
+        raise ValueError(f"{where}: unregistered gate label {label!r}")
     return gates
+
+
+def _text_labels(text: str) -> tuple[str, ...]:
+    """The labels of a checked text: it is split at every 'G'."""
+    if text == EMPTY_CIRCUIT_TEXT:
+        return ()
+    return tuple("G" + suffix for suffix in text[1:].split("G"))
+
+
+def _check_text(text: str) -> str:
+    """Check a circuit text: '{}', or registered labels written one after another.
+
+    A label is 'G' plus a G-free suffix, so one split at 'G' finds every
+    label, and only the distinct suffixes are looked up.
+    """
+    if text == EMPTY_CIRCUIT_TEXT:
+        return text
+    if not isinstance(text, str) or not text.startswith("G"):
+        raise ValueError(f"cannot parse circuit text {text!r}")
+    if not all("G" + suffix in _GATE_LABELS for suffix in set(text[1:].split("G"))):
+        _check_labels(_text_labels(text), f"circuit text {text!r}")
+    return text
 
 
 def parse_circuit_text(text: str) -> tuple[str, ...]:
     """Split concatenated labels ('GhGsGs') into a label tuple; '{}' is empty."""
-    if text == EMPTY_CIRCUIT_TEXT:
-        return ()
-    if not text or not text.startswith("G"):
-        raise ValueError(f"cannot parse circuit text {text!r}")
-    starts = [i for i, ch in enumerate(text) if ch == "G"]
-    starts.append(len(text))
-    labels = tuple(text[a:b] for a, b in zip(starts, starts[1:]))
-    return _check_labels(labels, f"circuit text {text!r}")
+    return _text_labels(_check_text(text))
 
 
 def circuit_to_text(gates: Sequence[str]) -> str:
@@ -86,25 +113,42 @@ def circuit_to_text(gates: Sequence[str]) -> str:
     return "".join(gates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CircuitSpec:
-    """A gate sequence in operation order (first gate applied first)."""
+    """A gate sequence in operation order (first gate applied first).
 
-    gates: tuple[str, ...]
+    Built from its gate labels, CircuitSpec(("Gx", "Gy")), or from its
+    text, CircuitSpec("GxGy"); either way it holds the checked text, and
+    ``gates`` and ``length`` are derived from it when read.
+    """
+
+    text: str
     core_length: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", _check_labels(self.gates, "circuit"))
-        if self.core_length < 0:
+    def __init__(self, gates: str | Sequence[str], core_length: int = 0) -> None:
+        if isinstance(gates, str):
+            text = _check_text(gates)
+        else:
+            text = circuit_to_text(_check_labels(gates, "circuit"))
+        if core_length < 0:
             raise ValueError("core_length must be non-negative")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "core_length", core_length)
+
+    @property
+    def gates(self) -> tuple[str, ...]:
+        return _text_labels(self.text)
 
     @property
     def length(self) -> int:
-        return len(self.gates)
+        return self.text.count("G")
 
-    @property
-    def text(self) -> str:
-        return circuit_to_text(self.gates)
+
+def _spec(text: str, core_length: int) -> CircuitSpec:
+    """The spec of a text joined from already checked labels ('' is empty)."""
+    spec = object.__new__(CircuitSpec)
+    spec.__dict__.update(text=text or EMPTY_CIRCUIT_TEXT, core_length=core_length)
+    return spec
 
 
 def _parse_fiducials(entries: Sequence[str | Sequence[str]], what: str) -> tuple[tuple[str, ...], ...]:
@@ -145,6 +189,8 @@ class GstDesign:
             l_max = self.max_germ_power
             if l_max < 1 or l_max & (l_max - 1):
                 raise ValueError(f"max_germ_power must be a power of 2, got {l_max!r}")
+            if l_max > MAX_GERM_POWER:
+                raise ValueError(f"max_germ_power must be at most {MAX_GERM_POWER}, got {l_max!r}")
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "prep_fiducials", preps)
         object.__setattr__(self, "meas_fiducials", meas)
@@ -163,30 +209,26 @@ class GstDesign:
         return tuple(powers)
 
 
+def _texts(parts: Sequence[tuple[str, ...]]) -> list[str]:
+    return ["".join(part) for part in parts]
+
+
+def _lgst_cores(design: GstDesign) -> dict[str, int]:
+    """The linear-inversion texts, in order, each with core_length 0."""
+    preps, meas = _texts(design.prep_fiducials), _texts(design.meas_fiducials)
+    return dict.fromkeys(chain(
+        preps, meas,
+        [p + m for p in preps for m in meas],
+        [p + g + m for p in preps for g in design.gates for m in meas]), 0)
+
+
 def lgst_circuits(design: GstDesign) -> list[CircuitSpec]:
     """The linear-inversion circuit list: F, F_p F_m, F_p G F_m, deduplicated.
 
     Order is by form and then by design-list indices, so the output is a
     pure function of the design.
     """
-    seen: set[tuple[str, ...]] = set()
-    circuits: list[CircuitSpec] = []
-
-    def add(gates: tuple[str, ...]) -> None:
-        if gates not in seen:
-            seen.add(gates)
-            circuits.append(CircuitSpec(gates=gates, core_length=0))
-
-    for fiducial in design.prep_fiducials + design.meas_fiducials:
-        add(fiducial)
-    for prep in design.prep_fiducials:
-        for meas in design.meas_fiducials:
-            add(prep + meas)
-    for prep in design.prep_fiducials:
-        for gate in design.gates:
-            for meas in design.meas_fiducials:
-                add(prep + (gate,) + meas)
-    return circuits
+    return [_spec(text, core) for text, core in _lgst_cores(design).items()]
 
 
 def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
@@ -204,27 +246,21 @@ def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
     if design.max_germ_power is None:
         raise ValueError("long-sequence generation needs max_germ_power")
 
-    circuits = lgst_circuits(design)
-    index = {circuit.gates: i for i, circuit in enumerate(circuits)}
-
+    cores = _lgst_cores(design)
+    preps, meas = _texts(design.prep_fiducials), _texts(design.meas_fiducials)
+    germs = list(zip(_texts(design.germs), map(len, design.germs)))
     for target in design.germ_powers:
-        for germ in design.germs:
-            reps = target // len(germ)
+        for germ, length in germs:
+            reps = target // length
             if reps < 1:
                 continue
             block = germ * reps
-            for prep in design.prep_fiducials:
-                for meas in design.meas_fiducials:
-                    gates = prep + block + meas
-                    at = index.get(gates)
-                    if at is None:
-                        index[gates] = len(circuits)
-                        circuits.append(CircuitSpec(gates=gates, core_length=target))
-                    elif circuits[at].core_length == 0:
-                        # First germ-block occurrence of a fiducial-form
-                        # sequence; targets ascend, so this L is minimal.
-                        circuits[at] = CircuitSpec(gates=gates, core_length=target)
-    return circuits
+            for text in [p + block + m for p in preps for m in meas]:
+                # Targets ascend, so the first germ-block occurrence of a
+                # text, new or of fiducial form (core 0), has the least L.
+                if cores.setdefault(text, target) == 0:
+                    cores[text] = target
+    return [_spec(text, core) for text, core in cores.items()]
 
 
 # Fiducials and germs: circuit strings, or arrays of gate labels.
@@ -269,8 +305,7 @@ def load_circuits(path: str | Path) -> list[CircuitSpec]:
     specs = column(entries, "spec", (str,), f"{path}: circuit entry")
     cores = column(entries, "core_length", (int,), f"{path}: circuit entry", default=0)
     try:
-        return [CircuitSpec(gates=parse_circuit_text(spec), core_length=core)
-                for spec, core in zip(specs, cores)]
+        return [CircuitSpec(spec, core) for spec, core in zip(specs, cores)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -111,6 +111,11 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
         raise ValueError("no per-circuit results")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    # The smallest threshold either stage can set is alpha / 2 / Q.
+    n = len(circuit_ids)
+    if not 0.5 * alpha / n > 0.0:
+        raise ValueError(f"alpha {alpha!r} is too small to split over {n} tests: "
+                         f"alpha / 2 / {n} underflows to 0")
 
     aggregate = llr_aggregate(tests)
     half = 0.5 * alpha

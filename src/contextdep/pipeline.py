@@ -269,7 +269,10 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
     table = dataset.counts[rows][:, columns]
     tests = llr_tests(table)
     circuit_ids = tuple(ids[rows].tolist())
-    outcome = combined_procedure(tests, circuit_ids, alpha_local)
+    try:
+        outcome = combined_procedure(tests, circuit_ids, alpha_local)
+    except ValueError as exc:
+        raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
     # The Hochberg rule, as combined_procedure applies it to rejected_ids.
     rejected = tests.p_value < outcome.p_threshold
     tvd, sstvd, per_gate = np.zeros((3, len(rows)))

@@ -7,6 +7,15 @@ each rotation gate an extra angle epsilon on top of the ideal pi/2 (plus
 an optional context-independent static epsilon), which is how slow drift
 is modeled: later time periods get larger epsilon.
 
+All circuits and all distinct gate models go through one walk.  A first
+pass, with no arithmetic, reads the circuit texts in sorted order into a
+trie of runs of equal gates, so a run shared by several circuits'
+prefixes is one node; it does a constant number of Python steps per
+circuit, none per gate.  A second pass forms the node products one trie
+depth at a time, in one batched matmul per depth, keeping only the
+previous depth's products.  The products are those of a
+circuit-by-circuit loop, bit for bit.
+
 Sampling is reproducible and order-independent: each (circuit, context)
 pair derives its own generator stream from the experiment seed, a hash of
 the circuit id, and the context index, so the same dataset comes out no
@@ -22,16 +31,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .counts import NUMBER, ContextDataset, field, read_json
-from .gstgen import CircuitSpec, GstDesign, lgst_circuits, lsgst_circuits
+from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
+                     lsgst_circuits)
 
 __all__ = [
     "ErrorModel",
@@ -178,71 +190,127 @@ def _common_prefix(a: str, b: str) -> int:
     lo, hi = 0, min(len(a), len(b))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if b.startswith(a[:mid]):
+        if b.startswith(a[lo:mid], lo):
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def _run_ends_at(word: str, i: int) -> bool:
-    return i == len(word) or word[i] != word[i - 1]
+# One maximal run of equal labels, as (run text, label).  A repeat of the
+# label counts only where a label boundary ('G' or the end) follows it, so
+# Gx followed by Gxx is two runs.
+_RUN = re.compile(r"((G[^G]*)(?:\2(?![^G]))*)")
 
 
-def _walk_probabilities(circuits: Sequence[Sequence[str]],
-                        models: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:
-    """Outcome probabilities of every circuit under every gate model.
+class _Numbering(dict):
+    """Numbers each new key in the order it is first looked up."""
 
-    Returns an array of shape (circuits, models, 2).  A circuit's unitary
-    is the product of its runs of equal gates in reverse operation order,
-    starting from the identity, with a run of r > 1 gates raised to its
-    power by np.linalg.matrix_power.  Each gate label becomes one character,
-    so a circuit is a word.  Circuits are visited in sorted word order with
-    a stack of partial products, one (models, 2, 2) array per run, and only
-    the runs after the prefix a circuit shares with the previous one are
-    multiplied.  Only whole runs are shared (GxGx followed by Gy does not
-    start the run Gx^3), and each run matrix is computed once per
-    (label, repeat).  Every product is the one a circuit-by-circuit loop
-    forms, so the probabilities are the same bit for bit.
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
+
+
+def _run_trie(words: Sequence[str]) -> tuple[list[int], list[int], list[int], list[int], dict]:
+    """The runs of every word as a trie, built without arithmetic.
+
+    In sorted order, a word shares the runs of its common prefix with the
+    previous word, cut back to whole labels (GxGy and GxGyy share only Gx)
+    and whole runs (GxGx then Gy does not start the run Gx^3).  Each
+    further run is a node, found by one regular expression over the
+    unshared suffix, so a word costs a constant number of Python steps.
+    Returns each node's parent, run number and depth (node 0 is the root,
+    the identity), each word's last node, and the run numbering, keyed by
+    (run text, label).
     """
-    labels = dict.fromkeys(chain.from_iterable(circuits))
-    for model in models:
-        for label in labels:
-            if label not in model:
-                raise ValueError(f"no unitary for gate label {label!r}")
-    symbols = {label: chr(i) for i, label in enumerate(labels)}
-    unitaries = {symbols[label]: np.array([model[label] for model in models], dtype=complex)
-                 .reshape(len(models), 2, 2) for label in labels}
-    runs: dict[tuple[str, int], np.ndarray] = {}
-    words = ["".join(map(symbols.__getitem__, gates)) for gates in circuits]
-
-    amplitudes = np.empty((len(words), len(models), 2), dtype=complex)
-    # ends[k] is the gate count covered by products[k].
-    ends = [0]
-    products = [np.tile(np.eye(2, dtype=complex), (len(models), 1, 1))]
+    run_ids = _Numbering()
+    parents, runs, depths = [0], [0], [0]
+    leaves = [0] * len(words)
+    # The previous word's trie path: node ids, and the word position at
+    # which each node's run ends.
+    path, ends = [0], [0]
     previous = ""
     for index in sorted(range(len(words)), key=words.__getitem__):
         word = words[index]
         shared = _common_prefix(previous, word)
-        if shared and not (_run_ends_at(word, shared) and _run_ends_at(previous, shared)):
-            # The run through the last shared gate goes on in one of the
-            # circuits, so only the runs before it are shared.
-            shared = len(word[:shared].rstrip(word[shared - 1]))
-        keep = bisect_right(ends, shared)
-        del ends[keep:], products[keep:]
-        for symbol, run in groupby(word[shared:]):
-            repeat = len(list(run))
-            matrix = runs.get((symbol, repeat))
-            if matrix is None:
-                matrix = unitaries[symbol]
-                if repeat > 1:
-                    matrix = np.linalg.matrix_power(matrix, repeat)
-                runs[symbol, repeat] = matrix
-            shared += repeat
-            ends.append(shared)
-            products.append(matrix @ products[-1])
-        amplitudes[index] = products[-1][:, :, 0]
+        if ((shared < len(word) and word[shared] != "G")
+                or (shared < len(previous) and previous[shared] != "G")):
+            shared = word.rfind("G", 0, shared)
+        # Keep the runs that end within the shared prefix; the run ending
+        # at its end only if that run does not go on in this word.
+        label = word[word.rfind("G", 0, shared):shared] if shared > 0 else ""
+        after = shared + len(label)
+        goes_on = bool(label) and word.startswith(label, shared) and (
+            after == len(word) or word[after] == "G")
+        keep = (bisect_left if goes_on else bisect_right)(ends, shared)
+        found = _RUN.findall(word, ends[keep - 1])
+        first = len(parents)
+        if found:
+            parents.append(path[keep - 1])
+            parents.extend(range(first, first + len(found) - 1))
+            runs.extend(map(run_ids.__getitem__, found))
+            depths.extend(range(keep, keep + len(found)))
+        path[keep:] = range(first, first + len(found))
+        ends[keep - 1:] = accumulate(map(len, map(itemgetter(0), found)),
+                                     initial=ends[keep - 1])
+        leaves[index] = path[-1]
         previous = word
+    return parents, runs, depths, leaves, run_ids
+
+
+def _walk_probabilities(texts: Sequence[str],
+                        models: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:
+    """Outcome probabilities of every circuit text under every gate model.
+
+    Returns an array of shape (circuits, models, 2).  A circuit's unitary
+    is the product of its runs of equal gates in reverse operation order,
+    from the identity; a run of r > 1 gates is np.linalg.matrix_power of
+    its gate, once per (label, r) for all models.  Over the trie of runs
+    (_run_trie) the products are formed one depth at a time, R[runs] @
+    P[parents] in one batched matmul for all nodes and models, holding
+    only the previous depth's products; a circuit's amplitudes are column
+    0 of its last node's.  Each product is the one a circuit-by-circuit
+    loop forms, so the probabilities are the same bit for bit.
+    """
+    words = ["" if text == EMPTY_CIRCUIT_TEXT else text for text in texts]
+    parents, runs, depths, leaves, run_ids = _run_trie(words)
+    labels = dict.fromkeys(label for _, label in run_ids)
+    for model in models:
+        for label in labels:
+            if label not in model:
+                raise ValueError(f"no unitary for gate label {label!r}")
+    unitaries = {label: np.array([model[label] for model in models], dtype=complex)
+                 .reshape(len(models), 2, 2) for label in labels}
+    matrices = np.empty((len(run_ids), len(models), 2, 2), dtype=complex)
+    for (run, label), number in run_ids.items():
+        repeat = len(run) // len(label)
+        matrices[number] = (unitaries[label] if repeat == 1
+                            else np.linalg.matrix_power(unitaries[label], repeat))
+
+    # Nodes and circuits in depth order; a node's slot is its place
+    # within its depth.
+    depth = np.array(depths)
+    order = np.argsort(depth, kind="stable")
+    starts = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order)) - starts[depth[order]]
+    level_runs = np.array(runs)[order]
+    level_parents = slot[np.array(parents)[order]]
+    leaf = np.array(leaves, dtype=np.intp)
+    circuit_order = np.argsort(depth[leaf], kind="stable")
+    leaf_starts = np.searchsorted(depth[leaf][circuit_order], np.arange(len(starts))).tolist()
+    leaf_slots = slot[leaf[circuit_order]]
+    starts = starts.tolist()
+
+    amplitudes = np.empty((len(words), len(models), 2), dtype=complex)
+    product = np.tile(np.eye(2, dtype=complex), (1, len(models), 1, 1))
+    for d in range(len(starts) - 1):
+        if d:
+            nodes = slice(starts[d], starts[d + 1])
+            product = matrices[level_runs[nodes]] @ product[level_parents[nodes]]
+        if leaf_starts[d] < leaf_starts[d + 1]:
+            done = slice(leaf_starts[d], leaf_starts[d + 1])
+            amplitudes[circuit_order[done]] = product[leaf_slots[done], :, :, 0]
 
     probs = np.abs(amplitudes) ** 2
     norms = probs.sum(axis=2)
@@ -254,20 +322,19 @@ def _walk_probabilities(circuits: Sequence[Sequence[str]],
     return probs
 
 
-def _gates(spec: CircuitSpec | Sequence[str]) -> tuple[str, ...]:
-    return spec.gates if isinstance(spec, CircuitSpec) else tuple(spec)
-
-
-def circuit_probabilities(spec: CircuitSpec | Sequence[str],
+def circuit_probabilities(spec: CircuitSpec | str | Sequence[str],
                           gate_model: Mapping[str, np.ndarray]) -> np.ndarray:
     """Outcome probabilities (p(0), p(1)) for |0> through the circuit.
 
-    Gates are listed in operation order, so the total unitary is the
-    product in reverse.  Runs of a repeated gate are raised to their power
-    by binary matrix powering, which keeps deep germ-power circuits cheap.
-    This is the one-circuit, one-model case of experiment_probabilities.
+    The circuit is a CircuitSpec, its text, or its gate labels in
+    operation order, so the total unitary is the product in reverse.  Runs
+    of a repeated gate are raised to their power by binary matrix
+    powering, which keeps deep germ-power circuits cheap.  This is the
+    one-circuit, one-model case of experiment_probabilities.
     """
-    return _walk_probabilities([_gates(spec)], [gate_model])[0, 0]
+    if not isinstance(spec, CircuitSpec):
+        spec = CircuitSpec(spec)
+    return _walk_probabilities([spec.text], [gate_model])[0, 0]
 
 
 def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.Generator:
@@ -399,7 +466,7 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
         if key not in models:
             models[key] = gate_model_for_context(error, context)
     slots = [list(models).index(key) for key in angle_keys]
-    probs = _walk_probabilities([_gates(c) for c in circuits], list(models.values()))
+    probs = _walk_probabilities([c.text for c in circuits], list(models.values()))
     return probs[:, slots]
 
 

@@ -215,6 +215,46 @@ def circuit_probabilities_reference(gates: Sequence[str], gate_model) -> np.ndar
     return np.abs(total[:, 0]) ** 2
 
 
+def lsgst_circuits_reference(design) -> list[tuple[str, int]]:
+    """The long-sequence list as (text, core_length), built on label tuples.
+
+    The generator as it was before circuits were held as text: every
+    circuit is a tuple of gate labels, deduplicated by tuple equality, in
+    the order LGST forms (fiducials, F_p F_m, F_p G F_m) then germ powers
+    (ascending L, germs, preps, meas); a circuit first reached by a germ
+    block keeps that L.
+    """
+    preps, meas = design.prep_fiducials, design.meas_fiducials
+    circuits: list[tuple[str, ...]] = []
+    cores: dict[tuple[str, ...], int] = {}
+
+    def add(gates, core):
+        if gates not in cores:
+            circuits.append(gates)
+            cores[gates] = core
+        elif cores[gates] == 0:
+            cores[gates] = core
+
+    for fiducial in preps + meas:
+        add(fiducial, 0)
+    for prep in preps:
+        for m in meas:
+            add(prep + m, 0)
+    for prep in preps:
+        for gate in design.gates:
+            for m in meas:
+                add(prep + (gate,) + m, 0)
+    for target in design.germ_powers:
+        for germ in design.germs:
+            reps = target // len(germ)
+            if reps < 1:
+                continue
+            for prep in preps:
+                for m in meas:
+                    add(prep + germ * reps + m, target)
+    return [("".join(gates) or "{}", cores[gates]) for gates in circuits]
+
+
 def dataset_to_json(dataset) -> dict:
     """Plain-dict form of a dataset, key order fixed for stable files.
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
 import json
+import re
 
 import pytest
 
@@ -46,6 +47,8 @@ class TestGenCircuits:
         {"prep_fiducials": 3},
         {"germs": [[1]]},
         {"germs": ["Gx"], "max_germ_power": "4"},
+        # A power of two past MAX_GERM_POWER once went on to build the circuits.
+        {"germs": ["Gx"], "max_germ_power": 2**40},
     ])
     def test_malformed_design_is_one_line_error(self, tmp_path, capsys, fields):
         design = {"gates": ["Gx"], "prep_fiducials": ["{}"], "meas_fiducials": ["{}"]}
@@ -205,6 +208,19 @@ class TestAnalyze:
                      "--out", str(out)]) == 0
         for report in load_report(out):
             assert ((report.llr > report.llr_threshold) == report.rejected).all()
+
+    def test_subnormal_alpha_names_the_budget(self, tmp_path, capsys, drift_seed_0):
+        # alpha / 2 / Q once underflowed to 0 unchecked and ended the run
+        # with "probability must lie in (0, 1], got 0.0".
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--data", str(drift_seed_0), "--alpha", "1e-320",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"error: comparison '\w+': alpha \S+ is too small to split "
+                            r"over 1405 tests: alpha / 2 / 1405 underflows to 0\n", err), err
+        assert not out.exists()
 
     def test_invalid_alpha(self, tmp_path, capsys):
         code = main(["analyze", "--data", TWO_CONTEXT, "--alpha", "0",

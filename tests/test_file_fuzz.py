@@ -64,8 +64,10 @@ KINDS = {
     ], circuit_list_file_is_valid),
 }
 
-# Integers stay small, so a mutated max_germ_power cannot ask for huge circuits.
-_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+# Huge integers among them: a max_germ_power of 2**40 must be one error
+# line, not an attempt to build circuits of 2**40 gates.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+            | st.sampled_from([2 ** 40, -2 ** 40, 2 ** 64, 10 ** 30]) | st.floats()
             | st.sampled_from([2.0, 1e2, -0.0]) | st.text(max_size=3))
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                        | st.dictionaries(st.text(max_size=2), inner, max_size=2),

@@ -1,17 +1,34 @@
 """Circuit-list generation: sizes, ordering, core lengths, file formats."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextdep import gstgen
 from contextdep.datasets import drift_design, neighbor_design
-from contextdep.gstgen import (CircuitSpec, GstDesign, circuit_to_text,
-                               known_gate_labels, lgst_circuits,
-                               load_circuits, load_design, lsgst_circuits,
-                               parse_circuit_text, register_gate_label,
-                               save_circuits, save_design)
+from contextdep.gstgen import (MAX_GERM_POWER, CircuitSpec, GstDesign,
+                               circuit_to_text, known_gate_labels,
+                               lgst_circuits, load_circuits, load_design,
+                               lsgst_circuits, parse_circuit_text,
+                               register_gate_label, save_circuits,
+                               save_design)
+
+from _references import lsgst_circuits_reference
+
+
+@contextmanager
+def registered_gate_labels(*labels):
+    """Register labels for the duration of a block, then restore the registry."""
+    added = [label for label in labels if label not in known_gate_labels()]
+    try:
+        for label in added:
+            register_gate_label(label)
+        yield
+    finally:
+        gstgen._GATE_LABELS.difference_update(added)
 
 
 class TestCircuitText:
@@ -34,9 +51,10 @@ class TestCircuitText:
                 parse_circuit_text(text)
 
     def test_register_gate_label(self):
-        register_gate_label("Gcnot")
-        assert "Gcnot" in known_gate_labels()
-        assert parse_circuit_text("GcnotGx") == ("Gcnot", "Gx")
+        with registered_gate_labels("Gcnot"):
+            assert "Gcnot" in known_gate_labels()
+            assert parse_circuit_text("GcnotGx") == ("Gcnot", "Gx")
+        assert "Gcnot" not in known_gate_labels()
         for bad in ("G", "Hx", "GxG"):
             with pytest.raises(ValueError):
                 register_gate_label(bad)
@@ -64,6 +82,27 @@ class TestCircuitSpec:
         with pytest.raises(ValueError):
             CircuitSpec(gates=("Gx",), core_length=-1)
 
+    def test_text_and_labels_make_the_same_spec(self):
+        spec = CircuitSpec("GxGyGy", 4)
+        assert spec == CircuitSpec(gates=("Gx", "Gy", "Gy"), core_length=4)
+        assert spec.gates == ("Gx", "Gy", "Gy")
+        assert spec.length == 3
+        assert CircuitSpec("{}") == CircuitSpec(gates=())
+        assert CircuitSpec("{}").gates == () and CircuitSpec("{}").length == 0
+
+    @pytest.mark.parametrize("gates, message", [
+        ("GxGq", "unregistered gate label 'Gq'"),
+        ("", "cannot parse"),
+        ("xGx", "cannot parse"),
+        ("Gx Gy", "unregistered gate label 'Gx '"),
+        ("GxG", "unregistered gate label 'G'"),
+        (("Gx", "GxGy"), "unregistered gate label 'GxGy'"),
+        (("Gx", ""), "unregistered gate label ''"),
+    ])
+    def test_text_and_labels_are_checked(self, gates, message):
+        with pytest.raises(ValueError, match=message):
+            CircuitSpec(gates)
+
 
 class TestGstDesign:
     def test_accepts_text_fiducials(self):
@@ -83,6 +122,18 @@ class TestGstDesign:
                 GstDesign(gates=("Gx",), prep_fiducials=("{}",),
                           meas_fiducials=("{}",), germs=("Gx",),
                           max_germ_power=bad)
+
+    def test_max_power_is_bounded(self):
+        def design(power):
+            return GstDesign(gates=("Gx",), prep_fiducials=("{}",),
+                             meas_fiducials=("{}",), germs=("Gx",),
+                             max_germ_power=power)
+
+        assert design(MAX_GERM_POWER).germ_powers[-1] == MAX_GERM_POWER
+        for power in (2 * MAX_GERM_POWER, 2 ** 40, 2 ** 1000):
+            with pytest.raises(ValueError, match=f"^max_germ_power must be at most "
+                                                 f"{MAX_GERM_POWER}, got {power}$"):
+                design(power)
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(ValueError):
@@ -197,6 +248,40 @@ class TestLsgst:
                              meas_fiducials=("{}",), germs=("Gx",))
         with pytest.raises(ValueError):
             lsgst_circuits(no_power)
+
+
+# Small designs over labels of which some are prefixes of others (Gx, Gxx),
+# so equal texts and equal label tuples must coincide.
+_LABELS = ["Gi", "Gx", "Gy", "Gxx"]
+_FRAGMENTS = st.lists(st.sampled_from(_LABELS), max_size=3).map(tuple)
+
+
+@st.composite
+def small_designs(draw):
+    return GstDesign(
+        gates=tuple(draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3,
+                                  unique=True))),
+        prep_fiducials=tuple(draw(st.lists(_FRAGMENTS, min_size=1, max_size=3))),
+        meas_fiducials=tuple(draw(st.lists(_FRAGMENTS, min_size=1, max_size=3))),
+        germs=tuple(draw(st.lists(_FRAGMENTS.filter(bool), min_size=1, max_size=3))),
+        max_germ_power=2 ** draw(st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generator_matches_label_tuple_oracle(data):
+    with registered_gate_labels("Gxx"):
+        design = data.draw(small_designs())
+        circuits = lsgst_circuits(design)
+        expected = lsgst_circuits_reference(design)
+        assert [(c.text, c.core_length) for c in circuits] == expected
+        # The LGST list is the long list's head, with no core lengths.
+        lgst = lgst_circuits(design)
+        assert [c.text for c in lgst] == [text for text, _ in expected[:len(lgst)]]
+        assert all(c.core_length == 0 for c in lgst)
+        # A generated spec is the one the checked constructor builds.
+        assert circuits == [CircuitSpec(c.gates, c.core_length) for c in circuits]
 
 
 class TestDesignFiles:

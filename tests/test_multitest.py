@@ -165,6 +165,14 @@ class TestCombinedProcedure:
         assert chi2_sf(outcome.llr_threshold, 1) == pytest.approx(
             outcome.p_threshold, rel=1e-8)
 
+    def test_subnormal_budget_is_rejected_by_name(self):
+        # 5e-324 / 2 rounds to 0, so no threshold of either stage exists.
+        results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])
+        with pytest.raises(ValueError, match=r"^alpha 5e-324 is too small to split over "
+                                             r"2 tests: alpha / 2 / 2 underflows to 0$"):
+            combined_procedure(results, ids, alpha=5e-324)
+        assert combined_procedure(results, ids, alpha=4e-323).p_threshold > 0.0
+
     def test_aggregate_and_n_sigma_threshold_attached(self):
         # The outcome carries the summed test and its threshold at alpha/2.
         results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])

@@ -20,6 +20,7 @@ from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
                              save_error_model)
 
 from _references import circuit_probabilities_reference, sample_counts
+from test_gstgen import registered_gate_labels
 
 
 class TestGateModel:
@@ -128,14 +129,18 @@ GATE_RUNS = st.lists(st.tuples(st.sampled_from(["Gi", "Gx", "Gy", "Gh", "Gs"]),
 
 
 @st.composite
-def circuit_lists(draw):
-    stems = draw(st.lists(GATE_RUNS, min_size=1, max_size=4))
+def gate_lists(draw, runs=GATE_RUNS):
+    stems = draw(st.lists(runs, min_size=1, max_size=4))
     circuits = [()]
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         stem = draw(st.sampled_from(stems))
         cut = draw(st.integers(min_value=0, max_value=len(stem)))
-        circuits.append(stem[:cut] + draw(GATE_RUNS))
-    return [CircuitSpec(gates=g) for g in draw(st.permutations(circuits))]
+        circuits.append(stem[:cut] + draw(runs))
+    return draw(st.permutations(circuits))
+
+
+def circuit_lists():
+    return gate_lists().map(lambda circuits: [CircuitSpec(gates=g) for g in circuits])
 
 
 @st.composite
@@ -187,6 +192,51 @@ def test_prefix_ending_inside_a_run_is_not_shared():
     table = experiment_probabilities(circuits, error, ("a",))
     for spec, row in zip(circuits, table):
         assert row[0].tobytes() == circuit_probabilities_reference(spec.gates, model).tobytes()
+
+
+# Labels that are prefixes of one another: the texts GxGxx and GxGx share
+# the characters GxGx but only the label Gx, and GxGxGxx shares no run with
+# GxGxGx.
+BOUNDARY_LABELS = ("Gx", "Gxx", "Gy", "Gxy")
+BOUNDARY_RUNS = st.lists(st.tuples(st.sampled_from(BOUNDARY_LABELS),
+                                   st.integers(min_value=1, max_value=4)),
+                         max_size=5).map(lambda runs: tuple(g for g, r in runs for _ in range(r)))
+
+
+@st.composite
+def boundary_models(draw):
+    """1-3 gate models, each label a rotation by a drawn angle about x or y."""
+    angle = st.floats(min_value=-3.0, max_value=3.0)
+    return [{label: rotation_unitary(draw(st.sampled_from(["Gx", "Gy"])), draw(angle))
+             for label in BOUNDARY_LABELS}
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits=gate_lists(BOUNDARY_RUNS), models=boundary_models())
+@example(circuits=[("Gx", "Gxx"), ("Gx", "Gx"), ("Gx", "Gx", "Gxx"), ("Gx", "Gx", "Gx"),
+                   ("Gxx", "Gxx", "Gx"), ("Gxx", "Gxx"), ("Gxy", "Gx"), ("Gx", "Gy"), ()],
+         models=[{label: rotation_unitary("Gx", 0.1 * i + 0.05)
+                  for i, label in enumerate(BOUNDARY_LABELS)}])
+def test_walk_shares_only_whole_labels_and_runs(circuits, models):
+    with registered_gate_labels("Gxx", "Gxy"):
+        specs = [CircuitSpec(gates=g) for g in circuits]
+    table = _walk_probabilities([spec.text for spec in specs], models)
+    reference = [[circuit_probabilities_reference(spec.gates, model) for model in models]
+                 for spec in specs]
+    assert table.tobytes() == np.array(reference).tobytes()
+
+
+def test_prefix_ending_inside_a_label_is_not_shared():
+    """GxGxGxx shares the run Gx^2 with GxGxGx only as characters: Gx^3 is one power."""
+    model = {label: rotation_unitary("Gy" if "y" in label else "Gx", 0.3 + 0.2 * i)
+             for i, label in enumerate(BOUNDARY_LABELS)}
+    texts = ["GxGxGxx", "GxGxGx", "GxGx", "GxGxx", "GxxGx", "Gxx"]
+    table = _walk_probabilities(texts, [model])
+    with registered_gate_labels("Gxx"):
+        gates = [CircuitSpec(text).gates for text in texts]
+    for labels, row in zip(gates, table):
+        assert row[0].tobytes() == circuit_probabilities_reference(labels, model).tobytes()
 
 
 class TestErrorModel:
