@@ -11,18 +11,16 @@ The quantile chi2_isf is solved on the survival side in log space
 (DiDonato & Morris, ACM TOMS 12:377, 1986), so it stays accurate below
 p = 1.1e-16, where 1 - p rounds to 1, down to the smallest positive double.
 
-Survival values returned as p-values are clipped to [1e-300, 1] so that
-downstream logarithms and ratios stay finite even when a statistic lands
-absurdly far in the tail.
+Survival values returned as p-values are not clipped: one below the
+smallest double underflows to 0.0, which still lies below every positive
+significance threshold.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["chi2_sf", "chi2_isf", "P_VALUE_FLOOR"]
-
-P_VALUE_FLOOR = 1e-300
+__all__ = ["chi2_sf", "chi2_isf"]
 
 _EPS = 1e-15
 _FPMIN = 1e-290
@@ -107,7 +105,7 @@ def _q_fraction(a: float, x: float) -> float:
 
 
 def _log_sf(a: float, x: float) -> float:
-    # log Q(a, x), unfloored: finite even where Q itself underflows.
+    # log Q(a, x): finite even where Q itself underflows.
     if x < a + 1.0:
         return math.log1p(-_gamma_p_series(a, x))
     return _log_front(a, x) + math.log(_q_fraction(a, x))
@@ -124,10 +122,11 @@ def _check_args(x: float, k: int) -> tuple[float, float]:
 
 
 def chi2_sf(x: float, k: int) -> float:
-    """Survival function 1 - CDF, clipped to [1e-300, 1].
+    """Survival function 1 - CDF, in [0, 1].
 
     This is the p-value of an observed statistic x under the chi-squared
-    null with k degrees of freedom.
+    null with k degrees of freedom.  It is not clipped: a survival value
+    below the smallest positive double is returned as 0.0.
     """
     x, a = _check_args(x, k)
     if x == 0.0:
@@ -139,7 +138,7 @@ def chi2_sf(x: float, k: int) -> float:
         h = _q_fraction(a, half_x)
         log_front = _log_front(a, half_x)
         q = 0.0 if log_front < -745.0 else math.exp(log_front) * h
-    return min(max(q, P_VALUE_FLOOR), 1.0)
+    return min(q, 1.0)
 
 
 def chi2_isf(p: float, k: int) -> float:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .counts import CircuitRecord, DatasetError
-from .llr import llr_single
+from .llr import _record_table, llr_statistics
 
 __all__ = [
     "jsd_from_llr",
@@ -44,8 +44,8 @@ def jsd_from_llr(llr, n_total) -> np.ndarray:
 
 def observed_jsd(record: CircuitRecord, contexts: Sequence[str] | None = None) -> float:
     """Estimated Jensen-Shannon divergence lambda/(2N) across contexts."""
-    result = llr_single(record, contexts)
-    return float(jsd_from_llr(result.llr, result.n_total))
+    table = _record_table(record, contexts)
+    return float(jsd_from_llr(llr_statistics(table)[0], table.sum()))
 
 
 def jsd_threshold(llr_threshold: float, n_total: int) -> float:
@@ -55,15 +55,6 @@ def jsd_threshold(llr_threshold: float, n_total: int) -> float:
     if llr_threshold < 0.0:
         raise ValueError(f"llr_threshold must be non-negative, got {llr_threshold!r}")
     return float(jsd_from_llr(llr_threshold, n_total))
-
-
-def _two_pools(record: CircuitRecord, context_pair: Sequence[str]):
-    pair = tuple(context_pair)
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise DatasetError(
-            f"circuit {record.circuit_id!r}: TVD needs exactly two distinct contexts, got {pair!r}"
-        )
-    return record.pool(pair[0]), record.pool(pair[1])
 
 
 def tvd_rows(counts: np.ndarray) -> np.ndarray:
@@ -81,10 +72,18 @@ def tvd_rows(counts: np.ndarray) -> np.ndarray:
     return 0.5 * total
 
 
+def _pair_table(record: CircuitRecord, context_pair: Sequence[str]) -> np.ndarray:
+    pair = tuple(context_pair)
+    if len(pair) != 2:
+        raise DatasetError(
+            f"circuit {record.circuit_id!r}: TVD needs exactly two contexts, got {pair!r}"
+        )
+    return _record_table(record, pair)
+
+
 def observed_tvd(record: CircuitRecord, context_pair: Sequence[str]) -> float:
     """Total variation distance between two contexts' empirical distributions."""
-    first, second = _two_pools(record, context_pair)
-    return float(tvd_rows(np.array([[first, second]], dtype=object))[0])
+    return float(tvd_rows(_pair_table(record, context_pair))[0])
 
 
 def sstvd(record: CircuitRecord, context_pair: Sequence[str],
@@ -93,7 +92,7 @@ def sstvd(record: CircuitRecord, context_pair: Sequence[str],
 
     The gate is strict: a statistic exactly at the threshold reports None.
     """
-    statistic = llr_single(record, context_pair).llr
-    if statistic > llr_threshold:
-        return observed_tvd(record, context_pair)
+    table = _pair_table(record, context_pair)
+    if llr_statistics(table)[0] > llr_threshold:
+        return float(tvd_rows(table)[0])
     return None

@@ -162,6 +162,19 @@ def llr_statistic(pools: Sequence[Sequence[int]]) -> float:
     return float(llr_statistics(np.array([pools], dtype=object))[0])
 
 
+def _record_table(record: CircuitRecord, contexts: Sequence[str] | None) -> np.ndarray:
+    # A record's (1, C, M) count stack over two or more distinct contexts,
+    # each present on the record; None selects all of the record's contexts.
+    contexts = record.contexts if contexts is None else tuple(contexts)
+    if len(contexts) < 2:
+        raise DatasetError(
+            f"circuit {record.circuit_id!r}: need at least two contexts, got {len(contexts)}"
+        )
+    if len(set(contexts)) != len(contexts):
+        raise DatasetError(f"circuit {record.circuit_id!r}: repeated context label")
+    return np.array([[record.pool(c) for c in contexts]], dtype=object)
+
+
 def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> CircuitTestResult:
     """Test one circuit for context dependence across the selected contexts.
 
@@ -169,17 +182,7 @@ def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> 
     subset restricts the comparison.  This is llr_tests on a one-table
     stack.
     """
-    if contexts is None:
-        contexts = record.contexts
-    contexts = tuple(contexts)
-    if len(contexts) < 2:
-        raise DatasetError(
-            f"circuit {record.circuit_id!r}: need at least two contexts, got {len(contexts)}"
-        )
-    if len(set(contexts)) != len(contexts):
-        raise DatasetError(f"circuit {record.circuit_id!r}: repeated context label")
-    table = np.array([[record.pool(c) for c in contexts]], dtype=object)
-    tests = llr_tests(table)
+    tests = llr_tests(_record_table(record, contexts))
     return CircuitTestResult(
         circuit_id=record.circuit_id,
         llr=float(tests.llr[0]),

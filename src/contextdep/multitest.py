@@ -32,21 +32,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTestOutcome:
     """Rejection set and thresholds produced by a correction procedure.
 
-    p_threshold is always well defined: when nothing clears the step-up
-    conditions it is reported as alpha/Q, below which (by the failed l=1
-    condition) no p-value lies.  llr_threshold is the statistic value
-    equivalent to p_threshold; hochberg, which sees p-values only, leaves
-    it None, and likewise the aggregate test and its N_sigma threshold,
-    which only combined_procedure runs.
+    ``rejected`` is the rejection mask in input order and rejected_ids
+    names the same rows.  p_threshold is always well defined: when nothing
+    clears the step-up conditions it is reported as alpha/Q, below which
+    (by the failed l=1 condition) no p-value lies.  llr_threshold is the
+    statistic value equivalent to p_threshold; hochberg, which sees
+    p-values only, leaves it None, and likewise the aggregate test and its
+    N_sigma threshold, which only combined_procedure runs.
     """
 
     rejected_ids: frozenset[str]
     p_threshold: float
     llr_threshold: float | None
+    rejected: np.ndarray
     aggregate_triggered: bool = False
     aggregate: AggregateTestResult | None = None
     n_sigma_threshold: float | None = None
@@ -56,21 +58,28 @@ class MultiTestOutcome:
         return self.aggregate_triggered or bool(self.rejected_ids)
 
 
-def _step_up_threshold(p_values: np.ndarray, ids: Sequence[str], alpha: float) -> float:
-    """Hochberg's p_threshold (see hochberg) for p-values named by ids."""
-    q = len(p_values)
-    if not q:
+def _check_budget(n: int, alpha: float, parts: int) -> None:
+    # The smallest threshold the step-up can set over n tests, at a budget
+    # of alpha / parts, is alpha / parts / n; it must be a positive double.
+    if not n:
         raise ValueError("no p-values to correct")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    outside = np.flatnonzero(~((p_values >= 0.0) & (p_values <= 1.0)))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(f"p-value for {ids[i]!r} outside [0, 1]: {float(p_values[i])!r}")
+    if not alpha / parts / n > 0.0:
+        split = f"alpha / {parts} / {n}" if parts > 1 else f"alpha / {n}"
+        raise ValueError(f"alpha {alpha!r} is too small to split over {n} tests: "
+                         f"{split} underflows to 0")
+
+
+def _step_up(p_values: np.ndarray, ids: Sequence[str], alpha: float):
+    """Hochberg's rejection mask, rejected ids and p_threshold (see hochberg)."""
+    q = len(p_values)
     # The l-th smallest p-value against alpha / (Q - l + 1), l = 1..Q.
     hits = np.flatnonzero(np.sort(p_values) <= alpha / np.arange(q, 0, -1))
     # With l_max = hits[-1] + 1, Q - l_max + 1 = Q - hits[-1].
-    return alpha / (q - int(hits[-1])) if hits.size else alpha / q
+    p_threshold = alpha / (q - int(hits[-1])) if hits.size else alpha / q
+    rejected = p_values < p_threshold
+    return rejected, frozenset(compress(ids, rejected.tolist())), p_threshold
 
 
 def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
@@ -82,13 +91,19 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
     to the threshold is not.  With no qualifying l, nothing is rejected
     and the reported pseudo-threshold is alpha / Q.
     """
-    p_threshold = _step_up_threshold(np.array([p for _, p in p_values], dtype=float),
-                                     [cid for cid, _ in p_values], alpha)
-    rejected = frozenset(cid for cid, p in p_values if p < p_threshold)
+    ids = [cid for cid, _ in p_values]
+    p = np.array([value for _, value in p_values], dtype=float)
+    _check_budget(len(p), alpha, 1)
+    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"p-value for {ids[i]!r} outside [0, 1]: {float(p[i])!r}")
+    rejected, rejected_ids, p_threshold = _step_up(p, ids, alpha)
     return MultiTestOutcome(
-        rejected_ids=rejected,
+        rejected_ids=rejected_ids,
         p_threshold=p_threshold,
         llr_threshold=None,
+        rejected=rejected,
     )
 
 
@@ -107,24 +122,18 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
     """
     if len(circuit_ids) != len(tests.p_value):
         raise ValueError(f"{len(circuit_ids)} circuit ids for {len(tests.p_value)} results")
-    if not len(circuit_ids):
-        raise ValueError("no per-circuit results")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    # The smallest threshold either stage can set is alpha / 2 / Q.
-    n = len(circuit_ids)
-    if not 0.5 * alpha / n > 0.0:
-        raise ValueError(f"alpha {alpha!r} is too small to split over {n} tests: "
-                         f"alpha / 2 / {n} underflows to 0")
+    _check_budget(len(circuit_ids), alpha, 2)
 
     aggregate = llr_aggregate(tests)
     half = 0.5 * alpha
     triggered = aggregate.p_value < half
-    p_threshold = _step_up_threshold(tests.p_value, circuit_ids, alpha if triggered else half)
+    rejected, rejected_ids, p_threshold = _step_up(tests.p_value, circuit_ids,
+                                                   alpha if triggered else half)
     return MultiTestOutcome(
-        rejected_ids=frozenset(compress(circuit_ids, (tests.p_value < p_threshold).tolist())),
+        rejected_ids=rejected_ids,
         p_threshold=p_threshold,
         llr_threshold=llr_threshold(p_threshold, tests.dof),
+        rejected=rejected,
         aggregate_triggered=triggered,
         aggregate=aggregate,
         n_sigma_threshold=n_sigma_threshold(half, aggregate.dof),

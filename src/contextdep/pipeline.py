@@ -273,16 +273,14 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
         outcome = combined_procedure(tests, circuit_ids, alpha_local)
     except ValueError as exc:
         raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
-    # The Hochberg rule, as combined_procedure applies it to rejected_ids.
-    rejected = tests.p_value < outcome.p_threshold
     tvd, sstvd, per_gate = np.zeros((3, len(rows)))
     tvd_null, sstvd_null, per_gate_null = np.ones((3, len(rows)), dtype=bool)
     if len(comparison.contexts) == 2:
         tvd = tvd_rows(table)
         tvd_null[:] = False
-        sstvd = np.where(rejected, tvd, 0.0)
-        sstvd_null = ~rejected
-        for i in np.flatnonzero(rejected).tolist():
+        sstvd = np.where(outcome.rejected, tvd, 0.0)
+        sstvd_null = ~outcome.rejected
+        for i in np.flatnonzero(outcome.rejected).tolist():
             length = _gate_count(dataset.specs[rows[i]])
             if length:
                 per_gate[i] = tvd[i] / length
@@ -303,7 +301,7 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
         jsd=jsd_from_llr(tests.llr, tests.n_total),
         # All rows share one dof, so the outcome's statistic threshold is theirs.
         jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
-        rejected=rejected,
+        rejected=outcome.rejected,
         small_sample=tests.small_sample,
         tvd=tvd,
         tvd_null=tvd_null,

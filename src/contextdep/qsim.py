@@ -66,8 +66,6 @@ _SIGMA = {
 # Gates defined by a pi/2 rotation; only these accept over-rotation errors.
 ROTATION_GATES = frozenset(_SIGMA)
 
-_UNITARITY_TOL = 1e-12
-
 
 def rotation_unitary(axis: str, theta: float) -> np.ndarray:
     """exp(-i theta sigma_axis / 2) for axis 'Gx' or 'Gy'."""
@@ -75,28 +73,16 @@ def rotation_unitary(axis: str, theta: float) -> np.ndarray:
     return math.cos(0.5 * theta) * np.eye(2) - 1.0j * math.sin(0.5 * theta) * sigma
 
 
-def _check_unitary(label: str, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise ValueError(f"gate {label!r}: expected a 2x2 matrix")
-    if not np.allclose(matrix.conj().T @ matrix, np.eye(2), atol=_UNITARITY_TOL, rtol=0.0):
-        raise ValueError(f"gate {label!r}: matrix is not unitary")
-    return matrix
-
-
 def ideal_gate_model() -> dict[str, np.ndarray]:
     """The error-free unitaries for the registered single-qubit gates."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    model = {
+    return {
         "Gi": np.eye(2, dtype=complex),
         "Gx": rotation_unitary("Gx", 0.5 * math.pi),
         "Gy": rotation_unitary("Gy", 0.5 * math.pi),
         "Gh": inv_sqrt2 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex),
         "Gs": np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex),
     }
-    for label, matrix in model.items():
-        _check_unitary(label, matrix)
-    return model
 
 
 def _angle(value, name: str) -> float:
@@ -313,12 +299,14 @@ def _walk_probabilities(texts: Sequence[str],
             amplitudes[circuit_order[done]] = product[leaf_slots[done], :, :, 0]
 
     probs = np.abs(amplitudes) ** 2
-    norms = probs.sum(axis=2)
-    lost = np.abs(norms - 1.0) > 1e-12
+    deviation = np.abs(probs.sum(axis=2) - 1.0)
+    # Round-off in p0 + p1 grows by up to one eps per gate on the bundled
+    # drift design at MAX_GERM_POWER; eight per gate leaves room.
+    gates = np.array([max(1, word.count("G")) for word in words])
+    lost = deviation > 8.0 * np.finfo(float).eps * gates[:, None]
     if lost.any():
-        raise RuntimeError(
-            f"probabilities lost normalization ({norms[lost][0]!r}); non-unitary gate model?"
-        )
+        raise RuntimeError(f"probabilities lost normalization (|p0 + p1 - 1| = "
+                           f"{float(deviation[lost][0])!r}); non-unitary gate model?")
     return probs
 
 

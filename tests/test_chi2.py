@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.chi2 import P_VALUE_FLOOR, chi2_isf, chi2_sf
+from contextdep.chi2 import chi2_isf, chi2_sf
 
 from _references import chi2_sf_reference, log10_tail_magnitude
 
@@ -21,9 +21,9 @@ def test_sf_matches_high_precision_oracle():
             x = k * fraction
             if log10_tail_magnitude(x, k) < -330.0:
                 # The smaller tail underflows even subnormal doubles here;
-                # relative error is meaningless, so require clip-consistent
-                # output instead.
-                assert chi2_sf(x, k) == (1.0 if x < k else P_VALUE_FLOOR)
+                # relative error is meaningless, so require the saturated
+                # outputs instead.
+                assert chi2_sf(x, k) == (1.0 if x < k else 0.0)
                 continue
             ours, ref = chi2_sf(x, k), chi2_sf_reference(x, k)
             if ref > 1e-290:
@@ -49,9 +49,10 @@ def test_cdf_at_zero_is_exactly_zero():
         assert chi2_isf(1.0, k) == 0.0
 
 
-def test_sf_clipped_to_floor_in_extreme_tail():
-    assert chi2_sf(5000.0, 1) == P_VALUE_FLOOR
-    assert chi2_sf(1e6, 10) == P_VALUE_FLOOR
+def test_sf_underflows_to_zero_in_extreme_tail():
+    # Not clipped: a survival value below the smallest double is 0.0.
+    assert chi2_sf(5000.0, 1) == 0.0
+    assert chi2_sf(1e6, 10) == 0.0
 
 
 def test_quantile_known_values():
@@ -79,7 +80,7 @@ def test_quantile_round_trip_probability():
 def test_cdf_monotone_and_bounded(k, x1, x2):
     # The CDF, 1 - chi2_sf, rises within [0, 1]: the survival side falls.
     lo, hi = sorted((x1, x2))
-    assert P_VALUE_FLOOR <= chi2_sf(hi, k) <= chi2_sf(lo, k) <= 1.0
+    assert 0.0 <= chi2_sf(hi, k) <= chi2_sf(lo, k) <= 1.0
 
 
 @given(

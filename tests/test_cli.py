@@ -222,6 +222,23 @@ class TestAnalyze:
                             r"over 1405 tests: alpha / 2 / 1405 underflows to 0\n", err), err
         assert not out.exists()
 
+    def test_p_value_below_every_double_detected(self, tmp_path, capsys):
+        # Each p-value underflows to 0.0; a floor of 1e-300 once lay above
+        # every threshold at this budget, so nothing was detected.
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b"],
+            "circuits": [{"id": f"q{i}", "counts": {"a": [10000, 0], "b": [0, 10000]}}
+                         for i in range(3)]}))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--data", str(data), "--alpha", "1e-300",
+                     "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["summarize", "--report", str(report)]) == 0
+        text = capsys.readouterr().out
+        assert "comparison a_vs_b (a, b): context dependence detected" in text
+        assert "rejected circuits: 3 of 3" in text
+
     def test_invalid_alpha(self, tmp_path, capsys):
         code = main(["analyze", "--data", TWO_CONTEXT, "--alpha", "0",
                      "--out", str(tmp_path / "r.json")])
@@ -442,10 +459,14 @@ class TestExitCodes:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_console_script_entry_point(self):
+        import os
         import subprocess
         import sys
+        # The child imports contextdep from where this process did, also
+        # when only pytest's pythonpath setting put src/ on the path.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-m", "contextdep.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         # argparse --help exits 0 and prints the subcommands
         assert proc.returncode == 0
         for name in ("gen-circuits", "simulate", "analyze", "summarize"):

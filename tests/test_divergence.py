@@ -139,6 +139,14 @@ class TestSstvd:
         assert sstvd(record, ("c0", "c1"), statistic) is None
         assert sstvd(record, ("c0", "c1"), statistic * (1 - 1e-9)) is not None
 
+    def test_needs_exactly_two_contexts_even_below_threshold(self):
+        # SSTVD is a pair's TVD: a third context is an error, not a null.
+        record = record_from_rows((9, 1), (8, 2), (7, 3))
+        with pytest.raises(DatasetError):
+            sstvd(record, ("c0", "c1", "c2"), 1e9)
+        with pytest.raises(DatasetError):
+            sstvd(record, ("c0", "c0"), 1e9)
+
     def test_null_is_none_not_zero(self):
         quiet = record_from_rows((108, 92), (107, 93))
         value = sstvd(quiet, ("c0", "c1"), llr_threshold(0.05, 1))

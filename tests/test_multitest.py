@@ -28,6 +28,7 @@ class TestHochberg:
         outcome = hochberg(labeled([0.01, 0.04, 0.03, 0.9]), alpha=0.05)
         assert outcome.p_threshold == pytest.approx(0.05 / 4)
         assert outcome.rejected_ids == {"q0"}
+        assert outcome.rejected.tolist() == [True, False, False, False]
 
     def test_nothing_rejected_reports_floor_threshold(self):
         outcome = hochberg(labeled([0.3, 0.5, 0.7]), alpha=0.05)
@@ -63,6 +64,17 @@ class TestHochberg:
             hochberg(labeled([0.5]), alpha=0.0)
         with pytest.raises(ValueError):
             hochberg(labeled([1.5]), alpha=0.05)
+
+    def test_underflowing_budget_is_rejected_by_name(self):
+        # 5e-324 / 3 rounds to 0, so the step-up's l = 2 for the two zero
+        # p-values would give a threshold of 0.0 that rejects nothing.
+        pairs = [("a", 0.0), ("b", 0.0), ("c", 0.5)]
+        with pytest.raises(ValueError, match=r"^alpha 5e-324 is too small to split over "
+                                             r"3 tests: alpha / 3 underflows to 0$"):
+            hochberg(pairs, 5e-324)
+        outcome = hochberg(pairs, 2e-323)
+        assert outcome.p_threshold == 1e-323
+        assert outcome.rejected_ids == {"a", "b"}
 
 
 grid_p = st.integers(min_value=0, max_value=100).map(lambda n: n / 100)

@@ -291,6 +291,20 @@ class TestRunAnalysis:
         with pytest.raises(DatasetError, match="no circuit"):
             run_analysis(dataset, alpha=0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-305])
+    def test_p_values_below_every_double_are_rejected(self, alpha):
+        # Each row's statistic is about 27,726, so its p-value underflows to
+        # 0.0, below every positive threshold.  A p-value floor of 1e-300
+        # once left these rows unrejected at budgets this small.
+        records = [CircuitRecord(f"q{i}", {"a": (10000, 0), "b": (0, 10000)})
+                   for i in range(3)]
+        dataset = dataset_from_records(("0", "1"), ("a", "b"), records)
+        (report,) = run_analysis(dataset, alpha=alpha)
+        assert report.p_value.tolist() == [0.0, 0.0, 0.0]
+        assert (report.llr > report.llr_threshold).all()
+        assert report.rejected.all()
+        assert report.aggregate_triggered and report.detected
+
     def test_neighbor_bundled_example(self):
         report = run_analysis(neighbor_example(), alpha=0.05)[0]
         assert report.detected

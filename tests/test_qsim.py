@@ -1,5 +1,6 @@
 """Simulator: unitaries, probabilities, error models, reproducible sampling."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from contextdep import qsim
 from contextdep.datasets import drift_design, drift_error_model
-from contextdep.gstgen import CircuitSpec, GstDesign
+from contextdep.gstgen import MAX_GERM_POWER, CircuitSpec, GstDesign, lsgst_circuits
 from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
                              _walk_probabilities, circuit_probabilities,
                              counts_stream, experiment_probabilities,
@@ -109,6 +110,19 @@ class TestCircuitProbabilities:
         broken["Gx"] = 0.5 * np.eye(2, dtype=complex)
         with pytest.raises(RuntimeError, match="normalization"):
             circuit_probabilities(("Gx",), broken)
+
+    def test_deepest_circuits_stay_normalized(self):
+        # |p0 + p1 - 1| grows by up to eps per gate, to 9.2e-12 at 65,542
+        # gates: a fixed 1e-12 bound once failed every germ power from 8192.
+        design = dataclasses.replace(drift_design(), max_germ_power=MAX_GERM_POWER)
+        deepest = sorted((c for c in lsgst_circuits(design) if c.core_length == MAX_GERM_POWER),
+                         key=lambda c: c.length)[-4:]
+        deep_germs = ErrorModel({"c1": {"Gx": 0.0, "Gy": 0.0}, "c2": {"Gx": 1e-4, "Gy": 1e-4}},
+                                static_epsilon=1e-3)
+        for error in (drift_error_model(), deep_germs):
+            probs = experiment_probabilities(deepest, error, error.contexts)
+            assert probs.shape == (4, len(error.contexts), 2)
+            assert np.abs(probs.sum(axis=2) - 1.0).max() < 1e-10
 
 
 @settings(max_examples=80, deadline=None)
