@@ -12,13 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .counts import DatasetError, load_dataset
+from .counts import load_dataset, save_dataset
 from .gstgen import lgst_circuits, load_design, lsgst_circuits, save_circuits
 from .pipeline import (ComparisonPlan, jsd_profile, load_plan, load_report,
                        pairwise_matrices, run_analysis, save_report,
                        write_jsd_profile_csv, write_pairwise_csv)
 from .qsim import SimConfig, load_error_model, run_drift_experiment
-from .counts import save_dataset
 
 __all__ = ["main"]
 
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:

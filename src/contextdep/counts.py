@@ -9,7 +9,8 @@ relies on: at least two outcomes per pool, counts that are non-negative
 integers, no empty pools, consistent outcome labels across a dataset, and
 unique circuit identifiers.  A CircuitRecord is one circuit's row.
 Every file loader of the package reads its JSON fields through field()
-and column() here, so all input files obey the same type rules.
+and column() here, so all input files obey the same type rules, and
+every label list of the package is checked by distinct_labels().
 """
 
 from __future__ import annotations
@@ -39,7 +40,39 @@ FORMAT_VERSION = "1.0"
 
 
 class DatasetError(ValueError):
-    """Raised when count data violates the dataset contract."""
+    """Raised when count data, or a label list, violates the package's input rules."""
+
+
+_AT_LEAST = ("", "at least one {}", "at least two {}s")
+
+
+def distinct_labels(values: Iterable, what: str, where: str = "",
+                    minimum: int = 2) -> tuple[str, ...]:
+    """``values`` as a tuple of ``minimum`` (0, 1 or 2) or more distinct strings.
+
+    The one check of every label list: outcomes, contexts, circuit and
+    comparison ids, gates.  ``what`` names one label and ``where``, when
+    given, begins the message of the DatasetError a fault raises.
+    """
+    values = tuple(values)
+    prefix = f"{where}: " if where else ""
+    wrong = [value for value in values if not isinstance(value, str)]
+    if wrong:
+        raise DatasetError(f"{prefix}{what} must be a string, got {wrong[0]!r}")
+    if len(values) < minimum:
+        raise DatasetError(f"{prefix}need {_AT_LEAST[minimum].format(what)}, got {len(values)}")
+    if len(set(values)) != len(values):
+        duplicate = next(value for value, n in Counter(values).items() if n > 1)
+        raise DatasetError(f"{prefix}duplicate {what} {duplicate!r}")
+    return values
+
+
+def check_core_length(core, circuit_id: str) -> None:
+    """The core-length rule of datasets and circuit lists: a non-negative int."""
+    # type(...) is int: a JSON true is not a length, nor 2.0.
+    if type(core) is not int or core < 0:
+        raise DatasetError(f"circuit {circuit_id!r}: core_length must be a "
+                           f"non-negative integer, got {core!r}")
 
 
 def _count_table(pools: Iterable[Sequence], shape: tuple[int, int, int]) -> np.ndarray:
@@ -61,18 +94,13 @@ def _check_rows(circuit_ids: Sequence[str], contexts: Sequence[str], counts: np.
     standalone CircuitRecord its one-row table.  The first fault raises a
     DatasetError naming the circuit and, for counts, the context.
     """
+    if "" in distinct_labels(circuit_ids, "circuit_id", minimum=0):
+        raise DatasetError("circuit_id must be a non-empty string")
     for circuit_id, spec, core in zip(circuit_ids, specs, core_lengths):
-        if not isinstance(circuit_id, str) or not circuit_id:
-            raise DatasetError("circuit_id must be a non-empty string")
         if spec is not None and not isinstance(spec, str):
             raise DatasetError(f"circuit {circuit_id!r}: spec must be a string, got {spec!r}")
-        # type(...) is int: a JSON true is not a length, nor 2.0.
-        if core is not None and (type(core) is not int or core < 0):
-            raise DatasetError(f"circuit {circuit_id!r}: core_length must be a "
-                               f"non-negative integer, got {core!r}")
-    if len(set(circuit_ids)) != len(circuit_ids):
-        duplicate = next(c for c, n in Counter(circuit_ids).items() if n > 1)
-        raise DatasetError(f"duplicate circuit_id {duplicate!r}")
+        if core is not None:
+            check_core_length(core, circuit_id)
     if counts.shape[2] < 2:
         raise DatasetError("a pool needs at least two outcome categories")
     values = counts.ravel().tolist()
@@ -179,20 +207,11 @@ class ContextDataset:
     present: np.ndarray
     specs: tuple[str | None, ...]
     core_lengths: tuple[int | None, ...]
-    format_version: str = FORMAT_VERSION
     description: str | None = None
 
     def __post_init__(self) -> None:
-        outcomes = tuple(str(o) for o in self.outcomes)
-        contexts = tuple(str(c) for c in self.contexts)
-        if len(outcomes) < 2:
-            raise DatasetError("dataset needs at least two outcome labels")
-        if len(set(outcomes)) != len(outcomes):
-            raise DatasetError("duplicate outcome labels")
-        if len(contexts) < 2:
-            raise DatasetError("dataset needs at least two context labels")
-        if len(set(contexts)) != len(contexts):
-            raise DatasetError("duplicate context labels")
+        outcomes = distinct_labels(self.outcomes, "outcome label")
+        contexts = distinct_labels(self.contexts, "context label")
         if self.description is not None and not isinstance(self.description, str):
             raise DatasetError(f"description must be a string, got {self.description!r}")
         ids, specs, cores = tuple(self.circuit_ids), tuple(self.specs), tuple(self.core_lengths)
@@ -373,7 +392,7 @@ def load_dataset(path: str | Path) -> ContextDataset:
                               np.array(present, dtype=bool).reshape(shape[:2]),
                               tuple(entry.get("spec") for entry in entries),
                               tuple(entry.get("core_length") for entry in entries),
-                              version, raw.get("description"))
+                              raw.get("description"))
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 
@@ -417,7 +436,7 @@ _OUTCOME_SEPARATOR = ",\n          "
 
 
 def _dataset_chunks(dataset: ContextDataset) -> Iterator[str]:
-    head: dict = {"format_version": dataset.format_version}
+    head: dict = {"format_version": FORMAT_VERSION}
     if dataset.description is not None:
         head["description"] = dataset.description
     head["outcomes"] = list(dataset.outcomes)
@@ -462,11 +481,9 @@ def marginalize(dataset: ContextDataset, keep: Sequence[int]) -> ContextDataset:
 
     Outcome labels must be equal-length bit strings.  Counts for outcomes
     that agree on the kept positions are summed; the reduced labels appear
-    in first-occurrence order.  At least one position must be kept and the
-    reduction must leave at least two distinct labels.
+    in first-occurrence order.  The reduced dataset needs two or more
+    distinct labels, as every dataset does.
     """
-    if not keep:
-        raise DatasetError("marginalize: must keep at least one bit position")
     widths = {len(label) for label in dataset.outcomes}
     if len(widths) != 1:
         raise DatasetError("marginalize: outcome labels have mixed lengths")
@@ -481,8 +498,6 @@ def marginalize(dataset: ContextDataset, keep: Sequence[int]) -> ContextDataset:
     groups: dict[str, list[int]] = {}
     for index, label in enumerate(dataset.outcomes):
         groups.setdefault("".join(label[p] for p in positions), []).append(index)
-    if len(groups) < 2:
-        raise DatasetError("marginalize: reduction leaves a single outcome")
     counts = np.stack([dataset.counts[:, :, group].sum(axis=2) for group in groups.values()],
                       axis=2)
     return replace(dataset, outcomes=tuple(groups), counts=counts)

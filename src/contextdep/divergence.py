@@ -61,7 +61,8 @@ def tvd_rows(counts: np.ndarray) -> np.ndarray:
     """TVD between the two context rows of each table of an (R, 2, M) stack.
 
     Counts are Python ints in an object array, so each frequency is one
-    correctly rounded integer division.
+    correctly rounded integer division.  The stack must obey the dataset
+    rules, as a slice of a ContextDataset does; it is not checked here.
     """
     freqs = counts / counts.sum(axis=2)[:, :, None]
     gaps = np.abs(freqs[:, 0] - freqs[:, 1]).astype(float)

@@ -28,7 +28,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import STRINGS, column, field, read_json
+from .counts import STRINGS, check_core_length, column, distinct_labels, field, read_json
 
 __all__ = [
     "MAX_GERM_POWER",
@@ -130,8 +130,7 @@ class CircuitSpec:
             text = _check_text(gates)
         else:
             text = circuit_to_text(_check_labels(gates, "circuit"))
-        if core_length < 0:
-            raise ValueError("core_length must be non-negative")
+        check_core_length(core_length, text)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "core_length", core_length)
 
@@ -172,11 +171,8 @@ class GstDesign:
     max_germ_power: int | None = None
 
     def __post_init__(self) -> None:
-        gates = _check_labels(self.gates, "gate set")
-        if not gates:
-            raise ValueError("design needs a nonempty gate set")
-        if len(set(gates)) != len(gates):
-            raise ValueError("duplicate gate in gate set")
+        gates = _check_labels(distinct_labels(self.gates, "gate", "gate set", minimum=1),
+                              "gate set")
         preps = _parse_fiducials(self.prep_fiducials, "preparation fiducial")
         meas = _parse_fiducials(self.meas_fiducials, "measurement fiducial")
         if not preps or not meas:
@@ -187,8 +183,8 @@ class GstDesign:
                 raise ValueError("zero-length germ")
         if self.max_germ_power is not None:
             l_max = self.max_germ_power
-            if l_max < 1 or l_max & (l_max - 1):
-                raise ValueError(f"max_germ_power must be a power of 2, got {l_max!r}")
+            if type(l_max) is not int or l_max < 1 or l_max & (l_max - 1):
+                raise ValueError(f"max_germ_power must be an integer power of 2, got {l_max!r}")
             if l_max > MAX_GERM_POWER:
                 raise ValueError(f"max_germ_power must be at most {MAX_GERM_POWER}, got {l_max!r}")
         object.__setattr__(self, "gates", gates)
@@ -277,7 +273,7 @@ def load_design(path: str | Path) -> GstDesign:
         prep_fiducials=tuple(field(raw, "prep_fiducials", _CIRCUITS, where)),
         meas_fiducials=tuple(field(raw, "meas_fiducials", _CIRCUITS, where)),
         germs=tuple(field(raw, "germs", _CIRCUITS, where, default=[])),
-        max_germ_power=field(raw, "max_germ_power", (int, type(None)), where, default=None),
+        max_germ_power=raw.get("max_germ_power"),
     )
     try:
         return GstDesign(**design)
@@ -303,7 +299,7 @@ def load_circuits(path: str | Path) -> list[CircuitSpec]:
     path = Path(path)
     entries = read_json(path, ((list, (dict,)),))
     specs = column(entries, "spec", (str,), f"{path}: circuit entry")
-    cores = column(entries, "core_length", (int,), f"{path}: circuit entry", default=0)
+    cores = [entry.get("core_length", 0) for entry in entries]
     try:
         return [CircuitSpec(spec, core) for spec, core in zip(specs, cores)]
     except ValueError as exc:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .chi2 import chi2_isf, chi2_sf
-from .counts import CircuitRecord, DatasetError
+from .counts import CircuitRecord, distinct_labels
 
 __all__ = [
     "CircuitTestResult",
@@ -88,7 +88,9 @@ def llr_statistics(counts: np.ndarray) -> np.ndarray:
     """The statistic lambda for each table of an (R, C, M) count stack.
 
     Counts are Python ints in an object array (see counts.ContextDataset).
-    Every context row of every table needs a positive total.  Each table
+    The stack must obey the dataset rules, as a slice of a ContextDataset
+    does; it is not checked here, since every comparison runs this on
+    already checked data.  Each table
     is summed as lambda = 2 sum_{c,m} x log(x N / (N_c x_m)), context by
     context and outcome by outcome.  The ratio's numerator and denominator
     are exact integer products, so a context whose frequencies equal the
@@ -133,6 +135,7 @@ def _p_values(statistics: np.ndarray, dof: int) -> np.ndarray:
 def llr_tests(counts: np.ndarray) -> TableTests:
     """Test each table of an (R, C, M) count stack for context dependence.
 
+    The stack must obey the dataset rules, unchecked, as for llr_statistics.
     small_sample is set for a table when any of its pools has fewer than
     10 shots per outcome category, where the asymptotic p-value is
     unreliable.
@@ -151,27 +154,20 @@ def llr_tests(counts: np.ndarray) -> TableTests:
 
 
 def llr_statistic(pools: Sequence[Sequence[int]]) -> float:
-    """The statistic lambda for a C-by-M table of counts, one row per context."""
-    if len(pools) < 2:
-        raise ValueError("need at least two contexts to compare")
-    n_outcomes = len(pools[0])
-    if any(len(row) != n_outcomes for row in pools):
-        raise ValueError("count rows have unequal lengths")
-    if any(sum(row) <= 0 for row in pools):
-        raise ValueError("every context pool needs at least one repetition")
-    return float(llr_statistics(np.array([pools], dtype=object))[0])
+    """The statistic lambda for a C-by-M table of counts, one row per context.
+
+    The table is checked by the dataset's count rules, as the pools of one
+    CircuitRecord whose contexts are the row numbers.
+    """
+    record = CircuitRecord("table", {str(row): pool for row, pool in enumerate(pools)})
+    return float(llr_statistics(_record_table(record, None))[0])
 
 
 def _record_table(record: CircuitRecord, contexts: Sequence[str] | None) -> np.ndarray:
     # A record's (1, C, M) count stack over two or more distinct contexts,
     # each present on the record; None selects all of the record's contexts.
-    contexts = record.contexts if contexts is None else tuple(contexts)
-    if len(contexts) < 2:
-        raise DatasetError(
-            f"circuit {record.circuit_id!r}: need at least two contexts, got {len(contexts)}"
-        )
-    if len(set(contexts)) != len(contexts):
-        raise DatasetError(f"circuit {record.circuit_id!r}: repeated context label")
+    contexts = distinct_labels(record.contexts if contexts is None else contexts, "context",
+                               f"circuit {record.circuit_id!r}")
     return np.array([[record.pool(c) for c in contexts]], dtype=object)
 
 

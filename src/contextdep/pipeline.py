@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
-                     columns_equal, field, json_array, read_json, write_chunks)
+                     columns_equal, distinct_labels, field, json_array, read_json,
+                     write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, llr_tests
@@ -62,11 +63,7 @@ class Comparison:
     weight: float
 
     def __post_init__(self) -> None:
-        contexts = tuple(self.contexts)
-        if len(contexts) < 2:
-            raise ValueError(f"comparison {self.comparison_id!r}: needs at least two contexts")
-        if len(set(contexts)) != len(contexts):
-            raise ValueError(f"comparison {self.comparison_id!r}: repeated context")
+        contexts = distinct_labels(self.contexts, "context", f"comparison {self.comparison_id!r}")
         # A weight is a positive share of alpha.  Comparing, not converting,
         # keeps a huge integer from overflowing; NaN fails every comparison.
         if isinstance(self.weight, bool) or not 0 < self.weight <= 1:
@@ -84,11 +81,8 @@ class ComparisonPlan:
 
     def __post_init__(self) -> None:
         comparisons = tuple(self.comparisons)
-        if not comparisons:
-            raise ValueError("plan has no comparisons")
-        ids = [c.comparison_id for c in comparisons]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate comparison_id in plan")
+        distinct_labels([c.comparison_id for c in comparisons], "comparison_id", "plan",
+                        minimum=1)
         total = math.fsum(c.weight for c in comparisons)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"comparison weights must sum to 1, got {total!r}")
@@ -102,17 +96,11 @@ class ComparisonPlan:
 
     @staticmethod
     def joint(contexts: Sequence[str]) -> "ComparisonPlan":
-        return ComparisonPlan((Comparison("joint", tuple(contexts), 1.0),))
+        return _equal_split([("joint", contexts)])
 
     @staticmethod
     def all_pairs(contexts: Sequence[str]) -> "ComparisonPlan":
-        pairs = list(combinations(tuple(contexts), 2))
-        if not pairs:
-            raise ValueError("need at least two contexts")
-        weight = 1.0 / len(pairs)
-        return ComparisonPlan(tuple(
-            Comparison(f"{a}_vs_{b}", (a, b), weight) for a, b in pairs
-        ))
+        return _equal_split(_pairs(contexts))
 
     @staticmethod
     def default(contexts: Sequence[str]) -> "ComparisonPlan":
@@ -122,13 +110,21 @@ class ComparisonPlan:
         so the plan collapses to a single full-budget comparison.
         """
         contexts = tuple(contexts)
-        if len(contexts) == 2:
-            return ComparisonPlan.all_pairs(contexts)
-        pairs = list(combinations(contexts, 2))
-        weight = 1.0 / (1 + len(pairs))
-        entries = [Comparison("joint", contexts, weight)]
-        entries.extend(Comparison(f"{a}_vs_{b}", (a, b), weight) for a, b in pairs)
-        return ComparisonPlan(tuple(entries))
+        pairs = _pairs(contexts)
+        return _equal_split(pairs if len(pairs) == 1 else [("joint", contexts), *pairs])
+
+
+def _pairs(contexts: Sequence[str]) -> list[tuple[str, tuple[str, str]]]:
+    """(a_vs_b, (a, b)) for every pair of two or more distinct contexts."""
+    pairs = combinations(distinct_labels(contexts, "context"), 2)
+    return [(f"{a}_vs_{b}", (a, b)) for a, b in pairs]
+
+
+def _equal_split(entries: Sequence[tuple[str, Sequence[str]]]) -> ComparisonPlan:
+    """A plan of one comparison per (id, contexts) entry, sharing alpha equally."""
+    weight = 1.0 / len(entries)
+    return ComparisonPlan(tuple(Comparison(cid, tuple(contexts), weight)
+                                for cid, contexts in entries))
 
 
 def load_plan(path: str | Path) -> ComparisonPlan:
@@ -142,16 +138,15 @@ def load_plan(path: str | Path) -> ComparisonPlan:
     entries = field(read_json(path, (dict,)), "comparisons", ((list, (dict,)),), str(path))
     where = f"{path}: comparison"
     contexts = column(entries, "contexts", STRINGS, where)
-    ids = column(entries, "id", (str, type(None)), where, default=None)
+    ids = ["_vs_".join(labels) if cid is None else cid for labels, cid in zip(
+        contexts, column(entries, "id", (str, type(None)), where, default=None))]
     weights = column(entries, "weight", NUMBER + (type(None),), where, default=None)
-    if None in weights:
-        if any(w is not None for w in weights):
-            raise ValueError(f"{path}: give every comparison a weight, or none")
-        weights = [1.0 / len(entries)] * len(entries)
     try:
-        return ComparisonPlan(tuple(
-            Comparison("_vs_".join(labels) if cid is None else cid, tuple(labels), weight)
-            for labels, cid, weight in zip(contexts, ids, weights)))
+        if None not in weights:
+            return ComparisonPlan(tuple(map(Comparison, ids, map(tuple, contexts), weights)))
+        if any(w is not None for w in weights):
+            raise ValueError("give every comparison a weight, or none")
+        return _equal_split(list(zip(ids, contexts)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -411,7 +406,7 @@ def _comparison_chunks(report: ComparisonReport) -> Iterator[str]:
         floats(report.jsd), floats(report.jsd_threshold),
         floats(report.tvd, report.tvd_null), floats(report.sstvd, report.sstvd_null),
         floats(report.sstvd_per_gate, report.sstvd_per_gate_null),
-        bools(report.rejected), bools(report.small_sample),
+        bools(report.rejected), bools(report.small_sample), strict=True,
     )
     # zip of one iterable: each row is a one-piece element.
     yield from json_array(zip(map(_ROW_TEMPLATE.__mod__, rows)), "    ")
@@ -507,10 +502,7 @@ def pairwise_matrices(reports: Sequence[ComparisonReport],
                         if context not in seen:
                             seen.append(context)
             contexts = seen
-    contexts = tuple(contexts)
-    if len(contexts) < 2:
-        raise ValueError("need at least two contexts for pairwise matrices")
-
+    contexts = distinct_labels(contexts, "context", "pairwise matrices")
     size = len(contexts)
     sigma: list[list[float | None]] = [[None] * size for _ in range(size)]
     counts: list[list[int | None]] = [[None] * size for _ in range(size)]

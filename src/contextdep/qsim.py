@@ -41,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .counts import NUMBER, ContextDataset, field, read_json
+from .counts import ContextDataset, distinct_labels, field, read_json
 from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
                      lsgst_circuits)
 
@@ -104,13 +104,19 @@ class ErrorModel:
 
     static_epsilon is added to every rotation gate in every context; it
     models a context-independent miscalibration and so never contributes
-    to differences between contexts.
+    to differences between contexts.  The model needs at least one
+    context, and no context is labelled 'static_epsilon', the file key of
+    the static angle.
     """
 
     context_overrotations: Mapping[str, Mapping[str, float]]
     static_epsilon: float = 0.0
 
     def __post_init__(self) -> None:
+        if not distinct_labels(self.context_overrotations, "context", minimum=0):
+            raise ValueError("no context entries")
+        if "static_epsilon" in self.context_overrotations:
+            raise ValueError("'static_epsilon' names the static angle, not a context")
         table: dict[str, dict[str, float]] = {}
         for context, gate_map in self.context_overrotations.items():
             entry: dict[str, float] = {}
@@ -151,16 +157,15 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.shots_per_context < 1:
-            raise ValueError("shots_per_context must be at least 1")
+        # numpy's multinomial takes an int64 number of shots.
+        most = np.iinfo(np.int64).max
+        if not 1 <= self.shots_per_context <= most:
+            raise ValueError(f"shots_per_context must be in [1, {most}], "
+                             f"got {self.shots_per_context!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        contexts = tuple(self.contexts)
-        if len(set(contexts)) != len(contexts):
-            raise ValueError("duplicate context label in SimConfig")
-        if not contexts:
-            raise ValueError("SimConfig needs at least one context")
-        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "contexts",
+                           distinct_labels(self.contexts, "context", "simulated experiment"))
 
 
 def gate_model_for_context(error: ErrorModel, context: str) -> dict[str, np.ndarray]:
@@ -506,9 +511,6 @@ def run_drift_experiment(design: GstDesign, error: ErrorModel, config: SimConfig
     present and the linear-inversion list otherwise; pass ``circuits`` to
     simulate a custom list.
     """
-    for context in config.contexts:
-        if context not in error.contexts:
-            raise ValueError(f"error model has no context {context!r}")
     if circuits is None:
         if design.germs:
             circuits = lsgst_circuits(design)
@@ -526,13 +528,11 @@ def load_error_model(path: str | Path) -> ErrorModel:
     """
     path = Path(path)
     raw = read_json(path, (dict,))
-    static = field(raw, "static_epsilon", NUMBER, str(path), default=0.0)
-    contexts = {key: field(raw, key, ((dict, NUMBER),), str(path))
+    contexts = {key: field(raw, key, (dict,), str(path))
                 for key in raw if key != "static_epsilon"}
-    if not contexts:
-        raise ValueError(f"{path}: no context entries")
     try:
-        return ErrorModel(context_overrotations=contexts, static_epsilon=static)
+        return ErrorModel(context_overrotations=contexts,
+                          static_epsilon=raw.get("static_epsilon", 0.0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -261,7 +261,7 @@ def dataset_to_json(dataset) -> dict:
     json.dumps(dataset_to_json(ds), indent=2) + "\n" is the byte oracle of
     counts.save_dataset.
     """
-    obj: dict = {"format_version": dataset.format_version}
+    obj: dict = {"format_version": "1.0"}
     if dataset.description is not None:
         obj["description"] = dataset.description
     obj["outcomes"] = list(dataset.outcomes)
@@ -451,22 +451,102 @@ def plan_file_is_valid(obj) -> bool:
     return None not in weights and abs(math.fsum(weights) - 1.0) <= 1e-12
 
 
+def _circuit_text(text) -> bool:
+    # "{}", or registered gate labels written one after another, each 'G'
+    # plus a G-free suffix.
+    labels = re.findall("G[^G]*", text) if isinstance(text, str) else []
+    return text == "{}" or (bool(labels) and "".join(labels) == text
+                            and set(labels) <= known_gate_labels())
+
+
 def circuit_list_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the circuit-list file rules, written from the README.
 
-    The loader must accept exactly these files.  A spec is "{}" or
-    registered gate labels written one after another, each 'G' plus a
-    G-free suffix.
+    The loader must accept exactly these files.
     """
-    def spec(text):
-        labels = re.findall("G[^G]*", text) if isinstance(text, str) else []
-        return text == "{}" or (bool(labels) and "".join(labels) == text
-                                and set(labels) <= known_gate_labels())
-
     return isinstance(obj, list) and all(
-        isinstance(entry, dict) and spec(entry.get("spec"))
+        isinstance(entry, dict) and _circuit_text(entry.get("spec"))
         and (type(entry.get("core_length", 0)) is int and entry.get("core_length", 0) >= 0)
         for entry in obj)
+
+
+def design_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the design file rules, written from the README.
+
+    The loader must accept exactly these files.  The gate set is a
+    non-empty array of distinct registered labels.  Fiducial lists are
+    non-empty; a fiducial or germ is circuit text or an array of
+    registered labels, and a germ has at least one gate.  max_germ_power,
+    absent or null for none, is a power of two no larger than 2**16.
+    """
+    def circuit(value):
+        if isinstance(value, list):
+            return all(isinstance(label, str) and label in known_gate_labels()
+                       for label in value)
+        return _circuit_text(value)
+
+    def circuits(value, empty_ok):
+        return isinstance(value, list) and (empty_ok or bool(value)) and all(map(circuit, value))
+
+    if not isinstance(obj, dict):
+        return False
+    gates = obj.get("gates")
+    if not (isinstance(gates, list) and gates and circuit(gates)
+            and len(set(gates)) == len(gates)):
+        return False
+    germs = obj.get("germs", [])
+    if not (circuits(obj.get("prep_fiducials"), False)
+            and circuits(obj.get("meas_fiducials"), False)
+            and circuits(germs, True) and "{}" not in germs and [] not in germs):
+        return False
+    power = obj.get("max_germ_power")
+    return power is None or (type(power) is int and 1 <= power <= 2 ** 16
+                             and power & (power - 1) == 0)
+
+
+def report_file_is_valid(obj) -> bool:
+    """Whether parsed JSON obeys the report file rules, written from the README.
+
+    The loader must accept exactly these files.  `warnings`,
+    `small_sample`, `tvd`, `sstvd` and `sstvd_per_gate` may be omitted;
+    `detected` is not read.  A per-circuit number is held in a float
+    column, so an integer there must lie within float range.
+    """
+    def number(value):
+        return type(value) in (int, float)
+
+    def column_number(value):
+        return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+    def strings(value):
+        return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+    def row_is_valid(row):
+        return (isinstance(row, dict) and isinstance(row.get("id"), str)
+                and all(key in row and column_number(row[key])
+                        for key in ("llr", "p", "jsd", "jsd_threshold"))
+                and all(row.get(key) is None or column_number(row[key])
+                        for key in ("tvd", "sstvd", "sstvd_per_gate"))
+                and type(row.get("rejected")) is bool
+                and type(row.get("small_sample", False)) is bool)
+
+    def entry_is_valid(entry):
+        if not isinstance(entry, dict):
+            return False
+        aggregate, rows = entry.get("aggregate"), entry.get("circuits")
+        return (isinstance(aggregate, dict) and isinstance(rows, list)
+                and all(map(row_is_valid, rows))
+                and isinstance(entry.get("comparison_id"), str)
+                and strings(entry.get("contexts")) and strings(entry.get("warnings", []))
+                and number(entry.get("alpha_local")) and number(entry.get("p_threshold"))
+                and "llr_threshold" in entry
+                and (entry["llr_threshold"] is None or number(entry["llr_threshold"]))
+                and all(number(aggregate.get(key))
+                        for key in ("llr", "p", "n_sigma", "n_sigma_threshold"))
+                and type(aggregate.get("k")) is int
+                and type(aggregate.get("triggered")) is bool)
+
+    return isinstance(obj, list) and all(map(entry_is_valid, obj))
 
 
 def write_pairwise_csv_reference(matrices, path) -> None:

@@ -96,6 +96,19 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_shots_past_int64_are_one_line_error(self, tmp_path, capsys):
+        # numpy's sampler takes at most 2**63 - 1 shots; one more once
+        # exited 2 with a numeric failure.
+        code = main(["simulate", "--design", NEIGHBOR_DESIGN,
+                     "--error-model", DRIFT_ERROR,
+                     "--shots", str(2**63), "--seed", "1",
+                     "--out", str(tmp_path / "d.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "shots_per_context must be in [1, 9223372036854775807]" in err
+        assert not (tmp_path / "d.json").exists()
+
     @pytest.mark.parametrize("fields", [
         {"t1": ["Gx"]},
         {"t1": 3},

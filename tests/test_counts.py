@@ -111,6 +111,23 @@ class TestCircuitRecord:
 
 
 class TestContextDataset:
+    @pytest.mark.parametrize("labels", [
+        {"outcomes": (0, 1)}, {"contexts": ("a", 2)},
+    ])
+    def test_labels_must_be_strings(self, labels):
+        # Integer labels were once turned into strings without a word.
+        with pytest.raises(DatasetError, match="label must be a string, got "):
+            replace(make_dataset(), **labels)
+
+    def test_header_holds_no_version(self, tmp_path):
+        # A dataset built with format_version="2.0" once saved a file that
+        # load_dataset rejected; the writer now owns the version.
+        with pytest.raises(TypeError):
+            replace(make_dataset(), format_version="2.0")
+        path = tmp_path / "data.json"
+        save_dataset(make_dataset(), path)
+        assert json.loads(path.read_text())["format_version"] == "1.0"
+
     def test_duplicate_circuit_id_rejected(self):
         records = make_dataset().circuits
         with pytest.raises(DatasetError, match="duplicate circuit_id 'Gx'"):

@@ -6,8 +6,8 @@ integers belong, values nested in arrays or objects, and array items
 repeated.  Each command in test_cli's FILE_COMMANDS table runs in process
 on the file, and load_circuits is called directly, since no command reads
 circuit lists.  A run must exit 0 (or return), or exit 1 with exactly one
-stderr line; it never raises.  Where _references has the rules of a kind,
-a file the run accepts obeys them, and the loader accepts every file that
+stderr line; it never raises.  _references has the rules of each kind: a
+file the run accepts obeys them, and the loader accepts every file that
 does.  A command may still reject a well-typed file, for example a plan
 naming a context the dataset lacks.
 """
@@ -30,11 +30,11 @@ from contextdep.pipeline import load_plan, load_report
 from contextdep.qsim import load_error_model
 
 from _references import (circuit_list_file_is_valid, dataset_file_is_valid,
-                         error_model_file_is_valid, plan_file_is_valid)
+                         design_file_is_valid, error_model_file_is_valid,
+                         plan_file_is_valid, report_file_is_valid)
 from test_cli import FILE_COMMANDS, _mutated_report
 
-# Each kind of input file: its loader, a valid file, and its rules (None
-# where _references keeps none).
+# Each kind of input file: its loader, a valid file, and its rules.
 KINDS = {
     "dataset": (load_dataset, {
         "format_version": "1.0",
@@ -51,14 +51,14 @@ KINDS = {
     "design": (load_design, {
         "gates": ["Gx", "Gy"], "prep_fiducials": ["{}", ["Gx"]],
         "meas_fiducials": ["{}", "Gy"], "germs": ["Gx", "GxGy"], "max_germ_power": 4,
-    }, None),
+    }, design_file_is_valid),
     "error_model": (load_error_model, {
         "t1": {"Gx": 0.0, "Gy": 0.001}, "t2": {"Gx": 0.01}, "static_epsilon": 0.001,
     }, error_model_file_is_valid),
     "plan": (load_plan, {"comparisons": [
         {"id": "c1_vs_c2", "contexts": ["c1", "c2"], "weight": 1.0},
     ]}, plan_file_is_valid),
-    "report": (load_report, _mutated_report(lambda entry: [entry]), None),
+    "report": (load_report, _mutated_report(lambda entry: [entry]), report_file_is_valid),
     "circuits": (load_circuits, [
         {"spec": "{}", "core_length": 0}, {"spec": "GxGy", "core_length": 1},
     ], circuit_list_file_is_valid),
@@ -142,11 +142,11 @@ def test_mutated_file_exits_cleanly(kind, command, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{kind}.json"
         path.write_text(json.dumps(obj))
-        if rules is not None and rules(obj):
+        if rules(obj):
             loader(path)
         accepted, err = _run(command, loader, path)
     if accepted:
-        assert rules is None or rules(obj), obj
+        assert rules(obj), obj
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -155,7 +155,7 @@ def test_mutated_file_exits_cleanly(kind, command, data):
 @pytest.mark.parametrize("kind, command", CASES)
 def test_unmutated_file_is_accepted(kind, command):
     loader, valid, rules = KINDS[kind]
-    assert rules is None or rules(valid)
+    assert rules(valid)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{kind}.json"
         path.write_text(json.dumps(valid))

@@ -82,6 +82,13 @@ class TestCircuitSpec:
         with pytest.raises(ValueError):
             CircuitSpec(gates=("Gx",), core_length=-1)
 
+    @pytest.mark.parametrize("core_length", [2.5, True, None])
+    def test_core_length_follows_the_dataset_rule(self, core_length):
+        # 2.5 and True were once accepted, and save_circuits wrote a list
+        # that load_circuits rejected.
+        with pytest.raises(ValueError, match="core_length must be a non-negative integer"):
+            CircuitSpec("Gx", core_length=core_length)
+
     def test_text_and_labels_make_the_same_spec(self):
         spec = CircuitSpec("GxGyGy", 4)
         assert spec == CircuitSpec(gates=("Gx", "Gy", "Gy"), core_length=4)
@@ -117,7 +124,8 @@ class TestGstDesign:
         assert design.germ_powers == (1, 2, 4, 8, 16)
 
     def test_max_power_must_be_power_of_two(self):
-        for bad in (0, 3, 6, 100):
+        # True was once taken for 1, and saved as a file load_design refused.
+        for bad in (0, 3, 6, 100, True, 4.0):
             with pytest.raises(ValueError):
                 GstDesign(gates=("Gx",), prep_fiducials=("{}",),
                           meas_fiducials=("{}",), germs=("Gx",),

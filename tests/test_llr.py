@@ -80,6 +80,17 @@ class TestStatistic:
         with pytest.raises(ValueError):
             llr_statistic([(1, 2), (0, 0)])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[-1, 2], [3, 4]], "context '0': counts must be non-negative integers, got -1"),
+        ([[True, 2], [3, 4]], "context '0': counts must be non-negative integers, got True"),
+        ([[5], [3]], "a pool needs at least two outcome categories"),
+    ])
+    def test_follows_the_dataset_count_rules(self, rows, message):
+        # Each table once gave a number (4.98, 0.080 and 0.0); a dataset
+        # holding it is rejected.
+        with pytest.raises(DatasetError, match=message):
+            llr_statistic(rows)
+
 
 def test_empty_stack_gives_empty_results():
     for shape in ((0, 2, 2), (0, 3, 4)):

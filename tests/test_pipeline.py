@@ -1,6 +1,7 @@
 """Analysis pipeline: plans, internal consistency, serialization, tables."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -318,6 +319,13 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         save_report(reports, path)
         assert load_report(path) == reports
+
+    def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
+        # A short column once cut every row to its length: 5 of 40 rows saved.
+        report = run_analysis(neighbor_example())[0]
+        with pytest.raises(ValueError, match="shorter"):
+            save_report([dataclasses.replace(report, llr=report.llr[:5])],
+                        tmp_path / "report.json")
 
     def test_bytes_stable(self, tmp_path):
         reports = run_analysis(drifting_dataset(), alpha=0.05)

@@ -317,6 +317,16 @@ class TestErrorModelFiles:
         save_error_model(error, path)
         assert load_error_model(path) == error
 
+    def test_model_without_contexts_is_rejected(self):
+        # It once saved a file that load_error_model refused.
+        with pytest.raises(ValueError, match="^no context entries$"):
+            ErrorModel({})
+
+    def test_static_epsilon_is_not_a_context(self):
+        # It once saved a file whose reserved key swallowed the context.
+        with pytest.raises(ValueError, match="'static_epsilon' names the static angle"):
+            ErrorModel({"static_epsilon": {"Gx": 0.1}, "b": {"Gy": 0.2}})
+
     def test_load_errors(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"static_epsilon": 0.1}')
@@ -515,6 +525,19 @@ class TestSimConfig:
             SimConfig(shots_per_context=1, seed=0, contexts=("a", "a"))
         with pytest.raises(ValueError):
             SimConfig(shots_per_context=1, seed=0, contexts=())
+
+    def test_one_context_is_rejected_by_the_config(self):
+        # It once passed, to fail only when the simulated dataset was built.
+        with pytest.raises(ValueError, match="^simulated experiment: need at least two "
+                                             "contexts, got 1$"):
+            SimConfig(shots_per_context=1, seed=0, contexts=("a",))
+
+    def test_shots_bounded_by_int64(self):
+        # numpy's multinomial takes an int64 shot count: 2**63 - 1 is the most.
+        assert SimConfig(shots_per_context=2**63 - 1, seed=0,
+                         contexts=("a", "b")).shots_per_context == 2**63 - 1
+        with pytest.raises(ValueError, match="shots_per_context must be in"):
+            SimConfig(shots_per_context=2**63, seed=0, contexts=("a", "b"))
 
     @pytest.mark.parametrize("name,value", [
         ("shots_per_context", 2.5), ("shots_per_context", True), ("shots_per_context", "8"),
