@@ -142,6 +142,7 @@ class CircuitRecord:
         pools = {context: tuple(pool) for context, pool in dict(self.counts).items()}
         if not pools:
             raise DatasetError(f"circuit {self.circuit_id!r}: no context pools")
+        distinct_labels(pools, "context", f"circuit {self.circuit_id!r}", minimum=1)
         widths = sorted({len(pool) for pool in pools.values()})
         if len(widths) > 1:
             raise DatasetError(

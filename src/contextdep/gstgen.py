@@ -72,11 +72,16 @@ def known_gate_labels() -> frozenset[str]:
 
 
 def _check_labels(gates: Iterable[str], where: str) -> tuple[str, ...]:
-    gates = tuple(gates)
-    if not _GATE_LABELS.issuperset(gates):
-        label = next(label for label in gates if label not in _GATE_LABELS)
+    try:
+        labels = tuple(gates)
+        known = _GATE_LABELS.issuperset(labels)
+    except TypeError:  # not iterable, or an unhashable label
+        raise ValueError(f"{where}: need a circuit text or a sequence of gate labels, "
+                         f"got {gates!r}") from None
+    if not known:
+        label = next(label for label in labels if label not in _GATE_LABELS)
         raise ValueError(f"{where}: unregistered gate label {label!r}")
-    return gates
+    return labels
 
 
 def _text_labels(text: str) -> tuple[str, ...]:

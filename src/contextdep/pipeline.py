@@ -11,7 +11,8 @@ Each comparison produces a ComparisonReport whose numbers are mutually
 consistent by construction: one p_threshold drives the rejection set, the
 statistic threshold, the per-circuit JSD thresholds, and SSTVD nullity.
 The analysis works on one (circuits x contexts x outcomes) count array
-per dataset; a comparison tests a slice of it, all circuits at once.
+per dataset; a comparison takes a slice of it, all circuits at once, and
+each distinct count table of the plan is tested once.
 Reports serialize to JSON and to the two CSV data layers used for
 plotting (a pairwise N-sigma / rejection-count matrix and a JSD versus
 core-length profile).
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
@@ -35,7 +35,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, col
                      write_chunks)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
-from .llr import AggregateTestResult, llr_tests
+from .llr import AggregateTestResult, TableTests, llr_tests
 from .multitest import combined_procedure
 
 __all__ = [
@@ -242,8 +242,9 @@ def _gate_count(spec: str | None) -> int | None:
         return None
 
 
-def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Comparison,
-                    alpha_local: float) -> ComparisonReport:
+def _complete_rows(dataset: ContextDataset, comparison: Comparison):
+    """A comparison's context columns, the rows of the circuits that have them
+    all, and a warning for each circuit skipped."""
     columns = [dataset.contexts.index(c) for c in comparison.contexts]
     present = dataset.present[:, columns]
     complete = present.all(axis=1)
@@ -260,52 +261,31 @@ def _run_comparison(dataset: ContextDataset, ids: np.ndarray, comparison: Compar
             f"comparison {comparison.comparison_id!r}: no circuit has all of "
             f"{comparison.contexts}"
         )
+    return columns, rows, tuple(warnings)
 
-    table = dataset.counts[rows][:, columns]
-    tests = llr_tests(table)
-    circuit_ids = tuple(ids[rows].tolist())
-    try:
-        outcome = combined_procedure(tests, circuit_ids, alpha_local)
-    except ValueError as exc:
-        raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
-    tvd, sstvd, per_gate = np.zeros((3, len(rows)))
-    tvd_null, sstvd_null, per_gate_null = np.ones((3, len(rows)), dtype=bool)
-    if len(comparison.contexts) == 2:
-        tvd = tvd_rows(table)
-        tvd_null[:] = False
-        sstvd = np.where(outcome.rejected, tvd, 0.0)
-        sstvd_null = ~outcome.rejected
-        for i in np.flatnonzero(outcome.rejected).tolist():
-            length = _gate_count(dataset.specs[rows[i]])
-            if length:
-                per_gate[i] = tvd[i] / length
-                per_gate_null[i] = False
 
-    return ComparisonReport(
-        comparison_id=comparison.comparison_id,
-        contexts=comparison.contexts,
-        alpha_local=alpha_local,
-        aggregate=outcome.aggregate,
-        n_sigma_threshold=outcome.n_sigma_threshold,
-        aggregate_triggered=outcome.aggregate_triggered,
-        p_threshold=outcome.p_threshold,
-        llr_threshold=outcome.llr_threshold,
-        circuit_ids=circuit_ids,
-        llr=tests.llr,
-        p_value=tests.p_value,
-        jsd=jsd_from_llr(tests.llr, tests.n_total),
-        # All rows share one dof, so the outcome's statistic threshold is theirs.
-        jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
-        rejected=outcome.rejected,
-        small_sample=tests.small_sample,
-        tvd=tvd,
-        tvd_null=tvd_null,
-        sstvd=sstvd,
-        sstvd_null=sstvd_null,
-        sstvd_per_gate=per_gate,
-        sstvd_per_gate_null=per_gate_null,
-        warnings=tuple(warnings),
-    )
+def _test_distinct_tables(dataset: ContextDataset, slices):
+    """Test each distinct exact count table of the plan once.
+
+    Tables are grouped by width (number of contexts) and keyed on their
+    ints.  Returns, per width, the llr_tests of that width's distinct
+    tables, their JSDs and, for pairs, their TVDs; and for each comparison
+    the positions of its rows' tables in those results.
+    """
+    distinct: dict[int, dict[tuple, int]] = {}
+    positions = []
+    for columns, rows, _ in slices:
+        index = distinct.setdefault(len(columns), {})
+        tables = dataset.counts[np.ix_(rows, columns)].reshape(len(rows), -1).tolist()
+        positions.append(np.array([index.setdefault(table, len(index))
+                                   for table in map(tuple, tables)]))
+    shared = {}
+    for width, index in distinct.items():
+        stack = np.array(list(index), dtype=object).reshape(len(index), width, -1)
+        tests = llr_tests(stack)
+        shared[width] = (tests, jsd_from_llr(tests.llr, tests.n_total),
+                         tvd_rows(stack) if width == 2 else None)
+    return shared, positions
 
 
 def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
@@ -313,7 +293,12 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
     """Run every planned comparison against a dataset, in plan order.
 
     Local budgets are alpha times each comparison's weight.  Each
-    comparison analyses a slice of the dataset's count array.
+    comparison analyses a slice of the dataset's count array.  The
+    comparisons of a plan share most of their count tables, so each
+    distinct exact table is tested once, in one llr_tests call per number
+    of contexts (and one tvd_rows call for the pairs), and each comparison
+    gathers its rows from those.  A table with its contexts swapped is
+    another table: it sums its terms in another order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -326,20 +311,83 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                     f"comparison {comparison.comparison_id!r}: dataset has no "
                     f"context {context!r}"
                 )
+    slices = [_complete_rows(dataset, comparison) for comparison in plan]
+    shared, positions = _test_distinct_tables(dataset, slices)
     ids = np.array(dataset.circuit_ids, dtype=object)
-    return [_run_comparison(dataset, ids, comparison, alpha * comparison.weight)
-            for comparison in plan]
+    gate_counts: dict[int, int | None] = {}  # circuit row -> gate count, parsed once
+    reports = []
+    for comparison, (_, rows, warnings), where in zip(plan, slices, positions):
+        tests, jsd, tvd = shared[len(comparison.contexts)]
+        tests = TableTests(llr=tests.llr[where], dof=tests.dof, p_value=tests.p_value[where],
+                           n_total=tests.n_total[where],
+                           small_sample=tests.small_sample[where])
+        circuit_ids = tuple(ids[rows].tolist())
+        alpha_local = alpha * comparison.weight
+        try:
+            outcome = combined_procedure(tests, circuit_ids, alpha_local)
+        except ValueError as exc:
+            raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
+        n_rows = len(rows)
+        sstvd, per_gate = np.zeros((2, n_rows))
+        tvd_null, sstvd_null, per_gate_null = np.ones((3, n_rows), dtype=bool)
+        if tvd is None:
+            tvd = np.zeros(n_rows)
+        else:
+            tvd = tvd[where]
+            tvd_null[:] = False
+            sstvd = np.where(outcome.rejected, tvd, 0.0)
+            sstvd_null = ~outcome.rejected
+            for i, row in zip(np.flatnonzero(outcome.rejected).tolist(),
+                              rows[outcome.rejected].tolist()):
+                if row not in gate_counts:
+                    gate_counts[row] = _gate_count(dataset.specs[row])
+                if gate_counts[row]:
+                    per_gate[i] = tvd[i] / gate_counts[row]
+                    per_gate_null[i] = False
+        reports.append(ComparisonReport(
+            comparison_id=comparison.comparison_id,
+            contexts=comparison.contexts,
+            alpha_local=alpha_local,
+            aggregate=outcome.aggregate,
+            n_sigma_threshold=outcome.n_sigma_threshold,
+            aggregate_triggered=outcome.aggregate_triggered,
+            p_threshold=outcome.p_threshold,
+            llr_threshold=outcome.llr_threshold,
+            circuit_ids=circuit_ids,
+            llr=tests.llr,
+            p_value=tests.p_value,
+            jsd=jsd[where],
+            # All rows share one dof, so the outcome's statistic threshold is theirs.
+            jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
+            rejected=outcome.rejected,
+            small_sample=tests.small_sample,
+            tvd=tvd,
+            tvd_null=tvd_null,
+            sstvd=sstvd,
+            sstvd_null=sstvd_null,
+            sstvd_per_gate=per_gate,
+            sstvd_per_gate_null=per_gate_null,
+            warnings=warnings,
+        ))
+    return reports
 
 
-def _format_distinct(values: np.ndarray, format_all) -> np.ndarray:
+def _format_distinct(values: np.ndarray, format_all, texts: dict[int, str]) -> np.ndarray:
     """format_all(list of floats) -> texts, spread over values as an object array.
 
-    Count tables repeat, so each distinct value is formatted once, keyed on
-    its bit pattern: keying on the value would merge -0.0 with 0.0.
+    Count tables repeat, within a comparison and across a plan, so each
+    distinct value is formatted once, keyed on its bit pattern: keying on
+    the value would merge -0.0 with 0.0.  ``texts`` maps each bit pattern
+    formatted so far to its text; the values new to it are formatted and
+    added, so one dict shared by the columns of a file formats each value
+    of the file once.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(format_all(bits.view(np.float64).tolist()), dtype=object)[inverse]
+    bits = bits.tolist()
+    new = [b for b in bits if b not in texts]
+    texts.update(zip(new, format_all(np.array(new, dtype=np.int64).view(np.float64).tolist())))
+    return np.array(list(map(texts.__getitem__, bits)), dtype=object)[inverse]
 
 
 def _json_floats(values: list[float]) -> list[str]:
@@ -353,7 +401,7 @@ def _g10_floats(values: list[float]) -> list[str]:
 
 # One circuit row exactly as json.dumps(..., indent=2) lays it out.
 _ROW_TEMPLATE = """      {
-        "id": %s,
+        "id": "%s",
         "llr": %s,
         "p": %s,
         "jsd": %s,
@@ -365,9 +413,18 @@ _ROW_TEMPLATE = """      {
         "small_sample": %s
       }"""
 
+# The float columns of a report row, in _ROW_TEMPLATE order; the last three
+# are null where their mask says so.
+_FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd", "sstvd_per_gate")
 
-def _comparison_chunks(report: ComparisonReport) -> Iterator[str]:
-    """The comparison's object as json.dumps(reports, indent=2) writes it."""
+
+def _comparison_chunks(report: ComparisonReport, encoded_ids: Mapping[str, str],
+                       float_texts: dict[int, str]) -> Iterator[str]:
+    """The comparison's object as json.dumps(reports, indent=2) writes it.
+
+    ``encoded_ids`` maps each circuit id to its JSON string body, and
+    ``float_texts`` is the file's _format_distinct dict of float texts.
+    """
     head = {
         "comparison_id": report.comparison_id,
         "contexts": list(report.contexts),
@@ -390,36 +447,45 @@ def _comparison_chunks(report: ComparisonReport) -> Iterator[str]:
     if not report.circuit_ids:
         yield "[]\n  }"
         return
-
-    def floats(values, null=None):
-        texts = _format_distinct(values, _json_floats)
-        if null is not None:
-            texts[null] = "null"
-        return texts.tolist()
+    # All seven float columns in one pass; a column of another length than
+    # the ids must fail the row zip, not shift the others.
+    columns = [getattr(report, name) for name in _FLOAT_COLUMNS]
+    texts = _format_distinct(np.concatenate(columns), _json_floats, float_texts)
+    floats = np.split(texts, np.cumsum([len(column) for column in columns])[:-1])
+    nulls = (report.tvd_null, report.sstvd_null, report.sstvd_per_gate_null)
+    floats[4:] = [np.where(null, "null", column) for column, null in zip(floats[4:], nulls)]
 
     def bools(values):
         return np.where(values, "true", "false").tolist()
 
-    rows = zip(
-        map(encode_basestring_ascii, report.circuit_ids),
-        floats(report.llr), floats(report.p_value),
-        floats(report.jsd), floats(report.jsd_threshold),
-        floats(report.tvd, report.tvd_null), floats(report.sstvd, report.sstvd_null),
-        floats(report.sstvd_per_gate, report.sstvd_per_gate_null),
-        bools(report.rejected), bools(report.small_sample), strict=True,
-    )
+    rows = zip(map(encoded_ids.__getitem__, report.circuit_ids),
+               *(column.tolist() for column in floats),
+               bools(report.rejected), bools(report.small_sample), strict=True)
     # zip of one iterable: each row is a one-piece element.
     yield from json_array(zip(map(_ROW_TEMPLATE.__mod__, rows)), "    ")
     yield "\n  }"
+
+
+def _json_body(text: str) -> str:
+    body = encode_basestring_ascii(text)[1:-1]
+    return text if body == text else body
 
 
 def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     """Write reports as a JSON array; identical analyses give identical bytes.
 
     The bytes are those of json.dumps(payload, indent=2) plus a newline,
-    streamed to the file as the rows are formatted.
+    streamed to the file one comparison at a time.  The comparisons of a
+    plan share circuits and values, so each circuit id is encoded once and
+    each distinct float of the whole file is formatted once.
     """
-    write_chunks(path, chain(json_array(map(_comparison_chunks, reports), ""), ["\n"]))
+    # A JSON string body is the id itself where nothing needs escaping: a
+    # plan's long circuit ids are then not held twice while the file is written.
+    ids = set(chain.from_iterable(report.circuit_ids for report in reports))
+    encoded = {cid: _json_body(cid) for cid in ids}
+    float_texts: dict[int, str] = {}
+    comparisons = (_comparison_chunks(report, encoded, float_texts) for report in reports)
+    write_chunks(path, chain(json_array(comparisons, ""), ["\n"]))
 
 
 def _load_comparison(entry: dict, where: str) -> ComparisonReport:
@@ -568,14 +634,15 @@ def jsd_profile(report: ComparisonReport,
                     report.jsd.tolist(), report.jsd_threshold.tolist()))
 
 
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+def _needs_quotes(text: str) -> bool:
+    # csv.writer's minimal quoting in its default (excel) dialect.  csv.writer
+    # inspects each field character by character, and so does a regex; on
+    # long circuit ids four substring searches are far cheaper.
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _csv_field(text: str) -> str:
-    # csv.writer's minimal quoting in its default (excel) dialect.  csv.writer
-    # inspects each field character by character, which on long circuit ids
-    # costs more than the rest of the table; one regex search is far cheaper.
-    if _CSV_SPECIAL.search(text):
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -587,9 +654,12 @@ def write_jsd_profile_csv(rows: Iterable[tuple[str, int, float, float]],
     jsd and jsd_threshold are floats, written as .10g.
     """
     ids, cores, jsds, thresholds = list(zip(*rows)) or [(), (), (), ()]
-    lines = zip(map(_csv_field, ids), cores,
-                _format_distinct(np.array(jsds, dtype=float), _g10_floats).tolist(),
-                _format_distinct(np.array(thresholds, dtype=float), _g10_floats).tolist())
+    # One scan of all the ids tells whether any needs quoting.
+    if _needs_quotes("".join(ids)):
+        ids = map(_csv_field, ids)
+    cells = _format_distinct(np.array(jsds + thresholds, dtype=float), _g10_floats,
+                             {}).tolist()
+    lines = zip(ids, cores, cells[:len(jsds)], cells[len(jsds):])
     with open(path, "w", newline="") as handle:
         handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
         handle.writelines(map("%s,%s,%s,%s\r\n".__mod__, lines))

@@ -9,7 +9,9 @@ from contextdep.cli import main
 from contextdep.counts import load_dataset
 from contextdep.datasets import data_path
 from contextdep.gstgen import load_circuits
-from contextdep.pipeline import load_report
+from contextdep.pipeline import jsd_profile, load_report
+
+from _references import write_jsd_profile_csv_reference
 
 
 DRIFT_DESIGN = str(data_path("design_drift.json"))
@@ -211,6 +213,30 @@ class TestAnalyze:
         assert "pairwise matrix skipped" in capsys.readouterr().err
         assert not (tables / "pairwise_matrix.csv").exists()
         assert (tables / "jsd_profile_joint.csv").exists()
+
+    @pytest.mark.parametrize("ids", [
+        ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"],
+        ["Gx", "GxGy", "GyGyGy", "q4", "q5"],  # no id needs quoting
+    ])
+    def test_jsd_profiles_quote_ids_as_csv_writer_does(self, tmp_path, ids):
+        # Every table of the plan is scanned for ids to quote in one pass.
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b", "c"],
+            "circuits": [{"id": cid, "core_length": i, "counts": {
+                "a": [10 + i, 20 - i], "b": [15, 15 + 3 * i], "c": [5 + 2 * i, 25]}}
+                for i, cid in enumerate(ids)]}))
+        out, tables = tmp_path / "report.json", tmp_path / "tables"
+        code = main(["analyze", "--data", str(data), "--plan", "auto", "--out", str(out),
+                     "--tables", str(tables)])
+        assert code == 0
+        dataset, reports = load_dataset(data), load_report(out)
+        assert len(reports) == 4
+        for report in reports:
+            reference = tmp_path / f"{report.comparison_id}.csv"
+            write_jsd_profile_csv_reference(jsd_profile(report, dataset), reference)
+            written = (tables / f"jsd_profile_{report.comparison_id}.csv").read_bytes()
+            assert written == reference.read_bytes()
 
     @pytest.mark.parametrize("alpha", ["1e-12", "1e-17", "1e-300"])
     def test_tiny_alpha_analyzes(self, tmp_path, drift_seed_0, alpha):

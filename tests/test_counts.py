@@ -102,6 +102,11 @@ class TestCircuitRecord:
         with pytest.raises(DatasetError, match="'zz'"):
             record.pool("zz")
 
+    def test_context_labels_are_strings(self):
+        # Once accepted, so that llr_single failed on the record later.
+        with pytest.raises(DatasetError, match="circuit 'q': context must be a string, got 1"):
+            CircuitRecord("q", {1: (1, 2), 2: (3, 4)})
+
     def test_mismatched_pool_widths_rejected(self):
         with pytest.raises(DatasetError, match="disagree"):
             CircuitRecord(

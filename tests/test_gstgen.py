@@ -155,6 +155,15 @@ class TestGstDesign:
             GstDesign(gates=("Gx",), prep_fiducials=("{}",),
                       meas_fiducials=("{}",), germs=("{}",))
 
+    @pytest.mark.parametrize("fiducials, shown", [
+        ((-1,), "got -1"),  # neither a text nor an iterable of labels
+        ((["Gx", ["Gx"]],), r"got \['Gx', \['Gx'\]\]"),  # an unhashable label
+    ])
+    def test_malformed_fiducial_names_its_list(self, fiducials, shown):
+        # Both were once a TypeError from deep inside the label check.
+        with pytest.raises(ValueError, match=f"^preparation fiducial: .*{shown}$"):
+            GstDesign(gates=("Gx",), prep_fiducials=fiducials, meas_fiducials=("{}",))
+
 
 class TestLgst:
     def test_minimal_design_gives_two_circuits(self):
