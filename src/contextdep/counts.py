@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -398,31 +398,17 @@ def load_dataset(path: str | Path) -> ContextDataset:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write text to a file as its pieces are produced, 1024 pieces a write.
+def write_joined(handle: TextIO, texts: Iterable[str], separator: str = "") -> None:
+    """Write ``separator.join(texts)`` to an open file, 512 texts a write.
 
-    The whole text is never held at once: a large dataset or report costs
-    the memory of one batch, and a batch saves the cost of a write call
-    per piece.
+    The one batching loop of the package's writers.  The whole text is
+    never held at once: a large dataset or report costs the memory of one
+    batch, and a batch saves the cost of a write call per text.
     """
-    chunks = iter(chunks)
-    with open(path, "w") as handle:
-        while batch := list(islice(chunks, 1024)):
-            handle.write("".join(batch))
-
-
-def json_array(elements: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
-    """The pieces of a JSON array as json.dumps(..., indent=2) lays it out.
-
-    Each element comes as the pieces of its text, already indented to its
-    depth; ``indent`` is the indentation of the line that closes the array.
-    """
-    separator = "[\n"
-    for pieces in elements:
-        yield separator
-        yield from pieces
-        separator = ",\n"
-    yield "[]" if separator == "[\n" else "\n" + indent + "]"
+    texts, lead = iter(texts), ""
+    while batch := list(islice(texts, 512)):
+        handle.write(lead + separator.join(batch))
+        lead = separator
 
 
 # One circuit entry exactly as json.dumps(..., indent=2) lays it out; the
@@ -436,37 +422,6 @@ _CIRCUIT_TEMPLATE = """    {
 _OUTCOME_SEPARATOR = ",\n          "
 
 
-def _dataset_chunks(dataset: ContextDataset) -> Iterator[str]:
-    head: dict = {"format_version": FORMAT_VERSION}
-    if dataset.description is not None:
-        head["description"] = dataset.description
-    head["outcomes"] = list(dataset.outcomes)
-    head["contexts"] = list(dataset.contexts)
-    head["circuits"] = []
-    # Strip the closing "[]\n}": the circuits are written after the header.
-    yield json.dumps(head, indent=2)[:-4]
-    pool_heads = [f"        {encode_basestring_ascii(c)}: [\n          "
-                  for c in dataset.contexts]
-
-    def entry(circuit_id: str, spec: str | None, core_length: int | None,
-              pools: list[list[int]], present: list[bool]) -> str:
-        optional = ""
-        if spec is not None:
-            optional += f'\n      "spec": {encode_basestring_ascii(spec)},'
-        if core_length is not None:
-            optional += f'\n      "core_length": {int.__repr__(core_length)},'
-        text = ",\n".join(
-            pool_head + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool)) + "\n        ]"
-            for pool_head, pool, here in zip(pool_heads, pools, present) if here)
-        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(circuit_id), optional, text)
-
-    entries = map(entry, dataset.circuit_ids, dataset.specs, dataset.core_lengths,
-                  dataset.counts.tolist(), dataset.present.tolist())
-    # zip of one iterable: each entry is a one-piece element.
-    yield from json_array(zip(entries), "  ")
-    yield "\n}\n"
-
-
 def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     """Write a dataset as JSON; identical datasets produce identical bytes.
 
@@ -474,7 +429,37 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     dict form plus a newline.  The header goes through json.dumps; each
     circuit entry is one template, written to the file as it is formatted.
     """
-    write_chunks(path, _dataset_chunks(dataset))
+    head: dict = {"format_version": FORMAT_VERSION}
+    if dataset.description is not None:
+        head["description"] = dataset.description
+    head["outcomes"] = list(dataset.outcomes)
+    head["contexts"] = list(dataset.contexts)
+    head["circuits"] = []
+    pool_heads = [f"        {encode_basestring_ascii(c)}: [\n          "
+                  for c in dataset.contexts]
+
+    def entry(pools: list[list[int]], circuit_id: str, spec: str | None,
+              core_length: int | None) -> str:
+        optional = ""
+        if spec is not None:
+            optional += f'\n      "spec": {encode_basestring_ascii(spec)},'
+        if core_length is not None:
+            optional += f'\n      "core_length": {int.__repr__(core_length)},'
+        # The dataset's check makes a pool present exactly where it has counts.
+        text = ",\n".join(
+            pool_head + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool)) + "\n        ]"
+            for pool_head, pool in zip(pool_heads, pools) if any(pool))
+        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(circuit_id), optional, text)
+
+    # The count lists come first: map frees them once it has read them all,
+    # before the last batch of entries is written.
+    entries = map(entry, dataset.counts.tolist(), dataset.circuit_ids, dataset.specs,
+                  dataset.core_lengths)
+    with open(path, "w") as handle:
+        # The header up to its empty circuits array "[]\n}", which the entries replace.
+        handle.write(json.dumps(head, indent=2)[:-4] + ("[\n" if dataset.circuit_ids else "[]"))
+        write_joined(handle, entries, ",\n")
+        handle.write("\n  ]\n}\n" if dataset.circuit_ids else "\n}\n")
 
 
 def marginalize(dataset: ContextDataset, keep: Sequence[int]) -> ContextDataset:

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
-                     columns_equal, distinct_labels, field, json_array, read_json,
-                     write_chunks)
+                     columns_equal, distinct_labels, field, read_json, write_joined)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, TableTests, llr_tests
@@ -115,9 +114,16 @@ class ComparisonPlan:
 
 
 def _pairs(contexts: Sequence[str]) -> list[tuple[str, tuple[str, str]]]:
-    """(a_vs_b, (a, b)) for every pair of two or more distinct contexts."""
-    pairs = combinations(distinct_labels(contexts, "context"), 2)
-    return [(f"{a}_vs_{b}", (a, b)) for a, b in pairs]
+    """(a_vs_b, (a, b)) for every pair of two or more distinct contexts; two
+    pairs that join to one id, as ("a", "vs_b") and ("a_vs", "b") do, are an error."""
+    pairs: dict[str, tuple[str, str]] = {}
+    for a, b in combinations(distinct_labels(contexts, "context"), 2):
+        cid = f"{a}_vs_{b}"
+        other = pairs.setdefault(cid, (a, b))
+        if other != (a, b):
+            raise ValueError(f"context pairs {other} and {(a, b)} both make the comparison "
+                             f"id {cid!r}; name the comparisons in a --plan file")
+    return list(pairs.items())
 
 
 def _equal_split(entries: Sequence[tuple[str, Sequence[str]]]) -> ComparisonPlan:
@@ -418,9 +424,10 @@ _ROW_TEMPLATE = """      {
 _FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd", "sstvd_per_gate")
 
 
-def _comparison_chunks(report: ComparisonReport, encoded_ids: Mapping[str, str],
-                       float_texts: dict[int, str]) -> Iterator[str]:
-    """The comparison's object as json.dumps(reports, indent=2) writes it.
+def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
+                     float_texts: dict[int, str]) -> tuple[str, Iterator[str]]:
+    """The comparison's object as json.dumps(reports, indent=2) writes it:
+    the text up to its circuits array, and the text of each circuit row.
 
     ``encoded_ids`` maps each circuit id to its JSON string body, and
     ``float_texts`` is the file's _format_distinct dict of float texts.
@@ -443,10 +450,7 @@ def _comparison_chunks(report: ComparisonReport, encoded_ids: Mapping[str, str],
         "warnings": list(report.warnings),
     }
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
-    yield json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
-    if not report.circuit_ids:
-        yield "[]\n  }"
-        return
+    text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
     # All seven float columns in one pass; a column of another length than
     # the ids must fail the row zip, not shift the others.
     columns = [getattr(report, name) for name in _FLOAT_COLUMNS]
@@ -461,9 +465,7 @@ def _comparison_chunks(report: ComparisonReport, encoded_ids: Mapping[str, str],
     rows = zip(map(encoded_ids.__getitem__, report.circuit_ids),
                *(column.tolist() for column in floats),
                bools(report.rejected), bools(report.small_sample), strict=True)
-    # zip of one iterable: each row is a one-piece element.
-    yield from json_array(zip(map(_ROW_TEMPLATE.__mod__, rows)), "    ")
-    yield "\n  }"
+    return text, map(_ROW_TEMPLATE.__mod__, rows)
 
 
 def _json_body(text: str) -> str:
@@ -484,8 +486,15 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     ids = set(chain.from_iterable(report.circuit_ids for report in reports))
     encoded = {cid: _json_body(cid) for cid in ids}
     float_texts: dict[int, str] = {}
-    comparisons = (_comparison_chunks(report, encoded, float_texts) for report in reports)
-    write_chunks(path, chain(json_array(comparisons, ""), ["\n"]))
+    separator = "[\n"
+    with open(path, "w") as handle:
+        for report in reports:
+            text, rows = _comparison_rows(report, encoded, float_texts)
+            handle.write(separator + text + ("[\n" if report.circuit_ids else "[]"))
+            write_joined(handle, rows, ",\n")
+            handle.write("\n    ]\n  }" if report.circuit_ids else "\n  }")
+            separator = ",\n"
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def _load_comparison(entry: dict, where: str) -> ComparisonReport:
@@ -602,13 +611,14 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
     The bytes csv.writer writes; N_sigma is written as .10g.
     """
     contexts = matrices.contexts
+    lines = [",".join(map(_csv_field, ("context", *contexts))) + "\r\n"]
+    for i, context in enumerate(contexts):
+        cells = (_format_cell(matrices.n_sigma[i][j] if j > i else
+                              matrices.rejected_counts[i][j] if j < i else None)
+                 for j in range(len(contexts)))
+        lines.append(",".join((_csv_field(context), *cells)) + "\r\n")
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(map(_csv_field, ("context", *contexts))) + "\r\n")
-        for i, context in enumerate(contexts):
-            cells = (_format_cell(matrices.n_sigma[i][j] if j > i else
-                                  matrices.rejected_counts[i][j] if j < i else None)
-                     for j in range(len(contexts)))
-            handle.write(",".join((_csv_field(context), *cells)) + "\r\n")
+        write_joined(handle, lines)
 
 
 def jsd_profile(report: ComparisonReport,
@@ -620,11 +630,12 @@ def jsd_profile(report: ComparisonReport,
     every circuit in the report must have one.
     """
     if isinstance(core_lengths, ContextDataset):
-        lookup: Mapping[str, int | None] = dict(zip(core_lengths.circuit_ids,
-                                                    core_lengths.core_lengths))
+        # The dataset's own id -> row index; a missing id finds no row.
+        column = core_lengths.core_lengths
+        cores = [None if row is None else column[row]
+                 for row in map(core_lengths._index.get, report.circuit_ids)]
     else:
-        lookup = core_lengths or {}
-    cores = [lookup.get(circuit_id) for circuit_id in report.circuit_ids]
+        cores = list(map((core_lengths or {}).get, report.circuit_ids))
     if None in cores:
         raise ValueError(
             f"circuit {report.circuit_ids[cores.index(None)]!r} has no core_length; "
@@ -662,4 +673,4 @@ def write_jsd_profile_csv(rows: Iterable[tuple[str, int, float, float]],
     lines = zip(ids, cores, cells[:len(jsds)], cells[len(jsds):])
     with open(path, "w", newline="") as handle:
         handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
-        handle.writelines(map("%s,%s,%s,%s\r\n".__mod__, lines))
+        write_joined(handle, map("%s,%s,%s,%s\r\n".__mod__, lines))

@@ -1,0 +1,55 @@
+"""The benchmark's traced run of the command line, at its tiny size.
+
+perfbench/run.py drives simulate, analyze --plan auto --tables and
+summarize in process, with its tracer wrapped around the names the
+command calls, and checks every output independently (perfbench/verify.py).
+This test uses run.py as it is, so a change that makes the benchmark's
+traced run fail, or its checks refuse an output, fails here first.
+"""
+
+import importlib
+import os
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tiny_traced_run_passes_the_benchmark_checks(tmp_path):
+    saved_path, saved_environ = list(sys.path), dict(os.environ)
+    saved_modules = set(sys.modules)
+    tracer = None
+    try:
+        sys.path.insert(0, str(PERFBENCH))
+        # Importing run.py sets the BLAS thread variables; the finally restores them.
+        run = importlib.import_module("run")
+        spans = importlib.import_module("spans")
+        spec = run.WORKLOADS["tiny"]
+        design, model = run.prepare_inputs("tiny", tmp_path / "inputs")
+        contexts = [k for k in spec["model"] if k != "static_epsilon"]
+        paths = {"dataset": tmp_path / "dataset.json", "report": tmp_path / "report.json",
+                 "tables": tmp_path / "tables"}
+        argvs = {
+            "simulate": ["simulate", "--design", str(design), "--error-model", str(model),
+                         "--shots", str(run.SHOTS), "--seed", "0",
+                         "--out", str(paths["dataset"])],
+            "analyze": ["analyze", "--data", str(paths["dataset"]), "--plan", "auto",
+                        "--tables", str(paths["tables"]), "--out", str(paths["report"])],
+            "summarize": ["summarize", "--report", str(paths["report"])],
+        }
+        cli = run.import_cli()
+        tracer = spans.Tracer()
+        run.install_tracer(tracer)
+        codes, _, texts = run.run_commands(cli, argvs, tracer, run.hostspeed.Reference())
+        assert codes == {name: 0 for name in run.COMMANDS}, texts
+        problems = run.check_outputs(paths, texts["summarize"], spec, contexts)
+        assert problems == {name: [] for name in run.COMMANDS}
+        assert tracer.counts["pipeline.rows"] == spec["circuits"] * spec["comparisons"] == 96 * 4
+    finally:
+        if tracer is not None:
+            tracer.restore()
+        sys.path[:] = saved_path
+        os.environ.clear()
+        os.environ.update(saved_environ)
+        for name in {"run", "spans", "verify", "hostspeed"} - saved_modules:
+            sys.modules.pop(name, None)

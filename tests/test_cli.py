@@ -181,6 +181,22 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("plan", ["auto", "pairs"])
+    def test_colliding_pair_ids_are_one_line_error(self, tmp_path, capsys, plan):
+        contexts = ["a", "vs_b", "a_vs", "b"]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "format_version": "1.0", "outcomes": ["0", "1"], "contexts": contexts,
+            "circuits": [{"id": "q", "counts": {c: [3, 4] for c in contexts}}]}))
+        code = main(["analyze", "--data", str(data), "--plan", plan,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: context pairs ('a', 'vs_b') and ('a_vs', 'b') both make the comparison "
+            "id 'a_vs_vs_b'; name the comparisons in a --plan file\n")
+        assert main(["analyze", "--data", str(data), "--plan", "joint",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({ "comparisons": [

@@ -1,5 +1,6 @@
 """Dataset model: validation, serialization round-trips, marginalization."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
-                               load_dataset, marginalize, save_dataset)
+                               load_dataset, marginalize, save_dataset, write_joined)
 
 from _references import dataset_from_records, dataset_to_json
 
@@ -323,6 +324,8 @@ def many_circuits(n):
 @settings(max_examples=100, deadline=None)
 @given(dataset=datasets())
 @example(dataset=make_dataset())
+@example(dataset=many_circuits(512))
+@example(dataset=many_circuits(513))
 @example(dataset=many_circuits(1500))
 @example(dataset=make_dataset((), description="\u00e9t\u00e9 \"quoted\"\n"))
 def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
@@ -331,6 +334,40 @@ def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
     expected = json.dumps(dataset_to_json(dataset), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("ascii")
     assert load_dataset(path) == dataset
+
+
+class RecordingFile(io.StringIO):
+    """A text file that also keeps each write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 1100), pattern=st.lists(st.sampled_from(["", "x", "é\n", ",\n"]),
+                                                min_size=1, max_size=4),
+       separator=st.sampled_from(["", ",\n"]))
+@example(n=0, pattern=["x"], separator=",\n")
+@example(n=1, pattern=[""], separator=",\n")
+@example(n=511, pattern=["x"], separator=",\n")
+@example(n=512, pattern=["x", ""], separator=",\n")
+@example(n=513, pattern=["x"], separator="")
+@example(n=1024, pattern=["", "x"], separator=",\n")
+@example(n=1025, pattern=["x"], separator=",\n")
+def test_write_joined_equals_join(n, pattern, separator):
+    # Each non-empty text carries its position, so a lost, repeated or
+    # reordered text changes the output.
+    texts = [text and f"{text}{i}" for i, text in
+             ((i, pattern[i % len(pattern)]) for i in range(n))]
+    handle = RecordingFile()
+    write_joined(handle, iter(texts), separator)
+    assert handle.getvalue() == separator.join(texts)
+    assert len(handle.writes) == -(-n // 512)
 
 
 def two_bit_dataset():

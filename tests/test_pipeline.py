@@ -67,6 +67,18 @@ class TestComparisonPlan:
         assert all(c.weight == pytest.approx(1 / 11) for c in plan)
         assert "t1_vs_t5" in ids
 
+    def test_colliding_pair_ids_name_both_pairs(self):
+        message = ("context pairs ('a', 'vs_b') and ('a_vs', 'b') both make the comparison "
+                   "id 'a_vs_vs_b'; name the comparisons in a --plan file")
+        for make in (ComparisonPlan.default, ComparisonPlan.all_pairs):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make(("a", "vs_b", "a_vs", "b"))
+
+    def test_pair_ids_that_do_not_collide_are_unchanged(self):
+        plan = ComparisonPlan.default(("a", "vs_b", "a_vs"))
+        assert [c.comparison_id for c in plan] == ["joint", "a_vs_vs_b", "a_vs_a_vs",
+                                                   "vs_b_vs_a_vs"]
+
     def test_joint_and_all_pairs_constructors(self):
         joint = ComparisonPlan.joint(("a", "b", "c"))
         assert len(joint) == 1 and joint.comparisons[0].weight == 1.0
@@ -421,12 +433,36 @@ def _signed_zero_report():
     )
 
 
+def _report_with_rows(n):
+    """A report of n rows with varied values, ids that need escaping and
+    quoting among them, and some null optional columns."""
+    values = np.arange(n) / 7.0
+    flags = np.arange(n) % 3 == 0
+    return ComparisonReport(
+        comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05,
+        aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25, n_sigma=0.5),
+        n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=1e-3,
+        llr_threshold=10.0, circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9'
+                                              for i in range(n)),
+        llr=values, p_value=1.0 / (1.0 + values), jsd=values / 3, jsd_threshold=values % 1.0,
+        rejected=flags, small_sample=~flags, tvd=values / 11, tvd_null=~flags,
+        sstvd=values / 13, sstvd_null=flags, sstvd_per_gate=-values, sstvd_per_gate_null=flags,
+    )
+
+
 class TestReportBytes:
     """The columnar writers against the per-row writers, byte for byte."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(comparison_reports(), max_size=3))
     @example([_signed_zero_report()])
+    # Row counts on both sides of the writers' 512-text write batches.
+    @example([_report_with_rows(511)])
+    @example([_report_with_rows(512)])
+    @example([_report_with_rows(513)])
+    @example([_report_with_rows(1024)])
+    @example([_report_with_rows(1025)])
+    @example([_report_with_rows(513), _report_with_rows(0), _report_with_rows(1)])
     def test_save_report_matches_per_row_json(self, tmp_path_factory, reports):
         tmp = tmp_path_factory.mktemp("report")
         save_report(reports, tmp / "columnar.json")
@@ -436,6 +472,12 @@ class TestReportBytes:
     @settings(max_examples=80, deadline=None)
     @given(comparison_reports())
     @example(_signed_zero_report())
+    # Row counts on both sides of the writers' 512-text write batches.
+    @example(_report_with_rows(511))
+    @example(_report_with_rows(512))
+    @example(_report_with_rows(513))
+    @example(_report_with_rows(1024))
+    @example(_report_with_rows(1025))
     def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
         tmp = tmp_path_factory.mktemp("profile")
         rows = jsd_profile(report, {cid: 7 for cid in report.circuit_ids})
@@ -536,6 +578,15 @@ class TestJsdProfile:
         report = run_analysis(two_context_example(), alpha=0.05)[0]
         with pytest.raises(ValueError, match="core_length"):
             jsd_profile(report, {})
+
+    def test_profile_names_a_report_id_the_dataset_lacks(self):
+        dataset = drifting_dataset()
+        report = run_analysis(dataset, alpha=0.05)[0]
+        others = dataclasses.replace(dataset, circuit_ids=tuple(
+            "other" if cid == report.circuit_ids[2] else cid for cid in dataset.circuit_ids))
+        message = f"circuit {report.circuit_ids[2]!r} has no core_length; profile needs one"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jsd_profile(report, others)
 
     def test_profile_accepts_plain_mapping(self):
         report = run_analysis(two_context_example(), alpha=0.05)[0]
