@@ -356,8 +356,9 @@ def read_json(path: Path, kinds: tuple, error: type[ValueError] = ValueError):
 def load_dataset(path: str | Path) -> ContextDataset:
     """Read a dataset from its JSON file representation.
 
-    The pools fill one count array in the dataset's context order; the
-    dataset's check then runs on the whole array.
+    Each rule on the pools is one pass over a whole column; only a file that
+    fails one is scanned circuit by circuit, to name its first fault.  The
+    pools fill one count array, which the dataset's check then covers.
     """
     path = Path(path)
     raw = read_json(path, (dict,), DatasetError)
@@ -369,28 +370,30 @@ def load_dataset(path: str | Path) -> ContextDataset:
     entries = field(raw, "circuits", ((list, (dict,)),), str(path), error=DatasetError)
     ids = column(entries, "id", (str,), f"{path}: circuit entry", error=DatasetError)
 
-    column_of = {context: k for k, context in enumerate(contexts)}
-    zero = [0] * len(outcomes)
-    pools, present = [], []
-    for circuit_id, entry in zip(ids, entries):
-        where = f"{path}: circuit {circuit_id!r}"
-        counts = field(entry, "counts", (dict,), where, error=DatasetError)
-        row = [zero] * len(contexts)
-        for context in counts:
-            values = field(counts, context, (list,), where + " counts", error=DatasetError)
-            if context not in column_of:
-                raise DatasetError(f"{where}: unknown context {context!r}")
-            if len(values) != len(outcomes):
-                raise DatasetError(f"{where}: pools have {len(values)} entries "
-                                   f"but the dataset declares {len(outcomes)} outcomes")
-            row[column_of[context]] = values
-        pools += row
-        present.append([context in counts for context in contexts])
+    maps = [entry.get("counts") for entry in entries]
+    valid = set(map(type, maps)) <= {dict}
+    if valid:
+        pools = list(chain.from_iterable(map(dict.values, maps)))
+        valid = (set(map(type, pools)) <= {list}
+                 and set(chain.from_iterable(maps)) <= set(contexts)
+                 and set(map(len, pools)) <= {len(outcomes)})
+    if not valid:  # find the first fault, in file order
+        for circuit_id, entry in zip(ids, entries):
+            where = f"{path}: circuit {circuit_id!r}"
+            counts = field(entry, "counts", (dict,), where, error=DatasetError)
+            for context in counts:
+                values = field(counts, context, (list,), where + " counts", error=DatasetError)
+                if context not in contexts:
+                    raise DatasetError(f"{where}: unknown context {context!r}")
+                if len(values) != len(outcomes):
+                    raise DatasetError(f"{where}: pools have {len(values)} entries "
+                                       f"but the dataset declares {len(outcomes)} outcomes")
 
-    shape = (len(ids), len(contexts), len(outcomes))
+    zero, shape = [0] * len(outcomes), (len(ids), len(contexts), len(outcomes))
+    table = _count_table([m.get(c, zero) for m in maps for c in contexts], shape)
+    present = np.array([c in m for m in maps for c in contexts], dtype=bool)
     try:
-        return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
-                              np.array(present, dtype=bool).reshape(shape[:2]),
+        return ContextDataset(outcomes, contexts, tuple(ids), table, present.reshape(shape[:2]),
                               tuple(entry.get("spec") for entry in entries),
                               tuple(entry.get("core_length") for entry in entries),
                               raw.get("description"))
@@ -440,16 +443,18 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
 
     def entry(pools: list[list[int]], circuit_id: str, spec: str | None,
               core_length: int | None) -> str:
-        optional = ""
+        optional, encoded_id = "", encode_basestring_ascii(circuit_id)
         if spec is not None:
-            optional += f'\n      "spec": {encode_basestring_ascii(spec)},'
+            # A simulated circuit's spec is its id: encode that text once.
+            encoded = encoded_id if spec == circuit_id else encode_basestring_ascii(spec)
+            optional += f'\n      "spec": {encoded},'
         if core_length is not None:
             optional += f'\n      "core_length": {int.__repr__(core_length)},'
         # The dataset's check makes a pool present exactly where it has counts.
         text = ",\n".join(
             pool_head + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool)) + "\n        ]"
             for pool_head, pool in zip(pool_heads, pools) if any(pool))
-        return _CIRCUIT_TEMPLATE % (encode_basestring_ascii(circuit_id), optional, text)
+        return _CIRCUIT_TEMPLATE % (encoded_id, optional, text)
 
     # The count lists come first: map frees them once it has read them all,
     # before the last batch of entries is written.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from json.encoder import encode_basestring_ascii
@@ -621,10 +621,22 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
         write_joined(handle, lines)
 
 
+class JsdProfile(RowView):
+    """A JSD profile's columns in report order: ids, int core lengths, and the
+    report's jsd and jsd_threshold arrays.  Read as a sequence, it is the
+    rows (circuit_id, core_length, jsd, jsd_threshold), each built when read."""
+
+    def __init__(self, circuit_ids: Sequence[str], core_lengths: Sequence[int],
+                 jsd: np.ndarray, jsd_threshold: np.ndarray) -> None:
+        self.columns = (circuit_ids, core_lengths, jsd, jsd_threshold)
+        super().__init__(len(circuit_ids), lambda i: (
+            circuit_ids[i], core_lengths[i], float(jsd[i]), float(jsd_threshold[i])))
+
+
 def jsd_profile(report: ComparisonReport,
                 core_lengths: ContextDataset | Mapping[str, int | None] | None = None,
-                ) -> list[tuple[str, int, float, float]]:
-    """Rows of (circuit_id, core_length, jsd, jsd_threshold) in report order.
+                ) -> JsdProfile:
+    """The (circuit_id, core_length, jsd, jsd_threshold) profile of a report.
 
     Core lengths come from a dataset's core_lengths column or any mapping;
     every circuit in the report must have one.
@@ -641,8 +653,8 @@ def jsd_profile(report: ComparisonReport,
             f"circuit {report.circuit_ids[cores.index(None)]!r} has no core_length; "
             "profile needs one"
         )
-    return list(zip(report.circuit_ids, map(int, cores),
-                    report.jsd.tolist(), report.jsd_threshold.tolist()))
+    return JsdProfile(report.circuit_ids, list(map(int, cores)), report.jsd,
+                      report.jsd_threshold)
 
 
 def _needs_quotes(text: str) -> bool:
@@ -658,19 +670,18 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def write_jsd_profile_csv(rows: Iterable[tuple[str, int, float, float]],
-                          path: str | Path) -> None:
-    """The bytes csv.writer writes for the header and the rows.
+def write_jsd_profile_csv(profile: JsdProfile, path: str | Path) -> None:
+    """The bytes csv.writer writes for the header and the profile's rows.
 
-    jsd and jsd_threshold are floats, written as .10g.
+    Written from the columns: jsd and jsd_threshold as .10g, each distinct
+    value formatted once.
     """
-    ids, cores, jsds, thresholds = list(zip(*rows)) or [(), (), (), ()]
+    ids, cores, jsds, thresholds = profile.columns
     # One scan of all the ids tells whether any needs quoting.
     if _needs_quotes("".join(ids)):
         ids = map(_csv_field, ids)
-    cells = _format_distinct(np.array(jsds + thresholds, dtype=float), _g10_floats,
-                             {}).tolist()
-    lines = zip(ids, cores, cells[:len(jsds)], cells[len(jsds):])
+    cells = _format_distinct(np.concatenate((jsds, thresholds)), _g10_floats, {}).tolist()
+    lines = map(",".join, zip(ids, map(str, cores), cells[:len(cores)], cells[len(cores):]))
     with open(path, "w", newline="") as handle:
-        handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
-        write_joined(handle, map("%s,%s,%s,%s\r\n".__mod__, lines))
+        write_joined(handle, chain(["circuit_id,core_length,jsd,jsd_threshold"], lines), "\r\n")
+        handle.write("\r\n")

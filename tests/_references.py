@@ -19,7 +19,8 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from contextdep.counts import ContextDataset
+from contextdep.counts import (FORMAT_VERSION, STRINGS, ContextDataset, DatasetError,
+                               _count_table, column, field, read_json)
 from contextdep.gstgen import known_gate_labels
 from contextdep.qsim import _sampling_distributions
 
@@ -296,6 +297,54 @@ def dataset_from_records(outcomes, contexts, records, **header) -> ContextDatase
                           circuit_ids=tuple(r.circuit_id for r in records), counts=counts,
                           present=present, specs=tuple(r.spec for r in records),
                           core_lengths=tuple(r.core_length for r in records), **header)
+
+
+def load_dataset_reference(path) -> ContextDataset:
+    """counts.load_dataset as one loop over the circuit entries.
+
+    Each entry's counts field and each of its pools is checked where it is
+    read, with a location string built per circuit, and each pool is put in
+    its context's slot as it is checked.  The oracle of the column-pass
+    loader: the same dataset from a valid file, the same DatasetError from
+    a faulty one.
+    """
+    path = Path(path)
+    raw = read_json(path, (dict,), DatasetError)
+    version = field(raw, "format_version", (str,), str(path), error=DatasetError)
+    if version != FORMAT_VERSION:
+        raise DatasetError(f"{path}: unsupported format_version {version!r}")
+    outcomes = tuple(field(raw, "outcomes", STRINGS, str(path), error=DatasetError))
+    contexts = tuple(field(raw, "contexts", STRINGS, str(path), error=DatasetError))
+    entries = field(raw, "circuits", ((list, (dict,)),), str(path), error=DatasetError)
+    ids = column(entries, "id", (str,), f"{path}: circuit entry", error=DatasetError)
+
+    column_of = {context: k for k, context in enumerate(contexts)}
+    zero = [0] * len(outcomes)
+    pools, present = [], []
+    for circuit_id, entry in zip(ids, entries):
+        where = f"{path}: circuit {circuit_id!r}"
+        counts = field(entry, "counts", (dict,), where, error=DatasetError)
+        row = [zero] * len(contexts)
+        for context in counts:
+            values = field(counts, context, (list,), where + " counts", error=DatasetError)
+            if context not in column_of:
+                raise DatasetError(f"{where}: unknown context {context!r}")
+            if len(values) != len(outcomes):
+                raise DatasetError(f"{where}: pools have {len(values)} entries "
+                                   f"but the dataset declares {len(outcomes)} outcomes")
+            row[column_of[context]] = values
+        pools += row
+        present.append([context in counts for context in contexts])
+
+    shape = (len(ids), len(contexts), len(outcomes))
+    try:
+        return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
+                              np.array(present, dtype=bool).reshape(shape[:2]),
+                              tuple(entry.get("spec") for entry in entries),
+                              tuple(entry.get("core_length") for entry in entries),
+                              raw.get("description"))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator):

@@ -45,6 +45,11 @@ def test_tiny_traced_run_passes_the_benchmark_checks(tmp_path):
         problems = run.check_outputs(paths, texts["summarize"], spec, contexts)
         assert problems == {name: [] for name in run.COMMANDS}
         assert tracer.counts["pipeline.rows"] == spec["circuits"] * spec["comparisons"] == 96 * 4
+        # The spans wrap the names analyze calls; a refactor that stops
+        # calling one leaves its span at 0.  Tables: the pairwise matrix
+        # and its writer once, then a profile and its writer per comparison.
+        assert tracer.calls["counts.load"] == 1
+        assert tracer.calls["pipeline.tables"] == 2 + 2 * spec["comparisons"] == 10
     finally:
         if tracer is not None:
             tracer.restore()

@@ -230,17 +230,16 @@ class TestAnalyze:
         assert not (tables / "pairwise_matrix.csv").exists()
         assert (tables / "jsd_profile_joint.csv").exists()
 
-    @pytest.mark.parametrize("ids", [
-        ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"],
-        ["Gx", "GxGy", "GyGyGy", "q4", "q5"],  # no id needs quoting
-    ])
-    def test_jsd_profiles_quote_ids_as_csv_writer_does(self, tmp_path, ids):
-        # Every table of the plan is scanned for ids to quote in one pass.
+    @staticmethod
+    def _check_jsd_profiles(tmp_path, ids, lacks_c=None):
+        """analyze --tables on five circuits over contexts a, b, c, the circuit
+        ``lacks_c`` without c; each profile must hold csv.writer's bytes."""
         data = tmp_path / "data.json"
         data.write_text(json.dumps({
             "format_version": "1.0", "outcomes": ["0", "1"], "contexts": ["a", "b", "c"],
             "circuits": [{"id": cid, "core_length": i, "counts": {
-                "a": [10 + i, 20 - i], "b": [15, 15 + 3 * i], "c": [5 + 2 * i, 25]}}
+                "a": [10 + i, 20 - i], "b": [15, 15 + 3 * i],
+                **({} if cid == lacks_c else {"c": [5 + 2 * i, 25]})}}
                 for i, cid in enumerate(ids)]}))
         out, tables = tmp_path / "report.json", tmp_path / "tables"
         code = main(["analyze", "--data", str(data), "--plan", "auto", "--out", str(out),
@@ -253,6 +252,22 @@ class TestAnalyze:
             write_jsd_profile_csv_reference(jsd_profile(report, dataset), reference)
             written = (tables / f"jsd_profile_{report.comparison_id}.csv").read_bytes()
             assert written == reference.read_bytes()
+        return reports
+
+    @pytest.mark.parametrize("ids", [
+        ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"],
+        ["Gx", "GxGy", "GyGyGy", "q4", "q5"],  # no id needs quoting
+    ])
+    def test_jsd_profiles_quote_ids_as_csv_writer_does(self, tmp_path, ids):
+        # Every table of the plan is scanned for ids to quote in one pass.
+        self._check_jsd_profiles(tmp_path, ids)
+
+    def test_jsd_profiles_of_comparisons_over_different_circuits(self, tmp_path):
+        # One circuit lacks c: the comparisons with c cover four circuits,
+        # a_vs_b all five, and the ids that need quoting differ.
+        reports = self._check_jsd_profiles(
+            tmp_path, ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"], 'say "hi"')
+        assert sorted(len(report.circuit_ids) for report in reports) == [4, 4, 4, 5]
 
     @pytest.mark.parametrize("alpha", ["1e-12", "1e-17", "1e-300"])
     def test_tiny_alpha_analyzes(self, tmp_path, drift_seed_0, alpha):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError,
+from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError, field,
                                load_dataset, marginalize, save_dataset, write_joined)
 
 from _references import dataset_from_records, dataset_to_json
@@ -334,6 +334,32 @@ def test_save_dataset_bytes_equal_json_dumps(tmp_path_factory, dataset):
     expected = json.dumps(dataset_to_json(dataset), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("ascii")
     assert load_dataset(path) == dataset
+
+
+def test_load_dataset_reads_no_field_per_circuit(tmp_path, monkeypatch):
+    """A valid file is checked by whole-column passes, so the loader reads
+    the same header fields through field() for 10 circuits as for 1,000."""
+    rng = np.random.default_rng(7)
+    contexts = ("t1", "t2", "t3", "t4", "t5")
+    read = []
+    monkeypatch.setattr("contextdep.counts.field",
+                        lambda obj, key, *args, **kwargs: read.append(key)
+                        or field(obj, key, *args, **kwargs))
+    fields_read = {}
+    for n in (10, 1000):
+        present = rng.random((n, len(contexts))) < 0.8
+        present[:, 0] = True
+        pools = rng.integers(1, 100, size=(n, len(contexts), 2)) * present[:, :, None]
+        ids = tuple(f"G{i}" for i in range(n))
+        dataset = ContextDataset(("0", "1"), contexts, ids, pools.astype(object), present,
+                                 ids, tuple(i % 7 for i in range(n)))
+        path = tmp_path / f"data_{n}.json"
+        save_dataset(dataset, path)
+        read.clear()
+        assert load_dataset(path) == dataset
+        fields_read[n] = list(read)
+    assert fields_read[10] == fields_read[1000] == [
+        "format_version", "outcomes", "contexts", "circuits"]
 
 
 class RecordingFile(io.StringIO):

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.cli import main
@@ -31,7 +31,7 @@ from contextdep.qsim import load_error_model
 
 from _references import (circuit_list_file_is_valid, dataset_file_is_valid,
                          design_file_is_valid, error_model_file_is_valid,
-                         plan_file_is_valid, report_file_is_valid)
+                         load_dataset_reference, plan_file_is_valid, report_file_is_valid)
 from test_cli import FILE_COMMANDS, _mutated_report
 
 # Each kind of input file: its loader, a valid file, and its rules.
@@ -160,3 +160,29 @@ def test_unmutated_file_is_accepted(kind, command):
         path = Path(tmp) / f"{kind}.json"
         path.write_text(json.dumps(valid))
         assert _run(command, loader, path) == (True, "")
+
+
+def _load_outcome(loader, path: Path):
+    """The loaded dataset, or the type and message of what the loader raised."""
+    try:
+        return loader(path)
+    except Exception as exc:  # a wrong exception type must fail the comparison
+        return type(exc), str(exc)
+
+
+_DATASET = KINDS["dataset"][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=mutated(_DATASET))
+@example(obj=_DATASET)  # GxGx has no pool in c
+@example(obj={**_DATASET, "contexts": ["a", "b"]})  # Gx's pool in c is unknown
+@example(obj={**_DATASET, "outcomes": ["0", "1", "2"]})  # every pool is too narrow
+def test_dataset_loader_matches_per_circuit_reference(obj):
+    """The column-pass loader against the per-circuit loop it replaced: the
+    same dataset from a valid file, the same exception type and message
+    from a faulty one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.json"
+        path.write_text(json.dumps(obj))
+        assert _load_outcome(load_dataset, path) == _load_outcome(load_dataset_reference, path)

@@ -478,6 +478,7 @@ class TestReportBytes:
     @example(_report_with_rows(513))
     @example(_report_with_rows(1024))
     @example(_report_with_rows(1025))
+    @example(_report_with_rows(0))
     def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
         tmp = tmp_path_factory.mktemp("profile")
         rows = jsd_profile(report, {cid: 7 for cid in report.circuit_ids})
@@ -592,3 +593,7 @@ class TestJsdProfile:
         report = run_analysis(two_context_example(), alpha=0.05)[0]
         rows = jsd_profile(report, {"Gx": 1})
         assert rows[0][1] == 1
+        # A row is read from the profile's columns as plain Python values.
+        line = report.circuits[0]
+        assert rows[0] == ("Gx", 1, line.jsd, line.jsd_threshold)
+        assert type(rows[0][2]) is float and rows[:] == (rows[0],)
