@@ -557,26 +557,20 @@ class PairwiseMatrices:
 
 
 def pairwise_matrices(reports: Sequence[ComparisonReport],
-                      contexts: Sequence[str] | None = None) -> PairwiseMatrices:
-    """Assemble the pairwise N_sigma / rejection-count matrices.
+                      contexts: Sequence[str]) -> PairwiseMatrices:
+    """Assemble the pairwise N_sigma / rejection-count matrices, in ``contexts`` order.
 
-    Needs a report for every unordered context pair.  Context order comes
-    from ``contexts`` when given, else from a joint report, else from
-    first appearance across the pair reports.
+    Needs exactly one report for every unordered pair of ``contexts``; a
+    pair that two reports compare is a ValueError naming both.
     """
-    pair_reports = {frozenset(r.contexts): r for r in reports if len(r.contexts) == 2}
-    if contexts is None:
-        joint = [r for r in reports if len(r.contexts) > 2]
-        if joint:
-            contexts = joint[0].contexts
-        else:
-            seen: list[str] = []
-            for report in reports:
-                if len(report.contexts) == 2:
-                    for context in report.contexts:
-                        if context not in seen:
-                            seen.append(context)
-            contexts = seen
+    pair_reports: dict[frozenset, ComparisonReport] = {}
+    for report in reports:
+        if len(report.contexts) == 2:
+            first = pair_reports.setdefault(frozenset(report.contexts), report)
+            if first is not report:
+                raise ValueError(
+                    f"comparisons {first.comparison_id!r} and {report.comparison_id!r} "
+                    f"both compare contexts {first.contexts[0]!r}, {first.contexts[1]!r}")
     contexts = distinct_labels(contexts, "context", "pairwise matrices")
     size = len(contexts)
     sigma: list[list[float | None]] = [[None] * size for _ in range(size)]
@@ -633,21 +627,16 @@ class JsdProfile(RowView):
             circuit_ids[i], core_lengths[i], float(jsd[i]), float(jsd_threshold[i])))
 
 
-def jsd_profile(report: ComparisonReport,
-                core_lengths: ContextDataset | Mapping[str, int | None] | None = None,
-                ) -> JsdProfile:
+def jsd_profile(report: ComparisonReport, dataset: ContextDataset) -> JsdProfile:
     """The (circuit_id, core_length, jsd, jsd_threshold) profile of a report.
 
-    Core lengths come from a dataset's core_lengths column or any mapping;
-    every circuit in the report must have one.
+    Core lengths come from the dataset's core_lengths column; every circuit
+    in the report must have one there.
     """
-    if isinstance(core_lengths, ContextDataset):
-        # The dataset's own id -> row index; a missing id finds no row.
-        column = core_lengths.core_lengths
-        cores = [None if row is None else column[row]
-                 for row in map(core_lengths._index.get, report.circuit_ids)]
-    else:
-        cores = list(map((core_lengths or {}).get, report.circuit_ids))
+    # The dataset's own id -> row index; a missing id finds no row.
+    column = dataset.core_lengths
+    cores = [None if row is None else column[row]
+             for row in map(dataset._index.get, report.circuit_ids)]
     if None in cores:
         raise ValueError(
             f"circuit {report.circuit_ids[cores.index(None)]!r} has no core_length; "

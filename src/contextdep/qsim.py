@@ -503,19 +503,15 @@ def sample_experiment(circuits: Sequence[CircuitSpec], probs: np.ndarray,
     )
 
 
-def run_drift_experiment(design: GstDesign, error: ErrorModel, config: SimConfig,
-                         circuits: Sequence[CircuitSpec] | None = None) -> ContextDataset:
-    """Simulate a whole multi-context experiment into a ContextDataset.
+def run_drift_experiment(design: GstDesign, error: ErrorModel,
+                         config: SimConfig) -> ContextDataset:
+    """Simulate a design's experiment in every context into a ContextDataset.
 
-    Circuits default to the design's long-sequence list when germs are
-    present and the linear-inversion list otherwise; pass ``circuits`` to
-    simulate a custom list.
+    The circuits are the design's long-sequence list when it has germs and
+    its linear-inversion list otherwise.  A custom list goes through
+    ``experiment_probabilities`` and ``sample_experiment``.
     """
-    if circuits is None:
-        if design.germs:
-            circuits = lsgst_circuits(design)
-        else:
-            circuits = lgst_circuits(design)
+    circuits = lsgst_circuits(design) if design.germs else lgst_circuits(design)
     probs = experiment_probabilities(circuits, error, config.contexts)
     return sample_experiment(circuits, probs, config)
 

@@ -50,6 +50,13 @@ def test_tiny_traced_run_passes_the_benchmark_checks(tmp_path):
         # and its writer once, then a profile and its writer per comparison.
         assert tracer.calls["counts.load"] == 1
         assert tracer.calls["pipeline.tables"] == 2 + 2 * spec["comparisons"] == 10
+        live = ("gstgen.lsgst", "qsim.probabilities", "qsim.sampling", "counts.save",
+                "counts.load", "pipeline.run_analysis", "pipeline.save_report",
+                "pipeline.load_report", "chi2.sf")
+        assert [name for name in live if tracer.calls[name] == 0] == []
+        # One combined procedure per comparison: a changed signature that
+        # strands the wrapped name would read fewer.
+        assert tracer.calls["multitest.combined"] == spec["comparisons"] == 4
     finally:
         if tracer is not None:
             tracer.restore()

@@ -230,6 +230,31 @@ class TestAnalyze:
         assert not (tables / "pairwise_matrix.csv").exists()
         assert (tables / "jsd_profile_joint.csv").exists()
 
+    @pytest.mark.parametrize("order", [("t1", "t5"), ("t5", "t1")])
+    def test_pair_compared_twice_skips_the_matrix(self, tmp_path, capsys, order):
+        # Either plan order once gave a matrix, from the pair listed last.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"t1": {"Gx": 0.0, "Gy": 0.0},
+                                     "t5": {"Gx": 0.004, "Gy": 0.004},
+                                     "static_epsilon": 0.001}))
+        sim = tmp_path / "data.json"
+        assert main(["simulate", "--design", DRIFT_DESIGN, "--error-model", str(model),
+                     "--shots", "100", "--seed", "0", "--out", str(sim)]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"comparisons": [
+            {"contexts": list(order), "weight": 0.02},
+            {"contexts": list(reversed(order)), "weight": 0.98}]}))
+        tables = tmp_path / "tables"
+        code = main(["analyze", "--data", str(sim), "--plan", str(plan),
+                     "--out", str(tmp_path / "report.json"), "--tables", str(tables)])
+        assert code == 0
+        first, second = "_vs_".join(order), "_vs_".join(reversed(order))
+        assert capsys.readouterr().err == (
+            f"note: pairwise matrix skipped (comparisons {first!r} and {second!r} "
+            f"both compare contexts {order[0]!r}, {order[1]!r})\n")
+        assert sorted(p.name for p in tables.iterdir()) == [
+            "jsd_profile_t1_vs_t5.csv", "jsd_profile_t5_vs_t1.csv"]
+
     @staticmethod
     def _check_jsd_profiles(tmp_path, ids, lacks_c=None):
         """analyze --tables on five circuits over contexts a, b, c, the circuit

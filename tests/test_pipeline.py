@@ -17,7 +17,7 @@ from contextdep.datasets import (drift_design, drift_error_model, neighbor_examp
 from contextdep.divergence import observed_tvd, sstvd
 from contextdep.llr import (AggregateTestResult, llr_single, llr_threshold,
                             n_sigma_threshold)
-from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport,
+from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport, JsdProfile,
                                  PairwiseMatrices, jsd_profile, load_plan, load_report,
                                  pairwise_matrices, run_analysis, save_report,
                                  write_jsd_profile_csv, write_pairwise_csv)
@@ -481,7 +481,8 @@ class TestReportBytes:
     @example(_report_with_rows(0))
     def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
         tmp = tmp_path_factory.mktemp("profile")
-        rows = jsd_profile(report, {cid: 7 for cid in report.circuit_ids})
+        rows = JsdProfile(report.circuit_ids, [7] * len(report.circuit_ids), report.jsd,
+                          report.jsd_threshold)
         write_jsd_profile_csv(rows, tmp / "columnar.csv")
         write_jsd_profile_csv_reference(rows, tmp / "rows.csv")
         assert (tmp / "columnar.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
@@ -512,7 +513,7 @@ class TestPairwiseMatrices:
     def test_matrix_layout(self, tmp_path):
         dataset = drifting_dataset()
         reports = run_analysis(dataset, alpha=0.05)
-        matrices = pairwise_matrices(reports)
+        matrices = pairwise_matrices(reports, dataset.contexts)
         assert matrices.contexts == ("t1", "t2", "t3")
         by_id = {r.comparison_id: r for r in reports}
         assert matrices.n_sigma[0][2] == by_id["t1_vs_t3"].aggregate.n_sigma
@@ -522,15 +523,33 @@ class TestPairwiseMatrices:
         assert matrices.n_sigma[1][1] is None
 
     def test_missing_pair_is_an_error(self):
-        reports = run_analysis(drifting_dataset(), alpha=0.05)
+        dataset = drifting_dataset()
+        reports = run_analysis(dataset, alpha=0.05)
         only_some = [r for r in reports if r.comparison_id != "t1_vs_t3"]
         with pytest.raises(ValueError, match="t1.*t3"):
-            pairwise_matrices(only_some)
+            pairwise_matrices(only_some, dataset.contexts)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_pair_compared_twice_is_an_error(self, swapped):
+        # The matrix once showed whichever of the two the plan listed last.
+        dataset = drifting_dataset(contexts=("t1", "t5"))
+        comparisons = [Comparison("t1_vs_t5", ("t1", "t5"), 0.02),
+                       Comparison("t5_vs_t1", ("t5", "t1"), 0.98)]
+        if swapped:
+            comparisons.reverse()
+        reports = run_analysis(dataset, ComparisonPlan(tuple(comparisons)), alpha=0.05)
+        first, second = (r.comparison_id for r in reports)
+        first_contexts = reports[0].contexts
+        message = (f"comparisons {first!r} and {second!r} both compare contexts "
+                   f"{first_contexts[0]!r}, {first_contexts[1]!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pairwise_matrices(reports, dataset.contexts)
 
     def test_csv_shape(self, tmp_path):
-        reports = run_analysis(drifting_dataset(), alpha=0.05)
+        dataset = drifting_dataset()
+        reports = run_analysis(dataset, alpha=0.05)
         path = tmp_path / "matrix.csv"
-        write_pairwise_csv(pairwise_matrices(reports), path)
+        write_pairwise_csv(pairwise_matrices(reports, dataset.contexts), path)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["context", "t1", "t2", "t3"]
         assert len(rows) == 4
@@ -576,9 +595,11 @@ class TestJsdProfile:
         assert len(parsed) == len(rows) + 1
 
     def test_profile_requires_core_lengths(self):
-        report = run_analysis(two_context_example(), alpha=0.05)[0]
-        with pytest.raises(ValueError, match="core_length"):
-            jsd_profile(report, {})
+        dataset = two_context_example()
+        assert dataset.core_lengths == (None,)
+        report = run_analysis(dataset, alpha=0.05)[0]
+        with pytest.raises(ValueError, match="circuit 'Gx' has no core_length"):
+            jsd_profile(report, dataset)
 
     def test_profile_names_a_report_id_the_dataset_lacks(self):
         dataset = drifting_dataset()
@@ -589,11 +610,13 @@ class TestJsdProfile:
         with pytest.raises(ValueError, match=re.escape(message)):
             jsd_profile(report, others)
 
-    def test_profile_accepts_plain_mapping(self):
-        report = run_analysis(two_context_example(), alpha=0.05)[0]
-        rows = jsd_profile(report, {"Gx": 1})
-        assert rows[0][1] == 1
+    def test_profile_rows_are_plain_values(self):
+        dataset = drifting_dataset()
+        report = run_analysis(dataset, alpha=0.05)[0]
+        rows = jsd_profile(report, dataset)
         # A row is read from the profile's columns as plain Python values.
-        line = report.circuits[0]
-        assert rows[0] == ("Gx", 1, line.jsd, line.jsd_threshold)
-        assert type(rows[0][2]) is float and rows[:] == (rows[0],)
+        line = report.circuits[1]
+        core = dataset.circuit(line.circuit_id).core_length
+        assert rows[1] == (line.circuit_id, core, line.jsd, line.jsd_threshold)
+        assert type(rows[1][1]) is int and type(rows[1][2]) is float
+        assert rows[:2] == (rows[0], rows[1]) and rows[:] == tuple(rows)
