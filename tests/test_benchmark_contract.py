@@ -49,6 +49,10 @@ def test_tiny_traced_run_passes_the_benchmark_checks(tmp_path):
         # calling one leaves its span at 0.  Tables: the pairwise matrix
         # and its writer once, then a profile and its writer per comparison.
         assert tracer.calls["counts.load"] == 1
+        # One sampling call that counts every cell: a sampler refactor that
+        # strands run.py's cell-counting hook reads 0 here.
+        assert tracer.calls["qsim.sampling"] == 1
+        assert tracer.counts["qsim.cells"] == spec["circuits"] * len(contexts) == 96 * 3
         assert tracer.calls["pipeline.tables"] == 2 + 2 * spec["comparisons"] == 10
         live = ("gstgen.lsgst", "qsim.probabilities", "qsim.sampling", "counts.save",
                 "counts.load", "pipeline.run_analysis", "pipeline.save_report",

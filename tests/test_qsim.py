@@ -387,8 +387,22 @@ class TestSampling:
         config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
         with pytest.raises(ValueError, match="invalid probability vector"):
             sample_experiment(circuits, np.array([[[0.5, 0.5], [0.8, 0.8]]]), config)
-        with pytest.raises(ValueError):
-            sample_experiment(circuits, np.array([[[0.5, 0.5]]]), config)
+        # A NaN entry is refused by the table check, not by numpy mid-draw.
+        for bad in ([np.nan, 1.0], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="invalid probability vector"):
+                sample_experiment(circuits, np.array([[[0.5, 0.5], bad]]), config)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (1, 1, 2), (2, 2, 2), (1, 2), (0, 2, 2)])
+    def test_sample_experiment_checks_the_table_shape_before_any_draw(self, shape, monkeypatch):
+        # A wrong outcome, context or circuit count is named as one line;
+        # no cell is drawn first, and a short table is not truncated.
+        circuits = [CircuitSpec(gates=("Gx",))]
+        config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
+        monkeypatch.setattr(qsim, "_draw_cells", None)
+        table = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError) as info:
+            sample_experiment(circuits, table, config)
+        assert str(info.value) == f"probability table of shape {shape}, need (1, 2, 2)"
 
 
 _SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 - 3]),
@@ -397,24 +411,24 @@ _IDS = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=_SEEDS, ids=_IDS, n_contexts=st.integers(min_value=1, max_value=12),
-       n_outcomes=st.integers(min_value=2, max_value=4))
-@example(seed=0, ids=["G"], n_contexts=1, n_outcomes=2)
-@example(seed=2**32 - 1, ids=["\u00e9", "Gx"], n_contexts=12, n_outcomes=2)
-@example(seed=2**32, ids=["\u65e5\u672c", "x"], n_contexts=5, n_outcomes=3)
-@example(seed=2**64 + 1, ids=["{}"], n_contexts=2, n_outcomes=2)
-@example(seed=2**100 - 3, ids=["GxGyGy", "\U0001d54f"], n_contexts=7, n_outcomes=4)
-def test_batched_streams_equal_counts_stream(seed, ids, n_contexts, n_outcomes):
+@given(seed=_SEEDS, ids=_IDS, n_contexts=st.integers(min_value=1, max_value=12))
+@example(seed=0, ids=["G"], n_contexts=1)
+@example(seed=2**32 - 1, ids=["\u00e9", "Gx"], n_contexts=12)
+@example(seed=2**32, ids=["\u65e5\u672c", "x"], n_contexts=5)
+@example(seed=2**64 + 1, ids=["{}"], n_contexts=2)
+@example(seed=2**100 - 3, ids=["GxGyGy", "\U0001d54f"], n_contexts=7)
+def test_batched_streams_equal_counts_stream(seed, ids, n_contexts):
     """The batch derives each cell's PCG64 state exactly as SeedSequence does.
 
     Seeds of 2**32 and more take more than one entropy word.  The draws from
-    the batch states equal counts_stream's, with the same probabilities.
+    the batch states equal counts_stream's two-outcome multinomial draws,
+    with the same probabilities.
     """
     states = list(_cell_states(seed, ids, n_contexts))
     assert len(states) == len(ids) * n_contexts
     # A different distribution in every cell.
-    table = np.arange(1.0, 1.0 + len(ids) * n_contexts * n_outcomes) ** 1.5
-    table = table.reshape(len(ids), n_contexts, n_outcomes)
+    table = np.arange(1.0, 1.0 + len(ids) * n_contexts * 2) ** 1.5
+    table = table.reshape(len(ids), n_contexts, 2)
     table /= table.sum(axis=2, keepdims=True)
     counts = _draw_cells(seed, ids, table, 97)
     assert counts.shape == table.shape
@@ -427,6 +441,27 @@ def test_batched_streams_equal_counts_stream(seed, ids, n_contexts, n_outcomes):
             draw = counts_stream(seed, circuit_id, k).multinomial(97, table[i, k])
             assert counts[i, k].tolist() == draw.tolist()
             assert set(map(type, counts[i, k])) == {int}
+
+
+# p0 on both sides of numpy's p > 0.5 reflection, and with the shots on both
+# sides of its inversion/BTPE switch at n * min(p, 1 - p) = 30.
+_EDGE_P0 = [0.0, 5e-324, 1e-300, 2.0**-53, 1e-3, 0.29, 0.31, 0.5, 0.71, 1 - 2.0**-53, 1.0]
+_EDGE_SHOTS = [1, 97, 10**6, 2**40, 2**63 - 1]
+
+
+@pytest.mark.parametrize("shots", _EDGE_SHOTS)
+@pytest.mark.parametrize("p0", _EDGE_P0)
+def test_two_outcome_draw_equals_the_multinomial_draw(p0, shots):
+    """Each cell's binomial draw is counts_stream's multinomial, at the edges."""
+    ids, seed = ("Gx", "GyGy"), 2**40 + 7
+    table = np.array([[[p0, 1.0 - p0]] * 3] * len(ids))
+    counts = _draw_cells(seed, ids, table, shots)
+    assert counts.shape == table.shape
+    for i, circuit_id in enumerate(ids):
+        for k in range(3):
+            draw = counts_stream(seed, circuit_id, k).multinomial(shots, [p0, 1.0 - p0])
+            assert counts[i, k].tolist() == draw.tolist()
+            assert [type(count) for count in counts[i, k]] == [int, int]
 
 
 def small_design():
