@@ -112,12 +112,13 @@ def _cmd_analyze(args) -> int:
     plan = _make_plan(args.plan, dataset.contexts)
     if args.tables is not None:
         _check_table_names(plan)
+        # Before the analysis: a path that cannot be a directory fails at once.
+        tables = Path(args.tables)
+        tables.mkdir(parents=True, exist_ok=True)
     reports = run_analysis(dataset, plan, alpha=args.alpha)
     save_report(reports, args.out)
 
     if args.tables is not None:
-        tables = Path(args.tables)
-        tables.mkdir(parents=True, exist_ok=True)
         try:
             matrices = pairwise_matrices(reports, dataset.contexts)
             write_pairwise_csv(matrices, tables / "pairwise_matrix.csv")

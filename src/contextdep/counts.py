@@ -20,7 +20,7 @@ import math
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
@@ -401,27 +401,31 @@ def load_dataset(path: str | Path) -> ContextDataset:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def write_joined(handle: TextIO, texts: Iterable[str], separator: str = "") -> None:
-    """Write ``separator.join(texts)`` to an open file, 512 texts a write.
+def write_rows(handle: TextIO, pieces: Sequence[str], columns: Sequence[Sequence[str]],
+               separator: str = "") -> None:
+    """Write rows joined by ``separator``, 512 rows a write: the one batching loop.
 
-    The one batching loop of the package's writers.  The whole text is
-    never held at once: a large dataset or report costs the memory of one
-    batch, and a batch saves the cost of a write call per text.
+    Row i is pieces[0] + columns[0][i] + pieces[1] + ... + pieces[-1].  A batch
+    is the pieces repeated with each column's slice assigned into its stride,
+    joined once; the whole text is never held.  Columns of unequal length
+    raise before anything is written.
     """
-    texts, lead = iter(texts), ""
-    while batch := list(islice(texts, 512)):
-        handle.write(lead + separator.join(batch))
-        lead = separator
+    lengths = list(map(len, columns))
+    if min(lengths) < max(lengths):
+        raise ValueError(f"row column {lengths.index(min(lengths))} is shorter than the "
+                         f"others: {min(lengths)} rows, not {max(lengths)}")
+    stride, n_rows = 2 * len(columns) + 1, lengths[0]
+    row = [text for piece in pieces[:-1] for text in (piece, None)]
+    full = (row + [pieces[-1] + separator]) * 512
+    for start in range(0, n_rows, 512):
+        batch = full[:stride * min(512, n_rows - start)]
+        for slot, column in enumerate(columns):
+            batch[2 * slot + 1::stride] = column[start:start + 512]
+        if start + 512 >= n_rows:
+            batch[-1] = pieces[-1]
+        handle.write("".join(batch))
 
 
-# One circuit entry exactly as json.dumps(..., indent=2) lays it out; the
-# second slot holds the optional spec and core_length lines.
-_CIRCUIT_TEMPLATE = """    {
-      "id": %s,%s
-      "counts": {
-%s
-      }
-    }"""
 _OUTCOME_SEPARATOR = ",\n          "
 
 
@@ -429,41 +433,38 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     """Write a dataset as JSON; identical datasets produce identical bytes.
 
     The bytes are those of json.dumps(..., indent=2) of the dataset's plain
-    dict form plus a newline.  The header goes through json.dumps; each
-    circuit entry is one template, written to the file as it is formatted.
+    dict form plus a newline.  The header goes through json.dumps; the
+    circuit entries are rows of write_rows, from columns of encoded ids, of
+    optional spec and core_length lines, and of each context's pool texts.
     """
-    head: dict = {"format_version": FORMAT_VERSION}
-    if dataset.description is not None:
-        head["description"] = dataset.description
-    head["outcomes"] = list(dataset.outcomes)
-    head["contexts"] = list(dataset.contexts)
-    head["circuits"] = []
-    pool_heads = [f"        {encode_basestring_ascii(c)}: [\n          "
-                  for c in dataset.contexts]
-
-    def entry(pools: list[list[int]], circuit_id: str, spec: str | None,
-              core_length: int | None) -> str:
-        optional, encoded_id = "", encode_basestring_ascii(circuit_id)
-        if spec is not None:
-            # A simulated circuit's spec is its id: encode that text once.
-            encoded = encoded_id if spec == circuit_id else encode_basestring_ascii(spec)
-            optional += f'\n      "spec": {encoded},'
-        if core_length is not None:
-            optional += f'\n      "core_length": {int.__repr__(core_length)},'
-        # The dataset's check makes a pool present exactly where it has counts.
-        text = ",\n".join(
-            pool_head + _OUTCOME_SEPARATOR.join(map(int.__repr__, pool)) + "\n        ]"
-            for pool_head, pool in zip(pool_heads, pools) if any(pool))
-        return _CIRCUIT_TEMPLATE % (encoded_id, optional, text)
-
-    # The count lists come first: map frees them once it has read them all,
-    # before the last batch of entries is written.
-    entries = map(entry, dataset.counts.tolist(), dataset.circuit_ids, dataset.specs,
-                  dataset.core_lengths)
+    described = {} if dataset.description is None else {"description": dataset.description}
+    head = {"format_version": FORMAT_VERSION, **described, "outcomes": list(dataset.outcomes),
+            "contexts": list(dataset.contexts), "circuits": []}
+    ids = list(map(encode_basestring_ascii, dataset.circuit_ids))
+    # A simulated circuit's spec is its id: its encoded text is reused.
+    specs = ["" if s is None else f'\n      "spec": {e if s == c else encode_basestring_ascii(s)},'
+             for c, e, s in zip(dataset.circuit_ids, ids, dataset.specs)]
+    cores = ["" if n is None else f'\n      "core_length": {n},' for n in dataset.core_lengths]
+    # Every pool's text at once, as a (circuits x contexts) object array of str.
+    numbers = np.array(list(map(int.__repr__, dataset.counts.ravel().tolist())), dtype=object)
+    numbers = numbers.reshape(dataset.counts.shape)
+    heads = np.array([f"        {encode_basestring_ascii(c)}: [\n          "
+                      for c in dataset.contexts], dtype=object)
+    pools = heads + numbers[:, :, 0]
+    for outcome in range(1, numbers.shape[2]):
+        pools = pools + _OUTCOME_SEPARATOR + numbers[:, :, outcome]
+    pools = pools + "\n        ]"
+    # Each present pool but the first of its entry follows a ",\n".
+    later = dataset.present & (dataset.present.cumsum(axis=1) > 1)
+    pools[later] = ",\n" + pools[later]
+    pools[~dataset.present] = ""
     with open(path, "w") as handle:
         # The header up to its empty circuits array "[]\n}", which the entries replace.
         handle.write(json.dumps(head, indent=2)[:-4] + ("[\n" if dataset.circuit_ids else "[]"))
-        write_joined(handle, entries, ",\n")
+        # One entry as json.dumps(..., indent=2) lays it out, around its columns.
+        write_rows(handle, ('    {\n      "id": ', ",", "", '\n      "counts": {\n',
+                            *[""] * (len(heads) - 1), "\n      }\n    }"),
+                   [ids, specs, cores, *pools.T.tolist()], ",\n")
         handle.write("\n  ]\n}\n" if dataset.circuit_ids else "\n}\n")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from json.encoder import encode_basestring_ascii
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
-                     columns_equal, distinct_labels, field, read_json, write_joined)
+                     columns_equal, distinct_labels, field, read_json, write_rows)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import parse_circuit_text
 from .llr import AggregateTestResult, TableTests, llr_tests
@@ -405,8 +405,8 @@ def _g10_floats(values: list[float]) -> list[str]:
     return [format(value, ".10g") for value in values]
 
 
-# One circuit row exactly as json.dumps(..., indent=2) lays it out.
-_ROW_TEMPLATE = """      {
+# One circuit row as json.dumps(..., indent=2) lays it out, cut at its ten values.
+_ROW_PIECES = """      {
         "id": "%s",
         "llr": %s,
         "p": %s,
@@ -417,17 +417,17 @@ _ROW_TEMPLATE = """      {
         "sstvd_per_gate": %s,
         "rejected": %s,
         "small_sample": %s
-      }"""
+      }""".split("%s")
 
-# The float columns of a report row, in _ROW_TEMPLATE order; the last three
+# The float columns of a report row, in _ROW_PIECES order; the last three
 # are null where their mask says so.
 _FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd", "sstvd_per_gate")
 
 
 def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
-                     float_texts: dict[int, str]) -> tuple[str, Iterator[str]]:
+                     float_texts: dict[int, str]) -> tuple[str, list[list[str]]]:
     """The comparison's object as json.dumps(reports, indent=2) writes it:
-    the text up to its circuits array, and the text of each circuit row.
+    the text up to its circuits array, and the ten text columns of its rows.
 
     ``encoded_ids`` maps each circuit id to its JSON string body, and
     ``float_texts`` is the file's _format_distinct dict of float texts.
@@ -452,20 +452,16 @@ def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
     text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
     # All seven float columns in one pass; a column of another length than
-    # the ids must fail the row zip, not shift the others.
+    # the ids must fail write_rows' length check, not shift the others.
     columns = [getattr(report, name) for name in _FLOAT_COLUMNS]
     texts = _format_distinct(np.concatenate(columns), _json_floats, float_texts)
     floats = np.split(texts, np.cumsum([len(column) for column in columns])[:-1])
     nulls = (report.tvd_null, report.sstvd_null, report.sstvd_per_gate_null)
     floats[4:] = [np.where(null, "null", column) for column, null in zip(floats[4:], nulls)]
-
-    def bools(values):
-        return np.where(values, "true", "false").tolist()
-
-    rows = zip(map(encoded_ids.__getitem__, report.circuit_ids),
-               *(column.tolist() for column in floats),
-               bools(report.rejected), bools(report.small_sample), strict=True)
-    return text, map(_ROW_TEMPLATE.__mod__, rows)
+    return text, [list(map(encoded_ids.__getitem__, report.circuit_ids)),
+                  *(column.tolist() for column in floats),
+                  *(np.where(values, "true", "false").tolist()
+                    for values in (report.rejected, report.small_sample))]
 
 
 def _json_body(text: str) -> str:
@@ -477,9 +473,9 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     """Write reports as a JSON array; identical analyses give identical bytes.
 
     The bytes are those of json.dumps(payload, indent=2) plus a newline,
-    streamed to the file one comparison at a time.  The comparisons of a
-    plan share circuits and values, so each circuit id is encoded once and
-    each distinct float of the whole file is formatted once.
+    written one comparison at a time, its rows by write_rows from ten text
+    columns.  The comparisons of a plan share circuits and values, so each
+    id is encoded once and each distinct float of the file formatted once.
     """
     # A JSON string body is the id itself where nothing needs escaping: a
     # plan's long circuit ids are then not held twice while the file is written.
@@ -489,9 +485,9 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     separator = "[\n"
     with open(path, "w") as handle:
         for report in reports:
-            text, rows = _comparison_rows(report, encoded, float_texts)
+            text, columns = _comparison_rows(report, encoded, float_texts)
             handle.write(separator + text + ("[\n" if report.circuit_ids else "[]"))
-            write_joined(handle, rows, ",\n")
+            write_rows(handle, _ROW_PIECES, columns, ",\n")
             handle.write("\n    ]\n  }" if report.circuit_ids else "\n  }")
             separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
@@ -612,7 +608,7 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
                  for j in range(len(contexts)))
         lines.append(",".join((_csv_field(context), *cells)) + "\r\n")
     with open(path, "w", newline="") as handle:
-        write_joined(handle, lines)
+        handle.writelines(lines)
 
 
 class JsdProfile(RowView):
@@ -662,15 +658,15 @@ def _csv_field(text: str) -> str:
 def write_jsd_profile_csv(profile: JsdProfile, path: str | Path) -> None:
     """The bytes csv.writer writes for the header and the profile's rows.
 
-    Written from the columns: jsd and jsd_threshold as .10g, each distinct
-    value formatted once.
+    The four columns go to write_rows as texts: jsd and jsd_threshold as
+    .10g, each distinct value formatted once.
     """
     ids, cores, jsds, thresholds = profile.columns
     # One scan of all the ids tells whether any needs quoting.
     if _needs_quotes("".join(ids)):
-        ids = map(_csv_field, ids)
+        ids = list(map(_csv_field, ids))
     cells = _format_distinct(np.concatenate((jsds, thresholds)), _g10_floats, {}).tolist()
-    lines = map(",".join, zip(ids, map(str, cores), cells[:len(cores)], cells[len(cores):]))
     with open(path, "w", newline="") as handle:
-        write_joined(handle, chain(["circuit_id,core_length,jsd,jsd_threshold"], lines), "\r\n")
-        handle.write("\r\n")
+        handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
+        write_rows(handle, ("", ",", ",", ",", "\r\n"),
+                   [ids, list(map(str, cores)), cells[:len(cores)], cells[len(cores):]])

@@ -428,10 +428,12 @@ def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
     """Check probability vectors along the last axis, then clip and renormalise.
 
     Round-off from unitary products can leave an entry a hair below zero;
-    entries down to -1e-12 are clipped to zero, anything worse, or a vector
-    whose sum is off by more than 1e-9 or is NaN, is rejected.
+    entries down to -1e-12 are clipped to zero, anything worse, a non-finite
+    entry, or a vector whose sum is off by more than 1e-9, is rejected.
     """
-    invalid = (probs < -1e-12).any(axis=-1) | ~(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
+    # A vector with a non-finite entry sums as empty, to 0, so inf - inf never warns.
+    sums = probs.sum(axis=-1, where=np.isfinite(probs).all(axis=-1, keepdims=True))
+    invalid = (probs < -1e-12).any(axis=-1) | ~(np.abs(sums - 1.0) <= 1e-9)
     if invalid.any():
         raise ValueError(f"invalid probability vector {probs[invalid][0]!r}")
     probs = np.clip(probs, 0.0, None)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
+import hashlib
 import json
 import re
 
@@ -403,6 +404,20 @@ class TestAnalyze:
         assert err.startswith("error:") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_tables_path_that_is_a_file_fails_before_the_analysis(self, tmp_path, capsys,
+                                                                  drift_seed_0):
+        # The directory was once made after the analysis, which had already
+        # written its report.
+        tables = tmp_path / "tables"
+        tables.write_text("")
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--data", str(drift_seed_0), "--out", str(out),
+                     "--tables", str(tables)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_corrupt_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")
@@ -467,6 +482,41 @@ def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, kind, command):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "duplicate key" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
+# sha256 of every file of the bundled drift session, and of its summary.
+DRIFT_SESSION_DIGESTS = {
+    "dataset.json": "5cc5cef28a9fd5a1756fa70b024ab987153332f03dda1119719e87d073799245",
+    "report.json": "314d8bbcea6159e01c5c70d1a3d80dbf3f1ff95d844d0176467938602ddec985",
+    "jsd_profile_joint.csv": "818e6bb849d170c69d02f97d19ced8509607a693e23d3b6822cf5accf150fff6",
+    "jsd_profile_t1_vs_t2.csv": "070b6f505f76961dbe521f9b1c5e2c248e6df82e01f7ae2d4a72af0a6c1ea57a",
+    "jsd_profile_t1_vs_t3.csv": "a16665f7796eee199875cc212c968d89b93d65dee8bd8537de4d1545d9f539f1",
+    "jsd_profile_t1_vs_t4.csv": "b75bb86eae34cec50610218144ad79adb5029979bb602874c097f73bf7fdaff4",
+    "jsd_profile_t1_vs_t5.csv": "bbab14bd118788486a950d56653d5ffaa3401d69204cf97a9e67369b6c50febd",
+    "jsd_profile_t2_vs_t3.csv": "a812858ff774a6f7379eaa8ed6945e95b27155d0d3c6d8348cfb8edfcffc9348",
+    "jsd_profile_t2_vs_t4.csv": "a012d890abab15f42a304db2af041ba986f8a93559bfd6f9524688c87f9e1210",
+    "jsd_profile_t2_vs_t5.csv": "adc085961d4836dac41fa847c0b66f3038b052e97ec39da6379b5ecf0ef20ad3",
+    "jsd_profile_t3_vs_t4.csv": "8e5309c9217a2cccaee93f632f082ccd9ecfe3f33e39e51f093f8131c329cb18",
+    "jsd_profile_t3_vs_t5.csv": "39bb81c401a258c77430f717e07124d1e61f9f37602797c6fd739ee3c465e73d",
+    "jsd_profile_t4_vs_t5.csv": "af4d73fb6d6ec3ff707398876572ecbfb191b813e973b629892ef8cfb87887d4",
+    "pairwise_matrix.csv": "5a84c9678fb9347ae782de1555e5b46c93af6a0ec2f80d092f2670cb44cdd9a1",
+    "summarize": "74ac07baeae66c70cfcf04d1bace2492bb257830d4129cce3602417131fa5900",
+}
+
+
+def test_drift_session_bytes_are_unchanged(tmp_path, capsys, drift_seed_0):
+    """simulate (seed 0, 100 shots), analyze --plan auto --tables, summarize:
+    every output's bytes as the writers have always produced them."""
+    out, tables = tmp_path / "report.json", tmp_path / "tables"
+    assert main(["analyze", "--data", str(drift_seed_0), "--plan", "auto",
+                 "--out", str(out), "--tables", str(tables)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--report", str(out)]) == 0
+    texts = {"dataset.json": drift_seed_0.read_bytes(), "report.json": out.read_bytes(),
+             "summarize": capsys.readouterr().out.encode()}
+    texts.update((path.name, path.read_bytes()) for path in tables.iterdir())
+    assert {name: hashlib.sha256(text).hexdigest()
+            for name, text in texts.items()} == DRIFT_SESSION_DIGESTS
 
 
 class TestSummarize:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError, field,
-                               load_dataset, marginalize, save_dataset, write_joined)
+                               load_dataset, marginalize, save_dataset, write_rows)
 
 from _references import dataset_from_records, dataset_to_json
 
@@ -385,15 +385,27 @@ class RecordingFile(io.StringIO):
 @example(n=513, pattern=["x"], separator="")
 @example(n=1024, pattern=["", "x"], separator=",\n")
 @example(n=1025, pattern=["x"], separator=",\n")
-def test_write_joined_equals_join(n, pattern, separator):
-    # Each non-empty text carries its position, so a lost, repeated or
-    # reordered text changes the output.
-    texts = [text and f"{text}{i}" for i, text in
-             ((i, pattern[i % len(pattern)]) for i in range(n))]
+def test_write_rows_equals_per_row_join(n, pattern, separator):
+    # Each cell carries its row index, so a lost, repeated or reordered cell
+    # changes the output; the pieces are the pattern's texts and a closing ">".
+    pieces = [*pattern, ">"]
+    columns = [[f"{text}{k}:{i}" for i in range(n)] for k, text in enumerate(pattern)]
+    rows = ["".join(piece + cell for piece, cell in zip(pieces, [*row, ""]))
+            for row in zip(*columns)]
     handle = RecordingFile()
-    write_joined(handle, iter(texts), separator)
-    assert handle.getvalue() == separator.join(texts)
+    write_rows(handle, pieces, columns, separator)
+    assert handle.getvalue() == separator.join(rows)
     assert len(handle.writes) == -(-n // 512)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (513, 513, 512), (0, 1)])
+def test_write_rows_refuses_columns_of_unequal_length(lengths):
+    handle = RecordingFile()
+    columns = [["x"] * n for n in lengths]
+    short = lengths.index(min(lengths))
+    with pytest.raises(ValueError, match=f"row column {short} is shorter"):
+        write_rows(handle, [""] * (len(columns) + 1), columns)
+    assert handle.writes == []
 
 
 def two_bit_dataset():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,16 @@ class TestSampling:
         for bad in ([np.nan, 1.0], [0.5, np.nan]):
             with pytest.raises(ValueError, match="invalid probability vector"):
                 sample_experiment(circuits, np.array([[[0.5, 0.5], bad]]), config)
+
+    @pytest.mark.parametrize("bad", [[np.inf, -np.inf], [-np.inf, np.inf], [np.inf, 0.0],
+                                     [np.nan, 0.5]])
+    def test_non_finite_vector_is_refused_without_a_warning(self, bad):
+        # inf + -inf once warned inside the sum, so -W error ended in numpy's
+        # traceback instead of the one-line refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="invalid probability vector"):
+                qsim._sampling_distributions(np.array([[0.5, 0.5], bad]))
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (1, 1, 2), (2, 2, 2), (1, 2), (0, 2, 2)])
     def test_sample_experiment_checks_the_table_shape_before_any_draw(self, shape, monkeypatch):
