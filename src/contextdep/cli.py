@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -67,7 +68,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _refuse_overwrite(out: str, inputs: dict) -> None:
+    """Refuse an --out that is one of the command's input files.
+
+    Compared as files, before anything is read or written, so a symlink
+    or another spelling of the same path is caught too.
+    """
+    if not os.path.exists(out):
+        return
+    for flag, path in inputs.items():
+        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
+            raise ValueError(f"--out and {flag} name the same file ({out}); "
+                             "a command does not write over its input")
+
+
 def _cmd_gen_circuits(args) -> int:
+    _refuse_overwrite(args.out, {"--design": args.design})
     design = load_design(args.design)
     if args.mode == "lgst":
         circuits = lgst_circuits(design)
@@ -79,6 +95,7 @@ def _cmd_gen_circuits(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _refuse_overwrite(args.out, {"--design": args.design, "--error-model": args.error_model})
     design = load_design(args.design)
     error = load_error_model(args.error_model)
     config = SimConfig(shots_per_context=args.shots, seed=args.seed,
@@ -88,13 +105,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_NAMED_PLANS = {
+    "auto": ComparisonPlan.default,
+    "pairs": ComparisonPlan.all_pairs,
+    "joint": ComparisonPlan.joint,
+}
+
+
 def _make_plan(spec: str, contexts) -> ComparisonPlan:
-    if spec == "auto":
-        return ComparisonPlan.default(contexts)
-    if spec == "pairs":
-        return ComparisonPlan.all_pairs(contexts)
-    if spec == "joint":
-        return ComparisonPlan.joint(contexts)
+    if spec in _NAMED_PLANS:
+        return _NAMED_PLANS[spec](contexts)
     return load_plan(spec)
 
 
@@ -108,6 +128,8 @@ def _check_table_names(plan: ComparisonPlan) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    plan_file = None if args.plan in _NAMED_PLANS else args.plan
+    _refuse_overwrite(args.out, {"--data": args.data, "--plan": plan_file})
     dataset = load_dataset(args.data)
     plan = _make_plan(args.plan, dataset.contexts)
     if args.tables is not None:

@@ -340,10 +340,14 @@ def read_json(path: Path, kinds: tuple, error: type[ValueError] = ValueError):
     """Parse a JSON file whose top level has one of the JSON ``kinds``.
 
     A repeated key in any object is an error: the standard parser keeps
-    the last of two equal keys, which would silently drop data.  Faults
-    raise ``error`` naming the file.
+    the last of two equal keys, which would silently drop data.  The file
+    is read as UTF-8 (RFC 8259), whatever the locale.  Faults raise
+    ``error`` naming the file.
     """
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
@@ -458,7 +462,7 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     later = dataset.present & (dataset.present.cumsum(axis=1) > 1)
     pools[later] = ",\n" + pools[later]
     pools[~dataset.present] = ""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         # The header up to its empty circuits array "[]\n}", which the entries replace.
         handle.write(json.dumps(head, indent=2)[:-4] + ("[\n" if dataset.circuit_ids else "[]"))
         # One entry as json.dumps(..., indent=2) lays it out, around its columns.

@@ -296,7 +296,7 @@ def save_design(design: GstDesign, path: str | Path) -> None:
         obj["germs"] = [circuit_to_text(g) for g in design.germs]
     if design.max_germ_power is not None:
         obj["max_germ_power"] = design.max_germ_power
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def load_circuits(path: str | Path) -> list[CircuitSpec]:
@@ -313,4 +313,4 @@ def load_circuits(path: str | Path) -> list[CircuitSpec]:
 
 def save_circuits(circuits: Sequence[CircuitSpec], path: str | Path) -> None:
     entries = [{"spec": c.text, "core_length": c.core_length} for c in circuits]
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n")
+    Path(path).write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")

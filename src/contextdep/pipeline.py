@@ -483,7 +483,7 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     encoded = {cid: _json_body(cid) for cid in ids}
     float_texts: dict[int, str] = {}
     separator = "[\n"
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for report in reports:
             text, columns = _comparison_rows(report, encoded, float_texts)
             handle.write(separator + text + ("[\n" if report.circuit_ids else "[]"))
@@ -607,7 +607,7 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
                               matrices.rejected_counts[i][j] if j < i else None)
                  for j in range(len(contexts)))
         lines.append(",".join((_csv_field(context), *cells)) + "\r\n")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(lines)
 
 
@@ -666,7 +666,7 @@ def write_jsd_profile_csv(profile: JsdProfile, path: str | Path) -> None:
     if _needs_quotes("".join(ids)):
         ids = list(map(_csv_field, ids))
     cells = _format_distinct(np.concatenate((jsds, thresholds)), _g10_floats, {}).tolist()
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
         write_rows(handle, ("", ",", ",", ",", "\r\n"),
                    [ids, list(map(str, cores)), cells[:len(cores)], cells[len(cores):]])

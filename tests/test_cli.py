@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -482,6 +486,114 @@ def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, kind, command):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "duplicate key" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
+# Each command with each input that --out must not name: (argv with
+# "{file}" for that input and "{tmp}" for a scratch directory, the input's
+# flag, the bundled file it starts as a copy of).
+OWN_INPUTS = [
+    (["gen-circuits", "--design", "{file}", "--mode", "lgst", "--out", "{file}"],
+     "--design", DRIFT_DESIGN),
+    (["simulate", "--design", "{file}", "--error-model", DRIFT_ERROR, "--shots", "4",
+      "--seed", "0", "--out", "{file}"], "--design", NEIGHBOR_DESIGN),
+    (["simulate", "--design", NEIGHBOR_DESIGN, "--error-model", "{file}", "--shots", "4",
+      "--seed", "0", "--out", "{file}"], "--error-model", DRIFT_ERROR),
+    (["analyze", "--data", "{file}", "--out", "{file}"], "--data", TWO_CONTEXT),
+    (["analyze", "--data", TWO_CONTEXT, "--plan", "{file}", "--out", "{file}",
+      "--tables", "{tmp}/tables"], "--plan", None),
+]
+PLAN = json.dumps({"comparisons": [{"id": "only", "contexts": ["c1", "c2"]}]})
+
+
+def _own_input(tmp_path, source):
+    own = tmp_path / "input.json"
+    if source is None:
+        own.write_text(PLAN)
+    else:
+        shutil.copyfile(source, own)
+    return own
+
+
+@pytest.mark.parametrize("command, flag, source", OWN_INPUTS,
+                         ids=[f"{c[0]}{f}" for c, f, _ in OWN_INPUTS])
+def test_out_naming_an_input_is_refused(tmp_path, capsys, command, flag, source):
+    own = _own_input(tmp_path, source)
+    before = own.read_bytes()
+    assert main([arg.format(file=own, tmp=tmp_path) for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --out and ")
+    assert f"--out and {flag} name the same file" in captured.err
+    assert own.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [own.name]
+
+
+@pytest.mark.parametrize("spelling", ["link", "dotted"])
+def test_out_naming_an_input_another_way_is_refused(tmp_path, capsys, spelling):
+    data = _own_input(tmp_path, TWO_CONTEXT)
+    before = data.read_bytes()
+    if spelling == "link":
+        out = tmp_path / "link.json"
+        out.symlink_to(data)
+    else:
+        out = tmp_path / "." / ".." / tmp_path.name / data.name
+    assert main(["analyze", "--data", str(data), "--out", str(out)]) == 1
+    assert "--out and --data name the same file" in capsys.readouterr().err
+    assert data.read_bytes() == before
+
+
+# An ASCII locale with Python's UTF-8 mode off, where open() without an
+# encoding reads and writes ASCII.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _run_cli(args, **env):
+    # The child imports contextdep from where this process did.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    return subprocess.run([sys.executable, "-m", "contextdep.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def _small_dataset(ids, **extra):
+    return {"format_version": "1.0", **extra, "outcomes": ["0", "1"], "contexts": ["a", "b"],
+            "circuits": [{"id": cid, "core_length": 1,
+                          "counts": {"a": [60, 40], "b": [30 + n, 70 - n]}}
+                         for n, cid in enumerate(ids)]}
+
+
+def test_raw_utf8_dataset_analyzes_in_an_ascii_locale(tmp_path):
+    data = tmp_path / "data.json"
+    data.write_bytes(json.dumps(_small_dataset(["Gx", "Gy"], description="Zürich run"),
+                                ensure_ascii=False).encode("utf-8"))
+    assert "Zürich".encode("utf-8") in data.read_bytes()
+    proc = _run_cli(["analyze", "--data", data, "--out", tmp_path / "r.json"], **ASCII_LOCALE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_tables_of_non_ascii_ids_are_utf8_in_an_ascii_locale(tmp_path):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(_small_dataset(["Gx\u00e9", "Gy"])))
+    tables = {}
+    for mode, env in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        proc = _run_cli(["analyze", "--data", data, "--out", tmp_path / f"{mode}.json",
+                         "--tables", tmp_path / mode], **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        tables[mode] = {path.name: path.read_bytes() for path in (tmp_path / mode).iterdir()}
+        assert (tmp_path / f"{mode}.json").read_bytes().isascii()
+    assert tables["ascii"] == tables["utf8"]
+    assert "Gx\u00e9".encode("utf-8") in tables["ascii"]["jsd_profile_a_vs_b.csv"]
+
+
+def test_non_utf8_file_is_one_line_error_naming_it(tmp_path):
+    data = tmp_path / "latin1.json"
+    text = json.dumps(_small_dataset(["Gx", "Gy"], description="Zurich \u00e9t\u00e9"),
+                      ensure_ascii=False)
+    data.write_bytes(text.encode("latin-1"))
+    proc = _run_cli(["analyze", "--data", data, "--out", tmp_path / "r.json"], **ASCII_LOCALE)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {data}: not UTF-8 text")
+    assert not (tmp_path / "r.json").exists()
 
 
 # sha256 of every file of the bundled drift session, and of its summary.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import warnings
 
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep import qsim
+from contextdep.cli import main
 from contextdep.datasets import drift_design, drift_error_model
-from contextdep.gstgen import MAX_GERM_POWER, CircuitSpec, GstDesign, lsgst_circuits
+from contextdep.gstgen import (MAX_GERM_POWER, CircuitSpec, GstDesign, lsgst_circuits,
+                               save_design)
 from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
                              _walk_probabilities, circuit_probabilities,
                              counts_stream, experiment_probabilities,
@@ -252,6 +255,69 @@ def test_prefix_ending_inside_a_label_is_not_shared():
         gates = [CircuitSpec(text).gates for text in texts]
     for labels, row in zip(gates, table):
         assert row[0].tobytes() == circuit_probabilities_reference(labels, model).tobytes()
+
+
+class _CountingRun:
+    """Stands in for qsim._RUN and records the text of every findall."""
+
+    def __init__(self, pattern):
+        self.pattern, self.texts = pattern, []
+
+    def findall(self, text):
+        self.texts.append(text)
+        return self.pattern.findall(text)
+
+
+def _tokenized_suffixes(texts):
+    """The texts the walk over ``texts`` runs the run regex on."""
+    counter = _CountingRun(qsim._RUN)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsim, "_RUN", counter)
+        _walk_probabilities(texts, [ideal_gate_model()])
+    return counter.texts
+
+
+def test_repeated_suffix_is_read_once_and_gives_the_reference_products():
+    """Words whose shared prefix ends on, inside and next to a run of Gx,
+    beside unshared suffixes that recur at other offsets: GxGy at 0, 4 and
+    6, GhGxGy at 0 and 6.  Each later copy reuses the first one's run
+    numbers and run ends relative to its start."""
+    texts = ["GyGxGy", "GxGxGy", "GxGy", "GyGyGxGy", "GxGxGxGy", "GxGxGhGxGy", "GxGhGxGy",
+             "GhGxGy", "GyGyGhGxGy", "GxGxGx", "GxGxGxGhGxGy", "GxGxGxGhGxGyGy",
+             "GhGhGyGhGxGy", "GhGhGyGxGy"]
+    tokenized = _tokenized_suffixes(texts)
+    assert len(tokenized) == len(set(tokenized)) == len(texts) - 3
+    error = ErrorModel(context_overrotations={"a": {"Gx": 0.0123, "Gy": -0.0456},
+                                              "b": {"Gx": -0.031, "Gy": 0.027}})
+    models = [gate_model_for_context(error, c) for c in error.contexts]
+    table = _walk_probabilities(texts, models)
+    reference = [[circuit_probabilities_reference(CircuitSpec(text).gates, model)
+                  for model in models] for text in texts]
+    assert table.tobytes() == np.array(reference).tobytes()
+
+
+def test_each_distinct_unshared_suffix_is_tokenized_once():
+    """On the bundled drift design's 1,405 circuits the regex runs over 146
+    distinct unshared suffixes, once each."""
+    circuits = lsgst_circuits(drift_design())
+    tokenized = _tokenized_suffixes([c.text for c in circuits])
+    assert len(circuits) == 1405
+    assert len(tokenized) == len(set(tokenized)) == 146
+
+
+def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
+    """Germ powers to 2048 on the drift fiducials and germs: the simulated
+    dataset's digest, fixed before the trie reused suffix tokenizations."""
+    design = dataclasses.replace(drift_design(), max_germ_power=2048)
+    save_design(design, tmp_path / "design.json")
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"c1": {"Gx": 0.0, "Gy": 0.0}, "c2": {"Gx": 1e-4, "Gy": 1e-4},
+         "static_epsilon": 1e-3}))
+    assert main(["simulate", "--design", str(tmp_path / "design.json"),
+                 "--error-model", str(tmp_path / "model.json"), "--shots", "100",
+                 "--seed", "0", "--out", str(tmp_path / "data.json")]) == 0
+    digest = hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest()
+    assert digest == "76dfc8dab3a6517ad7c4c46a0c17a0dbf5f09edc1a4aeae0fc3f98f11a884ca7"
 
 
 class TestErrorModel:
