@@ -13,13 +13,11 @@ experiments used to exercise all of it.
 from .chi2 import chi2_isf, chi2_sf
 from .counts import (CircuitRecord, ContextDataset, DatasetError, load_dataset,
                      marginalize, save_dataset)
-from .divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd
 from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits,
                      load_circuits, load_design, lsgst_circuits,
                      parse_circuit_text, register_gate_label, save_circuits,
                      save_design)
-from .llr import (AggregateTestResult, CircuitTestResult, llr_aggregate,
-                  llr_single, llr_statistic, llr_threshold, n_sigma_threshold)
+from .llr import AggregateTestResult, llr_aggregate, llr_threshold, n_sigma_threshold
 from .multitest import MultiTestOutcome, combined_procedure, hochberg
 from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        ComparisonReport, jsd_profile, load_plan, load_report,

@@ -68,22 +68,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _refuse_overwrite(out: str, inputs: dict) -> None:
-    """Refuse an --out that is one of the command's input files.
+def _file_key(path):
+    # The (device, inode) pair os.path.samefile compares, or, for a file
+    # not made yet, the path with every symlink resolved.
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
 
-    Compared as files, before anything is read or written, so a symlink
-    or another spelling of the same path is caught too.
+
+def _refuse_overwrite(outputs: list, inputs: dict) -> None:
+    """Refuse an output that is one of the command's inputs or another output.
+
+    ``outputs`` holds (flag, path) pairs; ``inputs`` maps flags to paths or
+    None.  Compared as files before any is written, so a symlink, a hard
+    link or another spelling of the same path is caught too.
     """
-    if not os.path.exists(out):
-        return
-    for flag, path in inputs.items():
-        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
-            raise ValueError(f"--out and {flag} name the same file ({out}); "
-                             "a command does not write over its input")
+    owners = {_file_key(path): flag for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs:
+        key = _file_key(path)
+        if key in owners:
+            raise ValueError(f"{flag} and {owners[key]} name the same file ({path}); "
+                             "a command writes each file once, never over its input")
+        owners[key] = flag
 
 
 def _cmd_gen_circuits(args) -> int:
-    _refuse_overwrite(args.out, {"--design": args.design})
+    _refuse_overwrite([("--out", args.out)], {"--design": args.design})
     design = load_design(args.design)
     if args.mode == "lgst":
         circuits = lgst_circuits(design)
@@ -95,7 +107,8 @@ def _cmd_gen_circuits(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _refuse_overwrite(args.out, {"--design": args.design, "--error-model": args.error_model})
+    _refuse_overwrite([("--out", args.out)],
+                      {"--design": args.design, "--error-model": args.error_model})
     design = load_design(args.design)
     error = load_error_model(args.error_model)
     config = SimConfig(shots_per_context=args.shots, seed=args.seed,
@@ -128,14 +141,18 @@ def _check_table_names(plan: ComparisonPlan) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    plan_file = None if args.plan in _NAMED_PLANS else args.plan
-    _refuse_overwrite(args.out, {"--data": args.data, "--plan": plan_file})
     dataset = load_dataset(args.data)
     plan = _make_plan(args.plan, dataset.contexts)
+    outputs = [("--out", args.out)]
     if args.tables is not None:
         _check_table_names(plan)
-        # Before the analysis: a path that cannot be a directory fails at once.
         tables = Path(args.tables)
+        names = ["pairwise_matrix.csv", *(f"jsd_profile_{c.comparison_id}.csv" for c in plan)]
+        outputs += [("--tables", tables / name) for name in names]
+    plan_file = None if args.plan in _NAMED_PLANS else args.plan
+    _refuse_overwrite(outputs, {"--data": args.data, "--plan": plan_file})
+    if args.tables is not None:
+        # Before the analysis: a path that cannot be a directory fails at once.
         tables.mkdir(parents=True, exist_ok=True)
     reports = run_analysis(dataset, plan, alpha=args.alpha)
     save_report(reports, args.out)
@@ -201,6 +218,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # Text the terminal cannot encode (a non-ASCII id under an ASCII locale)
+    # is printed escaped, not an error halfway through the output.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

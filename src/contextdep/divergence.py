@@ -10,25 +10,17 @@ TVD of raw counts never vanishes, though, so quoting it for every circuit
 would overstate what was demonstrated.  The statistically significant TVD
 (SSTVD) is therefore TVD gated on the circuit's own test rejecting, and
 null otherwise; null is deliberately not collapsed to 0, which would read
-as "no change" rather than "not resolved".
+as "no change" rather than "not resolved".  The gate lives in
+pipeline.run_analysis, which applies it to every row of a pair's report.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from .counts import CircuitRecord, DatasetError
-from .llr import _record_table, llr_statistics
 
 __all__ = [
     "jsd_from_llr",
-    "observed_jsd",
-    "jsd_threshold",
     "tvd_rows",
-    "observed_tvd",
-    "sstvd",
 ]
 
 
@@ -40,21 +32,6 @@ def jsd_from_llr(llr, n_total) -> np.ndarray:
     statistic threshold it is the smallest JSD resolvable at N shots.
     """
     return np.asarray(llr, dtype=float) / (2.0 * np.asarray(n_total).astype(float))
-
-
-def observed_jsd(record: CircuitRecord, contexts: Sequence[str] | None = None) -> float:
-    """Estimated Jensen-Shannon divergence lambda/(2N) across contexts."""
-    table = _record_table(record, contexts)
-    return float(jsd_from_llr(llr_statistics(table)[0], table.sum()))
-
-
-def jsd_threshold(llr_threshold: float, n_total: int) -> float:
-    """Smallest JSD resolvable at the comparison's statistic threshold."""
-    if n_total < 1:
-        raise ValueError(f"total shot count must be at least 1, got {n_total!r}")
-    if llr_threshold < 0.0:
-        raise ValueError(f"llr_threshold must be non-negative, got {llr_threshold!r}")
-    return float(jsd_from_llr(llr_threshold, n_total))
 
 
 def tvd_rows(counts: np.ndarray) -> np.ndarray:
@@ -71,29 +48,3 @@ def tvd_rows(counts: np.ndarray) -> np.ndarray:
     for column in gaps.T:
         total += column
     return 0.5 * total
-
-
-def _pair_table(record: CircuitRecord, context_pair: Sequence[str]) -> np.ndarray:
-    pair = tuple(context_pair)
-    if len(pair) != 2:
-        raise DatasetError(
-            f"circuit {record.circuit_id!r}: TVD needs exactly two contexts, got {pair!r}"
-        )
-    return _record_table(record, pair)
-
-
-def observed_tvd(record: CircuitRecord, context_pair: Sequence[str]) -> float:
-    """Total variation distance between two contexts' empirical distributions."""
-    return float(tvd_rows(_pair_table(record, context_pair))[0])
-
-
-def sstvd(record: CircuitRecord, context_pair: Sequence[str],
-          llr_threshold: float) -> float | None:
-    """TVD if this circuit's statistic clears the threshold, else None.
-
-    The gate is strict: a statistic exactly at the threshold reports None.
-    """
-    table = _pair_table(record, context_pair)
-    if llr_statistics(table)[0] > llr_threshold:
-        return float(tvd_rows(table)[0])
-    return None

@@ -26,21 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .chi2 import chi2_isf, chi2_sf
-from .counts import CircuitRecord, distinct_labels
 
 __all__ = [
-    "CircuitTestResult",
     "AggregateTestResult",
     "TableTests",
     "llr_statistics",
     "llr_tests",
-    "llr_statistic",
-    "llr_single",
     "llr_aggregate",
     "llr_threshold",
     "n_sigma_threshold",
@@ -49,18 +44,6 @@ __all__ = [
 # Below this many shots per outcome category the chi-squared calibration of
 # the p-value starts to degrade; results get flagged, not suppressed.
 SMALL_SAMPLE_SHOTS_PER_OUTCOME = 10
-
-
-@dataclass(frozen=True)
-class CircuitTestResult:
-    """Outcome of the context-dependence test for one circuit."""
-
-    circuit_id: str
-    llr: float
-    dof: int
-    p_value: float
-    n_total: int
-    small_sample: bool
 
 
 @dataclass(frozen=True)
@@ -150,42 +133,6 @@ def llr_tests(counts: np.ndarray) -> TableTests:
         p_value=_p_values(statistics, dof),
         n_total=totals.sum(axis=1),
         small_sample=(totals < SMALL_SAMPLE_SHOTS_PER_OUTCOME * n_outcomes).any(axis=1),
-    )
-
-
-def llr_statistic(pools: Sequence[Sequence[int]]) -> float:
-    """The statistic lambda for a C-by-M table of counts, one row per context.
-
-    The table is checked by the dataset's count rules, as the pools of one
-    CircuitRecord whose contexts are the row numbers.
-    """
-    record = CircuitRecord("table", {str(row): pool for row, pool in enumerate(pools)})
-    return float(llr_statistics(_record_table(record, None))[0])
-
-
-def _record_table(record: CircuitRecord, contexts: Sequence[str] | None) -> np.ndarray:
-    # A record's (1, C, M) count stack over two or more distinct contexts,
-    # each present on the record; None selects all of the record's contexts.
-    contexts = distinct_labels(record.contexts if contexts is None else contexts, "context",
-                               f"circuit {record.circuit_id!r}")
-    return np.array([[record.pool(c) for c in contexts]], dtype=object)
-
-
-def llr_single(record: CircuitRecord, contexts: Sequence[str] | None = None) -> CircuitTestResult:
-    """Test one circuit for context dependence across the selected contexts.
-
-    ``contexts`` defaults to every context present on the record; passing a
-    subset restricts the comparison.  This is llr_tests on a one-table
-    stack.
-    """
-    tests = llr_tests(_record_table(record, contexts))
-    return CircuitTestResult(
-        circuit_id=record.circuit_id,
-        llr=float(tests.llr[0]),
-        dof=tests.dof,
-        p_value=float(tests.p_value[0]),
-        n_total=int(tests.n_total[0]),
-        small_sample=bool(tests.small_sample[0]),
     )
 
 

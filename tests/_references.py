@@ -151,6 +151,13 @@ def tvd_loop_reference(first: Sequence[int], second: Sequence[int]) -> float:
     return 0.5 * sum(abs(a / n1 - b / n2) for a, b in zip(first, second))
 
 
+def one_table(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """One C-by-M table of counts, a row per context, as the (1, C, M)
+    object stack of Python ints that llr_statistics, llr_tests and
+    tvd_rows take."""
+    return np.array([[tuple(row) for row in rows]], dtype=object)
+
+
 def comparison_rows_reference(dataset, contexts: Sequence[str]):
     """One comparison's per-circuit quantities, record by record.
 

@@ -15,39 +15,33 @@ import pytest
 
 from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.cli import main
-from contextdep.counts import CircuitRecord
 from contextdep.datasets import (data_path, drift_design, drift_error_model,
                                  neighbor_design, neighbor_example,
                                  two_context_example)
-from contextdep.divergence import observed_jsd, observed_tvd
+from contextdep.divergence import jsd_from_llr, tvd_rows
 from contextdep.gstgen import lgst_circuits, lsgst_circuits
-from contextdep.llr import TableTests, llr_single, llr_statistic
+from contextdep.llr import TableTests, llr_statistics, llr_tests
 from contextdep.multitest import combined_procedure, hochberg
 from contextdep.pipeline import run_analysis
 from contextdep.qsim import (ErrorModel, SimConfig, experiment_probabilities,
                              sample_experiment)
 
 from _references import (chi2_sf_reference,
-                         hochberg_subsets_reference, log10_tail_magnitude,
+                         hochberg_subsets_reference, log10_tail_magnitude, one_table,
                          weighted_jsd_reference)
 
 
 def test_criterion_1_single_circuit_detection_example():
     """Counts (99,101) vs (131,69): statistic 10.52 +/- 0.01, p near 0.1%."""
-    record = two_context_example().circuits[0]
-    result = llr_single(record)
-    assert abs(result.llr - 10.52) <= 0.01
-    assert 1.0e-3 <= result.p_value <= 1.3e-3
+    report = run_analysis(two_context_example())[0]
+    assert abs(report.llr[0] - 10.52) <= 0.01
+    assert 1.0e-3 <= report.p_value[0] <= 1.3e-3
 
 
 def test_criterion_2_single_circuit_null_example():
     """Counts (108,92) vs (107,93): p near 92%, clearly not a detection."""
-    record = CircuitRecord(
-        circuit_id="q",
-        counts={"a": (108, 92), "b": (107, 93)},
-    )
-    result = llr_single(record)
-    assert 0.90 <= result.p_value <= 0.94
+    tests = llr_tests(one_table([(108, 92), (107, 93)]))
+    assert 0.90 <= tests.p_value[0] <= 0.94
 
 
 def test_criterion_3_circuit_generation_counts():
@@ -65,7 +59,7 @@ def test_criterion_3_circuit_generation_counts():
 def test_criterion_4_tvd_and_max_sstvd():
     """Pools (1022,2) vs (738,286) out of 1024: TVD exactly 284/1024."""
     record = neighbor_example().circuit("GhGsGsGsGsGh")
-    tvd = observed_tvd(record, ("idle", "driven"))
+    tvd = tvd_rows(one_table([record.pool("idle"), record.pool("driven")]))[0]
     assert tvd == 0.27734375
 
     report = run_analysis(neighbor_example(), alpha=0.05)[0]
@@ -215,7 +209,8 @@ def test_criterion_7_wilks_calibration_two_outcomes():
             (tables if w > 1e-20 else neglected).append((a, b, w))
     assert math.fsum(w for _, _, w in neglected) < 1e-12
 
-    lam = [llr_statistic([(a, n_shots - a), (b, n_shots - b)]) for a, b, _ in tables]
+    lam = llr_statistics(np.array([[(a, n_shots - a), (b, n_shots - b)]
+                                   for a, b, _ in tables], dtype=object)).tolist()
     p_values = [chi2_sf(x, 1) for x in lam]
 
     # The statistic vanishes exactly on the agreeing tables a == b, and
@@ -245,11 +240,9 @@ def _check_jsd_oracle():
             while row.sum() == 0:
                 row = rng.integers(0, 401, size=n_outcomes)
             rows.append(tuple(int(v) for v in row))
-        record = CircuitRecord(
-            circuit_id="q",
-            counts={f"c{i}": row for i, row in enumerate(rows)},
-        )
-        worst = max(worst, abs(observed_jsd(record) - weighted_jsd_reference(rows)))
+        tests = llr_tests(one_table(rows))
+        jsd = jsd_from_llr(tests.llr, tests.n_total)[0]
+        worst = max(worst, abs(jsd - weighted_jsd_reference(rows)))
     assert worst <= 1e-10, f"worst JSD disagreement {worst}"
 
 

@@ -24,16 +24,16 @@ from hypothesis import strategies as st
 from contextdep import llr
 from contextdep.chi2 import chi2_sf
 from contextdep.counts import CircuitRecord
-from contextdep.divergence import jsd_from_llr, observed_jsd, observed_tvd, tvd_rows
+from contextdep.divergence import jsd_from_llr, tvd_rows
 from contextdep.gstgen import parse_circuit_text
-from contextdep.llr import llr_single, llr_statistic, llr_tests, llr_threshold
+from contextdep.llr import llr_statistics, llr_tests, llr_threshold
 from contextdep.multitest import combined_procedure
 from contextdep.pipeline import (ComparisonPlan, jsd_profile, run_analysis, save_report,
                                  write_jsd_profile_csv)
 
 from _references import (comparison_rows_reference, dataset_from_records,
-                         llr_loop_reference, save_report_reference, tvd_loop_reference,
-                         write_jsd_profile_csv_reference)
+                         llr_loop_reference, one_table, save_report_reference,
+                         tvd_loop_reference, write_jsd_profile_csv_reference)
 
 
 def check_against_loop(dataset):
@@ -52,15 +52,16 @@ def check_against_loop(dataset):
             assert line.small_sample == row["small_sample"]
             assert line.rejected == (line.p_value < report.p_threshold)
 
+            # The kernels on this row's table alone give the batched values.
             record = dataset.circuit(line.circuit_id)
-            single = llr_single(record, report.contexts)
-            assert (single.llr, single.p_value, single.n_total, single.small_sample) == (
+            table = one_table([record.counts[c] for c in report.contexts])
+            single = llr_tests(table)
+            assert (single.llr[0], single.p_value[0], single.n_total[0],
+                    single.small_sample[0]) == (
                 row["llr"], line.p_value, row["n_total"], row["small_sample"])
-            assert observed_jsd(record, report.contexts) == row["jsd"]
-            pools = [record.counts[c] for c in report.contexts]
-            assert llr_statistic(pools) == row["llr"]
+            assert jsd_from_llr(single.llr, single.n_total)[0] == row["jsd"]
             if row["tvd"] is not None:
-                assert observed_tvd(record, report.contexts) == row["tvd"]
+                assert tvd_rows(table)[0] == row["tvd"]
 
 
 @st.composite
@@ -107,8 +108,8 @@ def test_exact_products_beyond_float_precision(shots):
     dataset = dataset_from_records(("0", "1"), ("a", "b", "c"), records)
     check_against_loop(dataset)
     near = [(shots + 1, shots - 1), (shots, shots)]
-    assert llr_statistic(near) == llr_loop_reference(near)
-    assert observed_tvd(records[0], ("a", "b")) == tvd_loop_reference(*near)
+    assert llr_statistics(one_table(near))[0] == llr_loop_reference(near)
+    assert tvd_rows(one_table(near))[0] == tvd_loop_reference(*near)
 
 
 def test_count_far_below_its_share():
@@ -128,7 +129,7 @@ def test_count_far_below_its_share():
         pooled = [sum(row[m] for row in pools) for m in range(2)]
         exact = 2 * mp.fsum(x * mp.log(mp.mpf(x) * n / (sum(row) * pooled[m]))
                             for row in pools for m, x in enumerate(row) if x)
-    assert llr_statistic(pools) == pytest.approx(float(exact), rel=1e-12)
+    assert llr_statistics(one_table(pools))[0] == pytest.approx(float(exact), rel=1e-12)
 
 
 def records_dataset(n_outcomes, contexts, rows):

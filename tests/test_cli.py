@@ -542,6 +542,27 @@ def test_out_naming_an_input_another_way_is_refused(tmp_path, capsys, spelling):
     assert data.read_bytes() == before
 
 
+@pytest.mark.parametrize("data_name, out_name, flags", [
+    ("tb/pairwise_matrix.csv", "r.json", "--tables and --data"),
+    ("tb/jsd_profile_c1_vs_c2.csv", "r.json", "--tables and --data"),
+    ("d.json", "tb/pairwise_matrix.csv", "--tables and --out"),
+])
+def test_tables_naming_an_input_or_the_report_are_refused(tmp_path, capsys, data_name,
+                                                          out_name, flags):
+    # Each once exited 0, the table written over the dataset or the report.
+    data = tmp_path / data_name
+    data.parent.mkdir(exist_ok=True)
+    shutil.copyfile(TWO_CONTEXT, data)
+    before, contents = sorted(tmp_path.rglob("*")), data.read_bytes()
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / out_name),
+                 "--tables", str(tmp_path / "tb")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {flags} name the same file")
+    assert data.read_bytes() == contents
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # An ASCII locale with Python's UTF-8 mode off, where open() without an
 # encoding reads and writes ASCII.
 ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
@@ -582,6 +603,20 @@ def test_tables_of_non_ascii_ids_are_utf8_in_an_ascii_locale(tmp_path):
         assert (tmp_path / f"{mode}.json").read_bytes().isascii()
     assert tables["ascii"] == tables["utf8"]
     assert "Gx\u00e9".encode("utf-8") in tables["ascii"]["jsd_profile_a_vs_b.csv"]
+
+
+def test_summary_of_non_ascii_ids_is_whole_in_an_ascii_locale(tmp_path):
+    # Once cut off after three lines by an 'ascii' codec error, exit 1.
+    data, report = tmp_path / "data.json", tmp_path / "r.json"
+    data.write_text(json.dumps(_small_dataset(["Gx\u00e9", "Gy"])))
+    assert _run_cli(["analyze", "--data", data, "--out", report]).returncode == 0
+    shown = {}
+    for mode, env in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        proc = _run_cli(["summarize", "--report", report], **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        shown[mode] = proc.stdout
+    assert "    Gx\u00e9\n" in shown["utf8"]
+    assert shown["ascii"] == shown["utf8"].replace("\u00e9", "\\xe9")
 
 
 def test_non_utf8_file_is_one_line_error_naming_it(tmp_path):

@@ -104,7 +104,7 @@ class TestCircuitRecord:
             record.pool("zz")
 
     def test_context_labels_are_strings(self):
-        # Once accepted, so that llr_single failed on the record later.
+        # Once accepted, so that the record failed only later, when tested.
         with pytest.raises(DatasetError, match="circuit 'q': context must be a string, got 1"):
             CircuitRecord("q", {1: (1, 2), 2: (3, 4)})
 

@@ -1,46 +1,57 @@
 """Effect-size metrics: JSD, TVD, and the significance-gated SSTVD."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.counts import CircuitRecord, DatasetError
-from contextdep.divergence import jsd_threshold, observed_jsd, observed_tvd, sstvd
-from contextdep.llr import llr_single, llr_threshold
+from contextdep.counts import CircuitRecord
+from contextdep.divergence import jsd_from_llr, tvd_rows
+from contextdep.llr import llr_tests
+from contextdep.pipeline import run_analysis, save_report
 
-from _references import weighted_jsd_reference
+from _references import dataset_from_records, one_table, weighted_jsd_reference
 
 
-def record_from_rows(*rows):
-    counts = {f"c{i}": tuple(row) for i, row in enumerate(rows)}
-    return CircuitRecord(circuit_id="q", counts=counts)
+def jsd_of(rows):
+    tests = llr_tests(one_table(rows))
+    return jsd_from_llr(tests.llr, tests.n_total)[0]
+
+
+def tvd_of(rows):
+    return tvd_rows(one_table(rows))[0]
+
+
+def dataset_of(*tables):
+    """Circuits q0, q1, ... over contexts c0, c1, ..., one per table of rows."""
+    records = [CircuitRecord(f"q{i}", {f"c{k}": row for k, row in enumerate(rows)})
+               for i, rows in enumerate(tables)]
+    return dataset_from_records(tuple(map(str, range(len(tables[0][0])))),
+                                tuple(f"c{k}" for k in range(len(tables[0]))), records)
 
 
 class TestObservedJsd:
     def test_frozen_two_context_value(self):
-        record = record_from_rows((99, 101), (131, 69))
-        assert observed_jsd(record) == pytest.approx(0.013157830984879836, rel=1e-12)
+        rows = [(99, 101), (131, 69)]
+        assert jsd_of(rows) == pytest.approx(0.013157830984879836, rel=1e-12)
 
     def test_equals_statistic_over_two_n(self):
-        record = record_from_rows((99, 101), (131, 69))
-        result = llr_single(record)
-        assert observed_jsd(record) == pytest.approx(
-            result.llr / (2 * result.n_total), rel=1e-12)
+        rows = [(99, 101), (131, 69)]
+        tests = llr_tests(one_table(rows))
+        assert jsd_of(rows) == pytest.approx(
+            tests.llr[0] / (2 * tests.n_total[0]), rel=1e-12)
 
     def test_disjoint_supports_hit_log_two(self):
-        record = record_from_rows((100, 0), (0, 100))
-        assert observed_jsd(record) == pytest.approx(math.log(2), rel=1e-12)
+        assert jsd_of([(100, 0), (0, 100)]) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_identical_contexts_give_zero(self):
-        record = record_from_rows((40, 60), (40, 60))
-        assert observed_jsd(record) == 0.0
+        assert jsd_of([(40, 60), (40, 60)]) == 0.0
 
     def test_reported_in_nats_not_bits(self):
         # If the implementation used log base 2 this would read 1.0.
-        record = record_from_rows((100, 0), (0, 100))
-        assert observed_jsd(record) < 0.70
+        assert jsd_of([(100, 0), (0, 100)]) < 0.70
 
 
 rows_strategy = st.lists(
@@ -56,61 +67,43 @@ rows_strategy = st.lists(
 @given(rows=rows_strategy)
 def test_jsd_matches_entropy_formula(rows):
     """lambda/(2N) equals the weighted mixture-entropy form of the JSD."""
-    record = record_from_rows(*rows)
-    assert observed_jsd(record) == pytest.approx(
-        weighted_jsd_reference(rows), abs=1e-12)
+    assert jsd_of(rows) == pytest.approx(weighted_jsd_reference(rows), abs=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy)
 def test_jsd_bounded_by_log_context_count(rows):
-    value = observed_jsd(record_from_rows(*rows))
+    value = jsd_of(rows)
     assert 0.0 <= value <= math.log(len(rows)) + 1e-12
 
 
 class TestJsdThreshold:
     def test_frozen_value(self):
-        assert jsd_threshold(3.84145882069412, 400) == pytest.approx(
+        assert jsd_from_llr(3.84145882069412, 400) == pytest.approx(
             0.00480182352586765, rel=1e-12)
 
     def test_scales_inversely_with_shots(self):
-        assert jsd_threshold(10.0, 2000) == pytest.approx(
-            jsd_threshold(10.0, 1000) / 2, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            jsd_threshold(10.0, 0)
-        with pytest.raises(ValueError):
-            jsd_threshold(-1.0, 100)
+        assert jsd_from_llr(10.0, 2000) == pytest.approx(
+            jsd_from_llr(10.0, 1000) / 2, rel=1e-12)
 
 
 class TestObservedTvd:
     def test_frozen_two_context_value(self):
-        record = record_from_rows((99, 101), (131, 69))
-        assert observed_tvd(record, ("c0", "c1")) == pytest.approx(0.16, rel=1e-15)
+        assert tvd_of([(99, 101), (131, 69)]) == pytest.approx(0.16, rel=1e-15)
 
     def test_frozen_dyadic_value(self):
-        record = record_from_rows((1022, 2), (738, 286))
-        assert observed_tvd(record, ("c0", "c1")) == 0.27734375
+        assert tvd_of([(1022, 2), (738, 286)]) == 0.27734375
 
     def test_symmetry(self):
-        record = record_from_rows((99, 101), (131, 69))
-        assert observed_tvd(record, ("c0", "c1")) == observed_tvd(record, ("c1", "c0"))
+        rows = [(99, 101), (131, 69)]
+        assert tvd_of(rows) == tvd_of(rows[::-1])
 
     def test_extremes(self):
-        assert observed_tvd(record_from_rows((50, 50), (50, 50)), ("c0", "c1")) == 0.0
-        assert observed_tvd(record_from_rows((100, 0), (0, 100)), ("c0", "c1")) == 1.0
-
-    def test_needs_exactly_two_distinct_contexts(self):
-        record = record_from_rows((9, 1), (8, 2), (7, 3))
-        with pytest.raises(DatasetError):
-            observed_tvd(record, ("c0", "c1", "c2"))
-        with pytest.raises(DatasetError):
-            observed_tvd(record, ("c0", "c0"))
+        assert tvd_of([(50, 50), (50, 50)]) == 0.0
+        assert tvd_of([(100, 0), (0, 100)]) == 1.0
 
     def test_unequal_pool_sizes_use_frequencies(self):
-        record = record_from_rows((30, 10), (150, 50))
-        assert observed_tvd(record, ("c0", "c1")) == 0.0
+        assert tvd_of([(30, 10), (150, 50)]) == 0.0
 
 
 @settings(max_examples=120, deadline=None)
@@ -121,35 +114,34 @@ class TestObservedTvd:
     .map(tuple).filter(lambda row: sum(row) > 0),
 ))
 def test_tvd_in_unit_interval(rows):
-    value = observed_tvd(record_from_rows(*rows), ("c0", "c1"))
+    value = tvd_of(rows)
     assert 0.0 <= value <= 1.0 + 1e-12
 
 
 class TestSstvd:
+    """SSTVD as run_analysis gates it: a pair's TVD where the row is rejected."""
+
     def test_gated_on_rejection(self):
-        loud = record_from_rows((150, 50), (50, 150))
-        quiet = record_from_rows((108, 92), (107, 93))
-        cut = llr_threshold(0.05, 1)
-        assert sstvd(loud, ("c0", "c1"), cut) == observed_tvd(loud, ("c0", "c1"))
-        assert sstvd(quiet, ("c0", "c1"), cut) is None
+        loud, quiet = [(150, 50), (50, 150)], [(108, 92), (107, 93)]
+        loud_line, quiet_line = run_analysis(dataset_of(loud, quiet))[0].circuits
+        assert loud_line.rejected and loud_line.sstvd == tvd_of(loud)
+        assert not quiet_line.rejected and quiet_line.sstvd is None
 
     def test_boundary_statistic_reports_null(self):
-        record = record_from_rows((99, 101), (131, 69))
-        statistic = llr_single(record).llr
-        assert sstvd(record, ("c0", "c1"), statistic) is None
-        assert sstvd(record, ("c0", "c1"), statistic * (1 - 1e-9)) is not None
+        # Rejection is strict.  One circuit at alpha = 2p: the aggregate (the
+        # same statistic) does not trigger, so p_threshold is alpha / 2 = p.
+        dataset = dataset_of([(99, 101), (131, 69)])
+        p = run_analysis(dataset)[0].p_value[0]
+        at = run_analysis(dataset, alpha=2 * p)[0]
+        assert at.p_threshold == p and at.circuits[0].sstvd is None
+        above = run_analysis(dataset, alpha=2 * p * (1 + 1e-9))[0]
+        assert above.circuits[0].sstvd == above.circuits[0].tvd is not None
 
-    def test_needs_exactly_two_contexts_even_below_threshold(self):
-        # SSTVD is a pair's TVD: a third context is an error, not a null.
-        record = record_from_rows((9, 1), (8, 2), (7, 3))
-        with pytest.raises(DatasetError):
-            sstvd(record, ("c0", "c1", "c2"), 1e9)
-        with pytest.raises(DatasetError):
-            sstvd(record, ("c0", "c0"), 1e9)
-
-    def test_null_is_none_not_zero(self):
-        quiet = record_from_rows((108, 92), (107, 93))
-        value = sstvd(quiet, ("c0", "c1"), llr_threshold(0.05, 1))
+    def test_null_is_none_not_zero(self, tmp_path):
+        report = run_analysis(dataset_of([(108, 92), (107, 93)]))[0]
+        value = report.circuits[0].sstvd
         assert value is None
         assert value != 0.0
-
+        save_report([report], tmp_path / "report.json")
+        row = json.loads((tmp_path / "report.json").read_text())[0]["circuits"][0]
+        assert row["sstvd"] is None and row["tvd"] > 0.0

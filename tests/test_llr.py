@@ -9,29 +9,23 @@ from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_sf
 from contextdep.counts import CircuitRecord, DatasetError
-from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests,
-                            llr_aggregate, llr_single, llr_statistic, llr_tests,
-                            llr_threshold, n_sigma_threshold)
+from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests, llr_aggregate,
+                            llr_statistics, llr_tests, llr_threshold, n_sigma_threshold)
 
-from _references import llr_reference
-
-
-def record_from_rows(*rows):
-    counts = {f"c{i}": tuple(row) for i, row in enumerate(rows)}
-    return CircuitRecord(circuit_id="q", counts=counts)
+from _references import llr_reference, one_table
 
 
 class TestStatistic:
     def test_two_context_frozen_value(self):
-        lam = llr_statistic([(99, 101), (131, 69)])
+        lam = llr_statistics(one_table([(99, 101), (131, 69)]))[0]
         assert lam == pytest.approx(10.52626478790387, rel=1e-12)
 
     def test_near_null_frozen_value(self):
-        lam = llr_statistic([(108, 92), (107, 93)])
+        lam = llr_statistics(one_table([(108, 92), (107, 93)]))[0]
         assert lam == pytest.approx(0.010056611289883222, rel=1e-9)
 
     def test_three_by_three_frozen_value(self):
-        lam = llr_statistic([(10, 20, 30), (30, 20, 10), (20, 20, 20)])
+        lam = llr_statistics(one_table([(10, 20, 30), (30, 20, 10), (20, 20, 20)]))[0]
         assert lam == pytest.approx(20.929925750582015, rel=1e-12)
 
     def test_identical_pools_give_zero(self):
@@ -52,33 +46,25 @@ class TestStatistic:
             [(3, 0, 7), (6, 0, 14), (9, 0, 21)],
             [(12, 30, 6), (2, 5, 1)],
         ]
-        nonzero = [rows for rows in tables if llr_statistic(rows) != 0.0]
+        nonzero = [rows for rows in tables if llr_statistics(one_table(rows))[0] != 0.0]
         assert not nonzero, f"{len(nonzero)} tables, e.g. {nonzero[:3]}"
 
     def test_zero_counts_contribute_nothing(self):
         # A shared zero column must not produce NaN or shift the statistic.
-        with_zeros = llr_statistic([(10, 0, 30), (25, 0, 15)])
-        without = llr_statistic([(10, 30), (25, 15)])
+        with_zeros = llr_statistics(one_table([(10, 0, 30), (25, 0, 15)]))[0]
+        without = llr_statistics(one_table([(10, 30), (25, 15)]))[0]
         assert with_zeros == pytest.approx(without, rel=1e-12)
 
     def test_context_order_irrelevant(self):
         rows = [(3, 9, 1), (8, 2, 5), (4, 4, 4)]
-        assert llr_statistic(rows) == pytest.approx(
-            llr_statistic(rows[::-1]), rel=1e-12)
+        assert llr_statistics(one_table(rows))[0] == pytest.approx(
+            llr_statistics(one_table(rows[::-1]))[0], rel=1e-12)
 
     def test_outcome_relabeling_irrelevant(self):
         rows = [(3, 9, 1), (8, 2, 5)]
         permuted = [(1, 3, 9), (5, 8, 2)]
-        assert llr_statistic(rows) == pytest.approx(
-            llr_statistic(permuted), rel=1e-12)
-
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            llr_statistic([(1, 2)])
-        with pytest.raises(ValueError):
-            llr_statistic([(1, 2), (1, 2, 3)])
-        with pytest.raises(ValueError):
-            llr_statistic([(1, 2), (0, 0)])
+        assert llr_statistics(one_table(rows))[0] == pytest.approx(
+            llr_statistics(one_table(permuted))[0], rel=1e-12)
 
     @pytest.mark.parametrize("rows, message", [
         ([[-1, 2], [3, 4]], "context '0': counts must be non-negative integers, got -1"),
@@ -86,11 +72,10 @@ class TestStatistic:
         ([[5], [3]], "a pool needs at least two outcome categories"),
     ])
     def test_follows_the_dataset_count_rules(self, rows, message):
-        # Each table once gave a number (4.98, 0.080 and 0.0); a dataset
-        # holding it is rejected.
+        # Each table once gave a number (4.98, 0.080 and 0.0).  llr_statistics
+        # does not check its stack, so the record holding it must refuse it.
         with pytest.raises(DatasetError, match=message):
-            llr_statistic(rows)
-
+            CircuitRecord("table", {str(row): pool for row, pool in enumerate(rows)})
 
 def test_empty_stack_gives_empty_results():
     for shape in ((0, 2, 2), (0, 3, 4)):
@@ -113,58 +98,51 @@ count_rows = st.lists(
 @given(rows=count_rows)
 def test_statistic_matches_entropy_identity(rows):
     """lambda equals 2N times the weighted Jensen-Shannon divergence."""
-    assert llr_statistic(rows) == pytest.approx(llr_reference(rows), abs=1e-8)
+    assert llr_statistics(one_table(rows))[0] == pytest.approx(llr_reference(rows), abs=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=count_rows, factor=st.integers(min_value=2, max_value=9))
 def test_statistic_scales_linearly_with_counts(rows, factor):
     scaled = [tuple(factor * x for x in row) for row in rows]
-    assert llr_statistic(scaled) == pytest.approx(
-        factor * llr_statistic(rows), rel=1e-9, abs=1e-9)
+    assert llr_statistics(one_table(scaled))[0] == pytest.approx(
+        factor * llr_statistics(one_table(rows))[0], rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=count_rows)
 def test_statistic_nonnegative(rows):
-    assert llr_statistic(rows) >= 0.0
+    assert llr_statistics(one_table(rows))[0] >= 0.0
 
 
 class TestSingleCircuit:
     def test_frozen_two_context_result(self):
-        result = llr_single(record_from_rows((99, 101), (131, 69)))
-        assert result.llr == pytest.approx(10.52626478790387, rel=1e-12)
-        assert result.p_value == pytest.approx(1.1768983895047386e-3, rel=1e-9)
-        assert result.dof == 1
-        assert result.n_total == 400
-        assert not result.small_sample
+        tests = llr_tests(one_table([(99, 101), (131, 69)]))
+        assert tests.llr[0] == pytest.approx(10.52626478790387, rel=1e-12)
+        assert tests.p_value[0] == pytest.approx(1.1768983895047386e-3, rel=1e-9)
+        assert tests.dof == 1
+        assert tests.n_total[0] == 400
+        assert not tests.small_sample[0]
 
     def test_dof_formula(self):
-        result = llr_single(record_from_rows((5, 6, 7, 8), (8, 7, 6, 5), (6, 6, 7, 7)))
-        assert result.dof == (3 - 1) * (4 - 1)
+        tests = llr_tests(one_table([(5, 6, 7, 8), (8, 7, 6, 5), (6, 6, 7, 7)]))
+        assert tests.dof == (3 - 1) * (4 - 1)
 
     def test_context_subset(self):
-        record = record_from_rows((99, 101), (131, 69), (100, 100))
-        full = llr_single(record)
-        pair = llr_single(record, contexts=("c0", "c1"))
+        rows = [(99, 101), (131, 69), (100, 100)]
+        full = llr_tests(one_table(rows))
+        pair = llr_tests(one_table(rows[:2]))
         assert pair.dof == 1
-        assert pair.llr == pytest.approx(10.52626478790387, rel=1e-12)
+        assert pair.llr[0] == pytest.approx(10.52626478790387, rel=1e-12)
         assert full.dof == 2
-        assert full.llr > pair.llr
+        assert full.llr[0] > pair.llr[0]
 
     def test_small_sample_flag_boundary(self):
         threshold = 2 * SMALL_SAMPLE_SHOTS_PER_OUTCOME
-        at_limit = record_from_rows((threshold - 5, 5), (threshold, 0))
-        assert not llr_single(at_limit).small_sample
-        below = record_from_rows((threshold - 6, 5), (threshold, 0))
-        assert llr_single(below).small_sample
-
-    def test_rejects_degenerate_selections(self):
-        record = record_from_rows((9, 1), (8, 2))
-        with pytest.raises(DatasetError):
-            llr_single(record, contexts=("c0",))
-        with pytest.raises(DatasetError):
-            llr_single(record, contexts=("c0", "c0"))
+        at_limit = one_table([(threshold - 5, 5), (threshold, 0)])
+        assert not llr_tests(at_limit).small_sample[0]
+        below = one_table([(threshold - 6, 5), (threshold, 0)])
+        assert llr_tests(below).small_sample[0]
 
 
 class TestAggregate:
