@@ -10,12 +10,12 @@ is modeled: later time periods get larger epsilon.
 All circuits and all distinct gate models go through one walk.  A first
 pass, with no arithmetic, reads the circuit texts in sorted order into a
 trie of runs of equal gates, so a run shared by several circuits'
-prefixes is one node; it runs a regular expression once per distinct
-unshared suffix, and no Python step per gate or per node.  A second
-pass forms the node products one trie depth at a time, in one batched
-matmul of take gathers per depth, keeping only the previous depth's
-products.  The products are those of a circuit-by-circuit loop, bit for
-bit.
+prefixes is one node; it reads each distinct unshared suffix once,
+holds a path as a stack of suffix segments and has numpy build the node
+arrays, with no Python step per gate or per node.  A second pass forms
+the node products one trie depth at a time, in one batched matmul of
+take gathers per depth, keeping only the previous depth's products.
+The products are those of a circuit-by-circuit loop, bit for bit.
 
 Sampling is reproducible and order-independent: each (circuit, context)
 cell draws from its own stream, counts_stream, keyed by the experiment
@@ -34,7 +34,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -177,8 +177,12 @@ def gate_model_for_context(error: ErrorModel, context: str) -> dict[str, np.ndar
 
 
 def _common_prefix(a: str, b: str) -> int:
-    """Length of the longest common prefix of two strings, by bisection."""
-    lo, hi = 0, min(len(a), len(b))
+    """Length of the longest common prefix of two strings.  Sorted neighbours
+    mostly differ only near their ends, so the search steps down from the
+    shorter length, eightfold further each time, then bisects."""
+    lo = hi = min(len(a), len(b))
+    while not b.startswith(a[:lo]):
+        hi, lo = lo - 1, max(0, lo - 8 * (hi - lo + 1))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if b.startswith(a[lo:mid], lo):
@@ -202,7 +206,7 @@ class _Numbering(dict):
         return number
 
 
-def _run_trie(words: Sequence[str]) -> tuple[list[int], list[int], list[int], list[int], dict]:
+def _run_trie(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """The runs of every word as a trie, built without arithmetic.
 
     In sorted order, a word shares the runs of its common prefix with the
@@ -211,22 +215,26 @@ def _run_trie(words: Sequence[str]) -> tuple[list[int], list[int], list[int], li
     further run is a node.  The unshared suffix starts on a run boundary
     and _RUN looks at nothing before it, so its runs depend on its text
     alone: the regular expression reads each distinct suffix once per
-    call, and a repeat extends the lists from the stored run numbers and
-    run ends relative to its start, in C-level extends.  About 84% of the
-    nodes are such repeats: 4,932 of 5,836 (146 distinct suffixes, 1,405
-    words) on the bundled drift design, 32,307 of 38,650 (209, 2,017) with
-    its germ powers to 2048.  Returns each node's parent, run number and
-    depth (node 0 is the root, the identity), each word's last node, and
-    the run numbering, keyed by (run text, label).
+    call, and a repeat reuses its run numbers and relative run ends.  About
+    84% of the nodes are such repeats: 4,932 of 5,836 (146 distinct
+    suffixes, 1,405 words) on the bundled drift design, 32,307 of 38,650
+    (209, 2,017) with its germ powers to 2048.  A path is a stack of such
+    suffix segments, so a word takes Python steps per segment, not per
+    node, and numpy builds the node arrays.  Returns each node's parent,
+    run number and depth (node 0 is the root, the identity) and each
+    word's last node as intp arrays, and the run numbering, keyed by (run
+    text, label).
     """
     run_ids = _Numbering()
-    parents, runs, depths = [0], [0], [0]
     leaves = [0] * len(words)
-    # The previous word's trie path: node ids, and the word position at
-    # which each node's run ends.
-    path, ends = [0], [0]
+    # The previous word's path, one segment per unshared suffix on it (the
+    # root is a run of length 0): [start position, depth and node id of its
+    # first run, its run ends relative to start, how many runs are kept].
+    stack = [[0, 0, 0, [0], 1]]
     # Each unshared suffix's run numbers and run-end offsets from its start.
     tokens: dict[str, tuple[list[int], list[int]]] = {}
+    # Per segment: (parent, node id, depth) of its first run; its run numbers.
+    heads, blocks, size = [(0, 0, 0)], [[0]], 1
     previous = ""
     for index in sorted(range(len(words)), key=words.__getitem__):
         word = words[index]
@@ -234,14 +242,18 @@ def _run_trie(words: Sequence[str]) -> tuple[list[int], list[int], list[int], li
         if ((shared < len(word) and word[shared] != "G")
                 or (shared < len(previous) and previous[shared] != "G")):
             shared = word.rfind("G", 0, shared)
-        # Keep the runs that end within the shared prefix; the run ending
-        # at its end only if that run does not go on in this word.
+        # Keep the runs that end within the shared prefix, the one ending at
+        # its end only if it does not go on here; pop the segments past it.
         label = word[word.rfind("G", 0, shared):shared] if shared > 0 else ""
         after = shared + len(label)
         goes_on = bool(label) and word.startswith(label, shared) and (
             after == len(word) or word[after] == "G")
-        keep = (bisect_left if goes_on else bisect_right)(ends, shared)
-        start = ends[keep - 1]
+        cut = bisect_left if goes_on else bisect_right
+        while not (keep := cut(stack[-1][3], shared - stack[-1][0], 0, stack[-1][4])):
+            stack.pop()
+        start, depth, node, ends, _ = segment = stack[-1]
+        segment[4] = keep
+        start += ends[keep - 1]
         suffix = word[start:]
         cached = tokens.get(suffix)
         if cached is None:
@@ -249,17 +261,22 @@ def _run_trie(words: Sequence[str]) -> tuple[list[int], list[int], list[int], li
             cached = tokens[suffix] = (list(map(run_ids.__getitem__, found)),
                                        list(accumulate(map(len, map(itemgetter(0), found)))))
         numbers, offsets = cached
-        first = len(parents)
+        last = node + keep - 1
         if numbers:
-            parents.append(path[keep - 1])
-            parents.extend(range(first, first + len(numbers) - 1))
-            runs.extend(numbers)
-            depths.extend(range(keep, keep + len(numbers)))
-        path[keep:] = range(first, first + len(numbers))
-        ends[keep:] = map(start.__add__, offsets)
-        leaves[index] = path[-1]
+            heads.append((last, size, depth + keep))
+            blocks.append(numbers)
+            stack.append([start, depth + keep, size, offsets, len(numbers)])
+            size += len(numbers)
+            last = size - 1
+        leaves[index] = last
         previous = word
-    return parents, runs, depths, leaves, run_ids
+    parent, first, first_depth = np.array(heads, dtype=np.intp).T
+    nodes = np.arange(size, dtype=np.intp)
+    depths = nodes - np.repeat(first - first_depth, list(map(len, blocks)))
+    parents = nodes - 1
+    parents[first] = parent
+    runs = np.fromiter(chain.from_iterable(blocks), np.intp, size)
+    return parents, runs, depths, np.array(leaves, dtype=np.intp), run_ids
 
 
 def _walk_probabilities(texts: Sequence[str],
@@ -277,8 +294,8 @@ def _walk_probabilities(texts: Sequence[str],
     bit.  That sets the products' floor: a node costs one BLAS 2x2 complex
     product per model (0.35-0.55 us on a 2-core Xeon), and an elementwise
     kernel differs from @ in the last bits, so only fewer nodes make them
-    faster.  The trie pass reads each distinct suffix once and copies the
-    rest, about a third of the walk on germ powers to 2048.
+    faster.  With germ powers to 2048 the trie pass is about a quarter of
+    the walk: 12.5 of 47 ms, best of 15 on a 2-core Xeon.
     """
     words = ["" if text == EMPTY_CIRCUIT_TEXT else text for text in texts]
     parents, runs, depths, leaves, run_ids = _run_trie(words)
@@ -295,17 +312,15 @@ def _walk_probabilities(texts: Sequence[str],
 
     # Nodes and circuits in depth order; a node's slot is its place
     # within its depth.
-    depth = np.array(depths)
-    order = np.argsort(depth, kind="stable")
-    starts = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+    order = np.argsort(depths, kind="stable")
+    starts = np.searchsorted(depths[order], np.arange(depths.max() + 2))
     slot = np.empty_like(order)
-    slot[order] = np.arange(len(order)) - starts[depth[order]]
-    level_runs = np.array(runs)[order]
-    level_parents = slot[np.array(parents)[order]]
-    leaf = np.array(leaves, dtype=np.intp)
-    circuit_order = np.argsort(depth[leaf], kind="stable")
-    leaf_starts = np.searchsorted(depth[leaf][circuit_order], np.arange(len(starts))).tolist()
-    leaf_slots = slot[leaf[circuit_order]]
+    slot[order] = np.arange(len(order)) - starts[depths[order]]
+    level_runs = runs[order]
+    level_parents = slot[parents[order]]
+    circuit_order = np.argsort(depths[leaves], kind="stable")
+    leaf_starts = np.searchsorted(depths[leaves][circuit_order], np.arange(len(starts))).tolist()
+    leaf_slots = slot[leaves[circuit_order]]
     starts = starts.tolist()
 
     amplitudes = np.empty((len(words), len(models), 2), dtype=complex)

@@ -1,13 +1,18 @@
 """Every name a contextdep module exports in __all__ resolves."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import contextdep
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(contextdep.__path__, "contextdep."))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "contextdep").glob("*.py"))
 
 
 def test_every_module_is_listed():
@@ -35,3 +40,15 @@ def test_every_loader_is_fuzzed():
     fuzzed = {loader for loader, _, _ in KINDS.values()}
     assert len(loaders) >= 6
     assert loaders <= fuzzed, sorted(f.__qualname__ for f in loaders - fuzzed)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # The interpreter running the tests may be newer than requires-python;
+    # parsing with the floor's grammar catches syntax the floor lacks.
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    assert len(SOURCES) == len(MODULES) + 1  # and __init__.py
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, int(floor.group(1))))

@@ -547,7 +547,8 @@ class TestPairwiseMatrices:
         reports = run_analysis(dataset, alpha=0.05)
         path = tmp_path / "matrix.csv"
         write_pairwise_csv(pairwise_matrices(reports, dataset.contexts), path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["context", "t1", "t2", "t3"]
         assert len(rows) == 4
         assert rows[1][1] == ""  # diagonal
@@ -587,7 +588,8 @@ class TestJsdProfile:
             assert by_id[circuit_id].jsd_threshold == threshold
         path = tmp_path / "profile.csv"
         write_jsd_profile_csv(rows, path)
-        parsed = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            parsed = list(csv.reader(handle))
         assert parsed[0] == ["circuit_id", "core_length", "jsd", "jsd_threshold"]
         assert len(parsed) == len(rows) + 1
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from contextdep import qsim
 from contextdep.cli import main
 from contextdep.datasets import drift_design, drift_error_model
-from contextdep.gstgen import (MAX_GERM_POWER, CircuitSpec, GstDesign, lsgst_circuits,
-                               save_design)
+from contextdep.gstgen import (EMPTY_CIRCUIT_TEXT, MAX_GERM_POWER, CircuitSpec, GstDesign,
+                               lsgst_circuits, save_design)
 from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
                              _walk_probabilities, circuit_probabilities,
                              counts_stream, experiment_probabilities,
@@ -24,7 +25,7 @@ from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
                              run_drift_experiment, sample_experiment,
                              save_error_model)
 
-from _references import circuit_probabilities_reference, sample_counts
+from _references import circuit_probabilities_reference, run_trie_reference, sample_counts
 from test_gstgen import registered_gate_labels
 
 
@@ -303,6 +304,49 @@ def test_each_distinct_unshared_suffix_is_tokenized_once():
     tokenized = _tokenized_suffixes([c.text for c in circuits])
     assert len(circuits) == 1405
     assert len(tokenized) == len(set(tokenized)) == 146
+
+
+@settings(max_examples=200, deadline=None)
+@given(stem=st.text("Gxy", max_size=300), tails=st.lists(st.text("Gxy", max_size=20),
+                                                        min_size=2, max_size=2))
+def test_common_prefix_of_words_with_a_shared_stem(stem, tails):
+    a, b = stem + tails[0], stem + tails[1]
+    assert qsim._common_prefix(a, b) == len(os.path.commonprefix([a, b]))
+
+
+def _trie_size_against_reference(texts):
+    """Checks qsim._run_trie against the list-based reference; returns its node count."""
+    words = ["" if text == EMPTY_CIRCUIT_TEXT else text for text in texts]
+    trie, reference = qsim._run_trie(words), run_trie_reference(words)
+    for got, expected in zip(trie[:4], reference[:4]):
+        assert got.dtype == np.intp
+        assert got.tolist() == expected
+    assert dict(trie[4]) == dict(reference[4])
+    return len(trie[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits=gate_lists(BOUNDARY_RUNS))
+@example(circuits=[("Gx", "Gxy"), ("Gy",), ("Gx", "Gxy")])
+@example(circuits=[()])
+@example(circuits=[("Gx", "Gx"), ("Gx", "Gx", "Gx", "Gxx"), ("Gx",), ("Gx", "Gx", "Gxx")])
+@example(circuits=[])
+def test_run_trie_equals_the_list_based_reference(circuits):
+    """Duplicate words, the empty word, words that are prefixes of others
+    and no words at all give the reference's nodes, numbered alike."""
+    with registered_gate_labels("Gxx", "Gxy"):
+        texts = [CircuitSpec(gates=g).text for g in circuits]
+    _trie_size_against_reference(texts)
+
+
+@pytest.mark.parametrize("max_germ_power, nodes", [(None, 5837), (2048, 38651)])
+def test_run_trie_of_the_bundled_designs_equals_the_reference(max_germ_power, nodes):
+    """The bundled drift design, and it with germ powers to 2048, keep
+    their node counts (root included), so a loss of sharing fails here."""
+    design = drift_design()
+    if max_germ_power:
+        design = dataclasses.replace(design, max_germ_power=max_germ_power)
+    assert _trie_size_against_reference([c.text for c in lsgst_circuits(design)]) == nodes
 
 
 def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
