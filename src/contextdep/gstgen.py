@@ -156,13 +156,8 @@ def _spec(text: str, core_length: int) -> CircuitSpec:
 
 
 def _parse_fiducials(entries: Sequence[str | Sequence[str]], what: str) -> tuple[tuple[str, ...], ...]:
-    parsed = []
-    for entry in entries:
-        if isinstance(entry, str):
-            parsed.append(parse_circuit_text(entry))
-        else:
-            parsed.append(_check_labels(entry, what))
-    return tuple(parsed)
+    return tuple(parse_circuit_text(entry) if isinstance(entry, str)
+                 else _check_labels(entry, what) for entry in entries)
 
 
 @dataclass(frozen=True)
@@ -199,15 +194,8 @@ class GstDesign:
 
     @property
     def germ_powers(self) -> tuple[int, ...]:
-        """The target lengths 1, 2, 4, ..., max_germ_power."""
-        if self.max_germ_power is None:
-            return ()
-        powers = []
-        length = 1
-        while length <= self.max_germ_power:
-            powers.append(length)
-            length *= 2
-        return tuple(powers)
+        """The target lengths 1, 2, 4, ..., max_germ_power, a power of two."""
+        return tuple(1 << k for k in range((self.max_germ_power or 0).bit_length()))
 
 
 def _texts(parts: Sequence[tuple[str, ...]]) -> list[str]:

@@ -24,6 +24,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -33,7 +34,7 @@ import numpy as np
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
                      columns_equal, distinct_labels, field, read_json, write_rows)
 from .divergence import jsd_from_llr, tvd_rows
-from .gstgen import parse_circuit_text
+from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
 from .multitest import combined_procedure
 
@@ -178,10 +179,12 @@ class ComparisonReport:
     """Everything one comparison concluded, internally consistent.
 
     The per-circuit rows are held as columns in circuit order: float64
-    arrays llr, p_value, jsd and jsd_threshold, bool arrays rejected and
-    small_sample, and the optional float64 columns tvd, sstvd and
-    sstvd_per_gate, whose null entries are marked by tvd_null, sstvd_null
-    and sstvd_per_gate_null (the value under a null is 0.0).  ``circuits``
+    arrays llr, p_value, jsd and jsd_threshold, the bool array small_sample,
+    and the optional float64 columns tvd and sstvd_per_gate, null where
+    tvd_null and sstvd_per_gate_null say (the value under a null is 0.0).
+    Two columns are derived, one rule each: ``rejected`` is p_value <
+    p_threshold, the step-up test's rule, and the SSTVD is the tvd of a
+    rejected row with a tvd, null elsewhere (``sstvd_null``).  ``circuits``
     is a read-only view of them as one CircuitAnalysis per row.
     """
 
@@ -198,12 +201,9 @@ class ComparisonReport:
     p_value: np.ndarray
     jsd: np.ndarray
     jsd_threshold: np.ndarray
-    rejected: np.ndarray
     small_sample: np.ndarray
     tvd: np.ndarray
     tvd_null: np.ndarray
-    sstvd: np.ndarray
-    sstvd_null: np.ndarray
     sstvd_per_gate: np.ndarray
     sstvd_per_gate_null: np.ndarray
     warnings: tuple[str, ...] = ()
@@ -218,12 +218,21 @@ class ComparisonReport:
         return RowView(len(self.circuit_ids), self._row)
 
     def _row(self, i: int) -> CircuitAnalysis:
-        optional = [None if null[i] else float(values[i]) for values, null in (
-            (self.tvd, self.tvd_null), (self.sstvd, self.sstvd_null),
-            (self.sstvd_per_gate, self.sstvd_per_gate_null))]
+        tvd, per_gate = [None if null[i] else float(values[i]) for values, null in (
+            (self.tvd, self.tvd_null), (self.sstvd_per_gate, self.sstvd_per_gate_null))]
         return CircuitAnalysis(self.circuit_ids[i], float(self.llr[i]), float(self.p_value[i]),
-                               float(self.jsd[i]), float(self.jsd_threshold[i]), *optional,
+                               float(self.jsd[i]), float(self.jsd_threshold[i]), tvd,
+                               None if self.sstvd_null[i] else tvd, per_gate,
                                bool(self.rejected[i]), bool(self.small_sample[i]))
+
+    # Cached, since the row view reads them once per row.
+    @cached_property
+    def rejected(self) -> np.ndarray:
+        return self.p_value < self.p_threshold
+
+    @cached_property
+    def sstvd_null(self) -> np.ndarray:
+        return self.tvd_null | ~self.rejected
 
     @property
     def detected(self) -> bool:
@@ -235,17 +244,8 @@ class ComparisonReport:
 
     @property
     def max_sstvd(self) -> float | None:
-        values = self.sstvd[~self.sstvd_null]
+        values = self.tvd[~self.sstvd_null]
         return float(values.max()) if values.size else None
-
-
-def _gate_count(spec: str | None) -> int | None:
-    if spec is None:
-        return None
-    try:
-        return len(parse_circuit_text(spec))
-    except ValueError:
-        return None
 
 
 def _complete_rows(dataset: ContextDataset, comparison: Comparison):
@@ -320,7 +320,6 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
     slices = [_complete_rows(dataset, comparison) for comparison in plan]
     shared, positions = _test_distinct_tables(dataset, slices)
     ids = np.array(dataset.circuit_ids, dtype=object)
-    gate_counts: dict[int, int | None] = {}  # circuit row -> gate count, parsed once
     reports = []
     for comparison, (_, rows, warnings), where in zip(plan, slices, positions):
         tests, jsd, tvd = shared[len(comparison.contexts)]
@@ -333,23 +332,16 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
             outcome = combined_procedure(tests, circuit_ids, alpha_local)
         except ValueError as exc:
             raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
-        n_rows = len(rows)
-        sstvd, per_gate = np.zeros((2, n_rows))
-        tvd_null, sstvd_null, per_gate_null = np.ones((3, n_rows), dtype=bool)
-        if tvd is None:
-            tvd = np.zeros(n_rows)
-        else:
-            tvd = tvd[where]
-            tvd_null[:] = False
-            sstvd = np.where(outcome.rejected, tvd, 0.0)
-            sstvd_null = ~outcome.rejected
-            for i, row in zip(np.flatnonzero(outcome.rejected).tolist(),
-                              rows[outcome.rejected].tolist()):
-                if row not in gate_counts:
-                    gate_counts[row] = _gate_count(dataset.specs[row])
-                if gate_counts[row]:
-                    per_gate[i] = tvd[i] / gate_counts[row]
-                    per_gate_null[i] = False
+        tvd_null = np.full(len(rows), tvd is None)
+        tvd = np.zeros(len(rows)) if tvd is None else tvd[where]
+        per_gate, per_gate_null = np.zeros_like(tvd), np.ones_like(tvd_null)
+        for i in np.flatnonzero(outcome.rejected & ~tvd_null).tolist():
+            try:  # an absent or unparseable spec has no gate count
+                n_gates = CircuitSpec(dataset.specs[rows[i]]).length
+            except ValueError:
+                continue
+            if n_gates:
+                per_gate[i], per_gate_null[i] = tvd[i] / n_gates, False
         reports.append(ComparisonReport(
             comparison_id=comparison.comparison_id,
             contexts=comparison.contexts,
@@ -365,12 +357,9 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
             jsd=jsd[where],
             # All rows share one dof, so the outcome's statistic threshold is theirs.
             jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
-            rejected=outcome.rejected,
             small_sample=tests.small_sample,
             tvd=tvd,
             tvd_null=tvd_null,
-            sstvd=sstvd,
-            sstvd_null=sstvd_null,
             sstvd_per_gate=per_gate,
             sstvd_per_gate_null=per_gate_null,
             warnings=warnings,
@@ -419,9 +408,9 @@ _ROW_PIECES = """      {
         "small_sample": %s
       }""".split("%s")
 
-# The float columns of a report row, in _ROW_PIECES order; the last three
-# are null where their mask says so.
-_FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd", "sstvd_per_gate")
+# The stored float columns of a report row, in _ROW_PIECES order; tvd also
+# gives the sstvd texts.  The last two are null where their mask says so.
+_FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd_per_gate")
 
 
 def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
@@ -451,13 +440,14 @@ def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
     }
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
     text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
-    # All seven float columns in one pass; a column of another length than
+    # All six float columns in one pass; a column of another length than
     # the ids must fail write_rows' length check, not shift the others.
     columns = [getattr(report, name) for name in _FLOAT_COLUMNS]
     texts = _format_distinct(np.concatenate(columns), _json_floats, float_texts)
     floats = np.split(texts, np.cumsum([len(column) for column in columns])[:-1])
-    nulls = (report.tvd_null, report.sstvd_null, report.sstvd_per_gate_null)
-    floats[4:] = [np.where(null, "null", column) for column, null in zip(floats[4:], nulls)]
+    tvd, per_gate = floats[4:]
+    floats[4:] = [np.where(null, "null", column) for column, null in (
+        (tvd, report.tvd_null), (tvd, report.sstvd_null), (per_gate, report.sstvd_per_gate_null))]
     return text, [list(map(encoded_ids.__getitem__, report.circuit_ids)),
                   *(column.tolist() for column in floats),
                   *(np.where(values, "true", "false").tolist()
@@ -498,7 +488,10 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
     rows = field(entry, "circuits", ((list, (dict,)),), where)
     row = f"{where}: circuit"
     columns = {}
+    key = "p_threshold"
     try:
+        # The rejection rule compares the p-values with it as a float.
+        p_threshold = float(field(entry, key, NUMBER, where))
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
                           ("jsd_threshold", "jsd_threshold")):
             columns[name] = np.array(column(rows, key, NUMBER, row), dtype=float)
@@ -508,11 +501,13 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
             columns[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
-        raise ValueError(f"{row}: {key!r} is out of float range") from None
-    columns["rejected"] = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
+        at = where if key == "p_threshold" else row
+        raise ValueError(f"{at}: {key!r} is out of float range") from None
+    sstvd, sstvd_null = columns.pop("sstvd"), columns.pop("sstvd_null")
+    rejected = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
     columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
                                        dtype=bool)
-    return ComparisonReport(
+    report = ComparisonReport(
         comparison_id=field(entry, "comparison_id", (str,), where),
         contexts=tuple(field(entry, "contexts", STRINGS, where)),
         alpha_local=field(entry, "alpha_local", NUMBER, where),
@@ -524,19 +519,39 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
         ),
         n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER, where),
         aggregate_triggered=field(agg, "triggered", (bool,), where),
-        p_threshold=field(entry, "p_threshold", NUMBER, where),
+        p_threshold=p_threshold,
         llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),), where),
         circuit_ids=tuple(column(rows, "id", (str,), row)),
         warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])),
         **columns,
     )
+    # A derived value the file states must be the report's: an omitted sstvd
+    # is not checked, and a stated one is the tvd bit for bit (NaN is NaN).
+    at = f"{where} ({report.comparison_id!r})"
+    for key, wrong, rule in (
+            ("rejected", rejected != report.rejected, "p < p_threshold"),
+            ("sstvd", (sstvd_null != report.sstvd_null)
+             | (~sstvd_null & (sstvd.view(np.int64) != report.tvd.view(np.int64))),
+             "the tvd of a rejected row, and null elsewhere"),
+            ("sstvd_per_gate", report.sstvd_null & ~report.sstvd_per_gate_null,
+             "null where sstvd is null")):
+        stated = [i for i in np.flatnonzero(wrong).tolist() if key in rows[i]]
+        if stated:
+            raise ValueError(f"{at}: circuit {stated[0]}: {key!r} must be {rule}, "
+                             f"got {rows[stated[0]][key]!r}")
+    if field(entry, "detected", (bool,), where, default=report.detected) != report.detected:
+        raise ValueError(f"{at}: 'detected' must be {report.detected!r}: whether the "
+                         "aggregate triggered or a circuit is rejected")
+    return report
 
 
 def load_report(path: str | Path) -> list[ComparisonReport]:
     """Read back a report file written by save_report.
 
     Anything but an array of comparison objects with correctly typed
-    fields, and circuit rows that are objects, is a ValueError.
+    fields, and circuit rows that are objects, is a ValueError; so is a
+    rejected, sstvd or detected other than the report derives, or an
+    sstvd_per_gate where the sstvd is null.
     """
     path = Path(path)
     raw = read_json(path, ((list, (dict,)),))
@@ -571,15 +586,12 @@ def pairwise_matrices(reports: Sequence[ComparisonReport],
     size = len(contexts)
     sigma: list[list[float | None]] = [[None] * size for _ in range(size)]
     counts: list[list[int | None]] = [[None] * size for _ in range(size)]
-    for i, a in enumerate(contexts):
-        for j, b in enumerate(contexts):
-            if j <= i:
-                continue
-            report = pair_reports.get(frozenset((a, b)))
-            if report is None:
-                raise ValueError(f"no pair comparison for contexts {a!r}, {b!r}")
-            sigma[i][j] = report.aggregate.n_sigma
-            counts[j][i] = len(report.rejected_ids)
+    for i, j in combinations(range(size), 2):
+        report = pair_reports.get(frozenset((contexts[i], contexts[j])))
+        if report is None:
+            raise ValueError(f"no pair comparison for contexts {contexts[i]!r}, {contexts[j]!r}")
+        sigma[i][j] = report.aggregate.n_sigma
+        counts[j][i] = len(report.rejected_ids)
     return PairwiseMatrices(
         contexts=contexts,
         n_sigma=tuple(tuple(row) for row in sigma),

@@ -643,9 +643,13 @@ def report_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the report file rules, written from the README.
 
     The loader must accept exactly these files.  `warnings`,
-    `small_sample`, `tvd`, `sstvd` and `sstvd_per_gate` may be omitted;
-    `detected` is not read.  A per-circuit number is held in a float
-    column, so an integer there must lie within float range.
+    `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate` and `detected` may be
+    omitted.  A per-circuit number, and `p_threshold`, is held as a float,
+    so an integer there must lie within float range.  A row is rejected
+    exactly when its p is below p_threshold; a stated sstvd is the row's
+    tvd (the same float) where the row is rejected and has one, and null
+    elsewhere; sstvd_per_gate is null where that sstvd is; a stated
+    detected is whether the aggregate triggered or some row is rejected.
     """
     def number(value):
         return type(value) in (int, float)
@@ -665,6 +669,24 @@ def report_file_is_valid(obj) -> bool:
                 and type(row.get("rejected")) is bool
                 and type(row.get("small_sample", False)) is bool)
 
+    def same_float(a, b):
+        # repr tells -0.0 from 0.0 and writes every NaN alike.
+        return None is a is b or None not in (a, b) and repr(float(a)) == repr(float(b))
+
+    def derived_values_hold(entry):
+        threshold = float(entry["p_threshold"])
+        any_rejected = False
+        for row in entry["circuits"]:
+            rejected = float(row["p"]) < threshold
+            any_rejected = any_rejected or rejected
+            sstvd = row.get("tvd") if rejected else None
+            if (row["rejected"] is not rejected
+                    or "sstvd" in row and not same_float(row["sstvd"], sstvd)
+                    or sstvd is None and row.get("sstvd_per_gate") is not None):
+                return False
+        detected = entry["aggregate"]["triggered"] or any_rejected
+        return entry.get("detected", detected) is detected
+
     def entry_is_valid(entry):
         if not isinstance(entry, dict):
             return False
@@ -673,13 +695,14 @@ def report_file_is_valid(obj) -> bool:
                 and all(map(row_is_valid, rows))
                 and isinstance(entry.get("comparison_id"), str)
                 and strings(entry.get("contexts")) and strings(entry.get("warnings", []))
-                and number(entry.get("alpha_local")) and number(entry.get("p_threshold"))
+                and number(entry.get("alpha_local")) and column_number(entry.get("p_threshold"))
                 and "llr_threshold" in entry
                 and (entry["llr_threshold"] is None or number(entry["llr_threshold"]))
                 and all(number(aggregate.get(key))
                         for key in ("llr", "p", "n_sigma", "n_sigma_threshold"))
                 and type(aggregate.get("k")) is int
-                and type(aggregate.get("triggered")) is bool)
+                and type(aggregate.get("triggered")) is bool
+                and derived_values_hold(entry))
 
     return isinstance(obj, list) and all(map(entry_is_valid, obj))
 

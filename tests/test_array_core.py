@@ -196,12 +196,14 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
             "jsd_threshold": jsd_from_llr(outcome.llr_threshold, tests.n_total),
             "rejected": outcome.rejected,
             "tvd": tvd, "tvd_null": np.full(len(rows), not pair),
-            "sstvd": np.where(shown, tvd, 0.0), "sstvd_null": ~shown,
+            "sstvd_null": ~shown,
             "sstvd_per_gate": per_gate, "sstvd_per_gate_null": per_gate_null,
         }
         assert report.circuit_ids == tuple(dataset.circuit_ids[row] for row in rows)
         for name, column in expected.items():
             assert getattr(report, name).tobytes() == column.tobytes(), name
+        assert [line.sstvd for line in report.circuits] == [
+            float(value) if show else None for value, show in zip(tvd, shown)]
         assert (report.aggregate, report.p_threshold, report.llr_threshold) == (
             outcome.aggregate, outcome.p_threshold, outcome.llr_threshold)
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
+import copy
 import hashlib
 import json
 import os
@@ -811,6 +812,8 @@ def _set(path, value):
     _set(("warnings",), "none"),
     _set(("comparison_id",), 7),
     _set(("llr_threshold",), "5"),
+    _set(("p_threshold",), 10**400),
+    _set(("detected",), "no"),
 ])
 def test_malformed_report_is_one_line_error(tmp_path, capsys, change):
     path = tmp_path / "report.json"
@@ -826,3 +829,61 @@ def test_well_formed_report_summarizes(tmp_path, capsys):
     path.write_text(json.dumps(_mutated_report(lambda entry: [entry])))
     assert main(["summarize", "--report", str(path)]) == 0
     assert "rejected circuits: 0 of 1" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def drift_report(tmp_path_factory, drift_seed_0):
+    """The drift seed-0 report of analyze --plan auto, parsed; it summarizes."""
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    assert main(["analyze", "--data", str(drift_seed_0), "--plan", "auto",
+                 "--out", str(path)]) == 0
+    assert main(["summarize", "--report", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _summarize_parsed(report, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code = main(["summarize", "--report", str(path)])
+    return code, capsys.readouterr()
+
+
+def _first_row(rejected):
+    return lambda rows: next(row for row in rows if row["rejected"] is rejected)
+
+
+# t1_vs_t2 rejects nothing; its first row is {}, at p = 1.  t1_vs_t3 rejects 3 rows.
+@pytest.mark.parametrize("comparison_id, pick, key, value", [
+    ("t1_vs_t2", lambda rows: rows[0], "sstvd", 0.99),
+    ("t1_vs_t2", lambda rows: rows[0], "rejected", True),
+    ("t1_vs_t2", None, "detected", True),
+    ("t1_vs_t3", _first_row(True), "sstvd", 0.5),
+    ("t1_vs_t3", _first_row(True), "rejected", False),
+    ("t1_vs_t3", _first_row(False), "sstvd_per_gate", 0.01),
+])
+def test_report_contradicting_its_derived_values_is_one_line_error(
+        tmp_path, capsys, drift_report, comparison_id, pick, key, value):
+    """rejected is p < p_threshold, SSTVD the tvd of a rejected row, and
+    detected the aggregate or any rejection: a file stating otherwise is
+    refused, not summarized."""
+    report = copy.deepcopy(drift_report)
+    entry = next(entry for entry in report if entry["comparison_id"] == comparison_id)
+    target = entry if pick is None else pick(entry["circuits"])
+    assert target[key] != value
+    target[key] = value
+    code, captured = _summarize_parsed(report, tmp_path, capsys)
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{comparison_id!r}" in captured.err and f"{key!r}" in captured.err
+
+
+def test_report_without_sstvd_or_detected_summarizes_alike(tmp_path, capsys, drift_report):
+    code, captured = _summarize_parsed(drift_report, tmp_path, capsys)
+    assert code == 0
+    report = copy.deepcopy(drift_report)
+    for entry in report:
+        del entry["detected"]
+        for row in entry["circuits"]:
+            del row["sstvd"]
+    assert _summarize_parsed(report, tmp_path, capsys) == (code, captured)

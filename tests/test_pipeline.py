@@ -392,6 +392,9 @@ def comparison_reports(draw):
             return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         return np.full(n, kind == "all")
 
+    # A row is rejected where p < p_threshold, and has a per-gate SSTVD only
+    # where it is rejected and has a tvd.
+    p_value, p_threshold, tvd_null = floats(), draw(report_floats), flags()
     return ComparisonReport(
         comparison_id=draw(report_text),
         contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
@@ -402,20 +405,19 @@ def comparison_reports(draw):
                                       n_sigma=draw(report_floats)),
         n_sigma_threshold=draw(report_floats),
         aggregate_triggered=draw(st.booleans()),
-        p_threshold=draw(report_floats),
+        p_threshold=p_threshold,
         llr_threshold=draw(st.one_of(st.none(), report_floats)),
         circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n))),
-        llr=floats(), p_value=floats(), jsd=floats(), jsd_threshold=floats(),
-        rejected=flags(), small_sample=flags(),
-        tvd=floats(), tvd_null=flags(),
-        sstvd=floats(), sstvd_null=flags(),
-        sstvd_per_gate=floats(), sstvd_per_gate_null=flags(),
+        llr=floats(), p_value=p_value, jsd=floats(), jsd_threshold=floats(),
+        small_sample=flags(), tvd=floats(), tvd_null=tvd_null, sstvd_per_gate=floats(),
+        sstvd_per_gate_null=flags() | tvd_null | ~(p_value < p_threshold),
         warnings=tuple(draw(st.lists(report_text, max_size=2))),
     )
 
 
 def _signed_zero_report():
-    """One column holding both zeros: a memo keyed by value merges them."""
+    """Columns holding both zeros: a memo keyed by value merges them.
+    Every row is rejected, so the sstvd column holds them too."""
     n = 3
     zeros = np.array([0.0, -0.0, 0.0])
     flags = np.zeros(n, dtype=bool)
@@ -424,26 +426,28 @@ def _signed_zero_report():
         aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0, n_sigma=-1.0),
         n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=0.01,
         llr_threshold=6.6, circuit_ids=("x", "y", "z"),
-        llr=zeros, p_value=np.ones(n), jsd=-zeros, jsd_threshold=zeros,
-        rejected=flags, small_sample=flags, tvd=zeros, tvd_null=flags,
-        sstvd=zeros, sstvd_null=~flags, sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
+        llr=zeros, p_value=zeros, jsd=-zeros, jsd_threshold=zeros,
+        small_sample=flags, tvd=zeros, tvd_null=flags,
+        sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
     )
 
 
 def _report_with_rows(n):
     """A report of n rows with varied values, ids that need escaping and
-    quoting among them, and some null optional columns."""
+    quoting among them, some null optional columns, and every third row
+    rejected."""
     values = np.arange(n) / 7.0
     flags = np.arange(n) % 3 == 0
+    odd = np.arange(n) % 2 == 1
     return ComparisonReport(
         comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05,
         aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25, n_sigma=0.5),
         n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=1e-3,
         llr_threshold=10.0, circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9'
                                               for i in range(n)),
-        llr=values, p_value=1.0 / (1.0 + values), jsd=values / 3, jsd_threshold=values % 1.0,
-        rejected=flags, small_sample=~flags, tvd=values / 11, tvd_null=~flags,
-        sstvd=values / 13, sstvd_null=flags, sstvd_per_gate=-values, sstvd_per_gate_null=flags,
+        llr=values, p_value=np.where(flags, 1e-4, 1.0 / (1.0 + values)), jsd=values / 3,
+        jsd_threshold=values % 1.0, small_sample=~flags, tvd=values / 11,
+        tvd_null=odd, sstvd_per_gate=-values, sstvd_per_gate_null=~flags | odd | (values > 9),
     )
 
 
