@@ -53,7 +53,11 @@ class AggregateTestResult:
     llr: float
     dof: int
     p_value: float
-    n_sigma: float
+
+    @property
+    def n_sigma(self) -> float:
+        """N_sigma = (llr - dof) / sqrt(2 dof), derived, not stored."""
+        return (self.llr - self.dof) / math.sqrt(2.0 * self.dof)
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,10 @@ def llr_aggregate(tests: TableTests) -> AggregateTestResult:
     # Python's sum, left to right, not numpy's pairwise sum.
     llr_total = sum(tests.llr.tolist())
     dof_total = tests.dof * len(tests.llr)
-    n_sigma = (llr_total - dof_total) / math.sqrt(2.0 * dof_total)
     return AggregateTestResult(
         llr=llr_total,
         dof=dof_total,
         p_value=chi2_sf(llr_total, dof_total),
-        n_sigma=n_sigma,
     )
 
 

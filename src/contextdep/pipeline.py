@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +37,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, col
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
-from .multitest import combined_procedure
+from .multitest import _step_up, combined_procedure
 
 __all__ = [
     "Comparison",
@@ -178,14 +179,18 @@ class CircuitAnalysis:
 class ComparisonReport:
     """Everything one comparison concluded, internally consistent.
 
-    The per-circuit rows are held as columns in circuit order: float64
-    arrays llr, p_value, jsd and jsd_threshold, the bool array small_sample,
-    and the optional float64 columns tvd and sstvd_per_gate, null where
-    tvd_null and sstvd_per_gate_null say (the value under a null is 0.0).
-    Two columns are derived, one rule each: ``rejected`` is p_value <
-    p_threshold, the step-up test's rule, and the SSTVD is the tvd of a
-    rejected row with a tvd, null elsewhere (``sstvd_null``).  ``circuits``
-    is a read-only view of them as one CircuitAnalysis per row.
+    The per-circuit rows, at least one, are held as columns in circuit
+    order: float64 arrays llr, p_value, jsd and jsd_threshold, the bool
+    array small_sample, and the optional float64 columns tvd and
+    sstvd_per_gate, null where tvd_null and sstvd_per_gate_null say (the
+    value under a null is 0.0).  The rest is derived, one rule each, as
+    multitest.combined_procedure decides: ``aggregate_triggered`` is the
+    aggregate p below alpha_local / 2; ``p_threshold`` is the step-up
+    threshold of p_value at alpha_local, or at half of it when not
+    triggered; ``rejected`` is p_value < p_threshold; and the SSTVD, like
+    a per-gate SSTVD, is shown only on rejected rows with a tvd
+    (``sstvd_null``).  ``circuits`` is a read-only view of the rows as one
+    CircuitAnalysis per row.
     """
 
     comparison_id: str
@@ -193,8 +198,6 @@ class ComparisonReport:
     alpha_local: float
     aggregate: AggregateTestResult
     n_sigma_threshold: float
-    aggregate_triggered: bool
-    p_threshold: float
     llr_threshold: float | None
     circuit_ids: tuple[str, ...]
     llr: np.ndarray
@@ -208,6 +211,10 @@ class ComparisonReport:
     sstvd_per_gate_null: np.ndarray
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not self.circuit_ids:
+            raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
+
     def __eq__(self, other):
         if not isinstance(other, ComparisonReport):
             return NotImplemented
@@ -218,14 +225,26 @@ class ComparisonReport:
         return RowView(len(self.circuit_ids), self._row)
 
     def _row(self, i: int) -> CircuitAnalysis:
-        tvd, per_gate = [None if null[i] else float(values[i]) for values, null in (
-            (self.tvd, self.tvd_null), (self.sstvd_per_gate, self.sstvd_per_gate_null))]
+        tvd = None if self.tvd_null[i] else float(self.tvd[i])
+        shown = not self.sstvd_null[i]
+        per_gate = (float(self.sstvd_per_gate[i])
+                    if shown and not self.sstvd_per_gate_null[i] else None)
         return CircuitAnalysis(self.circuit_ids[i], float(self.llr[i]), float(self.p_value[i]),
                                float(self.jsd[i]), float(self.jsd_threshold[i]), tvd,
-                               None if self.sstvd_null[i] else tvd, per_gate,
+                               tvd if shown else None, per_gate,
                                bool(self.rejected[i]), bool(self.small_sample[i]))
 
-    # Cached, since the row view reads them once per row.
+    @property
+    def aggregate_triggered(self) -> bool:
+        return self.aggregate.p_value < 0.5 * self.alpha_local
+
+    # Cached: the step-up sorts the p-values, and the row view reads the
+    # masks once per row.
+    @cached_property
+    def p_threshold(self) -> float:
+        beta = self.alpha_local if self.aggregate_triggered else 0.5 * self.alpha_local
+        return _step_up(self.p_value, self.circuit_ids, beta)[2]
+
     @cached_property
     def rejected(self) -> np.ndarray:
         return self.p_value < self.p_threshold
@@ -348,8 +367,6 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
             alpha_local=alpha_local,
             aggregate=outcome.aggregate,
             n_sigma_threshold=outcome.n_sigma_threshold,
-            aggregate_triggered=outcome.aggregate_triggered,
-            p_threshold=outcome.p_threshold,
             llr_threshold=outcome.llr_threshold,
             circuit_ids=circuit_ids,
             llr=tests.llr,
@@ -447,7 +464,8 @@ def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
     floats = np.split(texts, np.cumsum([len(column) for column in columns])[:-1])
     tvd, per_gate = floats[4:]
     floats[4:] = [np.where(null, "null", column) for column, null in (
-        (tvd, report.tvd_null), (tvd, report.sstvd_null), (per_gate, report.sstvd_per_gate_null))]
+        (tvd, report.tvd_null), (tvd, report.sstvd_null),
+        (per_gate, report.sstvd_per_gate_null | report.sstvd_null))]
     return text, [list(map(encoded_ids.__getitem__, report.circuit_ids)),
                   *(column.tolist() for column in floats),
                   *(np.where(values, "true", "false").tolist()
@@ -476,22 +494,36 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for report in reports:
             text, columns = _comparison_rows(report, encoded, float_texts)
-            handle.write(separator + text + ("[\n" if report.circuit_ids else "[]"))
+            handle.write(separator + text + "[\n")
             write_rows(handle, _ROW_PIECES, columns, ",\n")
-            handle.write("\n    ]\n  }" if report.circuit_ids else "\n  }")
+            handle.write("\n    ]\n  }")
             separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
+def _float(value, key: str, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: {key!r} is out of float range") from None
+
+
 def _load_comparison(entry: dict, where: str) -> ComparisonReport:
+    where = f"{where} ({field(entry, 'comparison_id', (str,), where)!r})"
     agg = field(entry, "aggregate", (dict,), where)
     rows = field(entry, "circuits", ((list, (dict,)),), where)
+    if not rows:
+        raise ValueError(f"{where}: 'circuits' is empty; a comparison has circuit rows")
+    dof = field(agg, "k", (int,), where)
+    if dof < 1:
+        raise ValueError(f"{where}: 'k' must be a positive integer, got {reprlib.repr(dof)}")
+    # The decision and N_sigma compute with these as floats.
+    alpha_local = _float(field(entry, "alpha_local", NUMBER, where), "alpha_local", where)
+    llr = _float(field(agg, "llr", NUMBER, where), "llr", where)
+    _float(dof, "k", where)
     row = f"{where}: circuit"
     columns = {}
-    key = "p_threshold"
     try:
-        # The rejection rule compares the p-values with it as a float.
-        p_threshold = float(field(entry, key, NUMBER, where))
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
                           ("jsd_threshold", "jsd_threshold")):
             columns[name] = np.array(column(rows, key, NUMBER, row), dtype=float)
@@ -501,33 +533,34 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
             columns[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
-        at = where if key == "p_threshold" else row
-        raise ValueError(f"{at}: {key!r} is out of float range") from None
+        raise ValueError(f"{row}: {key!r} is out of float range") from None
     sstvd, sstvd_null = columns.pop("sstvd"), columns.pop("sstvd_null")
     rejected = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
     columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
                                        dtype=bool)
     report = ComparisonReport(
-        comparison_id=field(entry, "comparison_id", (str,), where),
+        comparison_id=entry["comparison_id"],
         contexts=tuple(field(entry, "contexts", STRINGS, where)),
-        alpha_local=field(entry, "alpha_local", NUMBER, where),
-        aggregate=AggregateTestResult(
-            llr=field(agg, "llr", NUMBER, where),
-            dof=field(agg, "k", (int,), where),
-            p_value=field(agg, "p", NUMBER, where),
-            n_sigma=field(agg, "n_sigma", NUMBER, where),
-        ),
+        alpha_local=alpha_local,
+        aggregate=AggregateTestResult(llr=llr, dof=dof, p_value=field(agg, "p", NUMBER, where)),
         n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER, where),
-        aggregate_triggered=field(agg, "triggered", (bool,), where),
-        p_threshold=p_threshold,
         llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),), where),
         circuit_ids=tuple(column(rows, "id", (str,), row)),
         warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])),
         **columns,
     )
-    # A derived value the file states must be the report's: an omitted sstvd
-    # is not checked, and a stated one is the tvd bit for bit (NaN is NaN).
-    at = f"{where} ({report.comparison_id!r})"
+    # A derived value the file states must be the report's, the header's
+    # first: an omitted one is not checked, and a stated number is the
+    # report's float bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
+    for obj, key, kinds, derived, rule in (
+            (agg, "n_sigma", NUMBER, report.aggregate.n_sigma, "(llr - k) / sqrt(2 k)"),
+            (agg, "triggered", (bool,), report.aggregate_triggered,
+             "whether p < alpha_local / 2"),
+            (entry, "p_threshold", NUMBER, report.p_threshold, "the step-up threshold of the "
+             "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger")):
+        stated = field(obj, key, kinds, where, default=derived)
+        if repr(_float(stated, key, where)) != repr(float(derived)):
+            raise ValueError(f"{where}: {key!r} must be {derived!r}: {rule}, got {stated!r}")
     for key, wrong, rule in (
             ("rejected", rejected != report.rejected, "p < p_threshold"),
             ("sstvd", (sstvd_null != report.sstvd_null)
@@ -537,10 +570,10 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
              "null where sstvd is null")):
         stated = [i for i in np.flatnonzero(wrong).tolist() if key in rows[i]]
         if stated:
-            raise ValueError(f"{at}: circuit {stated[0]}: {key!r} must be {rule}, "
+            raise ValueError(f"{where}: circuit {stated[0]}: {key!r} must be {rule}, "
                              f"got {rows[stated[0]][key]!r}")
     if field(entry, "detected", (bool,), where, default=report.detected) != report.detected:
-        raise ValueError(f"{at}: 'detected' must be {report.detected!r}: whether the "
+        raise ValueError(f"{where}: 'detected' must be {report.detected!r}: whether the "
                          "aggregate triggered or a circuit is rejected")
     return report
 
@@ -550,8 +583,10 @@ def load_report(path: str | Path) -> list[ComparisonReport]:
 
     Anything but an array of comparison objects with correctly typed
     fields, and circuit rows that are objects, is a ValueError; so is a
-    rejected, sstvd or detected other than the report derives, or an
-    sstvd_per_gate where the sstvd is null.
+    comparison without rows, a k below 1, an alpha_local, llr, k or row
+    number beyond float range, and a stated n_sigma, triggered,
+    p_threshold, rejected, sstvd or detected other than the report
+    derives, or an sstvd_per_gate where the sstvd is null.
     """
     path = Path(path)
     raw = read_json(path, ((list, (dict,)),))

@@ -383,9 +383,7 @@ _MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(value: int) -> list[int]:
-    """An int as SeedSequence splits it: little-endian 32-bit words, [0] for 0."""
-    if value < 0:
-        raise ValueError("seed must be non-negative")
+    """A seed (>= 0) as SeedSequence splits it: little-endian 32-bit words, [0] for 0."""
     words = [value & 0xFFFFFFFF]
     while value := value >> 32:
         words.append(value & 0xFFFFFFFF)

@@ -643,13 +643,20 @@ def report_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the report file rules, written from the README.
 
     The loader must accept exactly these files.  `warnings`,
-    `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate` and `detected` may be
-    omitted.  A per-circuit number, and `p_threshold`, is held as a float,
-    so an integer there must lie within float range.  A row is rejected
-    exactly when its p is below p_threshold; a stated sstvd is the row's
-    tvd (the same float) where the row is rejected and has one, and null
-    elsewhere; sstvd_per_gate is null where that sstvd is; a stated
-    detected is whether the aggregate triggered or some row is rejected.
+    `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate`, `detected`,
+    `n_sigma`, `triggered` and `p_threshold` may be omitted.  A comparison
+    has at least one row and `k` is a positive integer.  A per-circuit
+    number, `alpha_local` and the aggregate's `llr` and `k` are held as
+    floats, so an integer there must lie within float range.  The
+    aggregate triggered exactly when its p is below alpha_local / 2, and
+    n_sigma is (llr - k) / sqrt(2 k); p_threshold is Hochberg's at
+    alpha_local if it triggered and at alpha_local / 2 otherwise.  A
+    stated n_sigma, triggered or p_threshold is that value (the same
+    float).  A row is rejected exactly when its p is below p_threshold; a
+    stated sstvd is the row's tvd (the same float) where the row is
+    rejected and has one, and null elsewhere; sstvd_per_gate is null where
+    that sstvd is; a stated detected is whether the aggregate triggered or
+    some row is rejected.
     """
     def number(value):
         return type(value) in (int, float)
@@ -673,8 +680,19 @@ def report_file_is_valid(obj) -> bool:
         # repr tells -0.0 from 0.0 and writes every NaN alike.
         return None is a is b or None not in (a, b) and repr(float(a)) == repr(float(b))
 
+    def stated(obj, key, value):
+        return key not in obj or column_number(obj[key]) and same_float(obj[key], value)
+
     def derived_values_hold(entry):
-        threshold = float(entry["p_threshold"])
+        aggregate, alpha = entry["aggregate"], float(entry["alpha_local"])
+        n_sigma = (float(aggregate["llr"]) - aggregate["k"]) / math.sqrt(2.0 * aggregate["k"])
+        triggered = aggregate["p"] < alpha / 2
+        _, threshold = hochberg_reference([(row["id"], float(row["p"]))
+                                           for row in entry["circuits"]],
+                                          alpha if triggered else alpha / 2)
+        if not (stated(aggregate, "n_sigma", n_sigma) and stated(entry, "p_threshold", threshold)
+                and aggregate.get("triggered", triggered) is triggered):
+            return False
         any_rejected = False
         for row in entry["circuits"]:
             rejected = float(row["p"]) < threshold
@@ -684,24 +702,27 @@ def report_file_is_valid(obj) -> bool:
                     or "sstvd" in row and not same_float(row["sstvd"], sstvd)
                     or sstvd is None and row.get("sstvd_per_gate") is not None):
                 return False
-        detected = entry["aggregate"]["triggered"] or any_rejected
+        detected = triggered or any_rejected
         return entry.get("detected", detected) is detected
 
     def entry_is_valid(entry):
         if not isinstance(entry, dict):
             return False
         aggregate, rows = entry.get("aggregate"), entry.get("circuits")
-        return (isinstance(aggregate, dict) and isinstance(rows, list)
+        return (isinstance(aggregate, dict) and isinstance(rows, list) and len(rows) > 0
                 and all(map(row_is_valid, rows))
                 and isinstance(entry.get("comparison_id"), str)
                 and strings(entry.get("contexts")) and strings(entry.get("warnings", []))
-                and number(entry.get("alpha_local")) and column_number(entry.get("p_threshold"))
+                and column_number(entry.get("alpha_local"))
+                and number(entry.get("p_threshold", 0.0))
                 and "llr_threshold" in entry
                 and (entry["llr_threshold"] is None or number(entry["llr_threshold"]))
-                and all(number(aggregate.get(key))
-                        for key in ("llr", "p", "n_sigma", "n_sigma_threshold"))
-                and type(aggregate.get("k")) is int
-                and type(aggregate.get("triggered")) is bool
+                and column_number(aggregate.get("llr"))
+                and all(number(aggregate.get(key)) for key in ("p", "n_sigma_threshold"))
+                and number(aggregate.get("n_sigma", 0.0))
+                and type(aggregate.get("k")) is int and aggregate["k"] >= 1
+                and column_number(aggregate["k"])
+                and type(aggregate.get("triggered", False)) is bool
                 and derived_values_hold(entry))
 
     return isinstance(obj, list) and all(map(entry_is_valid, obj))

@@ -261,6 +261,20 @@ class TestAnalyze:
         assert sorted(p.name for p in tables.iterdir()) == [
             "jsd_profile_t1_vs_t5.csv", "jsd_profile_t5_vs_t1.csv"]
 
+    def test_tables_without_core_lengths_skip_the_profile(self, tmp_path, capsys):
+        data, out, tables = tmp_path / "data.json", tmp_path / "report.json", tmp_path / "tb"
+        dataset = _small_dataset(["Gx", "Gy"])
+        for entry in dataset["circuits"]:
+            del entry["core_length"]
+        data.write_text(json.dumps(dataset))
+        assert main(["analyze", "--data", str(data), "--out", str(out),
+                     "--tables", str(tables)]) == 0
+        assert capsys.readouterr().err == (
+            "note: JSD profile for 'a_vs_b' skipped (circuit 'Gx' has no core_length; "
+            "profile needs one)\n")
+        assert len(load_report(out)) == 1
+        assert sorted(p.name for p in tables.iterdir()) == ["pairwise_matrix.csv"]
+
     @staticmethod
     def _check_jsd_profiles(tmp_path, ids, lacks_c=None):
         """analyze --tables on five circuits over contexts a, b, c, the circuit
@@ -767,9 +781,11 @@ class TestExitCodes:
 
 
 def _mutated_report(change):
+    # The header agrees with the row: n_sigma is (llr - k) / sqrt(2 k), p is
+    # not below alpha_local / 2, and so p_threshold is alpha_local / 2.
     entry = {
         "comparison_id": "a_vs_b", "contexts": ["a", "b"], "alpha_local": 0.05,
-        "aggregate": {"llr": 4.0, "k": 1, "p": 0.05, "n_sigma": 2.1,
+        "aggregate": {"llr": 4.0, "k": 1, "p": 0.05, "n_sigma": 2.1213203435596424,
                       "n_sigma_threshold": 1.9, "triggered": False},
         "p_threshold": 0.025, "llr_threshold": 5.0, "detected": False, "warnings": [],
         "circuits": [{"id": "Gx", "llr": 4.0, "p": 0.05, "jsd": 0.01, "jsd_threshold": 0.0125,
@@ -878,6 +894,53 @@ def test_report_contradicting_its_derived_values_is_one_line_error(
     assert f"{comparison_id!r}" in captured.err and f"{key!r}" in captured.err
 
 
+def _p_threshold_half(entry):
+    """p_threshold 0.5, with the rows' rejected and sstvd, and detected, as
+    that threshold makes them."""
+    entry["p_threshold"] = 0.5
+    rows = entry["circuits"]
+    for row in rows:
+        row["rejected"] = row["p"] < entry["p_threshold"]
+        row["sstvd"] = row["tvd"] if row["rejected"] else None
+    entry["detected"] = entry["aggregate"]["triggered"] or any(row["rejected"] for row in rows)
+
+
+def _header_edit(**values):
+    """Set top-level keys of an entry, or, as aggregate_<key>, its aggregate's."""
+    def change(entry):
+        for key, value in values.items():
+            target = entry["aggregate"] if key.startswith("aggregate_") else entry
+            target[key.removeprefix("aggregate_")] = value
+    return change
+
+
+# The joint comparison triggers (N_sigma 15.98); t1_vs_t2 does not (-4.14).
+@pytest.mark.parametrize("comparison_id, change, key", [
+    ("joint", _header_edit(aggregate_triggered=False), "triggered"),
+    ("joint", _header_edit(aggregate_n_sigma=99), "n_sigma"),
+    ("joint", _header_edit(aggregate_k=0), "k"),
+    ("joint", _header_edit(aggregate_llr=1.0), "n_sigma"),
+    ("t1_vs_t2", _p_threshold_half, "p_threshold"),
+    ("t1_vs_t2", _header_edit(aggregate_triggered=True, detected=True), "triggered"),
+    ("joint", _header_edit(aggregate_k=10**400), "k"),
+    ("joint", _header_edit(aggregate_llr=10**400), "llr"),
+    ("joint", _header_edit(alpha_local=10**400), "alpha_local"),
+    ("joint", _header_edit(circuits=[]), "circuits"),
+])
+def test_report_contradicting_its_derived_decision_is_one_line_error(
+        tmp_path, capsys, drift_report, comparison_id, change, key):
+    """triggered, p_threshold and n_sigma follow from the rows and the
+    budget, and k, llr and alpha_local must allow them: a file stating
+    otherwise is refused by the header's key, not summarized."""
+    report = copy.deepcopy(drift_report)
+    change(next(entry for entry in report if entry["comparison_id"] == comparison_id))
+    code, captured = _summarize_parsed(report, tmp_path, capsys)
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{comparison_id!r}" in captured.err and f"{key!r}" in captured.err
+    assert ": circuit " not in captured.err
+
+
 def test_report_without_sstvd_or_detected_summarizes_alike(tmp_path, capsys, drift_report):
     code, captured = _summarize_parsed(drift_report, tmp_path, capsys)
     assert code == 0
@@ -886,4 +949,8 @@ def test_report_without_sstvd_or_detected_summarizes_alike(tmp_path, capsys, dri
         del entry["detected"]
         for row in entry["circuits"]:
             del row["sstvd"]
+    assert _summarize_parsed(report, tmp_path, capsys) == (code, captured)
+    # Nor do the header's derived values change the summary.
+    for entry in report:
+        del entry["p_threshold"], entry["aggregate"]["n_sigma"], entry["aggregate"]["triggered"]
     assert _summarize_parsed(report, tmp_path, capsys) == (code, captured)

@@ -447,6 +447,13 @@ class TestMarginalize:
         with pytest.raises(DatasetError):
             marginalize(two_bit_dataset(), (0, 0))
 
+    def test_rejects_outcome_labels_of_mixed_length(self):
+        dataset = dataset_from_records(("0", "10"), ("a", "b"),
+                                       [CircuitRecord("Gx", {"a": (1, 2), "b": (3, 4)})])
+        with pytest.raises(DatasetError, match="^marginalize: outcome labels have mixed "
+                                               "lengths$"):
+            marginalize(dataset, (0,))
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -185,6 +185,11 @@ class TestCombinedProcedure:
             combined_procedure(results, ids, alpha=5e-324)
         assert combined_procedure(results, ids, alpha=4e-323).p_threshold > 0.0
 
+    def test_fewer_ids_than_results_is_an_error(self):
+        results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])
+        with pytest.raises(ValueError, match=r"^1 circuit ids for 2 results$"):
+            combined_procedure(results, ids[:1], alpha=0.05)
+
     def test_aggregate_and_n_sigma_threshold_attached(self):
         # The outcome carries the summed test and its threshold at alpha/2.
         results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])

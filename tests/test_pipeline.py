@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.datasets import (drift_design, drift_error_model, neighbor_example,
                                  two_context_example)
-from contextdep.llr import AggregateTestResult, n_sigma_threshold
+from contextdep.llr import AggregateTestResult, TableTests, n_sigma_threshold
+from contextdep.multitest import combined_procedure
 from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport, JsdProfile,
                                  PairwiseMatrices, jsd_profile, load_plan, load_report,
                                  pairwise_matrices, run_analysis, save_report,
@@ -217,6 +218,28 @@ class TestRunAnalysis:
             for line in report.circuits:
                 assert line.sstvd == (line.tvd if line.rejected else None)
 
+    def test_decision_is_derived_as_the_procedure_made_it(self, drift_seed_0):
+        """The decision is not stored: the report derives p_threshold,
+        aggregate_triggered and N_sigma from its rows and alpha_local, bit
+        for bit as combined_procedure computed them."""
+        assert not {"p_threshold", "aggregate_triggered"} & {
+            field.name for field in dataclasses.fields(ComparisonReport)}
+        assert "n_sigma" not in {field.name for field in dataclasses.fields(AggregateTestResult)}
+        reports = run_analysis(drift_seed_0, alpha=0.05)
+        assert len(reports) == 11
+        for report in reports:
+            # Two outcomes: one dof per context beyond the first.
+            tests = TableTests(llr=report.llr, dof=len(report.contexts) - 1,
+                               p_value=report.p_value, n_total=None,
+                               small_sample=report.small_sample)
+            outcome = combined_procedure(tests, report.circuit_ids, report.alpha_local)
+            assert report.aggregate == outcome.aggregate
+            assert report.aggregate_triggered is outcome.aggregate_triggered
+            assert report.p_threshold.hex() == outcome.p_threshold.hex()
+            assert report.aggregate.n_sigma.hex() == (
+                (outcome.aggregate.llr - outcome.aggregate.dof)
+                / math.sqrt(2.0 * outcome.aggregate.dof)).hex()
+
     def test_pair_reports_carry_tvd_joint_does_not(self):
         dataset = drifting_dataset()
         reports = {r.comparison_id: r for r in run_analysis(dataset)}
@@ -322,12 +345,40 @@ class TestRunAnalysis:
         assert report.max_sstvd == 0.27734375
 
 
+def _one_row_report():
+    """One unrejected two-context row (p = 1) with a tvd of 0.1 and a
+    per-gate value of 0.1."""
+    return ComparisonReport(
+        comparison_id="a_vs_b", contexts=("a", "b"), alpha_local=0.05,
+        aggregate=AggregateTestResult(llr=0.0, dof=1, p_value=1.0), n_sigma_threshold=1.6,
+        llr_threshold=5.0, circuit_ids=("Gx",), llr=np.zeros(1), p_value=np.ones(1),
+        jsd=np.zeros(1), jsd_threshold=np.zeros(1), small_sample=np.zeros(1, dtype=bool),
+        tvd=np.full(1, 0.1), tvd_null=np.zeros(1, dtype=bool),
+        sstvd_per_gate=np.full(1, 0.1), sstvd_per_gate_null=np.zeros(1, dtype=bool))
+
+
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
         reports = run_analysis(drifting_dataset(), alpha=0.05)
         path = tmp_path / "report.json"
         save_report(reports, path)
         assert load_report(path) == reports
+
+    def test_per_gate_sstvd_is_saved_only_with_the_sstvd(self, tmp_path):
+        # One unrejected row (p = 1) with a tvd and a per-gate value: the
+        # per-gate value was once saved, and load_report refused the file.
+        report = _one_row_report()
+        assert report.circuits[0].sstvd_per_gate is None
+        save_report([report], tmp_path / "a.json")
+        (loaded,) = load_report(tmp_path / "a.json")
+        assert loaded.circuits[0].sstvd_per_gate is None
+        save_report([loaded], tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_report_without_rows_is_refused(self):
+        # No analysis compares zero circuits, so no report has zero rows.
+        with pytest.raises(ValueError, match=r"^comparison 'a_vs_b': no circuit rows$"):
+            dataclasses.replace(_one_row_report(), circuit_ids=())
 
     def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
         # A short column once cut every row to its length: 5 of 40 rows saved.
@@ -381,7 +432,7 @@ report_text = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é\u2028
 
 @st.composite
 def comparison_reports(draw):
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 6))
 
     def floats():
         return np.array(draw(st.lists(report_floats, min_size=n, max_size=n)), dtype=float)
@@ -392,26 +443,22 @@ def comparison_reports(draw):
             return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         return np.full(n, kind == "all")
 
-    # A row is rejected where p < p_threshold, and has a per-gate SSTVD only
-    # where it is rejected and has a tvd.
-    p_value, p_threshold, tvd_null = floats(), draw(report_floats), flags()
+    # The header's decision and the rejected rows follow from the p-values
+    # and the budget; a per-gate SSTVD is drawn for any row, and shown only
+    # where the row has an SSTVD.
     return ComparisonReport(
         comparison_id=draw(report_text),
         contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
         alpha_local=draw(report_floats),
         aggregate=AggregateTestResult(llr=draw(report_floats),
                                       dof=draw(st.integers(1, 10**6)),
-                                      p_value=draw(report_floats),
-                                      n_sigma=draw(report_floats)),
+                                      p_value=draw(report_floats)),
         n_sigma_threshold=draw(report_floats),
-        aggregate_triggered=draw(st.booleans()),
-        p_threshold=p_threshold,
         llr_threshold=draw(st.one_of(st.none(), report_floats)),
         circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n))),
-        llr=floats(), p_value=p_value, jsd=floats(), jsd_threshold=floats(),
-        small_sample=flags(), tvd=floats(), tvd_null=tvd_null, sstvd_per_gate=floats(),
-        sstvd_per_gate_null=flags() | tvd_null | ~(p_value < p_threshold),
-        warnings=tuple(draw(st.lists(report_text, max_size=2))),
+        llr=floats(), p_value=floats(), jsd=floats(), jsd_threshold=floats(),
+        small_sample=flags(), tvd=floats(), tvd_null=flags(), sstvd_per_gate=floats(),
+        sstvd_per_gate_null=flags(), warnings=tuple(draw(st.lists(report_text, max_size=2))),
     )
 
 
@@ -423,9 +470,8 @@ def _signed_zero_report():
     flags = np.zeros(n, dtype=bool)
     return ComparisonReport(
         comparison_id="z", contexts=("a", "b"), alpha_local=0.05,
-        aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0, n_sigma=-1.0),
-        n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=0.01,
-        llr_threshold=6.6, circuit_ids=("x", "y", "z"),
+        aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0),
+        n_sigma_threshold=2.0, llr_threshold=6.6, circuit_ids=("x", "y", "z"),
         llr=zeros, p_value=zeros, jsd=-zeros, jsd_threshold=zeros,
         small_sample=flags, tvd=zeros, tvd_null=flags,
         sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
@@ -435,17 +481,17 @@ def _signed_zero_report():
 def _report_with_rows(n):
     """A report of n rows with varied values, ids that need escaping and
     quoting among them, some null optional columns, and every third row
-    rejected."""
+    rejected: its p is far below, and every other p far above, any
+    step-up threshold at alpha_local 0.05."""
     values = np.arange(n) / 7.0
     flags = np.arange(n) % 3 == 0
     odd = np.arange(n) % 2 == 1
     return ComparisonReport(
         comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05,
-        aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25, n_sigma=0.5),
-        n_sigma_threshold=2.0, aggregate_triggered=False, p_threshold=1e-3,
-        llr_threshold=10.0, circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9'
-                                              for i in range(n)),
-        llr=values, p_value=np.where(flags, 1e-4, 1.0 / (1.0 + values)), jsd=values / 3,
+        aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25),
+        n_sigma_threshold=2.0, llr_threshold=10.0,
+        circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9' for i in range(n)),
+        llr=values, p_value=np.where(flags, 1e-9, 0.5 + 0.5 / (1.0 + values)), jsd=values / 3,
         jsd_threshold=values % 1.0, small_sample=~flags, tvd=values / 11,
         tvd_null=odd, sstvd_per_gate=-values, sstvd_per_gate_null=~flags | odd | (values > 9),
     )
@@ -463,7 +509,7 @@ class TestReportBytes:
     @example([_report_with_rows(513)])
     @example([_report_with_rows(1024)])
     @example([_report_with_rows(1025)])
-    @example([_report_with_rows(513), _report_with_rows(0), _report_with_rows(1)])
+    @example([_report_with_rows(513), _report_with_rows(1)])
     def test_save_report_matches_per_row_json(self, tmp_path_factory, reports):
         tmp = tmp_path_factory.mktemp("report")
         save_report(reports, tmp / "columnar.json")
@@ -479,7 +525,6 @@ class TestReportBytes:
     @example(_report_with_rows(513))
     @example(_report_with_rows(1024))
     @example(_report_with_rows(1025))
-    @example(_report_with_rows(0))
     def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
         tmp = tmp_path_factory.mktemp("profile")
         rows = JsdProfile(report.circuit_ids, [7] * len(report.circuit_ids), report.jsd,
@@ -498,9 +543,11 @@ class TestReportBytes:
         assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
         for old, new in zip(reports, loaded, strict=True):
             assert new.circuit_ids == old.circuit_ids
-            for name in ("tvd_null", "sstvd_null", "sstvd_per_gate_null",
-                         "rejected", "small_sample"):
+            for name in ("tvd_null", "sstvd_null", "rejected", "small_sample"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
+            # A per-gate SSTVD is saved only where the SSTVD is.
+            assert np.array_equal(new.sstvd_per_gate_null,
+                                  old.sstvd_per_gate_null | old.sstvd_null)
 
     def test_drift_report_matches_per_row_json(self, tmp_path):
         reports = run_analysis(drifting_dataset(), alpha=0.05)

@@ -69,6 +69,11 @@ class TestCircuitProbabilities:
             ("Gh", "Gs", "Gs", "Gs", "Gs", "Gh"), model) == pytest.approx(
             [1.0, 0.0], abs=1e-15)
 
+    def test_gate_model_without_a_used_label_is_an_error(self):
+        model = {"Gx": ideal_gate_model()["Gx"]}
+        with pytest.raises(ValueError, match=r"^no unitary for gate label 'Gy'$"):
+            circuit_probabilities(("Gx", "Gy"), model)
+
     def test_over_rotated_quarter_turn(self):
         epsilon = 0.05 * math.pi
         error = ErrorModel(context_overrotations={"c": {"Gx": epsilon}})
