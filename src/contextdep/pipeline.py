@@ -484,7 +484,10 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     written one comparison at a time, its rows by write_rows from ten text
     columns.  The comparisons of a plan share circuits and values, so each
     id is encoded once and each distinct float of the file formatted once.
+    Like load_report, it refuses no reports and a repeated comparison_id.
     """
+    if not reports or len({report.comparison_id for report in reports}) < len(reports):
+        raise ValueError("a report file holds at least one comparison, each with its own id")
     # A JSON string body is the id itself where nothing needs escaping: a
     # plan's long circuit ids are then not held twice while the file is written.
     ids = set(chain.from_iterable(report.circuit_ids for report in reports))
@@ -498,7 +501,7 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
             write_rows(handle, _ROW_PIECES, columns, ",\n")
             handle.write("\n    ]\n  }")
             separator = ",\n"
-        handle.write("[]\n" if separator == "[\n" else "\n]\n")
+        handle.write("\n]\n")
 
 
 def _float(value, key: str, where: str) -> float:
@@ -583,14 +586,23 @@ def load_report(path: str | Path) -> list[ComparisonReport]:
 
     Anything but an array of comparison objects with correctly typed
     fields, and circuit rows that are objects, is a ValueError; so is a
-    comparison without rows, a k below 1, an alpha_local, llr, k or row
-    number beyond float range, and a stated n_sigma, triggered,
-    p_threshold, rejected, sstvd or detected other than the report
-    derives, or an sstvd_per_gate where the sstvd is null.
+    file without comparisons, a comparison_id that repeats, a comparison
+    without rows, a k below 1, an alpha_local, llr, k or row number beyond
+    float range, and a stated n_sigma, triggered, p_threshold, rejected,
+    sstvd or detected other than the report derives, or an sstvd_per_gate
+    where the sstvd is null.
     """
     path = Path(path)
     raw = read_json(path, ((list, (dict,)),))
-    return [_load_comparison(entry, f"{path}: comparison {n}") for n, entry in enumerate(raw)]
+    if not raw:
+        raise ValueError(f"{path}: no comparisons; an analysis writes at least one")
+    reports = [_load_comparison(entry, f"{path}: comparison {n}") for n, entry in enumerate(raw)]
+    first: dict[str, int] = {}
+    for n, report in enumerate(reports):
+        if first.setdefault(report.comparison_id, n) != n:
+            raise ValueError(f"{path}: comparison {n} ({report.comparison_id!r}): "
+                             f"comparison_id repeats comparison {first[report.comparison_id]}")
+    return reports
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,12 @@ Sampling is reproducible and order-independent: each (circuit, context)
 cell draws from its own stream, counts_stream, keyed by the experiment
 seed, a hash of the circuit id and the context index.  sample_experiment
 derives every cell's PCG64 state in one batch, running SeedSequence's
-hash and PCG64's seeding over arrays of cells, and sets each on one
-reused generator to draw the cell's two outcomes as one binomial, the
-call counts_stream's multinomial makes, so the counts are the same.
+hash and PCG64's seeding over arrays of cells, with each 128-bit state
+as uint64 limbs.  It then draws every cell's two outcomes as one
+binomial, the call counts_stream's multinomial makes, in one array pass:
+PCG64's steps and numpy's inversion and BTPE binomial run as array loops
+over the cells still drawing, term by term in numpy's C arithmetic, so
+the counts are the same.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -373,13 +376,18 @@ def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.G
     return np.random.Generator(np.random.PCG64(key))
 
 
-# numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier.
+# numpy's SeedSequence constants (bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+# PCG64's multiplier as uint64 limbs, its low limb also as 32-bit halves.
+# Every constant is a numpy uint64: numpy turns uint64 mixed with int64
+# into float64.
+_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(bits) for bits in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_MULT_LO_1, _MULT_LO_0 = _MULT_LO >> _U32, _MULT_LO & _LOW32
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -390,8 +398,31 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> Iterator[dict]:
-    """The PCG64 state of every cell, as counts_stream would seed it.
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state * multiplier + inc mod 2**128, on uint64
+    (high, low) limbs, whose products wrap mod 2**64 as the C code's do.
+    The high word of lo * _MULT_LO comes from its 32-bit halves' products."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    middle = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
+    low = lo * _MULT_LO + inc_lo
+    return carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (low < inc_lo), low
+
+
+def _next_doubles(streams: np.ndarray) -> np.ndarray:
+    """One next_double of every stream in a (4, cells) uint64 array of
+    (state high, state low, inc high, inc low) limbs, stepped in place:
+    the LCG step, the XSL-RR output of the new state, its top 53 bits."""
+    streams[0], streams[1] = hi, lo = _lcg_step(*streams)
+    mixed, rotation = hi ^ lo, hi >> _U58
+    output = (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
+    return (output >> _U11).astype(float) * 2.0 ** -53
+
+
+def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> np.ndarray:
+    """The PCG64 stream of every cell, as counts_stream would seed it.
 
     Cells run circuit-major: cell i * n_contexts + k is circuit i, context
     k.  Each cell's entropy is [seed words..., k, 4 id words], as
@@ -399,7 +430,8 @@ def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> Iter
     whole SeedSequence hash (hashmix and mix into a pool of 4 words, then
     generate_state(4, uint64)) runs once over uint32 columns, whose
     products wrap mod 2**32 as the C code's do.  Then pcg64_srandom_r:
-    inc = initseq << 1 | 1 and two LCG steps, on Python ints.
+    inc = initseq << 1 | 1 and two LCG steps.  Returns the (4, cells)
+    uint64 limbs that _next_doubles steps.
     """
     digests = b"".join(hashlib.sha256(circuit_id.encode("utf-8")).digest()[:16]
                        for circuit_id in circuit_ids)
@@ -441,16 +473,14 @@ def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> Iter
         hash_const = hash_const * _MULT_B & 0xFFFFFFFF
         value = value * np.uint32(hash_const)
         generated.append(value ^ (value >> np.uint32(16)))
-    # Pairs of words, low word first, are generate_state's uint64 words.
-    seeds = np.stack(generated, axis=1).astype("<u4").view("<u8").astype(object)
-    incs = (seeds[:, 2] << 65 | seeds[:, 3] << 1 | 1) & _MASK128
+    # Pairs of words, low word first, are generate_state's uint64 words:
+    # initstate's high and low limbs, then initseq's.
+    seeds = np.stack(generated, axis=1).astype("<u4").view("<u8").astype(np.uint64).T
+    inc_hi, inc_lo = (seeds[2] << _U1) | (seeds[3] >> _U63), (seeds[3] << _U1) | _U1
     # From state 0: one LCG step gives inc, add initstate, step again.
-    states = ((incs + (seeds[:, 0] << 64 | seeds[:, 1])) * _PCG_MULTIPLIER + incs) & _MASK128
-    # Made one at a time: the states of all cells at once would hold two
-    # dicts per cell for the cyclic garbage collector to scan.
-    return ({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-             "has_uint32": 0, "uinteger": 0}
-            for state, inc in zip(states.tolist(), incs.tolist()))
+    lo = inc_lo + seeds[1]
+    return np.stack([*_lcg_step(inc_hi + seeds[0] + (lo < inc_lo), lo, inc_hi, inc_lo),
+                     inc_hi, inc_lo])
 
 
 def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
@@ -491,22 +521,144 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
     return probs[:, slots]
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """glibc's log of each entry, as numpy's C calls it (np.log may differ
+    in the last bit): -inf at 0 and nan below it, as in C."""
+    return np.array([math.log(v) if v > 0 else -math.inf if v == 0 else math.nan
+                     for v in values.tolist()])
+
+
+def _binomial_inversion(n: int, p: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """numpy's random_binomial_inversion(n, p) of every stream: walk the
+    pmf from 0 with one uniform, and redraw once the walk passes bound."""
+    q = 1.0 - p
+    qn = np.array([math.exp(float(n) * math.log1p(-v)) for v in p.tolist()])
+    mean = float(n) * p
+    bound = np.trunc(np.minimum(float(n), mean + 10.0 * np.sqrt(mean * q + 1)))
+    draws = np.empty(len(p), dtype=np.int64)
+    cells = np.arange(len(p))
+    x = np.zeros(len(p), dtype=np.int64)
+    # Rows: p, q, qn, bound, then each cell's px and uniform.
+    rows = np.stack([p, q, qn, bound, qn, _next_doubles(streams)])
+    while len(cells):
+        going = rows[5] > rows[4]
+        draws[cells[~going]] = x[~going]
+        cells, x, rows, streams = cells[going], x[going] + 1, rows[:, going], streams[:, going]
+        p, q, qn, bound, px, u = rows
+        restart = x > bound
+        if restart.any():
+            again = streams[:, restart]
+            u[restart] = _next_doubles(again)
+            streams[:, restart] = again
+            x[restart], px[restart] = 0, qn[restart]
+        walk, xw = ~restart, x[~restart]
+        u[walk] -= px[walk]
+        px[walk] = ((np.int64(n) - xw + 1) * p[walk] * px[walk]) / (xw * q[walk])
+    return draws
+
+
+def _binomial_btpe(n: int, p: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """numpy's random_binomial_btpe(n, p) of every stream, for p <= 0.5.
+
+    BTPE (Kachitvichyanukul and Schmeiser, Commun. ACM 31:216 (1988)):
+    each round draws u, then v, for the cells still pending, takes y from
+    the triangle, the parallelograms or the exponential tails, and accepts
+    it by the pmf ratio F or, far from the mode, by the Stirling squeeze.
+    Every term is evaluated in the C code's order and types: int64 where
+    it computes with integers, n as a double in z and w, glibc's log.
+    """
+    n64, nf = np.int64(n), float(n)
+    q = 1.0 - p
+    fm, nrq = nf * p + p, nf * p * q
+    m = np.floor(fm)
+    p1 = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * p)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    rows = np.stack([p, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p3 + c / lamr, nrq])
+    draws = np.empty(len(p), dtype=np.int64)
+    cells = np.arange(len(p))
+    while len(cells):
+        r, q, mf, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, nrq = rows
+        m = mf.astype(np.int64)
+        u = _next_doubles(streams) * p4
+        v = _next_doubles(streams)
+        middle, tail, left = u <= p1, u > p2, u <= p3
+        logv, logged = np.zeros(len(v)), tail & (v > 0)
+        logv[logged] = _log(v[logged])
+        x = np.where(middle, xm - p1 * v + u, np.where(
+            ~tail, xl + (u - p1) / c, np.where(left, xl + logv / laml, xr - logv / lamr)))
+        y = np.floor(x).astype(np.int64)
+        v = np.where(middle | tail, v, v * c + 1.0 - np.abs(m - x + 0.5) / p1)
+        redraw = np.where(tail, (v == 0) | np.where(left, y < 0, y > n64), v > 1.0)
+        v = np.where(tail, np.where(left, v * (u - p2) * laml, v * (u - p3) * lamr), v)
+        # Step 50: accept y against the pmf ratio F, or by Step 52's squeeze.
+        k = np.abs(y - m)
+        check = ~middle & ~redraw
+        squeeze = check & (k > 20) & (k < nrq / 2.0 - 1)
+        ratio = np.flatnonzero(check & ~squeeze)
+        if len(ratio):
+            # F over i = m + 1..y multiplies by a / i - s; over y + 1..m it
+            # divides.  Reducing a (steps, cells) grid along axis 0 keeps C's
+            # order; blocks of 32 steps, each led by the running F, bound it.
+            s = r[ratio] / q[ratio]
+            a = s * float((n + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps
+            kr, up = k[ratio], m[ratio] < y[ratio]
+            low = np.where(up, m[ratio], y[ratio])
+            grow = shrink = np.ones(len(ratio))
+            for first in range(1, int(kr.max()) + 1, 32):
+                steps = np.arange(first, first + 32)[:, None]
+                terms = np.where(steps <= kr, a / (low + steps) - s, 1.0)
+                grow = np.multiply.reduce(np.vstack([grow, terms]), axis=0)
+                shrink = np.divide.reduce(np.vstack([shrink, terms]), axis=0)
+            redraw[ratio] = v[ratio] > np.where(up, grow, shrink)
+        tight = np.flatnonzero(squeeze)
+        if len(tight):
+            kt, nrqt, yt, mt = k[tight], nrq[tight], y[tight], m[tight]
+            rho = (kt / nrqt) * ((kt * (kt / 3.0 + 0.625) + 0.16666666666666666) / nrqt + 0.5)
+            t = -kt * kt / (2 * nrqt)
+            big_a = _log(v[tight])
+            x1, f1 = (yt + 1).astype(float), (mt + 1).astype(float)
+            z, w = nf + 1 - mt, nf - yt + 1
+            rt, qt = r[tight], q[tight]
+            stirling = (xm[tight] * _log(f1 / x1) + (n64 - mt + 0.5) * _log(z / w)
+                        + (yt - mt) * _log(w * rt / (x1 * qt)))
+            for term in (f1, z, x1, w):
+                square = term * term
+                stirling = stirling + (13680. - (462. - (132. - (99. - 140. / square) / square)
+                                                 / square) / square) / term / 166320.
+            redraw[tight] = ~(big_a < t - rho) & ((big_a > t + rho) | (big_a > stirling))
+        draws[cells[~redraw]] = y[~redraw]
+        cells, rows, streams = cells[redraw], rows[:, redraw], streams[:, redraw]
+    return draws
+
+
 def _draw_cells(seed: int, circuit_ids: Sequence[str], table: np.ndarray,
                 shots: int) -> np.ndarray:
     """Counts of every cell of a (circuits, contexts, 2) table, as Python ints.
 
-    Each cell sets its counts_stream state on one reused generator and
-    draws binomial(shots, p0) zeros, the first count of numpy's
-    multinomial(shots, [p0, p1]) by the same call, on p0 / 1.0.
+    Each cell draws binomial(shots, p0) zeros from its counts_stream, the
+    first count of numpy's multinomial(shots, [p0, p1]) by the same call,
+    on p0 / 1.0, run as numpy's random_binomial over all cells at once: no
+    draw at p0 = 0, the reflection p0 -> 1 - p0 above 0.5, inversion where
+    shots * min(p0, 1 - p0) <= 30 and BTPE elsewhere.
     """
-    bit_generator = np.random.PCG64(0)
-    binomial = np.random.Generator(bit_generator).binomial
-    draws = []
-    for state, p0 in zip(_cell_states(seed, circuit_ids, table.shape[1]),
-                         table[:, :, 0].ravel().tolist(), strict=True):
-        bit_generator.state = state
-        draws.append(binomial(shots, p0))
-    zeros = np.array(draws, dtype=np.int64).reshape(table.shape[:2])
+    p0 = table[:, :, 0].ravel()
+    streams = _cell_states(seed, circuit_ids, table.shape[1])
+    flip = p0 > 0.5
+    p = np.where(flip, 1.0 - p0, p0)
+    small = p * float(shots) <= 30.0
+    zeros = np.zeros(len(p0), dtype=np.int64)
+    for method, cells in ((_binomial_inversion, small & (p0 != 0.0)),
+                          (_binomial_btpe, ~small)):
+        zeros[cells] = method(shots, p[cells], streams[:, cells])
+    zeros = np.where(flip, np.int64(shots) - zeros, zeros).reshape(table.shape[:2])
     return np.stack([zeros, shots - zeros], axis=2).astype(object)
 
 

@@ -642,7 +642,8 @@ def design_file_is_valid(obj) -> bool:
 def report_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the report file rules, written from the README.
 
-    The loader must accept exactly these files.  `warnings`,
+    The loader must accept exactly these files: a non-empty list of
+    comparisons with distinct `comparison_id`s.  `warnings`,
     `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate`, `detected`,
     `n_sigma`, `triggered` and `p_threshold` may be omitted.  A comparison
     has at least one row and `k` is a positive integer.  A per-circuit
@@ -725,7 +726,8 @@ def report_file_is_valid(obj) -> bool:
                 and type(aggregate.get("triggered", False)) is bool
                 and derived_values_hold(entry))
 
-    return isinstance(obj, list) and all(map(entry_is_valid, obj))
+    return (isinstance(obj, list) and len(obj) > 0 and all(map(entry_is_valid, obj))
+            and len({entry["comparison_id"] for entry in obj}) == len(obj))
 
 
 def write_pairwise_csv_reference(matrices, path) -> None:

@@ -941,6 +941,25 @@ def test_report_contradicting_its_derived_decision_is_one_line_error(
     assert ": circuit " not in captured.err
 
 
+def test_report_without_comparisons_is_one_line_error(tmp_path, capsys):
+    """No analysis writes a report without comparisons; summarize once
+    printed nothing for one and exited 0."""
+    code, captured = _summarize_parsed([], tmp_path, capsys)
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: {tmp_path / 'report.json'}: no comparisons; "
+                            "an analysis writes at least one\n")
+
+
+def test_report_repeating_a_comparison_id_is_one_line_error(tmp_path, capsys, drift_report):
+    """A plan's comparison ids are distinct; summarize once printed both
+    copies of a repeated comparison."""
+    entry = drift_report[1]
+    code, captured = _summarize_parsed([drift_report[0], entry, entry], tmp_path, capsys)
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison 2 "
+                            f"({entry['comparison_id']!r}): comparison_id repeats comparison 1\n")
+
+
 def test_report_without_sstvd_or_detected_summarizes_alike(tmp_path, capsys, drift_report):
     code, captured = _summarize_parsed(drift_report, tmp_path, capsys)
     assert code == 0

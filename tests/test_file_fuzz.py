@@ -162,6 +162,22 @@ def test_unmutated_file_is_accepted(kind, command):
         assert _run(command, loader, path) == (True, "")
 
 
+@pytest.mark.parametrize("comparisons", [lambda entry: [],
+                                         lambda entry: [entry, copy.deepcopy(entry)]],
+                         ids=["no comparisons", "repeated comparison_id"])
+def test_report_rules_need_distinct_comparisons(comparisons):
+    """The report rules and the loader both refuse a file without
+    comparisons and one that repeats a comparison_id."""
+    loader, valid, rules = KINDS["report"]
+    obj = comparisons(valid[0])
+    assert not rules(obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(obj))
+        accepted, err = _run(None, loader, path)
+    assert not accepted and err.count("\n") == 1
+
+
 def _load_outcome(loader, path: Path):
     """The loaded dataset, or the type and message of what the loader raised."""
     try:

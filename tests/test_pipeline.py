@@ -380,6 +380,15 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"^comparison 'a_vs_b': no circuit rows$"):
             dataclasses.replace(_one_row_report(), circuit_ids=())
 
+    @pytest.mark.parametrize("reports", [lambda report: [],
+                                         lambda report: [report, report]],
+                             ids=["no comparisons", "repeated comparison_id"])
+    def test_report_files_load_report_refuses_are_not_written(self, tmp_path, reports):
+        with pytest.raises(ValueError, match="^a report file holds at least one comparison, "
+                                             "each with its own id$"):
+            save_report(reports(_one_row_report()), tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
+
     def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
         # A short column once cut every row to its length: 5 of 40 rows saved.
         report = run_analysis(neighbor_example())[0]
@@ -497,11 +506,16 @@ def _report_with_rows(n):
     )
 
 
+# What a report file holds: at least one comparison, each with its own id.
+report_lists = st.lists(comparison_reports(), min_size=1, max_size=3,
+                        unique_by=lambda report: report.comparison_id)
+
+
 class TestReportBytes:
     """The columnar writers against the per-row writers, byte for byte."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(comparison_reports(), max_size=3))
+    @given(report_lists)
     @example([_signed_zero_report()])
     # Row counts on both sides of the writers' 512-text write batches.
     @example([_report_with_rows(511)])
@@ -534,7 +548,7 @@ class TestReportBytes:
         assert (tmp / "columnar.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(comparison_reports(), max_size=3))
+    @given(report_lists)
     def test_load_save_round_trip(self, tmp_path_factory, reports):
         tmp = tmp_path_factory.mktemp("round")
         save_report(reports, tmp / "a.json")

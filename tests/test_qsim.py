@@ -356,7 +356,9 @@ def test_run_trie_of_the_bundled_designs_equals_the_reference(max_germ_power, no
 
 def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
     """Germ powers to 2048 on the drift fiducials and germs: the simulated
-    dataset's digest, fixed before the trie reused suffix tokenizations."""
+    dataset's digest, fixed before the trie reused suffix tokenizations
+    and before the binomial ran as one array pass.  Its 4,034 cells draw
+    2,556 times by BTPE and 1,478 times by inversion, at 100 shots."""
     design = dataclasses.replace(drift_design(), max_germ_power=2048)
     save_design(design, tmp_path / "design.json")
     (tmp_path / "model.json").write_text(json.dumps(
@@ -531,6 +533,13 @@ class TestSampling:
         assert str(info.value) == f"probability table of shape {shape}, need (1, 2, 2)"
 
 
+def _pcg64_state(limbs) -> dict:
+    """A cell's (state high, state low, inc high, inc low) limbs as PCG64.state."""
+    high, low, inc_high, inc_low = map(int, limbs)
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}}
+
+
 _SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 - 3]),
                    st.integers(min_value=0, max_value=2**100))
 _IDS = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True)
@@ -550,7 +559,9 @@ def test_batched_streams_equal_counts_stream(seed, ids, n_contexts):
     the batch states equal counts_stream's two-outcome multinomial draws,
     with the same probabilities.
     """
-    states = list(_cell_states(seed, ids, n_contexts))
+    streams = _cell_states(seed, ids, n_contexts)
+    assert streams.dtype == np.uint64
+    states = [_pcg64_state(streams[:, cell]) for cell in range(streams.shape[1])]
     assert len(states) == len(ids) * n_contexts
     # A different distribution in every cell.
     table = np.arange(1.0, 1.0 + len(ids) * n_contexts * 2) ** 1.5
@@ -588,6 +599,66 @@ def test_two_outcome_draw_equals_the_multinomial_draw(p0, shots):
             draw = counts_stream(seed, circuit_id, k).multinomial(shots, [p0, 1.0 - p0])
             assert counts[i, k].tolist() == draw.tolist()
             assert [type(count) for count in counts[i, k]] == [int, int]
+
+
+def _assert_draws_equal_counts_stream(seed, ids, p0, shots):
+    """Draws cells (circuit i, context k) at p0[k] in one array pass; each
+    equals its own counts_stream's two-outcome multinomial."""
+    counts = _draw_cells(seed, ids, np.array([[[p, 1.0 - p] for p in p0]] * len(ids)), shots)
+    for i, circuit_id in enumerate(ids):
+        for k, p in enumerate(p0):
+            draw = counts_stream(seed, circuit_id, k).multinomial(shots, [p, 1.0 - p])
+            assert counts[i, k].tolist() == draw.tolist()
+
+
+# Both sides of the inversion/BTPE switch at n * min(p, 1 - p) = 30; shot
+# counts a double cannot hold; and 2**63 - 1, where C's int64 n + 1 wraps.
+_PROPERTY_SHOTS = [1, 7, 30, 31, 100, 10**4, 10**6, 2**40, 2**53 + 1, 2**63 - 1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shots=st.sampled_from(_PROPERTY_SHOTS), data=st.data())
+def test_array_pass_equals_counts_stream_at_any_probability(shots, data):
+    """Cells on every path of numpy's binomial.  Some p0 put a mean of at
+    most 5000 zeros or ones in the cell, which a uniform p0 almost never
+    does at large shot counts."""
+    near = min(1.0, 5000.0 / shots)
+    p0 = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0)
+                            | st.floats(min_value=0.0, max_value=near)
+                            | st.floats(min_value=1.0 - near, max_value=1.0),
+                            min_size=1, max_size=8))
+    _assert_draws_equal_counts_stream(3, ("GxGy", "Gi"), p0, shots)
+
+
+@pytest.mark.parametrize("shots, mean", [
+    (2**40, 25.5), (2**53 + 1, 22.6), (2**53 + 1, 300.0), (2**53 + 3, 300.0),
+    (2**54 + 3, 300.0), (2**63 - 1, 1024.0)])
+def test_draws_at_shot_counts_a_double_cannot_hold(shots, mean):
+    """Above 2**53 a double rounds n, and numpy's binomial mixes int64 and
+    double terms: inversion's qn is exp(n * log1p(-p)); BTPE's n + 1 in F
+    is int64 (it wraps at 2**63 - 1), but its Stirling terms z = n + 1 - m
+    and w = n - y + 1 start from n as a double.  Each variant fails some of
+    these 300 cells at mean zeros each; every cell is its counts_stream's."""
+    _assert_draws_equal_counts_stream(11, ("Gx", "GyGy"), [mean / shots] * 150, shots)
+
+
+def test_stream_limbs_stay_uint64(monkeypatch):
+    """numpy turns uint64 mixed with int64 into float64, and a float step
+    would lose the state's low bits.  Every LCG step, in seeding and in
+    drawing, takes and gives uint64 limbs.  (pyproject's filterwarnings
+    makes any RuntimeWarning of these steps fail the test.)"""
+    dtypes, step = set(), qsim._lcg_step
+
+    def checked(*limbs):
+        result = step(*limbs)
+        dtypes.update(limb.dtype for limb in (*limbs, *result))
+        return result
+
+    monkeypatch.setattr(qsim, "_lcg_step", checked)
+    ids = ("Gx", "GyGy")
+    table = np.array([[[p0, 1.0 - p0] for p0 in _EDGE_P0]] * len(ids))
+    _draw_cells(2**64 + 1, ids, table, 10**6)
+    assert dtypes == {np.dtype(np.uint64)}
 
 
 def small_design():
