@@ -180,9 +180,11 @@ class RowView(Sequence):
         return self._row(range(self._n_rows)[index])
 
 
-def columns_equal(first, second) -> bool:
-    """Equality of two dataclasses field by field, array fields by value."""
-    pairs = ((getattr(first, f.name), getattr(second, f.name)) for f in fields(first))
+def columns_equal(first, second, names: Sequence[str] = ()) -> bool:
+    """Equality of two objects attribute by attribute, arrays by value: the
+    attributes ``names``, or else every dataclass field."""
+    pairs = ((getattr(first, name), getattr(second, name))
+             for name in names or [f.name for f in fields(first)])
     return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
                for a, b in pairs)
 

@@ -71,15 +71,21 @@ def _check_budget(n: int, alpha: float, parts: int) -> None:
                          f"{split} underflows to 0")
 
 
-def _step_up(p_values: np.ndarray, ids: Sequence[str], alpha: float):
-    """Hochberg's rejection mask, rejected ids and p_threshold (see hochberg)."""
+def _step_up_threshold(p_values: np.ndarray, alpha: float) -> float:
+    """Hochberg's p_threshold of the p-values at alpha (see hochberg)."""
     q = len(p_values)
     # The l-th smallest p-value against alpha / (Q - l + 1), l = 1..Q.
     hits = np.flatnonzero(np.sort(p_values) <= alpha / np.arange(q, 0, -1))
     # With l_max = hits[-1] + 1, Q - l_max + 1 = Q - hits[-1].
-    p_threshold = alpha / (q - int(hits[-1])) if hits.size else alpha / q
+    return alpha / (q - int(hits[-1])) if hits.size else alpha / q
+
+
+def _outcome(p_values: np.ndarray, ids: Sequence[str], p_threshold: float,
+             **fields) -> MultiTestOutcome:
+    # Everything strictly below the threshold is rejected.
     rejected = p_values < p_threshold
-    return rejected, frozenset(compress(ids, rejected.tolist())), p_threshold
+    return MultiTestOutcome(rejected_ids=frozenset(compress(ids, rejected.tolist())),
+                            p_threshold=p_threshold, rejected=rejected, **fields)
 
 
 def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
@@ -98,13 +104,7 @@ def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOu
     if outside.size:
         i = outside[0]
         raise ValueError(f"p-value for {ids[i]!r} outside [0, 1]: {float(p[i])!r}")
-    rejected, rejected_ids, p_threshold = _step_up(p, ids, alpha)
-    return MultiTestOutcome(
-        rejected_ids=rejected_ids,
-        p_threshold=p_threshold,
-        llr_threshold=None,
-        rejected=rejected,
-    )
+    return _outcome(p, ids, _step_up_threshold(p, alpha), llr_threshold=None)
 
 
 def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
@@ -127,13 +127,10 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
     aggregate = llr_aggregate(tests)
     half = 0.5 * alpha
     triggered = aggregate.p_value < half
-    rejected, rejected_ids, p_threshold = _step_up(tests.p_value, circuit_ids,
-                                                   alpha if triggered else half)
-    return MultiTestOutcome(
-        rejected_ids=rejected_ids,
-        p_threshold=p_threshold,
+    p_threshold = _step_up_threshold(tests.p_value, alpha if triggered else half)
+    return _outcome(
+        tests.p_value, circuit_ids, p_threshold,
         llr_threshold=llr_threshold(p_threshold, tests.dof),
-        rejected=rejected,
         aggregate_triggered=triggered,
         aggregate=aggregate,
         n_sigma_threshold=n_sigma_threshold(half, aggregate.dof),

@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, col
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
-from .multitest import _step_up, combined_procedure
+from .multitest import _step_up_threshold, combined_procedure
 
 __all__ = [
     "Comparison",
@@ -175,22 +175,47 @@ class CircuitAnalysis:
     small_sample: bool
 
 
+class TableStore:
+    """The rows of one analysis, once for all its comparisons: ``circuit_ids``,
+    an object array that reports' ``rows`` index, and per width (number of
+    contexts) the _STORED columns over its distinct count tables, which
+    ``tables`` index (tvd is 0.0 under a null).  Writers keep texts here."""
+
+    def __init__(self, circuit_ids: np.ndarray, columns: dict[int, dict[str, np.ndarray]]):
+        self.circuit_ids, self.columns, self._texts = circuit_ids, columns, {}
+
+    def texts(self, key, make):
+        """make(), computed at the first call with ``key`` and kept."""
+        if key not in self._texts:
+            self._texts[key] = make()
+        return self._texts[key]
+
+
+_STORED = ("llr", "p_value", "jsd", "small_sample", "tvd", "tvd_null")
+
+
+def _gathered(name: str) -> property:
+    return property(lambda report: report.store.columns[len(report.contexts)][name][report.tables])
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Everything one comparison concluded, internally consistent.
 
-    The per-circuit rows, at least one, are held as columns in circuit
-    order: float64 arrays llr, p_value, jsd and jsd_threshold, the bool
-    array small_sample, and the optional float64 columns tvd and
-    sstvd_per_gate, null where tvd_null and sstvd_per_gate_null say (the
-    value under a null is 0.0).  The rest is derived, one rule each, as
-    multitest.combined_procedure decides: ``aggregate_triggered`` is the
-    aggregate p below alpha_local / 2; ``p_threshold`` is the step-up
-    threshold of p_value at alpha_local, or at half of it when not
-    triggered; ``rejected`` is p_value < p_threshold; and the SSTVD, like
-    a per-gate SSTVD, is shown only on rejected rows with a tvd
-    (``sstvd_null``).  ``circuits`` is a read-only view of the rows as one
-    CircuitAnalysis per row.
+    The per-circuit rows, at least one, are indices in circuit order:
+    ``rows`` into the store's ids and ``tables`` into its tables of this
+    many contexts, from which ``circuit_ids`` and the _STORED columns
+    (float64 llr, p_value, jsd and tvd, bool small_sample and tvd_null) are
+    gathered when read.  The report holds float64 jsd_threshold and
+    sstvd_per_gate, null where sstvd_per_gate_null says.  The rest is
+    derived, one rule each, as multitest.combined_procedure decides:
+    ``aggregate_triggered`` is the aggregate p below alpha_local / 2;
+    ``p_threshold`` is the step-up threshold of p_value at alpha_local, or
+    at half of it when not triggered; ``rejected`` is p_value <
+    p_threshold; and the SSTVD, like a per-gate SSTVD, is shown only on
+    rejected rows with a tvd (``sstvd_null``).  ``circuits`` is a read-only
+    view of the rows as one CircuitAnalysis per row.  Reports are equal when
+    their headers and columns are, from one store or two.
     """
 
     comparison_id: str
@@ -199,40 +224,53 @@ class ComparisonReport:
     aggregate: AggregateTestResult
     n_sigma_threshold: float
     llr_threshold: float | None
-    circuit_ids: tuple[str, ...]
-    llr: np.ndarray
-    p_value: np.ndarray
-    jsd: np.ndarray
+    store: TableStore
+    rows: np.ndarray
+    tables: np.ndarray
     jsd_threshold: np.ndarray
-    small_sample: np.ndarray
-    tvd: np.ndarray
-    tvd_null: np.ndarray
     sstvd_per_gate: np.ndarray
     sstvd_per_gate_null: np.ndarray
     warnings: tuple[str, ...] = ()
 
+    llr, p_value, jsd, small_sample, tvd, tvd_null = map(_gathered, _STORED)
+
     def __post_init__(self) -> None:
-        if not self.circuit_ids:
+        if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
+
+    @classmethod
+    def from_columns(cls, *, circuit_ids: Sequence[str], **values) -> "ComparisonReport":
+        """A report in a store of its own, each row its own table, as
+        load_report reads one; ``values`` hold the _STORED columns and fields."""
+        columns = {name: values.pop(name) for name in _STORED}
+        where = np.arange(len(circuit_ids))
+        store = TableStore(np.array(circuit_ids, dtype=object), {len(values["contexts"]): columns})
+        return cls(store=store, rows=where, tables=where, **values)
 
     def __eq__(self, other):
         if not isinstance(other, ComparisonReport):
             return NotImplemented
-        return columns_equal(self, other)
+        names = [f.name for f in fields(self) if f.name not in ("store", "rows", "tables")]
+        return columns_equal(self, other, ["circuit_ids", *_STORED, *names])
+
+    @property
+    def circuit_ids(self) -> tuple[str, ...]:
+        return tuple(self.store.circuit_ids[self.rows].tolist())
 
     @property
     def circuits(self) -> Sequence[CircuitAnalysis]:
-        return RowView(len(self.circuit_ids), self._row)
+        return RowView(len(self.rows), self._row)
 
     def _row(self, i: int) -> CircuitAnalysis:
-        tvd = None if self.tvd_null[i] else float(self.tvd[i])
+        column, table = self.store.columns[len(self.contexts)], self.tables[i]
+        tvd = None if column["tvd_null"][table] else float(column["tvd"][table])
         shown = not self.sstvd_null[i]
-        per_gate = (float(self.sstvd_per_gate[i])
-                    if shown and not self.sstvd_per_gate_null[i] else None)
-        return CircuitAnalysis(self.circuit_ids[i], float(self.llr[i]), float(self.p_value[i]),
-                               float(self.jsd[i]), float(self.jsd_threshold[i]), tvd,
-                               tvd if shown else None, per_gate,
-                               bool(self.rejected[i]), bool(self.small_sample[i]))
+        return CircuitAnalysis(
+            self.store.circuit_ids[self.rows[i]],
+            *(float(column[name][table]) for name in ("llr", "p_value", "jsd")),
+            float(self.jsd_threshold[i]), tvd, tvd if shown else None,
+            float(self.sstvd_per_gate[i]) if shown and not self.sstvd_per_gate_null[i] else None,
+            bool(self.rejected[i]), bool(column["small_sample"][table]))
 
     @property
     def aggregate_triggered(self) -> bool:
@@ -243,7 +281,7 @@ class ComparisonReport:
     @cached_property
     def p_threshold(self) -> float:
         beta = self.alpha_local if self.aggregate_triggered else 0.5 * self.alpha_local
-        return _step_up(self.p_value, self.circuit_ids, beta)[2]
+        return _step_up_threshold(self.p_value, beta)
 
     @cached_property
     def rejected(self) -> np.ndarray:
@@ -259,7 +297,7 @@ class ComparisonReport:
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
-        return tuple(compress(self.circuit_ids, self.rejected.tolist()))
+        return tuple(self.store.circuit_ids[self.rows[self.rejected]].tolist())
 
     @property
     def max_sstvd(self) -> float | None:
@@ -293,9 +331,8 @@ def _test_distinct_tables(dataset: ContextDataset, slices):
     """Test each distinct exact count table of the plan once.
 
     Tables are grouped by width (number of contexts) and keyed on their
-    ints.  Returns, per width, the llr_tests of that width's distinct
-    tables, their JSDs and, for pairs, their TVDs; and for each comparison
-    the positions of its rows' tables in those results.
+    ints.  Returns the analysis' TableStore; per width, the llr_tests of its
+    distinct tables; and per comparison, its rows' positions in those.
     """
     distinct: dict[int, dict[tuple, int]] = {}
     positions = []
@@ -304,13 +341,16 @@ def _test_distinct_tables(dataset: ContextDataset, slices):
         tables = dataset.counts[np.ix_(rows, columns)].reshape(len(rows), -1).tolist()
         positions.append(np.array([index.setdefault(table, len(index))
                                    for table in map(tuple, tables)]))
-    shared = {}
+    tested, columns = {}, {}
     for width, index in distinct.items():
         stack = np.array(list(index), dtype=object).reshape(len(index), width, -1)
-        tests = llr_tests(stack)
-        shared[width] = (tests, jsd_from_llr(tests.llr, tests.n_total),
-                         tvd_rows(stack) if width == 2 else None)
-    return shared, positions
+        tests = tested[width] = llr_tests(stack)
+        columns[width] = {
+            "llr": tests.llr, "p_value": tests.p_value, "small_sample": tests.small_sample,
+            "jsd": jsd_from_llr(tests.llr, tests.n_total),
+            "tvd": tvd_rows(stack) if width == 2 else np.zeros(len(index)),
+            "tvd_null": np.full(len(index), width != 2)}
+    return TableStore(np.array(dataset.circuit_ids, dtype=object), columns), tested, positions
 
 
 def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
@@ -321,8 +361,8 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
     comparison analyses a slice of the dataset's count array.  The
     comparisons of a plan share most of their count tables, so each
     distinct exact table is tested once, in one llr_tests call per number
-    of contexts (and one tvd_rows call for the pairs), and each comparison
-    gathers its rows from those.  A table with its contexts swapped is
+    of contexts (and one tvd_rows call for the pairs), into one TableStore
+    that every report indexes.  A table with its contexts swapped is
     another table: it sums its terms in another order.
     """
     if not 0.0 < alpha < 1.0:
@@ -337,62 +377,41 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                     f"context {context!r}"
                 )
     slices = [_complete_rows(dataset, comparison) for comparison in plan]
-    shared, positions = _test_distinct_tables(dataset, slices)
-    ids = np.array(dataset.circuit_ids, dtype=object)
+    store, tested, positions = _test_distinct_tables(dataset, slices)
     reports = []
     for comparison, (_, rows, warnings), where in zip(plan, slices, positions):
-        tests, jsd, tvd = shared[len(comparison.contexts)]
-        tests = TableTests(llr=tests.llr[where], dof=tests.dof, p_value=tests.p_value[where],
-                           n_total=tests.n_total[where],
-                           small_sample=tests.small_sample[where])
-        circuit_ids = tuple(ids[rows].tolist())
+        tests, columns = tested[len(comparison.contexts)], store.columns[len(comparison.contexts)]
+        tests = TableTests(tests.llr[where], tests.dof, tests.p_value[where],
+                           tests.n_total[where], tests.small_sample[where])
         alpha_local = alpha * comparison.weight
         try:
-            outcome = combined_procedure(tests, circuit_ids, alpha_local)
+            outcome = combined_procedure(tests, store.circuit_ids[rows], alpha_local)
         except ValueError as exc:
             raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
-        tvd_null = np.full(len(rows), tvd is None)
-        tvd = np.zeros(len(rows)) if tvd is None else tvd[where]
-        per_gate, per_gate_null = np.zeros_like(tvd), np.ones_like(tvd_null)
-        for i in np.flatnonzero(outcome.rejected & ~tvd_null).tolist():
+        per_gate, per_gate_null = np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
+        for i in np.flatnonzero(outcome.rejected & ~columns["tvd_null"][where]).tolist():
             try:  # an absent or unparseable spec has no gate count
                 n_gates = CircuitSpec(dataset.specs[rows[i]]).length
             except ValueError:
                 continue
             if n_gates:
-                per_gate[i], per_gate_null[i] = tvd[i] / n_gates, False
+                per_gate[i], per_gate_null[i] = columns["tvd"][where[i]] / n_gates, False
         reports.append(ComparisonReport(
-            comparison_id=comparison.comparison_id,
-            contexts=comparison.contexts,
-            alpha_local=alpha_local,
-            aggregate=outcome.aggregate,
-            n_sigma_threshold=outcome.n_sigma_threshold,
-            llr_threshold=outcome.llr_threshold,
-            circuit_ids=circuit_ids,
-            llr=tests.llr,
-            p_value=tests.p_value,
-            jsd=jsd[where],
+            comparison_id=comparison.comparison_id, contexts=comparison.contexts,
+            alpha_local=alpha_local, aggregate=outcome.aggregate,
+            n_sigma_threshold=outcome.n_sigma_threshold, llr_threshold=outcome.llr_threshold,
+            store=store, rows=rows, tables=where,
             # All rows share one dof, so the outcome's statistic threshold is theirs.
             jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
-            small_sample=tests.small_sample,
-            tvd=tvd,
-            tvd_null=tvd_null,
-            sstvd_per_gate=per_gate,
-            sstvd_per_gate_null=per_gate_null,
-            warnings=warnings,
-        ))
+            sstvd_per_gate=per_gate, sstvd_per_gate_null=per_gate_null, warnings=warnings))
     return reports
 
 
 def _format_distinct(values: np.ndarray, format_all, texts: dict[int, str]) -> np.ndarray:
     """format_all(list of floats) -> texts, spread over values as an object array.
 
-    Count tables repeat, within a comparison and across a plan, so each
-    distinct value is formatted once, keyed on its bit pattern: keying on
-    the value would merge -0.0 with 0.0.  ``texts`` maps each bit pattern
-    formatted so far to its text; the values new to it are formatted and
-    added, so one dict shared by the columns of a file formats each value
-    of the file once.
+    Each value not yet in ``texts``, a dict of texts by bit pattern, is
+    formatted once and added: keying on the value would merge -0.0 with 0.0.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
@@ -411,6 +430,21 @@ def _g10_floats(values: list[float]) -> list[str]:
     return [format(value, ".10g") for value in values]
 
 
+def _texts(report: ComparisonReport, spell, name: str) -> np.ndarray:
+    """A report column as spell writes it, each value spelled once per store:
+    the store's ids at the report's rows, a store column at its tables, or a
+    float column of the report's own, against the store's texts."""
+    store, width = report.store, len(report.contexts)
+    if name == "circuit_ids":
+        return store.texts(spell, lambda: np.array(list(map(spell, store.circuit_ids.tolist())),
+                                                   dtype=object))[report.rows]
+    shared = store.texts(spell, dict)
+    if name not in store.columns[width]:
+        return _format_distinct(getattr(report, name), spell, shared)
+    return store.texts((spell, width, name), lambda: _format_distinct(
+        store.columns[width][name], spell, shared))[report.tables]
+
+
 # One circuit row as json.dumps(..., indent=2) lays it out, cut at its ten values.
 _ROW_PIECES = """      {
         "id": "%s",
@@ -425,54 +459,35 @@ _ROW_PIECES = """      {
         "small_sample": %s
       }""".split("%s")
 
-# The stored float columns of a report row, in _ROW_PIECES order; tvd also
-# gives the sstvd texts.  The last two are null where their mask says so.
-_FLOAT_COLUMNS = ("llr", "p_value", "jsd", "jsd_threshold", "tvd", "sstvd_per_gate")
 
-
-def _comparison_rows(report: ComparisonReport, encoded_ids: Mapping[str, str],
-                     float_texts: dict[int, str]) -> tuple[str, list[list[str]]]:
+def _comparison_rows(report: ComparisonReport) -> tuple[str, list[list[str]]]:
     """The comparison's object as json.dumps(reports, indent=2) writes it:
-    the text up to its circuits array, and the ten text columns of its rows.
-
-    ``encoded_ids`` maps each circuit id to its JSON string body, and
-    ``float_texts`` is the file's _format_distinct dict of float texts.
-    """
-    head = {
-        "comparison_id": report.comparison_id,
-        "contexts": list(report.contexts),
-        "alpha_local": report.alpha_local,
-        "aggregate": {
-            "llr": report.aggregate.llr,
-            "k": report.aggregate.dof,
-            "p": report.aggregate.p_value,
-            "n_sigma": report.aggregate.n_sigma,
-            "n_sigma_threshold": report.n_sigma_threshold,
-            "triggered": report.aggregate_triggered,
-        },
-        "p_threshold": report.p_threshold,
-        "llr_threshold": report.llr_threshold,
-        "detected": report.detected,
-        "warnings": list(report.warnings),
-    }
+    the text up to its circuits array, and the ten text columns of its rows."""
+    agg = report.aggregate
+    head = {"comparison_id": report.comparison_id, "contexts": list(report.contexts),
+            "alpha_local": report.alpha_local,
+            "aggregate": {"llr": agg.llr, "k": agg.dof, "p": agg.p_value, "n_sigma": agg.n_sigma,
+                          "n_sigma_threshold": report.n_sigma_threshold,
+                          "triggered": report.aggregate_triggered},
+            "p_threshold": report.p_threshold, "llr_threshold": report.llr_threshold,
+            "detected": report.detected, "warnings": list(report.warnings)}
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
     text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
-    # All six float columns in one pass; a column of another length than
-    # the ids must fail write_rows' length check, not shift the others.
-    columns = [getattr(report, name) for name in _FLOAT_COLUMNS]
-    texts = _format_distinct(np.concatenate(columns), _json_floats, float_texts)
-    floats = np.split(texts, np.cumsum([len(column) for column in columns])[:-1])
-    tvd, per_gate = floats[4:]
-    floats[4:] = [np.where(null, "null", column) for column, null in (
-        (tvd, report.tvd_null), (tvd, report.sstvd_null),
-        (per_gate, report.sstvd_per_gate_null | report.sstvd_null))]
-    return text, [list(map(encoded_ids.__getitem__, report.circuit_ids)),
-                  *(column.tolist() for column in floats),
-                  *(np.where(values, "true", "false").tolist()
-                    for values in (report.rejected, report.small_sample))]
+    # A column of another length than the ids fails write_rows' length check.
+    tvd = np.where(report.tvd_null, "null", _texts(report, _json_floats, "tvd"))
+    per_gate = np.where(report.sstvd_per_gate_null | report.sstvd_null, "null",
+                        _texts(report, _json_floats, "sstvd_per_gate"))
+    columns = [_texts(report, _json_body, "circuit_ids"),
+               *(_texts(report, _json_floats, name)
+                 for name in ("llr", "p_value", "jsd", "jsd_threshold")),
+               tvd, np.where(report.rejected, tvd, "null"), per_gate,
+               np.where(report.rejected, "true", "false"),
+               np.where(report.small_sample, "true", "false")]
+    return text, [column.tolist() for column in columns]
 
 
 def _json_body(text: str) -> str:
+    # The id itself where nothing needs escaping, so it is not held twice.
     body = encode_basestring_ascii(text)[1:-1]
     return text if body == text else body
 
@@ -482,21 +497,15 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
 
     The bytes are those of json.dumps(payload, indent=2) plus a newline,
     written one comparison at a time, its rows by write_rows from ten text
-    columns.  The comparisons of a plan share circuits and values, so each
-    id is encoded once and each distinct float of the file formatted once.
-    Like load_report, it refuses no reports and a repeated comparison_id.
+    columns, each id and distinct float of a TableStore encoded once.  Like
+    load_report, it refuses no reports and a repeated comparison_id.
     """
     if not reports or len({report.comparison_id for report in reports}) < len(reports):
         raise ValueError("a report file holds at least one comparison, each with its own id")
-    # A JSON string body is the id itself where nothing needs escaping: a
-    # plan's long circuit ids are then not held twice while the file is written.
-    ids = set(chain.from_iterable(report.circuit_ids for report in reports))
-    encoded = {cid: _json_body(cid) for cid in ids}
-    float_texts: dict[int, str] = {}
     separator = "[\n"
     with open(path, "w", encoding="utf-8") as handle:
         for report in reports:
-            text, columns = _comparison_rows(report, encoded, float_texts)
+            text, columns = _comparison_rows(report)
             handle.write(separator + text + "[\n")
             write_rows(handle, _ROW_PIECES, columns, ",\n")
             handle.write("\n    ]\n  }")
@@ -541,7 +550,7 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
     rejected = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
     columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
                                        dtype=bool)
-    report = ComparisonReport(
+    report = ComparisonReport.from_columns(
         comparison_id=entry["comparison_id"],
         contexts=tuple(field(entry, "contexts", STRINGS, where)),
         alpha_local=alpha_local,
@@ -671,61 +680,52 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
 
 
 class JsdProfile(RowView):
-    """A JSD profile's columns in report order: ids, int core lengths, and the
-    report's jsd and jsd_threshold arrays.  Read as a sequence, it is the
-    rows (circuit_id, core_length, jsd, jsd_threshold), each built when read."""
+    """A report's JSD profile: read as a sequence, the rows (circuit_id,
+    core_length, jsd, jsd_threshold), each built when read.  ``core_texts``
+    spells the int ``core_lengths``."""
 
-    def __init__(self, circuit_ids: Sequence[str], core_lengths: Sequence[int],
-                 jsd: np.ndarray, jsd_threshold: np.ndarray) -> None:
-        self.columns = (circuit_ids, core_lengths, jsd, jsd_threshold)
-        super().__init__(len(circuit_ids), lambda i: (
-            circuit_ids[i], core_lengths[i], float(jsd[i]), float(jsd_threshold[i])))
+    def __init__(self, report: ComparisonReport, core_lengths: Sequence[int],
+                 core_texts: Sequence[str]) -> None:
+        self.report, self.core_lengths, self.core_texts = report, core_lengths, core_texts
+        ids, jsd, threshold = report.circuit_ids, report.jsd, report.jsd_threshold
+        super().__init__(len(ids), lambda i: (
+            ids[i], core_lengths[i], float(jsd[i]), float(threshold[i])))
 
 
 def jsd_profile(report: ComparisonReport, dataset: ContextDataset) -> JsdProfile:
     """The (circuit_id, core_length, jsd, jsd_threshold) profile of a report.
 
-    Core lengths come from the dataset's core_lengths column; every circuit
-    in the report must have one there.
+    Core lengths come from the dataset's core_lengths column, read once per
+    id of the report's store; every circuit in the report must have one.
     """
-    # The dataset's own id -> row index; a missing id finds no row.
-    column = dataset.core_lengths
-    cores = [None if row is None else column[row]
-             for row in map(dataset._index.get, report.circuit_ids)]
+    store, column = report.store, dataset.core_lengths
+
+    def core_lengths():  # holding the dataset keeps its id from naming another
+        cores = [None if row is None or column[row] is None else int(column[row])
+                 for row in map(dataset._index.get, store.circuit_ids.tolist())]
+        return dataset, np.array(cores, dtype=object), np.array(list(map(str, cores)), dtype=object)
+
+    _, cores, texts = store.texts(("core_length", id(dataset)), core_lengths)
+    cores = cores[report.rows].tolist()
     if None in cores:
-        raise ValueError(
-            f"circuit {report.circuit_ids[cores.index(None)]!r} has no core_length; "
-            "profile needs one"
-        )
-    return JsdProfile(report.circuit_ids, list(map(int, cores)), report.jsd,
-                      report.jsd_threshold)
-
-
-def _needs_quotes(text: str) -> bool:
-    # csv.writer's minimal quoting in its default (excel) dialect.  csv.writer
-    # inspects each field character by character, and so does a regex; on
-    # long circuit ids four substring searches are far cheaper.
-    return "," in text or '"' in text or "\r" in text or "\n" in text
+        raise ValueError(f"circuit {report.circuit_ids[cores.index(None)]!r} has no "
+                         "core_length; profile needs one")
+    return JsdProfile(report, cores, texts[report.rows].tolist())
 
 
 def _csv_field(text: str) -> str:
-    if _needs_quotes(text):
+    # csv.writer's minimal quoting in its default (excel) dialect.
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def write_jsd_profile_csv(profile: JsdProfile, path: str | Path) -> None:
-    """The bytes csv.writer writes for the header and the profile's rows.
-
-    The four columns go to write_rows as texts: jsd and jsd_threshold as
-    .10g, each distinct value formatted once.
-    """
-    ids, cores, jsds, thresholds = profile.columns
-    # One scan of all the ids tells whether any needs quoting.
-    if _needs_quotes("".join(ids)):
-        ids = list(map(_csv_field, ids))
-    cells = _format_distinct(np.concatenate((jsds, thresholds)), _g10_floats, {}).tolist()
+    """The bytes csv.writer writes for the header and the profile's rows: the
+    store's texts of the ids, jsd and jsd_threshold, each formatted once."""
+    report = profile.report
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
-        write_rows(handle, ("", ",", ",", ",", "\r\n"),
-                   [ids, list(map(str, cores)), cells[:len(cores)], cells[len(cores):]])
+        write_rows(handle, ("", ",", ",", ",", "\r\n"), [
+            _texts(report, _csv_field, "circuit_ids").tolist(), profile.core_texts,
+            *(_texts(report, _g10_floats, name).tolist() for name in ("jsd", "jsd_threshold"))])

@@ -247,5 +247,9 @@ def test_each_table_and_p_value_computed_once_per_plan(monkeypatch):
         statistics.update((dof, bits) for bits in report.llr.view(np.int64).tolist())
     n_rows = sum(len(report.circuit_ids) for report in reports)
     assert len(reports) == 7 and len(tables) < n_rows
+    # The reports share one store, which holds each distinct table once.
+    store = reports[0].store
+    assert all(report.store is store for report in reports)
+    assert sum(len(columns["llr"]) for columns in store.columns.values()) == len(tables)
     assert sum(statistic_rows) == len(tables)
     assert len(sf_calls) == len(statistics) + len(reports)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from contextdep.cli import main
 from contextdep.counts import load_dataset
 from contextdep.datasets import data_path
 from contextdep.gstgen import load_circuits
-from contextdep.pipeline import jsd_profile, load_report
+from contextdep.pipeline import jsd_profile, load_report, run_analysis, save_report
 
 from _references import write_jsd_profile_csv_reference
 
@@ -679,6 +680,81 @@ def test_drift_session_bytes_are_unchanged(tmp_path, capsys, drift_seed_0):
     texts.update((path.name, path.read_bytes()) for path in tables.iterdir())
     assert {name: hashlib.sha256(text).hexdigest()
             for name, text in texts.items()} == DRIFT_SESSION_DIGESTS
+
+
+def test_drift_reports_index_one_store_of_distinct_tables(tmp_path, drift_seed_0):
+    """The auto plan's 11 comparisons hold 15,455 rows and index one store:
+    1,405 ids, 1,065 five-context tables and 1,490 pair tables.  Its saved
+    and loaded analysis equals it, each loaded row its own table."""
+    reports = run_analysis(load_dataset(drift_seed_0))
+    store = reports[0].store
+    assert all(report.store is store for report in reports)
+    assert sum(len(report.rows) for report in reports) == 15455
+    assert len(store.circuit_ids) == 1405
+    assert {width: {name: len(values) for name, values in columns.items()}
+            for width, columns in store.columns.items()} == {
+        width: dict.fromkeys(("llr", "p_value", "jsd", "small_sample", "tvd", "tvd_null"), n)
+        for width, n in ((5, 1065), (2, 1490))}
+    save_report(reports, tmp_path / "report.json")
+    loaded = load_report(tmp_path / "report.json")
+    assert loaded == reports
+    for report in loaded:
+        rows = list(range(len(report.rows)))
+        assert report.rows.tolist() == report.tables.tolist() == rows
+        assert report.store.circuit_ids.tolist() == list(report.circuit_ids)
+        assert {len(values) for values in report.store.columns[len(report.contexts)].values()} \
+            == {len(rows)}
+
+
+def _periods(n, top):
+    """n contexts t1..tn whose Gx/Gy over-rotation rises linearly from 0 to top."""
+    return {f"t{i + 1}": {"Gx": top * i / (n - 1), "Gy": top * i / (n - 1)} for i in range(n)}
+
+
+# The benchmark's scaled sessions: the drift design with germ powers to
+# max_germ_power, under an error model written out here.  "tables" is the
+# sha256 of the lines "<name> <sha256>\n" of every --tables file, by name.
+SCALED_SESSIONS = {
+    "deep_germs": (2048, {"c1": {"Gx": 0.0, "Gy": 0.0}, "c2": {"Gx": 1e-4, "Gy": 1e-4},
+                          "static_epsilon": 1e-3}, {
+        "dataset.json": "76dfc8dab3a6517ad7c4c46a0c17a0dbf5f09edc1a4aeae0fc3f98f11a884ca7",
+        "report.json": "7c7383128f35802175b9b0bf5202bcfa2a6a5589be06176c2dd34607e5fec83e",
+        "summarize": "74cc36a43623c3b4d5762ebd1ef30ca44bc2adc6b55ea43479eccfad85289ea8",
+        "tables": "480dcc99fe76a878a9aa7d5f989fe0597e70ed2ccd59007c28fc08306178275f",
+    }),
+    "many_periods": (16, {**_periods(12, 4e-3), "static_epsilon": 1e-3}, {
+        "dataset.json": "a6ff3c41f0145bed6162277bb4ca971deaabbfbb1ce488b72352037adeffe429",
+        "report.json": "dd049f04c6500691a54b044848549884445164a3a45c370eb8d5d484a68ddba5",
+        "summarize": "3e85cdc87c2c352e06e3cb7e77e54896fa47cdc113d37f3f894619db8090fb64",
+        "tables": "7ec50fc88b0448416b1022ba3fa77fe56b0605f27ab117bd8798a018a47401af",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_SESSIONS))
+def test_scaled_session_bytes_are_unchanged(tmp_path, capsys, name):
+    """simulate (seed 0, 100 shots), analyze --plan auto --tables, summarize
+    on a scaled session: every output's bytes as the writers have always
+    produced them (deep_germs: 1 comparison and 2 tables; many_periods: 12
+    contexts, 67 comparisons and 68 tables)."""
+    power, model, digests = SCALED_SESSIONS[name]
+    design = json.loads(Path(DRIFT_DESIGN).read_text(encoding="utf-8"))
+    (tmp_path / "design.json").write_text(json.dumps({**design, "max_germ_power": power}))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    data, out, tables = tmp_path / "dataset.json", tmp_path / "report.json", tmp_path / "tables"
+    assert main(["simulate", "--design", str(tmp_path / "design.json"), "--error-model",
+                 str(tmp_path / "model.json"), "--shots", "100", "--seed", "0",
+                 "--out", str(data)]) == 0
+    assert main(["analyze", "--data", str(data), "--plan", "auto", "--out", str(out),
+                 "--tables", str(tables)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--report", str(out)]) == 0
+    sha = lambda text: hashlib.sha256(text).hexdigest()  # noqa: E731
+    lines = "".join(f"{path.name} {sha(path.read_bytes())}\n"
+                    for path in sorted(tables.iterdir()))
+    assert {"dataset.json": sha(data.read_bytes()), "report.json": sha(out.read_bytes()),
+            "summarize": sha(capsys.readouterr().out.encode()),
+            "tables": sha(lines.encode())} == digests
 
 
 class TestSummarize:

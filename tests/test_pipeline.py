@@ -348,7 +348,7 @@ class TestRunAnalysis:
 def _one_row_report():
     """One unrejected two-context row (p = 1) with a tvd of 0.1 and a
     per-gate value of 0.1."""
-    return ComparisonReport(
+    return ComparisonReport.from_columns(
         comparison_id="a_vs_b", contexts=("a", "b"), alpha_local=0.05,
         aggregate=AggregateTestResult(llr=0.0, dof=1, p_value=1.0), n_sigma_threshold=1.6,
         llr_threshold=5.0, circuit_ids=("Gx",), llr=np.zeros(1), p_value=np.ones(1),
@@ -359,10 +359,17 @@ def _one_row_report():
 
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
+        # One analysis shares one store; each loaded comparison has its own,
+        # with each row its own table, and equals its analysed report.
         reports = run_analysis(drifting_dataset(), alpha=0.05)
+        assert all(report.store is reports[0].store for report in reports)
         path = tmp_path / "report.json"
         save_report(reports, path)
-        assert load_report(path) == reports
+        loaded = load_report(path)
+        assert loaded == reports
+        assert len({id(report.store) for report in loaded}) == len(loaded)
+        for report in loaded:
+            assert report.rows.tolist() == report.tables.tolist() == list(range(len(report.rows)))
 
     def test_per_gate_sstvd_is_saved_only_with_the_sstvd(self, tmp_path):
         # One unrejected row (p = 1) with a tvd and a per-gate value: the
@@ -378,7 +385,7 @@ class TestReportFiles:
     def test_report_without_rows_is_refused(self):
         # No analysis compares zero circuits, so no report has zero rows.
         with pytest.raises(ValueError, match=r"^comparison 'a_vs_b': no circuit rows$"):
-            dataclasses.replace(_one_row_report(), circuit_ids=())
+            dataclasses.replace(_one_row_report(), rows=np.arange(0), tables=np.arange(0))
 
     @pytest.mark.parametrize("reports", [lambda report: [],
                                          lambda report: [report, report]],
@@ -393,7 +400,7 @@ class TestReportFiles:
         # A short column once cut every row to its length: 5 of 40 rows saved.
         report = run_analysis(neighbor_example())[0]
         with pytest.raises(ValueError, match="shorter"):
-            save_report([dataclasses.replace(report, llr=report.llr[:5])],
+            save_report([dataclasses.replace(report, jsd_threshold=report.jsd_threshold[:5])],
                         tmp_path / "report.json")
 
     def test_bytes_stable(self, tmp_path):
@@ -455,7 +462,7 @@ def comparison_reports(draw):
     # The header's decision and the rejected rows follow from the p-values
     # and the budget; a per-gate SSTVD is drawn for any row, and shown only
     # where the row has an SSTVD.
-    return ComparisonReport(
+    return ComparisonReport.from_columns(
         comparison_id=draw(report_text),
         contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
         alpha_local=draw(report_floats),
@@ -477,7 +484,7 @@ def _signed_zero_report():
     n = 3
     zeros = np.array([0.0, -0.0, 0.0])
     flags = np.zeros(n, dtype=bool)
-    return ComparisonReport(
+    return ComparisonReport.from_columns(
         comparison_id="z", contexts=("a", "b"), alpha_local=0.05,
         aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0),
         n_sigma_threshold=2.0, llr_threshold=6.6, circuit_ids=("x", "y", "z"),
@@ -495,7 +502,7 @@ def _report_with_rows(n):
     values = np.arange(n) / 7.0
     flags = np.arange(n) % 3 == 0
     odd = np.arange(n) % 2 == 1
-    return ComparisonReport(
+    return ComparisonReport.from_columns(
         comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05,
         aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25),
         n_sigma_threshold=2.0, llr_threshold=10.0,
@@ -541,8 +548,7 @@ class TestReportBytes:
     @example(_report_with_rows(1025))
     def test_jsd_profile_matches_per_row_csv(self, tmp_path_factory, report):
         tmp = tmp_path_factory.mktemp("profile")
-        rows = JsdProfile(report.circuit_ids, [7] * len(report.circuit_ids), report.jsd,
-                          report.jsd_threshold)
+        rows = JsdProfile(report, [7] * len(report.rows), ["7"] * len(report.rows))
         write_jsd_profile_csv(rows, tmp / "columnar.csv")
         write_jsd_profile_csv_reference(rows, tmp / "rows.csv")
         assert (tmp / "columnar.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
@@ -557,6 +563,7 @@ class TestReportBytes:
         assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
         for old, new in zip(reports, loaded, strict=True):
             assert new.circuit_ids == old.circuit_ids
+            assert new.tables.tolist() == list(range(len(old.rows)))
             for name in ("tvd_null", "sstvd_null", "rejected", "small_sample"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
             # A per-gate SSTVD is saved only where the SSTVD is.
@@ -671,6 +678,9 @@ class TestJsdProfile:
         others = dataclasses.replace(dataset, circuit_ids=tuple(
             "other" if cid == report.circuit_ids[2] else cid for cid in dataset.circuit_ids))
         message = f"circuit {report.circuit_ids[2]!r} has no core_length; profile needs one"
+        # The report's store keeps the core lengths it read from the first
+        # dataset; the second is read afresh.
+        assert len(jsd_profile(report, dataset)) == len(report.rows)
         with pytest.raises(ValueError, match=re.escape(message)):
             jsd_profile(report, others)
 
