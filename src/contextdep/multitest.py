@@ -11,12 +11,14 @@ first ask the high-power aggregate test whether anything at all depends
 on context, spending half the local budget there; the per-circuit tests
 then run at the full budget if the aggregate already triggered (the
 global null is gone, so they only localize) and at the remaining half
-otherwise.
+otherwise.  The decision has one implementation, Decision: MultiTestOutcome
+and pipeline.ComparisonReport store its inputs and inherit it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -26,85 +28,113 @@ from .llr import (AggregateTestResult, TableTests, llr_aggregate, llr_threshold,
                   n_sigma_threshold)
 
 __all__ = [
+    "Decision",
     "MultiTestOutcome",
     "hochberg",
     "combined_procedure",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiTestOutcome:
-    """Rejection set and thresholds produced by a correction procedure.
+class Decision:
+    """A correction procedure's decision, derived from ``p_value`` (the Q
+    rows' p-values), ``alpha_local`` and ``aggregate`` (None for Hochberg).
 
-    ``rejected`` is the rejection mask in input order and rejected_ids
-    names the same rows.  p_threshold is always well defined: when nothing
-    clears the step-up conditions it is reported as alpha/Q, below which
-    (by the failed l=1 condition) no p-value lies.  llr_threshold is the
-    statistic value equivalent to p_threshold; hochberg, which sees
-    p-values only, leaves it None, and likewise the aggregate test and its
-    N_sigma threshold, which only combined_procedure runs.
+    ``aggregate_triggered`` is the aggregate's p strictly below
+    alpha_local / 2.  ``p_threshold`` is Hochberg's at the budget beta:
+    alpha_local for Hochberg or a triggered aggregate, else alpha_local / 2.
+    With l_max the largest l with p_(l) <= beta / (Q - l + 1), it is
+    beta / (Q - l_max + 1); with no such l, beta / Q, below which (by the
+    failed l = 1 condition) no p-value lies.  ``rejected`` is the mask
+    p_value < p_threshold, so a p at the threshold is not rejected, and
+    ``detected`` is a trigger or any rejection.
     """
 
-    rejected_ids: frozenset[str]
-    p_threshold: float
-    llr_threshold: float | None
-    rejected: np.ndarray
-    aggregate_triggered: bool = False
-    aggregate: AggregateTestResult | None = None
-    n_sigma_threshold: float | None = None
+    def _check_decision(self, row_id) -> None:
+        """Refuse inputs no decision exists for: no rows, a budget outside
+        (0, 1) or whose smallest step-up threshold underflows, or a p-value
+        outside [0, 1] (NaN included).  row_id(i) names row i."""
+        p, alpha, parts = self.p_value, self.alpha_local, 1 if self.aggregate is None else 2
+        n = len(p)
+        if not n:
+            raise ValueError("no p-values to correct")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+        # The smallest threshold the step-up can set is alpha / parts / n.
+        if not alpha / parts / n > 0.0:
+            split = f"alpha / {parts} / {n}" if parts > 1 else f"alpha / {n}"
+            raise ValueError(f"alpha {alpha!r} is too small to split over {n} tests: "
+                             f"{split} underflows to 0")
+        outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"p-value for {row_id(i)!r} outside [0, 1]: {float(p[i])!r}")
+        if parts > 1 and not 0.0 <= self.aggregate.p_value <= 1.0:
+            raise ValueError(f"aggregate p-value outside [0, 1]: {self.aggregate.p_value!r}")
+
+    @property
+    def aggregate_triggered(self) -> bool:
+        return self.aggregate is not None and self.aggregate.p_value < 0.5 * self.alpha_local
+
+    # Cached: the step-up sorts the p-values, and row views read the mask
+    # once per row.
+    @cached_property
+    def p_threshold(self) -> float:
+        beta = self.alpha_local
+        if self.aggregate is not None and not self.aggregate_triggered:
+            beta = 0.5 * beta
+        p = self.p_value
+        q = len(p)
+        # The l-th smallest p-value against beta / (Q - l + 1), l = 1..Q.
+        hits = np.flatnonzero(np.sort(p) <= beta / np.arange(q, 0, -1))
+        # With l_max = hits[-1] + 1, Q - l_max + 1 = Q - hits[-1].
+        return beta / (q - int(hits[-1])) if hits.size else beta / q
+
+    @cached_property
+    def rejected(self) -> np.ndarray:
+        return self.p_value < self.p_threshold
 
     @property
     def detected(self) -> bool:
-        return self.aggregate_triggered or bool(self.rejected_ids)
+        return self.aggregate_triggered or bool(self.rejected.any())
 
 
-def _check_budget(n: int, alpha: float, parts: int) -> None:
-    # The smallest threshold the step-up can set over n tests, at a budget
-    # of alpha / parts, is alpha / parts / n; it must be a positive double.
-    if not n:
-        raise ValueError("no p-values to correct")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not alpha / parts / n > 0.0:
-        split = f"alpha / {parts} / {n}" if parts > 1 else f"alpha / {n}"
-        raise ValueError(f"alpha {alpha!r} is too small to split over {n} tests: "
-                         f"{split} underflows to 0")
+@dataclass(frozen=True, eq=False)
+class MultiTestOutcome(Decision):
+    """A procedure's inputs: the rows' ``ids`` and p-values, the budget, and
+    for combined_procedure the aggregate and the rows' common ``dof``.
+    Derived when read: the Decision, ``rejected_ids``, and ``llr_threshold``
+    (the statistic equivalent to p_threshold) and ``n_sigma_threshold`` (at
+    alpha_local / 2), each None where its input is."""
 
+    ids: Sequence[str]
+    p_value: np.ndarray
+    alpha_local: float
+    aggregate: AggregateTestResult | None = None
+    dof: int | None = None
 
-def _step_up_threshold(p_values: np.ndarray, alpha: float) -> float:
-    """Hochberg's p_threshold of the p-values at alpha (see hochberg)."""
-    q = len(p_values)
-    # The l-th smallest p-value against alpha / (Q - l + 1), l = 1..Q.
-    hits = np.flatnonzero(np.sort(p_values) <= alpha / np.arange(q, 0, -1))
-    # With l_max = hits[-1] + 1, Q - l_max + 1 = Q - hits[-1].
-    return alpha / (q - int(hits[-1])) if hits.size else alpha / q
+    def __post_init__(self) -> None:
+        self._check_decision(self.ids.__getitem__)
 
+    @property
+    def rejected_ids(self) -> frozenset[str]:
+        return frozenset(compress(self.ids, self.rejected.tolist()))
 
-def _outcome(p_values: np.ndarray, ids: Sequence[str], p_threshold: float,
-             **fields) -> MultiTestOutcome:
-    # Everything strictly below the threshold is rejected.
-    rejected = p_values < p_threshold
-    return MultiTestOutcome(rejected_ids=frozenset(compress(ids, rejected.tolist())),
-                            p_threshold=p_threshold, rejected=rejected, **fields)
+    @cached_property
+    def llr_threshold(self) -> float | None:
+        return None if self.dof is None else llr_threshold(self.p_threshold, self.dof)
+
+    @cached_property
+    def n_sigma_threshold(self) -> float | None:
+        if self.aggregate is None:
+            return None
+        return n_sigma_threshold(0.5 * self.alpha_local, self.aggregate.dof)
 
 
 def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
-    """Step-up correction over one family of (id, p-value) pairs.
-
-    Orders the Q p-values ascending and finds the largest l with
-    p_(l) <= alpha / (Q - l + 1).  Everything with p strictly below
-    p_threshold = alpha / (Q - l_max + 1) is rejected; a boundary p equal
-    to the threshold is not.  With no qualifying l, nothing is rejected
-    and the reported pseudo-threshold is alpha / Q.
-    """
+    """Step-up correction at alpha over one family of (id, p-value) pairs;
+    see Decision for the threshold and the rejection rule."""
     ids = [cid for cid, _ in p_values]
-    p = np.array([value for _, value in p_values], dtype=float)
-    _check_budget(len(p), alpha, 1)
-    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(f"p-value for {ids[i]!r} outside [0, 1]: {float(p[i])!r}")
-    return _outcome(p, ids, _step_up_threshold(p, alpha), llr_threshold=None)
+    return MultiTestOutcome(ids, np.array([value for _, value in p_values], dtype=float), alpha)
 
 
 def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
@@ -112,26 +142,9 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
     """Aggregate-then-localize detection over one comparison.
 
     ``tests`` holds the comparison's per-circuit results and
-    ``circuit_ids`` names its rows.  The aggregate statistic, their sum,
-    is tested at alpha/2.  The per-circuit tests then run through the
-    step-up correction at budget beta = alpha when the aggregate triggered
-    and beta = alpha/2 otherwise.  Detection is declared if either stage
-    rejects anything.  All rows share one dof, so the outcome always
-    carries the statistic threshold, along with the aggregate and its
-    N_sigma threshold at alpha/2.
+    ``circuit_ids`` names its rows.  Their summed statistic is the
+    aggregate test; Decision gives what it and the step-up decide.
     """
     if len(circuit_ids) != len(tests.p_value):
         raise ValueError(f"{len(circuit_ids)} circuit ids for {len(tests.p_value)} results")
-    _check_budget(len(circuit_ids), alpha, 2)
-
-    aggregate = llr_aggregate(tests)
-    half = 0.5 * alpha
-    triggered = aggregate.p_value < half
-    p_threshold = _step_up_threshold(tests.p_value, alpha if triggered else half)
-    return _outcome(
-        tests.p_value, circuit_ids, p_threshold,
-        llr_threshold=llr_threshold(p_threshold, tests.dof),
-        aggregate_triggered=triggered,
-        aggregate=aggregate,
-        n_sigma_threshold=n_sigma_threshold(half, aggregate.dof),
-    )
+    return MultiTestOutcome(circuit_ids, tests.p_value, alpha, llr_aggregate(tests), tests.dof)

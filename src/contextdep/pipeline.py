@@ -37,7 +37,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, col
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
-from .multitest import _step_up_threshold, combined_procedure
+from .multitest import Decision, combined_procedure
 
 __all__ = [
     "Comparison",
@@ -199,7 +199,7 @@ def _gathered(name: str) -> property:
 
 
 @dataclass(frozen=True, eq=False)
-class ComparisonReport:
+class ComparisonReport(Decision):
     """Everything one comparison concluded, internally consistent.
 
     The per-circuit rows, at least one, are indices in circuit order:
@@ -207,15 +207,14 @@ class ComparisonReport:
     many contexts, from which ``circuit_ids`` and the _STORED columns
     (float64 llr, p_value, jsd and tvd, bool small_sample and tvd_null) are
     gathered when read.  The report holds float64 jsd_threshold and
-    sstvd_per_gate, null where sstvd_per_gate_null says.  The rest is
-    derived, one rule each, as multitest.combined_procedure decides:
-    ``aggregate_triggered`` is the aggregate p below alpha_local / 2;
-    ``p_threshold`` is the step-up threshold of p_value at alpha_local, or
-    at half of it when not triggered; ``rejected`` is p_value <
-    p_threshold; and the SSTVD, like a per-gate SSTVD, is shown only on
-    rejected rows with a tvd (``sstvd_null``).  ``circuits`` is a read-only
-    view of the rows as one CircuitAnalysis per row.  Reports are equal when
-    their headers and columns are, from one store or two.
+    sstvd_per_gate, null where sstvd_per_gate_null says.  The decision
+    (aggregate_triggered, p_threshold, rejected, detected) is
+    multitest.Decision's, from p_value, alpha_local and the aggregate,
+    which it checks when the report is built.  The SSTVD, like a per-gate
+    SSTVD, is shown only on rejected rows with a tvd (``sstvd_null``).
+    ``circuits`` is a read-only view of the rows as one CircuitAnalysis per
+    row.  Reports are equal when their headers and columns are, from one
+    store or two.
     """
 
     comparison_id: str
@@ -237,6 +236,7 @@ class ComparisonReport:
     def __post_init__(self) -> None:
         if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
+        self._check_decision(lambda i: self.store.circuit_ids[self.rows[i]])
 
     @classmethod
     def from_columns(cls, *, circuit_ids: Sequence[str], **values) -> "ComparisonReport":
@@ -272,28 +272,9 @@ class ComparisonReport:
             float(self.sstvd_per_gate[i]) if shown and not self.sstvd_per_gate_null[i] else None,
             bool(self.rejected[i]), bool(column["small_sample"][table]))
 
-    @property
-    def aggregate_triggered(self) -> bool:
-        return self.aggregate.p_value < 0.5 * self.alpha_local
-
-    # Cached: the step-up sorts the p-values, and the row view reads the
-    # masks once per row.
-    @cached_property
-    def p_threshold(self) -> float:
-        beta = self.alpha_local if self.aggregate_triggered else 0.5 * self.alpha_local
-        return _step_up_threshold(self.p_value, beta)
-
-    @cached_property
-    def rejected(self) -> np.ndarray:
-        return self.p_value < self.p_threshold
-
     @cached_property
     def sstvd_null(self) -> np.ndarray:
         return self.tvd_null | ~self.rejected
-
-    @property
-    def detected(self) -> bool:
-        return self.aggregate_triggered or bool(self.rejected.any())
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
@@ -550,7 +531,7 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
     rejected = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
     columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
                                        dtype=bool)
-    report = ComparisonReport.from_columns(
+    values = dict(
         comparison_id=entry["comparison_id"],
         contexts=tuple(field(entry, "contexts", STRINGS, where)),
         alpha_local=alpha_local,
@@ -558,9 +539,11 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
         n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER, where),
         llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),), where),
         circuit_ids=tuple(column(rows, "id", (str,), row)),
-        warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])),
-        **columns,
-    )
+        warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])))
+    try:  # the decision's input rules
+        report = ComparisonReport.from_columns(**values, **columns)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     # A derived value the file states must be the report's, the header's
     # first: an omitted one is not checked, and a stated number is the
     # report's float bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
@@ -597,9 +580,11 @@ def load_report(path: str | Path) -> list[ComparisonReport]:
     fields, and circuit rows that are objects, is a ValueError; so is a
     file without comparisons, a comparison_id that repeats, a comparison
     without rows, a k below 1, an alpha_local, llr, k or row number beyond
-    float range, and a stated n_sigma, triggered, p_threshold, rejected,
-    sstvd or detected other than the report derives, or an sstvd_per_gate
-    where the sstvd is null.
+    float range, a decision input multitest.Decision refuses (an
+    alpha_local outside (0, 1) or too small to split, a p outside [0, 1]),
+    a stated n_sigma, triggered, p_threshold, rejected, sstvd or detected
+    other than the report derives, or an sstvd_per_gate where the sstvd is
+    null.
     """
     path = Path(path)
     raw = read_json(path, ((list, (dict,)),))

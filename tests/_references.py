@@ -93,6 +93,20 @@ def hochberg_reference(pairs: Sequence[tuple[str, float]], alpha: float):
     return rejected, threshold
 
 
+def combined_procedure_reference(pairs: Sequence[tuple[str, float]], alpha: float,
+                                 aggregate_p: float):
+    """The combined procedure's decision from its inputs, rule by rule.
+
+    The aggregate triggers exactly when its p is strictly below alpha / 2;
+    the step-up (hochberg_reference) then runs at alpha if it triggered
+    and at alpha / 2 otherwise; detection is a trigger or any rejection.
+    Returns (triggered, rejected_ids, p_threshold, detected).
+    """
+    triggered = aggregate_p < alpha / 2
+    rejected, threshold = hochberg_reference(pairs, alpha if triggered else alpha / 2)
+    return triggered, rejected, threshold, triggered or bool(rejected)
+
+
 def hochberg_subsets_reference(pairs: Sequence[tuple[str, float]], alpha: float):
     """Step-up correction by brute force over every subset of hypotheses.
 
@@ -649,9 +663,13 @@ def report_file_is_valid(obj) -> bool:
     has at least one row and `k` is a positive integer.  A per-circuit
     number, `alpha_local` and the aggregate's `llr` and `k` are held as
     floats, so an integer there must lie within float range.  The
+    decision's inputs have a domain: `alpha_local` lies in (0, 1),
+    alpha_local / 2 / rows does not underflow to 0, and every p, the
+    aggregate's and the rows', lies in [0, 1] (NaN does not).  The
     aggregate triggered exactly when its p is below alpha_local / 2, and
     n_sigma is (llr - k) / sqrt(2 k); p_threshold is Hochberg's at
-    alpha_local if it triggered and at alpha_local / 2 otherwise.  A
+    alpha_local if it triggered and at alpha_local / 2 otherwise
+    (combined_procedure_reference).  A
     stated n_sigma, triggered or p_threshold is that value (the same
     float).  A row is rejected exactly when its p is below p_threshold; a
     stated sstvd is the row's tvd (the same float) where the row is
@@ -685,25 +703,23 @@ def report_file_is_valid(obj) -> bool:
         return key not in obj or column_number(obj[key]) and same_float(obj[key], value)
 
     def derived_values_hold(entry):
-        aggregate, alpha = entry["aggregate"], float(entry["alpha_local"])
+        aggregate, alpha, rows = entry["aggregate"], float(entry["alpha_local"]), entry["circuits"]
+        if not (0.0 < alpha < 1.0 and alpha / 2 / len(rows) > 0.0 and 0 <= aggregate["p"] <= 1
+                and all(0.0 <= float(row["p"]) <= 1.0 for row in rows)):
+            return False
         n_sigma = (float(aggregate["llr"]) - aggregate["k"]) / math.sqrt(2.0 * aggregate["k"])
-        triggered = aggregate["p"] < alpha / 2
-        _, threshold = hochberg_reference([(row["id"], float(row["p"]))
-                                           for row in entry["circuits"]],
-                                          alpha if triggered else alpha / 2)
+        triggered, _, threshold, detected = combined_procedure_reference(
+            [(row["id"], float(row["p"])) for row in rows], alpha, aggregate["p"])
         if not (stated(aggregate, "n_sigma", n_sigma) and stated(entry, "p_threshold", threshold)
                 and aggregate.get("triggered", triggered) is triggered):
             return False
-        any_rejected = False
-        for row in entry["circuits"]:
+        for row in rows:
             rejected = float(row["p"]) < threshold
-            any_rejected = any_rejected or rejected
             sstvd = row.get("tvd") if rejected else None
             if (row["rejected"] is not rejected
                     or "sstvd" in row and not same_float(row["sstvd"], sstvd)
                     or sstvd is None and row.get("sstvd_per_gate") is not None):
                 return False
-        detected = triggered or any_rejected
         return entry.get("detected", detected) is detected
 
     def entry_is_valid(entry):

@@ -1,4 +1,5 @@
-"""Every name a contextdep module exports in __all__ resolves."""
+"""Every name a contextdep module exports in __all__ resolves, and every
+name a module imports is used."""
 
 import ast
 import importlib
@@ -52,3 +53,23 @@ def test_sources_parse_at_the_declared_python_floor():
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, int(floor.group(1))))
+
+
+def test_every_import_is_used():
+    # A name a module imports and never reads is left over from code that
+    # moved; __init__.py imports only to re-export, so it is not checked.
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name).split(".")[0]: node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                        if name not in used)
+        assert not unused, unused

@@ -1017,6 +1017,42 @@ def test_report_contradicting_its_derived_decision_is_one_line_error(
     assert ": circuit " not in captured.err
 
 
+def _decision_input(key, value):
+    """Set alpha_local, or a p of t1_vs_t2's aggregate or first row, and drop
+    the stated p_threshold: each value below leaves every stated derived
+    value as it was, so only the decision's input rules can refuse it."""
+    def change(entry):
+        del entry["p_threshold"]
+        target = {"alpha_local": entry, "aggregate p": entry["aggregate"]}.get(
+            key, entry["circuits"][0])
+        target["alpha_local" if key == "alpha_local" else "p"] = value
+    return change
+
+
+# t1_vs_t2 does not trigger and rejects nothing; its first row is {}, at p = 1.
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha_local", float("nan"), "alpha must lie in (0, 1), got nan"),
+    ("alpha_local", 0, "alpha must lie in (0, 1), got 0.0"),
+    ("alpha_local", 5e-324, "alpha 5e-324 is too small to split over 1405 tests: "
+                            "alpha / 2 / 1405 underflows to 0"),
+    ("row p", 1.5, "p-value for '{}' outside [0, 1]: 1.5"),
+    ("row p", float("nan"), "p-value for '{}' outside [0, 1]: nan"),
+    ("aggregate p", 1.5, "aggregate p-value outside [0, 1]: 1.5"),
+])
+def test_report_outside_the_decisions_domain_is_one_line_error(
+        tmp_path, capsys, drift_report, key, value, message):
+    """A budget outside (0, 1), one too small to split over the rows, or a
+    p outside [0, 1] has no decision; summarize once printed p_threshold
+    nan or 0 for such files and exited 0."""
+    report = copy.deepcopy(drift_report)
+    _decision_input(key, value)(report[1])
+    assert report[1]["comparison_id"] == "t1_vs_t2"
+    code, captured = _summarize_parsed(report, tmp_path, capsys)
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison 1 "
+                            f"('t1_vs_t2'): {message}\n")
+
+
 def test_report_without_comparisons_is_one_line_error(tmp_path, capsys):
     """No analysis writes a report without comparisons; summarize once
     printed nothing for one and exited 0."""

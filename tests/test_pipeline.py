@@ -15,7 +15,7 @@ from contextdep.counts import CircuitRecord, DatasetError
 from contextdep.datasets import (drift_design, drift_error_model, neighbor_example,
                                  two_context_example)
 from contextdep.llr import AggregateTestResult, TableTests, n_sigma_threshold
-from contextdep.multitest import combined_procedure
+from contextdep.multitest import MultiTestOutcome, combined_procedure
 from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport, JsdProfile,
                                  PairwiseMatrices, jsd_profile, load_plan, load_report,
                                  pairwise_matrices, run_analysis, save_report,
@@ -23,7 +23,8 @@ from contextdep.pipeline import (Comparison, ComparisonPlan, ComparisonReport, J
 from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 from contextdep.gstgen import GstDesign
 
-from _references import (dataset_from_records, save_report_reference, tvd_loop_reference,
+from _references import (combined_procedure_reference, dataset_from_records,
+                         save_report_reference, tvd_loop_reference,
                          write_jsd_profile_csv_reference, write_pairwise_csv_reference)
 
 
@@ -240,6 +241,39 @@ class TestRunAnalysis:
                 (outcome.aggregate.llr - outcome.aggregate.dof)
                 / math.sqrt(2.0 * outcome.aggregate.dof)).hex()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_decision_at_its_boundaries_matches_the_reference(self, data):
+        """The aggregate's p at alpha_local / 2 and its neighbours, and rows
+        on the step-up cutoffs of either budget and their neighbours, with
+        ties, 0.0 and 1.0: both classes decide as the reference, bit for bit."""
+        alpha = data.draw(st.sampled_from([0.05, 0.0125, 0.3, 1e-11, 1e-300, 1e-320])
+                          | st.floats(1e-300, 1.0, exclude_max=True), label="alpha_local")
+        half = alpha / 2
+        aggregate_p = data.draw(st.sampled_from(
+            [float(np.nextafter(half, 0.0)), half, float(np.nextafter(half, 1.0))]), label="p")
+        n = data.draw(st.integers(1, 8), label="rows")
+        cutoffs = [beta / k for beta in (alpha, half) for k in range(1, n + 1)]
+        near = [float(np.nextafter(c, edge)) for c in cutoffs for edge in (0.0, 1.0)]
+        p_value = np.array(data.draw(st.lists(st.sampled_from([*cutoffs, *near, 0.0, 1.0]),
+                                              min_size=n, max_size=n), label="row p"))
+        ids = tuple(f"c{i}" for i in range(n))
+        triggered, rejected, p_threshold, detected = combined_procedure_reference(
+            list(zip(ids, p_value.tolist())), alpha, aggregate_p)
+        aggregate = AggregateTestResult(llr=0.0, dof=n, p_value=aggregate_p)
+        zeros, flags = np.zeros(n), np.zeros(n, dtype=bool)
+        report = ComparisonReport.from_columns(
+            comparison_id="edge", contexts=("a", "b"), alpha_local=alpha, aggregate=aggregate,
+            n_sigma_threshold=0.0, llr_threshold=None, circuit_ids=ids, llr=zeros,
+            p_value=p_value, jsd=zeros, jsd_threshold=zeros, small_sample=flags, tvd=zeros,
+            tvd_null=flags, sstvd_per_gate=zeros, sstvd_per_gate_null=flags)
+        for decision in (report, MultiTestOutcome(ids, p_value, alpha, aggregate)):
+            assert decision.aggregate_triggered is triggered
+            assert decision.p_threshold.hex() == p_threshold.hex()
+            assert decision.rejected.tolist() == [i in rejected for i in ids]
+            assert decision.detected is detected
+        assert set(report.rejected_ids) == rejected
+
     def test_pair_reports_carry_tvd_joint_does_not(self):
         dataset = drifting_dataset()
         reports = {r.comparison_id: r for r in run_analysis(dataset)}
@@ -440,6 +474,11 @@ class TestReportFiles:
 # zeros, NaN, both infinities, subnormals, plus anything else.
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.1, 1e16]
 report_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# The decision's inputs have a domain of their own: p-values in [0, 1], both
+# zeros included, and a budget in (0, 1).
+report_p = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0]), st.floats(0.0, 1.0))
+report_alpha = st.one_of(st.sampled_from([1e-300, 0.05, 0.5]),
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 # Ids with characters json or csv must escape or quote.
 report_text = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é\u2028😀'),
                                 st.characters(exclude_categories=("Cs",))),
@@ -450,8 +489,8 @@ report_text = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é\u2028
 def comparison_reports(draw):
     n = draw(st.integers(1, 6))
 
-    def floats():
-        return np.array(draw(st.lists(report_floats, min_size=n, max_size=n)), dtype=float)
+    def floats(values=report_floats):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
 
     def flags():
         kind = draw(st.sampled_from(["none", "all", "mixed"]))
@@ -460,19 +499,20 @@ def comparison_reports(draw):
         return np.full(n, kind == "all")
 
     # The header's decision and the rejected rows follow from the p-values
-    # and the budget; a per-gate SSTVD is drawn for any row, and shown only
-    # where the row has an SSTVD.
+    # and the budget, whose smallest step-up threshold alpha_local / 2 / n
+    # must not underflow; a per-gate SSTVD is drawn for any row, and shown
+    # only where the row has an SSTVD.
     return ComparisonReport.from_columns(
         comparison_id=draw(report_text),
         contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
-        alpha_local=draw(report_floats),
+        alpha_local=draw(report_alpha.filter(lambda alpha: alpha / 2 / n > 0.0)),
         aggregate=AggregateTestResult(llr=draw(report_floats),
                                       dof=draw(st.integers(1, 10**6)),
-                                      p_value=draw(report_floats)),
+                                      p_value=draw(report_p)),
         n_sigma_threshold=draw(report_floats),
         llr_threshold=draw(st.one_of(st.none(), report_floats)),
         circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n))),
-        llr=floats(), p_value=floats(), jsd=floats(), jsd_threshold=floats(),
+        llr=floats(), p_value=floats(report_p), jsd=floats(), jsd_threshold=floats(),
         small_sample=flags(), tvd=floats(), tvd_null=flags(), sstvd_per_gate=floats(),
         sstvd_per_gate_null=flags(), warnings=tuple(draw(st.lists(report_text, max_size=2))),
     )
