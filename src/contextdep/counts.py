@@ -8,13 +8,14 @@ and one check enforces the structural rules every downstream routine
 relies on: at least two outcomes per pool, counts that are non-negative
 integers, no empty pools, consistent outcome labels across a dataset, and
 unique circuit identifiers.  A CircuitRecord is one circuit's row.
-Every file loader of the package reads its JSON fields through field()
-and column() here, so all input files obey the same type rules, and
-every label list of the package is checked by distinct_labels().
+Every file loader of the package is a loader() and reads its JSON fields
+through field() and column() here, so all input files obey the same type
+and fault rules; distinct_labels() checks every label list of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -303,25 +304,24 @@ def _describe(kinds, plural: bool = False) -> str:
     return " or ".join(names)
 
 
-def field(obj: dict, key: str, kinds: tuple, where: str, default=_REQUIRED,
-          error: type[ValueError] = ValueError):
+def field(obj: dict, key: str, kinds: tuple, where: str = "", default=_REQUIRED):
     """obj[key], which must have one of the JSON ``kinds``, or ``default``.
 
     Without a default the field is required.  A missing or mistyped field
-    raises ``error``, one line that begins with ``where`` and names the key.
+    raises a ValueError, one line naming the key after ``where``, if given.
     """
+    prefix = f"{where}: " if where else ""
     if key not in obj:
         if default is _REQUIRED:
-            raise error(f"{where}: missing field {key!r}")
+            raise ValueError(f"{prefix}missing field {key!r}")
         return default
     value = obj[key]
     if not _fits(value, kinds):
-        raise error(f"{where}: {key!r} must be {_describe(kinds)}, got {reprlib.repr(value)}")
+        raise ValueError(f"{prefix}{key!r} must be {_describe(kinds)}, got {reprlib.repr(value)}")
     return value
 
 
-def column(rows: list, key: str, kinds: tuple, where: str, default=_REQUIRED,
-           error: type[ValueError] = ValueError) -> list:
+def column(rows: list, key: str, kinds: tuple, where: str, default=_REQUIRED) -> list:
     """field(row, key, ...) of every row, read in one pass over the rows.
 
     ``default``, when given, must itself have one of the kinds.  A fault is
@@ -334,47 +334,63 @@ def column(rows: list, key: str, kinds: tuple, where: str, default=_REQUIRED,
         values = None
     if values is None or not _all_fit(values, kinds):
         for n, row in enumerate(rows):
-            field(row, key, kinds, f"{where} {n}", default, error)
+            field(row, key, kinds, f"{where} {n}", default)
     return values
 
 
-def read_json(path: Path, kinds: tuple, error: type[ValueError] = ValueError):
+def read_json(path: Path, kinds: tuple):
     """Parse a JSON file whose top level has one of the JSON ``kinds``.
 
     A repeated key in any object is an error: the standard parser keeps
     the last of two equal keys, which would silently drop data.  The file
-    is read as UTF-8 (RFC 8259), whatever the locale.  Faults raise
-    ``error`` naming the file.
+    is read as UTF-8 (RFC 8259), whatever the locale.  Faults raise a
+    ValueError; its loader names the file.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+        raise ValueError(f"not UTF-8 text ({exc})") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        raise error(f"{path}: not valid JSON ({exc})") from exc
+    # json raises RecursionError on deep nesting: a fault of the file, not a numeric one.
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON ({exc})") from exc
     if not _fits(raw, kinds):
-        raise error(f"{path}: top level must be {_describe(kinds)}")
+        raise ValueError(f"top level must be {_describe(kinds)}")
     return raw
 
 
-def load_dataset(path: str | Path) -> ContextDataset:
+def loader(error: type[ValueError] = ValueError):
+    """Decorate a file loader, called with its path as a Path: a ValueError
+    it raises becomes one ``error`` line, the path and then the fault."""
+    def decorate(load):
+        @functools.wraps(load)
+        def read(path: str | Path):
+            path = Path(path)
+            try:
+                return load(path)
+            except ValueError as exc:
+                raise error(f"{path}: {exc}") from exc
+        return read
+    return decorate
+
+
+@loader(DatasetError)
+def load_dataset(path: Path) -> ContextDataset:
     """Read a dataset from its JSON file representation.
 
     Each rule on the pools is one pass over a whole column; only a file that
     fails one is scanned circuit by circuit, to name its first fault.  The
     pools fill one count array, which the dataset's check then covers.
     """
-    path = Path(path)
-    raw = read_json(path, (dict,), DatasetError)
-    version = field(raw, "format_version", (str,), str(path), error=DatasetError)
+    raw = read_json(path, (dict,))
+    version = field(raw, "format_version", (str,))
     if version != FORMAT_VERSION:
-        raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    outcomes = tuple(field(raw, "outcomes", STRINGS, str(path), error=DatasetError))
-    contexts = tuple(field(raw, "contexts", STRINGS, str(path), error=DatasetError))
-    entries = field(raw, "circuits", ((list, (dict,)),), str(path), error=DatasetError)
-    ids = column(entries, "id", (str,), f"{path}: circuit entry", error=DatasetError)
+        raise DatasetError(f"unsupported format_version {version!r}")
+    outcomes = tuple(field(raw, "outcomes", STRINGS))
+    contexts = tuple(field(raw, "contexts", STRINGS))
+    entries = field(raw, "circuits", ((list, (dict,)),))
+    ids = column(entries, "id", (str,), "circuit entry")
 
     maps = [entry.get("counts") for entry in entries]
     valid = set(map(type, maps)) <= {dict}
@@ -385,10 +401,10 @@ def load_dataset(path: str | Path) -> ContextDataset:
                  and set(map(len, pools)) <= {len(outcomes)})
     if not valid:  # find the first fault, in file order
         for circuit_id, entry in zip(ids, entries):
-            where = f"{path}: circuit {circuit_id!r}"
-            counts = field(entry, "counts", (dict,), where, error=DatasetError)
+            where = f"circuit {circuit_id!r}"
+            counts = field(entry, "counts", (dict,), where)
             for context in counts:
-                values = field(counts, context, (list,), where + " counts", error=DatasetError)
+                values = field(counts, context, (list,), where + " counts")
                 if context not in contexts:
                     raise DatasetError(f"{where}: unknown context {context!r}")
                 if len(values) != len(outcomes):
@@ -398,13 +414,10 @@ def load_dataset(path: str | Path) -> ContextDataset:
     zero, shape = [0] * len(outcomes), (len(ids), len(contexts), len(outcomes))
     table = _count_table([m.get(c, zero) for m in maps for c in contexts], shape)
     present = np.array([c in m for m in maps for c in contexts], dtype=bool)
-    try:
-        return ContextDataset(outcomes, contexts, tuple(ids), table, present.reshape(shape[:2]),
-                              tuple(entry.get("spec") for entry in entries),
-                              tuple(entry.get("core_length") for entry in entries),
-                              raw.get("description"))
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+    return ContextDataset(outcomes, contexts, tuple(ids), table, present.reshape(shape[:2]),
+                          tuple(entry.get("spec") for entry in entries),
+                          tuple(entry.get("core_length") for entry in entries),
+                          raw.get("description"))
 
 
 def write_rows(handle: TextIO, pieces: Sequence[str], columns: Sequence[Sequence[str]],

@@ -28,7 +28,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import STRINGS, check_core_length, column, distinct_labels, field, read_json
+from .counts import STRINGS, check_core_length, column, distinct_labels, field, loader, read_json
 
 __all__ = [
     "MAX_GERM_POWER",
@@ -256,22 +256,17 @@ def lsgst_circuits(design: GstDesign) -> list[CircuitSpec]:
 _CIRCUITS = ((list, (str, (list, (str,)))),)
 
 
-def load_design(path: str | Path) -> GstDesign:
+@loader()
+def load_design(path: Path) -> GstDesign:
     """Read a design from its JSON file form."""
-    path = Path(path)
     raw = read_json(path, (dict,))
-    where = str(path)
-    design = dict(
-        gates=tuple(field(raw, "gates", STRINGS, where)),
-        prep_fiducials=tuple(field(raw, "prep_fiducials", _CIRCUITS, where)),
-        meas_fiducials=tuple(field(raw, "meas_fiducials", _CIRCUITS, where)),
-        germs=tuple(field(raw, "germs", _CIRCUITS, where, default=[])),
+    return GstDesign(
+        gates=tuple(field(raw, "gates", STRINGS)),
+        prep_fiducials=tuple(field(raw, "prep_fiducials", _CIRCUITS)),
+        meas_fiducials=tuple(field(raw, "meas_fiducials", _CIRCUITS)),
+        germs=tuple(field(raw, "germs", _CIRCUITS, default=[])),
         max_germ_power=raw.get("max_germ_power"),
     )
-    try:
-        return GstDesign(**design)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_design(design: GstDesign, path: str | Path) -> None:
@@ -287,16 +282,13 @@ def save_design(design: GstDesign, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def load_circuits(path: str | Path) -> list[CircuitSpec]:
+@loader()
+def load_circuits(path: Path) -> list[CircuitSpec]:
     """Read a circuit list from its JSON file form."""
-    path = Path(path)
     entries = read_json(path, ((list, (dict,)),))
-    specs = column(entries, "spec", (str,), f"{path}: circuit entry")
+    specs = column(entries, "spec", (str,), "circuit entry")
     cores = [entry.get("core_length", 0) for entry in entries]
-    try:
-        return [CircuitSpec(spec, core) for spec, core in zip(specs, cores)]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return [CircuitSpec(spec, core) for spec, core in zip(specs, cores)]
 
 
 def save_circuits(circuits: Sequence[CircuitSpec], path: str | Path) -> None:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
-                     columns_equal, distinct_labels, field, read_json, write_rows)
+                     columns_equal, distinct_labels, field, loader, read_json, write_rows)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
@@ -135,28 +135,24 @@ def _equal_split(entries: Sequence[tuple[str, Sequence[str]]]) -> ComparisonPlan
                                 for cid, contexts in entries))
 
 
-def load_plan(path: str | Path) -> ComparisonPlan:
+@loader()
+def load_plan(path: Path) -> ComparisonPlan:
     """Read a plan from JSON: {"comparisons": [{id, contexts, weight}, ...]}.
 
     Weights may be omitted entirely, in which case the comparisons share
     the budget equally.  An absent or null id is the contexts joined by
     "_vs_".
     """
-    path = Path(path)
-    entries = field(read_json(path, (dict,)), "comparisons", ((list, (dict,)),), str(path))
-    where = f"{path}: comparison"
-    contexts = column(entries, "contexts", STRINGS, where)
+    entries = field(read_json(path, (dict,)), "comparisons", ((list, (dict,)),))
+    contexts = column(entries, "contexts", STRINGS, "comparison")
     ids = ["_vs_".join(labels) if cid is None else cid for labels, cid in zip(
-        contexts, column(entries, "id", (str, type(None)), where, default=None))]
-    weights = column(entries, "weight", NUMBER + (type(None),), where, default=None)
-    try:
-        if None not in weights:
-            return ComparisonPlan(tuple(map(Comparison, ids, map(tuple, contexts), weights)))
-        if any(w is not None for w in weights):
-            raise ValueError("give every comparison a weight, or none")
-        return _equal_split(list(zip(ids, contexts)))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        contexts, column(entries, "id", (str, type(None)), "comparison", default=None))]
+    weights = column(entries, "weight", NUMBER + (type(None),), "comparison", default=None)
+    if None not in weights:
+        return ComparisonPlan(tuple(map(Comparison, ids, map(tuple, contexts), weights)))
+    if any(w is not None for w in weights):
+        raise ValueError("give every comparison a weight, or none")
+    return _equal_split(list(zip(ids, contexts)))
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,11 @@ class ComparisonReport(Decision):
     sstvd_per_gate, null where sstvd_per_gate_null says.  The decision
     (aggregate_triggered, p_threshold, rejected, detected) is
     multitest.Decision's, from p_value, alpha_local and the aggregate,
-    which it checks when the report is built.  The SSTVD, like a per-gate
-    SSTVD, is shown only on rejected rows with a tvd (``sstvd_null``).
+    which it checks when the report is built, with the rules of the rows:
+    their circuit ids are distinct, the aggregate's dof is a positive
+    multiple of rows x (contexts - 1), and only a comparison of two
+    contexts has a tvd.  The SSTVD, like a per-gate SSTVD, is shown only on
+    rejected rows with a tvd (``sstvd_null``).
     ``circuits`` is a read-only view of the rows as one CircuitAnalysis per
     row.  Reports are equal when their headers and columns are, from one
     store or two.
@@ -236,6 +235,17 @@ class ComparisonReport(Decision):
     def __post_init__(self) -> None:
         if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
+        distinct_labels(self.store.circuit_ids[self.rows].tolist(), "circuit id", minimum=0)
+        # Each row's test has (contexts - 1) (outcomes - 1) dof, and outcomes >= 2.
+        n_contexts, dof = len(self.contexts), self.aggregate.dof
+        unit = len(self.rows) * (n_contexts - 1)
+        if unit < 1 or dof < 1 or dof % unit:
+            raise ValueError(f"aggregate 'k' must be a positive multiple of rows x (contexts - 1)"
+                             f" = {len(self.rows)} x {n_contexts - 1}, got {reprlib.repr(dof)}")
+        if n_contexts > 2 and not self.tvd_null.all():
+            row_id = self.store.circuit_ids[self.rows[np.argmin(self.tvd_null)]]
+            raise ValueError(f"'tvd' of {row_id!r} must be null: a TVD is between two "
+                             f"contexts, not {n_contexts}")
         self._check_decision(lambda i: self.store.circuit_ids[self.rows[i]])
 
     @classmethod
@@ -494,56 +504,49 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
         handle.write("\n]\n")
 
 
-def _float(value, key: str, where: str) -> float:
+def _float(value, key: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{where}: {key!r} is out of float range") from None
+        raise ValueError(f"{key!r} is out of float range") from None
 
 
-def _load_comparison(entry: dict, where: str) -> ComparisonReport:
-    where = f"{where} ({field(entry, 'comparison_id', (str,), where)!r})"
-    agg = field(entry, "aggregate", (dict,), where)
-    rows = field(entry, "circuits", ((list, (dict,)),), where)
+def _load_comparison(entry: dict) -> ComparisonReport:
+    agg = field(entry, "aggregate", (dict,))
+    rows = field(entry, "circuits", ((list, (dict,)),))
     if not rows:
-        raise ValueError(f"{where}: 'circuits' is empty; a comparison has circuit rows")
-    dof = field(agg, "k", (int,), where)
-    if dof < 1:
-        raise ValueError(f"{where}: 'k' must be a positive integer, got {reprlib.repr(dof)}")
+        raise ValueError("'circuits' is empty; a comparison has circuit rows")
+    dof = field(agg, "k", (int,))
     # The decision and N_sigma compute with these as floats.
-    alpha_local = _float(field(entry, "alpha_local", NUMBER, where), "alpha_local", where)
-    llr = _float(field(agg, "llr", NUMBER, where), "llr", where)
-    _float(dof, "k", where)
-    row = f"{where}: circuit"
+    alpha_local = _float(field(entry, "alpha_local", NUMBER), "alpha_local")
+    llr = _float(field(agg, "llr", NUMBER), "llr")
+    _float(dof, "k")
     columns = {}
     try:
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
                           ("jsd_threshold", "jsd_threshold")):
-            columns[name] = np.array(column(rows, key, NUMBER, row), dtype=float)
+            columns[name] = np.array(column(rows, key, NUMBER, "circuit"), dtype=float)
         for key in ("tvd", "sstvd", "sstvd_per_gate"):
-            values = column(rows, key, NUMBER + (type(None),), row, default=None)
+            values = column(rows, key, NUMBER + (type(None),), "circuit", default=None)
             columns[key + "_null"] = np.array([value is None for value in values], dtype=bool)
             columns[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
-        raise ValueError(f"{row}: {key!r} is out of float range") from None
+        raise ValueError(f"circuit: {key!r} is out of float range") from None
     sstvd, sstvd_null = columns.pop("sstvd"), columns.pop("sstvd_null")
-    rejected = np.array(column(rows, "rejected", (bool,), row), dtype=bool)
-    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), row, False),
+    rejected = np.array(column(rows, "rejected", (bool,), "circuit"), dtype=bool)
+    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), "circuit", False),
                                        dtype=bool)
     values = dict(
         comparison_id=entry["comparison_id"],
-        contexts=tuple(field(entry, "contexts", STRINGS, where)),
+        contexts=tuple(field(entry, "contexts", STRINGS)),
         alpha_local=alpha_local,
-        aggregate=AggregateTestResult(llr=llr, dof=dof, p_value=field(agg, "p", NUMBER, where)),
-        n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER, where),
-        llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),), where),
-        circuit_ids=tuple(column(rows, "id", (str,), row)),
-        warnings=tuple(field(entry, "warnings", STRINGS, where, default=[])))
-    try:  # the decision's input rules
-        report = ComparisonReport.from_columns(**values, **columns)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        aggregate=AggregateTestResult(llr=llr, dof=dof, p_value=field(agg, "p", NUMBER)),
+        n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER),
+        llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),)),
+        circuit_ids=tuple(column(rows, "id", (str,), "circuit")),
+        warnings=tuple(field(entry, "warnings", STRINGS, default=[])))
+    report = ComparisonReport.from_columns(**values, **columns)
     # A derived value the file states must be the report's, the header's
     # first: an omitted one is not checked, and a stated number is the
     # report's float bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
@@ -553,9 +556,9 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
              "whether p < alpha_local / 2"),
             (entry, "p_threshold", NUMBER, report.p_threshold, "the step-up threshold of the "
              "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger")):
-        stated = field(obj, key, kinds, where, default=derived)
-        if repr(_float(stated, key, where)) != repr(float(derived)):
-            raise ValueError(f"{where}: {key!r} must be {derived!r}: {rule}, got {stated!r}")
+        stated = field(obj, key, kinds, default=derived)
+        if repr(_float(stated, key)) != repr(float(derived)):
+            raise ValueError(f"{key!r} must be {derived!r}: {rule}, got {stated!r}")
     for key, wrong, rule in (
             ("rejected", rejected != report.rejected, "p < p_threshold"),
             ("sstvd", (sstvd_null != report.sstvd_null)
@@ -565,36 +568,44 @@ def _load_comparison(entry: dict, where: str) -> ComparisonReport:
              "null where sstvd is null")):
         stated = [i for i in np.flatnonzero(wrong).tolist() if key in rows[i]]
         if stated:
-            raise ValueError(f"{where}: circuit {stated[0]}: {key!r} must be {rule}, "
+            raise ValueError(f"circuit {stated[0]}: {key!r} must be {rule}, "
                              f"got {rows[stated[0]][key]!r}")
-    if field(entry, "detected", (bool,), where, default=report.detected) != report.detected:
-        raise ValueError(f"{where}: 'detected' must be {report.detected!r}: whether the "
+    if field(entry, "detected", (bool,), default=report.detected) != report.detected:
+        raise ValueError(f"'detected' must be {report.detected!r}: whether the "
                          "aggregate triggered or a circuit is rejected")
     return report
 
 
-def load_report(path: str | Path) -> list[ComparisonReport]:
+@loader()
+def load_report(path: Path) -> list[ComparisonReport]:
     """Read back a report file written by save_report.
 
     Anything but an array of comparison objects with correctly typed
     fields, and circuit rows that are objects, is a ValueError; so is a
     file without comparisons, a comparison_id that repeats, a comparison
-    without rows, a k below 1, an alpha_local, llr, k or row number beyond
-    float range, a decision input multitest.Decision refuses (an
-    alpha_local outside (0, 1) or too small to split, a p outside [0, 1]),
-    a stated n_sigma, triggered, p_threshold, rejected, sstvd or detected
-    other than the report derives, or an sstvd_per_gate where the sstvd is
-    null.
+    without rows, an alpha_local, llr, k or row number beyond float range,
+    a report ComparisonReport refuses (a repeated row id, a k that is not a
+    positive multiple of rows x (contexts - 1), a tvd on more than two
+    contexts, an alpha_local outside (0, 1) or too small to split, a p
+    outside [0, 1]), a stated n_sigma, triggered, p_threshold, rejected,
+    sstvd or detected other than the report derives, or an sstvd_per_gate
+    where the sstvd is null.  A fault in a comparison begins with its
+    index and id.
     """
-    path = Path(path)
     raw = read_json(path, ((list, (dict,)),))
     if not raw:
-        raise ValueError(f"{path}: no comparisons; an analysis writes at least one")
-    reports = [_load_comparison(entry, f"{path}: comparison {n}") for n, entry in enumerate(raw)]
+        raise ValueError("no comparisons; an analysis writes at least one")
+    reports = []
+    for n, entry in enumerate(raw):
+        where = f"comparison {n} ({field(entry, 'comparison_id', (str,), f'comparison {n}')!r})"
+        try:
+            reports.append(_load_comparison(entry))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     first: dict[str, int] = {}
     for n, report in enumerate(reports):
         if first.setdefault(report.comparison_id, n) != n:
-            raise ValueError(f"{path}: comparison {n} ({report.comparison_id!r}): "
+            raise ValueError(f"comparison {n} ({report.comparison_id!r}): "
                              f"comparison_id repeats comparison {first[report.comparison_id]}")
     return reports
 

@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counts import ContextDataset, distinct_labels, field, read_json
+from .counts import ContextDataset, distinct_labels, field, loader, read_json
 from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
                      lsgst_circuits)
 
@@ -699,21 +699,17 @@ def run_drift_experiment(design: GstDesign, error: ErrorModel,
     return sample_experiment(circuits, probs, config)
 
 
-def load_error_model(path: str | Path) -> ErrorModel:
+@loader()
+def load_error_model(path: Path) -> ErrorModel:
     """Read an error model from JSON.
 
     Layout: every key is a context label mapping gate labels to epsilon
     radians, except the optional reserved key 'static_epsilon'.
     """
-    path = Path(path)
     raw = read_json(path, (dict,))
-    contexts = {key: field(raw, key, (dict,), str(path))
-                for key in raw if key != "static_epsilon"}
-    try:
-        return ErrorModel(context_overrotations=contexts,
-                          static_epsilon=raw.get("static_epsilon", 0.0))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    contexts = {key: field(raw, key, (dict,)) for key in raw if key != "static_epsilon"}
+    return ErrorModel(context_overrotations=contexts,
+                      static_epsilon=raw.get("static_epsilon", 0.0))
 
 
 def save_error_model(error: ErrorModel, path: str | Path) -> None:

@@ -406,27 +406,33 @@ def load_dataset_reference(path) -> ContextDataset:
     read, with a location string built per circuit, and each pool is put in
     its context's slot as it is checked.  The oracle of the column-pass
     loader: the same dataset from a valid file, the same DatasetError from
-    a faulty one.
+    a faulty one, its message the file's path and then the fault.
     """
     path = Path(path)
-    raw = read_json(path, (dict,), DatasetError)
-    version = field(raw, "format_version", (str,), str(path), error=DatasetError)
+    try:
+        return _dataset_from_entries(read_json(path, (dict,)))
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def _dataset_from_entries(raw: dict) -> ContextDataset:
+    version = field(raw, "format_version", (str,))
     if version != FORMAT_VERSION:
-        raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    outcomes = tuple(field(raw, "outcomes", STRINGS, str(path), error=DatasetError))
-    contexts = tuple(field(raw, "contexts", STRINGS, str(path), error=DatasetError))
-    entries = field(raw, "circuits", ((list, (dict,)),), str(path), error=DatasetError)
-    ids = column(entries, "id", (str,), f"{path}: circuit entry", error=DatasetError)
+        raise DatasetError(f"unsupported format_version {version!r}")
+    outcomes = tuple(field(raw, "outcomes", STRINGS))
+    contexts = tuple(field(raw, "contexts", STRINGS))
+    entries = field(raw, "circuits", ((list, (dict,)),))
+    ids = column(entries, "id", (str,), "circuit entry")
 
     column_of = {context: k for k, context in enumerate(contexts)}
     zero = [0] * len(outcomes)
     pools, present = [], []
     for circuit_id, entry in zip(ids, entries):
-        where = f"{path}: circuit {circuit_id!r}"
-        counts = field(entry, "counts", (dict,), where, error=DatasetError)
+        where = f"circuit {circuit_id!r}"
+        counts = field(entry, "counts", (dict,), where)
         row = [zero] * len(contexts)
         for context in counts:
-            values = field(counts, context, (list,), where + " counts", error=DatasetError)
+            values = field(counts, context, (list,), where + " counts")
             if context not in column_of:
                 raise DatasetError(f"{where}: unknown context {context!r}")
             if len(values) != len(outcomes):
@@ -437,14 +443,11 @@ def load_dataset_reference(path) -> ContextDataset:
         present.append([context in counts for context in contexts])
 
     shape = (len(ids), len(contexts), len(outcomes))
-    try:
-        return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
-                              np.array(present, dtype=bool).reshape(shape[:2]),
-                              tuple(entry.get("spec") for entry in entries),
-                              tuple(entry.get("core_length") for entry in entries),
-                              raw.get("description"))
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+    return ContextDataset(outcomes, contexts, tuple(ids), _count_table(pools, shape),
+                          np.array(present, dtype=bool).reshape(shape[:2]),
+                          tuple(entry.get("spec") for entry in entries),
+                          tuple(entry.get("core_length") for entry in entries),
+                          raw.get("description"))
 
 
 def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator):
@@ -660,9 +663,11 @@ def report_file_is_valid(obj) -> bool:
     comparisons with distinct `comparison_id`s.  `warnings`,
     `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate`, `detected`,
     `n_sigma`, `triggered` and `p_threshold` may be omitted.  A comparison
-    has at least one row and `k` is a positive integer.  A per-circuit
-    number, `alpha_local` and the aggregate's `llr` and `k` are held as
-    floats, so an integer there must lie within float range.  The
+    has at least one row, its rows' ids are distinct, and `k` is a
+    positive multiple of rows x (contexts - 1), so it has two or more
+    contexts; only a comparison of two contexts has a non-null `tvd`.
+    A per-circuit number, `alpha_local` and the aggregate's `llr` and `k`
+    are held as floats, so an integer there must lie within float range.  The
     decision's inputs have a domain: `alpha_local` lies in (0, 1),
     alpha_local / 2 / rows does not underflow to 0, and every p, the
     aggregate's and the rows', lies in [0, 1] (NaN does not).  The
@@ -722,6 +727,11 @@ def report_file_is_valid(obj) -> bool:
                 return False
         return entry.get("detected", detected) is detected
 
+    def shape_holds(n_rows, n_contexts, k, tvds):
+        unit = n_rows * (n_contexts - 1)
+        return (unit >= 1 and k >= 1 and k % unit == 0
+                and (n_contexts == 2 or tvds.count(None) == n_rows))
+
     def entry_is_valid(entry):
         if not isinstance(entry, dict):
             return False
@@ -737,8 +747,10 @@ def report_file_is_valid(obj) -> bool:
                 and column_number(aggregate.get("llr"))
                 and all(number(aggregate.get(key)) for key in ("p", "n_sigma_threshold"))
                 and number(aggregate.get("n_sigma", 0.0))
-                and type(aggregate.get("k")) is int and aggregate["k"] >= 1
-                and column_number(aggregate["k"])
+                and type(aggregate.get("k")) is int and column_number(aggregate["k"])
+                and len({row["id"] for row in rows}) == len(rows)
+                and shape_holds(len(rows), len(entry["contexts"]), aggregate["k"],
+                                [row.get("tvd") for row in rows])
                 and type(aggregate.get("triggered", False)) is bool
                 and derived_values_hold(entry))
 

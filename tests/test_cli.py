@@ -504,6 +504,28 @@ def test_duplicate_json_key_is_one_line_error(tmp_path, capsys, kind, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
 
 
+# A file json cannot parse however deep the stack, and one in Latin-1.
+UNREADABLE_FILES = {
+    "nested": (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
+    "latin-1": ('{"description": "\u00e9t\u00e9"}'.encode("latin-1"), "not UTF-8 text ("),
+}
+
+
+@pytest.mark.parametrize("unreadable", UNREADABLE_FILES)
+@pytest.mark.parametrize("kind, command", FILE_COMMANDS)
+def test_unreadable_file_is_one_line_error_naming_it(tmp_path, capsys, kind, command,
+                                                     unreadable):
+    # The nested file once exited 2, as a numeric failure.
+    content, fault = UNREADABLE_FILES[unreadable]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(content)
+    code = main([arg.format(file=bad, tmp=tmp_path) for arg in command])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {bad}: {fault}") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
 # Each command with each input that --out must not name: (argv with
 # "{file}" for that input and "{tmp}" for a scratch directory, the input's
 # flag, the bundled file it starts as a copy of).
@@ -1051,6 +1073,46 @@ def test_report_outside_the_decisions_domain_is_one_line_error(
     assert (code, captured.out) == (1, "")
     assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison 1 "
                             f"('t1_vs_t2'): {message}\n")
+
+
+def _repeat_first_row(entry):
+    entry["circuits"].append(copy.deepcopy(entry["circuits"][0]))
+    del entry["p_threshold"]
+
+
+def _aggregate_k_7(entry):
+    entry["aggregate"]["k"] = 7
+    del entry["aggregate"]["n_sigma"], entry["aggregate"]["triggered"]
+    del entry["p_threshold"], entry["detected"]
+
+
+def _tvd_on_every_row(entry):
+    for row in entry["circuits"]:
+        row["tvd"] = 0.5
+        if row["rejected"]:
+            row["sstvd"] = 0.5
+
+
+# Comparison 0 is joint, of five contexts, and comparison 1 is t1_vs_t2;
+# the first row of each is {}.
+@pytest.mark.parametrize("n, change, message", [
+    (1, _repeat_first_row, "duplicate circuit id '{}'"),
+    (1, _aggregate_k_7, "aggregate 'k' must be a positive multiple of rows x (contexts - 1) "
+                        "= 1405 x 1, got 7"),
+    (0, _tvd_on_every_row, "'tvd' of '{}' must be null: a TVD is between two contexts, not 5"),
+])
+def test_report_rows_no_analysis_writes_are_one_line_error(tmp_path, capsys, drift_report, n,
+                                                           change, message):
+    """A comparison's rows are distinct circuits, each test has (contexts -
+    1) (outcomes - 1) dof, and a TVD compares two contexts; summarize once
+    printed "rejected circuits: 0 of 1406", N_sigma 314.95 and a max SSTVD
+    of 50% for these files and exited 0."""
+    report = copy.deepcopy(drift_report)
+    change(report[n])
+    code, captured = _summarize_parsed(report, tmp_path, capsys)
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison {n} "
+                            f"({report[n]['comparison_id']!r}): {message}\n")
 
 
 def test_report_without_comparisons_is_one_line_error(tmp_path, capsys):

@@ -421,6 +421,28 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"^comparison 'a_vs_b': no circuit rows$"):
             dataclasses.replace(_one_row_report(), rows=np.arange(0), tables=np.arange(0))
 
+    @pytest.mark.parametrize("ids, contexts, dof, message", [
+        (("Gx", "Gx"), ("a", "b"), 2, "duplicate circuit id 'Gx'"),
+        (("Gx", "Gy"), ("a", "b"), 3, "= 2 x 1, got 3"),
+        (("Gx", "Gy"), ("a", "b"), 0, "= 2 x 1, got 0"),
+        (("Gx", "Gy"), ("a",), 2, "= 2 x 0, got 2"),
+        (("Gx", "Gy"), ("a", "b", "c"), 4,
+         "'tvd' of 'Gx' must be null: a TVD is between two contexts, not 3"),
+    ])
+    def test_report_no_analysis_makes_is_refused(self, ids, contexts, dof, message):
+        # Rows of distinct circuits, (contexts - 1) (outcomes - 1) dof each,
+        # and a TVD only between two contexts; a report file is held to the
+        # same rules by load_report.
+        flags = np.zeros(2, dtype=bool)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ComparisonReport.from_columns(
+                comparison_id="c", contexts=contexts, alpha_local=0.05,
+                aggregate=AggregateTestResult(llr=0.0, dof=dof, p_value=1.0),
+                n_sigma_threshold=1.6, llr_threshold=5.0, circuit_ids=ids, llr=np.zeros(2),
+                p_value=np.ones(2), jsd=np.zeros(2), jsd_threshold=np.zeros(2),
+                small_sample=flags, tvd=np.full(2, 0.1), tvd_null=flags,
+                sstvd_per_gate=np.zeros(2), sstvd_per_gate_null=~flags)
+
     @pytest.mark.parametrize("reports", [lambda report: [],
                                          lambda report: [report, report]],
                              ids=["no comparisons", "repeated comparison_id"])
@@ -501,19 +523,24 @@ def comparison_reports(draw):
     # The header's decision and the rejected rows follow from the p-values
     # and the budget, whose smallest step-up threshold alpha_local / 2 / n
     # must not underflow; a per-gate SSTVD is drawn for any row, and shown
-    # only where the row has an SSTVD.
+    # only where the row has an SSTVD.  The rows' ids are distinct, the
+    # dof is a multiple of n x (contexts - 1), and only a pair has tvds.
+    contexts = tuple(draw(st.lists(report_text, min_size=2, max_size=3)))
     return ComparisonReport.from_columns(
         comparison_id=draw(report_text),
-        contexts=tuple(draw(st.lists(report_text, min_size=2, max_size=3))),
+        contexts=contexts,
         alpha_local=draw(report_alpha.filter(lambda alpha: alpha / 2 / n > 0.0)),
-        aggregate=AggregateTestResult(llr=draw(report_floats),
-                                      dof=draw(st.integers(1, 10**6)),
-                                      p_value=draw(report_p)),
+        aggregate=AggregateTestResult(
+            llr=draw(report_floats),
+            dof=n * (len(contexts) - 1) * draw(st.integers(1, 10**6)),
+            p_value=draw(report_p)),
         n_sigma_threshold=draw(report_floats),
         llr_threshold=draw(st.one_of(st.none(), report_floats)),
-        circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n))),
+        circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n, unique=True))),
         llr=floats(), p_value=floats(report_p), jsd=floats(), jsd_threshold=floats(),
-        small_sample=flags(), tvd=floats(), tvd_null=flags(), sstvd_per_gate=floats(),
+        small_sample=flags(), tvd=floats(),
+        tvd_null=flags() if len(contexts) == 2 else np.ones(n, dtype=bool),
+        sstvd_per_gate=floats(),
         sstvd_per_gate_null=flags(), warnings=tuple(draw(st.lists(report_text, max_size=2))),
     )
 

@@ -642,6 +642,43 @@ def test_draws_at_shot_counts_a_double_cannot_hold(shots, mean):
     _assert_draws_equal_counts_stream(11, ("Gx", "GyGy"), [mean / shots] * 150, shots)
 
 
+# PCG64's 128-bit LCG multiplier, and a stream whose first step lands on the
+# state (high 0, low 2**64 - 1): its XSL-RR output is all ones, so its first
+# double is 1 - 2**-53, which outlasts the whole pmf walk at many p.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INC = 0x2468ACF1
+_PRE = ((2**64 - 1) - _INC) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+
+
+def test_inversion_restart_draws_as_numpy(monkeypatch):
+    """A uniform above the pmf's mass up to the bound walks past the bound,
+    and numpy's random_binomial_inversion redraws from x = 0 with a second
+    uniform.  With the first double 1 - 2**-53, some p in the inversion
+    range (n p <= 30) restart: at each p the draw is numpy's, and the
+    number of doubles taken, 1 or 2, is numpy's too."""
+    doubles, next_doubles = [], qsim._next_doubles
+
+    def counted(streams):
+        doubles.append(streams.shape[1])
+        return next_doubles(streams)
+
+    monkeypatch.setattr(qsim, "_next_doubles", counted)
+    limbs = np.array([[_PRE >> 64], [_PRE % 2**64], [0], [_INC]], dtype=np.uint64)
+    taken = {}
+    for p in (0.001, 0.00228, 0.0025, 0.005, 0.05, 0.1, 0.2, 0.29):
+        generator = np.random.PCG64()
+        generator.state = _pcg64_state(limbs[:, 0])
+        expected = np.random.Generator(generator).binomial(100, p)
+        state, steps = _PRE, 0
+        while state != generator.state["state"]["state"] and steps < 10:
+            state, steps = (state * _PCG64_MULT + _INC) % 2**128, steps + 1
+        doubles.clear()
+        assert qsim._binomial_inversion(100, np.array([p]), limbs.copy()).tolist() == [expected]
+        taken[p] = steps
+        assert sum(doubles) == steps < 10
+    assert taken[0.00228] == taken[0.2] == 2 and taken[0.0025] == 1
+
+
 def test_stream_limbs_stay_uint64(monkeypatch):
     """numpy turns uint64 mixed with int64 into float64, and a float step
     would lose the state's low bits.  Every LCG step, in seeding and in
