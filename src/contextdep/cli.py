@@ -1,9 +1,9 @@
 """Command-line driver: generate circuits, simulate, analyze, summarize.
 
 Exit codes are uniform across subcommands: 0 means the command ran (a
-detection verdict lives in the report, never in the exit code), 1 means
-invalid input (bad files, bad flag values), 2 means an internal numeric
-failure.
+detection verdict lives in the report, never in the exit code), also when
+the reader of its standard output stopped early, 1 means invalid input (bad
+files, bad flag values), 2 means an internal numeric failure.
 """
 
 from __future__ import annotations
@@ -229,7 +229,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout stopped early (`| head`): the command's output
+        # went where it was asked to, so it succeeded.  Later writes, such as
+        # the interpreter's final flush, go to devnull, not to a closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

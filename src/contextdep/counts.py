@@ -8,6 +8,7 @@ and one check enforces the structural rules every downstream routine
 relies on: at least two outcomes per pool, counts that are non-negative
 integers, no empty pools, consistent outcome labels across a dataset, and
 unique circuit identifiers.  A CircuitRecord is one circuit's row.
+Record is the base of every record type of the package.
 Every file loader of the package is a loader() and reads its JSON fields
 through field() and column() here, so all input files obey the same type
 and fault rules; distinct_labels() checks every label list of the package.
@@ -20,7 +21,7 @@ import json
 import math
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -122,8 +123,36 @@ def _check_rows(circuit_ids: Sequence[str], contexts: Sequence[str], counts: np.
         raise DatasetError(f"circuit {circuit_ids[bare[0]]!r}: no context pools")
 
 
-@dataclass(frozen=True)
-class CircuitRecord:
+class Record:
+    """Base of the package's records, each declared with @record and a
+    written-out __init__ that fills its __dict__: frozen, equal by value
+    field by field (arrays by value, see columns_equal), hashed by the
+    field tuple, and shown as dataclasses show one.  Writing these once,
+    not per class, keeps dataclasses from generating them at import."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return columns_equal(self, other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({shown})"
+
+
+# Fields, for dataclasses.fields and replace; Record supplies the methods.
+record = dataclass(init=False, repr=False, eq=False)
+
+
+@record
+class CircuitRecord(Record):
     """One circuit's row: its counts in every context it was run in.
 
     ``counts`` maps each context label to a pool, a tuple of Python ints
@@ -139,19 +168,21 @@ class CircuitRecord:
     spec: str | None = None
     core_length: int | None = None
 
-    def __post_init__(self) -> None:
-        pools = {context: tuple(pool) for context, pool in dict(self.counts).items()}
+    def __init__(self, circuit_id: str, counts: Mapping[str, tuple[int, ...]],
+                 spec: str | None = None, core_length: int | None = None) -> None:
+        pools = {context: tuple(pool) for context, pool in dict(counts).items()}
         if not pools:
-            raise DatasetError(f"circuit {self.circuit_id!r}: no context pools")
-        distinct_labels(pools, "context", f"circuit {self.circuit_id!r}", minimum=1)
+            raise DatasetError(f"circuit {circuit_id!r}: no context pools")
+        distinct_labels(pools, "context", f"circuit {circuit_id!r}", minimum=1)
         widths = sorted({len(pool) for pool in pools.values()})
         if len(widths) > 1:
             raise DatasetError(
-                f"circuit {self.circuit_id!r}: pools disagree on outcome count {widths}")
+                f"circuit {circuit_id!r}: pools disagree on outcome count {widths}")
         shape = (1, len(pools), widths[0])
-        _check_rows((self.circuit_id,), tuple(pools), _count_table(pools.values(), shape),
-                    np.ones(shape[:2], dtype=bool), (self.spec,), (self.core_length,))
-        object.__setattr__(self, "counts", pools)
+        _check_rows((circuit_id,), tuple(pools), _count_table(pools.values(), shape),
+                    np.ones(shape[:2], dtype=bool), (spec,), (core_length,))
+        self.__dict__.update(circuit_id=circuit_id, counts=pools, spec=spec,
+                             core_length=core_length)
 
     @property
     def contexts(self) -> tuple[str, ...]:
@@ -190,8 +221,8 @@ def columns_equal(first, second, names: Sequence[str] = ()) -> bool:
                for a, b in pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class ContextDataset:
+@record
+class ContextDataset(Record):
     """A full experiment: shared outcome and context labels, circuit columns.
 
     ``counts`` is one (circuits x contexts x outcomes) object array of
@@ -201,7 +232,6 @@ class ContextDataset:
     ``specs`` and ``core_lengths`` hold one entry per circuit, None where
     a spec or core length is absent.  ``circuits`` is a read-only view of
     the rows as one CircuitRecord per circuit, built when a row is read.
-    Equality is by value.
     """
 
     outcomes: tuple[str, ...]
@@ -213,31 +243,27 @@ class ContextDataset:
     core_lengths: tuple[int | None, ...]
     description: str | None = None
 
-    def __post_init__(self) -> None:
-        outcomes = distinct_labels(self.outcomes, "outcome label")
-        contexts = distinct_labels(self.contexts, "context label")
-        if self.description is not None and not isinstance(self.description, str):
-            raise DatasetError(f"description must be a string, got {self.description!r}")
-        ids, specs, cores = tuple(self.circuit_ids), tuple(self.specs), tuple(self.core_lengths)
-        counts = np.asarray(self.counts, dtype=object)
-        present = np.asarray(self.present, dtype=bool)
+    def __init__(self, outcomes: tuple[str, ...], contexts: tuple[str, ...],
+                 circuit_ids: tuple[str, ...], counts: np.ndarray, present: np.ndarray,
+                 specs: tuple[str | None, ...], core_lengths: tuple[int | None, ...],
+                 description: str | None = None) -> None:
+        outcomes = distinct_labels(outcomes, "outcome label")
+        contexts = distinct_labels(contexts, "context label")
+        if description is not None and not isinstance(description, str):
+            raise DatasetError(f"description must be a string, got {description!r}")
+        ids, specs, cores = tuple(circuit_ids), tuple(specs), tuple(core_lengths)
+        counts = np.asarray(counts, dtype=object)
+        present = np.asarray(present, dtype=bool)
         shape = (len(ids), len(contexts), len(outcomes))
         if (counts.shape != shape or present.shape != shape[:2]
                 or not len(specs) == len(cores) == len(ids)):
             raise DatasetError(f"columns do not match {len(ids)} circuits x "
                                f"{len(contexts)} contexts x {len(outcomes)} outcomes")
         _check_rows(ids, contexts, counts, present, specs, cores)
-        for name, value in (("outcomes", outcomes), ("contexts", contexts),
-                            ("circuit_ids", ids), ("counts", counts), ("present", present),
-                            ("specs", specs), ("core_lengths", cores)):
-            object.__setattr__(self, name, value)
-        # Not a field: equality and repr see only the columns.
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(ids)})
-
-    def __eq__(self, other):
-        if not isinstance(other, ContextDataset):
-            return NotImplemented
-        return columns_equal(self, other)
+        # _index is not a field: equality and repr see only the columns.
+        self.__dict__.update(outcomes=outcomes, contexts=contexts, circuit_ids=ids,
+                             counts=counts, present=present, specs=specs, core_lengths=cores,
+                             description=description, _index={c: i for i, c in enumerate(ids)})
 
     @property
     def circuits(self) -> Sequence[CircuitRecord]:
@@ -246,11 +272,11 @@ class ContextDataset:
     def _row(self, i: int) -> CircuitRecord:
         pools = zip(self.contexts, self.counts[i].tolist(), self.present[i].tolist())
         # The dataset's check covered this row, so the record's is skipped.
-        record = object.__new__(CircuitRecord)
-        record.__dict__.update(circuit_id=self.circuit_ids[i], spec=self.specs[i],
-                               counts={c: tuple(pool) for c, pool, here in pools if here},
-                               core_length=self.core_lengths[i])
-        return record
+        row = object.__new__(CircuitRecord)
+        row.__dict__.update(circuit_id=self.circuit_ids[i], spec=self.specs[i],
+                            counts={c: tuple(pool) for c, pool, here in pools if here},
+                            core_length=self.core_lengths[i])
+        return row
 
     def circuit(self, circuit_id: str) -> CircuitRecord:
         try:

@@ -23,12 +23,12 @@ work per generated gate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import STRINGS, check_core_length, column, distinct_labels, field, loader, read_json
+from .counts import (STRINGS, Record, check_core_length, column, distinct_labels, field, loader,
+                     read_json, record)
 
 __all__ = [
     "MAX_GERM_POWER",
@@ -118,8 +118,8 @@ def circuit_to_text(gates: Sequence[str]) -> str:
     return "".join(gates)
 
 
-@dataclass(frozen=True, init=False)
-class CircuitSpec:
+@record
+class CircuitSpec(Record):
     """A gate sequence in operation order (first gate applied first).
 
     Built from its gate labels, CircuitSpec(("Gx", "Gy")), or from its
@@ -136,8 +136,7 @@ class CircuitSpec:
         else:
             text = circuit_to_text(_check_labels(gates, "circuit"))
         check_core_length(core_length, text)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "core_length", core_length)
+        self.__dict__.update(text=text, core_length=core_length)
 
     @property
     def gates(self) -> tuple[str, ...]:
@@ -160,8 +159,8 @@ def _parse_fiducials(entries: Sequence[str | Sequence[str]], what: str) -> tuple
                  else _check_labels(entry, what) for entry in entries)
 
 
-@dataclass(frozen=True)
-class GstDesign:
+@record
+class GstDesign(Record):
     """Everything needed to generate a circuit list."""
 
     gates: tuple[str, ...]
@@ -170,27 +169,27 @@ class GstDesign:
     germs: tuple[tuple[str, ...], ...] = ()
     max_germ_power: int | None = None
 
-    def __post_init__(self) -> None:
-        gates = _check_labels(distinct_labels(self.gates, "gate", "gate set", minimum=1),
-                              "gate set")
-        preps = _parse_fiducials(self.prep_fiducials, "preparation fiducial")
-        meas = _parse_fiducials(self.meas_fiducials, "measurement fiducial")
+    def __init__(self, gates: tuple[str, ...], prep_fiducials: tuple[tuple[str, ...], ...],
+                 meas_fiducials: tuple[tuple[str, ...], ...],
+                 germs: tuple[tuple[str, ...], ...] = (),
+                 max_germ_power: int | None = None) -> None:
+        gates = _check_labels(distinct_labels(gates, "gate", "gate set", minimum=1), "gate set")
+        preps = _parse_fiducials(prep_fiducials, "preparation fiducial")
+        meas = _parse_fiducials(meas_fiducials, "measurement fiducial")
         if not preps or not meas:
             raise ValueError("design needs nonempty fiducial lists")
-        germs = _parse_fiducials(self.germs, "germ")
+        germs = _parse_fiducials(germs, "germ")
         for germ in germs:
             if not germ:
                 raise ValueError("zero-length germ")
-        if self.max_germ_power is not None:
-            l_max = self.max_germ_power
+        if max_germ_power is not None:
+            l_max = max_germ_power
             if type(l_max) is not int or l_max < 1 or l_max & (l_max - 1):
                 raise ValueError(f"max_germ_power must be an integer power of 2, got {l_max!r}")
             if l_max > MAX_GERM_POWER:
                 raise ValueError(f"max_germ_power must be at most {MAX_GERM_POWER}, got {l_max!r}")
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "prep_fiducials", preps)
-        object.__setattr__(self, "meas_fiducials", meas)
-        object.__setattr__(self, "germs", germs)
+        self.__dict__.update(gates=gates, prep_fiducials=preps, meas_fiducials=meas,
+                             germs=germs, max_germ_power=max_germ_power)
 
     @property
     def germ_powers(self) -> tuple[int, ...]:

@@ -25,11 +25,11 @@ expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chi2 import chi2_isf, chi2_sf
+from .counts import Record, record
 
 __all__ = [
     "AggregateTestResult",
@@ -46,13 +46,16 @@ __all__ = [
 SMALL_SAMPLE_SHOTS_PER_OUTCOME = 10
 
 
-@dataclass(frozen=True)
-class AggregateTestResult:
+@record
+class AggregateTestResult(Record):
     """Summed statistic over a collection of per-circuit tests."""
 
     llr: float
     dof: int
     p_value: float
+
+    def __init__(self, llr: float, dof: int, p_value: float) -> None:
+        self.__dict__.update(llr=llr, dof=dof, p_value=p_value)
 
     @property
     def n_sigma(self) -> float:
@@ -60,8 +63,8 @@ class AggregateTestResult:
         return (self.llr - self.dof) / math.sqrt(2.0 * self.dof)
 
 
-@dataclass(frozen=True)
-class TableTests:
+@record
+class TableTests(Record):
     """Per-table test results for R stacked count tables, as length-R arrays."""
 
     llr: np.ndarray
@@ -69,6 +72,11 @@ class TableTests:
     p_value: np.ndarray
     n_total: np.ndarray
     small_sample: np.ndarray
+
+    def __init__(self, llr: np.ndarray, dof: int, p_value: np.ndarray, n_total: np.ndarray,
+                 small_sample: np.ndarray) -> None:
+        self.__dict__.update(llr=llr, dof=dof, p_value=p_value, n_total=n_total,
+                             small_sample=small_sample)
 
 
 def llr_statistics(counts: np.ndarray) -> np.ndarray:

@@ -17,13 +17,13 @@ and pipeline.ComparisonReport store its inputs and inherit it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
+from .counts import Record, record
 from .llr import (AggregateTestResult, TableTests, llr_aggregate, llr_threshold,
                   n_sigma_threshold)
 
@@ -98,8 +98,8 @@ class Decision:
         return self.aggregate_triggered or bool(self.rejected.any())
 
 
-@dataclass(frozen=True, eq=False)
-class MultiTestOutcome(Decision):
+@record
+class MultiTestOutcome(Decision, Record):
     """A procedure's inputs: the rows' ``ids`` and p-values, the budget, and
     for combined_procedure the aggregate and the rows' common ``dof``.
     Derived when read: the Decision, ``rejected_ids``, and ``llr_threshold``
@@ -112,8 +112,11 @@ class MultiTestOutcome(Decision):
     aggregate: AggregateTestResult | None = None
     dof: int | None = None
 
-    def __post_init__(self) -> None:
-        self._check_decision(self.ids.__getitem__)
+    def __init__(self, ids: Sequence[str], p_value: np.ndarray, alpha_local: float,
+                 aggregate: AggregateTestResult | None = None, dof: int | None = None) -> None:
+        self.__dict__.update(ids=ids, p_value=p_value, alpha_local=alpha_local,
+                             aggregate=aggregate, dof=dof)
+        self._check_decision(ids.__getitem__)
 
     @property
     def rejected_ids(self) -> frozenset[str]:

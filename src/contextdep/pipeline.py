@@ -24,7 +24,7 @@ import json
 import math
 import reprlib
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cached_property
 from itertools import combinations, compress
 from json.encoder import encode_basestring_ascii
@@ -32,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, RowView, column,
-                     columns_equal, distinct_labels, field, loader, read_json, write_rows)
+from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, Record, RowView, column,
+                     columns_equal, distinct_labels, field, loader, read_json, record,
+                     write_rows)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_tests
@@ -55,39 +56,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Comparison:
+@record
+class Comparison(Record):
     """One question: do these contexts share an outcome distribution?"""
 
     comparison_id: str
     contexts: tuple[str, ...]
     weight: float
 
-    def __post_init__(self) -> None:
-        contexts = distinct_labels(self.contexts, "context", f"comparison {self.comparison_id!r}")
+    def __init__(self, comparison_id: str, contexts: tuple[str, ...], weight: float) -> None:
+        contexts = distinct_labels(contexts, "context", f"comparison {comparison_id!r}")
         # A weight is a positive share of alpha.  Comparing, not converting,
         # keeps a huge integer from overflowing; NaN fails every comparison.
-        if isinstance(self.weight, bool) or not 0 < self.weight <= 1:
-            raise ValueError(f"comparison {self.comparison_id!r}: weight must be a number "
-                             f"in (0, 1], got {self.weight!r}")
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "weight", float(self.weight))
+        if isinstance(weight, bool) or not 0 < weight <= 1:
+            raise ValueError(f"comparison {comparison_id!r}: weight must be a number "
+                             f"in (0, 1], got {weight!r}")
+        self.__dict__.update(comparison_id=comparison_id, contexts=contexts, weight=float(weight))
 
 
-@dataclass(frozen=True)
-class ComparisonPlan:
+@record
+class ComparisonPlan(Record):
     """An ordered list of comparisons whose weights split the global alpha."""
 
     comparisons: tuple[Comparison, ...]
 
-    def __post_init__(self) -> None:
-        comparisons = tuple(self.comparisons)
+    def __init__(self, comparisons: tuple[Comparison, ...]) -> None:
+        comparisons = tuple(comparisons)
         distinct_labels([c.comparison_id for c in comparisons], "comparison_id", "plan",
                         minimum=1)
         total = math.fsum(c.weight for c in comparisons)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"comparison weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "comparisons", comparisons)
+        self.__dict__.update(comparisons=comparisons)
 
     def __iter__(self):
         return iter(self.comparisons)
@@ -155,8 +155,8 @@ def load_plan(path: Path) -> ComparisonPlan:
     return _equal_split(list(zip(ids, contexts)))
 
 
-@dataclass(frozen=True)
-class CircuitAnalysis:
+@record
+class CircuitAnalysis(Record):
     """Per-circuit line of a comparison report: test plus effect size."""
 
     circuit_id: str
@@ -169,6 +169,14 @@ class CircuitAnalysis:
     sstvd_per_gate: float | None
     rejected: bool
     small_sample: bool
+
+    def __init__(self, circuit_id: str, llr: float, p_value: float, jsd: float,
+                 jsd_threshold: float, tvd: float | None, sstvd: float | None,
+                 sstvd_per_gate: float | None, rejected: bool, small_sample: bool) -> None:
+        self.__dict__.update(circuit_id=circuit_id, llr=llr, p_value=p_value, jsd=jsd,
+                             jsd_threshold=jsd_threshold, tvd=tvd, sstvd=sstvd,
+                             sstvd_per_gate=sstvd_per_gate, rejected=rejected,
+                             small_sample=small_sample)
 
 
 class TableStore:
@@ -194,8 +202,8 @@ def _gathered(name: str) -> property:
     return property(lambda report: report.store.columns[len(report.contexts)][name][report.tables])
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonReport(Decision):
+@record
+class ComparisonReport(Decision, Record):
     """Everything one comparison concluded, internally consistent.
 
     The per-circuit rows, at least one, are indices in circuit order:
@@ -232,7 +240,17 @@ class ComparisonReport(Decision):
 
     llr, p_value, jsd, small_sample, tvd, tvd_null = map(_gathered, _STORED)
 
-    def __post_init__(self) -> None:
+    def __init__(self, comparison_id: str, contexts: tuple[str, ...], alpha_local: float,
+                 aggregate: AggregateTestResult, n_sigma_threshold: float,
+                 llr_threshold: float | None, store: TableStore, rows: np.ndarray,
+                 tables: np.ndarray, jsd_threshold: np.ndarray, sstvd_per_gate: np.ndarray,
+                 sstvd_per_gate_null: np.ndarray, warnings: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(
+            comparison_id=comparison_id, contexts=contexts, alpha_local=alpha_local,
+            aggregate=aggregate, n_sigma_threshold=n_sigma_threshold,
+            llr_threshold=llr_threshold, store=store, rows=rows, tables=tables,
+            jsd_threshold=jsd_threshold, sstvd_per_gate=sstvd_per_gate,
+            sstvd_per_gate_null=sstvd_per_gate_null, warnings=warnings)
         if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
         distinct_labels(self.store.circuit_ids[self.rows].tolist(), "circuit id", minimum=0)
@@ -610,13 +628,17 @@ def load_report(path: Path) -> list[ComparisonReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class PairwiseMatrices:
+@record
+class PairwiseMatrices(Record):
     """Fig-2-style summary: N_sigma above the diagonal, rejection counts below."""
 
     contexts: tuple[str, ...]
     n_sigma: tuple[tuple[float | None, ...], ...]
     rejected_counts: tuple[tuple[int | None, ...], ...]
+
+    def __init__(self, contexts: tuple[str, ...], n_sigma: tuple[tuple[float | None, ...], ...],
+                 rejected_counts: tuple[tuple[int | None, ...], ...]) -> None:
+        self.__dict__.update(contexts=contexts, n_sigma=n_sigma, rejected_counts=rejected_counts)
 
 
 def pairwise_matrices(reports: Sequence[ComparisonReport],

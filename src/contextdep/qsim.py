@@ -36,7 +36,6 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -44,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counts import ContextDataset, distinct_labels, field, loader, read_json
+from .counts import ContextDataset, Record, distinct_labels, field, loader, read_json, record
 from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
                      lsgst_circuits)
 
@@ -101,8 +100,8 @@ def _angle(value, name: str) -> float:
     return angle
 
 
-@dataclass(frozen=True)
-class ErrorModel:
+@record
+class ErrorModel(Record):
     """Per-context over-rotation angles, in radians, for rotation gates.
 
     static_epsilon is added to every rotation gate in every context; it
@@ -115,13 +114,14 @@ class ErrorModel:
     context_overrotations: Mapping[str, Mapping[str, float]]
     static_epsilon: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not distinct_labels(self.context_overrotations, "context", minimum=0):
+    def __init__(self, context_overrotations: Mapping[str, Mapping[str, float]],
+                 static_epsilon: float = 0.0) -> None:
+        if not distinct_labels(context_overrotations, "context", minimum=0):
             raise ValueError("no context entries")
-        if "static_epsilon" in self.context_overrotations:
+        if "static_epsilon" in context_overrotations:
             raise ValueError("'static_epsilon' names the static angle, not a context")
         table: dict[str, dict[str, float]] = {}
-        for context, gate_map in self.context_overrotations.items():
+        for context, gate_map in context_overrotations.items():
             entry: dict[str, float] = {}
             for gate, epsilon in gate_map.items():
                 if gate not in ROTATION_GATES:
@@ -131,8 +131,8 @@ class ErrorModel:
                     )
                 entry[gate] = _angle(epsilon, f"context {context!r}, gate {gate!r}: epsilon")
             table[context] = entry
-        object.__setattr__(self, "context_overrotations", table)
-        object.__setattr__(self, "static_epsilon", _angle(self.static_epsilon, "static_epsilon"))
+        self.__dict__.update(context_overrotations=table,
+                             static_epsilon=_angle(static_epsilon, "static_epsilon"))
 
     @property
     def contexts(self) -> tuple[str, ...]:
@@ -147,28 +147,27 @@ class ErrorModel:
         return self.static_epsilon + gate_map.get(gate, 0.0)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@record
+class SimConfig(Record):
     """Shot budget, seed, and context list for one simulated experiment."""
 
     shots_per_context: int
     seed: int
     contexts: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("shots_per_context", "seed"):
-            value = getattr(self, name)
+    def __init__(self, shots_per_context: int, seed: int, contexts: tuple[str, ...]) -> None:
+        for name, value in (("shots_per_context", shots_per_context), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         # numpy's binomial takes an int64 number of shots.
         most = np.iinfo(np.int64).max
-        if not 1 <= self.shots_per_context <= most:
+        if not 1 <= shots_per_context <= most:
             raise ValueError(f"shots_per_context must be in [1, {most}], "
-                             f"got {self.shots_per_context!r}")
-        if self.seed < 0:
+                             f"got {shots_per_context!r}")
+        if seed < 0:
             raise ValueError("seed must be non-negative")
-        object.__setattr__(self, "contexts",
-                           distinct_labels(self.contexts, "context", "simulated experiment"))
+        contexts = distinct_labels(contexts, "context", "simulated experiment")
+        self.__dict__.update(shots_per_context=shots_per_context, seed=seed, contexts=contexts)
 
 
 def gate_model_for_context(error: ErrorModel, context: str) -> dict[str, np.ndarray]:

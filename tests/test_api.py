@@ -1,15 +1,24 @@
-"""Every name a contextdep module exports in __all__ resolves, and every
-name a module imports is used."""
+"""Every name a contextdep module exports in __all__ resolves, every name a
+module imports is used, and every record type keeps the record contract."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import contextdep
+from contextdep.counts import CircuitRecord, ContextDataset
+from contextdep.gstgen import CircuitSpec, GstDesign
+from contextdep.llr import AggregateTestResult, TableTests, llr_tests
+from contextdep.multitest import MultiTestOutcome, combined_procedure
+from contextdep.pipeline import (CircuitAnalysis, Comparison, ComparisonPlan, ComparisonReport,
+                                 PairwiseMatrices, pairwise_matrices, run_analysis)
+from contextdep.qsim import ErrorModel, SimConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(contextdep.__path__, "contextdep."))
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +82,72 @@ def test_every_import_is_used():
         unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
                         if name not in used)
         assert not unused, unused
+
+
+def _dataset(extra=0):
+    counts = np.array([[[60, 40], [30 + extra, 70]], [[50, 50], [55, 45]]], dtype=object)
+    return ContextDataset(("0", "1"), ("a", "b"), ("Gx", "Gy"), counts,
+                          np.ones((2, 2), dtype=bool), ("Gx", "Gy"), (1, 1))
+
+
+# Per record type, a builder of one small valid instance from fresh objects,
+# arrays included: extra=0 builds the same value each call, extra=1 a value
+# one field away from it.
+RECORDS = {
+    CircuitRecord: lambda extra: CircuitRecord("Gx", {"a": (60, 40), "b": (30 + extra, 70)},
+                                               "Gx", 1),
+    ContextDataset: _dataset,
+    CircuitSpec: lambda extra: CircuitSpec("GxGy", 2 + extra),
+    GstDesign: lambda extra: GstDesign(("Gx", "Gy"), ("{}", "Gx"), ("{}", "Gy"), ("Gx",),
+                                       2 << extra),
+    AggregateTestResult: lambda extra: AggregateTestResult(4.0 + extra, 1, 0.05),
+    TableTests: lambda extra: llr_tests(_dataset(extra).counts),
+    MultiTestOutcome: lambda extra: combined_procedure(llr_tests(_dataset(extra).counts),
+                                                       ("Gx", "Gy"), 0.05),
+    Comparison: lambda extra: Comparison("a_vs_b", ("a", "b"), 1.0 - extra / 2),
+    ComparisonPlan: lambda extra: ComparisonPlan((Comparison("ab"[:1 + extra], ("a", "b"), 1),)),
+    CircuitAnalysis: lambda extra: CircuitAnalysis("Gx", 4.0, 0.05, 0.01 + extra, 0.0125, 0.1,
+                                                   None, None, False, False),
+    ComparisonReport: lambda extra: run_analysis(_dataset(extra))[0],
+    PairwiseMatrices: lambda extra: pairwise_matrices(run_analysis(_dataset(extra)), ("a", "b")),
+    ErrorModel: lambda extra: ErrorModel({"a": {"Gx": 1e-3}}, 1e-4 * extra),
+    SimConfig: lambda extra: SimConfig(100 + extra, 0, ("a", "b")),
+}
+GENERATED = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def test_every_record_type_has_an_example():
+    found = {value for name in MODULES for value in vars(importlib.import_module(name)).values()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert found == set(RECORDS)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_record_contract(kind):
+    record, same, other = RECORDS[kind](0), RECORDS[kind](0), RECORDS[kind](1)
+    names = [f.name for f in dataclasses.fields(record)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], getattr(other, names[0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, names[0])
+    assert record == same and not record != same
+    assert record != other and not record == other
+    assert record != object()
+    values = tuple(getattr(record, name) for name in names)
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    shown = dataclasses.make_dataclass(kind.__qualname__, names)
+    assert repr(record) == repr(shown(*values))
+    # CircuitSpec is built from gates or text, so it has no constructor that
+    # takes its fields and replace cannot build one.
+    if kind is not CircuitSpec:
+        assert dataclasses.replace(record) == record
+    # The methods are the package's own, not code dataclasses generate at import.
+    for method in GENERATED:
+        code = getattr(getattr(kind, method), "__code__", None)
+        assert code is None or code.co_filename != "<string>", (kind, method)

@@ -606,11 +606,11 @@ def test_tables_naming_an_input_or_the_report_are_refused(tmp_path, capsys, data
 ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 
 
-def _run_cli(args, **env):
+def _run_cli(args, stdout=subprocess.PIPE, **env):
     # The child imports contextdep from where this process did.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
     return subprocess.run([sys.executable, "-m", "contextdep.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def _small_dataset(ids, **extra):
@@ -936,6 +936,24 @@ def test_malformed_report_is_one_line_error(tmp_path, capsys, change):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["summarize", "gen-circuits"])
+def test_reader_gone_from_stdout_is_quiet_success(tmp_path, command):
+    # A pipe whose read end is closed before the child starts: its first
+    # write to stdout fails, with no race against a reader such as `head`.
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_mutated_report(lambda entry: [entry])))
+    args = (["summarize", "--report", report] if command == "summarize" else
+            ["gen-circuits", "--design", NEIGHBOR_DESIGN, "--mode", "lgst",
+             "--out", tmp_path / "circuits.json"])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli(args, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_well_formed_report_summarizes(tmp_path, capsys):
