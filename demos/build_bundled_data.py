@@ -4,11 +4,14 @@ The designs, drift error model, and the two example datasets under
 src/contextdep/data/ are all products of this script.  The neighbor
 dataset mixes one set of measured device counts (circuit GhGsGsGsGsGh)
 with synthetic null pools for the other 39 circuits; rerunning with the
-same seed reproduces the bundled file byte for byte.
+same seed reproduces the bundled file byte for byte.  The package reads
+design and error-model files but never writes them, so their writers,
+save_design and save_error_model, live here.
 
 Usage: python demos/build_bundled_data.py [output_dir]
 """
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from contextdep.counts import ContextDataset, save_dataset
-from contextdep.gstgen import GstDesign, save_design
-from contextdep.qsim import (ErrorModel, SimConfig, run_drift_experiment,
-                             save_error_model)
+from contextdep.gstgen import GstDesign, circuit_to_text
+from contextdep.qsim import ErrorModel, SimConfig, run_drift_experiment
 
 NEIGHBOR_SEED = 23
 
@@ -95,6 +97,28 @@ def neighbor_dataset() -> ContextDataset:
             f"sampled from ideal-gate probabilities (seed {NEIGHBOR_SEED})."
         ),
     )
+
+
+def save_design(design: GstDesign, path: str | Path) -> None:
+    obj: dict = {
+        "gates": list(design.gates),
+        "prep_fiducials": [circuit_to_text(f) for f in design.prep_fiducials],
+        "meas_fiducials": [circuit_to_text(f) for f in design.meas_fiducials],
+    }
+    if design.germs:
+        obj["germs"] = [circuit_to_text(g) for g in design.germs]
+    if design.max_germ_power is not None:
+        obj["max_germ_power"] = design.max_germ_power
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def save_error_model(error: ErrorModel, path: str | Path) -> None:
+    obj: dict = {
+        context: dict(gate_map)
+        for context, gate_map in error.context_overrotations.items()
+    }
+    obj["static_epsilon"] = error.static_epsilon
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def main() -> None:

@@ -13,18 +13,15 @@ experiments used to exercise all of it.
 from .chi2 import chi2_isf, chi2_sf
 from .counts import (CircuitRecord, ContextDataset, DatasetError, load_dataset,
                      marginalize, save_dataset)
-from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits,
-                     load_circuits, load_design, lsgst_circuits,
-                     parse_circuit_text, register_gate_label, save_circuits,
-                     save_design)
+from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits, load_design,
+                     lsgst_circuits, parse_circuit_text, save_circuits)
 from .llr import AggregateTestResult, llr_aggregate, llr_threshold, n_sigma_threshold
-from .multitest import MultiTestOutcome, combined_procedure, hochberg
+from .multitest import MultiTestOutcome, combined_procedure
 from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        ComparisonReport, jsd_profile, load_plan, load_report,
                        pairwise_matrices, run_analysis, save_report,
                        write_jsd_profile_csv, write_pairwise_csv)
-from .qsim import (ErrorModel, SimConfig, circuit_probabilities, counts_stream,
-                   gate_model_for_context, ideal_gate_model, load_error_model,
-                   run_drift_experiment, save_error_model)
+from .qsim import (ErrorModel, SimConfig, counts_stream, load_error_model,
+                   run_drift_experiment)
 
 __version__ = "1.0.0"

@@ -27,22 +27,18 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import (STRINGS, Record, check_core_length, column, distinct_labels, field, loader,
-                     read_json, record)
+from .counts import (STRINGS, Record, check_core_length, distinct_labels, field, loader, read_json,
+                     record)
 
 __all__ = [
     "MAX_GERM_POWER",
     "CircuitSpec",
     "GstDesign",
-    "register_gate_label",
-    "known_gate_labels",
     "parse_circuit_text",
     "circuit_to_text",
     "lgst_circuits",
     "lsgst_circuits",
     "load_design",
-    "save_design",
-    "load_circuits",
     "save_circuits",
 ]
 
@@ -53,22 +49,10 @@ EMPTY_CIRCUIT_TEXT = "{}"
 # gates, 26.7 million gates in all.
 MAX_GERM_POWER = 2 ** 16
 
-_GATE_LABELS: set[str] = {"Gi", "Gx", "Gy", "Gh", "Gs"}
-
-
-def register_gate_label(label: str) -> None:
-    """Add a gate label to the registry.
-
-    Labels start with 'G' and contain no further 'G', which is what keeps
-    concatenated circuit text unambiguous to parse.
-    """
-    if len(label) < 2 or not label.startswith("G") or "G" in label[1:]:
-        raise ValueError(f"invalid gate label {label!r}: must be 'G' plus a G-free suffix")
-    _GATE_LABELS.add(label)
-
-
-def known_gate_labels() -> frozenset[str]:
-    return frozenset(_GATE_LABELS)
+# The gate labels the simulator has unitaries for (qsim.ideal_gate_model).
+# Each is 'G' plus a G-free suffix, which keeps concatenated circuit text
+# unambiguous to parse.
+_GATE_LABELS = frozenset({"Gi", "Gx", "Gy", "Gh", "Gs"})
 
 
 def _check_labels(gates: Iterable[str], where: str) -> tuple[str, ...]:
@@ -92,7 +76,7 @@ def _text_labels(text: str) -> tuple[str, ...]:
 
 
 def _check_text(text: str) -> str:
-    """Check a circuit text: '{}', or registered labels written one after another.
+    """Check a circuit text: '{}', or known labels written one after another.
 
     A label is 'G' plus a G-free suffix, so one split at 'G' finds every
     label, and only the distinct suffixes are looked up.
@@ -122,19 +106,19 @@ def circuit_to_text(gates: Sequence[str]) -> str:
 class CircuitSpec(Record):
     """A gate sequence in operation order (first gate applied first).
 
-    Built from its gate labels, CircuitSpec(("Gx", "Gy")), or from its
-    text, CircuitSpec("GxGy"); either way it holds the checked text, and
+    Built from its text, CircuitSpec("GxGy"), or from its gate labels,
+    CircuitSpec(("Gx", "Gy")); either way it holds the checked text, and
     ``gates`` and ``length`` are derived from it when read.
     """
 
     text: str
     core_length: int = 0
 
-    def __init__(self, gates: str | Sequence[str], core_length: int = 0) -> None:
-        if isinstance(gates, str):
-            text = _check_text(gates)
+    def __init__(self, text: str | Sequence[str], core_length: int = 0) -> None:
+        if isinstance(text, str):
+            text = _check_text(text)
         else:
-            text = circuit_to_text(_check_labels(gates, "circuit"))
+            text = circuit_to_text(_check_labels(text, "circuit"))
         check_core_length(core_length, text)
         self.__dict__.update(text=text, core_length=core_length)
 
@@ -266,28 +250,6 @@ def load_design(path: Path) -> GstDesign:
         germs=tuple(field(raw, "germs", _CIRCUITS, default=[])),
         max_germ_power=raw.get("max_germ_power"),
     )
-
-
-def save_design(design: GstDesign, path: str | Path) -> None:
-    obj: dict = {
-        "gates": list(design.gates),
-        "prep_fiducials": [circuit_to_text(f) for f in design.prep_fiducials],
-        "meas_fiducials": [circuit_to_text(f) for f in design.meas_fiducials],
-    }
-    if design.germs:
-        obj["germs"] = [circuit_to_text(g) for g in design.germs]
-    if design.max_germ_power is not None:
-        obj["max_germ_power"] = design.max_germ_power
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
-@loader()
-def load_circuits(path: Path) -> list[CircuitSpec]:
-    """Read a circuit list from its JSON file form."""
-    entries = read_json(path, ((list, (dict,)),))
-    specs = column(entries, "spec", (str,), "circuit entry")
-    cores = [entry.get("core_length", 0) for entry in entries]
-    return [CircuitSpec(spec, core) for spec, core in zip(specs, cores)]
 
 
 def save_circuits(circuits: Sequence[CircuitSpec], path: str | Path) -> None:

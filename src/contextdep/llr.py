@@ -34,7 +34,6 @@ from .counts import Record, record
 __all__ = [
     "AggregateTestResult",
     "TableTests",
-    "llr_statistics",
     "llr_tests",
     "llr_aggregate",
     "llr_threshold",

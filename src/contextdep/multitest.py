@@ -30,7 +30,6 @@ from .llr import (AggregateTestResult, TableTests, llr_aggregate, llr_threshold,
 __all__ = [
     "Decision",
     "MultiTestOutcome",
-    "hochberg",
     "combined_procedure",
 ]
 
@@ -131,13 +130,6 @@ class MultiTestOutcome(Decision, Record):
         if self.aggregate is None:
             return None
         return n_sigma_threshold(0.5 * self.alpha_local, self.aggregate.dof)
-
-
-def hochberg(p_values: Sequence[tuple[str, float]], alpha: float) -> MultiTestOutcome:
-    """Step-up correction at alpha over one family of (id, p-value) pairs;
-    see Decision for the threshold and the rejection rule."""
-    ids = [cid for cid, _ in p_values]
-    return MultiTestOutcome(ids, np.array([value for _, value in p_values], dtype=float), alpha)
 
 
 def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],

@@ -32,7 +32,6 @@ the counts are the same.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -50,14 +49,11 @@ from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
 __all__ = [
     "ErrorModel",
     "SimConfig",
-    "ideal_gate_model",
-    "gate_model_for_context",
-    "rotation_unitary",
-    "circuit_probabilities",
     "counts_stream",
+    "experiment_probabilities",
+    "sample_experiment",
     "run_drift_experiment",
     "load_error_model",
-    "save_error_model",
 ]
 
 _SIGMA = {
@@ -76,7 +72,7 @@ def rotation_unitary(axis: str, theta: float) -> np.ndarray:
 
 
 def ideal_gate_model() -> dict[str, np.ndarray]:
-    """The error-free unitaries for the registered single-qubit gates."""
+    """The error-free unitaries of the five gate labels circuit text may use."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return {
         "Gi": np.eye(2, dtype=complex),
@@ -345,21 +341,6 @@ def _walk_probabilities(texts: Sequence[str],
         raise RuntimeError(f"probabilities lost normalization (|p0 + p1 - 1| = "
                            f"{float(deviation[lost][0])!r}); non-unitary gate model?")
     return probs
-
-
-def circuit_probabilities(spec: CircuitSpec | str | Sequence[str],
-                          gate_model: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Outcome probabilities (p(0), p(1)) for |0> through the circuit.
-
-    The circuit is a CircuitSpec, its text, or its gate labels in
-    operation order, so the total unitary is the product in reverse.  Runs
-    of a repeated gate are raised to their power by binary matrix
-    powering, which keeps deep germ-power circuits cheap.  This is the
-    one-circuit, one-model case of experiment_probabilities.
-    """
-    if not isinstance(spec, CircuitSpec):
-        spec = CircuitSpec(spec)
-    return _walk_probabilities([spec.text], [gate_model])[0, 0]
 
 
 def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.Generator:
@@ -709,12 +690,3 @@ def load_error_model(path: Path) -> ErrorModel:
     contexts = {key: field(raw, key, (dict,)) for key in raw if key != "static_epsilon"}
     return ErrorModel(context_overrotations=contexts,
                       static_epsilon=raw.get("static_epsilon", 0.0))
-
-
-def save_error_model(error: ErrorModel, path: str | Path) -> None:
-    obj: dict = {
-        context: dict(gate_map)
-        for context, gate_map in error.context_overrotations.items()
-    }
-    obj["static_epsilon"] = error.static_epsilon
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")

@@ -24,8 +24,11 @@ import numpy as np
 
 from contextdep.counts import (FORMAT_VERSION, STRINGS, ContextDataset, DatasetError,
                                _count_table, column, field, read_json)
-from contextdep.gstgen import known_gate_labels
 from contextdep.qsim import _RUN, _Numbering, _sampling_distributions
+
+# The gate labels circuit text may use, written out here rather than read
+# from gstgen, so the file rules below stay an independent check.
+GATE_LABELS = frozenset({"Gi", "Gx", "Gy", "Gh", "Gs"})
 
 
 def chi2_sf_reference(x: float, k: int, dps: int = 60):
@@ -604,36 +607,25 @@ def plan_file_is_valid(obj) -> bool:
 
 
 def _circuit_text(text) -> bool:
-    # "{}", or registered gate labels written one after another, each 'G'
-    # plus a G-free suffix.
+    # "{}", or known gate labels written one after another, each 'G' plus a
+    # G-free suffix.
     labels = re.findall("G[^G]*", text) if isinstance(text, str) else []
     return text == "{}" or (bool(labels) and "".join(labels) == text
-                            and set(labels) <= known_gate_labels())
-
-
-def circuit_list_file_is_valid(obj) -> bool:
-    """Whether parsed JSON obeys the circuit-list file rules, written from the README.
-
-    The loader must accept exactly these files.
-    """
-    return isinstance(obj, list) and all(
-        isinstance(entry, dict) and _circuit_text(entry.get("spec"))
-        and (type(entry.get("core_length", 0)) is int and entry.get("core_length", 0) >= 0)
-        for entry in obj)
+                            and set(labels) <= GATE_LABELS)
 
 
 def design_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the design file rules, written from the README.
 
     The loader must accept exactly these files.  The gate set is a
-    non-empty array of distinct registered labels.  Fiducial lists are
+    non-empty array of distinct known labels.  Fiducial lists are
     non-empty; a fiducial or germ is circuit text or an array of
-    registered labels, and a germ has at least one gate.  max_germ_power,
+    known labels, and a germ has at least one gate.  max_germ_power,
     absent or null for none, is a power of two no larger than 2**16.
     """
     def circuit(value):
         if isinstance(value, list):
-            return all(isinstance(label, str) and label in known_gate_labels()
+            return all(isinstance(label, str) and label in GATE_LABELS
                        for label in value)
         return _circuit_text(value)
 

@@ -21,7 +21,7 @@ from contextdep.datasets import (data_path, drift_design, drift_error_model,
 from contextdep.divergence import jsd_from_llr, tvd_rows
 from contextdep.gstgen import lgst_circuits, lsgst_circuits
 from contextdep.llr import TableTests, llr_statistics, llr_tests
-from contextdep.multitest import combined_procedure, hochberg
+from contextdep.multitest import MultiTestOutcome, combined_procedure
 from contextdep.pipeline import run_analysis
 from contextdep.qsim import (ErrorModel, SimConfig, experiment_probabilities,
                              sample_experiment)
@@ -263,7 +263,8 @@ def _check_hochberg_oracle():
 
     def agree(p_values):
         pairs = [(f"q{i}", p) for i, p in enumerate(p_values)]
-        outcome = hochberg(pairs, alpha)
+        outcome = MultiTestOutcome([cid for cid, _ in pairs], np.array(p_values, dtype=float),
+                                   alpha)
         ref_rejected, ref_threshold = hochberg_subsets_reference(pairs, alpha)
         assert outcome.rejected_ids == ref_rejected, p_values
         assert abs(outcome.p_threshold - ref_threshold) <= 1e-15, p_values

@@ -7,6 +7,7 @@ checks the simulator end to end (the neighbor dataset is sampled from
 simulated probabilities).
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,6 +20,15 @@ from contextdep.datasets import data_path
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SCRIPTS = sorted(p.name for p in DEMOS.glob("*.py"))
+
+
+def import_demo(name):
+    """A script in demos/ as a module, without running its main: the
+    design and error-model writers live in build_bundled_data."""
+    spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, *args):

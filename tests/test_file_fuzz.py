@@ -4,9 +4,8 @@ A valid file of each kind is mutated: values swapped for other JSON types,
 fields dropped, strings put where arrays belong, floats and booleans where
 integers belong, values nested in arrays or objects, and array items
 repeated.  Each command in test_cli's FILE_COMMANDS table runs in process
-on the file, and load_circuits is called directly, since no command reads
-circuit lists.  A run must exit 0 (or return), or exit 1 with exactly one
-stderr line; it never raises.  _references has the rules of each kind: a
+on the file.  A run must exit 0, or exit 1 with exactly one stderr line;
+it never raises.  _references has the rules of each kind: a
 file the run accepts obeys them, and the loader accepts every file that
 does.  A command may still reject a well-typed file, for example a plan
 naming a context the dataset lacks.
@@ -25,12 +24,11 @@ from hypothesis import strategies as st
 
 from contextdep.cli import main
 from contextdep.counts import load_dataset
-from contextdep.gstgen import load_circuits, load_design
+from contextdep.gstgen import load_design
 from contextdep.pipeline import load_plan, load_report
 from contextdep.qsim import load_error_model
 
-from _references import (circuit_list_file_is_valid, dataset_file_is_valid,
-                         design_file_is_valid, error_model_file_is_valid,
+from _references import (dataset_file_is_valid, design_file_is_valid, error_model_file_is_valid,
                          load_dataset_reference, plan_file_is_valid, report_file_is_valid)
 from test_cli import FILE_COMMANDS, _mutated_report
 
@@ -59,9 +57,6 @@ KINDS = {
         {"id": "c1_vs_c2", "contexts": ["c1", "c2"], "weight": 1.0},
     ]}, plan_file_is_valid),
     "report": (load_report, _mutated_report(lambda entry: [entry]), report_file_is_valid),
-    "circuits": (load_circuits, [
-        {"spec": "{}", "core_length": 0}, {"spec": "GxGy", "core_length": 1},
-    ], circuit_list_file_is_valid),
 }
 
 # Huge integers among them: a max_germ_power of 2**40 must be one error
@@ -116,7 +111,7 @@ def mutated(draw, valid):
 
 
 def _run(command, loader, path: Path):
-    """(accepted, stderr) of the command, or of the loader, on the file."""
+    """(accepted, stderr) of the command, or of the loader if it is None, on the file."""
     if command is None:
         try:
             loader(path)
@@ -130,10 +125,7 @@ def _run(command, loader, path: Path):
     return code == 0, err.getvalue()
 
 
-CASES = [*FILE_COMMANDS, ("circuits", None)]
-
-
-@pytest.mark.parametrize("kind, command", CASES)
+@pytest.mark.parametrize("kind, command", FILE_COMMANDS)
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_mutated_file_exits_cleanly(kind, command, data):
@@ -152,7 +144,7 @@ def test_mutated_file_exits_cleanly(kind, command, data):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("kind, command", CASES)
+@pytest.mark.parametrize("kind, command", FILE_COMMANDS)
 def test_unmutated_file_is_accepted(kind, command):
     loader, valid, rules = KINDS[kind]
     assert rules(valid)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from contextdep.chi2 import chi2_sf
 from contextdep.llr import llr_aggregate, llr_tests, llr_threshold, n_sigma_threshold
-from contextdep.multitest import combined_procedure, hochberg
+from contextdep.multitest import MultiTestOutcome, combined_procedure
 
 from _references import bonferroni, hochberg_reference
 
@@ -16,63 +16,70 @@ def labeled(p_values):
     return [(f"q{i}", p) for i, p in enumerate(p_values)]
 
 
+def rows(p_values):
+    """The ids q0, q1, ... and the p-values as a float array, the step-up
+    correction's inputs."""
+    return [f"q{i}" for i in range(len(p_values))], np.array(p_values, dtype=float)
+
+
 class TestHochberg:
     def test_all_rejected_hand_trace(self):
         # l = 4 passes: p_(4) = 0.04 <= 0.05/1, so the threshold is 0.05.
-        outcome = hochberg(labeled([0.01, 0.02, 0.03, 0.04]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.01, 0.02, 0.03, 0.04]), 0.05)
         assert outcome.p_threshold == pytest.approx(0.05)
         assert outcome.rejected_ids == {"q0", "q1", "q2", "q3"}
 
     def test_partial_rejection_hand_trace(self):
         # Only l = 1 passes (0.01 <= 0.05/4), so the threshold is 0.0125.
-        outcome = hochberg(labeled([0.01, 0.04, 0.03, 0.9]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.01, 0.04, 0.03, 0.9]), 0.05)
         assert outcome.p_threshold == pytest.approx(0.05 / 4)
         assert outcome.rejected_ids == {"q0"}
         assert outcome.rejected.tolist() == [True, False, False, False]
 
     def test_nothing_rejected_reports_floor_threshold(self):
-        outcome = hochberg(labeled([0.3, 0.5, 0.7]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.3, 0.5, 0.7]), 0.05)
         assert outcome.rejected_ids == frozenset()
         assert outcome.p_threshold == pytest.approx(0.05 / 3)
         assert not outcome.detected
 
     def test_boundary_p_equal_to_threshold_not_rejected(self):
-        outcome = hochberg(labeled([0.05]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.05]), 0.05)
         assert outcome.p_threshold == pytest.approx(0.05)
         assert outcome.rejected_ids == frozenset()
 
     def test_tied_p_values(self):
-        outcome = hochberg(labeled([0.02, 0.02, 0.9]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.02, 0.02, 0.9]), 0.05)
         assert outcome.p_threshold == pytest.approx(0.05 / 2)
         assert outcome.rejected_ids == {"q0", "q1"}
 
     def test_zero_p_always_rejected(self):
-        outcome = hochberg(labeled([0.0, 0.99]), alpha=0.05)
+        outcome = MultiTestOutcome(*rows([0.0, 0.99]), 0.05)
         assert "q0" in outcome.rejected_ids
 
     def test_input_order_irrelevant(self):
         p_values = [0.011, 0.9, 0.004, 0.031, 0.05]
-        forward = hochberg(labeled(p_values), alpha=0.05)
-        shuffled = hochberg(list(reversed(labeled(p_values))), alpha=0.05)
+        forward = MultiTestOutcome(*rows(p_values), 0.05)
+        ids, p = rows(p_values)
+        shuffled = MultiTestOutcome(ids[::-1], p[::-1], 0.05)
         assert forward.rejected_ids == shuffled.rejected_ids
         assert forward.p_threshold == shuffled.p_threshold
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            hochberg([], alpha=0.05)
+            MultiTestOutcome(*rows([]), 0.05)
         with pytest.raises(ValueError):
-            hochberg(labeled([0.5]), alpha=0.0)
+            MultiTestOutcome(*rows([0.5]), 0.0)
         with pytest.raises(ValueError):
-            hochberg(labeled([1.5]), alpha=0.05)
+            MultiTestOutcome(*rows([1.5]), 0.05)
 
     def test_underflowing_budget_is_rejected_by_name(self):
         # 5e-324 / 3 rounds to 0, so the step-up's l = 2 for the two zero
         # p-values would give a threshold of 0.0 that rejects nothing.
-        pairs = [("a", 0.0), ("b", 0.0), ("c", 0.5)]
+        ids, p = ["a", "b", "c"], np.array([0.0, 0.0, 0.5])
         with pytest.raises(ValueError, match=r"^alpha 5e-324 is too small to split over "
                                              r"3 tests: alpha / 3 underflows to 0$"):
-            hochberg(pairs, 5e-324)
-        outcome = hochberg(pairs, 2e-323)
+            MultiTestOutcome(ids, p, 5e-324)
+        outcome = MultiTestOutcome(ids, p, 2e-323)
         assert outcome.p_threshold == 1e-323
         assert outcome.rejected_ids == {"a", "b"}
 
@@ -85,7 +92,7 @@ grid_p = st.integers(min_value=0, max_value=100).map(lambda n: n / 100)
        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.25]))
 def test_hochberg_matches_counting_reference(p_values, alpha):
     """The sort-based implementation agrees with an independent counting one."""
-    outcome = hochberg(labeled(p_values), alpha)
+    outcome = MultiTestOutcome(*rows(p_values), alpha)
     ref_rejected, ref_threshold = hochberg_reference(labeled(p_values), alpha)
     assert outcome.rejected_ids == ref_rejected
     assert outcome.p_threshold == pytest.approx(ref_threshold, rel=1e-12)
@@ -96,8 +103,8 @@ def test_hochberg_matches_counting_reference(p_values, alpha):
                                    allow_nan=False), min_size=1, max_size=10),
        alpha=st.floats(min_value=0.001, max_value=0.3))
 def test_hochberg_dominates_bonferroni(p_values, alpha):
-    pairs = labeled(p_values)
-    assert hochberg(pairs, alpha).rejected_ids >= bonferroni(pairs, alpha)[0]
+    assert (MultiTestOutcome(*rows(p_values), alpha).rejected_ids
+            >= bonferroni(labeled(p_values), alpha)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,10 +113,10 @@ def test_hochberg_dominates_bonferroni(p_values, alpha):
 def test_hochberg_monotone_in_p_values(p_values, index):
     """Lowering one p-value to zero never removes other rejections."""
     index %= len(p_values)
-    before = hochberg(labeled(p_values), 0.05).rejected_ids
+    before = MultiTestOutcome(*rows(p_values), 0.05).rejected_ids
     lowered = list(p_values)
     lowered[index] = 0.0
-    after = hochberg(labeled(lowered), 0.05).rejected_ids
+    after = MultiTestOutcome(*rows(lowered), 0.05).rejected_ids
     assert before - {f"q{index}"} <= after
 
 
@@ -141,7 +148,7 @@ class TestCombinedProcedure:
         assert outcome.aggregate_triggered
         assert outcome.detected
         assert "q0" in outcome.rejected_ids
-        relaxed = hochberg(list(zip(ids, results.p_value.tolist())), 0.05)
+        relaxed = MultiTestOutcome(ids, results.p_value, 0.05)
         assert outcome.p_threshold == pytest.approx(relaxed.p_threshold)
 
     def test_quiet_aggregate_halves_budget(self):
@@ -153,7 +160,7 @@ class TestCombinedProcedure:
         outcome = combined_procedure(results, ids, alpha=0.05)
         assert not outcome.aggregate_triggered
         assert not outcome.detected
-        strict = hochberg(list(zip(ids, results.p_value.tolist())), 0.025)
+        strict = MultiTestOutcome(ids, results.p_value, 0.025)
         assert outcome.p_threshold == pytest.approx(strict.p_threshold)
 
     def test_detection_via_aggregate_alone(self):
@@ -196,7 +203,7 @@ class TestCombinedProcedure:
         outcome = combined_procedure(results, ids, alpha=0.05)
         assert outcome.aggregate == llr_aggregate(results)
         assert outcome.n_sigma_threshold == n_sigma_threshold(0.025, outcome.aggregate.dof)
-        assert hochberg(labeled([0.01]), 0.05).aggregate is None
+        assert MultiTestOutcome(*rows([0.01]), 0.05).aggregate is None
 
 
 def test_null_family_wise_error_stays_near_alpha():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -15,21 +16,29 @@ from hypothesis import strategies as st
 from contextdep import qsim
 from contextdep.cli import main
 from contextdep.datasets import drift_design, drift_error_model
-from contextdep.gstgen import (EMPTY_CIRCUIT_TEXT, MAX_GERM_POWER, CircuitSpec, GstDesign,
-                               lsgst_circuits, save_design)
+from contextdep.gstgen import (_GATE_LABELS, EMPTY_CIRCUIT_TEXT, MAX_GERM_POWER, CircuitSpec,
+                               GstDesign, circuit_to_text, lsgst_circuits)
 from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
-                             _walk_probabilities, circuit_probabilities,
-                             counts_stream, experiment_probabilities,
-                             gate_model_for_context, ideal_gate_model,
-                             load_error_model, rotation_unitary,
-                             run_drift_experiment, sample_experiment,
-                             save_error_model)
+                             _walk_probabilities, counts_stream, experiment_probabilities,
+                             gate_model_for_context, ideal_gate_model, load_error_model,
+                             rotation_unitary, run_drift_experiment, sample_experiment)
 
 from _references import circuit_probabilities_reference, run_trie_reference, sample_counts
-from test_gstgen import registered_gate_labels
+from test_demos import import_demo
+
+_BUNDLED_DATA = import_demo("build_bundled_data")
+
+
+def one_circuit_probabilities(circuit, model):
+    """(p(0), p(1)) of one circuit, its text or its labels, under one gate
+    model: the walk over one circuit and one model."""
+    return _walk_probabilities([CircuitSpec(circuit).text], [model])[0, 0]
 
 
 class TestGateModel:
+    def test_every_label_circuit_text_may_use_has_a_unitary(self):
+        assert set(ideal_gate_model()) == _GATE_LABELS
+
     def test_all_gates_unitary(self):
         for label, matrix in ideal_gate_model().items():
             assert np.allclose(matrix.conj().T @ matrix, np.eye(2), atol=1e-14), label
@@ -57,36 +66,36 @@ class TestGateModel:
 class TestCircuitProbabilities:
     def test_ideal_values(self):
         model = ideal_gate_model()
-        assert circuit_probabilities((), model) == pytest.approx([1.0, 0.0])
-        assert circuit_probabilities(("Gx",), model) == pytest.approx([0.5, 0.5])
-        assert circuit_probabilities(("Gx", "Gx"), model) == pytest.approx(
+        assert one_circuit_probabilities((), model) == pytest.approx([1.0, 0.0])
+        assert one_circuit_probabilities(("Gx",), model) == pytest.approx([0.5, 0.5])
+        assert one_circuit_probabilities(("Gx", "Gx"), model) == pytest.approx(
             [0.0, 1.0], abs=1e-15)
-        assert circuit_probabilities(("Gh",), model) == pytest.approx([0.5, 0.5])
+        assert one_circuit_probabilities(("Gh",), model) == pytest.approx([0.5, 0.5])
         # H Z H = X flips the qubit; H S^4 H is the identity.
-        assert circuit_probabilities(("Gh", "Gs", "Gs", "Gh"), model) == pytest.approx(
+        assert one_circuit_probabilities(("Gh", "Gs", "Gs", "Gh"), model) == pytest.approx(
             [0.0, 1.0], abs=1e-15)
-        assert circuit_probabilities(
+        assert one_circuit_probabilities(
             ("Gh", "Gs", "Gs", "Gs", "Gs", "Gh"), model) == pytest.approx(
             [1.0, 0.0], abs=1e-15)
 
     def test_gate_model_without_a_used_label_is_an_error(self):
         model = {"Gx": ideal_gate_model()["Gx"]}
         with pytest.raises(ValueError, match=r"^no unitary for gate label 'Gy'$"):
-            circuit_probabilities(("Gx", "Gy"), model)
+            one_circuit_probabilities(("Gx", "Gy"), model)
 
     def test_over_rotated_quarter_turn(self):
         epsilon = 0.05 * math.pi
         error = ErrorModel(context_overrotations={"c": {"Gx": epsilon}})
         model = gate_model_for_context(error, "c")
-        probs = circuit_probabilities(("Gx",), model)
+        probs = one_circuit_probabilities(("Gx",), model)
         expected = math.cos(0.5 * (0.5 * math.pi + epsilon)) ** 2
         assert probs[0] == pytest.approx(expected, rel=1e-12)
         assert probs[0] == pytest.approx(0.4217827674798846, rel=1e-12)
 
     def test_accepts_circuit_spec(self):
         model = ideal_gate_model()
-        spec = CircuitSpec(gates=("Gx", "Gx"))
-        assert circuit_probabilities(spec, model) == pytest.approx(
+        spec = CircuitSpec(text=("Gx", "Gx"))
+        assert one_circuit_probabilities(spec.text, model) == pytest.approx(
             [0.0, 1.0], abs=1e-15)
 
     def test_run_compression_matches_naive_product(self):
@@ -97,7 +106,7 @@ class TestCircuitProbabilities:
         for g in gates:
             total = model[g] @ total
         naive = np.abs(total[:, 0]) ** 2
-        assert circuit_probabilities(gates, model) == pytest.approx(
+        assert one_circuit_probabilities(gates, model) == pytest.approx(
             list(naive), abs=1e-13)
 
     def test_germ_power_equals_matrix_power(self):
@@ -108,18 +117,18 @@ class TestCircuitProbabilities:
         for reps in (1, 4, 85):
             direct = np.linalg.matrix_power(block, reps)
             probs = np.abs(direct[:, 0]) ** 2
-            assert circuit_probabilities(germ * reps, model) == pytest.approx(
+            assert one_circuit_probabilities(germ * reps, model) == pytest.approx(
                 list(probs), abs=1e-12)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="Gz"):
-            circuit_probabilities(("Gz",), ideal_gate_model())
+            one_circuit_probabilities(("Gz",), ideal_gate_model())
 
     def test_norm_loss_raises_runtime_error(self):
         broken = dict(ideal_gate_model())
         broken["Gx"] = 0.5 * np.eye(2, dtype=complex)
         with pytest.raises(RuntimeError, match="normalization"):
-            circuit_probabilities(("Gx",), broken)
+            one_circuit_probabilities(("Gx",), broken)
 
     def test_deepest_circuits_stay_normalized(self):
         # |p0 + p1 - 1| grows by up to eps per gate, to 9.2e-12 at 65,542
@@ -139,7 +148,7 @@ class TestCircuitProbabilities:
 @given(gates=st.lists(st.sampled_from(["Gi", "Gx", "Gy", "Gh", "Gs"]),
                       min_size=0, max_size=20).map(tuple))
 def test_probabilities_always_normalized(gates):
-    probs = circuit_probabilities(gates, ideal_gate_model())
+    probs = one_circuit_probabilities(gates, ideal_gate_model())
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs >= -1e-15)
 
@@ -164,7 +173,7 @@ def gate_lists(draw, runs=GATE_RUNS):
 
 
 def circuit_lists():
-    return gate_lists().map(lambda circuits: [CircuitSpec(gates=g) for g in circuits])
+    return gate_lists().map(lambda circuits: [CircuitSpec(text=g) for g in circuits])
 
 
 @st.composite
@@ -195,7 +204,7 @@ def test_shared_prefix_walk_is_bit_identical_to_per_circuit_products(circuits, e
     assert table.shape == (len(circuits), len(contexts), 2)
     assert table.tobytes() == np.array(reference).tobytes()
     for spec, model in zip(circuits, models):
-        assert (circuit_probabilities(spec, model).tobytes()
+        assert (one_circuit_probabilities(spec.text, model).tobytes()
                 == circuit_probabilities_reference(spec.gates, model).tobytes())
     # Equal-angle contexts share one model: one walk, one model per distinct
     # angle set, and equal columns.
@@ -211,7 +220,7 @@ def test_prefix_ending_inside_a_run_is_not_shared():
     """GxGx then Gy shares no run with GxGxGx: Gx^3 is one matrix power."""
     error = ErrorModel(context_overrotations={"a": {"Gx": 0.0123, "Gy": -0.0456}})
     model = gate_model_for_context(error, "a")
-    circuits = [CircuitSpec(gates=g) for g in (
+    circuits = [CircuitSpec(text=g) for g in (
         ("Gx", "Gx", "Gy"), ("Gx", "Gx", "Gx"), ("Gx", "Gx"), ("Gx", "Gx", "Gx", "Gy"))]
     table = experiment_probabilities(circuits, error, ("a",))
     for spec, row in zip(circuits, table):
@@ -220,7 +229,8 @@ def test_prefix_ending_inside_a_run_is_not_shared():
 
 # Labels that are prefixes of one another: the texts GxGxx and GxGx share
 # the characters GxGx but only the label Gx, and GxGxGxx shares no run with
-# GxGxGx.
+# GxGxGx.  No checked circuit text holds these labels, but the walk reads
+# any label that is 'G' plus a G-free suffix.
 BOUNDARY_LABELS = ("Gx", "Gxx", "Gy", "Gxy")
 BOUNDARY_RUNS = st.lists(st.tuples(st.sampled_from(BOUNDARY_LABELS),
                                    st.integers(min_value=1, max_value=4)),
@@ -243,11 +253,9 @@ def boundary_models(draw):
          models=[{label: rotation_unitary("Gx", 0.1 * i + 0.05)
                   for i, label in enumerate(BOUNDARY_LABELS)}])
 def test_walk_shares_only_whole_labels_and_runs(circuits, models):
-    with registered_gate_labels("Gxx", "Gxy"):
-        specs = [CircuitSpec(gates=g) for g in circuits]
-    table = _walk_probabilities([spec.text for spec in specs], models)
-    reference = [[circuit_probabilities_reference(spec.gates, model) for model in models]
-                 for spec in specs]
+    table = _walk_probabilities([circuit_to_text(gates) for gates in circuits], models)
+    reference = [[circuit_probabilities_reference(gates, model) for model in models]
+                 for gates in circuits]
     assert table.tobytes() == np.array(reference).tobytes()
 
 
@@ -257,8 +265,7 @@ def test_prefix_ending_inside_a_label_is_not_shared():
              for i, label in enumerate(BOUNDARY_LABELS)}
     texts = ["GxGxGxx", "GxGxGx", "GxGx", "GxGxx", "GxxGx", "Gxx"]
     table = _walk_probabilities(texts, [model])
-    with registered_gate_labels("Gxx"):
-        gates = [CircuitSpec(text).gates for text in texts]
+    gates = [tuple(re.findall("G[^G]*", text)) for text in texts]
     for labels, row in zip(gates, table):
         assert row[0].tobytes() == circuit_probabilities_reference(labels, model).tobytes()
 
@@ -339,9 +346,7 @@ def _trie_size_against_reference(texts):
 def test_run_trie_equals_the_list_based_reference(circuits):
     """Duplicate words, the empty word, words that are prefixes of others
     and no words at all give the reference's nodes, numbered alike."""
-    with registered_gate_labels("Gxx", "Gxy"):
-        texts = [CircuitSpec(gates=g).text for g in circuits]
-    _trie_size_against_reference(texts)
+    _trie_size_against_reference([circuit_to_text(gates) for gates in circuits])
 
 
 @pytest.mark.parametrize("max_germ_power, nodes", [(None, 5837), (2048, 38651)])
@@ -360,7 +365,7 @@ def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
     and before the binomial ran as one array pass.  Its 4,034 cells draw
     2,556 times by BTPE and 1,478 times by inversion, at 100 shots."""
     design = dataclasses.replace(drift_design(), max_germ_power=2048)
-    save_design(design, tmp_path / "design.json")
+    _BUNDLED_DATA.save_design(design, tmp_path / "design.json")
     (tmp_path / "model.json").write_text(json.dumps(
         {"c1": {"Gx": 0.0, "Gy": 0.0}, "c2": {"Gx": 1e-4, "Gy": 1e-4},
          "static_epsilon": 1e-3}))
@@ -432,7 +437,7 @@ class TestErrorModelFiles:
             static_epsilon=5e-4,
         )
         path = tmp_path / "error.json"
-        save_error_model(error, path)
+        _BUNDLED_DATA.save_error_model(error, path)
         assert load_error_model(path) == error
 
     def test_model_without_contexts_is_rejected(self):
@@ -491,7 +496,7 @@ class TestSampling:
 
 
     def test_sample_experiment_matches_per_cell_draws(self):
-        circuits = [CircuitSpec(gates=("Gx",)), CircuitSpec(gates=("Gy", "Gy", "Gx"))]
+        circuits = [CircuitSpec(text=("Gx",)), CircuitSpec(text=("Gy", "Gy", "Gx"))]
         table = np.array([[[0.3, 0.7], [1.0, -1e-13]], [[0.5, 0.5], [0.9, 0.1]]])
         config = SimConfig(shots_per_context=50, seed=4, contexts=("a", "b"))
         dataset = sample_experiment(circuits, table, config)
@@ -501,7 +506,7 @@ class TestSampling:
                 assert dataset.circuit(spec.text).pool(context) == draw
 
     def test_sample_experiment_rejects_invalid_table(self):
-        circuits = [CircuitSpec(gates=("Gx",))]
+        circuits = [CircuitSpec(text=("Gx",))]
         config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
         with pytest.raises(ValueError, match="invalid probability vector"):
             sample_experiment(circuits, np.array([[[0.5, 0.5], [0.8, 0.8]]]), config)
@@ -524,7 +529,7 @@ class TestSampling:
     def test_sample_experiment_checks_the_table_shape_before_any_draw(self, shape, monkeypatch):
         # A wrong outcome, context or circuit count is named as one line;
         # no cell is drawn first, and a short table is not truncated.
-        circuits = [CircuitSpec(gates=("Gx",))]
+        circuits = [CircuitSpec(text=("Gx",))]
         config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
         monkeypatch.setattr(qsim, "_draw_cells", None)
         table = np.full(shape, 1.0 / shape[-1])
@@ -752,7 +757,7 @@ class TestExperiment:
 
     def test_identical_contexts_share_probabilities(self):
         error = ErrorModel(context_overrotations={"a": {"Gx": 0.01}, "b": {"Gx": 0.01}})
-        circuits = [CircuitSpec(gates=("Gx",)), CircuitSpec(gates=("Gx", "Gx"))]
+        circuits = [CircuitSpec(text=("Gx",)), CircuitSpec(text=("Gx", "Gx"))]
         table = experiment_probabilities(circuits, error, ("a", "b"))
         assert table[:, 0].tobytes() == table[:, 1].tobytes()
 

@@ -1,4 +1,5 @@
-"""Every writer saves a file its loader reads back equal.
+"""Every writer saves a file its loader reads back equal.  No loader reads
+circuit lists, so a saved list must rebuild its specs from the parsed JSON.
 
 Each constructor owns the rules of its file format, so any object it
 accepts must survive its writer and its loader unchanged.  The arguments
@@ -7,14 +8,21 @@ argument the constructor rejects ends the example, and one it accepts
 must round-trip.
 """
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextdep.counts import ContextDataset, load_dataset, save_dataset
-from contextdep.gstgen import (CircuitSpec, GstDesign, load_circuits, load_design,
-                               save_circuits, save_design)
-from contextdep.qsim import ErrorModel, load_error_model, save_error_model
+from contextdep.gstgen import CircuitSpec, GstDesign, load_design, save_circuits
+from contextdep.qsim import ErrorModel, load_error_model
+
+from test_demos import import_demo
+
+# The package reads designs and error models; the script that writes the
+# bundled ones holds their writers.
+_BUNDLED_DATA = import_demo("build_bundled_data")
 
 
 def _mostly(good, bad):
@@ -26,7 +34,7 @@ def _mostly(good, bad):
 _WRONG = (st.integers(-2, -1) | st.floats() | st.booleans() | st.text(max_size=2)
           | st.sampled_from([2.0, 2.5, -0.0, 10**400, None]))
 _TEXT = st.text(max_size=3)
-_GATE = _mostly(st.sampled_from(["Gx", "Gy", "Gi"]), st.just("Gq"))  # Gq is unregistered
+_GATE = _mostly(st.sampled_from(["Gx", "Gy", "Gi"]), st.just("Gq"))  # Gq is no gate label
 _GATES = st.lists(_GATE, min_size=1, max_size=3)
 _CIRCUIT = _mostly(_GATES | _GATES.map("".join) | st.just("{}"),
                    st.sampled_from(["", "Gx{}"]) | st.lists(_GATE | _WRONG, max_size=2))
@@ -83,7 +91,8 @@ def test_circuit_list_round_trip(tmp_path_factory, entries):
                 if (spec := _accepted(CircuitSpec, gates, core)) is not None]
     path = tmp_path_factory.mktemp("circuits") / "circuits.json"
     save_circuits(circuits, path)
-    assert load_circuits(path) == circuits
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    assert [CircuitSpec(e["spec"], e["core_length"]) for e in entries] == circuits
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,7 +103,7 @@ def test_error_model_round_trip(tmp_path_factory, contexts, static):
     error = _accepted(ErrorModel, contexts, static)
     if error is not None:
         path = tmp_path_factory.mktemp("error_model") / "error_model.json"
-        save_error_model(error, path)
+        _BUNDLED_DATA.save_error_model(error, path)
         assert load_error_model(path) == error
 
 
@@ -109,5 +118,5 @@ def test_design_round_trip(tmp_path_factory, gates, preps, meas, germs, power):
     design = _accepted(GstDesign, gates, preps, meas, germs, power)
     if design is not None:
         path = tmp_path_factory.mktemp("design") / "design.json"
-        save_design(design, path)
+        _BUNDLED_DATA.save_design(design, path)
         assert load_design(path) == design
