@@ -15,7 +15,7 @@ from .counts import (CircuitRecord, ContextDataset, DatasetError, load_dataset,
                      marginalize, save_dataset)
 from .gstgen import (CircuitSpec, GstDesign, circuit_to_text, lgst_circuits, load_design,
                      lsgst_circuits, parse_circuit_text, save_circuits)
-from .llr import AggregateTestResult, llr_aggregate, llr_threshold, n_sigma_threshold
+from .llr import AggregateTestResult, llr_aggregate, n_sigma_threshold
 from .multitest import MultiTestOutcome, combined_procedure
 from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        ComparisonReport, jsd_profile, load_plan, load_report,

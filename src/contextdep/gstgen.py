@@ -64,7 +64,7 @@ def _check_labels(gates: Iterable[str], where: str) -> tuple[str, ...]:
                          f"got {gates!r}") from None
     if not known:
         label = next(label for label in labels if label not in _GATE_LABELS)
-        raise ValueError(f"{where}: unregistered gate label {label!r}")
+        raise ValueError(f"{where}: unknown gate label {label!r}")
     return labels
 
 

@@ -25,6 +25,7 @@ expectation.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "TableTests",
     "llr_tests",
     "llr_aggregate",
-    "llr_threshold",
     "n_sigma_threshold",
 ]
 
@@ -147,23 +147,15 @@ def llr_tests(counts: np.ndarray) -> TableTests:
     )
 
 
-def llr_aggregate(tests: TableTests) -> AggregateTestResult:
-    """Sum per-circuit statistics into one high-power joint test."""
-    if not len(tests.llr):
+def llr_aggregate(llr: np.ndarray, dof: int) -> AggregateTestResult:
+    """One joint test of statistics of dof degrees of freedom each, added left
+    to right (sum compensates from Python 3.12 on) to a finite sum >= 0."""
+    if not len(llr):
         raise ValueError("cannot aggregate zero test results")
-    # Python's sum, left to right, not numpy's pairwise sum.
-    llr_total = sum(tests.llr.tolist())
-    dof_total = tests.dof * len(tests.llr)
-    return AggregateTestResult(
-        llr=llr_total,
-        dof=dof_total,
-        p_value=chi2_sf(llr_total, dof_total),
-    )
-
-
-def llr_threshold(p_threshold: float, dof: int) -> float:
-    """Statistic value whose p-value equals p_threshold, for k = dof."""
-    return chi2_isf(p_threshold, dof)
+    total, k = reduce(float.__add__, llr.tolist(), 0.0), dof * len(llr)
+    if not 0.0 <= total < math.inf:
+        raise ValueError(f"the rows' 'llr' must sum to a finite number >= 0, got {total!r}")
+    return AggregateTestResult(llr=total, dof=k, p_value=chi2_sf(total, k))
 
 
 def n_sigma_threshold(alpha: float, dof: int) -> float:

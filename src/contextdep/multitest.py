@@ -12,7 +12,7 @@ on context, spending half the local budget there; the per-circuit tests
 then run at the full budget if the aggregate already triggered (the
 global null is gone, so they only localize) and at the remaining half
 otherwise.  The decision has one implementation, Decision: MultiTestOutcome
-and pipeline.ComparisonReport store its inputs and inherit it.
+and pipeline.ComparisonReport hold its inputs and inherit it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .chi2 import chi2_isf
 from .counts import Record, record
-from .llr import (AggregateTestResult, TableTests, llr_aggregate, llr_threshold,
-                  n_sigma_threshold)
+from .llr import AggregateTestResult, TableTests, llr_aggregate, n_sigma_threshold
 
 __all__ = [
     "Decision",
@@ -36,7 +36,8 @@ __all__ = [
 
 class Decision:
     """A correction procedure's decision, derived from ``p_value`` (the Q
-    rows' p-values), ``alpha_local`` and ``aggregate`` (None for Hochberg).
+    rows' p-values), ``alpha_local``, ``aggregate`` (None for Hochberg) and
+    ``dof``, the rows' common degrees of freedom (None where unknown).
 
     ``aggregate_triggered`` is the aggregate's p strictly below
     alpha_local / 2.  ``p_threshold`` is Hochberg's at the budget beta:
@@ -45,8 +46,9 @@ class Decision:
     beta / (Q - l_max + 1); with no such l, beta / Q, below which (by the
     failed l = 1 condition) no p-value lies.  ``rejected`` is the mask
     p_value < p_threshold, so a p at the threshold is not rejected, and
-    ``detected`` is a trigger or any rejection.
-    """
+    ``detected`` is a trigger or any rejection.  ``llr_threshold`` (p_threshold
+    on dof) and ``n_sigma_threshold`` (alpha_local / 2 on the aggregate's dof)
+    are chi-squared quantiles, None where their input is."""
 
     def _check_decision(self, row_id) -> None:
         """Refuse inputs no decision exists for: no rows, a budget outside
@@ -96,14 +98,21 @@ class Decision:
     def detected(self) -> bool:
         return self.aggregate_triggered or bool(self.rejected.any())
 
+    @cached_property
+    def llr_threshold(self) -> float | None:
+        return None if self.dof is None else chi2_isf(self.p_threshold, self.dof)
+
+    @cached_property
+    def n_sigma_threshold(self) -> float | None:
+        agg = self.aggregate
+        return None if agg is None else n_sigma_threshold(0.5 * self.alpha_local, agg.dof)
+
 
 @record
 class MultiTestOutcome(Decision, Record):
     """A procedure's inputs: the rows' ``ids`` and p-values, the budget, and
     for combined_procedure the aggregate and the rows' common ``dof``.
-    Derived when read: the Decision, ``rejected_ids``, and ``llr_threshold``
-    (the statistic equivalent to p_threshold) and ``n_sigma_threshold`` (at
-    alpha_local / 2), each None where its input is."""
+    Derived when read: the Decision and ``rejected_ids``."""
 
     ids: Sequence[str]
     p_value: np.ndarray
@@ -121,16 +130,6 @@ class MultiTestOutcome(Decision, Record):
     def rejected_ids(self) -> frozenset[str]:
         return frozenset(compress(self.ids, self.rejected.tolist()))
 
-    @cached_property
-    def llr_threshold(self) -> float | None:
-        return None if self.dof is None else llr_threshold(self.p_threshold, self.dof)
-
-    @cached_property
-    def n_sigma_threshold(self) -> float | None:
-        if self.aggregate is None:
-            return None
-        return n_sigma_threshold(0.5 * self.alpha_local, self.aggregate.dof)
-
 
 def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
                        alpha: float) -> MultiTestOutcome:
@@ -142,4 +141,5 @@ def combined_procedure(tests: TableTests, circuit_ids: Sequence[str],
     """
     if len(circuit_ids) != len(tests.p_value):
         raise ValueError(f"{len(circuit_ids)} circuit ids for {len(tests.p_value)} results")
-    return MultiTestOutcome(circuit_ids, tests.p_value, alpha, llr_aggregate(tests), tests.dof)
+    return MultiTestOutcome(circuit_ids, tests.p_value, alpha,
+                            llr_aggregate(tests.llr, tests.dof), tests.dof)

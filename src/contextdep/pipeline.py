@@ -37,7 +37,7 @@ from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, Record, RowV
                      write_rows)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
-from .llr import AggregateTestResult, TableTests, llr_tests
+from .llr import AggregateTestResult, TableTests, llr_aggregate, llr_tests
 from .multitest import Decision, combined_procedure
 
 __all__ = [
@@ -202,6 +202,13 @@ def _gathered(name: str) -> property:
     return property(lambda report: report.store.columns[len(report.contexts)][name][report.tables])
 
 
+def _check_k(k: int, n_rows: int, n_contexts: int) -> None:
+    # Each row's test has (contexts - 1) (outcomes - 1) dof, and outcomes >= 2.
+    if n_contexts < 2 or k < 1 or k % (n_rows * (n_contexts - 1)):
+        raise ValueError(f"aggregate 'k' must be a positive multiple of rows x (contexts - 1)"
+                         f" = {n_rows} x {n_contexts - 1}, got {reprlib.repr(k)}")
+
+
 @record
 class ComparisonReport(Decision, Record):
     """Everything one comparison concluded, internally consistent.
@@ -210,15 +217,14 @@ class ComparisonReport(Decision, Record):
     ``rows`` into the store's ids and ``tables`` into its tables of this
     many contexts, from which ``circuit_ids`` and the _STORED columns
     (float64 llr, p_value, jsd and tvd, bool small_sample and tvd_null) are
-    gathered when read.  The report holds float64 jsd_threshold and
-    sstvd_per_gate, null where sstvd_per_gate_null says.  The decision
-    (aggregate_triggered, p_threshold, rejected, detected) is
-    multitest.Decision's, from p_value, alpha_local and the aggregate,
-    which it checks when the report is built, with the rules of the rows:
-    their circuit ids are distinct, the aggregate's dof is a positive
-    multiple of rows x (contexts - 1), and only a comparison of two
-    contexts has a tvd.  The SSTVD, like a per-gate SSTVD, is shown only on
-    rejected rows with a tvd (``sstvd_null``).
+    gathered when read; each row's test has ``dof`` degrees of freedom.  The
+    report holds float64 jsd_threshold and sstvd_per_gate, null where
+    sstvd_per_gate_null says.  The rest is derived: the ``aggregate`` of the
+    rows' llr, and multitest.Decision's decision and thresholds, whose
+    inputs it checks when the report is built, with the rules of the rows:
+    distinct circuit ids, a dof that is a positive multiple of contexts - 1,
+    and a tvd only in a comparison of two contexts.  The SSTVD, like a
+    per-gate SSTVD, is shown only on rejected rows with a tvd (``sstvd_null``).
     ``circuits`` is a read-only view of the rows as one CircuitAnalysis per
     row.  Reports are equal when their headers and columns are, from one
     store or two.
@@ -227,9 +233,7 @@ class ComparisonReport(Decision, Record):
     comparison_id: str
     contexts: tuple[str, ...]
     alpha_local: float
-    aggregate: AggregateTestResult
-    n_sigma_threshold: float
-    llr_threshold: float | None
+    dof: int
     store: TableStore
     rows: np.ndarray
     tables: np.ndarray
@@ -241,25 +245,18 @@ class ComparisonReport(Decision, Record):
     llr, p_value, jsd, small_sample, tvd, tvd_null = map(_gathered, _STORED)
 
     def __init__(self, comparison_id: str, contexts: tuple[str, ...], alpha_local: float,
-                 aggregate: AggregateTestResult, n_sigma_threshold: float,
-                 llr_threshold: float | None, store: TableStore, rows: np.ndarray,
-                 tables: np.ndarray, jsd_threshold: np.ndarray, sstvd_per_gate: np.ndarray,
+                 dof: int, store: TableStore, rows: np.ndarray, tables: np.ndarray,
+                 jsd_threshold: np.ndarray, sstvd_per_gate: np.ndarray,
                  sstvd_per_gate_null: np.ndarray, warnings: tuple[str, ...] = ()) -> None:
         self.__dict__.update(
-            comparison_id=comparison_id, contexts=contexts, alpha_local=alpha_local,
-            aggregate=aggregate, n_sigma_threshold=n_sigma_threshold,
-            llr_threshold=llr_threshold, store=store, rows=rows, tables=tables,
-            jsd_threshold=jsd_threshold, sstvd_per_gate=sstvd_per_gate,
-            sstvd_per_gate_null=sstvd_per_gate_null, warnings=warnings)
+            comparison_id=comparison_id, contexts=contexts, alpha_local=alpha_local, dof=dof,
+            store=store, rows=rows, tables=tables, jsd_threshold=jsd_threshold, warnings=warnings,
+            sstvd_per_gate=sstvd_per_gate, sstvd_per_gate_null=sstvd_per_gate_null)
         if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
         distinct_labels(self.store.circuit_ids[self.rows].tolist(), "circuit id", minimum=0)
-        # Each row's test has (contexts - 1) (outcomes - 1) dof, and outcomes >= 2.
-        n_contexts, dof = len(self.contexts), self.aggregate.dof
-        unit = len(self.rows) * (n_contexts - 1)
-        if unit < 1 or dof < 1 or dof % unit:
-            raise ValueError(f"aggregate 'k' must be a positive multiple of rows x (contexts - 1)"
-                             f" = {len(self.rows)} x {n_contexts - 1}, got {reprlib.repr(dof)}")
+        n_contexts = len(self.contexts)
+        _check_k(self.dof * len(self.rows), len(self.rows), n_contexts)
         if n_contexts > 2 and not self.tvd_null.all():
             row_id = self.store.circuit_ids[self.rows[np.argmin(self.tvd_null)]]
             raise ValueError(f"'tvd' of {row_id!r} must be null: a TVD is between two "
@@ -299,6 +296,10 @@ class ComparisonReport(Decision, Record):
             float(self.jsd_threshold[i]), tvd, tvd if shown else None,
             float(self.sstvd_per_gate[i]) if shown and not self.sstvd_per_gate_null[i] else None,
             bool(self.rejected[i]), bool(column["small_sample"][table]))
+
+    @cached_property
+    def aggregate(self) -> AggregateTestResult:
+        return llr_aggregate(self.llr, self.dof)
 
     @cached_property
     def sstvd_null(self) -> np.ndarray:
@@ -407,9 +408,7 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
                 per_gate[i], per_gate_null[i] = columns["tvd"][where[i]] / n_gates, False
         reports.append(ComparisonReport(
             comparison_id=comparison.comparison_id, contexts=comparison.contexts,
-            alpha_local=alpha_local, aggregate=outcome.aggregate,
-            n_sigma_threshold=outcome.n_sigma_threshold, llr_threshold=outcome.llr_threshold,
-            store=store, rows=rows, tables=where,
+            alpha_local=alpha_local, dof=tests.dof, store=store, rows=rows, tables=where,
             # All rows share one dof, so the outcome's statistic threshold is theirs.
             jsd_threshold=jsd_from_llr(outcome.llr_threshold, tests.n_total),
             sstvd_per_gate=per_gate, sstvd_per_gate_null=per_gate_null, warnings=warnings))
@@ -534,11 +533,11 @@ def _load_comparison(entry: dict) -> ComparisonReport:
     rows = field(entry, "circuits", ((list, (dict,)),))
     if not rows:
         raise ValueError("'circuits' is empty; a comparison has circuit rows")
-    dof = field(agg, "k", (int,))
-    # The decision and N_sigma compute with these as floats.
+    k = field(agg, "k", (int,))
+    # Held as floats, so an integer here must lie within float range.
     alpha_local = _float(field(entry, "alpha_local", NUMBER), "alpha_local")
-    llr = _float(field(agg, "llr", NUMBER), "llr")
-    _float(dof, "k")
+    _float(field(agg, "llr", NUMBER), "llr")
+    _float(k, "k")
     columns = {}
     try:
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
@@ -555,25 +554,35 @@ def _load_comparison(entry: dict) -> ComparisonReport:
     rejected = np.array(column(rows, "rejected", (bool,), "circuit"), dtype=bool)
     columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), "circuit", False),
                                        dtype=bool)
-    values = dict(
-        comparison_id=entry["comparison_id"],
-        contexts=tuple(field(entry, "contexts", STRINGS)),
-        alpha_local=alpha_local,
-        aggregate=AggregateTestResult(llr=llr, dof=dof, p_value=field(agg, "p", NUMBER)),
-        n_sigma_threshold=field(agg, "n_sigma_threshold", NUMBER),
-        llr_threshold=field(entry, "llr_threshold", NUMBER + (type(None),)),
-        circuit_ids=tuple(column(rows, "id", (str,), "circuit")),
-        warnings=tuple(field(entry, "warnings", STRINGS, default=[])))
-    report = ComparisonReport.from_columns(**values, **columns)
+    contexts = tuple(field(entry, "contexts", STRINGS))
+    field(agg, "p", NUMBER), field(agg, "n_sigma_threshold", NUMBER)  # required; see below
+    field(entry, "llr_threshold", NUMBER + (type(None),))
+    circuit_ids = tuple(column(rows, "id", (str,), "circuit"))
+    warnings = tuple(field(entry, "warnings", STRINGS, default=[]))
+    # k is the rows' dof summed; as the report does, name a repeated id first.
+    distinct_labels(circuit_ids, "circuit id", minimum=0)
+    _check_k(k, len(rows), len(contexts))
+    try:  # the chi-squared functions fail only for a huge k
+        report = ComparisonReport.from_columns(
+            comparison_id=entry["comparison_id"], contexts=contexts, alpha_local=alpha_local,
+            dof=k // len(rows), circuit_ids=circuit_ids, warnings=warnings, **columns)
+        aggregate, n_sigma_threshold, llr_threshold = (
+            report.aggregate, report.n_sigma_threshold, report.llr_threshold)
+    except (RuntimeError, ArithmeticError) as exc:
+        raise ValueError(f"aggregate 'k' {reprlib.repr(k)} is beyond the chi-squared "
+                         f"functions' range ({exc})") from None
     # A derived value the file states must be the report's, the header's
     # first: an omitted one is not checked, and a stated number is the
     # report's float bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
     for obj, key, kinds, derived, rule in (
-            (agg, "n_sigma", NUMBER, report.aggregate.n_sigma, "(llr - k) / sqrt(2 k)"),
-            (agg, "triggered", (bool,), report.aggregate_triggered,
-             "whether p < alpha_local / 2"),
+            (agg, "llr", NUMBER, aggregate.llr, "the rows' llr summed in order"),
+            (agg, "p", NUMBER, aggregate.p_value, "the chi-squared survival of llr on k"),
+            (agg, "n_sigma", NUMBER, aggregate.n_sigma, "(llr - k) / sqrt(2 k)"),
+            (agg, "n_sigma_threshold", NUMBER, n_sigma_threshold, "the N_sigma of alpha_local / 2"),
+            (agg, "triggered", (bool,), report.aggregate_triggered, "whether p < alpha_local / 2"),
             (entry, "p_threshold", NUMBER, report.p_threshold, "the step-up threshold of the "
-             "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger")):
+             "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger"),
+            (entry, "llr_threshold", NUMBER, llr_threshold, "the llr of p_threshold on k / rows")):
         stated = field(obj, key, kinds, default=derived)
         if repr(_float(stated, key)) != repr(float(derived)):
             raise ValueError(f"{key!r} must be {derived!r}: {rule}, got {stated!r}")
@@ -602,13 +611,12 @@ def load_report(path: Path) -> list[ComparisonReport]:
     fields, and circuit rows that are objects, is a ValueError; so is a
     file without comparisons, a comparison_id that repeats, a comparison
     without rows, an alpha_local, llr, k or row number beyond float range,
-    a report ComparisonReport refuses (a repeated row id, a k that is not a
-    positive multiple of rows x (contexts - 1), a tvd on more than two
-    contexts, an alpha_local outside (0, 1) or too small to split, a p
-    outside [0, 1]), a stated n_sigma, triggered, p_threshold, rejected,
-    sstvd or detected other than the report derives, or an sstvd_per_gate
-    where the sstvd is null.  A fault in a comparison begins with its
-    index and id.
+    a k that is not a positive multiple of rows x (contexts - 1) or is too
+    large for the chi-squared functions, a report ComparisonReport refuses
+    (by the rules of its rows and of multitest.Decision's inputs), a stated
+    header value (a null llr_threshold included), rejected, sstvd or
+    detected other than the report derives, or an sstvd_per_gate where the
+    sstvd is null.  A fault in a comparison begins with its index and id.
     """
     raw = read_json(path, ((list, (dict,)),))
     if not raw:

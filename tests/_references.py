@@ -22,6 +22,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.counts import (FORMAT_VERSION, STRINGS, ContextDataset, DatasetError,
                                _count_table, column, field, read_json)
 from contextdep.qsim import _RUN, _Numbering, _sampling_distributions
@@ -661,18 +662,23 @@ def report_file_is_valid(obj) -> bool:
     A per-circuit number, `alpha_local` and the aggregate's `llr` and `k`
     are held as floats, so an integer there must lie within float range.  The
     decision's inputs have a domain: `alpha_local` lies in (0, 1),
-    alpha_local / 2 / rows does not underflow to 0, and every p, the
-    aggregate's and the rows', lies in [0, 1] (NaN does not).  The
-    aggregate triggered exactly when its p is below alpha_local / 2, and
-    n_sigma is (llr - k) / sqrt(2 k); p_threshold is Hochberg's at
-    alpha_local if it triggered and at alpha_local / 2 otherwise
-    (combined_procedure_reference).  A
-    stated n_sigma, triggered or p_threshold is that value (the same
-    float).  A row is rejected exactly when its p is below p_threshold; a
-    stated sstvd is the row's tvd (the same float) where the row is
-    rejected and has one, and null elsewhere; sstvd_per_gate is null where
-    that sstvd is; a stated detected is whether the aggregate triggered or
-    some row is rejected.
+    alpha_local / 2 / rows does not underflow to 0, and every row's p lies
+    in [0, 1] (NaN does not).  The header follows from the rows: the
+    aggregate's llr is the rows' llr added in order from 0.0, a finite
+    number >= 0; its p is chi2_sf(llr, k); n_sigma is (llr - k) / sqrt(2 k)
+    and n_sigma_threshold (chi2_isf(alpha_local / 2, k) - k) / sqrt(2 k).
+    The aggregate triggered exactly when its p is below alpha_local / 2;
+    p_threshold is Hochberg's at alpha_local if it triggered and at
+    alpha_local / 2 otherwise (combined_procedure_reference), and
+    llr_threshold is chi2_isf(p_threshold, k / rows).  Where contextdep.chi2
+    has no value for these (a k too large for it), the file is invalid.
+    The stated llr, p, n_sigma_threshold and llr_threshold, and a stated
+    n_sigma, triggered or p_threshold, are those values (the same float; a
+    null llr_threshold is not).  A row is rejected exactly when its p is
+    below p_threshold; a stated sstvd is the row's tvd (the same float)
+    where the row is rejected and has one, and null elsewhere;
+    sstvd_per_gate is null where that sstvd is; a stated detected is
+    whether the aggregate triggered or some row is rejected.
     """
     def number(value):
         return type(value) in (int, float)
@@ -701,14 +707,29 @@ def report_file_is_valid(obj) -> bool:
 
     def derived_values_hold(entry):
         aggregate, alpha, rows = entry["aggregate"], float(entry["alpha_local"]), entry["circuits"]
-        if not (0.0 < alpha < 1.0 and alpha / 2 / len(rows) > 0.0 and 0 <= aggregate["p"] <= 1
+        k = aggregate["k"]
+        llr = 0.0
+        for row in rows:
+            llr += float(row["llr"])
+        if not (0.0 < alpha < 1.0 and alpha / 2 / len(rows) > 0.0 and 0.0 <= llr < math.inf
                 and all(0.0 <= float(row["p"]) <= 1.0 for row in rows)):
             return False
-        n_sigma = (float(aggregate["llr"]) - aggregate["k"]) / math.sqrt(2.0 * aggregate["k"])
-        triggered, _, threshold, detected = combined_procedure_reference(
-            [(row["id"], float(row["p"])) for row in rows], alpha, aggregate["p"])
-        if not (stated(aggregate, "n_sigma", n_sigma) and stated(entry, "p_threshold", threshold)
-                and aggregate.get("triggered", triggered) is triggered):
+        try:
+            p = chi2_sf(llr, k)
+            triggered, _, threshold, detected = combined_procedure_reference(
+                [(row["id"], float(row["p"])) for row in rows], alpha, p)
+            header = {"llr": llr, "p": p, "n_sigma": (llr - k) / math.sqrt(2.0 * k),
+                      "n_sigma_threshold": (chi2_isf(alpha / 2, k) - k) / math.sqrt(2.0 * k)}
+            llr_threshold = chi2_isf(threshold, k // len(rows))
+        # chi2 has no value for a k this large: it fails to converge, divides
+        # by zero, or (near the largest double) takes the log of 0.
+        except (RuntimeError, ArithmeticError, ValueError):
+            return False
+        if not (all(stated(aggregate, key, value) for key, value in header.items())
+                and stated(entry, "p_threshold", threshold)
+                and aggregate.get("triggered", triggered) is triggered
+                and entry["llr_threshold"] is not None
+                and stated(entry, "llr_threshold", llr_threshold)):
             return False
         for row in rows:
             rejected = float(row["p"]) < threshold

@@ -22,11 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextdep import llr
-from contextdep.chi2 import chi2_sf
+from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.counts import CircuitRecord
 from contextdep.divergence import jsd_from_llr, tvd_rows
 from contextdep.gstgen import parse_circuit_text
-from contextdep.llr import llr_statistics, llr_tests, llr_threshold
+from contextdep.llr import llr_statistics, llr_tests
 from contextdep.multitest import combined_procedure
 from contextdep.pipeline import (ComparisonPlan, jsd_profile, run_analysis, save_report,
                                  write_jsd_profile_csv)
@@ -42,7 +42,7 @@ def check_against_loop(dataset):
         rows, warnings = comparison_rows_reference(dataset, report.contexts)
         assert list(report.warnings) == warnings
         assert [line.circuit_id for line in report.circuits] == [r["circuit_id"] for r in rows]
-        assert report.llr_threshold == llr_threshold(report.p_threshold, rows[0]["dof"])
+        assert report.llr_threshold == chi2_isf(report.p_threshold, rows[0]["dof"])
         for line, row in zip(report.circuits, rows):
             assert line.llr == row["llr"]
             assert line.p_value == chi2_sf(row["llr"], row["dof"])
@@ -204,8 +204,9 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
             assert getattr(report, name).tobytes() == column.tobytes(), name
         assert [line.sstvd for line in report.circuits] == [
             float(value) if show else None for value, show in zip(tvd, shown)]
-        assert (report.aggregate, report.p_threshold, report.llr_threshold) == (
-            outcome.aggregate, outcome.p_threshold, outcome.llr_threshold)
+        assert (report.aggregate, report.p_threshold, report.llr_threshold,
+                report.n_sigma_threshold) == (outcome.aggregate, outcome.p_threshold,
+                                              outcome.llr_threshold, outcome.n_sigma_threshold)
 
     with tempfile.TemporaryDirectory() as tmp:
         written, reference = Path(tmp, "written"), Path(tmp, "reference")
@@ -222,7 +223,8 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
 def test_each_table_and_p_value_computed_once_per_plan(monkeypatch):
     """The work is counted: one statistic per distinct count table of the
     plan, one survival function per distinct (dof, statistic bits), plus
-    one per comparison's aggregate."""
+    two per comparison's aggregate: combined_procedure's, and the report's,
+    which it derives from its rows."""
     rng = np.random.default_rng(3)
     contexts = ("t0", "t1", "t2", "t3")
     dataset = records_dataset(2, contexts, [
@@ -252,4 +254,4 @@ def test_each_table_and_p_value_computed_once_per_plan(monkeypatch):
     assert all(report.store is store for report in reports)
     assert sum(len(columns["llr"]) for columns in store.columns.values()) == len(tables)
     assert sum(statistic_rows) == len(tables)
-    assert len(sf_calls) == len(statistics) + len(reports)
+    assert len(sf_calls) == len(statistics) + 2 * len(reports)

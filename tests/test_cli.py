@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.cli import main
 from contextdep.counts import load_dataset
 from contextdep.datasets import data_path
@@ -878,13 +880,16 @@ class TestExitCodes:
 
 
 def _mutated_report(change):
-    # The header agrees with the row: n_sigma is (llr - k) / sqrt(2 k), p is
-    # not below alpha_local / 2, and so p_threshold is alpha_local / 2.
+    # The header is the row's: llr 4 on k = 1 has p 0.0455, not below
+    # alpha_local / 2, so p_threshold is alpha_local / 2; n_sigma is
+    # (llr - k) / sqrt(2 k), and both thresholds are chi-squared quantiles.
     entry = {
         "comparison_id": "a_vs_b", "contexts": ["a", "b"], "alpha_local": 0.05,
-        "aggregate": {"llr": 4.0, "k": 1, "p": 0.05, "n_sigma": 2.1213203435596424,
-                      "n_sigma_threshold": 1.9, "triggered": False},
-        "p_threshold": 0.025, "llr_threshold": 5.0, "detected": False, "warnings": [],
+        "aggregate": {"llr": 4.0, "k": 1, "p": chi2_sf(4.0, 1), "n_sigma": 2.1213203435596424,
+                      "n_sigma_threshold": (chi2_isf(0.025, 1) - 1) / math.sqrt(2.0),
+                      "triggered": False},
+        "p_threshold": 0.025, "llr_threshold": chi2_isf(0.025, 1), "detected": False,
+        "warnings": [],
         "circuits": [{"id": "Gx", "llr": 4.0, "p": 0.05, "jsd": 0.01, "jsd_threshold": 0.0125,
                       "tvd": 0.1, "sstvd": None, "sstvd_per_gate": None,
                       "rejected": False, "small_sample": False}],
@@ -981,26 +986,50 @@ def _summarize_parsed(report, tmp_path, capsys):
 
 
 def _first_row(rejected):
-    return lambda rows: next(row for row in rows if row["rejected"] is rejected)
+    return lambda entry: next(row for row in entry["circuits"] if row["rejected"] is rejected)
+
+
+def _agg(entry):
+    """The aggregate, without the n_sigma that restates its llr and k."""
+    del entry["aggregate"]["n_sigma"]
+    return entry["aggregate"]
+
+
+def _row0_agg(entry):
+    """The aggregate of the first row alone, without the values that the
+    other rows decided (n_sigma, p_threshold)."""
+    del entry["circuits"][1:], entry["p_threshold"]
+    return _agg(entry)
 
 
 # t1_vs_t2 rejects nothing; its first row is {}, at p = 1.  t1_vs_t3 rejects 3 rows.
+# The header's llr, p, n_sigma_threshold and llr_threshold are derived too:
+# t1_vs_t2's rows sum to 1,185.44 on k = 1,405, at p 0.999994.  Each file
+# but the p of 1.5 was once summarized, the forged llr as N_sigma 18,838.06;
+# a k of 2**40 has no chi-squared quantile at alpha_local / 2.
 @pytest.mark.parametrize("comparison_id, pick, key, value", [
-    ("t1_vs_t2", lambda rows: rows[0], "sstvd", 0.99),
-    ("t1_vs_t2", lambda rows: rows[0], "rejected", True),
+    ("t1_vs_t2", lambda entry: entry["circuits"][0], "sstvd", 0.99),
+    ("t1_vs_t2", lambda entry: entry["circuits"][0], "rejected", True),
     ("t1_vs_t2", None, "detected", True),
     ("t1_vs_t3", _first_row(True), "sstvd", 0.5),
     ("t1_vs_t3", _first_row(True), "rejected", False),
     ("t1_vs_t3", _first_row(False), "sstvd_per_gate", 0.01),
+    ("t1_vs_t2", _agg, "llr", 1e6),
+    ("t1_vs_t2", _agg, "p", 0.5),
+    ("t1_vs_t2", _agg, "p", 1.5),
+    ("t1_vs_t2", _agg, "n_sigma_threshold", -123),
+    ("t1_vs_t2", None, "llr_threshold", None),
+    ("t1_vs_t2", _row0_agg, "k", 2**40),
 ])
 def test_report_contradicting_its_derived_values_is_one_line_error(
         tmp_path, capsys, drift_report, comparison_id, pick, key, value):
-    """rejected is p < p_threshold, SSTVD the tvd of a rejected row, and
-    detected the aggregate or any rejection: a file stating otherwise is
-    refused, not summarized."""
+    """rejected is p < p_threshold, SSTVD the tvd of a rejected row,
+    detected the aggregate or any rejection, and the aggregate and both
+    thresholds follow from the rows: a file stating otherwise is refused,
+    not summarized."""
     report = copy.deepcopy(drift_report)
     entry = next(entry for entry in report if entry["comparison_id"] == comparison_id)
-    target = entry if pick is None else pick(entry["circuits"])
+    target = entry if pick is None else pick(entry)
     assert target[key] != value
     target[key] = value
     code, captured = _summarize_parsed(report, tmp_path, capsys)
@@ -1034,7 +1063,6 @@ def _header_edit(**values):
     ("joint", _header_edit(aggregate_triggered=False), "triggered"),
     ("joint", _header_edit(aggregate_n_sigma=99), "n_sigma"),
     ("joint", _header_edit(aggregate_k=0), "k"),
-    ("joint", _header_edit(aggregate_llr=1.0), "n_sigma"),
     ("t1_vs_t2", _p_threshold_half, "p_threshold"),
     ("t1_vs_t2", _header_edit(aggregate_triggered=True, detected=True), "triggered"),
     ("joint", _header_edit(aggregate_k=10**400), "k"),
@@ -1057,13 +1085,13 @@ def test_report_contradicting_its_derived_decision_is_one_line_error(
 
 
 def _decision_input(key, value):
-    """Set alpha_local, or a p of t1_vs_t2's aggregate or first row, and drop
-    the stated p_threshold: each value below leaves every stated derived
-    value as it was, so only the decision's input rules can refuse it."""
+    """Set alpha_local, or the p of t1_vs_t2's first row, and drop the
+    stated p_threshold: each value below leaves every stated derived value
+    as it was, so only the decision's input rules can refuse it.  The
+    aggregate's p is derived: a stated one is checked as the others are."""
     def change(entry):
         del entry["p_threshold"]
-        target = {"alpha_local": entry, "aggregate p": entry["aggregate"]}.get(
-            key, entry["circuits"][0])
+        target = entry if key == "alpha_local" else entry["circuits"][0]
         target["alpha_local" if key == "alpha_local" else "p"] = value
     return change
 
@@ -1076,7 +1104,6 @@ def _decision_input(key, value):
                             "alpha / 2 / 1405 underflows to 0"),
     ("row p", 1.5, "p-value for '{}' outside [0, 1]: 1.5"),
     ("row p", float("nan"), "p-value for '{}' outside [0, 1]: nan"),
-    ("aggregate p", 1.5, "aggregate p-value outside [0, 1]: 1.5"),
 ])
 def test_report_outside_the_decisions_domain_is_one_line_error(
         tmp_path, capsys, drift_report, key, value, message):

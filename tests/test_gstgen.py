@@ -75,13 +75,13 @@ class TestCircuitSpec:
         assert CircuitSpec("{}").gates == () and CircuitSpec("{}").length == 0
 
     @pytest.mark.parametrize("gates, message", [
-        ("GxGq", "unregistered gate label 'Gq'"),
+        ("GxGq", "unknown gate label 'Gq'"),
         ("", "cannot parse"),
         ("xGx", "cannot parse"),
-        ("Gx Gy", "unregistered gate label 'Gx '"),
-        ("GxG", "unregistered gate label 'G'"),
-        (("Gx", "GxGy"), "unregistered gate label 'GxGy'"),
-        (("Gx", ""), "unregistered gate label ''"),
+        ("Gx Gy", "unknown gate label 'Gx '"),
+        ("GxG", "unknown gate label 'G'"),
+        (("Gx", "GxGy"), "unknown gate label 'GxGy'"),
+        (("Gx", ""), "unknown gate label ''"),
     ])
     def test_text_and_labels_are_checked(self, gates, message):
         with pytest.raises(ValueError, match=message):

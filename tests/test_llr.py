@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.chi2 import chi2_sf
+from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.counts import CircuitRecord, DatasetError
-from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, TableTests, llr_aggregate,
-                            llr_statistics, llr_tests, llr_threshold, n_sigma_threshold)
+from contextdep.llr import (SMALL_SAMPLE_SHOTS_PER_OUTCOME, llr_aggregate, llr_statistics,
+                            llr_tests, n_sigma_threshold)
 
 from _references import llr_reference, one_table
 
@@ -149,7 +149,7 @@ class TestAggregate:
     def test_sums_and_sigma(self):
         results = llr_tests(np.array([[(99, 101), (131, 69)], [(10, 20), (30, 20)]],
                                      dtype=object))
-        agg = llr_aggregate(results)
+        agg = llr_aggregate(results.llr, results.dof)
         assert agg.llr == pytest.approx(sum(results.llr.tolist()), rel=1e-12)
         assert agg.dof == results.dof * len(results.llr)
         assert agg.n_sigma == pytest.approx(
@@ -158,32 +158,43 @@ class TestAggregate:
 
     def test_single_result_passthrough(self):
         result = llr_tests(np.array([[(99, 101), (131, 69)]], dtype=object))
-        agg = llr_aggregate(result)
+        agg = llr_aggregate(result.llr, result.dof)
         assert agg.llr == result.llr[0]
         assert agg.dof == result.dof
 
+    def test_sums_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, twice; Python 3.12's compensated sum
+        # would give 1e16 + 2.  Every interpreter gives the row-order sum.
+        agg = llr_aggregate(np.array([1e16, 1.0, 1.0]), 2)
+        assert agg.llr == 1e16 and agg.dof == 6
+
     def test_empty_rejected(self):
-        empty = np.array([])
-        with pytest.raises(ValueError):
-            llr_aggregate(TableTests(llr=empty, dof=1, p_value=empty, n_total=empty,
-                                     small_sample=empty.astype(bool)))
+        with pytest.raises(ValueError, match="zero test results"):
+            llr_aggregate(np.array([]), 1)
+
+    @pytest.mark.parametrize("llr", [[math.nan], [-1.0], [2.0, -3.0], [math.inf],
+                                     [1e308, 1e308]])
+    def test_sum_outside_the_chi_squared_domain_rejected(self, llr):
+        # A sum with no p-value: NaN, negative, or infinite (here by overflow).
+        with pytest.raises(ValueError, match=r"must sum to a finite number >= 0"):
+            llr_aggregate(np.array(llr), 1)
 
 
 class TestThresholds:
     def test_llr_threshold_frozen(self):
-        assert llr_threshold(0.05, 1) == pytest.approx(3.84145882069412, rel=1e-9)
+        assert chi2_isf(0.05, 1) == pytest.approx(3.84145882069412, rel=1e-9)
 
     def test_llr_threshold_round_trip(self):
         for p, dof in [(0.05, 1), (0.0022727, 5620), (0.5, 3), (1e-6, 10)]:
-            cut = llr_threshold(p, dof)
+            cut = chi2_isf(p, dof)
             assert chi2_sf(cut, dof) == pytest.approx(p, rel=1e-8)
 
     def test_llr_threshold_degenerate_alpha(self):
-        assert llr_threshold(1.0, 5) == 0.0
+        assert chi2_isf(1.0, 5) == 0.0
         with pytest.raises(ValueError):
-            llr_threshold(0.0, 5)
+            chi2_isf(0.0, 5)
         with pytest.raises(ValueError):
-            llr_threshold(1.5, 5)
+            chi2_isf(1.5, 5)
 
     def test_n_sigma_threshold_frozen(self):
         assert n_sigma_threshold(0.05 / 22, 5620) == pytest.approx(

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextdep.chi2 import chi2_sf
-from contextdep.llr import llr_aggregate, llr_tests, llr_threshold, n_sigma_threshold
+from contextdep.chi2 import chi2_isf, chi2_sf
+from contextdep.llr import AggregateTestResult, llr_aggregate, llr_tests, n_sigma_threshold
 from contextdep.multitest import MultiTestOutcome, combined_procedure
 
 from _references import bonferroni, hochberg_reference
@@ -179,8 +179,7 @@ class TestCombinedProcedure:
         ]
         results, ids = results_for(tables)
         outcome = combined_procedure(results, ids, alpha=0.05)
-        assert outcome.llr_threshold == pytest.approx(
-            llr_threshold(outcome.p_threshold, 1), rel=1e-12)
+        assert outcome.llr_threshold == chi2_isf(outcome.p_threshold, 1)
         assert chi2_sf(outcome.llr_threshold, 1) == pytest.approx(
             outcome.p_threshold, rel=1e-8)
 
@@ -201,9 +200,17 @@ class TestCombinedProcedure:
         # The outcome carries the summed test and its threshold at alpha/2.
         results, ids = results_for([[(150, 50), (50, 150)], [(108, 92), (107, 93)]])
         outcome = combined_procedure(results, ids, alpha=0.05)
-        assert outcome.aggregate == llr_aggregate(results)
+        assert outcome.aggregate == llr_aggregate(results.llr, results.dof)
         assert outcome.n_sigma_threshold == n_sigma_threshold(0.025, outcome.aggregate.dof)
-        assert MultiTestOutcome(*rows([0.01]), 0.05).aggregate is None
+        hochberg = MultiTestOutcome(*rows([0.01]), 0.05)
+        assert (hochberg.aggregate, hochberg.n_sigma_threshold, hochberg.llr_threshold) == (
+            None, None, None)
+
+    @pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
+    def test_aggregate_p_outside_unit_interval_is_refused(self, p):
+        # A report derives its aggregate from its rows; an outcome is given one.
+        with pytest.raises(ValueError, match=r"^aggregate p-value outside \[0, 1\]: "):
+            MultiTestOutcome(*rows([0.5]), 0.05, AggregateTestResult(4.0, 1, p), 1)
 
 
 def test_null_family_wise_error_stays_near_alpha():

@@ -220,10 +220,12 @@ class TestRunAnalysis:
                 assert line.sstvd == (line.tvd if line.rejected else None)
 
     def test_decision_is_derived_as_the_procedure_made_it(self, drift_seed_0):
-        """The decision is not stored: the report derives p_threshold,
-        aggregate_triggered and N_sigma from its rows and alpha_local, bit
-        for bit as combined_procedure computed them."""
-        assert not {"p_threshold", "aggregate_triggered"} & {
+        """Neither the decision nor the header is stored: the report derives
+        the aggregate, p_threshold, aggregate_triggered, N_sigma and both
+        thresholds from its rows, dof and alpha_local, bit for bit as
+        combined_procedure computed them."""
+        assert not {"aggregate", "n_sigma_threshold", "llr_threshold", "p_threshold",
+                    "aggregate_triggered"} & {
             field.name for field in dataclasses.fields(ComparisonReport)}
         assert "n_sigma" not in {field.name for field in dataclasses.fields(AggregateTestResult)}
         reports = run_analysis(drift_seed_0, alpha=0.05)
@@ -237,6 +239,8 @@ class TestRunAnalysis:
             assert report.aggregate == outcome.aggregate
             assert report.aggregate_triggered is outcome.aggregate_triggered
             assert report.p_threshold.hex() == outcome.p_threshold.hex()
+            assert report.n_sigma_threshold.hex() == outcome.n_sigma_threshold.hex()
+            assert report.llr_threshold.hex() == outcome.llr_threshold.hex()
             assert report.aggregate.n_sigma.hex() == (
                 (outcome.aggregate.llr - outcome.aggregate.dof)
                 / math.sqrt(2.0 * outcome.aggregate.dof)).hex()
@@ -246,7 +250,9 @@ class TestRunAnalysis:
     def test_decision_at_its_boundaries_matches_the_reference(self, data):
         """The aggregate's p at alpha_local / 2 and its neighbours, and rows
         on the step-up cutoffs of either budget and their neighbours, with
-        ties, 0.0 and 1.0: both classes decide as the reference, bit for bit."""
+        ties, 0.0 and 1.0: Decision decides as the reference, bit for bit.
+        A report derives its aggregate from its rows, so an outcome, which
+        is given one, holds these p."""
         alpha = data.draw(st.sampled_from([0.05, 0.0125, 0.3, 1e-11, 1e-300, 1e-320])
                           | st.floats(1e-300, 1.0, exclude_max=True), label="alpha_local")
         half = alpha / 2
@@ -261,18 +267,12 @@ class TestRunAnalysis:
         triggered, rejected, p_threshold, detected = combined_procedure_reference(
             list(zip(ids, p_value.tolist())), alpha, aggregate_p)
         aggregate = AggregateTestResult(llr=0.0, dof=n, p_value=aggregate_p)
-        zeros, flags = np.zeros(n), np.zeros(n, dtype=bool)
-        report = ComparisonReport.from_columns(
-            comparison_id="edge", contexts=("a", "b"), alpha_local=alpha, aggregate=aggregate,
-            n_sigma_threshold=0.0, llr_threshold=None, circuit_ids=ids, llr=zeros,
-            p_value=p_value, jsd=zeros, jsd_threshold=zeros, small_sample=flags, tvd=zeros,
-            tvd_null=flags, sstvd_per_gate=zeros, sstvd_per_gate_null=flags)
-        for decision in (report, MultiTestOutcome(ids, p_value, alpha, aggregate)):
-            assert decision.aggregate_triggered is triggered
-            assert decision.p_threshold.hex() == p_threshold.hex()
-            assert decision.rejected.tolist() == [i in rejected for i in ids]
-            assert decision.detected is detected
-        assert set(report.rejected_ids) == rejected
+        decision = MultiTestOutcome(ids, p_value, alpha, aggregate)
+        assert decision.aggregate_triggered is triggered
+        assert decision.p_threshold.hex() == p_threshold.hex()
+        assert decision.rejected.tolist() == [i in rejected for i in ids]
+        assert decision.detected is detected
+        assert decision.rejected_ids == rejected
 
     def test_pair_reports_carry_tvd_joint_does_not(self):
         dataset = drifting_dataset()
@@ -383,9 +383,8 @@ def _one_row_report():
     """One unrejected two-context row (p = 1) with a tvd of 0.1 and a
     per-gate value of 0.1."""
     return ComparisonReport.from_columns(
-        comparison_id="a_vs_b", contexts=("a", "b"), alpha_local=0.05,
-        aggregate=AggregateTestResult(llr=0.0, dof=1, p_value=1.0), n_sigma_threshold=1.6,
-        llr_threshold=5.0, circuit_ids=("Gx",), llr=np.zeros(1), p_value=np.ones(1),
+        comparison_id="a_vs_b", contexts=("a", "b"), alpha_local=0.05, dof=1,
+        circuit_ids=("Gx",), llr=np.zeros(1), p_value=np.ones(1),
         jsd=np.zeros(1), jsd_threshold=np.zeros(1), small_sample=np.zeros(1, dtype=bool),
         tvd=np.full(1, 0.1), tvd_null=np.zeros(1, dtype=bool),
         sstvd_per_gate=np.full(1, 0.1), sstvd_per_gate_null=np.zeros(1, dtype=bool))
@@ -421,11 +420,13 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"^comparison 'a_vs_b': no circuit rows$"):
             dataclasses.replace(_one_row_report(), rows=np.arange(0), tables=np.arange(0))
 
+    # dof is each row's; the message names the aggregate's, rows x dof, as a
+    # report file states it.
     @pytest.mark.parametrize("ids, contexts, dof, message", [
         (("Gx", "Gx"), ("a", "b"), 2, "duplicate circuit id 'Gx'"),
-        (("Gx", "Gy"), ("a", "b"), 3, "= 2 x 1, got 3"),
+        (("Gx", "Gy"), ("a", "b", "c"), 3, "= 2 x 2, got 6"),
         (("Gx", "Gy"), ("a", "b"), 0, "= 2 x 1, got 0"),
-        (("Gx", "Gy"), ("a",), 2, "= 2 x 0, got 2"),
+        (("Gx", "Gy"), ("a",), 2, "= 2 x 0, got 4"),
         (("Gx", "Gy"), ("a", "b", "c"), 4,
          "'tvd' of 'Gx' must be null: a TVD is between two contexts, not 3"),
     ])
@@ -436,9 +437,8 @@ class TestReportFiles:
         flags = np.zeros(2, dtype=bool)
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             ComparisonReport.from_columns(
-                comparison_id="c", contexts=contexts, alpha_local=0.05,
-                aggregate=AggregateTestResult(llr=0.0, dof=dof, p_value=1.0),
-                n_sigma_threshold=1.6, llr_threshold=5.0, circuit_ids=ids, llr=np.zeros(2),
+                comparison_id="c", contexts=contexts, alpha_local=0.05, dof=dof,
+                circuit_ids=ids, llr=np.zeros(2),
                 p_value=np.ones(2), jsd=np.zeros(2), jsd_threshold=np.zeros(2),
                 small_sample=flags, tvd=np.full(2, 0.1), tvd_null=flags,
                 sstvd_per_gate=np.zeros(2), sstvd_per_gate_null=~flags)
@@ -501,6 +501,9 @@ report_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 report_p = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0]), st.floats(0.0, 1.0))
 report_alpha = st.one_of(st.sampled_from([1e-300, 0.05, 0.5]),
                          st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# Statistics: at most six rows of them sum to a finite number >= 0.
+report_llr = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e16, 1e300]),
+                       st.floats(0.0, 1e300))
 # Ids with characters json or csv must escape or quote.
 report_text = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é\u2028😀'),
                                 st.characters(exclude_categories=("Cs",))),
@@ -520,24 +523,21 @@ def comparison_reports(draw):
             return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         return np.full(n, kind == "all")
 
-    # The header's decision and the rejected rows follow from the p-values
-    # and the budget, whose smallest step-up threshold alpha_local / 2 / n
-    # must not underflow; a per-gate SSTVD is drawn for any row, and shown
-    # only where the row has an SSTVD.  The rows' ids are distinct, the
-    # dof is a multiple of n x (contexts - 1), and only a pair has tvds.
+    # The header follows from the rows' llr and dof, and the decision and
+    # the rejected rows from the p-values and the budget, whose smallest
+    # step-up threshold alpha_local / 2 / n must not underflow; a per-gate
+    # SSTVD is drawn for any row, and shown only where the row has an SSTVD.
+    # The rows' ids are distinct, the llr sum to a finite number >= 0, the
+    # dof is a multiple of contexts - 1 (the aggregate's within the
+    # chi-squared functions' range), and only a pair has tvds.
     contexts = tuple(draw(st.lists(report_text, min_size=2, max_size=3)))
     return ComparisonReport.from_columns(
         comparison_id=draw(report_text),
         contexts=contexts,
         alpha_local=draw(report_alpha.filter(lambda alpha: alpha / 2 / n > 0.0)),
-        aggregate=AggregateTestResult(
-            llr=draw(report_floats),
-            dof=n * (len(contexts) - 1) * draw(st.integers(1, 10**6)),
-            p_value=draw(report_p)),
-        n_sigma_threshold=draw(report_floats),
-        llr_threshold=draw(st.one_of(st.none(), report_floats)),
+        dof=(len(contexts) - 1) * draw(st.integers(1, 10**5)),
         circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n, unique=True))),
-        llr=floats(), p_value=floats(report_p), jsd=floats(), jsd_threshold=floats(),
+        llr=floats(report_llr), p_value=floats(report_p), jsd=floats(), jsd_threshold=floats(),
         small_sample=flags(), tvd=floats(),
         tvd_null=flags() if len(contexts) == 2 else np.ones(n, dtype=bool),
         sstvd_per_gate=floats(),
@@ -552,9 +552,8 @@ def _signed_zero_report():
     zeros = np.array([0.0, -0.0, 0.0])
     flags = np.zeros(n, dtype=bool)
     return ComparisonReport.from_columns(
-        comparison_id="z", contexts=("a", "b"), alpha_local=0.05,
-        aggregate=AggregateTestResult(llr=0.0, dof=3, p_value=1.0),
-        n_sigma_threshold=2.0, llr_threshold=6.6, circuit_ids=("x", "y", "z"),
+        comparison_id="z", contexts=("a", "b"), alpha_local=0.05, dof=1,
+        circuit_ids=("x", "y", "z"),
         llr=zeros, p_value=zeros, jsd=-zeros, jsd_threshold=zeros,
         small_sample=flags, tvd=zeros, tvd_null=flags,
         sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
@@ -570,9 +569,7 @@ def _report_with_rows(n):
     flags = np.arange(n) % 3 == 0
     odd = np.arange(n) % 2 == 1
     return ComparisonReport.from_columns(
-        comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05,
-        aggregate=AggregateTestResult(llr=1.5, dof=n, p_value=0.25),
-        n_sigma_threshold=2.0, llr_threshold=10.0,
+        comparison_id=f"rows_{n}", contexts=("a", "b"), alpha_local=0.05, dof=1,
         circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9' for i in range(n)),
         llr=values, p_value=np.where(flags, 1e-9, 0.5 + 0.5 / (1.0 + values)), jsd=values / 3,
         jsd_threshold=values % 1.0, small_sample=~flags, tvd=values / 11,

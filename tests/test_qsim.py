@@ -767,7 +767,8 @@ class TestExperiment:
         config = SimConfig(shots_per_context=256, seed=9, contexts=("a", "b"))
         dataset = run_drift_experiment(small_design(), error, config)
         from contextdep.llr import llr_aggregate, llr_tests
-        agg = llr_aggregate(llr_tests(dataset.counts))
+        tests = llr_tests(dataset.counts)
+        agg = llr_aggregate(tests.llr, tests.dof)
         assert agg.n_sigma < 4.0
 
     def test_unknown_context_rejected(self):
