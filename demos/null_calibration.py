@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from contextdep import lsgst_circuits
-from contextdep.chi2 import chi2_sf
 from contextdep.datasets import drift_design
-from contextdep.llr import TableTests
+from contextdep.llr import llr_tests
 from contextdep.multitest import combined_procedure
 from contextdep.qsim import ErrorModel, experiment_probabilities
 
@@ -29,28 +28,16 @@ print(f"{len(circuits)} circuits, {n_shots} shots per context, "
       f"{trials} null experiments at alpha = {alpha}")
 
 
-def xlogx(v):
-    out = np.zeros_like(v, dtype=float)
-    mask = v > 0
-    out[mask] = v[mask] * np.log(v[mask])
-    return out
-
-
 ids = [f"q{i}" for i in range(len(circuits))]
 rng = np.random.default_rng(20)
 false_hits, via_aggregate, via_circuits = 0, 0, 0
 for _ in range(trials):
     a = rng.multinomial(n_shots, probs)
     b = rng.multinomial(n_shots, probs)
-    pooled = a + b
-    lam = 2.0 * (xlogx(a).sum(1) + xlogx(b).sum(1) - 2 * n_shots * math.log(n_shots)
-                 - xlogx(pooled).sum(1) + 2 * n_shots * math.log(2 * n_shots))
-    lam = np.maximum(lam, 0.0)
-    results = TableTests(llr=lam, dof=1,
-                         p_value=np.array([chi2_sf(float(l), 1) for l in lam]),
-                         n_total=np.full(len(lam), 2 * n_shots),
-                         small_sample=np.zeros(len(lam), dtype=bool))
-    outcome = combined_procedure(results, ids, alpha=alpha)
+    # One (circuits, contexts, outcomes) table of Python ints, as a dataset
+    # holds its counts, tested by the package's statistic.
+    tables = np.stack([a, b], axis=1).astype(object)
+    outcome = combined_procedure(llr_tests(tables), ids, alpha=alpha)
     false_hits += outcome.detected
     via_aggregate += outcome.aggregate_triggered
     via_circuits += bool(outcome.rejected_ids)

@@ -4,8 +4,9 @@ The survival function of a chi-squared variable with k degrees of freedom
 is the regularized upper incomplete gamma function Q(k/2, x/2).  Q and its
 complement P are computed by the classic pair of algorithms: a power
 series for x < a + 1 and a modified Lentz continued fraction otherwise.
-Both converge to near machine precision over the ranges used here
-(k up to ~10^6, quantiles across the full support).
+Both converge to near machine precision across the full support until the
+series needs more than 10,000 terms: chi2_isf(0.025, k) stops converging
+(RuntimeError) from about k = 3.68e6, and far larger k raise ArithmeticError.
 
 The quantile chi2_isf is solved on the survival side in log space
 (DiDonato & Morris, ACM TOMS 12:377, 1986), so it stays accurate below
@@ -160,8 +161,10 @@ def chi2_isf(p: float, k: int) -> float:
 
     lo = 0.0
     hi = float(k) + 10.0 * math.sqrt(2.0 * k) + 10.0
-    while _log_sf(a, 0.5 * hi) > log_p:
+    while hi < math.inf and _log_sf(a, 0.5 * hi) > log_p:
         lo, hi = hi, 2.0 * hi
+    if hi == math.inf:
+        raise OverflowError("no bracket of the chi-squared quantile below the largest double")
     x = max(float(k), lo)
     for _ in range(300):
         half_x = 0.5 * x

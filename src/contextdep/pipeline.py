@@ -183,7 +183,7 @@ class TableStore:
     """The rows of one analysis, once for all its comparisons: ``circuit_ids``,
     an object array that reports' ``rows`` index, and per width (number of
     contexts) the _STORED columns over its distinct count tables, which
-    ``tables`` index (tvd is 0.0 under a null).  Writers keep texts here."""
+    ``tables`` index (tvd is 0.0 at widths but 2).  Writers keep texts here."""
 
     def __init__(self, circuit_ids: np.ndarray, columns: dict[int, dict[str, np.ndarray]]):
         self.circuit_ids, self.columns, self._texts = circuit_ids, columns, {}
@@ -195,7 +195,7 @@ class TableStore:
         return self._texts[key]
 
 
-_STORED = ("llr", "p_value", "jsd", "small_sample", "tvd", "tvd_null")
+_STORED = ("llr", "p_value", "jsd", "small_sample", "tvd")
 
 
 def _gathered(name: str) -> property:
@@ -216,15 +216,15 @@ class ComparisonReport(Decision, Record):
     The per-circuit rows, at least one, are indices in circuit order:
     ``rows`` into the store's ids and ``tables`` into its tables of this
     many contexts, from which ``circuit_ids`` and the _STORED columns
-    (float64 llr, p_value, jsd and tvd, bool small_sample and tvd_null) are
-    gathered when read; each row's test has ``dof`` degrees of freedom.  The
-    report holds float64 jsd_threshold and sstvd_per_gate, null where
-    sstvd_per_gate_null says.  The rest is derived: the ``aggregate`` of the
-    rows' llr, and multitest.Decision's decision and thresholds, whose
-    inputs it checks when the report is built, with the rules of the rows:
-    distinct circuit ids, a dof that is a positive multiple of contexts - 1,
-    and a tvd only in a comparison of two contexts.  The SSTVD, like a
-    per-gate SSTVD, is shown only on rejected rows with a tvd (``sstvd_null``).
+    (float64 llr, p_value, jsd and tvd, bool small_sample) are gathered when
+    read; each row's test has ``dof`` degrees of freedom, and a tvd exactly
+    when there are two contexts.  The report holds float64 jsd_threshold and
+    sstvd_per_gate, null where sstvd_per_gate_null says.  The rest is
+    derived: the ``aggregate`` of the rows' llr, and multitest.Decision's
+    decision and thresholds, whose inputs it checks when the report is
+    built, with the rules of the rows: distinct contexts and circuit ids,
+    and a dof that is a positive multiple of contexts - 1.  The SSTVD, like
+    a per-gate SSTVD, is shown only on rejected pair rows (``sstvd_null``).
     ``circuits`` is a read-only view of the rows as one CircuitAnalysis per
     row.  Reports are equal when their headers and columns are, from one
     store or two.
@@ -242,25 +242,21 @@ class ComparisonReport(Decision, Record):
     sstvd_per_gate_null: np.ndarray
     warnings: tuple[str, ...] = ()
 
-    llr, p_value, jsd, small_sample, tvd, tvd_null = map(_gathered, _STORED)
+    llr, p_value, jsd, small_sample, tvd = map(_gathered, _STORED)
 
     def __init__(self, comparison_id: str, contexts: tuple[str, ...], alpha_local: float,
                  dof: int, store: TableStore, rows: np.ndarray, tables: np.ndarray,
                  jsd_threshold: np.ndarray, sstvd_per_gate: np.ndarray,
                  sstvd_per_gate_null: np.ndarray, warnings: tuple[str, ...] = ()) -> None:
         self.__dict__.update(
-            comparison_id=comparison_id, contexts=contexts, alpha_local=alpha_local, dof=dof,
+            comparison_id=comparison_id, alpha_local=alpha_local, dof=dof,
+            contexts=distinct_labels(contexts, "context", minimum=0),
             store=store, rows=rows, tables=tables, jsd_threshold=jsd_threshold, warnings=warnings,
             sstvd_per_gate=sstvd_per_gate, sstvd_per_gate_null=sstvd_per_gate_null)
         if not len(self.rows):
             raise ValueError(f"comparison {self.comparison_id!r}: no circuit rows")
         distinct_labels(self.store.circuit_ids[self.rows].tolist(), "circuit id", minimum=0)
-        n_contexts = len(self.contexts)
-        _check_k(self.dof * len(self.rows), len(self.rows), n_contexts)
-        if n_contexts > 2 and not self.tvd_null.all():
-            row_id = self.store.circuit_ids[self.rows[np.argmin(self.tvd_null)]]
-            raise ValueError(f"'tvd' of {row_id!r} must be null: a TVD is between two "
-                             f"contexts, not {n_contexts}")
+        _check_k(self.dof * len(self.rows), len(self.rows), len(self.contexts))
         self._check_decision(lambda i: self.store.circuit_ids[self.rows[i]])
 
     @classmethod
@@ -288,7 +284,7 @@ class ComparisonReport(Decision, Record):
 
     def _row(self, i: int) -> CircuitAnalysis:
         column, table = self.store.columns[len(self.contexts)], self.tables[i]
-        tvd = None if column["tvd_null"][table] else float(column["tvd"][table])
+        tvd = float(column["tvd"][table]) if len(self.contexts) == 2 else None
         shown = not self.sstvd_null[i]
         return CircuitAnalysis(
             self.store.circuit_ids[self.rows[i]],
@@ -303,7 +299,7 @@ class ComparisonReport(Decision, Record):
 
     @cached_property
     def sstvd_null(self) -> np.ndarray:
-        return self.tvd_null | ~self.rejected
+        return ~self.rejected | (len(self.contexts) != 2)
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
@@ -358,8 +354,7 @@ def _test_distinct_tables(dataset: ContextDataset, slices):
         columns[width] = {
             "llr": tests.llr, "p_value": tests.p_value, "small_sample": tests.small_sample,
             "jsd": jsd_from_llr(tests.llr, tests.n_total),
-            "tvd": tvd_rows(stack) if width == 2 else np.zeros(len(index)),
-            "tvd_null": np.full(len(index), width != 2)}
+            "tvd": tvd_rows(stack) if width == 2 else np.zeros(len(index))}
     return TableStore(np.array(dataset.circuit_ids, dtype=object), columns), tested, positions
 
 
@@ -399,7 +394,7 @@ def run_analysis(dataset: ContextDataset, plan: ComparisonPlan | None = None,
         except ValueError as exc:
             raise ValueError(f"comparison {comparison.comparison_id!r}: {exc}") from None
         per_gate, per_gate_null = np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
-        for i in np.flatnonzero(outcome.rejected & ~columns["tvd_null"][where]).tolist():
+        for i in np.flatnonzero(outcome.rejected & (len(comparison.contexts) == 2)).tolist():
             try:  # an absent or unparseable spec has no gate count
                 n_gates = CircuitSpec(dataset.specs[rows[i]]).length
             except ValueError:
@@ -482,7 +477,7 @@ def _comparison_rows(report: ComparisonReport) -> tuple[str, list[list[str]]]:
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
     text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
     # A column of another length than the ids fails write_rows' length check.
-    tvd = np.where(report.tvd_null, "null", _texts(report, _json_floats, "tvd"))
+    tvd = np.where(len(report.contexts) == 2, _texts(report, _json_floats, "tvd"), "null")
     per_gate = np.where(report.sstvd_per_gate_null | report.sstvd_null, "null",
                         _texts(report, _json_floats, "sstvd_per_gate"))
     columns = [_texts(report, _json_body, "circuit_ids"),
@@ -538,30 +533,32 @@ def _load_comparison(entry: dict) -> ComparisonReport:
     alpha_local = _float(field(entry, "alpha_local", NUMBER), "alpha_local")
     _float(field(agg, "llr", NUMBER), "llr")
     _float(k, "k")
-    columns = {}
+    columns, nulls = {}, {}
     try:
         for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
                           ("jsd_threshold", "jsd_threshold")):
             columns[name] = np.array(column(rows, key, NUMBER, "circuit"), dtype=float)
         for key in ("tvd", "sstvd", "sstvd_per_gate"):
-            values = column(rows, key, NUMBER + (type(None),), "circuit", default=None)
-            columns[key + "_null"] = np.array([value is None for value in values], dtype=bool)
+            values = column(rows, key, NUMBER + (type(None),), "circuit")
+            nulls[key] = np.array([value is None for value in values], dtype=bool)
             columns[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
         raise ValueError(f"circuit: {key!r} is out of float range") from None
-    sstvd, sstvd_null = columns.pop("sstvd"), columns.pop("sstvd_null")
+    sstvd, columns["sstvd_per_gate_null"] = columns.pop("sstvd"), nulls["sstvd_per_gate"]
     rejected = np.array(column(rows, "rejected", (bool,), "circuit"), dtype=bool)
-    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), "circuit", False),
+    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), "circuit"),
                                        dtype=bool)
     contexts = tuple(field(entry, "contexts", STRINGS))
-    field(agg, "p", NUMBER), field(agg, "n_sigma_threshold", NUMBER)  # required; see below
-    field(entry, "llr_threshold", NUMBER + (type(None),))
     circuit_ids = tuple(column(rows, "id", (str,), "circuit"))
-    warnings = tuple(field(entry, "warnings", STRINGS, default=[]))
-    # k is the rows' dof summed; as the report does, name a repeated id first.
-    distinct_labels(circuit_ids, "circuit id", minimum=0)
+    warnings = tuple(field(entry, "warnings", STRINGS))
     _check_k(k, len(rows), len(contexts))
+    pair = len(contexts) == 2
+    if (nulls["tvd"] == pair).any():
+        row_id = circuit_ids[np.argmax(nulls["tvd"] == pair)]
+        raise ValueError(f"'tvd' of {row_id!r} must be " + (
+            "a number: a comparison of two contexts has a TVD" if pair else
+            f"null: a TVD is between two contexts, not {len(contexts)}"))
     try:  # the chi-squared functions fail only for a huge k
         report = ComparisonReport.from_columns(
             comparison_id=entry["comparison_id"], contexts=contexts, alpha_local=alpha_local,
@@ -571,9 +568,8 @@ def _load_comparison(entry: dict) -> ComparisonReport:
     except (RuntimeError, ArithmeticError) as exc:
         raise ValueError(f"aggregate 'k' {reprlib.repr(k)} is beyond the chi-squared "
                          f"functions' range ({exc})") from None
-    # A derived value the file states must be the report's, the header's
-    # first: an omitted one is not checked, and a stated number is the
-    # report's float bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
+    # Every derived value must be the report's, the header's first, a number
+    # bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
     for obj, key, kinds, derived, rule in (
             (agg, "llr", NUMBER, aggregate.llr, "the rows' llr summed in order"),
             (agg, "p", NUMBER, aggregate.p_value, "the chi-squared survival of llr on k"),
@@ -583,21 +579,20 @@ def _load_comparison(entry: dict) -> ComparisonReport:
             (entry, "p_threshold", NUMBER, report.p_threshold, "the step-up threshold of the "
              "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger"),
             (entry, "llr_threshold", NUMBER, llr_threshold, "the llr of p_threshold on k / rows")):
-        stated = field(obj, key, kinds, default=derived)
+        stated = field(obj, key, kinds)
         if repr(_float(stated, key)) != repr(float(derived)):
             raise ValueError(f"{key!r} must be {derived!r}: {rule}, got {stated!r}")
     for key, wrong, rule in (
             ("rejected", rejected != report.rejected, "p < p_threshold"),
-            ("sstvd", (sstvd_null != report.sstvd_null)
-             | (~sstvd_null & (sstvd.view(np.int64) != report.tvd.view(np.int64))),
+            ("sstvd", (nulls["sstvd"] != report.sstvd_null)
+             | (~nulls["sstvd"] & (sstvd.view(np.int64) != report.tvd.view(np.int64))),
              "the tvd of a rejected row, and null elsewhere"),
             ("sstvd_per_gate", report.sstvd_null & ~report.sstvd_per_gate_null,
              "null where sstvd is null")):
-        stated = [i for i in np.flatnonzero(wrong).tolist() if key in rows[i]]
-        if stated:
-            raise ValueError(f"circuit {stated[0]}: {key!r} must be {rule}, "
-                             f"got {rows[stated[0]][key]!r}")
-    if field(entry, "detected", (bool,), default=report.detected) != report.detected:
+        if wrong.any():
+            n = int(np.argmax(wrong))
+            raise ValueError(f"circuit {n}: {key!r} must be {rule}, got {rows[n][key]!r}")
+    if field(entry, "detected", (bool,)) != report.detected:
         raise ValueError(f"'detected' must be {report.detected!r}: whether the "
                          "aggregate triggered or a circuit is rejected")
     return report
@@ -607,16 +602,15 @@ def _load_comparison(entry: dict) -> ComparisonReport:
 def load_report(path: Path) -> list[ComparisonReport]:
     """Read back a report file written by save_report.
 
-    Anything but an array of comparison objects with correctly typed
-    fields, and circuit rows that are objects, is a ValueError; so is a
-    file without comparisons, a comparison_id that repeats, a comparison
-    without rows, an alpha_local, llr, k or row number beyond float range,
-    a k that is not a positive multiple of rows x (contexts - 1) or is too
-    large for the chi-squared functions, a report ComparisonReport refuses
-    (by the rules of its rows and of multitest.Decision's inputs), a stated
-    header value (a null llr_threshold included), rejected, sstvd or
-    detected other than the report derives, or an sstvd_per_gate where the
-    sstvd is null.  A fault in a comparison begins with its index and id.
+    Every field save_report writes is required, with its JSON type, and
+    rows are objects.  Also a ValueError: no comparisons, a repeated
+    comparison_id, a comparison without rows, an alpha_local, llr, k or row
+    number beyond float range, a k that is not a positive multiple of rows
+    x (contexts - 1) or is beyond the chi-squared functions, a tvd that is
+    null in a pair or a number in a wider comparison, a report that
+    ComparisonReport refuses, a derived value (header, rejected, sstvd,
+    detected) other than the report's, or an sstvd_per_gate where the sstvd
+    is null.  A fault in a comparison begins with its index and id.
     """
     raw = read_json(path, ((list, (dict,)),))
     if not raw:

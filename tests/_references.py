@@ -649,36 +649,54 @@ def design_file_is_valid(obj) -> bool:
                              and power & (power - 1) == 0)
 
 
+def report_derived_values(entry):
+    """What a report entry derives from its rows, alpha_local and k, by
+    the README's rules, as two dicts: the aggregate's llr (the rows' llr
+    added in order from 0.0), p, n_sigma, n_sigma_threshold and triggered,
+    and the entry's p_threshold, llr_threshold and detected.  A row is
+    rejected exactly when its p is below p_threshold.  Where
+    contextdep.chi2 has no value (a k too large for it), its error
+    propagates.
+    """
+    aggregate, alpha, rows = entry["aggregate"], float(entry["alpha_local"]), entry["circuits"]
+    k = aggregate["k"]
+    llr = 0.0
+    for row in rows:
+        llr += float(row["llr"])
+    p = chi2_sf(llr, k)
+    triggered, _, threshold, detected = combined_procedure_reference(
+        [(row["id"], float(row["p"])) for row in rows], alpha, p)
+    return ({"llr": llr, "p": p, "n_sigma": (llr - k) / math.sqrt(2.0 * k),
+             "n_sigma_threshold": (chi2_isf(alpha / 2, k) - k) / math.sqrt(2.0 * k),
+             "triggered": triggered},
+            {"p_threshold": threshold, "llr_threshold": chi2_isf(threshold, k // len(rows)),
+             "detected": detected})
+
+
 def report_file_is_valid(obj) -> bool:
     """Whether parsed JSON obeys the report file rules, written from the README.
 
     The loader must accept exactly these files: a non-empty list of
-    comparisons with distinct `comparison_id`s.  `warnings`,
-    `small_sample`, `tvd`, `sstvd`, `sstvd_per_gate`, `detected`,
-    `n_sigma`, `triggered` and `p_threshold` may be omitted.  A comparison
-    has at least one row, its rows' ids are distinct, and `k` is a
-    positive multiple of rows x (contexts - 1), so it has two or more
-    contexts; only a comparison of two contexts has a non-null `tvd`.
+    comparisons with distinct `comparison_id`s, each with every field.  A
+    comparison has at least one row, its contexts and its rows' ids are
+    distinct, and `k` is a positive multiple of rows x (contexts - 1), so
+    it has two or more contexts; a row's `tvd` is a number exactly when the
+    comparison has two contexts, and null otherwise.
     A per-circuit number, `alpha_local` and the aggregate's `llr` and `k`
     are held as floats, so an integer there must lie within float range.  The
     decision's inputs have a domain: `alpha_local` lies in (0, 1),
     alpha_local / 2 / rows does not underflow to 0, and every row's p lies
-    in [0, 1] (NaN does not).  The header follows from the rows: the
-    aggregate's llr is the rows' llr added in order from 0.0, a finite
-    number >= 0; its p is chi2_sf(llr, k); n_sigma is (llr - k) / sqrt(2 k)
-    and n_sigma_threshold (chi2_isf(alpha_local / 2, k) - k) / sqrt(2 k).
-    The aggregate triggered exactly when its p is below alpha_local / 2;
-    p_threshold is Hochberg's at alpha_local if it triggered and at
-    alpha_local / 2 otherwise (combined_procedure_reference), and
-    llr_threshold is chi2_isf(p_threshold, k / rows).  Where contextdep.chi2
-    has no value for these (a k too large for it), the file is invalid.
-    The stated llr, p, n_sigma_threshold and llr_threshold, and a stated
-    n_sigma, triggered or p_threshold, are those values (the same float; a
-    null llr_threshold is not).  A row is rejected exactly when its p is
-    below p_threshold; a stated sstvd is the row's tvd (the same float)
-    where the row is rejected and has one, and null elsewhere;
-    sstvd_per_gate is null where that sstvd is; a stated detected is
-    whether the aggregate triggered or some row is rejected.
+    in [0, 1] (NaN does not).  The header follows from the rows
+    (report_derived_values), and the rows' llr sum to a finite number >= 0.
+    Where contextdep.chi2 has no value for the header (a k too large for
+    it), the file is invalid.
+    The stated llr, p, n_sigma, n_sigma_threshold, triggered, p_threshold
+    and llr_threshold are those values (the same float; a null
+    llr_threshold is not).  A row is rejected exactly when its p is below
+    p_threshold; its sstvd is the row's tvd (the same float) where the row
+    is rejected and has one, and null elsewhere; sstvd_per_gate is null
+    where that sstvd is; detected is whether the aggregate triggered or
+    some row is rejected.
     """
     def number(value):
         return type(value) in (int, float)
@@ -693,57 +711,50 @@ def report_file_is_valid(obj) -> bool:
         return (isinstance(row, dict) and isinstance(row.get("id"), str)
                 and all(key in row and column_number(row[key])
                         for key in ("llr", "p", "jsd", "jsd_threshold"))
-                and all(row.get(key) is None or column_number(row[key])
+                and all(key in row and (row[key] is None or column_number(row[key]))
                         for key in ("tvd", "sstvd", "sstvd_per_gate"))
                 and type(row.get("rejected")) is bool
-                and type(row.get("small_sample", False)) is bool)
+                and type(row.get("small_sample")) is bool)
 
     def same_float(a, b):
         # repr tells -0.0 from 0.0 and writes every NaN alike.
         return None is a is b or None not in (a, b) and repr(float(a)) == repr(float(b))
 
     def stated(obj, key, value):
-        return key not in obj or column_number(obj[key]) and same_float(obj[key], value)
+        return key in obj and column_number(obj[key]) and same_float(obj[key], value)
 
     def derived_values_hold(entry):
-        aggregate, alpha, rows = entry["aggregate"], float(entry["alpha_local"]), entry["circuits"]
-        k = aggregate["k"]
-        llr = 0.0
-        for row in rows:
-            llr += float(row["llr"])
-        if not (0.0 < alpha < 1.0 and alpha / 2 / len(rows) > 0.0 and 0.0 <= llr < math.inf
-                and all(0.0 <= float(row["p"]) <= 1.0 for row in rows)):
-            return False
+        alpha, rows = float(entry["alpha_local"]), entry["circuits"]
         try:
-            p = chi2_sf(llr, k)
-            triggered, _, threshold, detected = combined_procedure_reference(
-                [(row["id"], float(row["p"])) for row in rows], alpha, p)
-            header = {"llr": llr, "p": p, "n_sigma": (llr - k) / math.sqrt(2.0 * k),
-                      "n_sigma_threshold": (chi2_isf(alpha / 2, k) - k) / math.sqrt(2.0 * k)}
-            llr_threshold = chi2_isf(threshold, k // len(rows))
-        # chi2 has no value for a k this large: it fails to converge, divides
-        # by zero, or (near the largest double) takes the log of 0.
+            aggregate, header = report_derived_values(entry)
+        # chi2 has no value for a k this large (it fails to converge, divides
+        # by zero, or finds no bracket), nor for some inputs the domain
+        # check below refuses.
         except (RuntimeError, ArithmeticError, ValueError):
             return False
-        if not (all(stated(aggregate, key, value) for key, value in header.items())
-                and stated(entry, "p_threshold", threshold)
-                and aggregate.get("triggered", triggered) is triggered
+        if not (0.0 < alpha < 1.0 and alpha / 2 / len(rows) > 0.0
+                and 0.0 <= aggregate["llr"] < math.inf
+                and all(0.0 <= float(row["p"]) <= 1.0 for row in rows)):
+            return False
+        triggered, threshold = aggregate.pop("triggered"), header["p_threshold"]
+        if not (all(stated(entry["aggregate"], key, value) for key, value in aggregate.items())
+                and entry["aggregate"]["triggered"] is triggered
                 and entry["llr_threshold"] is not None
-                and stated(entry, "llr_threshold", llr_threshold)):
+                and stated(entry, "p_threshold", threshold)
+                and stated(entry, "llr_threshold", header["llr_threshold"])):
             return False
         for row in rows:
             rejected = float(row["p"]) < threshold
-            sstvd = row.get("tvd") if rejected else None
-            if (row["rejected"] is not rejected
-                    or "sstvd" in row and not same_float(row["sstvd"], sstvd)
-                    or sstvd is None and row.get("sstvd_per_gate") is not None):
+            sstvd = row["tvd"] if rejected else None
+            if (row["rejected"] is not rejected or not same_float(row["sstvd"], sstvd)
+                    or sstvd is None and row["sstvd_per_gate"] is not None):
                 return False
-        return entry.get("detected", detected) is detected
+        return entry["detected"] is header["detected"]
 
-    def shape_holds(n_rows, n_contexts, k, tvds):
-        unit = n_rows * (n_contexts - 1)
-        return (unit >= 1 and k >= 1 and k % unit == 0
-                and (n_contexts == 2 or tvds.count(None) == n_rows))
+    def shape_holds(n_rows, contexts, k, tvds):
+        unit = n_rows * (len(contexts) - 1)
+        return (unit >= 1 and k >= 1 and k % unit == 0 and len(set(contexts)) == len(contexts)
+                and tvds.count(None) == (0 if len(contexts) == 2 else n_rows))
 
     def entry_is_valid(entry):
         if not isinstance(entry, dict):
@@ -752,19 +763,19 @@ def report_file_is_valid(obj) -> bool:
         return (isinstance(aggregate, dict) and isinstance(rows, list) and len(rows) > 0
                 and all(map(row_is_valid, rows))
                 and isinstance(entry.get("comparison_id"), str)
-                and strings(entry.get("contexts")) and strings(entry.get("warnings", []))
+                and strings(entry.get("contexts")) and strings(entry.get("warnings"))
                 and column_number(entry.get("alpha_local"))
-                and number(entry.get("p_threshold", 0.0))
+                and number(entry.get("p_threshold"))
                 and "llr_threshold" in entry
                 and (entry["llr_threshold"] is None or number(entry["llr_threshold"]))
                 and column_number(aggregate.get("llr"))
-                and all(number(aggregate.get(key)) for key in ("p", "n_sigma_threshold"))
-                and number(aggregate.get("n_sigma", 0.0))
+                and all(number(aggregate.get(key)) for key in ("p", "n_sigma", "n_sigma_threshold"))
                 and type(aggregate.get("k")) is int and column_number(aggregate["k"])
                 and len({row["id"] for row in rows}) == len(rows)
-                and shape_holds(len(rows), len(entry["contexts"]), aggregate["k"],
-                                [row.get("tvd") for row in rows])
-                and type(aggregate.get("triggered", False)) is bool
+                and shape_holds(len(rows), entry["contexts"], aggregate["k"],
+                                [row["tvd"] for row in rows])
+                and type(aggregate.get("triggered")) is bool
+                and type(entry.get("detected")) is bool
                 and derived_values_hold(entry))
 
     return (isinstance(obj, list) and len(obj) > 0 and all(map(entry_is_valid, obj))

@@ -195,7 +195,7 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
             "jsd": jsd_from_llr(tests.llr, tests.n_total),
             "jsd_threshold": jsd_from_llr(outcome.llr_threshold, tests.n_total),
             "rejected": outcome.rejected,
-            "tvd": tvd, "tvd_null": np.full(len(rows), not pair),
+            "tvd": tvd,
             "sstvd_null": ~shown,
             "sstvd_per_gate": per_gate, "sstvd_per_gate_null": per_gate_null,
         }

@@ -19,7 +19,7 @@ from contextdep.counts import load_dataset
 from contextdep.datasets import data_path
 from contextdep.pipeline import jsd_profile, load_report, run_analysis, save_report
 
-from _references import write_jsd_profile_csv_reference
+from _references import report_derived_values, write_jsd_profile_csv_reference
 
 
 DRIFT_DESIGN = str(data_path("design_drift.json"))
@@ -716,7 +716,7 @@ def test_drift_reports_index_one_store_of_distinct_tables(tmp_path, drift_seed_0
     assert len(store.circuit_ids) == 1405
     assert {width: {name: len(values) for name, values in columns.items()}
             for width, columns in store.columns.items()} == {
-        width: dict.fromkeys(("llr", "p_value", "jsd", "small_sample", "tvd", "tvd_null"), n)
+        width: dict.fromkeys(("llr", "p_value", "jsd", "small_sample", "tvd"), n)
         for width, n in ((5, 1065), (2, 1490))}
     save_report(reports, tmp_path / "report.json")
     loaded = load_report(tmp_path / "report.json")
@@ -989,24 +989,39 @@ def _first_row(rejected):
     return lambda entry: next(row for row in entry["circuits"] if row["rejected"] is rejected)
 
 
+def _restate(entry):
+    """Set every value an entry derives from its rows, alpha_local and k
+    (report_derived_values), as analyze writes it, with a per-gate SSTVD
+    null where the SSTVD is."""
+    aggregate, header = report_derived_values(entry)
+    entry["aggregate"].update(aggregate)
+    entry.update(header)
+    for row in entry["circuits"]:
+        row["rejected"] = row["p"] < header["p_threshold"]
+        row["sstvd"] = row["tvd"] if row["rejected"] else None
+        if row["sstvd"] is None:
+            row["sstvd_per_gate"] = None
+
+
 def _agg(entry):
-    """The aggregate, without the n_sigma that restates its llr and k."""
-    del entry["aggregate"]["n_sigma"]
     return entry["aggregate"]
 
 
 def _row0_agg(entry):
-    """The aggregate of the first row alone, without the values that the
-    other rows decided (n_sigma, p_threshold)."""
-    del entry["circuits"][1:], entry["p_threshold"]
-    return _agg(entry)
+    """The aggregate of the first row alone, on that row's k, with every
+    derived value restated for it."""
+    entry["aggregate"]["k"] //= len(entry["circuits"])
+    del entry["circuits"][1:]
+    _restate(entry)
+    return entry["aggregate"]
 
 
 # t1_vs_t2 rejects nothing; its first row is {}, at p = 1.  t1_vs_t3 rejects 3 rows.
 # The header's llr, p, n_sigma_threshold and llr_threshold are derived too:
 # t1_vs_t2's rows sum to 1,185.44 on k = 1,405, at p 0.999994.  Each file
 # but the p of 1.5 was once summarized, the forged llr as N_sigma 18,838.06;
-# a k of 2**40 has no chi-squared quantile at alpha_local / 2.
+# a k of 2**40 has no chi-squared quantile at alpha_local / 2, and one of
+# 2**1023 was once refused as only "math domain error".
 @pytest.mark.parametrize("comparison_id, pick, key, value", [
     ("t1_vs_t2", lambda entry: entry["circuits"][0], "sstvd", 0.99),
     ("t1_vs_t2", lambda entry: entry["circuits"][0], "rejected", True),
@@ -1020,6 +1035,7 @@ def _row0_agg(entry):
     ("t1_vs_t2", _agg, "n_sigma_threshold", -123),
     ("t1_vs_t2", None, "llr_threshold", None),
     ("t1_vs_t2", _row0_agg, "k", 2**40),
+    ("t1_vs_t2", _row0_agg, "k", 2**1023),
 ])
 def test_report_contradicting_its_derived_values_is_one_line_error(
         tmp_path, capsys, drift_report, comparison_id, pick, key, value):
@@ -1085,12 +1101,11 @@ def test_report_contradicting_its_derived_decision_is_one_line_error(
 
 
 def _decision_input(key, value):
-    """Set alpha_local, or the p of t1_vs_t2's first row, and drop the
-    stated p_threshold: each value below leaves every stated derived value
-    as it was, so only the decision's input rules can refuse it.  The
-    aggregate's p is derived: a stated one is checked as the others are."""
+    """Set alpha_local, or the p of t1_vs_t2's first row: the decision's
+    input rules refuse each value below before any stated derived value is
+    checked.  The aggregate's p is derived: a stated one is checked as the
+    others are."""
     def change(entry):
-        del entry["p_threshold"]
         target = entry if key == "alpha_local" else entry["circuits"][0]
         target["alpha_local" if key == "alpha_local" else "p"] = value
     return change
@@ -1120,14 +1135,17 @@ def test_report_outside_the_decisions_domain_is_one_line_error(
 
 
 def _repeat_first_row(entry):
-    entry["circuits"].append(copy.deepcopy(entry["circuits"][0]))
-    del entry["p_threshold"]
+    """The first row twice, with k and every derived value restated for the rows."""
+    rows = entry["circuits"]
+    entry["aggregate"]["k"] += entry["aggregate"]["k"] // len(rows)
+    rows.append(copy.deepcopy(rows[0]))
+    _restate(entry)
 
 
 def _aggregate_k_7(entry):
+    """k of 7, not a multiple of the 1,405 rows; the k check comes before
+    every derived value, so those stay as analyze wrote them."""
     entry["aggregate"]["k"] = 7
-    del entry["aggregate"]["n_sigma"], entry["aggregate"]["triggered"]
-    del entry["p_threshold"], entry["detected"]
 
 
 def _tvd_on_every_row(entry):
@@ -1137,20 +1155,39 @@ def _tvd_on_every_row(entry):
             row["sstvd"] = 0.5
 
 
-# Comparison 0 is joint, of five contexts, and comparison 1 is t1_vs_t2;
-# the first row of each is {}.
+def _tvd_null_on_every_row(entry):
+    """No TVD, and so no SSTVD, on any row: a pair without effect sizes."""
+    for row in entry["circuits"]:
+        row["tvd"] = row["sstvd"] = row["sstvd_per_gate"] = None
+
+
+def _contexts(*contexts):
+    def change(entry):
+        entry["contexts"] = list(contexts)
+    change.__name__ = f"_contexts{contexts}"
+    return change
+
+
+# Comparison 0 is joint, of five contexts, comparison 1 is t1_vs_t2 and
+# comparison 2 is t1_vs_t3, which rejects 3 rows; the first row of each is {}.
 @pytest.mark.parametrize("n, change, message", [
     (1, _repeat_first_row, "duplicate circuit id '{}'"),
     (1, _aggregate_k_7, "aggregate 'k' must be a positive multiple of rows x (contexts - 1) "
                         "= 1405 x 1, got 7"),
     (0, _tvd_on_every_row, "'tvd' of '{}' must be null: a TVD is between two contexts, not 5"),
+    (2, _tvd_null_on_every_row,
+     "'tvd' of '{}' must be a number: a comparison of two contexts has a TVD"),
+    (1, _contexts("t1", "t1"), "duplicate context 't1'"),
+    (0, _contexts("t1", "t2", "t2", "t4", "t5"), "duplicate context 't2'"),
 ])
 def test_report_rows_no_analysis_writes_are_one_line_error(tmp_path, capsys, drift_report, n,
                                                            change, message):
     """A comparison's rows are distinct circuits, each test has (contexts -
-    1) (outcomes - 1) dof, and a TVD compares two contexts; summarize once
-    printed "rejected circuits: 0 of 1406", N_sigma 314.95 and a max SSTVD
-    of 50% for these files and exited 0."""
+    1) (outcomes - 1) dof, a row has a TVD exactly when two contexts are
+    compared, and the contexts are distinct; summarize once printed
+    "rejected circuits: 0 of 1406", N_sigma 314.95, a max SSTVD of 50%, a
+    max SSTVD of n/a for t1_vs_t3, and "comparison t1_vs_t2 (t1, t1)" for
+    these files and exited 0."""
     report = copy.deepcopy(drift_report)
     change(report[n])
     code, captured = _summarize_parsed(report, tmp_path, capsys)
@@ -1178,16 +1215,29 @@ def test_report_repeating_a_comparison_id_is_one_line_error(tmp_path, capsys, dr
                             f"({entry['comparison_id']!r}): comparison_id repeats comparison 1\n")
 
 
-def test_report_without_sstvd_or_detected_summarizes_alike(tmp_path, capsys, drift_report):
-    code, captured = _summarize_parsed(drift_report, tmp_path, capsys)
-    assert code == 0
+def test_report_restated_from_its_rows_is_unchanged(drift_report):
+    """_restate, which the forged files above use, derives every value as
+    analyze wrote it, bit for bit."""
     report = copy.deepcopy(drift_report)
     for entry in report:
-        del entry["detected"]
-        for row in entry["circuits"]:
-            del row["sstvd"]
-    assert _summarize_parsed(report, tmp_path, capsys) == (code, captured)
-    # Nor do the header's derived values change the summary.
-    for entry in report:
-        del entry["p_threshold"], entry["aggregate"]["n_sigma"], entry["aggregate"]["triggered"]
-    assert _summarize_parsed(report, tmp_path, capsys) == (code, captured)
+        _restate(entry)
+    assert json.dumps(report) == json.dumps(drift_report)
+
+
+# Once optional, with a default for an omitted one: an omitted small_sample
+# read as false, a pair's tvd as null and warnings as none.
+@pytest.mark.parametrize("key", ["warnings", "p_threshold", "detected", "aggregate n_sigma",
+                                 "aggregate triggered", "row tvd", "row sstvd",
+                                 "row sstvd_per_gate", "row small_sample"])
+def test_report_without_a_field_is_one_line_error(tmp_path, capsys, drift_report, key):
+    """Every field save_report writes is required: t1_vs_t2 without one
+    of its header's or its first row's fields is refused."""
+    report = copy.deepcopy(drift_report)
+    where, _, name = key.rpartition(" ")
+    entry = report[1]
+    del {"": entry, "aggregate": entry["aggregate"], "row": entry["circuits"][0]}[where][name]
+    code, captured = _summarize_parsed(report, tmp_path, capsys)
+    assert (code, captured.out) == (1, "")
+    row = "circuit 0: " if where == "row" else ""
+    assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison 1 ('t1_vs_t2'): "
+                            f"{row}missing field {name!r}\n")

@@ -386,8 +386,8 @@ def _one_row_report():
         comparison_id="a_vs_b", contexts=("a", "b"), alpha_local=0.05, dof=1,
         circuit_ids=("Gx",), llr=np.zeros(1), p_value=np.ones(1),
         jsd=np.zeros(1), jsd_threshold=np.zeros(1), small_sample=np.zeros(1, dtype=bool),
-        tvd=np.full(1, 0.1), tvd_null=np.zeros(1, dtype=bool),
-        sstvd_per_gate=np.full(1, 0.1), sstvd_per_gate_null=np.zeros(1, dtype=bool))
+        tvd=np.full(1, 0.1), sstvd_per_gate=np.full(1, 0.1),
+        sstvd_per_gate_null=np.zeros(1, dtype=bool))
 
 
 class TestReportFiles:
@@ -427,20 +427,19 @@ class TestReportFiles:
         (("Gx", "Gy"), ("a", "b", "c"), 3, "= 2 x 2, got 6"),
         (("Gx", "Gy"), ("a", "b"), 0, "= 2 x 1, got 0"),
         (("Gx", "Gy"), ("a",), 2, "= 2 x 0, got 4"),
-        (("Gx", "Gy"), ("a", "b", "c"), 4,
-         "'tvd' of 'Gx' must be null: a TVD is between two contexts, not 3"),
+        (("Gx", "Gy"), ("a", "a"), 2, "duplicate context 'a'"),
     ])
     def test_report_no_analysis_makes_is_refused(self, ids, contexts, dof, message):
         # Rows of distinct circuits, (contexts - 1) (outcomes - 1) dof each,
-        # and a TVD only between two contexts; a report file is held to the
-        # same rules by load_report.
+        # between distinct contexts; a report file is held to the same rules
+        # by load_report.
         flags = np.zeros(2, dtype=bool)
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             ComparisonReport.from_columns(
                 comparison_id="c", contexts=contexts, alpha_local=0.05, dof=dof,
                 circuit_ids=ids, llr=np.zeros(2),
                 p_value=np.ones(2), jsd=np.zeros(2), jsd_threshold=np.zeros(2),
-                small_sample=flags, tvd=np.full(2, 0.1), tvd_null=flags,
+                small_sample=flags, tvd=np.full(2, 0.1),
                 sstvd_per_gate=np.zeros(2), sstvd_per_gate_null=~flags)
 
     @pytest.mark.parametrize("reports", [lambda report: [],
@@ -529,8 +528,8 @@ def comparison_reports(draw):
     # SSTVD is drawn for any row, and shown only where the row has an SSTVD.
     # The rows' ids are distinct, the llr sum to a finite number >= 0, the
     # dof is a multiple of contexts - 1 (the aggregate's within the
-    # chi-squared functions' range), and only a pair has tvds.
-    contexts = tuple(draw(st.lists(report_text, min_size=2, max_size=3)))
+    # chi-squared functions' range), and the contexts are distinct.
+    contexts = tuple(draw(st.lists(report_text, min_size=2, max_size=3, unique=True)))
     return ComparisonReport.from_columns(
         comparison_id=draw(report_text),
         contexts=contexts,
@@ -538,9 +537,7 @@ def comparison_reports(draw):
         dof=(len(contexts) - 1) * draw(st.integers(1, 10**5)),
         circuit_ids=tuple(draw(st.lists(report_text, min_size=n, max_size=n, unique=True))),
         llr=floats(report_llr), p_value=floats(report_p), jsd=floats(), jsd_threshold=floats(),
-        small_sample=flags(), tvd=floats(),
-        tvd_null=flags() if len(contexts) == 2 else np.ones(n, dtype=bool),
-        sstvd_per_gate=floats(),
+        small_sample=flags(), tvd=floats(), sstvd_per_gate=floats(),
         sstvd_per_gate_null=flags(), warnings=tuple(draw(st.lists(report_text, max_size=2))),
     )
 
@@ -555,14 +552,14 @@ def _signed_zero_report():
         comparison_id="z", contexts=("a", "b"), alpha_local=0.05, dof=1,
         circuit_ids=("x", "y", "z"),
         llr=zeros, p_value=zeros, jsd=-zeros, jsd_threshold=zeros,
-        small_sample=flags, tvd=zeros, tvd_null=flags,
+        small_sample=flags, tvd=zeros,
         sstvd_per_gate=zeros, sstvd_per_gate_null=flags,
     )
 
 
 def _report_with_rows(n):
     """A report of n rows with varied values, ids that need escaping and
-    quoting among them, some null optional columns, and every third row
+    quoting among them, some null per-gate SSTVDs, and every third row
     rejected: its p is far below, and every other p far above, any
     step-up threshold at alpha_local 0.05."""
     values = np.arange(n) / 7.0
@@ -573,7 +570,7 @@ def _report_with_rows(n):
         circuit_ids=tuple(f'c{i}' if i % 5 else f'c"{i},\u00e9' for i in range(n)),
         llr=values, p_value=np.where(flags, 1e-9, 0.5 + 0.5 / (1.0 + values)), jsd=values / 3,
         jsd_threshold=values % 1.0, small_sample=~flags, tvd=values / 11,
-        tvd_null=odd, sstvd_per_gate=-values, sstvd_per_gate_null=~flags | odd | (values > 9),
+        sstvd_per_gate=-values, sstvd_per_gate_null=~flags | odd | (values > 9),
     )
 
 
@@ -628,7 +625,7 @@ class TestReportBytes:
         for old, new in zip(reports, loaded, strict=True):
             assert new.circuit_ids == old.circuit_ids
             assert new.tables.tolist() == list(range(len(old.rows)))
-            for name in ("tvd_null", "sstvd_null", "rejected", "small_sample"):
+            for name in ("sstvd_null", "rejected", "small_sample"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
             # A per-gate SSTVD is saved only where the SSTVD is.
             assert np.array_equal(new.sstvd_per_gate_null,
