@@ -11,7 +11,8 @@ would overstate what was demonstrated.  The statistically significant TVD
 (SSTVD) is therefore TVD gated on the circuit's own test rejecting, and
 null otherwise; null is deliberately not collapsed to 0, which would read
 as "no change" rather than "not resolved".  The gate lives in
-pipeline.run_analysis, which applies it to every row of a pair's report.
+pipeline.ComparisonReport, whose null masks say where a row's SSTVD is null:
+every row the comparison does not reject, and every row outside a pair.
 """
 
 from __future__ import annotations

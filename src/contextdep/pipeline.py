@@ -15,7 +15,9 @@ per dataset; a comparison takes a slice of it, all circuits at once, and
 each distinct count table of the plan is tested once.
 Reports serialize to JSON and to the two CSV data layers used for
 plotting (a pairwise N-sigma / rejection-count matrix and a JSD versus
-core-length profile).
+core-length profile).  load_report builds each report from its file's
+inputs and refuses a file that states a derived field otherwise.  A row's
+jsd and jsd_threshold are inputs: a format-1 file holds no shot totals.
 """
 
 from __future__ import annotations
@@ -223,11 +225,12 @@ class ComparisonReport(Decision, Record):
     derived: the ``aggregate`` of the rows' llr, and multitest.Decision's
     decision and thresholds, whose inputs it checks when the report is
     built, with the rules of the rows: distinct contexts and circuit ids,
-    and a dof that is a positive multiple of contexts - 1.  The SSTVD, like
-    a per-gate SSTVD, is shown only on rejected pair rows (``sstvd_null``).
-    ``circuits`` is a read-only view of the rows as one CircuitAnalysis per
-    row.  Reports are equal when their headers and columns are, from one
-    store or two.
+    and a dof that is a positive multiple of contexts - 1; the id and the
+    warnings are strings and the dof an int, as a file holds them.  ``nulls``
+    says where the tvd, the SSTVD and the per-gate SSTVD of a row are null,
+    for the writer, the row view and load_report alike.  ``circuits`` is a
+    read-only view of the rows as one CircuitAnalysis per row.  Reports are
+    equal when their headers and columns are, from one store or two.
     """
 
     comparison_id: str
@@ -248,6 +251,10 @@ class ComparisonReport(Decision, Record):
                  dof: int, store: TableStore, rows: np.ndarray, tables: np.ndarray,
                  jsd_threshold: np.ndarray, sstvd_per_gate: np.ndarray,
                  sstvd_per_gate_null: np.ndarray, warnings: tuple[str, ...] = ()) -> None:
+        if not (isinstance(comparison_id, str) and type(dof) is int
+                and all(isinstance(warning, str) for warning in warnings)):
+            raise ValueError(f"a comparison_id and warnings are strings and a dof an int, "
+                             f"got {comparison_id!r}, {warnings!r} and {dof!r}")
         self.__dict__.update(
             comparison_id=comparison_id, alpha_local=alpha_local, dof=dof,
             contexts=distinct_labels(contexts, "context", minimum=0),
@@ -284,13 +291,12 @@ class ComparisonReport(Decision, Record):
 
     def _row(self, i: int) -> CircuitAnalysis:
         column, table = self.store.columns[len(self.contexts)], self.tables[i]
-        tvd = float(column["tvd"][table]) if len(self.contexts) == 2 else None
-        shown = not self.sstvd_null[i]
+        tvd, per_gate = float(column["tvd"][table]), float(self.sstvd_per_gate[i])
         return CircuitAnalysis(
             self.store.circuit_ids[self.rows[i]],
             *(float(column[name][table]) for name in ("llr", "p_value", "jsd")),
-            float(self.jsd_threshold[i]), tvd, tvd if shown else None,
-            float(self.sstvd_per_gate[i]) if shown and not self.sstvd_per_gate_null[i] else None,
+            float(self.jsd_threshold[i]), *(None if mask[i] else value for mask, value in zip(
+                self.nulls.values(), (tvd, tvd, per_gate))),
             bool(self.rejected[i]), bool(column["small_sample"][table]))
 
     @cached_property
@@ -298,8 +304,12 @@ class ComparisonReport(Decision, Record):
         return llr_aggregate(self.llr, self.dof)
 
     @cached_property
-    def sstvd_null(self) -> np.ndarray:
-        return ~self.rejected | (len(self.contexts) != 2)
+    def nulls(self) -> dict[str, np.ndarray]:
+        """Where each nullable row field is null, in file order: a tvd outside
+        a pair, and an SSTVD, like a per-gate SSTVD, on rows not rejected."""
+        no_tvd = np.full(len(self.rows), len(self.contexts) != 2)
+        sstvd = no_tvd | ~self.rejected
+        return {"tvd": no_tvd, "sstvd": sstvd, "sstvd_per_gate": sstvd | self.sstvd_per_gate_null}
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
@@ -307,7 +317,7 @@ class ComparisonReport(Decision, Record):
 
     @property
     def max_sstvd(self) -> float | None:
-        values = self.tvd[~self.sstvd_null]
+        values = self.tvd[~self.nulls["sstvd"]]
         return float(values.max()) if values.size else None
 
 
@@ -425,8 +435,8 @@ def _format_distinct(values: np.ndarray, format_all, texts: dict[int, str]) -> n
 
 
 def _json_floats(values: list[float]) -> list[str]:
-    # json's own spellings, NaN and Infinity included; none contains ", ".
-    return json.dumps(values)[1:-1].split(", ")
+    # json's own spellings, none containing ", "; a non-finite value raises.
+    return json.dumps(values, allow_nan=False)[1:-1].split(", ")
 
 
 def _g10_floats(values: list[float]) -> list[str]:
@@ -448,44 +458,41 @@ def _texts(report: ComparisonReport, spell, name: str) -> np.ndarray:
         store.columns[width][name], spell, shared))[report.tables]
 
 
-# One circuit row as json.dumps(..., indent=2) lays it out, cut at its ten values.
-_ROW_PIECES = """      {
-        "id": "%s",
-        "llr": %s,
-        "p": %s,
-        "jsd": %s,
-        "jsd_threshold": %s,
-        "tvd": %s,
-        "sstvd": %s,
-        "sstvd_per_gate": %s,
-        "rejected": %s,
-        "small_sample": %s
-      }""".split("%s")
+# A report row's fields in file order, each with the report column it shows.
+_ROW = {"id": "circuit_ids", "llr": "llr", "p": "p_value", "jsd": "jsd",
+        "jsd_threshold": "jsd_threshold", "tvd": "tvd", "sstvd": "tvd",
+        "sstvd_per_gate": "sstvd_per_gate", "rejected": "rejected", "small_sample": "small_sample"}
+# One row as json.dumps(..., indent=2) lays it out, cut at its values; the id is a string.
+_ROW_PIECES = ("      {\n" + ",\n".join(f'        "{key}": %s' for key in _ROW)
+               + "\n      }").replace("%s", '"%s"', 1).split("%s")
+# The header fields load_report reads to build a report; it checks the others.
+_READ = ("comparison_id", "contexts", "alpha_local", "aggregate", "k", "warnings")
 
 
-def _comparison_rows(report: ComparisonReport) -> tuple[str, list[list[str]]]:
-    """The comparison's object as json.dumps(reports, indent=2) writes it:
-    the text up to its circuits array, and the ten text columns of its rows."""
+def _header(report: ComparisonReport) -> dict:
+    """The comparison's fields before its circuits, as save_report writes them."""
     agg = report.aggregate
-    head = {"comparison_id": report.comparison_id, "contexts": list(report.contexts),
+    return {"comparison_id": report.comparison_id, "contexts": list(report.contexts),
             "alpha_local": report.alpha_local,
             "aggregate": {"llr": agg.llr, "k": agg.dof, "p": agg.p_value, "n_sigma": agg.n_sigma,
                           "n_sigma_threshold": report.n_sigma_threshold,
                           "triggered": report.aggregate_triggered},
             "p_threshold": report.p_threshold, "llr_threshold": report.llr_threshold,
             "detected": report.detected, "warnings": list(report.warnings)}
+
+
+def _comparison_rows(report: ComparisonReport) -> tuple[str, list[list[str]]]:
+    """The comparison's object as json.dumps(reports, indent=2) writes it:
+    the text up to its circuits array, and the ten text columns of its rows."""
     # Strip the enclosing "[\n" and "\n  }\n]": the circuits go last.
-    text = json.dumps([head], indent=2)[2:-6] + ',\n    "circuits": '
+    text = json.dumps([_header(report)], indent=2, allow_nan=False)[2:-6] + ',\n    "circuits": '
+    columns = []
+    for key, name in _ROW.items():
+        texts = (np.where(getattr(report, name), "true", "false")
+                 if key in ("rejected", "small_sample")
+                 else _texts(report, _json_body if key == "id" else _json_floats, name))
+        columns.append(np.where(report.nulls[key], "null", texts) if key in report.nulls else texts)
     # A column of another length than the ids fails write_rows' length check.
-    tvd = np.where(len(report.contexts) == 2, _texts(report, _json_floats, "tvd"), "null")
-    per_gate = np.where(report.sstvd_per_gate_null | report.sstvd_null, "null",
-                        _texts(report, _json_floats, "sstvd_per_gate"))
-    columns = [_texts(report, _json_body, "circuit_ids"),
-               *(_texts(report, _json_floats, name)
-                 for name in ("llr", "p_value", "jsd", "jsd_threshold")),
-               tvd, np.where(report.rejected, tvd, "null"), per_gate,
-               np.where(report.rejected, "true", "false"),
-               np.where(report.small_sample, "true", "false")]
     return text, [column.tolist() for column in columns]
 
 
@@ -501,7 +508,9 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     The bytes are those of json.dumps(payload, indent=2) plus a newline,
     written one comparison at a time, its rows by write_rows from ten text
     columns, each id and distinct float of a TableStore encoded once.  Like
-    load_report, it refuses no reports and a repeated comparison_id.
+    load_report, it refuses no reports and a repeated comparison_id.  A
+    NaN or an infinity in a float column, which RFC 8259 cannot spell and
+    no analysis makes, raises a ValueError when its comparison is reached.
     """
     if not reports or len({report.comparison_id for report in reports}) < len(reports):
         raise ValueError("a report file holds at least one comparison, each with its own id")
@@ -531,70 +540,57 @@ def _load_comparison(entry: dict) -> ComparisonReport:
     k = field(agg, "k", (int,))
     # Held as floats, so an integer here must lie within float range.
     alpha_local = _float(field(entry, "alpha_local", NUMBER), "alpha_local")
-    _float(field(agg, "llr", NUMBER), "llr")
     _float(k, "k")
-    columns, nulls = {}, {}
+    numbers, nulls = {}, {}
     try:
-        for key, name in (("llr", "llr"), ("p", "p_value"), ("jsd", "jsd"),
-                          ("jsd_threshold", "jsd_threshold")):
-            columns[name] = np.array(column(rows, key, NUMBER, "circuit"), dtype=float)
+        for key in ("llr", "p", "jsd", "jsd_threshold"):
+            numbers[key] = np.array(column(rows, key, NUMBER, "circuit"), dtype=float)
         for key in ("tvd", "sstvd", "sstvd_per_gate"):
             values = column(rows, key, NUMBER + (type(None),), "circuit")
             nulls[key] = np.array([value is None for value in values], dtype=bool)
-            columns[key] = np.array([0.0 if value is None else value for value in values],
+            numbers[key] = np.array([0.0 if value is None else value for value in values],
                                     dtype=float)
     except OverflowError:
         raise ValueError(f"circuit: {key!r} is out of float range") from None
-    sstvd, columns["sstvd_per_gate_null"] = columns.pop("sstvd"), nulls["sstvd_per_gate"]
     rejected = np.array(column(rows, "rejected", (bool,), "circuit"), dtype=bool)
-    columns["small_sample"] = np.array(column(rows, "small_sample", (bool,), "circuit"),
-                                       dtype=bool)
+    small_sample = np.array(column(rows, "small_sample", (bool,), "circuit"), dtype=bool)
     contexts = tuple(field(entry, "contexts", STRINGS))
     circuit_ids = tuple(column(rows, "id", (str,), "circuit"))
     warnings = tuple(field(entry, "warnings", STRINGS))
     _check_k(k, len(rows), len(contexts))
-    pair = len(contexts) == 2
-    if (nulls["tvd"] == pair).any():
-        row_id = circuit_ids[np.argmax(nulls["tvd"] == pair)]
-        raise ValueError(f"'tvd' of {row_id!r} must be " + (
-            "a number: a comparison of two contexts has a TVD" if pair else
-            f"null: a TVD is between two contexts, not {len(contexts)}"))
     try:  # the chi-squared functions fail only for a huge k
         report = ComparisonReport.from_columns(
             comparison_id=entry["comparison_id"], contexts=contexts, alpha_local=alpha_local,
-            dof=k // len(rows), circuit_ids=circuit_ids, warnings=warnings, **columns)
-        aggregate, n_sigma_threshold, llr_threshold = (
-            report.aggregate, report.n_sigma_threshold, report.llr_threshold)
+            dof=k // len(rows), circuit_ids=circuit_ids, warnings=warnings,
+            small_sample=small_sample, sstvd_per_gate_null=nulls["sstvd_per_gate"],
+            **{_ROW[key]: numbers[key] for key in numbers if key != "sstvd"})
+        header = _header(report)
     except (RuntimeError, ArithmeticError) as exc:
         raise ValueError(f"aggregate 'k' {reprlib.repr(k)} is beyond the chi-squared "
                          f"functions' range ({exc})") from None
-    # Every derived value must be the report's, the header's first, a number
-    # bit for bit (repr tells -0.0 from 0.0, and NaN is NaN).
-    for obj, key, kinds, derived, rule in (
-            (agg, "llr", NUMBER, aggregate.llr, "the rows' llr summed in order"),
-            (agg, "p", NUMBER, aggregate.p_value, "the chi-squared survival of llr on k"),
-            (agg, "n_sigma", NUMBER, aggregate.n_sigma, "(llr - k) / sqrt(2 k)"),
-            (agg, "n_sigma_threshold", NUMBER, n_sigma_threshold, "the N_sigma of alpha_local / 2"),
-            (agg, "triggered", (bool,), report.aggregate_triggered, "whether p < alpha_local / 2"),
-            (entry, "p_threshold", NUMBER, report.p_threshold, "the step-up threshold of the "
-             "rows' p at alpha_local, or at alpha_local / 2 if the aggregate did not trigger"),
-            (entry, "llr_threshold", NUMBER, llr_threshold, "the llr of p_threshold on k / rows")):
-        stated = field(obj, key, kinds)
-        if repr(_float(stated, key)) != repr(float(derived)):
-            raise ValueError(f"{key!r} must be {derived!r}: {rule}, got {stated!r}")
-    for key, wrong, rule in (
-            ("rejected", rejected != report.rejected, "p < p_threshold"),
-            ("sstvd", (nulls["sstvd"] != report.sstvd_null)
-             | (~nulls["sstvd"] & (sstvd.view(np.int64) != report.tvd.view(np.int64))),
-             "the tvd of a rejected row, and null elsewhere"),
-            ("sstvd_per_gate", report.sstvd_null & ~report.sstvd_per_gate_null,
-             "null where sstvd is null")):
+    # json reads the token NaN as a NaN, and a number beyond float range as infinity.
+    wrong = np.argwhere(~np.isfinite(np.array(list(numbers.values()))).T)
+    if wrong.size:
+        n, key = int(wrong[0, 0]), list(numbers)[wrong[0, 1]]
+        raise ValueError(f"{key!r} of circuit {n} must be a finite number, got {rows[n][key]!r}")
+    # Every other field is the report's, in file order: the header's, then the rows'
+    # rejected and nullable fields, null where its nulls say, floats bit for bit.
+    for obj, derived in ((agg, header["aggregate"]), (entry, header)):
+        for key in [key for key in derived if key not in _READ]:
+            stated = field(obj, key, (bool,) if type(derived[key]) is bool else NUMBER)
+            if repr(_float(stated, key)) != repr(float(derived[key])):
+                raise ValueError(f"{key!r} must be {derived[key]!r}, got {stated!r}")
+    numbers["rejected"], nulls["rejected"] = rejected, np.zeros(len(rows), dtype=bool)
+    for key in ("rejected", *report.nulls):
+        derived, null = getattr(report, _ROW[key]), report.nulls.get(key, nulls["rejected"])
+        bits = [np.asarray(a, dtype=float).view(np.int64) for a in (numbers[key], derived)]
+        wrong = (nulls[key] != null) | (~null & (bits[0] != bits[1]))
         if wrong.any():
             n = int(np.argmax(wrong))
-            raise ValueError(f"circuit {n}: {key!r} must be {rule}, got {rows[n][key]!r}")
-    if field(entry, "detected", (bool,)) != report.detected:
-        raise ValueError(f"'detected' must be {report.detected!r}: whether the "
-                         "aggregate triggered or a circuit is rejected")
+            # A field that shows its own column is derived only where it is null.
+            value = ("a number" if nulls[key][n] and not null[n] and _ROW[key] == key
+                     else repr(None if null[n] else derived[n].item()))
+            raise ValueError(f"{key!r} of circuit {n} must be {value}, got {rows[n][key]!r}")
     return report
 
 
@@ -604,13 +600,12 @@ def load_report(path: Path) -> list[ComparisonReport]:
 
     Every field save_report writes is required, with its JSON type, and
     rows are objects.  Also a ValueError: no comparisons, a repeated
-    comparison_id, a comparison without rows, an alpha_local, llr, k or row
+    comparison_id, a comparison without rows, an alpha_local, k or row
     number beyond float range, a k that is not a positive multiple of rows
-    x (contexts - 1) or is beyond the chi-squared functions, a tvd that is
-    null in a pair or a number in a wider comparison, a report that
-    ComparisonReport refuses, a derived value (header, rejected, sstvd,
-    detected) other than the report's, or an sstvd_per_gate where the sstvd
-    is null.  A fault in a comparison begins with its index and id.
+    x (contexts - 1) or is beyond the chi-squared functions, a report that
+    ComparisonReport refuses, a row number that is not finite, or a field
+    the report derives (_header's, and a row's rejected and nulls) stated
+    otherwise.  A fault in a comparison begins with its index and id.
     """
     raw = read_json(path, ((list, (dict,)),))
     if not raw:

@@ -501,7 +501,7 @@ def save_report_reference(reports, path) -> None:
         }
         for report in reports
     ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def write_jsd_profile_csv_reference(rows, path) -> None:
@@ -683,7 +683,8 @@ def report_file_is_valid(obj) -> bool:
     it has two or more contexts; a row's `tvd` is a number exactly when the
     comparison has two contexts, and null otherwise.
     A per-circuit number, `alpha_local` and the aggregate's `llr` and `k`
-    are held as floats, so an integer there must lie within float range.  The
+    are held as floats, so an integer there must lie within float range, and
+    a float must be finite: RFC 8259 has no NaN or infinity.  The
     decision's inputs have a domain: `alpha_local` lies in (0, 1),
     alpha_local / 2 / rows does not underflow to 0, and every row's p lies
     in [0, 1] (NaN does not).  The header follows from the rows
@@ -702,7 +703,9 @@ def report_file_is_valid(obj) -> bool:
         return type(value) in (int, float)
 
     def column_number(value):
-        return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+        # A finite float: json reads the token NaN as a NaN, and 1e400 as an infinity.
+        return (type(value) is float and math.isfinite(value)
+                or type(value) is int and abs(value) <= sys.float_info.max)
 
     def strings(value):
         return isinstance(value, list) and all(isinstance(item, str) for item in value)

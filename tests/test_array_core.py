@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextdep import llr
+from contextdep import llr, multitest
 from contextdep.chi2 import chi2_isf, chi2_sf
 from contextdep.counts import CircuitRecord
 from contextdep.divergence import jsd_from_llr, tvd_rows
@@ -196,12 +196,12 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
             "jsd_threshold": jsd_from_llr(outcome.llr_threshold, tests.n_total),
             "rejected": outcome.rejected,
             "tvd": tvd,
-            "sstvd_null": ~shown,
             "sstvd_per_gate": per_gate, "sstvd_per_gate_null": per_gate_null,
         }
         assert report.circuit_ids == tuple(dataset.circuit_ids[row] for row in rows)
         for name, column in expected.items():
             assert getattr(report, name).tobytes() == column.tobytes(), name
+        assert report.nulls["sstvd"].tobytes() == (~shown).tobytes()
         assert [line.sstvd for line in report.circuits] == [
             float(value) if show else None for value, show in zip(tvd, shown)]
         assert (report.aggregate, report.p_threshold, report.llr_threshold,
@@ -220,24 +220,30 @@ def test_plan_wide_core_equals_each_comparison_slice(dataset):
             assert written.read_bytes() == reference.read_bytes()
 
 
-def test_each_table_and_p_value_computed_once_per_plan(monkeypatch):
+def test_each_table_and_p_value_computed_once_per_plan(monkeypatch, tmp_path):
     """The work is counted: one statistic per distinct count table of the
     plan, one survival function per distinct (dof, statistic bits), plus
     two per comparison's aggregate: combined_procedure's, and the report's,
-    which it derives from its rows."""
+    which it derives from its rows.  Analysing and saving a comparison
+    inverts the survival function three times: the outcome's llr_threshold
+    for jsd_threshold, and the report's llr_threshold and n_sigma_threshold."""
     rng = np.random.default_rng(3)
     contexts = ("t0", "t1", "t2", "t3")
     dataset = records_dataset(2, contexts, [
         {c: tuple(rng.integers(1, 4, size=2).tolist()) for c in contexts
          if i % 5 or c != "t3"}
         for i in range(40)])
-    sf_calls, statistic_rows = [], []
+    sf_calls, statistic_rows, isf_calls = [], [], []
     chi2_sf_, llr_statistics_ = llr.chi2_sf, llr.llr_statistics
     monkeypatch.setattr(llr, "chi2_sf", lambda x, k: sf_calls.append((x, k)) or chi2_sf_(x, k))
+    for module in (llr, multitest):
+        monkeypatch.setattr(module, "chi2_isf",
+                            lambda p, k: isf_calls.append((p, k)) or chi2_isf(p, k))
     monkeypatch.setattr(llr, "llr_statistics",
                         lambda counts: statistic_rows.append(len(counts)) or
                         llr_statistics_(counts))
     reports = run_analysis(dataset, ComparisonPlan.default(contexts))
+    save_report(reports, tmp_path / "report.json")
 
     tables, statistics = set(), set()
     for report in reports:
@@ -255,3 +261,4 @@ def test_each_table_and_p_value_computed_once_per_plan(monkeypatch):
     assert sum(len(columns["llr"]) for columns in store.columns.values()) == len(tables)
     assert sum(statistic_rows) == len(tables)
     assert len(sf_calls) == len(statistics) + 2 * len(reports)
+    assert len(isf_calls) == 3 * len(reports)

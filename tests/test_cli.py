@@ -1174,9 +1174,8 @@ def _contexts(*contexts):
     (1, _repeat_first_row, "duplicate circuit id '{}'"),
     (1, _aggregate_k_7, "aggregate 'k' must be a positive multiple of rows x (contexts - 1) "
                         "= 1405 x 1, got 7"),
-    (0, _tvd_on_every_row, "'tvd' of '{}' must be null: a TVD is between two contexts, not 5"),
-    (2, _tvd_null_on_every_row,
-     "'tvd' of '{}' must be a number: a comparison of two contexts has a TVD"),
+    (0, _tvd_on_every_row, "'tvd' of circuit 0 must be None, got 0.5"),
+    (2, _tvd_null_on_every_row, "'tvd' of circuit 0 must be a number, got None"),
     (1, _contexts("t1", "t1"), "duplicate context 't1'"),
     (0, _contexts("t1", "t2", "t2", "t4", "t5"), "duplicate context 't2'"),
 ])
@@ -1194,6 +1193,24 @@ def test_report_rows_no_analysis_writes_are_one_line_error(tmp_path, capsys, dri
     assert (code, captured.out) == (1, "")
     assert captured.err == (f"error: {tmp_path / 'report.json'}: comparison {n} "
                             f"({report[n]['comparison_id']!r}): {message}\n")
+
+
+# RFC 8259 has no NaN or infinity: json reads the token NaN as one, and 1e400
+# as an infinity.  summarize once exited 0 on both files.
+@pytest.mark.parametrize("key, text, message", [
+    ("jsd", "NaN", "'jsd' of circuit 0 must be a finite number, got nan"),
+    ("jsd_threshold", "1e400", "'jsd_threshold' of circuit 0 must be a finite number, got inf"),
+])
+def test_report_with_a_non_finite_number_is_one_line_error(tmp_path, capsys, drift_report,
+                                                           key, text, message):
+    report = copy.deepcopy(drift_report)
+    report[0]["circuits"][0][key] = "<number>"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report).replace('"<number>"', text))
+    capsys.readouterr()
+    code, captured = main(["summarize", "--report", str(path)]), capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {path}: comparison 0 ('joint'): {message}\n"
 
 
 def test_report_without_comparisons_is_one_line_error(tmp_path, capsys):

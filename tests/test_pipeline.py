@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -451,6 +452,26 @@ class TestReportFiles:
             save_report(reports(_one_row_report()), tmp_path / "report.json")
         assert not (tmp_path / "report.json").exists()
 
+    # Each once saved without error, to a file that load_report refused:
+    # "'comparison_id' must be a string, got 5", "'warnings' must be an array
+    # of strings" and "'k' must be an integer, got 1.0".
+    @pytest.mark.parametrize("change, message", [
+        ({"comparison_id": 5}, "got 5, () and 1"),
+        ({"warnings": (5,)}, "got 'a_vs_b', (5,) and 1"),
+        ({"dof": 1.0}, "got 'a_vs_b', () and 1.0"),
+    ], ids=["comparison_id", "warnings", "dof"])
+    def test_report_a_file_cannot_hold_is_refused(self, change, message):
+        with pytest.raises(ValueError, match="^a comparison_id and warnings are strings and a "
+                                             f"dof an int, {re.escape(message)}$"):
+            dataclasses.replace(_one_row_report(), **change)
+
+    def test_non_finite_number_is_not_written(self, tmp_path):
+        # RFC 8259 has no NaN: json.dumps once wrote the token, and load_report
+        # read it back.
+        report = dataclasses.replace(_one_row_report(), jsd_threshold=np.full(1, math.nan))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_report([report], tmp_path / "report.json")
+
     def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
         # A short column once cut every row to its length: 5 of 40 rows saved.
         report = run_analysis(neighbor_example())[0]
@@ -492,9 +513,11 @@ class TestReportFiles:
 
 
 # Floats the writers must spell exactly as json and format(.10g) do: both
-# zeros, NaN, both infinities, subnormals, plus anything else.
-SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.1, 1e16]
-report_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# zeros, subnormals, the largest double, plus any other finite float (a
+# report file holds no NaN or infinity).
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1e16, sys.float_info.max]
+report_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
 # The decision's inputs have a domain of their own: p-values in [0, 1], both
 # zeros included, and a budget in (0, 1).
 report_p = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0]), st.floats(0.0, 1.0))
@@ -625,11 +648,12 @@ class TestReportBytes:
         for old, new in zip(reports, loaded, strict=True):
             assert new.circuit_ids == old.circuit_ids
             assert new.tables.tolist() == list(range(len(old.rows)))
-            for name in ("sstvd_null", "rejected", "small_sample"):
+            for name in ("rejected", "small_sample"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
+            for key in ("tvd", "sstvd", "sstvd_per_gate"):
+                assert np.array_equal(new.nulls[key], old.nulls[key])
             # A per-gate SSTVD is saved only where the SSTVD is.
-            assert np.array_equal(new.sstvd_per_gate_null,
-                                  old.sstvd_per_gate_null | old.sstvd_null)
+            assert np.array_equal(new.sstvd_per_gate_null, old.nulls["sstvd_per_gate"])
 
     def test_drift_report_matches_per_row_json(self, tmp_path):
         reports = run_analysis(drifting_dataset(), alpha=0.05)
