@@ -21,7 +21,6 @@ from .pipeline import (CircuitAnalysis, Comparison, ComparisonPlan,
                        ComparisonReport, jsd_profile, load_plan, load_report,
                        pairwise_matrices, run_analysis, save_report,
                        write_jsd_profile_csv, write_pairwise_csv)
-from .qsim import (ErrorModel, SimConfig, counts_stream, load_error_model,
-                   run_drift_experiment)
+from .qsim import ErrorModel, SimConfig, load_error_model, run_drift_experiment
 
 __version__ = "1.0.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 from collections.abc import Sequence
 from dataclasses import fields
@@ -510,19 +511,31 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     columns, each id and distinct float of a TableStore encoded once.  Like
     load_report, it refuses no reports and a repeated comparison_id.  A
     NaN or an infinity in a float column, which RFC 8259 cannot spell and
-    no analysis makes, raises a ValueError when its comparison is reached.
+    no analysis makes, raises a ValueError naming its comparison.  The file
+    is whole or absent: the array goes to a temporary file beside it, which
+    replaces path only once closed and is removed on any failure.
     """
     if not reports or len({report.comparison_id for report in reports}) < len(reports):
         raise ValueError("a report file holds at least one comparison, each with its own id")
-    separator = "[\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        for report in reports:
-            text, columns = _comparison_rows(report)
-            handle.write(separator + text + "[\n")
-            write_rows(handle, _ROW_PIECES, columns, ",\n")
-            handle.write("\n    ]\n  }")
-            separator = ",\n"
-        handle.write("\n]\n")
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8") as handle:
+            separator = "[\n"
+            for report in reports:
+                try:
+                    text, columns = _comparison_rows(report)
+                    handle.write(separator + text + "[\n")
+                    write_rows(handle, _ROW_PIECES, columns, ",\n")
+                except ValueError as exc:
+                    raise ValueError(f"comparison {report.comparison_id!r}: {exc}") from None
+                handle.write("\n    ]\n  }")
+                separator = ",\n"
+            handle.write("\n]\n")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _float(value, key: str) -> float:

@@ -17,16 +17,18 @@ the node products one trie depth at a time, in one batched matmul of
 take gathers per depth, keeping only the previous depth's products.
 The products are those of a circuit-by-circuit loop, bit for bit.
 
-Sampling is reproducible and order-independent: each (circuit, context)
-cell draws from its own stream, counts_stream, keyed by the experiment
-seed, a hash of the circuit id and the context index.  sample_experiment
-derives every cell's PCG64 state in one batch, running SeedSequence's
-hash and PCG64's seeding over arrays of cells, with each 128-bit state
-as uint64 limbs.  It then draws every cell's two outcomes as one
-binomial, the call counts_stream's multinomial makes, in one array pass:
-PCG64's steps and numpy's inversion and BTPE binomial run as array loops
-over the cells still drawing, term by term in numpy's C arithmetic, so
-the counts are the same.
+Sampling is reproducible and order-independent, and its definition is
+the package's own.  Each (circuit, context) cell has one uniform in
+(0, 1], from splitmix64 (Steele, Lea and Flood, OOPSLA 2014) keyed by
+the experiment seed, a sha256 hash of the circuit id and the context
+index, so no cell's draw depends on which other cells are simulated or
+in what order.  Its count of outcome 0 is the binomial inverse CDF at
+that uniform, over a window of about 10 standard deviations each side
+of the mode, with p0 reflected to 1 - p0 above 0.5.  All cells are drawn
+together: the uniforms in one pass of uint64 arrays, the window pmfs as
+(width, cells) running products.  Only +, -, *, /, sqrt, floor and ceil
+enter a count, each rounded as IEEE 754 requires, so the counts are the
+same on any numpy or libm.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .gstgen import (EMPTY_CIRCUIT_TEXT, CircuitSpec, GstDesign, lgst_circuits,
 __all__ = [
     "ErrorModel",
     "SimConfig",
-    "counts_stream",
     "experiment_probabilities",
     "sample_experiment",
     "run_drift_experiment",
@@ -143,6 +144,13 @@ class ErrorModel(Record):
         return self.static_epsilon + gate_map.get(gate, 0.0)
 
 
+# The most shots per cell.  A draw's window is about 20 sigma + 60 counts
+# wide, so its cost grows as sqrt(shots): 1.1 s for the drift design's
+# 7,025 cells at 10**6 shots, about 9.5 ms a cell at p0 = 0.5 at this cap
+# (2-core Xeon).
+MAX_SHOTS = 2**31 - 1
+
+
 @record
 class SimConfig(Record):
     """Shot budget, seed, and context list for one simulated experiment."""
@@ -155,10 +163,8 @@ class SimConfig(Record):
         for name, value in (("shots_per_context", shots_per_context), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        # numpy's binomial takes an int64 number of shots.
-        most = np.iinfo(np.int64).max
-        if not 1 <= shots_per_context <= most:
-            raise ValueError(f"shots_per_context must be in [1, {most}], "
+        if not 1 <= shots_per_context <= MAX_SHOTS:
+            raise ValueError(f"shots_per_context must be in [1, {MAX_SHOTS}], "
                              f"got {shots_per_context!r}")
         if seed < 0:
             raise ValueError("seed must be non-negative")
@@ -343,124 +349,39 @@ def _walk_probabilities(texts: Sequence[str],
     return probs
 
 
-def counts_stream(seed: int, circuit_id: str, context_index: int) -> np.random.Generator:
-    """Independent, reproducible RNG stream for one (circuit, context) cell.
+# splitmix64's increment and finaliser multipliers (Steele, Lea and Flood,
+# OOPSLA 2014).  Every constant is a numpy uint64: numpy turns uint64 mixed
+# with int64 into float64.
+_GAMMA, _MIX_A, _MIX_B = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(bits) for bits in (1, 11, 27, 30, 31))
 
-    The stream key mixes the experiment seed with a hash of the circuit id
-    and the context index, so any scheduling of the simulation produces
-    the same counts.
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output from state x, on uint64 arrays, which wrap mod 2**64."""
+    z = x + _GAMMA
+    z = (z ^ (z >> _U30)) * _MIX_A
+    z = (z ^ (z >> _U27)) * _MIX_B
+    return z ^ (z >> _U31)
+
+
+def _cell_uniforms(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> np.ndarray:
+    """The uniform in (0, 1] of every cell, as a (circuits, contexts) array.
+
+    The seed is folded by splitmix64 over its little-endian 64-bit words;
+    a circuit's key is splitmix64 of that fold xor the first 8 bytes of
+    sha256(id), read little-endian; context k adds k to it.  The uniform is
+    the top 53 bits of splitmix64 of the sum, plus one, times 2**-53.
     """
-    digest = hashlib.sha256(circuit_id.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
-    key = np.random.SeedSequence([int(seed), int(context_index), *words])
-    return np.random.Generator(np.random.PCG64(key))
-
-
-# numpy's SeedSequence constants (bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64's multiplier as uint64 limbs, its low limb also as 32-bit halves.
-# Every constant is a numpy uint64: numpy turns uint64 mixed with int64
-# into float64.
-_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(bits) for bits in (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_MULT_LO_1, _MULT_LO_0 = _MULT_LO >> _U32, _MULT_LO & _LOW32
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A seed (>= 0) as SeedSequence splits it: little-endian 32-bit words, [0] for 0."""
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's LCG step, state * multiplier + inc mod 2**128, on uint64
-    (high, low) limbs, whose products wrap mod 2**64 as the C code's do.
-    The high word of lo * _MULT_LO comes from its 32-bit halves' products."""
-    a0, a1 = lo & _LOW32, lo >> _U32
-    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
-    middle = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = a1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
-    low = lo * _MULT_LO + inc_lo
-    return carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (low < inc_lo), low
-
-
-def _next_doubles(streams: np.ndarray) -> np.ndarray:
-    """One next_double of every stream in a (4, cells) uint64 array of
-    (state high, state low, inc high, inc low) limbs, stepped in place:
-    the LCG step, the XSL-RR output of the new state, its top 53 bits."""
-    streams[0], streams[1] = hi, lo = _lcg_step(*streams)
-    mixed, rotation = hi ^ lo, hi >> _U58
-    output = (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
-    return (output >> _U11).astype(float) * 2.0 ** -53
-
-
-def _cell_states(seed: int, circuit_ids: Sequence[str], n_contexts: int) -> np.ndarray:
-    """The PCG64 stream of every cell, as counts_stream would seed it.
-
-    Cells run circuit-major: cell i * n_contexts + k is circuit i, context
-    k.  Each cell's entropy is [seed words..., k, 4 id words], as
-    SeedSequence coerces it; its width is the same for every cell, so the
-    whole SeedSequence hash (hashmix and mix into a pool of 4 words, then
-    generate_state(4, uint64)) runs once over uint32 columns, whose
-    products wrap mod 2**32 as the C code's do.  Then pcg64_srandom_r:
-    inc = initseq << 1 | 1 and two LCG steps.  Returns the (4, cells)
-    uint64 limbs that _next_doubles steps.
-    """
-    digests = b"".join(hashlib.sha256(circuit_id.encode("utf-8")).digest()[:16]
+    words = seed.to_bytes(8 * max(1, (seed.bit_length() + 63) // 64), "little")
+    fold = np.zeros(1, dtype=np.uint64)
+    for word in np.frombuffer(words, dtype="<u8").astype(np.uint64):
+        fold = _splitmix64(fold ^ word)
+    digests = b"".join(hashlib.sha256(circuit_id.encode("utf-8")).digest()[:8]
                        for circuit_id in circuit_ids)
-    id_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-    # One array per entropy word, one entry per cell.
-    n_cells = len(circuit_ids) * n_contexts
-    words = ([np.full(n_cells, word, dtype=np.uint32) for word in _uint32_words(int(seed))]
-             + [np.tile(np.arange(n_contexts, dtype=np.uint32), len(circuit_ids))]
-             + list(np.ascontiguousarray(np.repeat(id_words, n_contexts, axis=0).T,
-                                         dtype=np.uint32)))
-
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    # The entropy is always wider than the pool (at least 6 words).
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    generated = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        generated.append(value ^ (value >> np.uint32(16)))
-    # Pairs of words, low word first, are generate_state's uint64 words:
-    # initstate's high and low limbs, then initseq's.
-    seeds = np.stack(generated, axis=1).astype("<u4").view("<u8").astype(np.uint64).T
-    inc_hi, inc_lo = (seeds[2] << _U1) | (seeds[3] >> _U63), (seeds[3] << _U1) | _U1
-    # From state 0: one LCG step gives inc, add initstate, step again.
-    lo = inc_lo + seeds[1]
-    return np.stack([*_lcg_step(inc_hi + seeds[0] + (lo < inc_lo), lo, inc_hi, inc_lo),
-                     inc_hi, inc_lo])
+    keys = _splitmix64(np.frombuffer(digests, dtype="<u8").astype(np.uint64) ^ fold)
+    cells = _splitmix64(keys[:, None] + np.arange(n_contexts, dtype=np.uint64))
+    return ((cells >> _U11) + _U1).astype(float) * 2.0 ** -53
 
 
 def _sampling_distributions(probs: np.ndarray) -> np.ndarray:
@@ -501,121 +422,49 @@ def experiment_probabilities(circuits: Sequence[CircuitSpec],
     return probs[:, slots]
 
 
-def _log(values: np.ndarray) -> np.ndarray:
-    """glibc's log of each entry, as numpy's C calls it (np.log may differ
-    in the last bit): -inf at 0 and nan below it, as in C."""
-    return np.array([math.log(v) if v > 0 else -math.inf if v == 0 else math.nan
-                     for v in values.tolist()])
+# Cells per chunk times window width: the (width, cells) pmf arrays stay small.
+_CHUNK = 2 ** 15
 
 
-def _binomial_inversion(n: int, p: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """numpy's random_binomial_inversion(n, p) of every stream: walk the
-    pmf from 0 with one uniform, and redraw once the walk passes bound."""
-    q = 1.0 - p
-    qn = np.array([math.exp(float(n) * math.log1p(-v)) for v in p.tolist()])
-    mean = float(n) * p
-    bound = np.trunc(np.minimum(float(n), mean + 10.0 * np.sqrt(mean * q + 1)))
-    draws = np.empty(len(p), dtype=np.int64)
-    cells = np.arange(len(p))
-    x = np.zeros(len(p), dtype=np.int64)
-    # Rows: p, q, qn, bound, then each cell's px and uniform.
-    rows = np.stack([p, q, qn, bound, qn, _next_doubles(streams)])
-    while len(cells):
-        going = rows[5] > rows[4]
-        draws[cells[~going]] = x[~going]
-        cells, x, rows, streams = cells[going], x[going] + 1, rows[:, going], streams[:, going]
-        p, q, qn, bound, px, u = rows
-        restart = x > bound
-        if restart.any():
-            again = streams[:, restart]
-            u[restart] = _next_doubles(again)
-            streams[:, restart] = again
-            x[restart], px[restart] = 0, qn[restart]
-        walk, xw = ~restart, x[~restart]
-        u[walk] -= px[walk]
-        px[walk] = ((np.int64(n) - xw + 1) * p[walk] * px[walk]) / (xw * q[walk])
-    return draws
+def _binomial_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) counts, p <= 0.5, by the inverse CDF at uniforms u.
 
-
-def _binomial_btpe(n: int, p: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """numpy's random_binomial_btpe(n, p) of every stream, for p <= 0.5.
-
-    BTPE (Kachitvichyanukul and Schmeiser, Commun. ACM 31:216 (1988)):
-    each round draws u, then v, for the cells still pending, takes y from
-    the triangle, the parallelograms or the exponential tails, and accepts
-    it by the pmf ratio F or, far from the mode, by the Stirling squeeze.
-    Every term is evaluated in the C code's order and types: int64 where
-    it computes with integers, n as a double in z and w, glibc's log.
+    A cell's count is the smallest k with CDF(k) >= u * S over the window
+    mode +- ceil(10 sigma + 30) clipped to [0, n], S being the window's
+    mass; the mass outside it is below u's resolution.  The pmf, relative
+    to the window's first count, is the running product of the ratios
+    (n + 1 - k) / k * p / q.  Cells are sorted by window width and taken in
+    chunks of at most twice _CHUNK pmf entries.  Only +, -, *, /, sqrt,
+    floor and ceil are used, so the counts do not depend on a library's
+    log or exp.
     """
-    n64, nf = np.int64(n), float(n)
     q = 1.0 - p
-    fm, nrq = nf * p + p, nf * p * q
-    m = np.floor(fm)
-    p1 = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl, xr = xm - p1, xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * p)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    rows = np.stack([p, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p3 + c / lamr, nrq])
+    odds = p / q
+    mode = np.floor((n + 1) * p)
+    reach = np.ceil(10.0 * np.sqrt(n * p * q) + 30.0)
+    lo, hi = np.maximum(mode - reach, 0.0), np.minimum(mode + reach, float(n))
+    widths = (hi - lo).astype(np.intp) + 1
+    order = np.argsort(widths, kind="stable")
+    sizes = widths[order]
     draws = np.empty(len(p), dtype=np.int64)
-    cells = np.arange(len(p))
-    while len(cells):
-        r, q, mf, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, nrq = rows
-        m = mf.astype(np.int64)
-        u = _next_doubles(streams) * p4
-        v = _next_doubles(streams)
-        middle, tail, left = u <= p1, u > p2, u <= p3
-        logv, logged = np.zeros(len(v)), tail & (v > 0)
-        logv[logged] = _log(v[logged])
-        x = np.where(middle, xm - p1 * v + u, np.where(
-            ~tail, xl + (u - p1) / c, np.where(left, xl + logv / laml, xr - logv / lamr)))
-        y = np.floor(x).astype(np.int64)
-        v = np.where(middle | tail, v, v * c + 1.0 - np.abs(m - x + 0.5) / p1)
-        redraw = np.where(tail, (v == 0) | np.where(left, y < 0, y > n64), v > 1.0)
-        v = np.where(tail, np.where(left, v * (u - p2) * laml, v * (u - p3) * lamr), v)
-        # Step 50: accept y against the pmf ratio F, or by Step 52's squeeze.
-        k = np.abs(y - m)
-        check = ~middle & ~redraw
-        squeeze = check & (k > 20) & (k < nrq / 2.0 - 1)
-        ratio = np.flatnonzero(check & ~squeeze)
-        if len(ratio):
-            # F over i = m + 1..y multiplies by a / i - s; over y + 1..m it
-            # divides.  Reducing a (steps, cells) grid along axis 0 keeps C's
-            # order; blocks of 32 steps, each led by the running F, bound it.
-            s = r[ratio] / q[ratio]
-            a = s * float((n + 1 + 2**63) % 2**64 - 2**63)  # C's int64 n + 1 wraps
-            kr, up = k[ratio], m[ratio] < y[ratio]
-            low = np.where(up, m[ratio], y[ratio])
-            grow = shrink = np.ones(len(ratio))
-            for first in range(1, int(kr.max()) + 1, 32):
-                steps = np.arange(first, first + 32)[:, None]
-                terms = np.where(steps <= kr, a / (low + steps) - s, 1.0)
-                grow = np.multiply.reduce(np.vstack([grow, terms]), axis=0)
-                shrink = np.divide.reduce(np.vstack([shrink, terms]), axis=0)
-            redraw[ratio] = v[ratio] > np.where(up, grow, shrink)
-        tight = np.flatnonzero(squeeze)
-        if len(tight):
-            kt, nrqt, yt, mt = k[tight], nrq[tight], y[tight], m[tight]
-            rho = (kt / nrqt) * ((kt * (kt / 3.0 + 0.625) + 0.16666666666666666) / nrqt + 0.5)
-            t = -kt * kt / (2 * nrqt)
-            big_a = _log(v[tight])
-            x1, f1 = (yt + 1).astype(float), (mt + 1).astype(float)
-            z, w = nf + 1 - mt, nf - yt + 1
-            rt, qt = r[tight], q[tight]
-            stirling = (xm[tight] * _log(f1 / x1) + (n64 - mt + 0.5) * _log(z / w)
-                        + (yt - mt) * _log(w * rt / (x1 * qt)))
-            for term in (f1, z, x1, w):
-                square = term * term
-                stirling = stirling + (13680. - (462. - (132. - (99. - 140. / square) / square)
-                                                 / square) / square) / term / 166320.
-            redraw[tight] = ~(big_a < t - rho) & ((big_a > t + rho) | (big_a > stirling))
-        draws[cells[~redraw]] = y[~redraw]
-        cells, rows, streams = cells[redraw], rows[:, redraw], streams[:, redraw]
+    start = 0
+    while start < len(order):
+        stop = min(start + max(1, _CHUNK // sizes[start]),
+                   np.searchsorted(sizes, 2 * sizes[start], "right"))
+        cells = order[start:stop]
+        k = lo[cells] + np.arange(1, sizes[stop - 1])[:, None]
+        # Row 0 is the window's first count, 1; row j the ratio at lo + j,
+        # 0 past the cell's window.  Then the pmf and the CDF, in place.
+        cdf = np.empty((len(k) + 1, len(cells)))
+        cdf[0], ratios = 1.0, cdf[1:]
+        np.subtract(n + 1, k, out=ratios)
+        ratios /= k
+        ratios *= odds[cells]
+        ratios[k > hi[cells]] = 0.0
+        np.multiply.accumulate(cdf, axis=0, out=cdf)
+        np.cumsum(cdf, axis=0, out=cdf)
+        draws[cells] = lo[cells] + np.argmax(cdf >= u[cells] * cdf[-1], axis=0)
+        start = stop
     return draws
 
 
@@ -623,22 +472,15 @@ def _draw_cells(seed: int, circuit_ids: Sequence[str], table: np.ndarray,
                 shots: int) -> np.ndarray:
     """Counts of every cell of a (circuits, contexts, 2) table, as Python ints.
 
-    Each cell draws binomial(shots, p0) zeros from its counts_stream, the
-    first count of numpy's multinomial(shots, [p0, p1]) by the same call,
-    on p0 / 1.0, run as numpy's random_binomial over all cells at once: no
-    draw at p0 = 0, the reflection p0 -> 1 - p0 above 0.5, inversion where
-    shots * min(p0, 1 - p0) <= 30 and BTPE elsewhere.
+    Each cell draws its zeros by _binomial_draws at its _cell_uniforms
+    uniform, on 1 - p0 where p0 > 0.5 (zeros are then shots less the
+    draw), and outcome 1 gets the rest.
     """
     p0 = table[:, :, 0].ravel()
-    streams = _cell_states(seed, circuit_ids, table.shape[1])
     flip = p0 > 0.5
-    p = np.where(flip, 1.0 - p0, p0)
-    small = p * float(shots) <= 30.0
-    zeros = np.zeros(len(p0), dtype=np.int64)
-    for method, cells in ((_binomial_inversion, small & (p0 != 0.0)),
-                          (_binomial_btpe, ~small)):
-        zeros[cells] = method(shots, p[cells], streams[:, cells])
-    zeros = np.where(flip, np.int64(shots) - zeros, zeros).reshape(table.shape[:2])
+    draws = _binomial_draws(shots, np.where(flip, 1.0 - p0, p0),
+                            _cell_uniforms(seed, circuit_ids, table.shape[1]).ravel())
+    zeros = np.where(flip, shots - draws, draws).reshape(table.shape[:2])
     return np.stack([zeros, shots - zeros], axis=2).astype(object)
 
 
@@ -647,7 +489,7 @@ def sample_experiment(circuits: Sequence[CircuitSpec], probs: np.ndarray,
     """Draw counts for a (circuits, contexts, 2) probability array.
 
     The shape is checked first, then the whole array is checked, clipped
-    and renormalised at once; each cell draws from its counts_stream.
+    and renormalised at once; _draw_cells draws every cell.
     """
     ids = tuple(circuit.text for circuit in circuits)
     shape = (len(ids), len(config.contexts), 2)

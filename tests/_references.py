@@ -9,11 +9,13 @@ series/continued fractions), so agreement is meaningful evidence.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
@@ -454,14 +456,60 @@ def _dataset_from_entries(raw: dict) -> ContextDataset:
                           raw.get("description"))
 
 
-def sample_counts(probs: Sequence[float], n_shots: int, rng: np.random.Generator):
-    """One multinomial draw of n_shots from an outcome distribution."""
+_WORD = 2**64 - 1
+
+
+def splitmix64_reference(state: int) -> int:
+    """splitmix64's output from a 64-bit state, in Python ints."""
+    z = (state + 0x9E3779B97F4A7C15) & _WORD
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
+    return z ^ (z >> 31)
+
+
+def cell_uniform_reference(seed: int, circuit_id: str, context_index: int) -> Fraction:
+    """A cell's uniform in (0, 1], exactly, from the definition: the seed's
+    64-bit words folded by splitmix64 from 0, low word first (one word 0
+    for seed 0); xor the first 8 bytes of sha256(id), little-endian."""
+    fold = 0
+    while True:
+        fold = splitmix64_reference(fold ^ (seed & _WORD))
+        seed >>= 64
+        if not seed:
+            break
+    digest = int.from_bytes(hashlib.sha256(circuit_id.encode("utf-8")).digest()[:8], "little")
+    key = splitmix64_reference(digest ^ fold)
+    return Fraction((splitmix64_reference((key + context_index) & _WORD) >> 11) + 1, 2**53)
+
+
+def sample_counts(probs: Sequence[float], n_shots: int, seed: int, circuit_id: str,
+                  context_index: int) -> tuple[int, int]:
+    """One two-outcome multinomial draw of n_shots by exact inversion at the
+    cell's uniform: with p the smaller of p0 and 1 - p0 (p0 itself at 0.5),
+    the binomial count is the least x whose exact CDF over all of
+    0..n_shots reaches the uniform; it counts outcome 0 unless p0 > 0.5.
+    With p = a / d and b = d - a, the CDF times d**n_shots is the integer
+    sum of C(n, j) a**j b**(n - j), so every comparison is exact."""
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError("need a 1-d probability vector with at least two outcomes")
-    return tuple(rng.multinomial(n_shots, _sampling_distributions(probs)).tolist())
+    if probs.shape != (2,):
+        raise ValueError("need a two-outcome probability vector")
+    p0 = Fraction(float(_sampling_distributions(probs)[0]))
+    flip = p0 > Fraction(1, 2)
+    p = 1 - p0 if flip else p0
+    a, d = p.numerator, p.denominator
+    b = d - a
+    u = cell_uniform_reference(seed, circuit_id, context_index)
+    target = u.numerator * d**n_shots
+    x = 0
+    term = total = b**n_shots
+    while total * u.denominator < target:
+        term = term * (n_shots - x) * a // ((x + 1) * b)
+        x += 1
+        total += term
+    zeros = n_shots - x if flip else x
+    return zeros, n_shots - zeros
 
 
 def save_report_reference(reports, path) -> None:

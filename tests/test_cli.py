@@ -18,6 +18,7 @@ from contextdep.cli import main
 from contextdep.counts import load_dataset
 from contextdep.datasets import data_path
 from contextdep.pipeline import jsd_profile, load_report, run_analysis, save_report
+from contextdep.qsim import MAX_SHOTS
 
 from _references import report_derived_values, write_jsd_profile_csv_reference
 
@@ -107,17 +108,19 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     def test_shots_past_int64_are_one_line_error(self, tmp_path, capsys):
-        # numpy's sampler takes at most 2**63 - 1 shots; one more once
-        # exited 2 with a numeric failure.
-        code = main(["simulate", "--design", NEIGHBOR_DESIGN,
-                     "--error-model", DRIFT_ERROR,
-                     "--shots", str(2**63), "--seed", "1",
-                     "--out", str(tmp_path / "d.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "shots_per_context must be in [1, 9223372036854775807]" in err
-        assert not (tmp_path / "d.json").exists()
+        # 2**63 once exited 2 with a numeric failure.  A draw's cost grows
+        # as sqrt(shots), so the config caps them: one past the cap is
+        # refused too, before any cell is drawn.
+        for shots in (MAX_SHOTS + 1, 2**63):
+            code = main(["simulate", "--design", NEIGHBOR_DESIGN,
+                         "--error-model", DRIFT_ERROR,
+                         "--shots", str(shots), "--seed", "1",
+                         "--out", str(tmp_path / "d.json")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"shots_per_context must be in [1, {MAX_SHOTS}], got {shots}" in err
+            assert not (tmp_path / "d.json").exists()
 
     @pytest.mark.parametrize("fields", [
         {"t1": ["Gx"]},
@@ -672,27 +675,28 @@ def test_non_utf8_file_is_one_line_error_naming_it(tmp_path):
 
 # sha256 of every file of the bundled drift session, and of its summary.
 DRIFT_SESSION_DIGESTS = {
-    "dataset.json": "5cc5cef28a9fd5a1756fa70b024ab987153332f03dda1119719e87d073799245",
-    "report.json": "314d8bbcea6159e01c5c70d1a3d80dbf3f1ff95d844d0176467938602ddec985",
-    "jsd_profile_joint.csv": "818e6bb849d170c69d02f97d19ced8509607a693e23d3b6822cf5accf150fff6",
-    "jsd_profile_t1_vs_t2.csv": "070b6f505f76961dbe521f9b1c5e2c248e6df82e01f7ae2d4a72af0a6c1ea57a",
-    "jsd_profile_t1_vs_t3.csv": "a16665f7796eee199875cc212c968d89b93d65dee8bd8537de4d1545d9f539f1",
-    "jsd_profile_t1_vs_t4.csv": "b75bb86eae34cec50610218144ad79adb5029979bb602874c097f73bf7fdaff4",
-    "jsd_profile_t1_vs_t5.csv": "bbab14bd118788486a950d56653d5ffaa3401d69204cf97a9e67369b6c50febd",
-    "jsd_profile_t2_vs_t3.csv": "a812858ff774a6f7379eaa8ed6945e95b27155d0d3c6d8348cfb8edfcffc9348",
-    "jsd_profile_t2_vs_t4.csv": "a012d890abab15f42a304db2af041ba986f8a93559bfd6f9524688c87f9e1210",
-    "jsd_profile_t2_vs_t5.csv": "adc085961d4836dac41fa847c0b66f3038b052e97ec39da6379b5ecf0ef20ad3",
-    "jsd_profile_t3_vs_t4.csv": "8e5309c9217a2cccaee93f632f082ccd9ecfe3f33e39e51f093f8131c329cb18",
-    "jsd_profile_t3_vs_t5.csv": "39bb81c401a258c77430f717e07124d1e61f9f37602797c6fd739ee3c465e73d",
-    "jsd_profile_t4_vs_t5.csv": "af4d73fb6d6ec3ff707398876572ecbfb191b813e973b629892ef8cfb87887d4",
-    "pairwise_matrix.csv": "5a84c9678fb9347ae782de1555e5b46c93af6a0ec2f80d092f2670cb44cdd9a1",
-    "summarize": "74ac07baeae66c70cfcf04d1bace2492bb257830d4129cce3602417131fa5900",
+    "dataset.json": "e66821501c53b4b205e47313b3f0edd77b4a51684689f49653713e514f6e71aa",
+    "report.json": "5a81416142fa2215a1ba979e882aba77cba82375c1443eec477e97ee0ba538bd",
+    "jsd_profile_joint.csv": "c0149626e5c00029b64617b0f917371d4d2f7f201365f11ebeabd64fb4772e53",
+    "jsd_profile_t1_vs_t2.csv": "08e8b570aa60a931efe6877be512e90063c317e6a1f13652887e368e9d8a2747",
+    "jsd_profile_t1_vs_t3.csv": "973acf6abf8acf4265b69a64a86f1172763f52ee3675175b2a3d4cc0ea3e6fa5",
+    "jsd_profile_t1_vs_t4.csv": "e8f38c47568849a473a53dfe03b12b4be77a6cd2a9e09b5248f89e92fcfddaef",
+    "jsd_profile_t1_vs_t5.csv": "f50d0d4c9efaf39da59c4d4c3894788cb1bbf25463e39aa68d3e5342fa9bb74a",
+    "jsd_profile_t2_vs_t3.csv": "3e2e61f2a3d027b4684b7d09917f3478eee4b43321f114917e8cbe76817af4a6",
+    "jsd_profile_t2_vs_t4.csv": "5b2523d00f87152dc1db9fff406e0c6866d71188da643bc8548fdd2137f69b64",
+    "jsd_profile_t2_vs_t5.csv": "9256b1f747ae8748a99d60cb17d84eda7db68ccdb7faaab570ad2ec3eeac5684",
+    "jsd_profile_t3_vs_t4.csv": "0b2a28d4c1f10998f51f250cf5855ceae6323253fcc368d6e0eb539c48d961e5",
+    "jsd_profile_t3_vs_t5.csv": "2f513c884f4cfb2064053a4e9446f298e391630dab944e1b406ea760cc21a4b6",
+    "jsd_profile_t4_vs_t5.csv": "9105f457d97a9a1515dce14b38282103683730c8aeef83c032db2d7dccd5298f",
+    "pairwise_matrix.csv": "e37b5783ebf0af66da7fa935ab6f0603e4acc1152465fdd2fb98808858b0cfd3",
+    "summarize": "b4f4d594c28f2d094503157c567b0c6641d6eb11c1acd046e34f684eb2e1fbf6",
 }
 
 
 def test_drift_session_bytes_are_unchanged(tmp_path, capsys, drift_seed_0):
     """simulate (seed 0, 100 shots), analyze --plan auto --tables, summarize:
-    every output's bytes as the writers have always produced them."""
+    every output's bytes, pinned since the sampler became the package's
+    own inverse-CDF draw; any change to a writer or a draw shows here."""
     out, tables = tmp_path / "report.json", tmp_path / "tables"
     assert main(["analyze", "--data", str(drift_seed_0), "--plan", "auto",
                  "--out", str(out), "--tables", str(tables)]) == 0
@@ -707,7 +711,7 @@ def test_drift_session_bytes_are_unchanged(tmp_path, capsys, drift_seed_0):
 
 def test_drift_reports_index_one_store_of_distinct_tables(tmp_path, drift_seed_0):
     """The auto plan's 11 comparisons hold 15,455 rows and index one store:
-    1,405 ids, 1,065 five-context tables and 1,490 pair tables.  Its saved
+    1,405 ids, 1,073 five-context tables and 1,475 pair tables.  Its saved
     and loaded analysis equals it, each loaded row its own table."""
     reports = run_analysis(load_dataset(drift_seed_0))
     store = reports[0].store
@@ -717,7 +721,7 @@ def test_drift_reports_index_one_store_of_distinct_tables(tmp_path, drift_seed_0
     assert {width: {name: len(values) for name, values in columns.items()}
             for width, columns in store.columns.items()} == {
         width: dict.fromkeys(("llr", "p_value", "jsd", "small_sample", "tvd"), n)
-        for width, n in ((5, 1065), (2, 1490))}
+        for width, n in ((5, 1073), (2, 1475))}
     save_report(reports, tmp_path / "report.json")
     loaded = load_report(tmp_path / "report.json")
     assert loaded == reports
@@ -740,16 +744,16 @@ def _periods(n, top):
 SCALED_SESSIONS = {
     "deep_germs": (2048, {"c1": {"Gx": 0.0, "Gy": 0.0}, "c2": {"Gx": 1e-4, "Gy": 1e-4},
                           "static_epsilon": 1e-3}, {
-        "dataset.json": "76dfc8dab3a6517ad7c4c46a0c17a0dbf5f09edc1a4aeae0fc3f98f11a884ca7",
-        "report.json": "7c7383128f35802175b9b0bf5202bcfa2a6a5589be06176c2dd34607e5fec83e",
-        "summarize": "74cc36a43623c3b4d5762ebd1ef30ca44bc2adc6b55ea43479eccfad85289ea8",
-        "tables": "480dcc99fe76a878a9aa7d5f989fe0597e70ed2ccd59007c28fc08306178275f",
+        "dataset.json": "e36a7004776ef613e0e0f85f3340130c73d117d5a31729c68dcaf99dcb54294c",
+        "report.json": "bc174c7c9019693e39a7a629ea188632b9a99b74f04de44fff27c3783f703186",
+        "summarize": "5f04cd1d0349675a7fec4ada5f4b0bde3f8f87ddfdf5d2ed3f81d17d15b0c755",
+        "tables": "10d476bae0e420d7afcd6c45b864d9960d278ee48e6f25fc04776bc577d945f9",
     }),
     "many_periods": (16, {**_periods(12, 4e-3), "static_epsilon": 1e-3}, {
-        "dataset.json": "a6ff3c41f0145bed6162277bb4ca971deaabbfbb1ce488b72352037adeffe429",
-        "report.json": "dd049f04c6500691a54b044848549884445164a3a45c370eb8d5d484a68ddba5",
-        "summarize": "3e85cdc87c2c352e06e3cb7e77e54896fa47cdc113d37f3f894619db8090fb64",
-        "tables": "7ec50fc88b0448416b1022ba3fa77fe56b0605f27ab117bd8798a018a47401af",
+        "dataset.json": "4816a2f34d34520f36403983398d16180038775b87a5ff6f905ee807fc9c78ea",
+        "report.json": "99efa84bbafb252ff4be7a2058cccfbae56bf2b2afe3abda3e779cf62fb4ddd2",
+        "summarize": "46fbf55bbc2402a41c914d10c5c8044f903b9bca847b8f0364b2466b1ffff0b8",
+        "tables": "03032dcd2ff2046b4069bb6d3addc37661a2bb9991845058b0d17e22cb46ee31",
     }),
 }
 
@@ -757,8 +761,8 @@ SCALED_SESSIONS = {
 @pytest.mark.parametrize("name", sorted(SCALED_SESSIONS))
 def test_scaled_session_bytes_are_unchanged(tmp_path, capsys, name):
     """simulate (seed 0, 100 shots), analyze --plan auto --tables, summarize
-    on a scaled session: every output's bytes as the writers have always
-    produced them (deep_germs: 1 comparison and 2 tables; many_periods: 12
+    on a scaled session: every output's bytes, pinned as the drift session's
+    are (deep_germs: 1 comparison and 2 tables; many_periods: 12
     contexts, 67 comparisons and 68 tables)."""
     power, model, digests = SCALED_SESSIONS[name]
     design = json.loads(Path(DRIFT_DESIGN).read_text(encoding="utf-8"))
@@ -1074,7 +1078,7 @@ def _header_edit(**values):
     return change
 
 
-# The joint comparison triggers (N_sigma 15.98); t1_vs_t2 does not (-4.14).
+# The joint comparison triggers (N_sigma 14.82); t1_vs_t2 does not (-5.01).
 @pytest.mark.parametrize("comparison_id, change, key", [
     ("joint", _header_edit(aggregate_triggered=False), "triggered"),
     ("joint", _header_edit(aggregate_n_sigma=99), "n_sigma"),

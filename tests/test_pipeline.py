@@ -472,6 +472,25 @@ class TestReportFiles:
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_report([report], tmp_path / "report.json")
 
+    def test_a_failed_save_leaves_no_file_and_names_the_comparison(self, tmp_path):
+        # The first three comparisons were once left in the file, an
+        # unterminated array that is not JSON.
+        reports = [dataclasses.replace(_one_row_report(), comparison_id=f"c{i}")
+                   for i in range(4)]
+        reports[-1] = dataclasses.replace(reports[-1], jsd_threshold=np.full(1, math.nan))
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="^comparison 'c3': .*not JSON compliant"):
+            save_report(reports, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"an earlier report\n")
+        with pytest.raises(ValueError, match="^comparison 'c3': "):
+            save_report(reports, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"an earlier report\n"
+        save_report(reports[:3], path)
+        assert [entry["comparison_id"] for entry in json.loads(path.read_text())] == \
+            ["c0", "c1", "c2"]
+
     def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
         # A short column once cut every row to its length: 5 of 40 rows saved.
         report = run_analysis(neighbor_example())[0]

@@ -12,18 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from contextdep import qsim
 from contextdep.cli import main
 from contextdep.datasets import drift_design, drift_error_model
 from contextdep.gstgen import (_GATE_LABELS, EMPTY_CIRCUIT_TEXT, MAX_GERM_POWER, CircuitSpec,
                                GstDesign, circuit_to_text, lsgst_circuits)
-from contextdep.qsim import (ErrorModel, SimConfig, _cell_states, _draw_cells,
-                             _walk_probabilities, counts_stream, experiment_probabilities,
+from contextdep.qsim import (MAX_SHOTS, ErrorModel, SimConfig, _cell_uniforms, _draw_cells,
+                             _walk_probabilities, experiment_probabilities,
                              gate_model_for_context, ideal_gate_model, load_error_model,
                              rotation_unitary, run_drift_experiment, sample_experiment)
 
-from _references import circuit_probabilities_reference, run_trie_reference, sample_counts
+from _references import (cell_uniform_reference, circuit_probabilities_reference,
+                         run_trie_reference, sample_counts)
 from test_demos import import_demo
 
 _BUNDLED_DATA = import_demo("build_bundled_data")
@@ -361,9 +363,8 @@ def test_run_trie_of_the_bundled_designs_equals_the_reference(max_germ_power, no
 
 def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
     """Germ powers to 2048 on the drift fiducials and germs: the simulated
-    dataset's digest, fixed before the trie reused suffix tokenizations
-    and before the binomial ran as one array pass.  Its 4,034 cells draw
-    2,556 times by BTPE and 1,478 times by inversion, at 100 shots."""
+    dataset's digest, pinned since the sampler became the package's own
+    inverse-CDF draw, with its 4,034 cells at 100 shots."""
     design = dataclasses.replace(drift_design(), max_germ_power=2048)
     _BUNDLED_DATA.save_design(design, tmp_path / "design.json")
     (tmp_path / "model.json").write_text(json.dumps(
@@ -373,7 +374,7 @@ def test_deep_germ_session_dataset_bytes_are_unchanged(tmp_path):
                  "--error-model", str(tmp_path / "model.json"), "--shots", "100",
                  "--seed", "0", "--out", str(tmp_path / "data.json")]) == 0
     digest = hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest()
-    assert digest == "76dfc8dab3a6517ad7c4c46a0c17a0dbf5f09edc1a4aeae0fc3f98f11a884ca7"
+    assert digest == "e36a7004776ef613e0e0f85f3340130c73d117d5a31729c68dcaf99dcb54294c"
 
 
 class TestErrorModel:
@@ -463,37 +464,32 @@ class TestErrorModelFiles:
 
 class TestSampling:
     def test_sample_counts_total_and_determinism(self):
-        rng_a = counts_stream(11, "Gx", 0)
-        rng_b = counts_stream(11, "Gx", 0)
-        counts_a = sample_counts([0.3, 0.7], 1000, rng_a)
-        counts_b = sample_counts([0.3, 0.7], 1000, rng_b)
+        counts_a = sample_counts([0.3, 0.7], 1000, 11, "Gx", 0)
+        counts_b = sample_counts([0.3, 0.7], 1000, 11, "Gx", 0)
         assert counts_a == counts_b
         assert sum(counts_a) == 1000
 
     def test_streams_differ_across_cells(self):
-        base = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gx", 0))
-        other_seed = sample_counts([0.5, 0.5], 400, counts_stream(12, "Gx", 0))
-        other_circuit = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gy", 0))
-        other_context = sample_counts([0.5, 0.5], 400, counts_stream(11, "Gx", 1))
+        base = sample_counts([0.5, 0.5], 400, 11, "Gx", 0)
+        other_seed = sample_counts([0.5, 0.5], 400, 12, "Gx", 0)
+        other_circuit = sample_counts([0.5, 0.5], 400, 11, "Gy", 0)
+        other_context = sample_counts([0.5, 0.5], 400, 11, "Gx", 1)
         assert len({base, other_seed, other_circuit, other_context}) > 1
 
     def test_sample_counts_validation(self):
-        rng = counts_stream(0, "q", 0)
         with pytest.raises(ValueError):
-            sample_counts([0.3, 0.7], 0, rng)
+            sample_counts([0.3, 0.7], 0, 0, "q", 0)
         with pytest.raises(ValueError):
-            sample_counts([0.5], 10, rng)
+            sample_counts([0.5], 10, 0, "q", 0)
         with pytest.raises(ValueError):
-            sample_counts([0.8, 0.8], 10, rng)
+            sample_counts([0.8, 0.8], 10, 0, "q", 0)
         with pytest.raises(ValueError):
-            sample_counts([-0.2, 1.2], 10, rng)
+            sample_counts([-0.2, 1.2], 10, 0, "q", 0)
 
     def test_tiny_negative_probabilities_tolerated(self):
         # Round-off from unitary products can leave probabilities a hair
         # below zero; sampling clips them instead of failing.
-        counts = sample_counts([1.0, -1e-13], 50, counts_stream(0, "q", 0))
-        assert counts == (50, 0)
-
+        assert sample_counts([1.0, -1e-13], 50, 0, "q", 0) == (50, 0)
 
     def test_sample_experiment_matches_per_cell_draws(self):
         circuits = [CircuitSpec(text=("Gx",)), CircuitSpec(text=("Gy", "Gy", "Gx"))]
@@ -502,7 +498,7 @@ class TestSampling:
         dataset = sample_experiment(circuits, table, config)
         for spec, row in zip(circuits, table):
             for k, context in enumerate(config.contexts):
-                draw = sample_counts(row[k], 50, counts_stream(4, spec.text, k))
+                draw = sample_counts(row[k], 50, 4, spec.text, k)
                 assert dataset.circuit(spec.text).pool(context) == draw
 
     def test_sample_experiment_rejects_invalid_table(self):
@@ -510,7 +506,7 @@ class TestSampling:
         config = SimConfig(shots_per_context=10, seed=0, contexts=("a", "b"))
         with pytest.raises(ValueError, match="invalid probability vector"):
             sample_experiment(circuits, np.array([[[0.5, 0.5], [0.8, 0.8]]]), config)
-        # A NaN entry is refused by the table check, not by numpy mid-draw.
+        # A NaN entry is refused by the table check, not mid-draw.
         for bad in ([np.nan, 1.0], [0.5, np.nan]):
             with pytest.raises(ValueError, match="invalid probability vector"):
                 sample_experiment(circuits, np.array([[[0.5, 0.5], bad]]), config)
@@ -538,168 +534,145 @@ class TestSampling:
         assert str(info.value) == f"probability table of shape {shape}, need (1, 2, 2)"
 
 
-def _pcg64_state(limbs) -> dict:
-    """A cell's (state high, state low, inc high, inc low) limbs as PCG64.state."""
-    high, low, inc_high, inc_low = map(int, limbs)
-    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}}
+def _two_outcome_table(p0, n_ids):
+    """A (n_ids, len(p0), 2) table whose context k has p0[k] in every circuit."""
+    return np.array([[[p, 1.0 - p] for p in p0]] * n_ids)
 
 
-_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 - 3]),
-                   st.integers(min_value=0, max_value=2**100))
+def _assert_draws_invert_the_cdf(seed, ids, table, shots):
+    """Each cell of _draw_cells's one array pass is its inverse-CDF draw:
+    up to 100 shots it equals the exact oracle, sample_counts; above, its
+    count x of outcome 0 brackets the uniform u by scipy's binomial,
+    CDF(x - 1) < u <= CDF(x), within 1e-9."""
+    counts = _draw_cells(seed, ids, table, shots)
+    assert counts.shape == table.shape
+    for i, circuit_id in enumerate(ids):
+        for k in range(table.shape[1]):
+            assert [type(count) for count in counts[i, k]] == [int, int]
+            if shots <= 100:
+                assert tuple(counts[i, k]) == sample_counts(table[i, k], shots, seed,
+                                                            circuit_id, k)
+                continue
+            p0, x = table[i, k, 0], counts[i, k, 0]
+            if p0 > 0.5:  # the draw is on 1 - p0, so bracket its count of ones
+                p0, x = 1.0 - p0, shots - x
+            u = float(cell_uniform_reference(seed, circuit_id, k))
+            assert stats.binom.cdf(x - 1, shots, p0) < u + 1e-9
+            assert stats.binom.cdf(x, shots, p0) > u - 1e-9
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**200 - 3]),
+                   st.integers(min_value=0, max_value=2**200))
 _IDS = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, ids=_IDS, n_contexts=st.integers(min_value=1, max_value=12))
 @example(seed=0, ids=["G"], n_contexts=1)
-@example(seed=2**32 - 1, ids=["\u00e9", "Gx"], n_contexts=12)
-@example(seed=2**32, ids=["\u65e5\u672c", "x"], n_contexts=5)
+@example(seed=2**64 - 1, ids=["é", "Gx"], n_contexts=12)
+@example(seed=2**64, ids=["日本", "x"], n_contexts=5)
 @example(seed=2**64 + 1, ids=["{}"], n_contexts=2)
-@example(seed=2**100 - 3, ids=["GxGyGy", "\U0001d54f"], n_contexts=7)
-def test_batched_streams_equal_counts_stream(seed, ids, n_contexts):
-    """The batch derives each cell's PCG64 state exactly as SeedSequence does.
-
-    Seeds of 2**32 and more take more than one entropy word.  The draws from
-    the batch states equal counts_stream's two-outcome multinomial draws,
-    with the same probabilities.
-    """
-    streams = _cell_states(seed, ids, n_contexts)
-    assert streams.dtype == np.uint64
-    states = [_pcg64_state(streams[:, cell]) for cell in range(streams.shape[1])]
-    assert len(states) == len(ids) * n_contexts
-    # A different distribution in every cell.
+@example(seed=2**200 - 3, ids=["GxGyGy", "\U0001d54f"], n_contexts=7)
+def test_batched_keys_equal_the_integer_oracle(seed, ids, n_contexts):
+    """The batch derives every cell's uniform exactly as the pure-integer
+    oracle does, for seeds of one to four 64-bit words, non-ASCII ids and
+    1-12 contexts, and its draws at 97 shots, a different distribution in
+    every cell, are the exact inverse CDF at those uniforms."""
+    uniforms = _cell_uniforms(seed, ids, n_contexts)
+    assert uniforms.shape == (len(ids), n_contexts)
+    assert uniforms.tolist() == [[float(cell_uniform_reference(seed, circuit_id, k))
+                                  for k in range(n_contexts)] for circuit_id in ids]
     table = np.arange(1.0, 1.0 + len(ids) * n_contexts * 2) ** 1.5
     table = table.reshape(len(ids), n_contexts, 2)
     table /= table.sum(axis=2, keepdims=True)
-    counts = _draw_cells(seed, ids, table, 97)
-    assert counts.shape == table.shape
-    for i, circuit_id in enumerate(ids):
-        digest = hashlib.sha256(circuit_id.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[j:j + 4], "little") for j in range(0, 16, 4)]
-        for k in range(n_contexts):
-            oracle = np.random.PCG64(np.random.SeedSequence([seed, k, *words]))
-            assert states[i * n_contexts + k] == oracle.state
-            draw = counts_stream(seed, circuit_id, k).multinomial(97, table[i, k])
-            assert counts[i, k].tolist() == draw.tolist()
-            assert set(map(type, counts[i, k])) == {int}
+    _assert_draws_invert_the_cdf(seed, ids, table, 97)
 
 
-# p0 on both sides of numpy's p > 0.5 reflection, and with the shots on both
-# sides of its inversion/BTPE switch at n * min(p, 1 - p) = 30.
+# p0 on both sides of the p0 > 0.5 reflection, down to the smallest double.
 _EDGE_P0 = [0.0, 5e-324, 1e-300, 2.0**-53, 1e-3, 0.29, 0.31, 0.5, 0.71, 1 - 2.0**-53, 1.0]
-_EDGE_SHOTS = [1, 97, 10**6, 2**40, 2**63 - 1]
 
 
-@pytest.mark.parametrize("shots", _EDGE_SHOTS)
+@pytest.mark.parametrize("shots", [1, 97, 10**6])
 @pytest.mark.parametrize("p0", _EDGE_P0)
 def test_two_outcome_draw_equals_the_multinomial_draw(p0, shots):
-    """Each cell's binomial draw is counts_stream's multinomial, at the edges."""
-    ids, seed = ("Gx", "GyGy"), 2**40 + 7
-    table = np.array([[[p0, 1.0 - p0]] * 3] * len(ids))
-    counts = _draw_cells(seed, ids, table, shots)
-    assert counts.shape == table.shape
-    for i, circuit_id in enumerate(ids):
-        for k in range(3):
-            draw = counts_stream(seed, circuit_id, k).multinomial(shots, [p0, 1.0 - p0])
-            assert counts[i, k].tolist() == draw.tolist()
-            assert [type(count) for count in counts[i, k]] == [int, int]
+    """Each cell's array draw is its two-outcome multinomial draw by
+    inversion, at the edges of p0."""
+    _assert_draws_invert_the_cdf(2**40 + 7, ("Gx", "GyGy"), _two_outcome_table([p0] * 3, 2),
+                                 shots)
 
 
-def _assert_draws_equal_counts_stream(seed, ids, p0, shots):
-    """Draws cells (circuit i, context k) at p0[k] in one array pass; each
-    equals its own counts_stream's two-outcome multinomial."""
-    counts = _draw_cells(seed, ids, np.array([[[p, 1.0 - p] for p in p0]] * len(ids)), shots)
-    for i, circuit_id in enumerate(ids):
-        for k, p in enumerate(p0):
-            draw = counts_stream(seed, circuit_id, k).multinomial(shots, [p, 1.0 - p])
-            assert counts[i, k].tolist() == draw.tolist()
-
-
-# Both sides of the inversion/BTPE switch at n * min(p, 1 - p) = 30; shot
-# counts a double cannot hold; and 2**63 - 1, where C's int64 n + 1 wraps.
-_PROPERTY_SHOTS = [1, 7, 30, 31, 100, 10**4, 10**6, 2**40, 2**53 + 1, 2**63 - 1]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(shots=st.sampled_from(_PROPERTY_SHOTS), data=st.data())
-def test_array_pass_equals_counts_stream_at_any_probability(shots, data):
-    """Cells on every path of numpy's binomial.  Some p0 put a mean of at
-    most 5000 zeros or ones in the cell, which a uniform p0 almost never
-    does at large shot counts."""
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shots=st.sampled_from([1, 7, 30, 31, 100, 10**4, 10**6, MAX_SHOTS]), data=st.data())
+def test_array_pass_equals_the_oracle_at_any_probability(shots, data):
+    """Cells at random p0, some putting a mean of at most 5000 zeros or
+    ones in the cell, which a uniform p0 almost never does at large shot
+    counts."""
     near = min(1.0, 5000.0 / shots)
     p0 = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0)
                             | st.floats(min_value=0.0, max_value=near)
                             | st.floats(min_value=1.0 - near, max_value=1.0),
                             min_size=1, max_size=8))
-    _assert_draws_equal_counts_stream(3, ("GxGy", "Gi"), p0, shots)
+    _assert_draws_invert_the_cdf(3, ("GxGy", "Gi"), _two_outcome_table(p0, 2), shots)
 
 
-@pytest.mark.parametrize("shots, mean", [
-    (2**40, 25.5), (2**53 + 1, 22.6), (2**53 + 1, 300.0), (2**53 + 3, 300.0),
-    (2**54 + 3, 300.0), (2**63 - 1, 1024.0)])
-def test_draws_at_shot_counts_a_double_cannot_hold(shots, mean):
-    """Above 2**53 a double rounds n, and numpy's binomial mixes int64 and
-    double terms: inversion's qn is exp(n * log1p(-p)); BTPE's n + 1 in F
-    is int64 (it wraps at 2**63 - 1), but its Stirling terms z = n + 1 - m
-    and w = n - y + 1 start from n as a double.  Each variant fails some of
-    these 300 cells at mean zeros each; every cell is its counts_stream's."""
-    _assert_draws_equal_counts_stream(11, ("Gx", "GyGy"), [mean / shots] * 150, shots)
+@pytest.mark.parametrize("shots", [1, 7, 100, 1000, 10**5])
+def test_draws_follow_the_binomial_by_randomized_pit(shots):
+    """20,000 cells per shot count, 100,000 in all: the randomized
+    probability integral transform F(x - 1) + w pmf(x), with F scipy's
+    binomial CDF of the zeros count and w uniform, is uniform exactly when
+    the counts are binomial.  Fixed seeds; a KS test must not reject it.
+    The cells' p0 are uniform, with the edges 0, 5e-324, both sides of
+    0.5 and 1 in every circuit."""
+    rng = np.random.default_rng(shots)
+    edges = [0.0, 5e-324, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0]
+    p0 = np.hstack([np.tile(edges, (200, 1)), rng.uniform(size=(200, 94))])
+    ids = [f"c{i}" for i in range(200)]
+    zeros = _draw_cells(17, ids, np.stack([p0, 1.0 - p0], axis=2), shots)[:, :, 0]
+    x, p = zeros.astype(float).ravel(), p0.ravel()
+    pit = stats.binom.cdf(x - 1, shots, p) + rng.uniform(size=x.size) * stats.binom.pmf(x, shots, p)
+    assert stats.kstest(pit, "uniform").pvalue > 1e-3
 
 
-# PCG64's 128-bit LCG multiplier, and a stream whose first step lands on the
-# state (high 0, low 2**64 - 1): its XSL-RR output is all ones, so its first
-# double is 1 - 2**-53, which outlasts the whole pmf walk at many p.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_INC = 0x2468ACF1
-_PRE = ((2**64 - 1) - _INC) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=12,
+                                    unique=True))
+def test_any_permuted_subset_of_circuits_draws_the_same_counts(data, ids):
+    """A cell's counts depend on the seed, its circuit id, context index and
+    probabilities alone, not on which other circuits are drawn or their order."""
+    p0 = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                     min_size=3 * len(ids), max_size=3 * len(ids))))
+    table = np.stack([p0, 1.0 - p0], axis=1).reshape(len(ids), 3, 2)
+    every = _draw_cells(5, ids, table, 1000)
+    order = data.draw(st.permutations(range(len(ids))))
+    chosen = order[:data.draw(st.integers(min_value=1, max_value=len(ids)))]
+    subset = _draw_cells(5, [ids[i] for i in chosen], table[chosen], 1000)
+    assert subset.tolist() == every[chosen].tolist()
 
 
-def test_inversion_restart_draws_as_numpy(monkeypatch):
-    """A uniform above the pmf's mass up to the bound walks past the bound,
-    and numpy's random_binomial_inversion redraws from x = 0 with a second
-    uniform.  With the first double 1 - 2**-53, some p in the inversion
-    range (n p <= 30) restart: at each p the draw is numpy's, and the
-    number of doubles taken, 1 or 2, is numpy's too."""
-    doubles, next_doubles = [], qsim._next_doubles
-
-    def counted(streams):
-        doubles.append(streams.shape[1])
-        return next_doubles(streams)
-
-    monkeypatch.setattr(qsim, "_next_doubles", counted)
-    limbs = np.array([[_PRE >> 64], [_PRE % 2**64], [0], [_INC]], dtype=np.uint64)
-    taken = {}
-    for p in (0.001, 0.00228, 0.0025, 0.005, 0.05, 0.1, 0.2, 0.29):
-        generator = np.random.PCG64()
-        generator.state = _pcg64_state(limbs[:, 0])
-        expected = np.random.Generator(generator).binomial(100, p)
-        state, steps = _PRE, 0
-        while state != generator.state["state"]["state"] and steps < 10:
-            state, steps = (state * _PCG64_MULT + _INC) % 2**128, steps + 1
-        doubles.clear()
-        assert qsim._binomial_inversion(100, np.array([p]), limbs.copy()).tolist() == [expected]
-        taken[p] = steps
-        assert sum(doubles) == steps < 10
-    assert taken[0.00228] == taken[0.2] == 2 and taken[0.0025] == 1
+def test_seeds_past_one_word_draw_their_own_counts():
+    """1, 2**64 and 2**64 + 1 share their low word; the fold over every
+    word keeps them apart."""
+    ids = [f"c{i}" for i in range(20)]
+    table = _two_outcome_table([0.5] * 5, len(ids))
+    draws = [_draw_cells(seed, ids, table, 100).tolist() for seed in (1, 2**64, 2**64 + 1)]
+    assert draws[0] != draws[1] != draws[2] != draws[0]
 
 
 def test_stream_limbs_stay_uint64(monkeypatch):
     """numpy turns uint64 mixed with int64 into float64, and a float step
-    would lose the state's low bits.  Every LCG step, in seeding and in
-    drawing, takes and gives uint64 limbs.  (pyproject's filterwarnings
-    makes any RuntimeWarning of these steps fail the test.)"""
-    dtypes, step = set(), qsim._lcg_step
+    would lose a key's low bits.  Every splitmix64 step, in folding a
+    two-word seed and in keying the cells, takes and gives uint64 arrays.
+    (pyproject's filterwarnings makes any RuntimeWarning of these steps
+    fail the test.)"""
+    dtypes, step = set(), qsim._splitmix64
 
-    def checked(*limbs):
-        result = step(*limbs)
-        dtypes.update(limb.dtype for limb in (*limbs, *result))
+    def checked(words):
+        result = step(words)
+        dtypes.update((words.dtype, result.dtype))
         return result
 
-    monkeypatch.setattr(qsim, "_lcg_step", checked)
-    ids = ("Gx", "GyGy")
-    table = np.array([[[p0, 1.0 - p0] for p0 in _EDGE_P0]] * len(ids))
-    _draw_cells(2**64 + 1, ids, table, 10**6)
+    monkeypatch.setattr(qsim, "_splitmix64", checked)
+    _draw_cells(2**64 + 1, ("Gx", "GyGy"), _two_outcome_table(_EDGE_P0, 2), 10**6)
     assert dtypes == {np.dtype(np.uint64)}
 
 
@@ -751,8 +724,7 @@ class TestExperiment:
         table = experiment_probabilities(circuits, error, ("a", "b"))
         for i in (0, 3, len(circuits) - 1):
             circuit = circuits[i]
-            rng = counts_stream(5, circuit.text, 1)
-            redraw = sample_counts(table[i][1], 64, rng)
+            redraw = sample_counts(table[i][1], 64, 5, circuit.text, 1)
             assert forward.circuit(circuit.text).pool("b") == redraw
 
     def test_identical_contexts_share_probabilities(self):
@@ -807,12 +779,13 @@ class TestSimConfig:
                                              "contexts, got 1$"):
             SimConfig(shots_per_context=1, seed=0, contexts=("a",))
 
-    def test_shots_bounded_by_int64(self):
-        # numpy's multinomial takes an int64 shot count: 2**63 - 1 is the most.
-        assert SimConfig(shots_per_context=2**63 - 1, seed=0,
-                         contexts=("a", "b")).shots_per_context == 2**63 - 1
-        with pytest.raises(ValueError, match="shots_per_context must be in"):
-            SimConfig(shots_per_context=2**63, seed=0, contexts=("a", "b"))
+    def test_shots_bounded_by_the_cap(self):
+        # A draw's cost grows as sqrt(shots): MAX_SHOTS is the most.
+        assert SimConfig(shots_per_context=MAX_SHOTS, seed=0,
+                         contexts=("a", "b")).shots_per_context == MAX_SHOTS
+        with pytest.raises(ValueError, match=rf"^shots_per_context must be in \[1, {MAX_SHOTS}\], "
+                                             rf"got {MAX_SHOTS + 1}$"):
+            SimConfig(shots_per_context=MAX_SHOTS + 1, seed=0, contexts=("a", "b"))
 
     @pytest.mark.parametrize("name,value", [
         ("shots_per_context", 2.5), ("shots_per_context", True), ("shots_per_context", "8"),
