@@ -533,8 +533,10 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
                 separator = ",\n"
             handle.write("\n]\n")
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temporary) and not exc.filename2:
+            exc.filename = str(path)  # name the file asked for, not the temporary one
         raise
 
 

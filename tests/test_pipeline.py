@@ -487,6 +487,10 @@ class TestReportFiles:
             save_report(reports, path)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"an earlier report\n"
+        # A missing directory is named by the file asked for.
+        missing = tmp_path / "absent" / "report.json"
+        with pytest.raises(FileNotFoundError, match=re.escape(repr(str(missing)))):
+            save_report(reports[:3], missing)
         save_report(reports[:3], path)
         assert [entry["comparison_id"] for entry in json.loads(path.read_text())] == \
             ["c0", "c1", "c2"]
