@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .counts import load_dataset, save_dataset
+from .counts import load_dataset, save_dataset, staged
 from .gstgen import lgst_circuits, load_design, lsgst_circuits, save_circuits
 from .pipeline import (ComparisonPlan, jsd_profile, load_plan, load_report,
                        pairwise_matrices, run_analysis, save_report,
@@ -155,22 +155,26 @@ def _cmd_analyze(args) -> int:
         # Before the analysis: a path that cannot be a directory fails at once.
         tables.mkdir(parents=True, exist_ok=True)
     reports = run_analysis(dataset, plan, alpha=args.alpha)
-    save_report(reports, args.out)
-
-    if args.tables is not None:
-        try:
-            matrices = pairwise_matrices(reports, dataset.contexts)
-            write_pairwise_csv(matrices, tables / "pairwise_matrix.csv")
-        except ValueError as exc:
-            print(f"note: pairwise matrix skipped ({exc})", file=sys.stderr)
-        for report in reports:
+    # The report and every table are staged, and move into place together
+    # once the last is written: a failure leaves none of them.
+    with staged() as stage:
+        save_report(reports, stage(args.out))
+        if args.tables is not None:
             try:
-                rows = jsd_profile(report, dataset)
+                matrices = pairwise_matrices(reports, dataset.contexts)
             except ValueError as exc:
-                print(f"note: JSD profile for {report.comparison_id!r} skipped ({exc})",
-                      file=sys.stderr)
-                continue
-            write_jsd_profile_csv(rows, tables / f"jsd_profile_{report.comparison_id}.csv")
+                print(f"note: pairwise matrix skipped ({exc})", file=sys.stderr)
+            else:
+                write_pairwise_csv(matrices, stage(tables / "pairwise_matrix.csv"))
+            for report in reports:
+                try:
+                    rows = jsd_profile(report, dataset)
+                except ValueError as exc:
+                    print(f"note: JSD profile for {report.comparison_id!r} skipped ({exc})",
+                          file=sys.stderr)
+                    continue
+                write_jsd_profile_csv(
+                    rows, stage(tables / f"jsd_profile_{report.comparison_id}.csv"))
     return 0
 
 

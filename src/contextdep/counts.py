@@ -12,20 +12,25 @@ Record is the base of every record type of the package.
 Every file loader of the package is a loader() and reads its JSON fields
 through field() and column() here, so all input files obey the same type
 and fault rules; distinct_labels() checks every label list of the package.
+Every file writer writes through staged() here, so each output file is
+whole or absent.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
+import os
 import reprlib
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -471,6 +476,72 @@ def write_rows(handle: TextIO, pieces: Sequence[str], columns: Sequence[Sequence
         handle.write("".join(batch))
 
 
+@contextmanager
+def staged() -> Iterator[Callable[[str | Path], str]]:
+    """Write a set of files whole or not at all: the package's one write path.
+
+    ``stage(path)`` makes an empty file for the caller to write, in mode
+    "x" so the umask applies, in the directory of path's resolved target
+    (a symlink keeps its link), named ".contextdep-" and 12 random hex
+    digits, drawn again if taken.  A path that names a directory ("", "."
+    or an existing one) is refused first.  When the block ends cleanly,
+    every target must stat as a file or as missing before any staged file
+    replaces its target.  On any exception every staged file is removed,
+    errors of the removal ignored, and an OSError about a staged file or
+    its target names the path the caller gave.
+    """
+    given: dict[str, str] = {}  # temporary or target -> the path the caller gave
+    moves: list[tuple[str, str]] = []
+
+    def stage(path: str | Path) -> str:
+        name = os.fspath(path)
+        target = os.path.realpath(name)
+        given[target] = name
+        if os.path.basename(name) in ("", ".", "..") or os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+        while True:
+            temporary = os.path.join(os.path.dirname(target), f".contextdep-{os.urandom(6).hex()}")
+            given[temporary] = name
+            with suppress(FileExistsError):
+                open(temporary, "x").close()
+                moves.append((temporary, target))
+                return temporary
+
+    try:
+        yield stage
+        for _, target in moves:
+            with suppress(FileNotFoundError):
+                os.stat(target)  # any other error, such as a name too long, fails the set
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for temporary, target in moves:
+            os.replace(temporary, target)
+    except BaseException as exc:
+        for temporary, _ in moves:
+            with suppress(OSError):
+                os.unlink(temporary)
+        if isinstance(exc, OSError) and exc.filename in given:
+            exc.filename = given[exc.filename]
+            del exc.filename2  # os.replace's target, now named by filename
+        raise
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """A handle on a file that replaces ``path`` once written whole: staged()
+    for one file, in the package's one mode for output, UTF-8 with no
+    newline translation.  A write error that names no file names ``path``."""
+    with staged() as stage:
+        temporary = stage(path)
+        try:
+            with open(temporary, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+        except OSError as exc:
+            if exc.filename is None and exc.errno is not None:
+                exc.filename = temporary
+            raise
+
+
 _OUTCOME_SEPARATOR = ",\n          "
 
 
@@ -481,6 +552,7 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     dict form plus a newline.  The header goes through json.dumps; the
     circuit entries are rows of write_rows, from columns of encoded ids, of
     optional spec and core_length lines, and of each context's pool texts.
+    The file is whole or absent, as open_output writes every file.
     """
     described = {} if dataset.description is None else {"description": dataset.description}
     head = {"format_version": FORMAT_VERSION, **described, "outcomes": list(dataset.outcomes),
@@ -503,7 +575,7 @@ def save_dataset(dataset: ContextDataset, path: str | Path) -> None:
     later = dataset.present & (dataset.present.cumsum(axis=1) > 1)
     pools[later] = ",\n" + pools[later]
     pools[~dataset.present] = ""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         # The header up to its empty circuits array "[]\n}", which the entries replace.
         handle.write(json.dumps(head, indent=2)[:-4] + ("[\n" if dataset.circuit_ids else "[]"))
         # One entry as json.dumps(..., indent=2) lays it out, around its columns.

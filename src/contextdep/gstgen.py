@@ -27,8 +27,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .counts import (STRINGS, Record, check_core_length, distinct_labels, field, loader, read_json,
-                     record)
+from .counts import (STRINGS, Record, check_core_length, distinct_labels, field, loader,
+                     open_output, read_json, record)
 
 __all__ = [
     "MAX_GERM_POWER",
@@ -253,5 +253,7 @@ def load_design(path: Path) -> GstDesign:
 
 
 def save_circuits(circuits: Sequence[CircuitSpec], path: str | Path) -> None:
+    """Write a circuit list as JSON, whole or absent, as open_output writes every file."""
     entries = [{"spec": c.text, "core_length": c.core_length} for c in circuits]
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
+    with open_output(path) as handle:
+        handle.write(json.dumps(entries, indent=2) + "\n")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import reprlib
 from collections.abc import Sequence
 from dataclasses import fields
@@ -36,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .counts import (NUMBER, STRINGS, ContextDataset, DatasetError, Record, RowView, column,
-                     columns_equal, distinct_labels, field, loader, read_json, record,
-                     write_rows)
+                     columns_equal, distinct_labels, field, loader, open_output, read_json,
+                     record, write_rows)
 from .divergence import jsd_from_llr, tvd_rows
 from .gstgen import CircuitSpec
 from .llr import AggregateTestResult, TableTests, llr_aggregate, llr_tests
@@ -512,32 +511,22 @@ def save_report(reports: Sequence[ComparisonReport], path: str | Path) -> None:
     load_report, it refuses no reports and a repeated comparison_id.  A
     NaN or an infinity in a float column, which RFC 8259 cannot spell and
     no analysis makes, raises a ValueError naming its comparison.  The file
-    is whole or absent: the array goes to a temporary file beside it, which
-    replaces path only once closed and is removed on any failure.
+    is whole or absent, as open_output writes every file.
     """
     if not reports or len({report.comparison_id for report in reports}) < len(reports):
         raise ValueError("a report file holds at least one comparison, each with its own id")
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "x", encoding="utf-8") as handle:
-            separator = "[\n"
-            for report in reports:
-                try:
-                    text, columns = _comparison_rows(report)
-                    handle.write(separator + text + "[\n")
-                    write_rows(handle, _ROW_PIECES, columns, ",\n")
-                except ValueError as exc:
-                    raise ValueError(f"comparison {report.comparison_id!r}: {exc}") from None
-                handle.write("\n    ]\n  }")
-                separator = ",\n"
-            handle.write("\n]\n")
-        os.replace(temporary, path)
-    except BaseException as exc:
-        temporary.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(temporary) and not exc.filename2:
-            exc.filename = str(path)  # name the file asked for, not the temporary one
-        raise
+    with open_output(path) as handle:
+        separator = "[\n"
+        for report in reports:
+            try:
+                text, columns = _comparison_rows(report)
+                handle.write(separator + text + "[\n")
+                write_rows(handle, _ROW_PIECES, columns, ",\n")
+            except ValueError as exc:
+                raise ValueError(f"comparison {report.comparison_id!r}: {exc}") from None
+            handle.write("\n    ]\n  }")
+            separator = ",\n"
+        handle.write("\n]\n")
 
 
 def _float(value, key: str) -> float:
@@ -696,7 +685,8 @@ def _format_cell(value) -> str:
 def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
     """One combined matrix: N_sigma upper triangle, rejection counts lower.
 
-    The bytes csv.writer writes; N_sigma is written as .10g.
+    The bytes csv.writer writes; N_sigma is written as .10g.  The file is
+    whole or absent, as open_output writes every file.
     """
     contexts = matrices.contexts
     lines = [",".join(map(_csv_field, ("context", *contexts))) + "\r\n"]
@@ -705,8 +695,8 @@ def write_pairwise_csv(matrices: PairwiseMatrices, path: str | Path) -> None:
                               matrices.rejected_counts[i][j] if j < i else None)
                  for j in range(len(contexts)))
         lines.append(",".join((_csv_field(context), *cells)) + "\r\n")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(lines)
+    with open_output(path) as handle:
+        handle.write("".join(lines))
 
 
 class JsdProfile(RowView):
@@ -752,9 +742,10 @@ def _csv_field(text: str) -> str:
 
 def write_jsd_profile_csv(profile: JsdProfile, path: str | Path) -> None:
     """The bytes csv.writer writes for the header and the profile's rows: the
-    store's texts of the ids, jsd and jsd_threshold, each formatted once."""
+    store's texts of the ids, jsd and jsd_threshold, each formatted once.
+    The file is whole or absent, as open_output writes every file."""
     report = profile.report
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_output(path) as handle:
         handle.write("circuit_id,core_length,jsd,jsd_threshold\r\n")
         write_rows(handle, ("", ",", ",", ",", "\r\n"), [
             _texts(report, _csv_field, "circuit_ids").tolist(), profile.core_texts,

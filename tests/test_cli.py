@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -77,6 +78,19 @@ class TestGenCircuits:
                      "--mode", "xyz", "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    # The circuit lists' bytes: sha256 and size, as the writer has written them.
+    @pytest.mark.parametrize("design, mode, digest, size", [
+        (DRIFT_DESIGN, "lsgst",
+         "4eedc413ce997bdeae78a8c7da81bbc3eb988d0cd0e97a19d107445b75072caa", 279655),
+        (NEIGHBOR_DESIGN, "lgst",
+         "bc881292a76e0f5436871cee3ec71299d7467808b7ece4d6ca552cc2aec8763e", 2157),
+    ], ids=["lsgst-drift", "lgst-neighbor"])
+    def test_circuit_list_bytes_are_unchanged(self, tmp_path, design, mode, digest, size):
+        out = tmp_path / "circuits.json"
+        assert main(["gen-circuits", "--design", design, "--mode", mode, "--out", str(out)]) == 0
+        text = out.read_bytes()
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
 
 
 class TestSimulate:
@@ -603,6 +617,91 @@ def test_tables_naming_an_input_or_the_report_are_refused(tmp_path, capsys, data
     assert captured.err.startswith(f"error: {flags} name the same file")
     assert data.read_bytes() == contents
     assert sorted(tmp_path.rglob("*")) == before
+
+
+
+# Every command's --out in each path shape: the run exits 0 with its outputs
+# whole, or exits 1 with one error line naming the path given, and leaves no
+# staged file.  Paths are relative to the working directory "work", so a
+# staged file put beside "." would land in its parent.
+OUTPUT_COMMANDS = {
+    "gen-circuits": ["gen-circuits", "--design", NEIGHBOR_DESIGN, "--mode", "lgst"],
+    "simulate": ["simulate", "--design", NEIGHBOR_DESIGN, "--error-model", DRIFT_ERROR,
+                 "--shots", "4", "--seed", "0"],
+    "analyze": ["analyze", "--data", NEIGHBOR_DATA, "--tables", "tables"],
+}
+READ_WHOLE = {
+    "gen-circuits": lambda path: len(json.loads(path.read_text())) == 40,
+    "simulate": lambda path: len(load_dataset(path).circuit_ids) == 40,
+    "analyze": lambda path: len(load_report(path)) == len(list(Path("tables").iterdir())) - 1,
+}
+
+
+def _output_path(work, shape):
+    """The --out argument of a path shape, and whether a command can write it."""
+    if shape == "file in a file":
+        (work / "file").write_text("")
+    elif shape == "directory":
+        (work / "dir").mkdir()
+    elif shape.endswith("symlink"):
+        if shape == "symlink":
+            (work / "real.json").write_text("an earlier file\n")
+        (work / "link.json").symlink_to("real.json")
+    return {"missing directory": ("absent/out.json", False),
+            "file in a file": ("file/out.json", False), "empty": ("", False),
+            "dot": (".", False), "directory": ("dir", False),
+            "250 bytes": ("o" * 250, True), "260 bytes": ("o" * 260, False),
+            "symlink": ("link.json", True), "dangling symlink": ("link.json", True)}[shape]
+
+
+def _tree(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize("shape", ["missing directory", "file in a file", "empty", "dot",
+                                   "directory", "250 bytes", "260 bytes", "symlink",
+                                   "dangling symlink"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_path_is_written_whole_or_refused_by_name(tmp_path, monkeypatch, capsys,
+                                                         command, shape):
+    work = tmp_path / "work"
+    (work / "tables").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    out, writable = _output_path(work, shape)
+    before = _tree(tmp_path)
+    code = main([*OUTPUT_COMMANDS[command], "--out", out])
+    captured = capsys.readouterr()
+    assert not list(tmp_path.rglob(".contextdep-*"))
+    if writable:
+        assert (code, captured.err) == (0, "")
+        assert READ_WHOLE[command](Path(out))
+        if shape.endswith("symlink"):
+            assert os.readlink(out) == "real.json"
+    else:
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(out) in captured.err
+        assert _tree(tmp_path) == before
+
+
+def test_analyze_leaves_no_output_when_a_table_name_is_too_long(tmp_path, capsys):
+    # The report and the first table were once left behind.
+    long_id = "x" * 250
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"comparisons": [{"id": "ok", "contexts": ["idle", "driven"]},
+                                                {"id": long_id, "contexts": ["idle", "driven"]}]}))
+    out, tables = tmp_path / "report.json", tmp_path / "tables"
+    out.write_bytes(b"an earlier report\n")
+    code = main(["analyze", "--data", NEIGHBOR_DATA, "--plan", str(plan), "--out", str(out),
+                 "--tables", str(tables)])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("note:")]
+    assert errors == [f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+                      f"{str(tables / f'jsd_profile_{long_id}.csv')!r}"]
+    assert out.read_bytes() == b"an earlier report\n"
+    assert list(tables.iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plan.json", "report.json",
+                                                                "tables"]
 
 
 # An ASCII locale with Python's UTF-8 mode off, where open() without an

@@ -1,7 +1,9 @@
 """Dataset model: validation, serialization round-trips, marginalization."""
 
+import errno
 import io
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contextdep import counts
 from contextdep.counts import (CircuitRecord, ContextDataset, DatasetError, field,
                                load_dataset, marginalize, save_dataset, write_rows)
+from contextdep.datasets import data_path
+from contextdep.gstgen import lgst_circuits, load_design, save_circuits
+from contextdep.pipeline import (jsd_profile, pairwise_matrices, run_analysis, save_report,
+                                 write_jsd_profile_csv, write_pairwise_csv)
 
 from _references import dataset_from_records, dataset_to_json
 
@@ -406,6 +413,80 @@ def test_write_rows_refuses_columns_of_unequal_length(lengths):
     with pytest.raises(ValueError, match=f"row column {short} is shorter"):
         write_rows(handle, [""] * (len(columns) + 1), columns)
     assert handle.writes == []
+
+
+class FailingWrites:
+    """A text file handle whose k-th write raises, as a full disk does."""
+
+    def __init__(self, handle, k):
+        self.handle, self.k, self.writes = handle, k, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.k:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self.handle.__exit__(*exc_info)
+
+
+def _writer_input(name):
+    """A writer of the package and a small input of it; the dataset takes
+    five writes (its header, three batches of rows, its end)."""
+    if name == "save_dataset":
+        return save_dataset, many_circuits(1100)
+    if name == "save_circuits":
+        return save_circuits, lgst_circuits(load_design(data_path("design_neighbor.json")))
+    dataset = load_dataset(data_path("dataset_neighbor.json"))
+    reports = run_analysis(dataset)
+    return {"save_report": (save_report, reports),
+            "write_pairwise_csv": (write_pairwise_csv,
+                                   pairwise_matrices(reports, dataset.contexts)),
+            "write_jsd_profile_csv": (write_jsd_profile_csv,
+                                      jsd_profile(reports[0], dataset))}[name]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("name", ["save_circuits", "save_dataset", "save_report",
+                                  "write_jsd_profile_csv", "write_pairwise_csv"])
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, existing):
+    """Every writer's k-th write fails in turn: an existing target keeps its
+    bytes, a new one does not appear, no staged file is left, and the error
+    names the path given."""
+    write, data = _writer_input(name)
+    handles, failing = [], {"k": 0}
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if mode == "w":
+            handles.append(FailingWrites(handle, failing["k"]))
+            return handles[-1]
+        return handle
+
+    monkeypatch.setattr(counts, "open", failing_open, raising=False)
+    whole = tmp_path / "whole"
+    write(data, whole)
+    n_writes, expected = handles[-1].writes, whole.read_bytes()
+    whole.unlink()
+    assert n_writes == 5 if name == "save_dataset" else n_writes >= 1
+    path = tmp_path / "out"
+    if existing:
+        path.write_bytes(b"an earlier file\n")
+    for k in range(1, n_writes + 1):
+        failing["k"] = k
+        with pytest.raises(OSError) as raised:
+            write(data, path)
+        assert raised.value.errno == errno.ENOSPC and raised.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"an earlier file\n"
+    failing["k"] = 0
+    write(data, path)
+    assert path.read_bytes() == expected
 
 
 def two_bit_dataset():

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import sys
 
@@ -494,6 +496,34 @@ class TestReportFiles:
         save_report(reports[:3], path)
         assert [entry["comparison_id"] for entry in json.loads(path.read_text())] == \
             ["c0", "c1", "c2"]
+
+    def test_a_long_file_name_is_saved(self, tmp_path):
+        # A temporary name of ".<name>.<pid>.tmp" once passed the file system's
+        # 255-byte limit, so a 250-byte name it accepts could not be saved.
+        path, short = tmp_path / ("r" * 250), tmp_path / "r"
+        save_report([_one_row_report()], path)
+        save_report([_one_row_report()], short)
+        assert path.read_bytes() == short.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [short, path]
+
+    def test_a_name_too_long_raises_its_own_error_naming_it(self, tmp_path):
+        # Removing the temporary file once raised a second ENAMETOOLONG, which
+        # replaced the first and named the temporary file.
+        path = tmp_path / ("r" * 260)
+        with pytest.raises(OSError) as raised:
+            save_report([_one_row_report()], path)
+        assert raised.value.errno == errno.ENAMETOOLONG
+        assert raised.value.filename == str(path) and raised.value.filename2 is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_removal_that_fails_leaves_the_first_error(self, tmp_path, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "removal refused", path)
+        monkeypatch.setattr(os, "unlink", refuse)
+        report = dataclasses.replace(_one_row_report(), jsd_threshold=np.full(1, math.nan))
+        with pytest.raises(ValueError, match="^comparison 'a_vs_b': .*not JSON compliant"):
+            save_report([report], tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
 
     def test_columns_of_unequal_length_are_not_truncated(self, tmp_path):
         # A short column once cut every row to its length: 5 of 40 rows saved.
