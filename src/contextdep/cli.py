@@ -157,15 +157,15 @@ def _cmd_analyze(args) -> int:
     reports = run_analysis(dataset, plan, alpha=args.alpha)
     # The report and every table are staged, and move into place together
     # once the last is written: a failure leaves none of them.
-    with staged() as stage:
-        save_report(reports, stage(args.out))
+    with staged():
+        save_report(reports, args.out)
         if args.tables is not None:
             try:
                 matrices = pairwise_matrices(reports, dataset.contexts)
             except ValueError as exc:
                 print(f"note: pairwise matrix skipped ({exc})", file=sys.stderr)
             else:
-                write_pairwise_csv(matrices, stage(tables / "pairwise_matrix.csv"))
+                write_pairwise_csv(matrices, tables / "pairwise_matrix.csv")
             for report in reports:
                 try:
                     rows = jsd_profile(report, dataset)
@@ -173,8 +173,7 @@ def _cmd_analyze(args) -> int:
                     print(f"note: JSD profile for {report.comparison_id!r} skipped ({exc})",
                           file=sys.stderr)
                     continue
-                write_jsd_profile_csv(
-                    rows, stage(tables / f"jsd_profile_{report.comparison_id}.csv"))
+                write_jsd_profile_csv(rows, tables / f"jsd_profile_{report.comparison_id}.csv")
     return 0
 
 

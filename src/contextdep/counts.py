@@ -12,7 +12,7 @@ Record is the base of every record type of the package.
 Every file loader of the package is a loader() and reads its JSON fields
 through field() and column() here, so all input files obey the same type
 and fault rules; distinct_labels() checks every label list of the package.
-Every file writer writes through staged() here, so each output file is
+Every file writer writes through open_output() here, so each output file is
 whole or absent.
 """
 
@@ -24,8 +24,10 @@ import json
 import math
 import os
 import reprlib
+import stat
 from collections import Counter
 from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -476,44 +478,33 @@ def write_rows(handle: TextIO, pieces: Sequence[str], columns: Sequence[Sequence
         handle.write("".join(batch))
 
 
+# The set of files being staged: (staged or target path -> path given,
+# [(staged, target)]), or None outside staged().
+_staging: ContextVar[tuple[dict[str, str], list[tuple[str, str]]] | None] = \
+    ContextVar("_staging", default=None)
+
+
 @contextmanager
-def staged() -> Iterator[Callable[[str | Path], str]]:
-    """Write a set of files whole or not at all: the package's one write path.
+def staged() -> Iterator[None]:
+    """Move every file open_output writes in the block into place together,
+    or none of them: the package's one write path.
 
-    ``stage(path)`` makes an empty file for the caller to write, in mode
-    "x" so the umask applies, in the directory of path's resolved target
-    (a symlink keeps its link), named ".contextdep-" and 12 random hex
-    digits, drawn again if taken.  A path that names a directory ("", "."
-    or an existing one) is refused first.  When the block ends cleanly,
-    every target must stat as a file or as missing before any staged file
-    replaces its target.  On any exception every staged file is removed,
-    errors of the removal ignored, and an OSError about a staged file or
-    its target names the path the caller gave.
+    When the block ends cleanly each staged file replaces its target with
+    os.replace.  On any exception every staged file is removed, errors of
+    the removal ignored, and an OSError about a staged file or its target
+    names the path the caller gave.  A staged() inside another joins it.
+    This covers failures of the process, not of the machine: staged files
+    are not flushed to disk before they move, so after an operating-system
+    crash or a power loss a target may be empty or partial.
     """
-    given: dict[str, str] = {}  # temporary or target -> the path the caller gave
+    if _staging.get() is not None:
+        yield
+        return
+    given: dict[str, str] = {}
     moves: list[tuple[str, str]] = []
-
-    def stage(path: str | Path) -> str:
-        name = os.fspath(path)
-        target = os.path.realpath(name)
-        given[target] = name
-        if os.path.basename(name) in ("", ".", "..") or os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
-        while True:
-            temporary = os.path.join(os.path.dirname(target), f".contextdep-{os.urandom(6).hex()}")
-            given[temporary] = name
-            with suppress(FileExistsError):
-                open(temporary, "x").close()
-                moves.append((temporary, target))
-                return temporary
-
+    token = _staging.set((given, moves))
     try:
-        yield stage
-        for _, target in moves:
-            with suppress(FileNotFoundError):
-                os.stat(target)  # any other error, such as a name too long, fails the set
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        yield
         for temporary, target in moves:
             os.replace(temporary, target)
     except BaseException as exc:
@@ -524,21 +515,51 @@ def staged() -> Iterator[Callable[[str | Path], str]]:
             exc.filename = given[exc.filename]
             del exc.filename2  # os.replace's target, now named by filename
         raise
+    finally:
+        _staging.reset(token)
 
 
 @contextmanager
 def open_output(path: str | Path) -> Iterator[TextIO]:
-    """A handle on a file that replaces ``path`` once written whole: staged()
-    for one file, in the package's one mode for output, UTF-8 with no
-    newline translation.  A write error that names no file names ``path``."""
-    with staged() as stage:
-        temporary = stage(path)
+    """A handle on a file that replaces ``path`` once written whole, in the
+    package's one mode for output, UTF-8 with no newline translation.
+
+    The file joins the enclosing staged() set, or is a set of its own.  A
+    path that names a directory ("", "." or "..") or that stats as anything
+    but a regular file or a missing one (a directory, a FIFO, a device such
+    as /dev/null) is refused first.  The file is staged in the directory of
+    path's resolved target (a symlink keeps its link), named ".contextdep-"
+    and 12 random hex digits, drawn again if taken, and made in mode "x",
+    so the umask applies.  A file whose writing raises is removed and
+    leaves the set, and a write error that names no file names ``path``.
+    """
+    with staged():
+        given, moves = _staging.get()
+        name = os.fspath(path)
         try:
-            with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            mode = os.stat(name).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG
+        if os.path.basename(name) in ("", ".", "..") or not stat.S_ISREG(mode):
+            raise OSError(errno.EINVAL, "not a regular file", name)
+        target = os.path.realpath(name)
+        given[target] = name
+        while True:
+            temporary = os.path.join(os.path.dirname(target), f".contextdep-{os.urandom(6).hex()}")
+            given[temporary] = name
+            with suppress(FileExistsError):
+                handle = open(temporary, "x", encoding="utf-8", newline="")
+                break
+        moves.append((temporary, target))
+        try:
+            with handle:
                 yield handle
-        except OSError as exc:
-            if exc.filename is None and exc.errno is not None:
-                exc.filename = temporary
+        except BaseException as exc:
+            moves.remove((temporary, target))
+            with suppress(OSError):
+                os.unlink(temporary)
+            if isinstance(exc, OSError) and exc.filename is None and exc.errno is not None:
+                exc.filename = name
             raise
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -647,11 +648,17 @@ def _output_path(work, shape):
         if shape == "symlink":
             (work / "real.json").write_text("an earlier file\n")
         (work / "link.json").symlink_to("real.json")
+    elif "fifo" in shape:
+        # Not a regular file: /dev/stdout on a pipe is one, /dev/null a device.
+        os.mkfifo(work / "fifo")
+        if shape == "link to a fifo":
+            (work / "link.json").symlink_to("fifo")
     return {"missing directory": ("absent/out.json", False),
             "file in a file": ("file/out.json", False), "empty": ("", False),
             "dot": (".", False), "directory": ("dir", False),
             "250 bytes": ("o" * 250, True), "260 bytes": ("o" * 260, False),
-            "symlink": ("link.json", True), "dangling symlink": ("link.json", True)}[shape]
+            "symlink": ("link.json", True), "dangling symlink": ("link.json", True),
+            "fifo": ("fifo", False), "link to a fifo": ("link.json", False)}[shape]
 
 
 def _tree(root):
@@ -660,7 +667,7 @@ def _tree(root):
 
 @pytest.mark.parametrize("shape", ["missing directory", "file in a file", "empty", "dot",
                                    "directory", "250 bytes", "260 bytes", "symlink",
-                                   "dangling symlink"])
+                                   "dangling symlink", "fifo", "link to a fifo"])
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
 def test_output_path_is_written_whole_or_refused_by_name(tmp_path, monkeypatch, capsys,
                                                          command, shape):
@@ -682,6 +689,8 @@ def test_output_path_is_written_whole_or_refused_by_name(tmp_path, monkeypatch, 
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert repr(out) in captured.err
         assert _tree(tmp_path) == before
+        if "fifo" in shape:
+            assert stat.S_ISFIFO(os.lstat(work / "fifo").st_mode)
 
 
 def test_analyze_leaves_no_output_when_a_table_name_is_too_long(tmp_path, capsys):

@@ -462,7 +462,7 @@ def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, name,
 
     def failing_open(file, mode="r", *args, **kwargs):
         handle = open(file, mode, *args, **kwargs)
-        if mode == "w":
+        if mode == "x":
             handles.append(FailingWrites(handle, failing["k"]))
             return handles[-1]
         return handle
@@ -488,6 +488,28 @@ def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, name,
     write(data, path)
     assert path.read_bytes() == expected
 
+
+
+def test_a_staged_set_moves_its_files_together(tmp_path):
+    """Files written in one staged() block move only when it ends cleanly;
+    a file whose writing raised leaves the set even if the block goes on."""
+    with pytest.raises(RuntimeError):
+        with counts.staged():
+            with counts.open_output(tmp_path / "first") as handle:
+                handle.write("one\n")
+            assert list(tmp_path.iterdir()) != [tmp_path / "first"]
+            raise RuntimeError("a later step fails")
+    assert list(tmp_path.iterdir()) == []
+    with counts.staged():
+        with pytest.raises(RuntimeError):
+            with counts.open_output(tmp_path / "second") as handle:
+                handle.write("part of a file")
+                raise RuntimeError("the writer fails")
+        with counts.open_output(tmp_path / "third") as handle:
+            handle.write("three\n")
+        assert [path.name[:12] for path in tmp_path.iterdir()] == [".contextdep-"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "third"]
+    assert (tmp_path / "third").read_text() == "three\n"
 
 def two_bit_dataset():
     record = CircuitRecord(circuit_id="q", counts={"a": (5, 7, 11, 13), "b": (2, 3, 5, 8)})
